@@ -1,0 +1,167 @@
+"""Absolute transcript pins: fixed-seed sessions hashed to constants.
+
+Every other byte-identity test in the suite is *relative* — it compares
+two deployments built at the same commit, so a change made to both
+sides at once passes them all.  These pins are the absolute reference:
+each variant runs one fixed-seed session (three Figure 5 rounds with a
+PU channel switch after the first) and the sha-256 over every protocol
+message it emitted — requests, blinded ``Ṽ``, STP conversions, license
+responses, the switch's PU update — must equal a constant recorded
+before the SDC implementations were unified.
+
+A pin only ever changes together with a deliberate, documented change
+of the wire transcript.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from repro.cluster import ClusterCoordinator
+from repro.crypto.rand import DeterministicRandomSource
+from repro.pisa.packed import PackedCoordinator
+from repro.pisa.protocol import PisaCoordinator
+from repro.pisa.two_server import TwoServerCoordinator
+from repro.resilience.journal import EpochJournal, JournalWriter
+from repro.store import MemoryStateStore
+from repro.watch.scenario import ScenarioConfig, build_scenario
+
+FROZEN_CLOCK = 1_700_000_000.0
+SEED = "golden"
+
+#: The single SDC and every cluster shape draw the same stream, so one
+#: constant pins all four deployments.
+BASIC_DIGEST = "4e8e89758ae0813ceaf97dad9084ec5d1e0d3d5deea1a362927c727b5cfcd8e8"
+TWO_SERVER_DIGEST = "0fdd733fd1f4b51f416d70fe4686c0d41fbff1dcb08a0dd4ed7cb227c55da30d"
+PACKED_DIGEST = "070efcf281ce14f102c2d15143d3710a586ae50d983d385c7305963e6570736a"
+JOURNAL_DIGEST = "5b53981d053824fa17ca7d15e1809975d3648fd050fc295f1e8924641ae0e2e3"
+#: Seed-4 scenario, SUs 0..2: a deny followed by two grants.
+DECISIONS = (False, True, True)
+
+
+def frozen_clock() -> float:
+    return FROZEN_CLOCK
+
+
+def run_session(coordinator, scenario) -> tuple[str, tuple[bool, ...]]:
+    """Enrol, run the fixed session, hash every message in order."""
+    two_server = hasattr(coordinator, "front")
+    sdc = coordinator.front if two_server else coordinator.sdc
+    if two_server:
+        start = sdc.start_request_with_partials
+        convert = coordinator.backend.handle_partial_extraction
+        directory = coordinator.directory
+    else:
+        start = sdc.start_request
+        convert = coordinator.stp.handle_sign_extraction
+        directory = coordinator.stp.directory
+    pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
+    for su in scenario.sus:
+        coordinator.enroll_su(su)
+
+    digest = hashlib.sha256()
+    decisions = []
+
+    def absorb(message) -> None:
+        raw = message.to_bytes()
+        digest.update(len(raw).to_bytes(8, "big") + raw)
+
+    for i, su in enumerate(scenario.sus):
+        client = coordinator.su_client(su.su_id)
+        request = client.prepare_request()
+        sign_request = start(request)
+        sign_response = convert(sign_request)
+        response = sdc.finish_request(sign_response)
+        for message in (request, sign_request, sign_response, response):
+            absorb(message)
+        decisions.append(client.process_response(response, directory).granted)
+        if i == 0:
+            update = pu_clients[0].switch_channel(1, signal_strength_mw=2.0)
+            absorb(update)
+            sdc.handle_pu_update(update)
+    return digest.hexdigest(), tuple(decisions)
+
+
+@pytest.fixture(scope="module")
+def golden_scenario():
+    return build_scenario(ScenarioConfig(seed=4, num_sus=3))
+
+
+def build_cluster(scenario, num_shards, **kwargs):
+    return ClusterCoordinator(
+        scenario.environment,
+        num_shards=num_shards,
+        key_bits=256,
+        rng=DeterministicRandomSource(SEED),
+        clock=frozen_clock,
+        **kwargs,
+    )
+
+
+class TestGoldenTranscripts:
+    def test_basic(self, golden_scenario):
+        coordinator = PisaCoordinator(
+            golden_scenario.environment,
+            key_bits=256,
+            rng=DeterministicRandomSource(SEED),
+        )
+        coordinator.sdc._clock = frozen_clock
+        assert run_session(coordinator, golden_scenario) == (
+            BASIC_DIGEST,
+            DECISIONS,
+        )
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_cluster(self, golden_scenario, num_shards):
+        coordinator = build_cluster(golden_scenario, num_shards)
+        try:
+            assert run_session(coordinator, golden_scenario) == (
+                BASIC_DIGEST,
+                DECISIONS,
+            )
+        finally:
+            coordinator.close()
+
+    def test_journaled_store_backed_cluster(self, golden_scenario):
+        """Journal + store change no protocol byte; the journal's own
+        bytes (every draw, clock read and barrier marker, in order) are
+        pinned too."""
+        buffer = io.BytesIO()
+        journal = EpochJournal(JournalWriter(fileobj=buffer))
+        coordinator = build_cluster(
+            golden_scenario, 2, journal=journal, store=MemoryStateStore()
+        )
+        try:
+            assert run_session(coordinator, golden_scenario) == (
+                BASIC_DIGEST,
+                DECISIONS,
+            )
+            journal.barrier()
+            assert hashlib.sha256(buffer.getvalue()).hexdigest() == JOURNAL_DIGEST
+        finally:
+            coordinator.close()
+
+    def test_two_server(self, golden_scenario):
+        coordinator = TwoServerCoordinator(
+            golden_scenario.environment,
+            key_bits=256,
+            rng=DeterministicRandomSource(SEED),
+        )
+        coordinator.front._clock = frozen_clock
+        assert run_session(coordinator, golden_scenario) == (
+            TWO_SERVER_DIGEST,
+            DECISIONS,
+        )
+
+    def test_packed(self, golden_scenario):
+        coordinator = PackedCoordinator(
+            golden_scenario.environment,
+            key_bits=512,
+            rng=DeterministicRandomSource(SEED),
+            clock=frozen_clock,
+        )
+        assert run_session(coordinator, golden_scenario) == (
+            PACKED_DIGEST,
+            DECISIONS,
+        )
