@@ -65,7 +65,7 @@ def main() -> None:
     coordinator.enroll_pu(incumbent)
     sizes = []
     for c in range(params.num_channels):
-        ct = coordinator.sdc._w_sum[(c, incumbent.block_index)]
+        ct = coordinator.sdc.kernel.cell(c, incumbent.block_index)
         sizes.append(ct.ciphertext)
         print(f"  W̃[ch {c}, block {incumbent.block_index}] = "
               f"0x{ct.ciphertext:x}"[:58] + "…")

@@ -156,7 +156,7 @@ def sdc_breach_view(
         # ciphertext (any fixed rule does equally well) — success only
         # by luck.
         cells = {
-            c: coordinator.sdc._w_sum[(c, target.block_index)].ciphertext
+            c: coordinator.sdc.kernel.cell(c, target.block_index).ciphertext
             for c in range(env.num_channels)
         }
         guess = min(cells, key=cells.get)

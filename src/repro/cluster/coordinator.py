@@ -1,22 +1,25 @@
 """The cluster coordinator: a sharded SDC with a single-SDC transcript.
 
-:class:`ClusterSdc` presents exactly the :class:`~repro.pisa.sdc_server.SdcServer`
-surface (``handle_pu_update`` / ``start_request`` / ``finish_request`` /
-``blinding_parameters``), so the STP, the SU clients, the epoch batcher,
-and the broker all drive it unchanged.  Internally every request is
-split by block ownership, scattered to the shards, and the encrypted
-partials merged back — with one invariant the test suite asserts
-byte-for-byte:
+:class:`ClusterSdc` is the same request front as
+:class:`~repro.pisa.sdc_server.SdcServer`
+(:class:`~repro.pisa.sdc_server.SdcFront`: validation, every random
+draw, pending rounds, license issuance), so the STP, the SU clients, the
+epoch batcher, and the broker all drive it unchanged.  Where the single
+SDC hands the per-cell arithmetic to one in-process kernel, this front
+splits each request by block ownership, scatters it to the shards'
+kernels, and merges the encrypted partials back — with one invariant
+the test suite asserts byte-for-byte:
 
 **Transcript equivalence.**  Seeded identically, the N-shard cluster
 emits the *same bytes* as one SDC — the same ``Ṽ`` matrix to the STP,
 the same license, the same perturbed signature — because:
 
 * all randomness (per-cell ``(α, β, ε)``, obfuscator nonces, the
-  signature nonce, η) is drawn *centrally*, in the single-SDC cell
-  order, before anything is scattered;
+  signature nonce, η) is drawn by the shared front, in cell order,
+  before anything is scattered;
 * shards perform only deterministic homomorphic arithmetic on that
-  handed-down randomness (:mod:`repro.cluster.shard`);
+  handed-down randomness (:mod:`repro.pisa.kernel` behind
+  :mod:`repro.cluster.shard`);
 * the merged ``ΣQ̃`` is a product of partial products mod ``n²``, which
   is grouping-independent.
 
@@ -24,51 +27,31 @@ So sharding changes *where* the multiplications run and nothing else —
 the same argument (and the same test pattern) that made the executor
 seam safe in the service runtime.
 
-:class:`ClusterCoordinator` mirrors :class:`~repro.pisa.protocol.PisaCoordinator`
-(same construction-time RNG draw order, same enrolment flows) and adds
+:class:`ClusterCoordinator` is a :class:`~repro.pisa.protocol.PisaCoordinator`
+(same construction-time RNG draw order, same enrolment flows, the same
+round driver) whose SDC build hook stands up the shard fleet, and adds
 the cluster operations: ``kill_shard``, ``join_shard`` / ``leave_shard``
 with block handoff, and epoch commit with per-shard snapshots.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 
-from repro.crypto.paillier import (
-    EncryptedNumber,
-    PaillierKeypair,
-    PaillierPublicKey,
-    generate_keypair,
-    hom_sum,
-)
+from repro.crypto.paillier import EncryptedNumber, PaillierKeypair, hom_sum
 from repro.crypto.rand import RandomSource, default_rng
-from repro.crypto.signatures import RsaFdhSigner, generate_rsa_keypair
+from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
 from repro.geo.region import PrivacyRegion
-from repro.net.transport import (
-    InMemoryTransport,
-    MultiplexedTransport,
-    resolve_multiplexed,
-)
-from repro.pisa.blinding import BlindingFactory, BlindingParameters
-from repro.pisa.license import TransmissionLicense
-from repro.pisa.messages import (
-    LicenseResponse,
-    PUUpdateMessage,
-    SignExtractionRequest,
-    SignExtractionResponse,
-    SURequestMessage,
-)
-from repro.pisa.protocol import RoundReport, RoundTimings
-from repro.pisa.pu_client import PUClient
-from repro.pisa.sdc_server import PendingRound, SdcStats
-from repro.pisa.stp_server import StpServer
-from repro.pisa.su_client import SUClient
+from repro.net.transport import MultiplexedTransport, resolve_multiplexed
+from repro.pisa.messages import PUUpdateMessage
+from repro.pisa.protocol import PisaCoordinator
+from repro.pisa.sdc_server import SdcFront
 from repro.pisa.storage import serialize_directory
+from repro.pisa.su_client import SUClient
 from repro.resilience.journal import JournaledClock, JournalingRandomSource
 from repro.store.coldstart import restore_shard_from_store
-from repro.watch.entities import PUReceiver, SUTransmitter
+from repro.watch.entities import SUTransmitter
 from repro.watch.environment import SpectrumEnvironment
 
 from repro.cluster.fencing import LeaseAuthority
@@ -86,8 +69,8 @@ from repro.cluster.shard import (
 __all__ = ["ClusterSdc", "ClusterCoordinator"]
 
 
-class ClusterSdc:
-    """Drop-in SDC facade over the shard fleet."""
+class ClusterSdc(SdcFront):
+    """The SDC request front over the shard fleet."""
 
     def __init__(
         self,
@@ -102,42 +85,22 @@ class ClusterSdc:
         journal=None,
         store=None,
     ) -> None:
-        self.environment = environment
-        self.directory = directory
-        self.signer = signer
+        super().__init__(
+            environment, directory, signer, issuer_id=issuer_id, rng=rng,
+            fresh_beta_encryption=fresh_beta_encryption, clock=clock,
+        )
         self.router = router
-        self.issuer_id = issuer_id
         #: Optional durable :class:`~repro.store.base.StateStore`; when
         #: set, every routed PU update is upserted into its per-PU table
         #: so a cold restart can rebuild the budget without the journal.
         self.store = store
-        self._rng = default_rng(rng)
-        self._fresh_beta = fresh_beta_encryption
-        self._clock = clock
         #: Optional :class:`repro.resilience.journal.EpochJournal`.  When
-        #: set, protocol-step markers are write-ahead logged and phase-2
-        #: randomness is *pre-drawn* behind a durability barrier (see
-        #: :meth:`finish_request`) so a crash mid-phase-2 replays
-        #: byte-identically.  ``None`` leaves the draw timing exactly as
-        #: the transcript-equivalence tests pin it.
+        #: set, protocol-step markers are write-ahead logged and each
+        #: phase's randomness — which the front has fully drawn by the
+        #: time it calls :meth:`_blind` / :meth:`_q_sum` — is put behind
+        #: a durability barrier before the scatter, so a crash mid-phase
+        #: replays byte-identically.
         self.journal = journal
-        self.stats = SdcStats()
-        self._pending: dict[str, PendingRound] = {}
-        self._round_counter = itertools.count()
-        #: The most recent round's merged ΣQ̃ (equivalence-test probe;
-        #: the single SDC exposes the same attribute).
-        self.last_q_sum: EncryptedNumber | None = None
-        directory.register_signing_key(issuer_id, signer.public_key)
-
-    @property
-    def group_public_key(self) -> PaillierPublicKey:
-        return self.directory.group_public_key
-
-    def blinding_parameters(self) -> BlindingParameters:
-        """Identical derivation to the single SDC — same α/β widths."""
-        params = self.environment.params
-        bound = (1 << params.value_bits) * (params.sinr_plus_redn_int + 1)
-        return BlindingParameters.for_key(self.group_public_key, bound)
 
     # -- Figure 4 step 4 ---------------------------------------------------------
 
@@ -151,50 +114,14 @@ class ClusterSdc:
             # keyed by owning shard so a cold start can restore one
             # shard without scanning the fleet's rows.
             self.store.put_pu_update(shard_id, message.pu_id, message.to_bytes())
-        self.stats.pu_updates += 1
 
     # -- Figure 5 phase 1 --------------------------------------------------------
 
-    def start_request(
-        self, request: SURequestMessage, span=None
-    ) -> SignExtractionRequest:
+    def _blind(self, round_id, request, blindings, obfuscators, span):
         """Scatter phase 1 and reassemble the exact single-SDC ``Ṽ``.
 
-        ``span`` (optional :class:`repro.telemetry.Span`) becomes the
-        parent of the per-shard scatter spans; tracing draws no protocol
-        randomness, so traced and untraced transcripts stay identical.
+        ``span`` becomes the parent of the per-shard scatter spans.
         """
-        env = self.environment
-        if span is not None:
-            span.set_attribute("blocks", len(request.region_blocks))
-        if len(request.matrix) != env.num_channels:
-            raise ProtocolError("request must carry one row per channel")
-        if not self.directory.has_su_key(request.su_id):
-            raise ProtocolError(f"SU {request.su_id!r} has no registered key")
-        for block in request.region_blocks:
-            if not 0 <= block < env.num_blocks:
-                raise ProtocolError(f"disclosed block {block} outside the area")
-        factory = BlindingFactory(self.blinding_parameters(), rng=self._rng)
-        pk = self.group_public_key
-        # All randomness, drawn centrally in the single-SDC cell order
-        # (row-major: blinding triple, then obfuscator nonce) — the
-        # shards never touch the RNG, so the transcript cannot depend on
-        # how the map is partitioned.
-        blinding_rows = []
-        obfuscator_rows = []
-        for row in request.matrix:
-            blinding_row = []
-            obfuscator_row = []
-            for f_ct in row:
-                if f_ct.public_key != pk:
-                    raise ProtocolError("request entry not under the group key")
-                blinding_row.append(factory.draw())
-                obfuscator_row.append(
-                    pk.random_r(self._rng) if self._fresh_beta else None
-                )
-            blinding_rows.append(tuple(blinding_row))
-            obfuscator_rows.append(tuple(obfuscator_row))
-        round_id = f"round-{next(self._round_counter)}"
         if self.journal is not None:
             # Every phase-1 random input is drawn; barrier before the
             # first message derived from it can leave the process.
@@ -212,10 +139,10 @@ class ClusterSdc:
                     tuple(row[k] for k in columns) for row in request.matrix
                 ),
                 blindings=tuple(
-                    tuple(row[k] for k in columns) for row in blinding_rows
+                    tuple(row[k] for k in columns) for row in blindings
                 ),
                 obfuscators=tuple(
-                    tuple(row[k] for k in columns) for row in obfuscator_rows
+                    tuple(row[k] for k in columns) for row in obfuscators
                 ),
             )
         if span is not None:
@@ -223,68 +150,27 @@ class ClusterSdc:
         responses = self.router.scatter_phase1(subqueries, parent=span)
         # Gather: place each shard's columns back at their request
         # positions — the reassembled matrix is column-for-column the
-        # matrix one SDC would have produced.
+        # matrix one kernel over every block produces.
+        num_channels = self.environment.num_channels
         width = len(request.region_blocks)
         grid: list[list[EncryptedNumber | None]] = [
-            [None] * width for _ in range(env.num_channels)
+            [None] * width for _ in range(num_channels)
         ]
         for response in responses.values():
             for j, k in enumerate(response.columns):
-                for c in range(env.num_channels):
+                for c in range(num_channels):
                     grid[c][k] = response.matrix[c][j]
-        blinded_rows = tuple(tuple(row) for row in grid)
-        self._pending[round_id] = PendingRound(
-            round_id=round_id,
-            su_id=request.su_id,
-            region_blocks=request.region_blocks,
-            blindings=tuple(blinding_rows),
-            request_digest=TransmissionLicense.digest_of(request.digest_bytes()),
-            channels=tuple(range(env.num_channels)),
-        )
-        self.stats.requests_started += 1
-        return SignExtractionRequest(
-            round_id=round_id, su_id=request.su_id, matrix=blinded_rows
-        )
+        return tuple(tuple(row) for row in grid)
 
     # -- Figure 5 phase 2 --------------------------------------------------------
 
-    def finish_request(
-        self, response: SignExtractionResponse, span=None
-    ) -> LicenseResponse:
-        """Scatter the ``Q̃`` work, merge partial ``ΣQ̃``, issue the license."""
-        pending = self._pending.get(response.round_id)
-        if pending is None:
-            raise ProtocolError(f"unknown round {response.round_id!r}")
-        if response.su_id != pending.su_id:
-            raise ProtocolError("sign-extraction response for the wrong SU")
-        su_key = self.directory.su_key(pending.su_id)
-        if len(response.matrix) != len(pending.blindings):
-            raise ProtocolError("sign matrix shape mismatch")
-        for x_row, blinding_row in zip(response.matrix, pending.blindings):
-            if len(x_row) != len(blinding_row):
-                raise ProtocolError("sign matrix shape mismatch")
-            for x_ct in x_row:
-                if x_ct.public_key != su_key:
-                    raise ProtocolError("converted sign not under the SU's key")
-        del self._pending[response.round_id]
+    def _q_sum(self, pending, response, span) -> EncryptedNumber:
+        """Scatter the ``Q̃`` work and merge the partial ``ΣQ̃``."""
         if self.journal is not None:
-            # Pre-draw every phase-2 random input — signature obfuscator,
-            # η, the license clock — in the single-SDC order, and put a
-            # durability barrier under them *before* the scatter.  A
-            # coordinator killed anywhere past this point replays the
-            # round byte-identically from the journal alone.  The draw
-            # *order* (r, then η) matches the unjournaled path below, so
-            # journaling never shifts the transcript.
-            sig_r = su_key.random_r(self._rng)
-            eta = BlindingFactory(
-                self.blinding_parameters(), rng=self._rng
-            ).draw_eta()
-            issued_at = int(self._clock())
+            # The signature obfuscator, η and the license clock are
+            # drawn; a coordinator killed anywhere past this barrier
+            # replays the round byte-identically from the journal alone.
             self.journal.phase2_committed(response.round_id)
-        else:
-            sig_r = None
-            eta = None
-            issued_at = None
         # Phase 2 is block-state-free (pure X̃/ε arithmetic), so the
         # *current* ring decides who computes what — a round that spans
         # a membership change still completes.
@@ -308,37 +194,9 @@ class ClusterSdc:
         partials = self.router.scatter_phase2(subqueries, parent=span)
         # Merge order is fixed (sorted shard id) for determinism, though
         # mod-n² multiplication makes any order produce the same integer.
-        q_sum = hom_sum(
+        return hom_sum(
             [partials[shard_id].partial_q for shard_id in sorted(partials)]
         )
-        license_body = TransmissionLicense(
-            su_id=pending.su_id,
-            issuer_id=self.issuer_id,
-            request_digest=pending.request_digest,
-            channels=pending.channels,
-            issued_at=(
-                issued_at if issued_at is not None else int(self._clock())
-            ),
-        )
-        signature = license_body.sign(self.signer, max_value=su_key.n)
-        encrypted_signature = EncryptedNumber(
-            su_key,
-            (
-                su_key.raw_encrypt(signature, r=sig_r)
-                if sig_r is not None
-                else su_key.raw_encrypt(signature, rng=self._rng)
-            ),
-        )
-        # eq. (17): G̃ = SG̃ ⊕ (η ⊗ ΣQ̃) — same RNG order as the single
-        # SDC (signature nonce, then η).
-        if eta is None:  # audit-ok: SEC002 — None-sentinel on the pre-draw slot, not a value branch
-            eta = BlindingFactory(
-                self.blinding_parameters(), rng=self._rng
-            ).draw_eta()
-        self.last_q_sum = q_sum
-        g_ct = encrypted_signature.add(q_sum.scalar_mul(eta))
-        self.stats.requests_completed += 1
-        return LicenseResponse(license=license_body, encrypted_signature=g_ct)
 
     # -- epoch control -----------------------------------------------------------
 
@@ -346,18 +204,15 @@ class ClusterSdc:
         """Commit on every shard; snapshot each primary at the new epoch."""
         self.router.commit_epoch(epoch_id, snapshot=snapshot)
 
-    @property
-    def pending_rounds(self) -> int:
-        return len(self._pending)
 
-
-class ClusterCoordinator:
+class ClusterCoordinator(PisaCoordinator):
     """Builds and drives a complete sharded PISA deployment.
 
-    Construction draws randomness in exactly
-    :class:`~repro.pisa.protocol.PisaCoordinator`'s order (group keypair,
-    then signing keypair; shards draw nothing), so the same seed yields
-    the same keys — the precondition of the transcript-equivalence test.
+    A :class:`~repro.pisa.protocol.PisaCoordinator` whose SDC is the
+    shard fleet: construction draws randomness in exactly the base
+    order (group keypair, then signing keypair; shards draw nothing), so
+    the same seed yields the same keys — the precondition of the
+    transcript-equivalence test.
     """
 
     def __init__(
@@ -382,40 +237,51 @@ class ClusterCoordinator:
     ) -> None:
         if num_shards < 1:
             raise ProtocolError("num_shards must be positive")
-        if signature_bits is None:
-            signature_bits = max(32, key_bits // 2)
-        if signature_bits >= key_bits:
-            raise ProtocolError(
-                "signature modulus must be smaller than the Paillier modulus"
-            )
-        self.environment = environment
-        self.key_bits = key_bits
-        self._rng = default_rng(rng)
+        # The build hooks run inside super().__init__; stash their
+        # dependencies first.
         self.journal = journal
         if journal is not None:
             # Journal the shared draw stream at the root: key generation,
             # blinding triples, obfuscator nonces, client randomness —
             # everything the deployment ever draws goes through this one
             # wrapper, so one journal replays the whole deployment.
-            self._rng = JournalingRandomSource(self._rng, journal)
+            rng = JournalingRandomSource(default_rng(rng), journal)
             clock = JournaledClock(journal, base=clock)
         self._clock = clock
-        self.transport: InMemoryTransport = (
-            transport if transport is not None else MultiplexedTransport()
-        )
-        self.stp = self._build_stp(key_bits, stp_executor)
-        _, signing_private = generate_rsa_keypair(signature_bits, rng=self._rng)
-        # Control plane — deterministic, no RNG draws from here on.
+        self._num_shards = num_shards
         self._shard_executor_factory = shard_executor_factory
         self._shard_executors: list = []
         self._heartbeat_timeout_s = heartbeat_timeout_s
+        self._max_attempts = max_attempts
+        self._virtual_nodes = virtual_nodes
+        self._scatter_threads = scatter_threads
+        self._metrics = metrics
         #: Optional durable :class:`~repro.store.base.StateStore` —
         #: epoch snapshots, PU rows, and the key directory are mirrored
         #: into it, making the whole deployment cold-startable.
         self.store = store
+        super().__init__(
+            environment,
+            key_bits=key_bits,
+            signature_bits=signature_bits,
+            rng=rng,
+            transport=transport if transport is not None else MultiplexedTransport(),
+            fresh_beta_encryption=fresh_beta_encryption,
+            executor=stp_executor,
+        )
+        self._persist_directory()
+
+    def _build_sdc(self, signer, fresh_beta_encryption, executor) -> ClusterSdc:
+        """Stand up the shard fleet and the front over it.
+
+        Control plane only — deterministic, no RNG draws.
+        """
+        environment, store, metrics = self.environment, self.store, self._metrics
         self.snapshots = SnapshotStore(store=store)
-        shard_ids = tuple(f"shard-{i}" for i in range(num_shards))
-        self.membership = ClusterMembership(shard_ids, virtual_nodes=virtual_nodes)
+        shard_ids = tuple(f"shard-{i}" for i in range(self._num_shards))
+        self.membership = ClusterMembership(
+            shard_ids, virtual_nodes=self._virtual_nodes
+        )
         self.replica_sets: dict[str, ShardReplicaSet] = {
             shard_id: self._build_replica_set(shard_id) for shard_id in shard_ids
         }
@@ -427,7 +293,9 @@ class ClusterCoordinator:
         #: The deployment's single lease issuer.  Durable through the
         #: store (tokens survive kill9-and-coldstart) and journaled, so
         #: the exactly-one-writer audit can reconstruct every handover.
-        self.fencing = LeaseAuthority(store=store, journal=journal, metrics=metrics)
+        self.fencing = LeaseAuthority(
+            store=store, journal=self.journal, metrics=metrics
+        )
         self.router = ShardRouter(
             self.membership,
             self.replica_sets,
@@ -435,8 +303,8 @@ class ClusterCoordinator:
             # link accounting and fault handling reach the multiplexed
             # layer regardless of stacking order.
             transport=resolve_multiplexed(self.transport),
-            max_attempts=max_attempts,
-            scatter_threads=scatter_threads,
+            max_attempts=self._max_attempts,
+            scatter_threads=self._scatter_threads,
             metrics=metrics,
             fencing=self.fencing,
         )
@@ -449,25 +317,17 @@ class ClusterCoordinator:
                 self.membership.record_lease(shard_id, token)
         if metrics is not None:
             self.transport.attach_metrics(metrics)
-        self.sdc = ClusterSdc(
+        return ClusterSdc(
             environment,
             directory=self.stp.directory,
-            signer=RsaFdhSigner(signing_private),
+            signer=signer,
             router=self.router,
             rng=self._rng,
             fresh_beta_encryption=fresh_beta_encryption,
             clock=self._clock,
-            journal=journal,
+            journal=self.journal,
             store=store,
         )
-        self._pu_clients: dict[str, PUClient] = {}
-        self._su_clients: dict[str, SUClient] = {}
-        self._persist_directory()
-
-    def _build_stp(self, key_bits: int, stp_executor) -> StpServer:
-        """Build the STP; the socket plane overrides this with a remote
-        proxy that draws the group keypair at this exact position."""
-        return StpServer(key_bits=key_bits, rng=self._rng, executor=stp_executor)
 
     def _build_replica_set(self, shard_id: str) -> ShardReplicaSet:
         executor = (
@@ -502,18 +362,7 @@ class ClusterCoordinator:
             if closer is not None:
                 closer()
 
-    # -- enrolment (mirrors PisaCoordinator) ---------------------------------------
-
-    def enroll_pu(self, pu: PUReceiver) -> PUClient:
-        """Create a PU client and route its initial encrypted update."""
-        client = PUClient(
-            pu, self.environment, self.stp.group_public_key, rng=self._rng
-        )
-        self._pu_clients[pu.receiver_id] = client
-        update = client.build_update()
-        self.transport.send(update, sender=pu.receiver_id, receiver="sdc")
-        self.sdc.handle_pu_update(update)
-        return client
+    # -- enrolment -------------------------------------------------------------------
 
     def enroll_su(
         self,
@@ -521,18 +370,7 @@ class ClusterCoordinator:
         region: PrivacyRegion | None = None,
         keypair: PaillierKeypair | None = None,
     ) -> SUClient:
-        """Create an SU client, generate/register its personal key pair."""
-        keypair = keypair or generate_keypair(self.key_bits, rng=self._rng)
-        client = SUClient(
-            su,
-            self.environment,
-            self.stp.group_public_key,
-            keypair,
-            region=region,
-            rng=self._rng,
-        )
-        self.stp.register_su(su.su_id, client.public_key)
-        self._su_clients[su.su_id] = client
+        client = super().enroll_su(su, region=region, keypair=keypair)
         self._persist_directory()
         return client
 
@@ -540,72 +378,6 @@ class ClusterCoordinator:
         """Mirror the key directory into the durable store."""
         if self.store is not None:
             self.store.put_directory(serialize_directory(self.stp.directory))
-
-    def pu_client(self, pu_id: str) -> PUClient:
-        return self._pu_clients[pu_id]
-
-    def su_client(self, su_id: str) -> SUClient:
-        return self._su_clients[su_id]
-
-    # -- protocol rounds -------------------------------------------------------------
-
-    def pu_switch_channel(
-        self, pu_id: str, channel_slot: int | None, signal_strength_mw: float = 0.0
-    ) -> bool:
-        """Run Figure 4 for a channel switch; returns True if an update flowed."""
-        client = self._pu_clients[pu_id]
-        update = client.switch_channel(channel_slot, signal_strength_mw)
-        if update is None:
-            return False
-        self.transport.send(update, sender=pu_id, receiver="sdc")
-        self.sdc.handle_pu_update(update)
-        return True
-
-    def run_request_round(
-        self, su_id: str, reuse_cached_request: bool = False
-    ) -> RoundReport:
-        """Run Figure 5 end to end through the cluster, with cost accounting."""
-        client = self._su_clients[su_id]
-
-        t0 = time.perf_counter()
-        if reuse_cached_request:
-            request = client.refresh_request()
-        else:
-            request = client.prepare_request()
-        t1 = time.perf_counter()
-        self.transport.send(request, sender=su_id, receiver="sdc")
-
-        sign_request = self.sdc.start_request(request)
-        t2 = time.perf_counter()
-        self.transport.send(sign_request, sender="sdc", receiver="stp")
-
-        sign_response = self.stp.handle_sign_extraction(sign_request)
-        t3 = time.perf_counter()
-        self.transport.send(sign_response, sender="stp", receiver="sdc")
-
-        response = self.sdc.finish_request(sign_response)
-        t4 = time.perf_counter()
-        self.transport.send(response, sender="sdc", receiver=su_id)
-
-        outcome = client.process_response(response, self.stp.directory)
-        t5 = time.perf_counter()
-
-        return RoundReport(
-            su_id=su_id,
-            granted=outcome.granted,
-            outcome=outcome,
-            timings=RoundTimings(
-                request_preparation=t1 - t0,
-                sdc_phase1=t2 - t1,
-                stp_conversion=t3 - t2,
-                sdc_phase2=t4 - t3,
-                su_decryption=t5 - t4,
-            ),
-            request_bytes=request.wire_size(),
-            sign_extraction_bytes=sign_request.wire_size(),
-            conversion_bytes=sign_response.wire_size(),
-            response_bytes=response.wire_size(),
-        )
 
     # -- cluster operations ------------------------------------------------------------
 

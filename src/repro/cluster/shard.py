@@ -1,10 +1,12 @@
 """One SDC shard: a block-partition of the spectrum controller.
 
-A shard owns a subset of the map's block ids and holds exactly the SDC
-state that decomposes over blocks: the incremental encrypted PU
-aggregate ``W̃'(c, b)`` for its blocks and each contributing PU's latest
-update.  Everything *cross-block* — randomness, round bookkeeping, the
-license — stays on the coordinator (:mod:`repro.cluster.coordinator`).
+A shard owns a subset of the map's block ids and wraps one
+:class:`~repro.pisa.kernel.BlockKernel` — the same per-block state and
+cell arithmetic the single SDC runs over the whole map — with what only
+a fleet member needs: block ownership, liveness, fencing, a lock, and
+the sub-query wire messages.  Everything *cross-block* — randomness,
+round bookkeeping, the license — stays on the request front
+(:class:`repro.cluster.coordinator.ClusterSdc`).
 
 The division of labour is chosen so the cluster's transcript is
 **byte-identical** to one SDC's:
@@ -12,12 +14,13 @@ The division of labour is chosen so the cluster's transcript is
 * the coordinator draws every ``(α, β, ε)`` and obfuscator nonce ``r``
   centrally, in the single-SDC cell order, and hands them down inside
   the sub-query;
-* the shard performs only *deterministic* homomorphic arithmetic — the
-  per-cell indicator (eqs. (10)-(12)) and blinding (eq. (14)) in phase
-  1, the ``Q̃`` gadget and a partial ``ΣQ̃`` (eq. (16)) in phase 2.
-  Paillier addition is ciphertext multiplication mod ``n²``, which is
-  commutative and associative, so partial sums merge into exactly the
-  integer the unsharded loop would have produced.
+* the shard's kernel performs only *deterministic* homomorphic
+  arithmetic — the per-cell indicator (eqs. (10)-(12)) and blinding
+  (eq. (14)) in phase 1, the ``Q̃`` gadget and a partial ``ΣQ̃``
+  (eq. (16)) in phase 2.  Paillier addition is ciphertext
+  multiplication mod ``n²``, which is commutative and associative, so
+  partial sums merge into exactly the integer one kernel over every
+  block produces.
 
 What a shard learns is strictly a projection of what the single SDC
 learns (its own blocks' ciphertexts and blinding material, never a
@@ -34,11 +37,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey, hom_sum
-from repro.crypto.parallel import Executor, default_executor
+from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
+from repro.crypto.parallel import Executor
 from repro.crypto.serialization import ciphertext_wire_size, encoded_int_size
 from repro.errors import FencedError, ProtocolError, ShardDownError
 from repro.pisa.blinding import CellBlinding
+from repro.pisa.kernel import BlockKernel, partial_q_sum
 from repro.pisa.messages import PUUpdateMessage
 from repro.watch.environment import SpectrumEnvironment
 
@@ -47,7 +51,6 @@ __all__ = [
     "ShardPhase1Response",
     "ShardPhase2Request",
     "ShardPhase2Response",
-    "ShardStats",
     "SdcShard",
 ]
 
@@ -159,17 +162,6 @@ class ShardPhase2Response:
         )
 
 
-@dataclass
-class ShardStats:
-    """Per-shard operation counters for the evaluation harness."""
-
-    pu_updates: int = 0
-    phase1_subqueries: int = 0
-    phase2_subqueries: int = 0
-    cells_blinded: int = 0
-    hom_operations: int = 0
-
-
 class SdcShard:
     """The per-block-partition worker of the sharded SDC plane."""
 
@@ -184,20 +176,15 @@ class SdcShard:
         self.shard_id = shard_id
         self.environment = environment
         self.group_public_key = group_public_key
-        self._executor = default_executor(executor)
-        self.stats = ShardStats()
+        self._kernel = BlockKernel(environment, group_public_key, executor=executor)
         self.alive = True
         self.last_committed_epoch = -1
         #: Highest fencing token ever observed; lower-token writes die.
         self.fence_token = 0
-        # Ownership, PU state, and the counters are mutated from router
-        # scatter threads and the rebalancer; all writes take the lock.
+        # Ownership and the kernel's PU state are touched from router
+        # scatter threads and the rebalancer; every access takes the lock.
         self._lock = threading.Lock()
         self._blocks: set[int] = set(blocks)
-        #: pu_id → (block, per-channel cts) — latest update per PU.
-        self._pu_updates: dict[str, tuple[int, tuple[EncryptedNumber, ...]]] = {}
-        #: Incrementally maintained W̃'(c, b) for owned cells.
-        self._w_sum: dict[tuple[int, int], EncryptedNumber] = {}
 
     # -- lifecycle / ownership ---------------------------------------------------
 
@@ -215,6 +202,14 @@ class SdcShard:
     def release_blocks(self, blocks: tuple[int, ...]) -> None:
         with self._lock:
             self._blocks.difference_update(blocks)
+
+    def _check_owned(self, blocks) -> None:
+        """A routing bug must fail loudly, not corrupt a sibling's budget."""
+        for block in blocks:
+            if block not in self._blocks:
+                raise ProtocolError(
+                    f"shard {self.shard_id!r} does not own block {block}"
+                )
 
     def kill(self) -> None:
         """Simulated crash: every subsequent sub-query raises."""
@@ -258,184 +253,72 @@ class SdcShard:
     ) -> None:
         """Fold one PU's encrypted update into this shard's aggregate.
 
-        Same incremental ``⊖ old ⊕ new`` maintenance as the single SDC
-        (eq. (9)); the shard additionally refuses updates for blocks it
-        does not own — a routing bug must fail loudly, not corrupt a
-        sibling's budget.  ``fence_token`` travels beside the message
-        (not inside it — ``PUUpdateMessage`` is a protocol message whose
-        bytes the transcript fingerprints) and is checked first.
+        The kernel's ``⊖ old ⊕ new`` maintenance (eq. (9)), behind the
+        shard's own gates: liveness, the fence, and block ownership.
+        ``fence_token`` travels beside the message (not inside it —
+        ``PUUpdateMessage`` is a protocol message whose bytes the
+        transcript fingerprints) and is checked first.
         """
         self._check_alive()
         self.observe_fence(fence_token)
-        env = self.environment
-        if len(message.ciphertexts) != env.num_channels:
-            raise ProtocolError("PU update must carry one ciphertext per channel")
-        for ct in message.ciphertexts:
-            if ct.public_key != self.group_public_key:
-                raise ProtocolError("PU update not under the group key")
         with self._lock:
-            if message.block_index not in self._blocks:
-                raise ProtocolError(
-                    f"shard {self.shard_id!r} does not own block "
-                    f"{message.block_index}"
-                )
-            previous = self._pu_updates.get(message.pu_id)
-            if previous is not None:
-                old_block, old_cts = previous
-                for c, old_ct in enumerate(old_cts):
-                    cell = (c, old_block)
-                    self._w_sum[cell] = self._w_sum[cell].subtract(old_ct)
-                    self.stats.hom_operations += 1
-            for c, ct in enumerate(message.ciphertexts):
-                cell = (c, message.block_index)
-                if cell in self._w_sum:
-                    self._w_sum[cell] = self._w_sum[cell].add(ct)
-                else:
-                    self._w_sum[cell] = ct
-                self.stats.hom_operations += 1
-            self._pu_updates[message.pu_id] = (
-                message.block_index,
-                message.ciphertexts,
-            )
-            self.stats.pu_updates += 1
+            self._check_owned((message.block_index,))
+            self._kernel.fold_pu_update(message)
 
     def remove_pu(self, pu_id: str) -> PUUpdateMessage | None:
         """Detach one PU's contribution (block handoff); returns its update."""
         with self._lock:
-            previous = self._pu_updates.pop(pu_id, None)
-            if previous is None:
-                return None
-            block, cts = previous
-            for c, ct in enumerate(cts):
-                cell = (c, block)
-                self._w_sum[cell] = self._w_sum[cell].subtract(ct)
-                self.stats.hom_operations += 1
-            return PUUpdateMessage(pu_id=pu_id, block_index=block, ciphertexts=cts)
+            return self._kernel.remove_pu(pu_id)
 
     def pus_on_blocks(self, blocks: tuple[int, ...]) -> tuple[str, ...]:
         """PU ids whose latest update sits on one of ``blocks``."""
-        wanted = set(blocks)
         with self._lock:
-            return tuple(
-                sorted(
-                    pu_id
-                    for pu_id, (block, _) in self._pu_updates.items()
-                    if block in wanted
-                )
-            )
+            return self._kernel.pus_on_blocks(blocks)
 
     def pu_update_messages(self) -> tuple[PUUpdateMessage, ...]:
         """Every tracked PU's latest update (snapshots and mirroring)."""
         with self._lock:
-            return tuple(
-                PUUpdateMessage(pu_id=pu_id, block_index=block, ciphertexts=cts)
-                for pu_id, (block, cts) in sorted(self._pu_updates.items())
-            )
+            return self._kernel.pu_update_messages()
 
     @property
     def num_tracked_pus(self) -> int:
-        return len(self._pu_updates)
+        return self._kernel.num_tracked_pus
 
     # -- Figure 5 phase 1, this shard's columns -------------------------------------
-
-    def _indicator_cell(
-        self, f_ct: EncryptedNumber, channel: int, block: int
-    ) -> EncryptedNumber:
-        """``Ĩ(c, i)`` for one owned cell — same math as the single SDC."""
-        params = self.environment.params
-        r_ct = f_ct.scalar_mul(params.sinr_plus_redn_int)  # eq. (11)
-        e_value = int(self.environment.e_matrix[channel, block])
-        indicator = r_ct.scalar_mul(-1).add_plain(e_value)  # E − R
-        w_ct = self._w_sum.get((channel, block))
-        if w_ct is not None:
-            indicator = indicator.add(w_ct)  # + (T − E) where a PU sits
-        return indicator
 
     def process_phase1(self, request: ShardPhase1Request) -> ShardPhase1Response:
         """Blind this shard's cells (eq. (14)) with handed-down randomness."""
         self._check_alive()
         self.observe_fence(request.fence_token)
-        pk = self.group_public_key
         with self._lock:
-            for block in request.blocks:
-                if block not in self._blocks:
-                    raise ProtocolError(
-                        f"shard {self.shard_id!r} does not own block {block}"
-                    )
-            prepared_rows: list[
-                list[tuple[EncryptedNumber, CellBlinding, int | None]]
-            ] = []
-            for c, (row, blinding_row, obf_row) in enumerate(
-                zip(request.matrix, request.blindings, request.obfuscators)
-            ):
-                prepared_row = []
-                for k, (f_ct, cell, r) in enumerate(
-                    zip(row, blinding_row, obf_row)
-                ):
-                    if f_ct.public_key != pk:
-                        raise ProtocolError("request entry not under the group key")
-                    indicator = self._indicator_cell(f_ct, c, request.blocks[k])
-                    prepared_row.append((indicator, cell, r))
-                    self.stats.hom_operations += 3
-                prepared_rows.append(prepared_row)
-        jobs = []
-        for prepared_row in prepared_rows:
-            for indicator, cell, r in prepared_row:
-                jobs.append((indicator.ciphertext, cell.alpha, pk.n_sq))  # α ⊗ Ĩ
-                if r is not None:
-                    jobs.append(pk.obfuscator_job(r))
-        powers = iter(self._executor.pow_many(jobs))
-        blinded_rows: list[tuple[EncryptedNumber, ...]] = []
-        for prepared_row in prepared_rows:
-            blinded_row = []
-            for indicator, cell, r in prepared_row:
-                blinded = EncryptedNumber(pk, next(powers))
-                if r is not None:
-                    blinded = blinded.subtract(
-                        pk.encrypt_with_obfuscator(cell.beta, next(powers))
-                    )
-                else:
-                    blinded = blinded.add_plain(-cell.beta)
-                blinded = blinded.scalar_mul(cell.epsilon)  # ε ⊗ (…)
-                blinded_row.append(blinded)
-            blinded_rows.append(tuple(blinded_row))
-        with self._lock:
-            self.stats.phase1_subqueries += 1
-            self.stats.cells_blinded += sum(len(row) for row in blinded_rows)
+            self._check_owned(request.blocks)
+            indicators = self._kernel.indicators(request.blocks, request.matrix)
+        # The exponentiations run outside the lock: they read no state.
         return ShardPhase1Response(
             round_id=request.round_id,
             shard_id=self.shard_id,
             columns=request.columns,
-            matrix=tuple(blinded_rows),
+            matrix=self._kernel.blind(
+                indicators, request.blindings, request.obfuscators
+            ),
         )
 
     # -- Figure 5 phase 2, partial aggregation --------------------------------------
 
     def process_phase2(self, request: ShardPhase2Request) -> ShardPhase2Response:
-        """``Q̃`` gadgets for this shard's cells and their partial sum.
+        """This shard's partial ``ΣQ̃`` (eq. (16)).
 
-        The partial is a plain homomorphic sum; the coordinator's merge
-        of all partials equals the unsharded ``ΣQ̃`` exactly (mod-``n²``
-        multiplication is grouping-independent).
+        The coordinator's merge of all partials equals the unsharded
+        ``ΣQ̃`` exactly (mod-``n²`` multiplication is
+        grouping-independent).
         """
         self._check_alive()
         self.observe_fence(request.fence_token)
-        q_cells: list[EncryptedNumber] = []
-        for x_row, eps_row in zip(request.matrix, request.epsilons):
-            for x_ct, epsilon in zip(x_row, eps_row):
-                # eq. (16): Q̃ = (ε ⊗ X̃) ⊖ 1̃.
-                q_cells.append(x_ct.scalar_mul(epsilon).add_plain(-1))
-        if not q_cells:
-            raise ProtocolError("empty phase-2 sub-query")
-        partial = hom_sum(q_cells)
-        with self._lock:
-            self.stats.phase2_subqueries += 1
-            self.stats.hom_operations += 3 * len(q_cells) - 1
         return ShardPhase2Response(
             round_id=request.round_id,
             shard_id=self.shard_id,
-            cell_count=len(q_cells),
-            partial_q=partial,
+            cell_count=sum(len(row) for row in request.matrix),
+            partial_q=partial_q_sum(request.matrix, request.epsilons),
         )
 
     def __repr__(self) -> str:

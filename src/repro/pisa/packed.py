@@ -41,23 +41,27 @@ baseline protocol remains the default.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.crypto.packing import SlotLayout
 from repro.crypto.paillier import (
     EncryptedNumber,
-    ObfuscatorPool,
     PaillierPublicKey,
+    generate_keypair,
     hom_sum,
 )
 from repro.crypto.parallel import Executor, default_executor
-from repro.crypto.rand import RandomSource, default_rng
+from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import encode_bytes, encode_ciphertext, encode_int
-from repro.errors import BlindingError, ProtocolError, SerializationError
+from repro.errors import BlindingError, ProtocolError
+from repro.pisa.kernel import BlockKernel, require_key
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
 from repro.pisa.messages import LicenseResponse, PUUpdateMessage
+from repro.pisa.protocol import PisaCoordinator
+from repro.pisa.sdc_server import SdcFront
+from repro.pisa.stp_server import StpServer
+from repro.pisa.su_client import SUClient
 from repro.watch.environment import SpectrumEnvironment
 
 __all__ = [
@@ -178,8 +182,12 @@ class PackedSignExtractionResponse:
 # -- SU client -----------------------------------------------------------------
 
 
-class PackedSuClient:
-    """SU-side packed request preparation and response handling."""
+class PackedSuClient(SUClient):
+    """The baseline SU client with packed request preparation.
+
+    Key handling and response processing (decrypt ``G̃``, verify the
+    signature) are inherited unchanged.
+    """
 
     def __init__(
         self,
@@ -191,30 +199,11 @@ class PackedSuClient:
         region=None,
         rng: RandomSource | None = None,
     ) -> None:
-        from repro.geo.region import PrivacyRegion
-
-        self.su = su
-        self.environment = environment
-        self.group_public_key = group_public_key
-        self.keypair = keypair
-        self.config = config or PackedProtocolConfig()
-        self.region = region if region is not None else PrivacyRegion.full(
-            environment.grid
+        super().__init__(
+            su, environment, group_public_key, keypair, region=region, rng=rng
         )
-        self._rng = default_rng(rng)
+        self.config = config or PackedProtocolConfig()
         self.layout = self.config.layout(group_public_key, environment)
-        self._cached_request: PackedRequestMessage | None = None
-        self._obfuscators = ObfuscatorPool(group_public_key, rng=self._rng)
-        if not self.region.contains(su.block_index):
-            raise ProtocolError("the disclosed region must contain the SU's block")
-
-    @property
-    def su_id(self) -> str:
-        return self.su.su_id
-
-    @property
-    def public_key(self) -> PaillierPublicKey:
-        return self.keypair.public_key
 
     def prepare_request(self) -> PackedRequestMessage:
         """Eq. (5), packed: one encryption per k-cell chunk."""
@@ -269,30 +258,6 @@ class PackedSuClient:
         )
         return self._cached_request
 
-    def process_response(self, response: LicenseResponse, directory: KeyDirectory):
-        """Identical to the baseline: decrypt G̃, verify the signature."""
-        from repro.crypto.signatures import RsaFdhVerifier
-        from repro.pisa.su_client import RequestOutcome
-
-        license_body = response.license
-        if license_body.su_id != self.su.su_id:
-            raise ProtocolError("license issued to a different SU")
-        if self._cached_request is not None:
-            expected = TransmissionLicense.digest_of(
-                self._cached_request.digest_bytes()
-            )
-            if license_body.request_digest != expected:
-                raise ProtocolError("license does not commit to our request")
-        decrypted = self.keypair.private_key.raw_decrypt(
-            response.encrypted_signature.ciphertext
-        )
-        verifier = RsaFdhVerifier(directory.signing_key(license_body.issuer_id))
-        return RequestOutcome(
-            granted=license_body.verify(verifier, decrypted),
-            license=license_body,
-            decrypted_value=decrypted,
-        )
-
 
 # -- SDC ------------------------------------------------------------------------
 
@@ -309,12 +274,13 @@ class _PendingPackedRound:
     channels: tuple[int, ...]
 
 
-class PackedSdcServer:
+class PackedSdcServer(SdcFront):
     """The SDC's packed-mode engine.
 
-    PU updates are handled exactly as in the baseline (per-cell W̃
-    ciphertexts folded into ``_w_sum``); only SU request processing is
-    slot-parallel.
+    The shared request front's validation, pending rounds and license
+    issuance, and the shared block kernel's PU state; only SU request
+    processing differs — it is slot-parallel, with one shared ``α`` per
+    chunk, no ``ε``, and dummy chunks plus a shuffle in its place.
     """
 
     def __init__(
@@ -330,43 +296,18 @@ class PackedSdcServer:
     ) -> None:
         import time
 
-        self.environment = environment
-        self.directory = directory
-        self.signer = signer
+        super().__init__(
+            environment, directory, signer, issuer_id=issuer_id, rng=rng,
+            clock=clock or time.time,
+        )
         self.config = config or PackedProtocolConfig()
-        self.issuer_id = issuer_id
-        self._rng = default_rng(rng)
         self._executor = default_executor(executor)
-        self._clock = clock or time.time
         self.layout = self.config.layout(directory.group_public_key, environment)
-        self._w_sum: dict[tuple[int, int], EncryptedNumber] = {}
-        self._pu_updates: dict[str, tuple[int, tuple[EncryptedNumber, ...]]] = {}
-        self._pending: dict[str, _PendingPackedRound] = {}
-        self._round_counter = itertools.count()
+        self.kernel = BlockKernel(environment, directory.group_public_key)
         self.chunks_processed = 0
-        directory.register_signing_key(issuer_id, signer.public_key)
 
-    @property
-    def group_public_key(self) -> PaillierPublicKey:
-        return self.directory.group_public_key
-
-    # PU updates: identical mechanics to the baseline SDC.
     def handle_pu_update(self, message: PUUpdateMessage) -> None:
-        env = self.environment
-        if len(message.ciphertexts) != env.num_channels:
-            raise ProtocolError("PU update must carry one ciphertext per channel")
-        previous = self._pu_updates.get(message.pu_id)
-        if previous is not None:
-            old_block, old_cts = previous
-            for c, old_ct in enumerate(old_cts):
-                cell = (c, old_block)
-                self._w_sum[cell] = self._w_sum[cell].subtract(old_ct)
-        for c, ct in enumerate(message.ciphertexts):
-            cell = (c, message.block_index)
-            self._w_sum[cell] = (
-                self._w_sum[cell].add(ct) if cell in self._w_sum else ct
-            )
-        self._pu_updates[message.pu_id] = (message.block_index, message.ciphertexts)
+        self.kernel.fold_pu_update(message)
 
     # -- packed request processing -------------------------------------------
 
@@ -385,7 +326,7 @@ class PackedSdcServer:
         )
         indicator = r_ct.scalar_mul(-1).add_plain(e_packed)
         for slot, block in enumerate(blocks):
-            w_ct = self._w_sum.get((channel, block))
+            w_ct = self.kernel.cell(channel, block)
             if w_ct is not None:
                 indicator = indicator.add(w_ct.scalar_mul(layout.shift(slot)))
         return indicator
@@ -419,23 +360,19 @@ class PackedSdcServer:
         env = self.environment
         if span is not None:
             span.set_attribute("blocks", len(request.region_blocks))
-        if len(request.rows) != env.num_channels:
-            raise ProtocolError("request must carry one row per channel")
-        if not self.directory.has_su_key(request.su_id):
-            raise ProtocolError(f"SU {request.su_id!r} has no registered key")
+        self._check_request(request.su_id, request.region_blocks, request.rows)
         layout = self.layout
         block_chunks = layout.chunks(list(request.region_blocks))
+        for row in request.rows:
+            if len(row) != len(block_chunks):
+                raise ProtocolError("row chunk count does not match the region")
         pk = self.group_public_key
         # Pass 1: indicators + all randomness in chunk order (so results
         # are byte-identical whichever executor runs pass 2).
         prepared: list[tuple[EncryptedNumber, int, int]] = []
         used_slots: list[int] = []
         for c, row in enumerate(request.rows):
-            if len(row) != len(block_chunks):
-                raise ProtocolError("row chunk count does not match the region")
             for f_chunk, blocks in zip(row, block_chunks):
-                if f_chunk.public_key != pk:
-                    raise ProtocolError("request chunk not under the group key")
                 indicator = self._indicator_chunk(f_chunk, c, blocks)
                 alpha, packed_bias = self._draw_chunk_blinding(blocks)
                 prepared.append((indicator, alpha, packed_bias))
@@ -482,15 +419,8 @@ class PackedSdcServer:
     def finish_request(
         self, response: PackedSignExtractionResponse, span=None
     ) -> LicenseResponse:
-        pending = self._pending.get(response.round_id)
-        if pending is None:
-            raise ProtocolError(f"unknown round {response.round_id!r}")
-        if response.su_id != pending.su_id:
-            raise ProtocolError("response for the wrong SU")
-        su_key = self.directory.su_key(pending.su_id)
-        for ct in response.chunks:
-            if ct.public_key != su_key:
-                raise ProtocolError("converted chunk not under the SU's key")
+        pending, su_key = self._claim_round(response.round_id, response.su_id)
+        require_key(response.chunks, su_key, "converted chunk")
         if len(response.chunks) <= max(pending.real_positions, default=0):
             raise ProtocolError("response chunk count mismatch")
         del self._pending[response.round_id]
@@ -500,20 +430,11 @@ class PackedSdcServer:
         for position, used in zip(pending.real_positions, pending.used_slots):
             x_chunk = response.chunks[position]
             q_chunks.append(x_chunk.add_plain(-layout.pack([2] * used)))
-        license_body = TransmissionLicense(
-            su_id=pending.su_id,
-            issuer_id=self.issuer_id,
-            request_digest=pending.request_digest,
-            channels=pending.channels,
-            issued_at=int(self._clock()),
-        )
-        signature = license_body.sign(self.signer, max_value=su_key.n)
-        encrypted_signature = EncryptedNumber(
-            su_key, su_key.raw_encrypt(signature, rng=self._rng)
-        )
+        sig_r = su_key.random_r(self._rng)
         eta = self._rng.randrange(1 << 63, 1 << 64)
-        g_ct = encrypted_signature.add(hom_sum(q_chunks).scalar_mul(eta))
-        return LicenseResponse(license=license_body, encrypted_signature=g_ct)
+        return self._issue_license(
+            pending, su_key, hom_sum(q_chunks), sig_r, eta, int(self._clock())
+        )
 
     def _shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
@@ -524,7 +445,7 @@ class PackedSdcServer:
 # -- STP --------------------------------------------------------------------------
 
 
-class PackedStpServer:
+class PackedStpServer(StpServer):
     """The STP's packed conversion: one decrypt + one encrypt per chunk."""
 
     def __init__(
@@ -535,20 +456,10 @@ class PackedStpServer:
         rng: RandomSource | None = None,
         executor: Executor | None = None,
     ) -> None:
-        self._keypair = group_keypair
-        self.directory = KeyDirectory(group_keypair.public_key)
+        super().__init__(group_keypair=group_keypair, rng=rng, executor=executor)
         self.config = config or PackedProtocolConfig()
         self.layout = self.config.layout(group_keypair.public_key, environment)
-        self._rng = default_rng(rng)
-        self._executor = default_executor(executor)
         self.chunks_converted = 0
-
-    @property
-    def group_public_key(self) -> PaillierPublicKey:
-        return self._keypair.public_key
-
-    def register_su(self, su_id: str, public_key: PaillierPublicKey) -> None:
-        self.directory.register_su_key(su_id, public_key)
 
     def handle_sign_extraction(
         self, request: PackedSignExtractionRequest, span=None
@@ -587,8 +498,13 @@ class PackedStpServer:
         )
 
 
-class PackedCoordinator:
-    """Deploys and drives packed-mode PISA end to end."""
+class PackedCoordinator(PisaCoordinator):
+    """Deploys and drives packed-mode PISA end to end.
+
+    A :class:`repro.pisa.protocol.PisaCoordinator` whose build hooks
+    supply the packed STP, SDC and SU client; enrolment and the round
+    driver are the baseline's.
+    """
 
     def __init__(
         self,
@@ -601,61 +517,39 @@ class PackedCoordinator:
         executor: Executor | None = None,
         clock=None,
     ) -> None:
-        from repro.crypto.paillier import generate_keypair
-        from repro.crypto.signatures import RsaFdhSigner, generate_rsa_keypair
-        from repro.net.transport import InMemoryTransport
-
-        if signature_bits is None:
-            signature_bits = max(32, key_bits // 2)
-        if signature_bits >= key_bits:
-            raise ProtocolError(
-                "signature modulus must be smaller than the Paillier modulus"
-            )
-        self.environment = environment
-        self.key_bits = key_bits
         self.config = config or PackedProtocolConfig()
-        self._rng = default_rng(rng)
-        self.transport = transport if transport is not None else InMemoryTransport()
-
-        group_keypair = generate_keypair(key_bits, rng=self._rng)
-        self.stp = PackedStpServer(
-            group_keypair, environment, config=self.config, rng=self._rng,
+        self._clock = clock
+        super().__init__(
+            environment,
+            key_bits=key_bits,
+            signature_bits=signature_bits,
+            rng=rng,
+            transport=transport,
             executor=executor,
         )
-        _, signing_private = generate_rsa_keypair(signature_bits, rng=self._rng)
-        self.sdc = PackedSdcServer(
-            environment,
-            directory=self.stp.directory,
-            signer=RsaFdhSigner(signing_private),
+
+    def _build_stp(self, key_bits: int, executor) -> PackedStpServer:
+        return PackedStpServer(
+            generate_keypair(key_bits, rng=self._rng),
+            self.environment,
             config=self.config,
             rng=self._rng,
-            clock=clock,
             executor=executor,
         )
-        self._pu_clients = {}
-        self._su_clients: dict[str, PackedSuClient] = {}
 
-    @property
-    def layout(self) -> SlotLayout:
-        return self.sdc.layout
-
-    def enroll_pu(self, pu):
-        from repro.pisa.pu_client import PUClient
-
-        client = PUClient(
-            pu, self.environment, self.stp.group_public_key, rng=self._rng
+    def _build_sdc(self, signer, fresh_beta_encryption, executor) -> PackedSdcServer:
+        return PackedSdcServer(
+            self.environment,
+            directory=self.stp.directory,
+            signer=signer,
+            config=self.config,
+            rng=self._rng,
+            clock=self._clock,
+            executor=executor,
         )
-        self._pu_clients[pu.receiver_id] = client
-        update = client.build_update()
-        self.transport.send(update, sender=pu.receiver_id, receiver="sdc")
-        self.sdc.handle_pu_update(update)
-        return client
 
-    def enroll_su(self, su, region=None, keypair=None) -> PackedSuClient:
-        from repro.crypto.paillier import generate_keypair
-
-        keypair = keypair or generate_keypair(self.key_bits, rng=self._rng)
-        client = PackedSuClient(
+    def _build_su_client(self, su, keypair, region) -> PackedSuClient:
+        return PackedSuClient(
             su,
             self.environment,
             self.stp.group_public_key,
@@ -664,58 +558,10 @@ class PackedCoordinator:
             region=region,
             rng=self._rng,
         )
-        self.stp.register_su(su.su_id, client.public_key)
-        self._su_clients[su.su_id] = client
-        return client
 
-    def su_client(self, su_id: str) -> PackedSuClient:
-        return self._su_clients[su_id]
-
-    def run_request_round(self, su_id: str, reuse_cached_request: bool = False):
-        """One packed Figure 5 round; returns a baseline-shaped report."""
-        from time import perf_counter as now
-
-        from repro.pisa.protocol import RoundReport, RoundTimings
-
-        client = self._su_clients[su_id]
-        t0 = now()
-        request = (
-            client.refresh_request() if reuse_cached_request
-            else client.prepare_request()
-        )
-        t1 = now()
-        self.transport.send(request, sender=su_id, receiver="sdc")
-
-        extraction = self.sdc.start_request(request)
-        t2 = now()
-        self.transport.send(extraction, sender="sdc", receiver="stp")
-
-        conversion = self.stp.handle_sign_extraction(extraction)
-        t3 = now()
-        self.transport.send(conversion, sender="stp", receiver="sdc")
-
-        response = self.sdc.finish_request(conversion)
-        t4 = now()
-        self.transport.send(response, sender="sdc", receiver=su_id)
-
-        outcome = client.process_response(response, self.stp.directory)
-        t5 = now()
-        return RoundReport(
-            su_id=su_id,
-            granted=outcome.granted,
-            outcome=outcome,
-            timings=RoundTimings(
-                request_preparation=t1 - t0,
-                sdc_phase1=t2 - t1,
-                stp_conversion=t3 - t2,
-                sdc_phase2=t4 - t3,
-                su_decryption=t5 - t4,
-            ),
-            request_bytes=request.wire_size(),
-            sign_extraction_bytes=extraction.wire_size(),
-            conversion_bytes=conversion.wire_size(),
-            response_bytes=response.wire_size(),
-        )
+    @property
+    def layout(self) -> SlotLayout:
+        return self.sdc.layout
 
 
 __all__.append("PackedCoordinator")

@@ -11,7 +11,7 @@ so every byte is accounted exactly as it would appear on the wire.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.paillier import PaillierKeypair, generate_keypair
 from repro.crypto.rand import DeterministicRandomSource, RandomSource, default_rng
@@ -81,6 +81,13 @@ class RoundReport:
 class PisaCoordinator:
     """Builds and drives a complete PISA deployment.
 
+    Every protocol variant deploys through this class: the variants'
+    coordinators subclass it and override only the build hooks
+    (:meth:`_build_stp`, :meth:`_build_sdc`, :meth:`_build_su_client`)
+    and, where the conversion leg differs, :meth:`_start_request` /
+    :meth:`_convert_signs`.  Enrolment and the Figure 5 round driver are
+    defined here once.
+
     Parameters
     ----------
     environment:
@@ -94,6 +101,10 @@ class PisaCoordinator:
     rng:
         Randomness source (pass a DRBG for reproducible runs).
     """
+
+    #: Transport endpoint names of the SDC and of its conversion peer.
+    sdc_endpoint = "sdc"
+    stp_endpoint = "stp"
 
     def __init__(
         self,
@@ -115,19 +126,47 @@ class PisaCoordinator:
         self.key_bits = key_bits
         self._rng = default_rng(rng)
         self.transport = transport if transport is not None else InMemoryTransport()
-
-        self.stp = StpServer(key_bits=key_bits, rng=self._rng, executor=executor)
+        # Draw order is part of the transcript contract: the group key
+        # first, then the signing key; nothing after that draws.
+        self.stp = self._build_stp(key_bits, executor)
         _, signing_private = generate_rsa_keypair(signature_bits, rng=self._rng)
-        self.sdc = SdcServer(
-            environment,
+        self.sdc = self._build_sdc(
+            RsaFdhSigner(signing_private), fresh_beta_encryption, executor
+        )
+        self._pu_clients: dict[str, PUClient] = {}
+        self._su_clients: dict = {}
+
+    # -- build hooks -----------------------------------------------------------------
+
+    def _build_stp(self, key_bits: int, executor):
+        """The conversion server; draws the group keypair."""
+        return StpServer(key_bits=key_bits, rng=self._rng, executor=executor)
+
+    def _build_sdc(self, signer: RsaFdhSigner, fresh_beta_encryption: bool, executor):
+        return SdcServer(
+            self.environment,
             directory=self.stp.directory,
-            signer=RsaFdhSigner(signing_private),
+            signer=signer,
             rng=self._rng,
             fresh_beta_encryption=fresh_beta_encryption,
             executor=executor,
         )
-        self._pu_clients: dict[str, PUClient] = {}
-        self._su_clients: dict[str, SUClient] = {}
+
+    def _build_su_client(self, su: SUTransmitter, keypair: PaillierKeypair, region):
+        return SUClient(
+            su,
+            self.environment,
+            self.stp.group_public_key,
+            keypair,
+            region=region,
+            rng=self._rng,
+        )
+
+    def _start_request(self, request):
+        return self.sdc.start_request(request)
+
+    def _convert_signs(self, sign_request):
+        return self.stp.handle_sign_extraction(sign_request)
 
     # -- enrolment -----------------------------------------------------------------
 
@@ -138,7 +177,7 @@ class PisaCoordinator:
         )
         self._pu_clients[pu.receiver_id] = client
         update = client.build_update()
-        self.transport.send(update, sender=pu.receiver_id, receiver="sdc")
+        self.transport.send(update, sender=pu.receiver_id, receiver=self.sdc_endpoint)
         self.sdc.handle_pu_update(update)
         return client
 
@@ -150,14 +189,7 @@ class PisaCoordinator:
     ) -> SUClient:
         """Create an SU client, generate/register its personal key pair."""
         keypair = keypair or generate_keypair(self.key_bits, rng=self._rng)
-        client = SUClient(
-            su,
-            self.environment,
-            self.stp.group_public_key,
-            keypair,
-            region=region,
-            rng=self._rng,
-        )
+        client = self._build_su_client(su, keypair, region)
         self.stp.register_su(su.su_id, client.public_key)
         self._su_clients[su.su_id] = client
         return client
@@ -165,7 +197,7 @@ class PisaCoordinator:
     def pu_client(self, pu_id: str) -> PUClient:
         return self._pu_clients[pu_id]
 
-    def su_client(self, su_id: str) -> SUClient:
+    def su_client(self, su_id: str):
         return self._su_clients[su_id]
 
     # -- protocol rounds ------------------------------------------------------------
@@ -178,7 +210,7 @@ class PisaCoordinator:
         update = client.switch_channel(channel_slot, signal_strength_mw)
         if update is None:
             return False
-        self.transport.send(update, sender=pu_id, receiver="sdc")
+        self.transport.send(update, sender=pu_id, receiver=self.sdc_endpoint)
         self.sdc.handle_pu_update(update)
         return True
 
@@ -191,6 +223,7 @@ class PisaCoordinator:
         cached encrypted request is re-randomised instead of rebuilt.
         """
         client = self._su_clients[su_id]
+        sdc, stp = self.sdc_endpoint, self.stp_endpoint
 
         t0 = time.perf_counter()
         if reuse_cached_request:
@@ -198,19 +231,19 @@ class PisaCoordinator:
         else:
             request = client.prepare_request()
         t1 = time.perf_counter()
-        self.transport.send(request, sender=su_id, receiver="sdc")
+        self.transport.send(request, sender=su_id, receiver=sdc)
 
-        sign_request = self.sdc.start_request(request)
+        sign_request = self._start_request(request)
         t2 = time.perf_counter()
-        self.transport.send(sign_request, sender="sdc", receiver="stp")
+        self.transport.send(sign_request, sender=sdc, receiver=stp)
 
-        sign_response = self.stp.handle_sign_extraction(sign_request)
+        sign_response = self._convert_signs(sign_request)
         t3 = time.perf_counter()
-        self.transport.send(sign_response, sender="stp", receiver="sdc")
+        self.transport.send(sign_response, sender=stp, receiver=sdc)
 
         response = self.sdc.finish_request(sign_response)
         t4 = time.perf_counter()
-        self.transport.send(response, sender="sdc", receiver=su_id)
+        self.transport.send(response, sender=sdc, receiver=su_id)
 
         outcome = client.process_response(response, self.stp.directory)
         t5 = time.perf_counter()

@@ -1,22 +1,25 @@
 """The Spectrum Database Controller, privacy-preserving edition (§IV-B).
 
-The SDC performs WATCH's entire spectrum computation over ciphertexts:
+The SDC performs WATCH's entire spectrum computation over ciphertexts.
+It is one algorithm in two halves.  The **block kernel**
+(:mod:`repro.pisa.kernel`) holds what decomposes over cells and draws
+nothing: the encrypted PU aggregate (eqs. (9)-(10)), the blinded
+indicators (eqs. (11)-(14)) and the ``Q̃`` gadget sum (eq. (16)).  The
+**request front** (:class:`SdcFront`, this module) holds what is
+cross-block:
 
-* **PU updates** (Figure 4, step 4): maintain the encrypted aggregate
-  ``W̃' = ⊕_i W̃_i`` (eq. (9)) incrementally — a re-submitting PU's old
-  contribution is homomorphically subtracted and the new one added.  The
-  budget ``Ñ = W̃' ⊕ Ẽ`` (eq. (10)) is realised with *plaintext*
-  additions of the public ``E`` entries (``E`` is public data, so adding
-  it via ``g^E`` costs one multiplication and no fresh encryption).
-* **SU requests, phase 1** (Figure 5, steps 3-5): scale the request into
-  interference (eq. (11)), subtract from the budget (eq. (12)), blind
-  every cell with one-time ``(α, β, ε)`` (eq. (14)) and forward to the
-  STP for sign extraction.
-* **SU requests, phase 2** (steps 9-11): unblind the converted signs
-  into the 0/−2 gadget values ``Q̃`` (eq. (16)), sign the transmission
-  license, and perturb the encrypted signature with ``η ⊗ ΣQ̃``
-  (eq. (17)) so it decrypts to a valid signature iff every cell's
-  interference budget holds.
+* validation of every SU request and STP response;
+* all randomness — per-cell ``(α, β, ε)`` and obfuscator nonces in
+  phase 1 (Figure 5, steps 3-5), the signature nonce and ``η`` in
+  phase 2 (steps 9-11) — drawn in one fixed order;
+* the pending rounds between the two STP phases;
+* license issuance: sign, encrypt under the SU's key, perturb with
+  ``η ⊗ ΣQ̃`` (eq. (17)) so the result decrypts to a valid signature
+  iff every cell's interference budget holds.
+
+:class:`SdcServer` is the front over one in-process kernel that owns
+every block; the sharded plane (:mod:`repro.cluster`) is the same front
+over a fleet of kernels, so the single SDC is exactly its one-shard case.
 
 The SDC never decrypts anything and never learns the decision.
 """
@@ -25,14 +28,15 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey, hom_sum
+from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.parallel import Executor, default_executor
 from repro.crypto.rand import RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
 from repro.pisa.blinding import BlindingFactory, BlindingParameters, CellBlinding
+from repro.pisa.kernel import BlockKernel, partial_q_sum, require_key
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
 from repro.pisa.messages import (
@@ -44,17 +48,7 @@ from repro.pisa.messages import (
 )
 from repro.watch.environment import SpectrumEnvironment
 
-__all__ = ["SdcServer", "SdcStats", "PendingRound"]
-
-
-@dataclass
-class SdcStats:
-    """Operation counters for the evaluation harness."""
-
-    pu_updates: int = 0
-    requests_started: int = 0
-    requests_completed: int = 0
-    hom_operations: int = 0
+__all__ = ["SdcFront", "SdcServer", "PendingRound"]
 
 
 @dataclass
@@ -69,8 +63,19 @@ class PendingRound:
     channels: tuple[int, ...]
 
 
-class SdcServer:
-    """The honest-but-curious spectrum controller."""
+class SdcFront:
+    """The request front every SDC deployment shares.
+
+    Owns what is *cross-block*: message validation, every random draw
+    (centrally, in cell order), the pending rounds, and license
+    issuance.  The per-cell arithmetic sits behind three hooks —
+    :meth:`handle_pu_update`, :meth:`_blind`, :meth:`_q_sum` — that a
+    subclass points at one in-process
+    :class:`~repro.pisa.kernel.BlockKernel` (:class:`SdcServer`) or at a
+    shard fleet (:class:`repro.cluster.coordinator.ClusterSdc`).  The
+    hooks draw nothing, so every deployment seeded alike emits the same
+    bytes.
+    """
 
     def __init__(
         self,
@@ -81,33 +86,24 @@ class SdcServer:
         rng: RandomSource | None = None,
         fresh_beta_encryption: bool = True,
         clock=time.time,
-        executor: Executor | None = None,
     ) -> None:
         self.environment = environment
         self.directory = directory
         self.signer = signer
         self.issuer_id = issuer_id
         self._rng = default_rng(rng)
-        self._executor = default_executor(executor)
         self._fresh_beta = fresh_beta_encryption
         self._clock = clock
-        self.stats = SdcStats()
-        #: Latest encrypted update per PU: pu_id → (block, per-channel cts).
-        self._pu_updates: dict[str, tuple[int, tuple[EncryptedNumber, ...]]] = {}
-        #: Incrementally maintained W̃'(c, b) for cells with contributions.
-        self._w_sum: dict[tuple[int, int], EncryptedNumber] = {}
         self._pending: dict[str, PendingRound] = {}
         self._round_counter = itertools.count()
         #: The most recent round's ΣQ̃ — probe point for the cluster
-        #: transcript-equivalence tests (repro.cluster exposes the same).
+        #: transcript-equivalence tests.
         self.last_q_sum: EncryptedNumber | None = None
         directory.register_signing_key(issuer_id, signer.public_key)
 
     @property
     def group_public_key(self) -> PaillierPublicKey:
         return self.directory.group_public_key
-
-    # -- blinding configuration ---------------------------------------------------
 
     def blinding_parameters(self) -> BlindingParameters:
         """Safe α/β widths for this deployment's value range.
@@ -120,60 +116,34 @@ class SdcServer:
         bound = (1 << params.value_bits) * (params.sinr_plus_redn_int + 1)
         return BlindingParameters.for_key(self.group_public_key, bound)
 
-    # -- Figure 4 step 4: PU update ---------------------------------------------------
+    # -- the arithmetic seam ---------------------------------------------------------
 
     def handle_pu_update(self, message: PUUpdateMessage) -> None:
-        """Fold a PU's encrypted ``W̃_i`` into the running aggregate (eq. (9)).
+        """Figure 4 step 4: fold a PU's encrypted update into ``W̃'``."""
+        raise NotImplementedError
 
-        A PU that re-submits (it switched channels) has its previous
-        vector homomorphically subtracted first, so the aggregate always
-        equals ``⊕_{i∈PUs} W̃_i`` over each PU's *latest* state.
-        """
-        env = self.environment
-        if len(message.ciphertexts) != env.num_channels:
-            raise ProtocolError("PU update must carry one ciphertext per channel")
-        for ct in message.ciphertexts:
-            if ct.public_key != self.group_public_key:
-                raise ProtocolError("PU update not under the group key")
-        previous = self._pu_updates.get(message.pu_id)
-        if previous is not None:
-            old_block, old_cts = previous
-            for c, old_ct in enumerate(old_cts):
-                cell = (c, old_block)
-                self._w_sum[cell] = self._w_sum[cell].subtract(old_ct)
-                self.stats.hom_operations += 1
-        for c, ct in enumerate(message.ciphertexts):
-            cell = (c, message.block_index)
-            if cell in self._w_sum:
-                self._w_sum[cell] = self._w_sum[cell].add(ct)
-            else:
-                self._w_sum[cell] = ct
-            self.stats.hom_operations += 1
-        self._pu_updates[message.pu_id] = (message.block_index, message.ciphertexts)
-        self.stats.pu_updates += 1
+    def _blind(self, round_id, request, blindings, obfuscators, span):
+        """The blinded ``Ṽ`` matrix (eqs. (10)-(14)) for ``request``."""
+        raise NotImplementedError
+
+    def _q_sum(self, pending, response, span) -> EncryptedNumber:
+        """``ΣQ̃`` (eq. (16)) over every cell of ``response``."""
+        raise NotImplementedError
 
     # -- Figure 5 steps 3-5: request phase 1 ---------------------------------------------
 
-    def _indicator_cell(
-        self, f_ct: EncryptedNumber, channel: int, block: int
-    ) -> EncryptedNumber:
-        """``Ĩ(c, i) = Ñ(c, i) ⊖ R̃(c, i)`` for one cell (eqs. (10)-(12)).
-
-        ``Ñ = W̃' ⊕ Ẽ`` with the public ``E`` added as a plaintext
-        constant; cells without PU contributions reduce to
-        ``E − R`` directly.
-        """
-        params = self.environment.params
-        r_ct = f_ct.scalar_mul(params.sinr_plus_redn_int)  # eq. (11)
-        self.stats.hom_operations += 1
-        e_value = int(self.environment.e_matrix[channel, block])
-        indicator = r_ct.scalar_mul(-1).add_plain(e_value)  # E − R
-        self.stats.hom_operations += 2
-        w_ct = self._w_sum.get((channel, block))
-        if w_ct is not None:
-            indicator = indicator.add(w_ct)  # + (T − E) where a PU sits
-            self.stats.hom_operations += 1
-        return indicator
+    def _check_request(self, su_id: str, region_blocks, rows) -> None:
+        """Reject a malformed SU request before any draw or state change."""
+        env = self.environment
+        if len(rows) != env.num_channels:
+            raise ProtocolError("request must carry one row per channel")
+        if not self.directory.has_su_key(su_id):
+            raise ProtocolError(f"SU {su_id!r} has no registered key")
+        for block in region_blocks:
+            if not 0 <= block < env.num_blocks:
+                raise ProtocolError(f"disclosed block {block} outside the area")
+        for row in rows:
+            require_key(row, self.group_public_key, "request entry")
 
     def start_request(
         self, request: SURequestMessage, span=None
@@ -182,131 +152,151 @@ class SdcServer:
 
         ``span`` is an optional :class:`repro.telemetry.Span` annotated
         with operational shape only (block count) — phase boundaries
-        never record protocol values.
+        never record protocol values, and tracing draws no randomness.
         """
-        env = self.environment
         if span is not None:
             span.set_attribute("blocks", len(request.region_blocks))
-        if len(request.matrix) != env.num_channels:
-            raise ProtocolError("request must carry one row per channel")
-        if not self.directory.has_su_key(request.su_id):
-            raise ProtocolError(f"SU {request.su_id!r} has no registered key")
-        for block in request.region_blocks:
-            if not 0 <= block < env.num_blocks:
-                raise ProtocolError(f"disclosed block {block} outside the area")
+        self._check_request(request.su_id, request.region_blocks, request.matrix)
         factory = BlindingFactory(self.blinding_parameters(), rng=self._rng)
         pk = self.group_public_key
-        # Pass 1 — indicators and all randomness, drawn in cell order so
-        # the transcript is byte-identical whichever executor runs pass 2.
-        prepared_rows: list[list[tuple[EncryptedNumber, CellBlinding, int | None]]] = []
-        for c, row in enumerate(request.matrix):
-            prepared_row = []
-            for k, f_ct in enumerate(row):
-                if f_ct.public_key != pk:
-                    raise ProtocolError("request entry not under the group key")
-                block = request.region_blocks[k]
-                indicator = self._indicator_cell(f_ct, c, block)
-                cell = factory.draw()
-                r = pk.random_r(self._rng) if self._fresh_beta else None
-                self.stats.hom_operations += 3
-                prepared_row.append((indicator, cell, r))
-            prepared_rows.append(prepared_row)
-        # Pass 2 — the expensive exponentiations of eq. (14), batched.
-        jobs = []
-        for prepared_row in prepared_rows:
-            for indicator, cell, r in prepared_row:
-                jobs.append((indicator.ciphertext, cell.alpha, pk.n_sq))  # α ⊗ Ĩ
-                if r is not None:
-                    jobs.append(pk.obfuscator_job(r))
-        powers = iter(self._executor.pow_many(jobs))
-        blinded_rows: list[tuple[EncryptedNumber, ...]] = []
-        blinding_rows: list[tuple[CellBlinding, ...]] = []
-        for prepared_row in prepared_rows:
-            blinded_row = []
+        # All randomness, drawn here in cell order (row-major: blinding
+        # triple, then obfuscator nonce) — the arithmetic behind _blind
+        # never touches the RNG, so the transcript cannot depend on the
+        # executor or on how the map is partitioned.
+        blindings = []
+        obfuscators = []
+        for row in request.matrix:
             blinding_row = []
-            for indicator, cell, r in prepared_row:
-                blinded = EncryptedNumber(pk, next(powers))
-                if r is not None:
-                    blinded = blinded.subtract(
-                        pk.encrypt_with_obfuscator(cell.beta, next(powers))
-                    )
-                else:
-                    blinded = blinded.add_plain(-cell.beta)
-                blinded = blinded.scalar_mul(cell.epsilon)  # ε ⊗ (…)
-                blinded_row.append(blinded)
-                blinding_row.append(cell)
-            blinded_rows.append(tuple(blinded_row))
-            blinding_rows.append(tuple(blinding_row))
+            obfuscator_row = []
+            for _ in row:
+                blinding_row.append(factory.draw())
+                obfuscator_row.append(
+                    pk.random_r(self._rng) if self._fresh_beta else None
+                )
+            blindings.append(tuple(blinding_row))
+            obfuscators.append(tuple(obfuscator_row))
         round_id = f"round-{next(self._round_counter)}"
+        blinded = self._blind(
+            round_id, request, tuple(blindings), tuple(obfuscators), span
+        )
         self._pending[round_id] = PendingRound(
             round_id=round_id,
             su_id=request.su_id,
             region_blocks=request.region_blocks,
-            blindings=tuple(blinding_rows),
+            blindings=tuple(blindings),
             request_digest=TransmissionLicense.digest_of(request.digest_bytes()),
-            channels=tuple(range(env.num_channels)),
+            channels=tuple(range(self.environment.num_channels)),
         )
-        self.stats.requests_started += 1
         return SignExtractionRequest(
-            round_id=round_id, su_id=request.su_id, matrix=tuple(blinded_rows)
+            round_id=round_id, su_id=request.su_id, matrix=blinded
         )
 
     # -- Figure 5 steps 9-11: request phase 2 ----------------------------------------------
 
-    def finish_request(
-        self, response: SignExtractionResponse, span=None
-    ) -> LicenseResponse:
-        """Unblind the STP's signs and issue the perturbed encrypted license."""
-        # Validate the response in full BEFORE consuming the round state:
-        # a malformed/spliced response must not destroy a pending round.
-        pending = self._pending.get(response.round_id)
+    def _claim_round(self, round_id: str, su_id: str):
+        """The pending round a sign response answers, and its SU's key.
+
+        The round stays pending: the caller validates the rest of the
+        response and only then consumes it, so a malformed or spliced
+        response cannot destroy a round.
+        """
+        pending = self._pending.get(round_id)
         if pending is None:
-            raise ProtocolError(f"unknown round {response.round_id!r}")
-        if response.su_id != pending.su_id:
+            raise ProtocolError(f"unknown round {round_id!r}")
+        if su_id != pending.su_id:
             raise ProtocolError("sign-extraction response for the wrong SU")
-        su_key = self.directory.su_key(pending.su_id)
-        if len(response.matrix) != len(pending.blindings):
-            raise ProtocolError("sign matrix shape mismatch")
-        for x_row, blinding_row in zip(response.matrix, pending.blindings):
-            if len(x_row) != len(blinding_row):
-                raise ProtocolError("sign matrix shape mismatch")
-            for x_ct in x_row:
-                if x_ct.public_key != su_key:
-                    raise ProtocolError("converted sign not under the SU's key")
-        del self._pending[response.round_id]
-        q_cells: list[EncryptedNumber] = []
-        for x_row, blinding_row in zip(response.matrix, pending.blindings):
-            for x_ct, cell in zip(x_row, blinding_row):
-                # eq. (16): Q̃ = (ε ⊗ X̃) ⊖ 1̃.
-                q_cells.append(x_ct.scalar_mul(cell.epsilon).add_plain(-1))
-                self.stats.hom_operations += 2
+        return pending, self.directory.su_key(pending.su_id)
+
+    def _issue_license(
+        self, pending, su_key: PaillierPublicKey, q_sum: EncryptedNumber,
+        sig_r: int, eta: int, issued_at: int,
+    ) -> LicenseResponse:
+        """Sign the license and perturb its encrypted signature (eq. (17)).
+
+        ``G̃ = SG̃ ⊕ (η ⊗ ΣQ̃)`` decrypts to the valid signature iff
+        ``ΣQ̃`` is zero, i.e. iff every cell's interference budget holds.
+        """
         license_body = TransmissionLicense(
             su_id=pending.su_id,
             issuer_id=self.issuer_id,
             request_digest=pending.request_digest,
             channels=pending.channels,
-            issued_at=int(self._clock()),
+            issued_at=issued_at,
         )
         signature = license_body.sign(self.signer, max_value=su_key.n)
         encrypted_signature = EncryptedNumber(
-            su_key, su_key.raw_encrypt(signature, rng=self._rng)
+            su_key, su_key.raw_encrypt(signature, r=sig_r)
         )
-        # eq. (17): G̃ = SG̃ ⊕ (η ⊗ ΣQ̃).
+        return LicenseResponse(
+            license=license_body,
+            encrypted_signature=encrypted_signature.add(q_sum.scalar_mul(eta)),
+        )
+
+    def finish_request(
+        self, response: SignExtractionResponse, span=None
+    ) -> LicenseResponse:
+        """Unblind the STP's signs and issue the perturbed encrypted license."""
+        pending, su_key = self._claim_round(response.round_id, response.su_id)
+        if len(response.matrix) != len(pending.blindings):
+            raise ProtocolError("sign matrix shape mismatch")
+        for x_row, blinding_row in zip(response.matrix, pending.blindings):
+            if len(x_row) != len(blinding_row):
+                raise ProtocolError("sign matrix shape mismatch")
+            require_key(x_row, su_key, "converted sign")
+        del self._pending[response.round_id]
+        # Every phase-2 random input — signature obfuscator, then η, then
+        # the license clock — is drawn before the arithmetic starts, so a
+        # journaling subclass can make them durable ahead of its scatter.
+        sig_r = su_key.random_r(self._rng)
         eta = BlindingFactory(self.blinding_parameters(), rng=self._rng).draw_eta()
-        q_sum = hom_sum(q_cells)
+        issued_at = int(self._clock())
+        q_sum = self._q_sum(pending, response, span)
         self.last_q_sum = q_sum
-        self.stats.hom_operations += len(q_cells) - 1
-        g_ct = encrypted_signature.add(q_sum.scalar_mul(eta))
-        self.stats.hom_operations += 2
-        self.stats.requests_completed += 1
-        return LicenseResponse(license=license_body, encrypted_signature=g_ct)
-
-    # -- introspection ------------------------------------------------------------------
-
-    @property
-    def num_tracked_pus(self) -> int:
-        return len(self._pu_updates)
+        return self._issue_license(pending, su_key, q_sum, sig_r, eta, issued_at)
 
     @property
     def pending_rounds(self) -> int:
         return len(self._pending)
+
+
+class SdcServer(SdcFront):
+    """The honest-but-curious spectrum controller, in one process.
+
+    The request front over a single kernel that owns every block — the
+    one-shard case of the cluster decomposition.
+    """
+
+    def __init__(
+        self,
+        environment: SpectrumEnvironment,
+        directory: KeyDirectory,
+        signer: RsaFdhSigner,
+        issuer_id: str = "sdc",
+        rng: RandomSource | None = None,
+        fresh_beta_encryption: bool = True,
+        clock=time.time,
+        executor: Executor | None = None,
+    ) -> None:
+        super().__init__(
+            environment, directory, signer, issuer_id=issuer_id, rng=rng,
+            fresh_beta_encryption=fresh_beta_encryption, clock=clock,
+        )
+        self._executor = default_executor(executor)
+        self.kernel = BlockKernel(
+            environment, directory.group_public_key, executor=self._executor
+        )
+
+    def handle_pu_update(self, message: PUUpdateMessage) -> None:
+        self.kernel.fold_pu_update(message)
+
+    def _blind(self, round_id, request, blindings, obfuscators, span):
+        indicators = self.kernel.indicators(request.region_blocks, request.matrix)
+        return self.kernel.blind(indicators, blindings, obfuscators)
+
+    def _q_sum(self, pending, response, span) -> EncryptedNumber:
+        epsilons = [[cell.epsilon for cell in row] for row in pending.blindings]
+        return partial_q_sum(response.matrix, epsilons)
+
+    @property
+    def num_tracked_pus(self) -> int:
+        return self.kernel.num_tracked_pus

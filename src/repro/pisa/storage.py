@@ -145,12 +145,9 @@ def _decode_str(buffer: bytes, offset: int) -> tuple[str, int]:
 
 def serialize_sdc_state(sdc) -> bytes:
     """Snapshot an SDC's durable state (latest update per PU)."""
-    parts = [_SDC_MAGIC, encode_int(len(sdc._pu_updates))]
-    for pu_id, (block_index, ciphertexts) in sorted(sdc._pu_updates.items()):
-        message = PUUpdateMessage(
-            pu_id=pu_id, block_index=block_index, ciphertexts=ciphertexts
-        )
-        parts.append(encode_bytes(message.to_bytes()))
+    updates = sdc.kernel.pu_update_messages()
+    parts = [_SDC_MAGIC, encode_int(len(updates))]
+    parts.extend(encode_bytes(message.to_bytes()) for message in updates)
     return b"".join(parts)
 
 
@@ -160,7 +157,7 @@ def restore_sdc_state(sdc, blob: bytes) -> int:
     The SDC must be empty (no PU updates yet) and share the original's
     environment and group key.  Returns the number of PUs restored.
     """
-    if sdc._pu_updates:
+    if sdc.num_tracked_pus:
         raise SerializationError("restore target already holds PU state")
     if not blob.startswith(_SDC_MAGIC):
         raise SerializationError("not a v1 SDC snapshot")

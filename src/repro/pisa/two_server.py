@@ -45,6 +45,7 @@ from repro.crypto.threshold import (
 from repro.errors import ProtocolError, SerializationError
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionResponse
+from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcServer
 
 __all__ = [
@@ -126,7 +127,6 @@ class FrontServer(SdcServer):
         partials = tuple(
             tuple(next(powers) for _ in row) for row in extraction.matrix
         )
-        self.stats.hom_operations += sum(len(row) for row in extraction.matrix)
         return PartialSignExtractionRequest(
             round_id=extraction.round_id,
             su_id=extraction.su_id,
@@ -158,6 +158,13 @@ class BackendServer:
         self._rng = default_rng(rng)
         self._executor = default_executor(executor)
         self.cells_combined = 0
+
+    @property
+    def group_public_key(self) -> PaillierPublicKey:
+        return self.directory.group_public_key
+
+    def register_su(self, su_id: str, public_key: PaillierPublicKey) -> None:
+        self.directory.register_su_key(su_id, public_key)
 
     def handle_partial_extraction(
         self, request: PartialSignExtractionRequest, span=None
@@ -198,13 +205,16 @@ class BackendServer:
         )
 
 
-class TwoServerCoordinator:
+class TwoServerCoordinator(PisaCoordinator):
     """Deploys and drives the STP-free variant end to end.
 
-    Mirrors :class:`repro.pisa.protocol.PisaCoordinator`: same clients,
-    same message flow, but sign extraction runs through the
-    front/backend threshold pair instead of an STP.
+    A :class:`repro.pisa.protocol.PisaCoordinator` — same clients, same
+    message flow, same round driver — whose build hooks put the
+    front/backend threshold pair where the SDC and the STP sit.
     """
+
+    sdc_endpoint = "sdc-front"
+    stp_endpoint = "sdc-back"
 
     def __init__(
         self,
@@ -215,115 +225,53 @@ class TwoServerCoordinator:
         transport=None,
         executor: Executor | None = None,
     ) -> None:
-        from repro.crypto.signatures import RsaFdhSigner, generate_rsa_keypair
-        from repro.net.transport import InMemoryTransport
-
-        if signature_bits is None:
-            signature_bits = max(32, key_bits // 2)
-        if signature_bits >= key_bits:
-            raise ProtocolError(
-                "signature modulus must be smaller than the Paillier modulus"
-            )
-        self.environment = environment
-        self.key_bits = key_bits
-        self._rng = default_rng(rng)
-        self.transport = transport if transport is not None else InMemoryTransport()
-
-        keypair, directory = deal_two_server_keys(key_bits, rng=self._rng)
-        self.directory = directory
-        _, signing_private = generate_rsa_keypair(signature_bits, rng=self._rng)
-        self.front = FrontServer(
-            keypair.shares[0],
+        super().__init__(
             environment,
-            directory=directory,
-            signer=RsaFdhSigner(signing_private),
+            key_bits=key_bits,
+            signature_bits=signature_bits,
+            rng=rng,
+            transport=transport,
+            executor=executor,
+        )
+
+    def _build_stp(self, key_bits: int, executor) -> BackendServer:
+        keypair, directory = deal_two_server_keys(key_bits, rng=self._rng)
+        self._front_share = keypair.shares[0]
+        return BackendServer(
+            keypair.shares[1], directory, rng=self._rng, executor=executor
+        )
+
+    def _build_sdc(self, signer, fresh_beta_encryption, executor) -> FrontServer:
+        return FrontServer(
+            self._front_share,
+            self.environment,
+            directory=self.stp.directory,
+            signer=signer,
             rng=self._rng,
             executor=executor,
         )
-        self.backend = BackendServer(
-            keypair.shares[1], directory, rng=self._rng, executor=executor
-        )
-        self._pu_clients = {}
-        self._su_clients = {}
+
+    def _start_request(self, request):
+        return self.sdc.start_request_with_partials(request)
+
+    def _convert_signs(self, sign_request):
+        return self.stp.handle_partial_extraction(sign_request)
+
+    @property
+    def front(self) -> FrontServer:
+        return self.sdc
+
+    @property
+    def backend(self) -> BackendServer:
+        return self.stp
+
+    @property
+    def directory(self) -> KeyDirectory:
+        return self.stp.directory
 
     @property
     def group_public_key(self) -> PaillierPublicKey:
-        return self.directory.group_public_key
-
-    def enroll_pu(self, pu):
-        from repro.pisa.pu_client import PUClient
-
-        client = PUClient(
-            pu, self.environment, self.group_public_key, rng=self._rng
-        )
-        self._pu_clients[pu.receiver_id] = client
-        update = client.build_update()
-        self.transport.send(update, sender=pu.receiver_id, receiver="sdc-front")
-        self.front.handle_pu_update(update)
-        return client
-
-    def enroll_su(self, su, region=None, keypair=None):
-        from repro.crypto.paillier import generate_keypair
-        from repro.pisa.su_client import SUClient
-
-        keypair = keypair or generate_keypair(self.key_bits, rng=self._rng)
-        client = SUClient(
-            su, self.environment, self.group_public_key, keypair,
-            region=region, rng=self._rng,
-        )
-        self.directory.register_su_key(su.su_id, client.public_key)
-        self._su_clients[su.su_id] = client
-        return client
-
-    def su_client(self, su_id: str):
-        return self._su_clients[su_id]
-
-    def run_request_round(self, su_id: str, reuse_cached_request: bool = False):
-        """One Figure 5 round through the front/backend pair."""
-        from time import perf_counter as now
-
-        from repro.pisa.protocol import RoundReport, RoundTimings
-
-        client = self._su_clients[su_id]
-
-        t0 = now()
-        request = (
-            client.refresh_request() if reuse_cached_request
-            else client.prepare_request()
-        )
-        t1 = now()
-        self.transport.send(request, sender=su_id, receiver="sdc-front")
-
-        extraction = self.front.start_request_with_partials(request)
-        t2 = now()
-        self.transport.send(extraction, sender="sdc-front", receiver="sdc-back")
-
-        conversion = self.backend.handle_partial_extraction(extraction)
-        t3 = now()
-        self.transport.send(conversion, sender="sdc-back", receiver="sdc-front")
-
-        response = self.front.finish_request(conversion)
-        t4 = now()
-        self.transport.send(response, sender="sdc-front", receiver=su_id)
-
-        outcome = client.process_response(response, self.directory)
-        t5 = now()
-        return RoundReport(
-            su_id=su_id,
-            granted=outcome.granted,
-            outcome=outcome,
-            timings=RoundTimings(
-                request_preparation=t1 - t0,
-                sdc_phase1=t2 - t1,
-                stp_conversion=t3 - t2,
-                sdc_phase2=t4 - t3,
-                su_decryption=t5 - t4,
-            ),
-            request_bytes=request.wire_size(),
-            sign_extraction_bytes=extraction.wire_size(),
-            conversion_bytes=conversion.wire_size(),
-            response_bytes=response.wire_size(),
-        )
+        return self.stp.group_public_key
 
 
 __all__.append("TwoServerCoordinator")

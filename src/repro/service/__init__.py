@@ -13,10 +13,9 @@ this package turns it into a long-running *service*:
 * :mod:`repro.service.loadtest` — synthetic open-loop workload driver
   (``repro serve-loadtest``).
 
-Metrics moved to :mod:`repro.telemetry` (the ``Counter`` / ``Gauge`` /
+Metrics live in :mod:`repro.telemetry` (the ``Counter`` / ``Gauge`` /
 ``Histogram`` / ``MetricsRegistry`` names re-exported here are the
-telemetry classes; ``repro.service.metrics`` remains as a deprecated
-shim).
+telemetry classes).
 """
 
 from repro.service.batching import BatchAllocator, Epoch, EpochBatcher

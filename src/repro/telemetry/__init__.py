@@ -4,7 +4,7 @@ One observability surface for the whole protocol stack:
 
 * :mod:`repro.telemetry.metrics` — counters, gauges, fixed-bucket
   histograms in a :class:`MetricsRegistry` with JSON and Prometheus
-  text exposition.  Absorbs the former ``repro.service.metrics``.
+  text exposition.
 * :mod:`repro.telemetry.tracing` — span-based tracer with explicit
   context propagation and deterministic span ids, so tracing never
   perturbs protocol transcripts.

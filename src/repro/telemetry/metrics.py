@@ -3,9 +3,8 @@
 This module is the one metrics plane for the whole stack — the service
 broker, the cluster router, the retry/circuit-breaker policy engine,
 the transports, and the chaos harness all report through one
-:class:`MetricsRegistry`.  (It absorbs the former
-``repro.service.metrics``, which survives as a deprecation shim.)  The
-design goals are the usual ones for an embedded metrics layer:
+:class:`MetricsRegistry`.  The design goals are the usual ones for an
+embedded metrics layer:
 
 * **cheap on the hot path** — recording a sample is a few attribute
   writes, no locks (CPython's GIL suffices for our single-loop broker),

@@ -7,9 +7,14 @@ plaintext oracle, through the same client-facing surfaces: request
 rounds, cached refreshes, power negotiation, and license sessions.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.crypto.rand import DeterministicRandomSource
+from repro.errors import ProtocolError
+from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.negotiation import PowerNegotiator
 from repro.pisa.packed import PackedCoordinator
 from repro.pisa.protocol import PisaCoordinator
@@ -106,6 +111,86 @@ class TestConformance:
         clock.now += status.license.valid_seconds + 1
         renewed = session.ensure_license()
         assert renewed.renewals == 2, name
+
+
+def _two_shard_cluster(environment, key_bits, rng):
+    return ClusterCoordinator(environment, num_shards=2, key_bits=key_bits, rng=rng)
+
+
+class TestMalformedInputRejected:
+    """Every SDC front rejects the same malformed inputs the same way:
+    a typed ``ProtocolError`` and no state change — the copies of the
+    validation code used to disagree on exactly these."""
+
+    FRONTS = dict(VARIANTS, cluster=(_two_shard_cluster, 256))
+
+    @pytest.fixture(scope="class", params=sorted(FRONTS))
+    def enrolled(self, request, cross_scenario):
+        build, key_bits = self.FRONTS[request.param]
+        coordinator = build(
+            cross_scenario.environment,
+            key_bits=key_bits,
+            rng=DeterministicRandomSource(f"malformed-{request.param}"),
+        )
+        pu_clients = [coordinator.enroll_pu(pu) for pu in cross_scenario.pus]
+        for su in cross_scenario.sus:
+            coordinator.enroll_su(su)
+        yield coordinator, pu_clients
+        close = getattr(coordinator, "close", None)
+        if close is not None:
+            close()
+
+    @staticmethod
+    def _sdc(coordinator):
+        return getattr(coordinator, "sdc", None) or coordinator.front
+
+    def _assert_state_untouched(self, coordinator, cross_scenario, cross_oracle):
+        assert self._sdc(coordinator).pending_rounds == 0
+        su = cross_scenario.sus[0]
+        assert (
+            coordinator.run_request_round(su.su_id).granted
+            == cross_oracle.process_request(su).granted
+        )
+
+    def test_pu_update_under_foreign_key(
+        self, enrolled, cross_scenario, cross_oracle, fresh_rng
+    ):
+        coordinator, pu_clients = enrolled
+        good = pu_clients[0].build_update()
+        foreign = coordinator.su_client(cross_scenario.sus[0].su_id).public_key
+        bad = PUUpdateMessage(
+            good.pu_id,
+            good.block_index,
+            tuple(foreign.encrypt(0, rng=fresh_rng) for _ in good.ciphertexts),
+        )
+        with pytest.raises(ProtocolError):
+            self._sdc(coordinator).handle_pu_update(bad)
+        self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
+
+    @pytest.mark.parametrize("offset", [0, 1000])
+    def test_pu_update_outside_the_area(
+        self, enrolled, cross_scenario, cross_oracle, offset
+    ):
+        coordinator, pu_clients = enrolled
+        good = pu_clients[0].build_update()
+        bad = replace(
+            good, block_index=cross_scenario.environment.num_blocks + offset
+        )
+        with pytest.raises(ProtocolError):
+            self._sdc(coordinator).handle_pu_update(bad)
+        self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
+
+    @pytest.mark.parametrize("block", [-1, 10**6])
+    def test_request_discloses_block_outside_the_area(
+        self, enrolled, cross_scenario, cross_oracle, block
+    ):
+        coordinator, _ = enrolled
+        su = cross_scenario.sus[0]
+        good = coordinator.su_client(su.su_id).prepare_request()
+        bad = replace(good, region_blocks=(block,) + good.region_blocks[1:])
+        with pytest.raises(ProtocolError):
+            self._sdc(coordinator).start_request(bad)
+        self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
 
 
 class TestVariantDistinctions:

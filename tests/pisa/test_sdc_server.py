@@ -51,8 +51,10 @@ class TestPuUpdateAggregation:
             [pu_update_matrix(pu, env.e_matrix, env.params) for pu in scenario.pus]
         )
         sk = group_keys.private_key
-        for (c, b), ct in sdc._w_sum.items():
-            assert sk.decrypt(ct) == int(expected[c, b])
+        for c in range(env.num_channels):
+            for b in range(env.num_blocks):
+                ct = sdc.kernel.cell(c, b)
+                assert (0 if ct is None else sk.decrypt(ct)) == int(expected[c, b])
 
     def test_resubmission_subtracts_old(self, sdc, scenario, group_keys, fresh_rng):
         env = scenario.environment
@@ -64,10 +66,10 @@ class TestPuUpdateAggregation:
         sdc.handle_pu_update(make_update(switched, scenario, group_keys, fresh_rng))
         sk = group_keys.private_key
         # Old cell cancels back to zero; new cell carries T − E.
-        old_cell = sdc._w_sum[(pu.channel_slot, pu.block_index)]
+        old_cell = sdc.kernel.cell(pu.channel_slot, pu.block_index)
         assert sk.decrypt(old_cell) == 0
         new_w = pu_update_matrix(switched, env.e_matrix, env.params)
-        new_cell = sdc._w_sum[(switched.channel_slot, pu.block_index)]
+        new_cell = sdc.kernel.cell(switched.channel_slot, pu.block_index)
         assert sk.decrypt(new_cell) == int(
             new_w[switched.channel_slot, pu.block_index]
         )

@@ -39,9 +39,14 @@ class TestSdcSnapshot:
         restored = fresh_sdc_factory()
         count = restore_sdc_state(restored, blob)
         assert count == coordinator.sdc.num_tracked_pus
-        assert set(restored._w_sum) == set(coordinator.sdc._w_sum)
-        for cell, ct in coordinator.sdc._w_sum.items():
-            assert restored._w_sum[cell].ciphertext == ct.ciphertext
+        env = coordinator.environment
+        for c in range(env.num_channels):
+            for b in range(env.num_blocks):
+                original = coordinator.sdc.kernel.cell(c, b)
+                copy = restored.kernel.cell(c, b)
+                assert (original is None) == (copy is None)
+                if original is not None:
+                    assert copy.ciphertext == original.ciphertext
 
     def test_restored_sdc_decides_identically(
         self, coordinator, fresh_sdc_factory, pisa_scenario
