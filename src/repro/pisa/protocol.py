@@ -223,7 +223,7 @@ class PisaCoordinator:
         cached encrypted request is re-randomised instead of rebuilt.
         """
         client = self._su_clients[su_id]
-        sdc, stp = self.sdc_endpoint, self.stp_endpoint
+        sdc_name, stp_name = self.sdc_endpoint, self.stp_endpoint
 
         t0 = time.perf_counter()
         if reuse_cached_request:
@@ -231,19 +231,19 @@ class PisaCoordinator:
         else:
             request = client.prepare_request()
         t1 = time.perf_counter()
-        self.transport.send(request, sender=su_id, receiver=sdc)
+        self.transport.send(request, sender=su_id, receiver=sdc_name)
 
         sign_request = self._start_request(request)
         t2 = time.perf_counter()
-        self.transport.send(sign_request, sender=sdc, receiver=stp)
+        self.transport.send(sign_request, sender=sdc_name, receiver=stp_name)
 
         sign_response = self._convert_signs(sign_request)
         t3 = time.perf_counter()
-        self.transport.send(sign_response, sender=stp, receiver=sdc)
+        self.transport.send(sign_response, sender=stp_name, receiver=sdc_name)
 
         response = self.sdc.finish_request(sign_response)
         t4 = time.perf_counter()
-        self.transport.send(response, sender=sdc, receiver=su_id)
+        self.transport.send(response, sender=sdc_name, receiver=su_id)
 
         outcome = client.process_response(response, self.stp.directory)
         t5 = time.perf_counter()
