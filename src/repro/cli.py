@@ -93,6 +93,31 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--seed", type=int, default=5)
     capacity.add_argument("--probe-dbm", type=float, default=16.0)
 
+    def add_loadtest_args(p, requests_default: int) -> None:
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--requests", type=int, default=requests_default,
+                       help="SU request arrivals to fire")
+        p.add_argument("--rate", type=float, default=50.0,
+                       help="mean arrivals per second (open loop)")
+        p.add_argument("--sus", type=int, default=3,
+                       help="distinct SUs cycling through arrivals")
+        p.add_argument("--key-bits", type=int, default=512,
+                       help="Paillier modulus (packed mode needs >= 512)")
+        p.add_argument("--shards", type=int, default=0,
+                       help="SDC shards behind the cluster facade "
+                            "(0 = single packed SDC)")
+        p.add_argument("--scenario", type=str, default="uhf",
+                       help="named scenario from the registry (uhf, "
+                            "cbrs-tiered)")
+        p.add_argument("--workload", type=str, default="",
+                       help="named traffic shape driving the open-loop "
+                            "schedule (steady, diurnal, flash-crowd, "
+                            "pu-churn-storm, mobility; default: legacy "
+                            "Poisson driver)")
+        p.add_argument("--tier-capacity", type=int, default=0,
+                       help="GAA channel budget for cbrs-tiered "
+                            "(0 = derive from WATCH capacity)")
+
     serve = sub.add_parser(
         "serve-loadtest",
         help="drive the async service broker with synthetic open-loop load",
@@ -100,24 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--plane", choices=("memory", "socket"), default="memory",
                        help="deployment plane: in-process transport, or SDC "
                             "shards + STP as subprocesses over TCP frames")
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument("--requests", type=int, default=12,
-                       help="SU request arrivals to fire")
-    serve.add_argument("--rate", type=float, default=50.0,
-                       help="mean arrivals per second (open loop)")
-    serve.add_argument("--sus", type=int, default=3,
-                       help="distinct SUs cycling through arrivals")
-    serve.add_argument("--scenario", type=str, default="uhf",
-                       help="named scenario from the registry (uhf, "
-                            "cbrs-tiered)")
-    serve.add_argument("--workload", type=str, default="",
-                       help="named traffic shape driving the open-loop "
-                            "schedule (steady, diurnal, flash-crowd, "
-                            "pu-churn-storm, mobility; default: legacy "
-                            "Poisson driver)")
-    serve.add_argument("--tier-capacity", type=int, default=0,
-                       help="GAA channel budget for cbrs-tiered "
-                            "(0 = derive from WATCH capacity)")
+    add_loadtest_args(serve, requests_default=12)
     serve.add_argument("--pu-switches", type=int, default=2,
                        help="physical PU channel switches to interleave "
                             "with the arrivals")
@@ -128,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0,
                        help="worker processes for Paillier batches "
                             "(0 = serial in-process executor)")
-    serve.add_argument("--key-bits", type=int, default=512,
-                       help="Paillier modulus (packed mode needs >= 512)")
-    serve.add_argument("--shards", type=int, default=0,
-                       help="SDC shards behind the cluster facade "
-                            "(0 = single packed SDC)")
     serve.add_argument("--kill-shard", type=int, default=0, metavar="N",
                        help="kill a shard primary after N request "
                             "submissions (failover chaos probe; needs "
@@ -161,29 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "text exposition")
     cluster_up.add_argument("--timeout", type=float, default=300.0,
                             help="seconds to wait for the workload")
-
-    def add_loadtest_args(p, requests_default: int) -> None:
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--requests", type=int, default=requests_default,
-                       help="SU request arrivals to fire")
-        p.add_argument("--rate", type=float, default=50.0,
-                       help="mean arrivals per second (open loop)")
-        p.add_argument("--sus", type=int, default=3,
-                       help="distinct SUs cycling through arrivals")
-        p.add_argument("--key-bits", type=int, default=512,
-                       help="Paillier modulus (packed mode needs >= 512)")
-        p.add_argument("--shards", type=int, default=0,
-                       help="SDC shards behind the cluster facade "
-                            "(0 = single packed SDC)")
-        p.add_argument("--scenario", type=str, default="uhf",
-                       help="named scenario from the registry (uhf, "
-                            "cbrs-tiered)")
-        p.add_argument("--workload", type=str, default="",
-                       help="named traffic shape (default: legacy Poisson "
-                            "driver)")
-        p.add_argument("--tier-capacity", type=int, default=0,
-                       help="GAA channel budget for cbrs-tiered "
-                            "(0 = derive from WATCH capacity)")
 
     trace = sub.add_parser(
         "trace",
@@ -225,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workload", type=str, default="",
                        help="compose the fault schedule with a named "
                             "traffic shape (flash-crowd, pu-churn-storm, "
-                            "...); simulated-transport plans only")
+                            "...)")
     chaos.add_argument("--json", type=str, default=None, metavar="PATH",
                        help="also write the results as JSON")
     chaos.add_argument("--metrics-dump", type=str, default=None,
@@ -456,10 +436,11 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_serve_loadtest(args) -> int:
+    import dataclasses
     import json
 
     from repro.analysis.reporting import format_table
-    from repro.service import LoadtestConfig, ServiceConfig, run_loadtest
+    from repro.service import ServiceConfig, run_loadtest
     from repro.service.workers import ProcessWorkerPool
 
     if args.plane == "socket" and (args.workers or args.kill_shard):
@@ -472,19 +453,12 @@ def _cmd_serve_loadtest(args) -> int:
         print("--store requires a sharded run (--shards N)", file=sys.stderr)
         return 2
     shards = max(args.shards, 1) if args.plane == "socket" else args.shards
-    config = LoadtestConfig(
-        seed=args.seed,
-        num_requests=args.requests,
-        arrivals_per_second=args.rate,
-        num_sus=args.sus,
+    config = dataclasses.replace(
+        _loadtest_config(args),
         num_pu_switches=args.pu_switches,
-        key_bits=args.key_bits,
         shards=shards,
         kill_shard_after=args.kill_shard,
         store_path=args.store if args.plane == "memory" and args.store else "",
-        scenario=args.scenario,
-        workload=args.workload,
-        tier_capacity=args.tier_capacity,
         service=ServiceConfig(
             batch_window_s=args.window_ms / 1000.0,
             max_batch=args.max_batch,
@@ -643,42 +617,7 @@ def _cmd_chaos(args) -> int:
     results = []
     failed = 0
     for schedule in schedules:
-        from repro.netd.chaos import PARTITION_PLAN_NAMES, PROC_PLAN_NAME
-
-        proc_plans = (PROC_PLAN_NAME,) + PARTITION_PLAN_NAMES
-        if any(name in proc_plans for name in schedule):
-            if len(schedule) != 1:
-                print("socket-plane plans (proc-*) run alone (each has its "
-                      "own schedule)", file=sys.stderr)
-                return 2
-            if args.workload:
-                print("--workload composes with simulated-transport plans "
-                      "only (proc-* plans drive their own fixed script)",
-                      file=sys.stderr)
-                return 2
-            if schedule == [PROC_PLAN_NAME]:
-                from repro.netd.chaos import run_process_chaos
-
-                result = run_process_chaos(
-                    seed=args.seed,
-                    shards=args.shards,
-                    rounds=args.rounds,
-                    key_bits=args.key_bits,
-                    metrics=metrics,
-                )
-            else:
-                from repro.netd.chaos import run_partition_chaos
-
-                result = run_partition_chaos(
-                    schedule[0],
-                    seed=args.seed,
-                    shards=args.shards,
-                    rounds=args.rounds,
-                    key_bits=args.key_bits,
-                    metrics=metrics,
-                )
-        else:
-            result = harness.run(schedule)
+        result = harness.run(schedule)
         results.append(result)
         verdict = "OK" if result.ok else "FAIL"
         shape = f" workload={args.workload}" if args.workload else ""

@@ -28,7 +28,6 @@ See ``docs/networking.md`` for the frame format, process topology, and
 TLS setup.
 """
 
-from repro.netd.chaos import PROC_PLAN_NAME, run_process_chaos
 from repro.netd.framing import Frame, FrameDecoder, decode_frame, encode_frame
 from repro.netd.plane import (
     SocketClusterCoordinator,
@@ -44,7 +43,6 @@ __all__ = [
     "ClusterSpec",
     "Frame",
     "FrameDecoder",
-    "PROC_PLAN_NAME",
     "PeerClient",
     "ProcessSupervisor",
     "SocketClusterCoordinator",
@@ -57,6 +55,5 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "load_cluster_spec",
-    "run_process_chaos",
     "run_socket_loadtest",
 ]

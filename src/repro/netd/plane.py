@@ -44,8 +44,7 @@ from repro.netd.topology import ClusterSpec, TlsSpec
 from repro.netd.transport import NetLoop, PeerClient, SocketTransport
 from repro.netd.wire import decode_control, encode_control
 from repro.service import loadtest as loadtest_module
-from repro.service.batching import BatchAllocator
-from repro.service.broker import ServiceConfig, SpectrumAccessBroker
+from repro.service.broker import ServiceConfig
 from repro.service.loadtest import LoadtestConfig, LoadtestReport, ServiceFixture
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
@@ -144,8 +143,8 @@ def build_socket_coordinator(
 
     Returns ``(coordinator, scenario)``; nothing is enrolled yet.  The
     lower-level seam shared by :func:`build_socket_service` and the
-    process-chaos harness (which drives Figure-5 rounds directly, no
-    broker).
+    chaos harness's ``proc-*`` plans (which drive Figure-5 rounds
+    directly, no broker).
     """
     if num_shards < 1:
         raise ConfigurationError("the socket plane needs at least one shard")
@@ -257,42 +256,8 @@ def build_socket_service(
         workdir=workdir,
         store_dir=store_dir,
     )
-    pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
-    su_ids = []
-    for su in scenario.sus[: config.num_sus]:
-        coordinator.enroll_su(su)
-        su_ids.append(su.su_id)
-    # Tier policy is broker-side only — the workers never see it, which
-    # is why the wire format and the worker processes stay unchanged
-    # across scenarios.
-    admission = loadtest_module._admission_for(config, scenario, metrics)
-    broker = SpectrumAccessBroker(
-        allocator=BatchAllocator.for_coordinator(coordinator),
-        pu_update_handler=coordinator.sdc.handle_pu_update,
-        config=config.service,
-        metrics=metrics,
-        tracer=tracer,
-        admission=admission,
-    )
-    return ServiceFixture(
-        broker=broker,
-        coordinator=coordinator,
-        scenario=scenario,
-        pu_clients=pu_clients,
-        su_ids=su_ids,
-        admission=admission,
-    )
-
-
-async def _run_fixture(fixture: ServiceFixture, config: LoadtestConfig) -> LoadtestReport:
-    start = time.perf_counter()
-    async with fixture.broker:
-        decisions = await loadtest_module._drive(fixture, config)
-    wall = time.perf_counter() - start
-    return LoadtestReport(
-        decisions=tuple(decisions),
-        wall_seconds=wall,
-        metrics=fixture.broker.metrics.snapshot(),
+    return loadtest_module._service_fixture(
+        config, coordinator, scenario, metrics, tracer
     )
 
 
@@ -327,7 +292,7 @@ def run_socket_loadtest(
         store_dir=store_dir,
     )
     try:
-        report = asyncio.run(_run_fixture(fixture, config))
+        report = asyncio.run(loadtest_module._run_fixture(fixture, config))
         fingerprints = tuple(fixture.coordinator.transport.fingerprints)
     finally:
         fixture.close()

@@ -16,7 +16,8 @@ kill processes, cut the SDC↔STP wire, or fill the journal device at a
 deterministic point.  ``repro chaos --seed 7 --plan kill-shard,drop-links``
 runs one composed schedule from the command line.
 
-Transcript capture happens in :class:`ChaosTransport`, which fingerprints
+Transcript capture happens in
+:class:`~repro.net.recording.TranscriptTransport`, which fingerprints
 every *protocol-level* message (SU/PU ↔ SDC ↔ STP) after a successful
 send.  Router↔shard sub-queries are excluded on purpose: failover
 legitimately re-sends them, and the protocol's externally visible bytes
@@ -24,6 +25,16 @@ are exactly the non-shard links.  Recording *post-send* makes transient
 faults transparent: a dropped message was never delivered (not
 recorded), a retried one is recorded once — the logical
 delivered-exactly-once transcript.
+
+Plans declare what they need (``wants_journal`` / ``wants_store`` /
+``wants_processes``) and the harness builds the faulted deployment to
+match.  The ``proc-*`` plans need *real worker processes*: their faulted
+run is the socket plane (:func:`repro.netd.plane.build_socket_coordinator`
+— shards and STP as subprocesses over TCP) while the control stays the
+cached in-memory run, so passing proves cross-plane determinism and
+recovery from a real ``SIGKILL`` / wire-typed ``FencedError`` / slow
+worker in one schedule.  Rounds, spans, the workload script and the
+verdict are the same code on both planes.
 
 Two plans exercise the write-ahead journal end to end:
 
@@ -80,10 +91,10 @@ from repro.telemetry import child
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
 __all__ = [
-    "ChaosTransport",
     "ChaosResult",
     "ChaosHarness",
     "PLAN_NAMES",
+    "SOCKET_PLAN_NAMES",
     "fingerprint_message",
 ]
 
@@ -99,13 +110,6 @@ SEND_POLICY = RetryPolicy(
     backoff_cap_s=0.0,
     retryable=(LinkDownError, MessageDroppedError),
 )
-
-
-#: Transcript capture now lives in :mod:`repro.net.recording` so the
-#: socket plane's equivalence tests and the process chaos plan share
-#: the exact fingerprint/link-predicate definitions; the chaos name is
-#: kept for the harness's public surface and existing callers.
-ChaosTransport = TranscriptTransport
 
 
 class _InjectedCrash(Exception):
@@ -151,6 +155,10 @@ class FaultPlan:
     #: Plans that need real disk: a path-backed journal plus a SQLite
     #: :class:`~repro.store.sqlite.SqliteStateStore` in a temp dir.
     wants_store = False
+    #: Plans that need real worker processes: the faulted deployment is
+    #: the socket plane (shards + STP as subprocesses over TCP), judged
+    #: against the same in-memory control as every other plan.
+    wants_processes = False
     #: Plans whose faulted run ends in a crash + journal replay.
     crashes = False
 
@@ -162,6 +170,9 @@ class FaultPlan:
 
     def on_send_retry(self, ctx: "_RunContext", exc, link) -> None:
         """Called when a harness-level send is about to be retried."""
+
+    def finish(self, ctx: "_RunContext") -> None:
+        """Called once after the last round, while the deployment is up."""
 
 
 class _KillShard(FaultPlan):
@@ -349,6 +360,18 @@ class _Kill9ColdStart(FaultPlan):
         ctx.note(f"armed kill9+coldstart in round {round_index} phase 1")
 
 
+def _stale_commit(ctx, victim, writer, epoch, stale_token, rejected, landed):
+    """A deposed ``writer`` commits under its dead lease; record the outcome."""
+    try:
+        writer.commit_epoch(epoch, fence_token=stale_token)
+    except FencedError as exc:
+        ctx.fenced_rejections += 1
+        ctx.coordinator.fencing.note_rejection(victim)
+        ctx.note(f"{rejected}: {exc}")
+    else:
+        ctx.note(f"SPLIT BRAIN: {landed}")
+
+
 class _AsymmetricPartition(FaultPlan):
     """Cut only the router→shard direction; the shard itself stays alive.
 
@@ -393,14 +416,11 @@ class _AsymmetricPartition(FaultPlan):
             ctx.note(f"partition healed after fence+promote of {victim}")
             # The old primary comes back from the partition and tries to
             # finish the write it was holding — with its dead lease.
-            try:
-                zombie.commit_epoch(round_index, fence_token=stale)
-            except FencedError as exc:
-                ctx.fenced_rejections += 1
-                ctx.coordinator.fencing.note_rejection(victim)
-                ctx.note(f"zombie write rejected: {exc}")
-            else:
-                ctx.note(f"SPLIT BRAIN: zombie write on {victim} was accepted")
+            _stale_commit(
+                ctx, victim, zombie, round_index, stale,
+                rejected="zombie write rejected",
+                landed=f"zombie write on {victim} was accepted",
+            )
 
         router._recover = recover_then_heal
 
@@ -419,6 +439,15 @@ class _SplitBrainPromote(FaultPlan):
     name = "split-brain-promote"
     wants_journal = True
     wants_store = True
+    #: Note wording; the socket drill words its own (CI greps them).
+    PROMOTED = "promoted {victim} while old primary alive"
+    REJECTED = "old primary's post-fence write rejected"
+    LANDED = "old primary of {victim} committed"
+
+    @staticmethod
+    def deposed_writer(replica_set):
+        """The incarnation that keeps writing after it is deposed."""
+        return replica_set.primary
 
     def before_round(self, ctx, round_index):
         if round_index != ctx.rounds - 1:
@@ -432,7 +461,7 @@ class _SplitBrainPromote(FaultPlan):
         incumbent = coordinator.fencing.bump(victim, "manual")
         replica_set.install_fence(incumbent.token)
         coordinator.sdc.commit_epoch(round_index)
-        zombie = replica_set.primary
+        zombie = self.deposed_writer(replica_set)
         # Depose it while it is alive and serving: bump, persist, install
         # on every replica (the zombie included), only then promote.
         successor = coordinator.fencing.bump(victim, "failover")
@@ -440,17 +469,14 @@ class _SplitBrainPromote(FaultPlan):
         replica_set.promote()
         coordinator.membership.record_lease(victim, successor.token)
         ctx.note(
-            f"promoted {victim} while old primary alive "
+            f"{self.PROMOTED.format(victim=victim)} "
             f"(lease {incumbent.token}->{successor.token})"
         )
-        try:
-            zombie.commit_epoch(round_index + 1, fence_token=incumbent.token)
-        except FencedError as exc:
-            ctx.fenced_rejections += 1
-            coordinator.fencing.note_rejection(victim)
-            ctx.note(f"old primary's post-fence write rejected: {exc}")
-        else:
-            ctx.note(f"SPLIT BRAIN: old primary of {victim} committed")
+        _stale_commit(
+            ctx, victim, zombie, round_index + 1, incumbent.token,
+            rejected=self.REJECTED,
+            landed=self.LANDED.format(victim=victim),
+        )
         # The successor commits under its own lease; the audit must see
         # writer tokens that never regress behind the fence.
         coordinator.sdc.commit_epoch(round_index)
@@ -510,6 +536,99 @@ class _GraySlowShard(FaultPlan):
         )
 
 
+class _ProcKillShard(FaultPlan):
+    """SIGKILL a real shard worker mid-phase-1; recovery must be invisible.
+
+    The fault fires from the sub-query hook *just before* the router's
+    first phase-1 transact to the victim, and waits for the process to
+    actually exit — so the transact deterministically hits a dead
+    worker, fails with ``LinkDownError``, and exercises the full
+    promote → restart → re-bootstrap → re-send path.  The router's
+    retry re-sends the *identical* sub-query bytes (phase randomness was
+    drawn centrally before the scatter), so matching the in-memory
+    control proves cross-plane determinism and crash recovery at once.
+    """
+
+    name = "proc-kill-shard"
+    wants_processes = True
+
+    def arm(self, ctx):
+        victim = ctx.coordinator.router.shard_ids[0]
+        replica_set = ctx.coordinator.router.replica_set(victim)
+        ctx.fault_missed = True
+
+        def kill_once(phase: str, request) -> None:
+            if not ctx.fault_missed or phase != "phase1":
+                return
+            ctx.fault_missed = False
+            replica_set.kill_primary()
+            code = replica_set.supervisor.wait_exit(victim)
+            ctx.note(f"SIGKILL {victim} before phase-1 transact (exit {code})")
+
+        replica_set.set_subquery_hook(kill_once)
+
+    def finish(self, ctx):
+        victim = ctx.coordinator.router.shard_ids[0]
+        supervisor = ctx.coordinator.router.replica_set(victim).supervisor
+        if ctx.fault_missed:
+            ctx.note(f"fault never fired: no phase-1 sub-query hit {victim}")
+        ctx.note(f"restarts({victim})={supervisor.restarts(victim)}")
+
+
+class _ProcSplitBrain(_SplitBrainPromote):
+    """Split-brain promote with the deposed writer a live worker process.
+
+    The authority fences and promotes shard-0 **while its worker is
+    alive and serving**; the deposed incarnation's stale-token
+    ``commit_epoch`` frame must come back as a typed
+    :class:`~repro.errors.FencedError` over the wire.
+    """
+
+    name = "proc-split-brain"
+    wants_journal = False
+    wants_store = False
+    wants_processes = True
+    PROMOTED = "fenced+promoted {victim} while its worker serves"
+    REJECTED = "stale-token commit rejected over the wire"
+    LANDED = "stale-token commit on {victim} landed"
+
+    @staticmethod
+    def deposed_writer(replica_set):
+        # No standby process to swap in: the worker that was serving is
+        # the one deposed, and the set's own commit frame reaches it.
+        return replica_set
+
+
+class _ProcGraySlow(FaultPlan):
+    """Gray slowness on real sockets: the worker itself answers late.
+
+    Shard-0's worker serves every sub-query ~400 ms slow (below the
+    heartbeat-death threshold).  The router's RTT quantile must flag it
+    *suspect* with **zero** promotions — never restarted, never fenced.
+    """
+
+    name = "proc-gray-slow"
+    wants_processes = True
+    DELAY_S = _GraySlowShard.DELAY_S
+
+    def arm(self, ctx):
+        from repro.netd.wire import encode_control
+
+        victim = ctx.coordinator.router.shard_ids[0]
+        ctx.coordinator.router.replica_set(victim).transact(
+            "chaos_delay", encode_control({"delay_s": self.DELAY_S})
+        )
+        ctx.note(
+            f"armed {self.DELAY_S * 1000:.0f} ms gray slowdown "
+            f"on {victim}'s worker"
+        )
+
+    def finish(self, ctx):
+        suspects = ctx.coordinator.router.stats.suspects
+        if suspects:
+            ctx.note(f"router flagged {suspects} suspect(s), promoted none")
+
+
 _PLAN_TYPES = (
     _KillShard,
     _DropLinks,
@@ -526,8 +645,12 @@ _PLAN_TYPES = (
     _GraySlowShard,
 )
 
+#: The simulated-transport plans (what ``--plan all`` runs).
 PLAN_NAMES: tuple[str, ...] = tuple(plan.name for plan in _PLAN_TYPES)
-_PLANS = {plan.name: plan for plan in _PLAN_TYPES}
+#: Plans that spawn real worker processes; resolved by name, run alone.
+_SOCKET_PLAN_TYPES = (_ProcKillShard, _ProcSplitBrain, _ProcGraySlow)
+SOCKET_PLAN_NAMES: tuple[str, ...] = tuple(p.name for p in _SOCKET_PLAN_TYPES)
+_PLANS = {plan.name: plan for plan in _PLAN_TYPES + _SOCKET_PLAN_TYPES}
 
 
 def _resolve_plans(names) -> list[FaultPlan]:
@@ -536,11 +659,16 @@ def _resolve_plans(names) -> list[FaultPlan]:
         plan_type = _PLANS.get(name)
         if plan_type is None:
             raise ChaosPlanError(
-                f"unknown fault plan {name!r} (known: {', '.join(PLAN_NAMES)})"
+                f"unknown fault plan {name!r} (known: {', '.join(_PLANS)})"
             )
         plans.append(plan_type())
     if not plans:
         raise ChaosPlanError("a chaos schedule needs at least one fault plan")
+    if len(plans) > 1 and any(p.wants_processes for p in plans):
+        raise ChaosPlanError(
+            "socket-plane plans (proc-*) run alone (composed schedules run "
+            "on the simulated transport only)"
+        )
     if sum(1 for p in plans if p.crashes) > 1:
         raise ChaosPlanError(
             "at most one crashing plan (coordinator-crash / journal-disk-full) "
@@ -557,7 +685,6 @@ def _resolve_plans(names) -> list[FaultPlan]:
 @dataclass
 class _RunContext:
     coordinator: ClusterCoordinator
-    mux: ChaosTransport
     rounds: int
     journal_device: _DiskFullFile | None = None
     #: Disk-backed plumbing (``wants_store`` plans only).
@@ -570,11 +697,19 @@ class _RunContext:
     #: Stale-token writes rejected with :class:`FencedError` (counted by
     #: the partition plans when their zombie write attempt dies).
     fenced_rejections: int = 0
+    #: Set by a plan whose fault is armed but has not fired; a run that
+    #: ends with it set proved nothing, so it cannot be transcript-equal.
+    fault_missed: bool = False
     #: Optional :class:`repro.telemetry.Tracer`; one root span per
     #: round.  The tracer draws ids from its own RNG, so traced and
     #: untraced runs keep byte-identical transcripts.
     tracer: object | None = None
     notes: list = field(default_factory=list)
+
+    @property
+    def mux(self) -> TranscriptTransport:
+        """The deployment's transport: fault injection + transcript."""
+        return self.coordinator.transport
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -698,29 +833,48 @@ class ChaosHarness:
 
     # -- deployment plumbing ----------------------------------------------------
 
-    def _build(self, rng, transport, journal=None, clock=None, store=None):
-        scenario = build_scenario(ScenarioConfig(seed=self.scenario_seed))
-        coordinator = ClusterCoordinator(
-            scenario.environment,
-            num_shards=self.shards,
+    def _build(self, rng, journal=None, clock=None, store=None, processes=False):
+        """One enrolled deployment; ``processes`` puts it on real sockets."""
+        scenario_config = ScenarioConfig(seed=self.scenario_seed)
+        # Composed schedules can burn several attempts on one sub-query
+        # (a failover *and* an injected drop); give the router a
+        # chaos-sized budget.  Attempts don't affect the transcript, so
+        # control and faulted runs stay paired.
+        shared = dict(
             key_bits=self.key_bits,
             rng=rng,
-            transport=transport,
             scatter_threads=1,
-            # Composed schedules can burn several attempts on one
-            # sub-query (a failover *and* an injected drop); give the
-            # router a chaos-sized budget.  Attempts don't affect the
-            # transcript, so control and faulted runs stay paired.
             max_attempts=4,
-            journal=journal,
             clock=clock if clock is not None else (lambda: FROZEN_CLOCK),
             metrics=self.metrics,
-            store=store,
         )
-        for pu in scenario.pus:
-            coordinator.enroll_pu(pu)
-        for su in scenario.sus:
-            coordinator.enroll_su(su)
+        if processes:
+            from repro.netd.plane import build_socket_coordinator
+
+            coordinator, scenario = build_socket_coordinator(
+                self.shards,
+                scenario_config=scenario_config,
+                record_transcript=True,
+                **shared,
+            )
+        else:
+            scenario = build_scenario(scenario_config)
+            coordinator = ClusterCoordinator(
+                scenario.environment,
+                num_shards=self.shards,
+                transport=TranscriptTransport(),
+                journal=journal,
+                store=store,
+                **shared,
+            )
+        try:
+            for pu in scenario.pus:
+                coordinator.enroll_pu(pu)
+            for su in scenario.sus:
+                coordinator.enroll_su(su)
+        except BaseException:
+            coordinator.close()  # worker processes must not outlive a failed build
+            raise
         su_ids = tuple(su.su_id for su in scenario.sus)
         if self.workload and self._script is None:
             self._script = self._compile_workload(scenario)
@@ -877,6 +1031,8 @@ class ChaosHarness:
                 su_id = su_ids[round_index % len(su_ids)]
             outcomes.append(self._run_round(ctx, plans, su_id))
             ctx.mux.mark()
+        for plan in plans:
+            plan.finish(ctx)
         ctx.mux.clear_faults()
         return _RunRecord(
             segments=ctx.mux.segments(),
@@ -891,15 +1047,9 @@ class ChaosHarness:
         tracing never touches the protocol RNG."""
         if self._control is not None and tracer is None:
             return self._control
-        transport = ChaosTransport()
-        coordinator, su_ids = self._build(
-            DeterministicRandomSource(self.seed), transport
-        )
+        coordinator, su_ids = self._build(DeterministicRandomSource(self.seed))
         ctx = _RunContext(
-            coordinator=coordinator,
-            mux=transport,
-            rounds=self.rounds,
-            tracer=tracer,
+            coordinator=coordinator, rounds=self.rounds, tracer=tracer
         )
         try:
             record = self._execute(ctx, [], su_ids)
@@ -944,16 +1094,14 @@ class ChaosHarness:
             journal = EpochJournal(writer)
 
         try:
-            transport = ChaosTransport()
             coordinator, su_ids = self._build(
                 DeterministicRandomSource(self.seed),
-                transport,
                 journal=journal,
                 store=store,
+                processes=any(p.wants_processes for p in plans),
             )
             ctx = _RunContext(
                 coordinator=coordinator,
-                mux=transport,
                 rounds=self.rounds,
                 journal_device=device,
                 journal_path=journal_path,
@@ -977,7 +1125,7 @@ class ChaosHarness:
                 failovers = ctx.coordinator.router.stats.failovers
                 drops_retried = ctx.coordinator.router.stats.drops_retried
                 suspects = ctx.coordinator.router.stats.suspects
-                fault_stats = dict(transport.fault_stats)
+                fault_stats = dict(ctx.mux.fault_stats)
                 coordinator.close()
 
             writer_violations = -1
@@ -1018,7 +1166,7 @@ class ChaosHarness:
                 exact_segments = len(control.segments)
 
             assert record is not None
-            transcript_equal = (
+            transcript_equal = not ctx.fault_missed and (
                 record.segments[:exact_segments]
                 == control.segments[:exact_segments]
             )
@@ -1069,13 +1217,9 @@ class ChaosHarness:
         rng, clock = replay_sources(
             result, self.seed, fallback_clock=lambda: FROZEN_CLOCK
         )
-        transport = ChaosTransport()
-        coordinator, _ = self._build(rng, transport, clock=clock)
+        coordinator, _ = self._build(rng, clock=clock)
         replay_ctx = _RunContext(
-            coordinator=coordinator,
-            mux=transport,
-            rounds=self.rounds,
-            notes=ctx.notes,
+            coordinator=coordinator, rounds=self.rounds, notes=ctx.notes
         )
         try:
             record = self._execute(replay_ctx, [], su_ids)

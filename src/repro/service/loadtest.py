@@ -228,11 +228,57 @@ class ServiceFixture:
 
     def close(self) -> None:
         """Tear down deployment-owned resources (scatter threads, workers)."""
-        closer = getattr(self.coordinator, "close", None)
-        if closer is not None:
-            closer()
-        if self.store is not None:
-            self.store.close()
+        _close_deployment(self.coordinator, self.store)
+
+
+def _close_deployment(coordinator, store) -> None:
+    """Coordinator first (it may still flush into the store), then the store."""
+    closer = getattr(coordinator, "close", None)
+    if closer is not None:
+        closer()
+    if store is not None:
+        store.close()
+
+
+def _service_fixture(
+    config: LoadtestConfig, coordinator, scenario, metrics, tracer, store=None
+) -> ServiceFixture:
+    """The tail every ``build_*_service`` shares: enrol, wrap in a broker.
+
+    Enrolment order is PUs, then the first ``config.num_sus`` SUs — the
+    golden transcripts and ``benchmarks/spine`` depend on it.  The
+    coordinator may already own worker processes and the store an open
+    database, so a failed enrolment tears both down before re-raising.
+    """
+    try:
+        pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
+        su_ids = []
+        for su in scenario.sus[: config.num_sus]:
+            coordinator.enroll_su(su)
+            su_ids.append(su.su_id)
+        # Tier policy is broker-side only — shards and workers never see
+        # it, which is why the wire format stays unchanged across scenarios.
+        admission = _admission_for(config, scenario, metrics)
+        broker = SpectrumAccessBroker(
+            allocator=BatchAllocator.for_coordinator(coordinator),
+            pu_update_handler=coordinator.sdc.handle_pu_update,
+            config=config.service,
+            metrics=metrics,
+            tracer=tracer,
+            admission=admission,
+        )
+    except BaseException:
+        _close_deployment(coordinator, store)
+        raise
+    return ServiceFixture(
+        broker=broker,
+        coordinator=coordinator,
+        scenario=scenario,
+        pu_clients=pu_clients,
+        su_ids=su_ids,
+        store=store,
+        admission=admission,
+    )
 
 
 def build_packed_service(
@@ -258,7 +304,6 @@ def build_packed_service(
     scenario = _resolve_scenario(config, scenario)
     rng = DeterministicRandomSource(config.seed)
     metrics = metrics if metrics is not None else MetricsRegistry()
-    admission = _admission_for(config, scenario, metrics)
     coordinator = PackedCoordinator(
         scenario.environment,
         key_bits=max(config.key_bits, 512),
@@ -268,27 +313,7 @@ def build_packed_service(
         clock=clock,
     )
     coordinator.transport.attach_metrics(metrics)
-    pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
-    su_ids = []
-    for su in scenario.sus[: config.num_sus]:
-        coordinator.enroll_su(su)
-        su_ids.append(su.su_id)
-    broker = SpectrumAccessBroker(
-        allocator=BatchAllocator.for_coordinator(coordinator),
-        pu_update_handler=coordinator.sdc.handle_pu_update,
-        config=config.service,
-        metrics=metrics,
-        tracer=tracer,
-        admission=admission,
-    )
-    return ServiceFixture(
-        broker=broker,
-        coordinator=coordinator,
-        scenario=scenario,
-        pu_clients=pu_clients,
-        su_ids=su_ids,
-        admission=admission,
-    )
+    return _service_fixture(config, coordinator, scenario, metrics, tracer)
 
 
 def build_cluster_service(
@@ -323,7 +348,6 @@ def build_cluster_service(
     # retry counters, and the transport's per-link transfer counters all
     # land in the same exposition.
     metrics = metrics if metrics is not None else MetricsRegistry()
-    admission = _admission_for(config, scenario, metrics)
     store = None
     if config.store_path:
         from repro.store import SqliteStateStore
@@ -342,28 +366,7 @@ def build_cluster_service(
         clock=clock if clock is not None else time.time,
         store=store,
     )
-    pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
-    su_ids = []
-    for su in scenario.sus[: config.num_sus]:
-        coordinator.enroll_su(su)
-        su_ids.append(su.su_id)
-    broker = SpectrumAccessBroker(
-        allocator=BatchAllocator.for_coordinator(coordinator),
-        pu_update_handler=coordinator.sdc.handle_pu_update,
-        config=config.service,
-        metrics=metrics,
-        tracer=tracer,
-        admission=admission,
-    )
-    return ServiceFixture(
-        broker=broker,
-        coordinator=coordinator,
-        scenario=scenario,
-        pu_clients=pu_clients,
-        su_ids=su_ids,
-        store=store,
-        admission=admission,
-    )
+    return _service_fixture(config, coordinator, scenario, metrics, tracer, store)
 
 
 async def _drive_schedule(fixture: ServiceFixture, config: LoadtestConfig):
@@ -501,31 +504,19 @@ async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
     return await asyncio.gather(*tasks)
 
 
-async def _run_async(
-    config: LoadtestConfig, executor, metrics, scenario, tracer, transport, clock
+async def _run_fixture(
+    fixture: ServiceFixture, config: LoadtestConfig
 ) -> LoadtestReport:
-    if config.shards:
-        fixture = build_cluster_service(
-            config, executor, metrics, scenario=scenario,
-            tracer=tracer, transport=transport, clock=clock,
-        )
-    else:
-        fixture = build_packed_service(
-            config, executor, metrics, scenario=scenario,
-            tracer=tracer, transport=transport, clock=clock,
-        )
-    try:
-        start = time.perf_counter()
-        async with fixture.broker:
-            decisions = await _drive(fixture, config)
-        wall = time.perf_counter() - start
-        return LoadtestReport(
-            decisions=tuple(decisions),
-            wall_seconds=wall,
-            metrics=fixture.broker.metrics.snapshot(),
-        )
-    finally:
-        fixture.close()
+    """Drive one built fixture to a report; the caller closes it."""
+    start = time.perf_counter()
+    async with fixture.broker:
+        decisions = await _drive(fixture, config)
+    wall = time.perf_counter() - start
+    return LoadtestReport(
+        decisions=tuple(decisions),
+        wall_seconds=wall,
+        metrics=fixture.broker.metrics.snapshot(),
+    )
 
 
 def run_loadtest(
@@ -545,6 +536,12 @@ def run_loadtest(
     source — together they let the byte-identity tests compare traced
     and untraced transcripts on a frozen clock.
     """
-    return asyncio.run(
-        _run_async(config, executor, metrics, scenario, tracer, transport, clock)
+    build = build_cluster_service if config.shards else build_packed_service
+    fixture = build(
+        config, executor, metrics, scenario=scenario,
+        tracer=tracer, transport=transport, clock=clock,
     )
+    try:
+        return asyncio.run(_run_fixture(fixture, config))
+    finally:
+        fixture.close()

@@ -91,3 +91,36 @@ class TestStaleReadinessSweep:
             assert bystander.exists()  # only readiness claims are swept
         finally:
             supervisor.stop_all()
+
+
+class TestFailedEnrolmentTeardown:
+    def test_failed_enrolment_leaves_no_live_worker(self, monkeypatch):
+        """``build_socket_service`` spawns its workers before it enrols;
+        an enrolment that raises must not strand them."""
+        from repro.errors import TransportError
+        from repro.netd import plane
+        from repro.service.loadtest import LoadtestConfig
+
+        built = []
+        real_build = plane.build_socket_coordinator
+
+        def recording_build(*args, **kwargs):
+            coordinator, scenario = real_build(*args, **kwargs)
+            built.append(coordinator)
+            return coordinator, scenario
+
+        def crashed_worker(self, su, **kwargs):
+            raise TransportError("worker crashed mid-enrolment")
+
+        monkeypatch.setattr(plane, "build_socket_coordinator", recording_build)
+        monkeypatch.setattr(
+            plane.SocketClusterCoordinator, "enroll_su", crashed_worker
+        )
+        with pytest.raises(TransportError, match="mid-enrolment"):
+            plane.build_socket_service(LoadtestConfig(shards=2, num_sus=1))
+        (coordinator,) = built
+        supervisor = coordinator.replica_sets["shard-0"].supervisor
+        assert supervisor.worker_names() == ("shard-0", "shard-1", "stp")
+        assert not any(
+            supervisor.is_running(name) for name in supervisor.worker_names()
+        )

@@ -11,20 +11,20 @@ around, never spuriously restarted or promoted.
 import pytest
 
 from repro.errors import ChaosPlanError
-from repro.netd.chaos import PARTITION_PLAN_NAMES, run_partition_chaos
+from repro.resilience.chaos import SOCKET_PLAN_NAMES, ChaosHarness
 from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
 def split_brain():
     registry = MetricsRegistry()
-    return run_partition_chaos("proc-split-brain", metrics=registry), registry
+    return ChaosHarness(metrics=registry).run(["proc-split-brain"]), registry
 
 
 @pytest.fixture(scope="module")
 def gray_slow():
     registry = MetricsRegistry()
-    return run_partition_chaos("proc-gray-slow", metrics=registry), registry
+    return ChaosHarness(metrics=registry).run(["proc-gray-slow"]), registry
 
 
 class TestProcSplitBrain:
@@ -66,8 +66,8 @@ class TestProcGraySlow:
 
 class TestValidation:
     def test_unknown_plan_rejected(self):
-        with pytest.raises(ChaosPlanError, match="unknown partition plan"):
-            run_partition_chaos("proc-meteor")
+        with pytest.raises(ChaosPlanError, match="unknown fault plan"):
+            ChaosHarness().run(["proc-meteor"])
 
     def test_plan_names_are_proc_prefixed(self):
-        assert all(p.startswith("proc-") for p in PARTITION_PLAN_NAMES)
+        assert all(p.startswith("proc-") for p in SOCKET_PLAN_NAMES)

@@ -9,13 +9,15 @@ proven in one schedule.
 
 import pytest
 
-from repro.netd.chaos import PROC_PLAN_NAME, run_process_chaos
+from repro.resilience.chaos import ChaosHarness
 from repro.telemetry import MetricsRegistry
+
+PROC_PLAN_NAME = "proc-kill-shard"
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_process_chaos(metrics=MetricsRegistry())
+    return ChaosHarness(metrics=MetricsRegistry()).run([PROC_PLAN_NAME])
 
 
 class TestProcessKillRecovery:
@@ -41,3 +43,18 @@ class TestProcessKillRecovery:
         d = result.to_dict()
         assert d["transcript_equal"] is True
         assert d["replayed_draws"] == -1  # no journal replay on this plane
+
+
+class TestFaultGuard:
+    def test_run_whose_fault_never_fires_is_not_transcript_equal(self, monkeypatch):
+        from repro.netd.remote import RemoteShardSet
+
+        monkeypatch.setattr(
+            RemoteShardSet, "set_subquery_hook", lambda self, hook: None
+        )
+        result = ChaosHarness().run([PROC_PLAN_NAME])
+        # Every byte matches the control — but nothing was killed, so the
+        # run proved nothing about recovery and must not read as a pass.
+        assert result.licenses_valid
+        assert not result.transcript_equal
+        assert any("fault never fired" in note for note in result.notes)

@@ -133,15 +133,25 @@ class TestTracedChaos:
         assert len(tracer.roots) == harness.rounds
         assert all(root.name == "round" for root in tracer.roots)
 
-    def test_span_signatures_identical_clean_vs_faulted(self, harness):
+    @pytest.mark.parametrize(
+        "plan, fired",
+        [
+            ("drop-links", lambda result: result.fault_stats["dropped"] > 0),
+            # Real worker processes: the SIGKILL + restart happens inside
+            # one sub-query span, so the tree still matches the control's.
+            ("proc-kill-shard", lambda result: result.failovers >= 1),
+        ],
+        ids=["drop", "proc"],
+    )
+    def test_span_signatures_identical_clean_vs_faulted(self, harness, plan, fired):
         from repro.telemetry import Tracer
 
         clean = Tracer()
         harness.control(tracer=clean)
         faulted = Tracer()
-        result = harness.run(["drop-links"], tracer=faulted)
+        result = harness.run([plan], tracer=faulted)
         assert result.ok
-        assert result.fault_stats["dropped"] > 0
+        assert fired(result)
         assert [r.signature() for r in clean.roots] == [
             r.signature() for r in faulted.roots
         ]
@@ -177,8 +187,9 @@ class TestWorkloadComposition:
         assert result.workload == "flash-crowd"
         assert result.failovers >= 1
 
-    def test_churn_storm_plus_asymmetric_partition(self, storm_harness):
-        result = storm_harness.run(["asymmetric-partition"])
+    @pytest.mark.parametrize("plan", ["asymmetric-partition", "proc-kill-shard"])
+    def test_churn_storm_under(self, storm_harness, plan):
+        result = storm_harness.run([plan])
         assert result.transcript_equal, result.notes
         assert result.licenses_valid, result.notes
         assert result.to_dict()["workload"] == "pu-churn-storm"

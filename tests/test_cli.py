@@ -166,3 +166,25 @@ class TestTelemetryCommands:
 
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["counters"]["requests_submitted"] == 2
+
+
+class TestChaos:
+    def test_kill_shard_writes_json_verdict(self, capsys, tmp_path):
+        out = tmp_path / "chaos.json"
+        assert main(["chaos", "--plan", "kill-shard", "--json", str(out)]) == 0
+        assert "chaos [kill-shard]" in capsys.readouterr().out
+        import json
+
+        (verdict,) = json.loads(out.read_text())
+        assert verdict["ok"] is True
+        assert verdict["transcript_equal"] is True
+
+    def test_unknown_plan_is_a_typed_one_liner(self, capsys):
+        assert main(["chaos", "--plan", "meteor-strike"]) == 1
+        err = capsys.readouterr().err
+        assert "pisa-repro chaos: error: unknown fault plan 'meteor-strike'" in err
+
+    def test_socket_plans_run_alone(self, capsys):
+        # Rejected while resolving the schedule: no worker is ever spawned.
+        assert main(["chaos", "--plan", "proc-kill-shard,drop-links"]) == 1
+        assert "run alone" in capsys.readouterr().err
