@@ -24,7 +24,9 @@ from repro.audit.rules.common import iter_function_defs, nodes_in_source_order
 RULE_ID = "ORD001"
 
 #: Method names that always denote an RNG draw.
-_DRAW_ATTRS = {"randbits", "randbelow", "randrange", "rand_odd", "random_r", "draw_eta"}
+_DRAW_ATTRS = {
+    "randbits", "randbelow", "randrange", "rand_odd", "random_units", "random_r", "draw_eta",
+}
 #: Method names that are draws only when the receiver looks like an RNG.
 _DRAW_ATTRS_ON_RNG = {"choice", "draw", "fork"}
 #: Receiver identifiers (substring, lowercase) that mark an RNG-ish object.

@@ -97,17 +97,10 @@ class PaillierPublicKey:
     def random_r(self, rng: RandomSource | None = None) -> int:
         """Sample an encryption nonce ``r`` uniform in ``Z_n^*``.
 
-        For ``n = p·q`` with large primes, a uniform element of
-        ``[1, n)`` is invertible except with negligible probability, so we
-        sample and retry on the (astronomically unlikely) gcd failure.
+        One draw of :meth:`RandomSource.random_units`, which owns the
+        sample-and-retry loop.
         """
-        import math
-
-        rng = default_rng(rng)
-        while True:
-            r = rng.randrange(1, self.n)
-            if math.gcd(r, self.n) == 1:
-                return r
+        return default_rng(rng).random_units(self.n, 1)[0]
 
     def raw_encrypt(self, plaintext: int, r: int | None = None, rng: RandomSource | None = None) -> int:
         """Encrypt ``plaintext ∈ Z_n`` and return the raw ciphertext integer."""

@@ -14,6 +14,7 @@ of type :class:`RandomSource` and default to the system source.
 
 from __future__ import annotations
 
+import math
 import secrets
 from abc import ABC, abstractmethod
 
@@ -49,6 +50,23 @@ class RandomSource(ABC):
         if high <= low:
             raise ValueError("empty range")
         return low + self.randbelow(high - low)
+
+    def random_units(self, modulus: int, count: int) -> list[int]:
+        """Return ``count`` uniform elements of ``Z_modulus^*``, in draw order.
+
+        Each is a uniform element of ``[1, modulus)``, redrawn on the
+        (for ``modulus = p·q`` with large primes, astronomically
+        unlikely) gcd failure.  The one batched draw: a source whose
+        stream lives elsewhere overrides this to fetch a whole batch at
+        once, and must consume that stream exactly as this loop does.
+        """
+        units = []
+        for _ in range(count):
+            r = self.randrange(1, modulus)
+            while math.gcd(r, modulus) != 1:
+                r = self.randrange(1, modulus)
+            units.append(r)
+        return units
 
     def rand_odd(self, bits: int) -> int:
         """Return a uniform odd integer with exactly ``bits`` bits."""

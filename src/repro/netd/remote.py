@@ -5,7 +5,8 @@ protocol draw happens against the broker's RNG stream**.  Local draws
 (blinding triples, obfuscator nonces, keys) already do; the one remote
 consumer — the STP worker's per-cell re-encryption nonces — reaches
 back over the wire instead of drawing locally.  :class:`AuthorityServer`
-is that reach-back point: it serves ``rand`` and ``clock`` frames
+is that reach-back point: it serves ``rand_units`` (a whole request's
+nonces in one frame), ``rand`` and ``clock`` frames
 straight from the coordinator's (possibly journaling) sources, so the
 unified draw stream — and therefore the epoch journal — covers the
 whole deployment, and a socket-plane run replays the exact in-memory
@@ -48,13 +49,18 @@ from repro.errors import ProtocolError, ReproError, TransportError
 from repro.netd.framing import read_frame, write_frame
 from repro.netd.transport import PeerClient, SocketTransport, classify_network_error
 from repro.netd.wire import (
+    MAX_UNITS_PER_FRAME,
     decode_control,
     decode_phase1_response,
     decode_phase2_response,
+    decode_units_request,
+    decode_units_response,
     encode_control,
     encode_error,
     encode_phase1_request,
     encode_phase2_request,
+    encode_units_request,
+    encode_units_response,
 )
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
@@ -160,6 +166,12 @@ class AuthorityServer:
             obj, _ = decode_control(payload)
             value = self._rng.randbits(int(obj["bits"]))
             return "ok", encode_int(value)
+        if kind == "rand_units":
+            # The base-class loop, run where the stream lives: rejection
+            # sampling and gcd retries consume the broker's source exactly
+            # as an in-process STP's draws would.
+            modulus, count = decode_units_request(payload)
+            return "ok", encode_units_response(self._rng.random_units(modulus, count))
         if kind == "clock":
             return "ok", encode_control({"value": float(self._clock())})
         if kind == "bootstrap":
@@ -193,15 +205,28 @@ class AuthorityServer:
 class RemoteRandomSource(RandomSource):
     """A worker's view of the broker's draw stream.
 
-    Only :meth:`randbits` crosses the wire; ``randbelow``'s rejection
-    sampling runs locally on top of it, so the *number and width* of
-    raw draws is bit-identical to an in-process
+    :meth:`random_units` — the STP's per-request nonce batch — is one
+    ``rand_units`` frame: the authority runs the base-class sampling
+    loop against the broker's source.  Every other draw reduces to
+    :meth:`randbits`, one ``rand`` frame each, with ``randbelow``'s
+    rejection sampling running locally on top.  Either way the *number
+    and width* of raw draws is bit-identical to an in-process
     :class:`~repro.crypto.rand.RandomSource` — the property the
     transcript-equivalence test rests on.
     """
 
     def __init__(self, peer: PeerClient) -> None:
         self._peer = peer
+
+    def random_units(self, modulus: int, count: int) -> list[int]:
+        units: list[int] = []
+        while len(units) < count:
+            take = min(count - len(units), MAX_UNITS_PER_FRAME)
+            frame = self._peer.transact(
+                "rand_units", encode_units_request(modulus, take)
+            )
+            units.extend(decode_units_response(frame.payload, take))
+        return units
 
     def randbits(self, bits: int) -> int:
         if bits < 0:

@@ -12,7 +12,9 @@ Three payload families cross process boundaries:
   one-byte-magnitude sign flag, obfuscators with a presence flag).
 * **Control frames** (hello, config, bootstrap, rand, clock, errors)
   are small JSON objects — sorted keys, UTF-8 — optionally followed by
-  binary attachments via ``encode_bytes``.
+  binary attachments via ``encode_bytes``.  The one binary control
+  frame is ``rand_units`` (a modulus and a count out, that many
+  integers back): its fields are big integers, not JSON's.
 
 Error propagation is typed end to end: a worker catches a
 :class:`~repro.errors.ReproError`, ships ``{"error": <class name>,
@@ -52,6 +54,8 @@ from repro.pisa.messages import (
 )
 
 __all__ = [
+    "MAX_UNITS_MODULUS_BITS",
+    "MAX_UNITS_PER_FRAME",
     "PROTOCOL_KINDS",
     "decode_control",
     "decode_error",
@@ -59,12 +63,16 @@ __all__ = [
     "decode_phase1_response",
     "decode_phase2_request",
     "decode_phase2_response",
+    "decode_units_request",
+    "decode_units_response",
     "encode_control",
     "encode_error",
     "encode_phase1_request",
     "encode_phase1_response",
     "encode_phase2_request",
     "encode_phase2_response",
+    "encode_units_request",
+    "encode_units_response",
     "raise_remote_error",
 ]
 
@@ -318,6 +326,53 @@ def decode_control(
         attachments.append(blob)
     _check_consumed(payload, offset, "control frame")
     return obj, attachments
+
+
+# -- batched unit draws -----------------------------------------------------------
+#
+# One ``rand_units`` frame asks the authority for ``count`` uniform units
+# of ``Z_modulus^*``.  The request is bounded before any draw happens: a
+# peer cannot make the broker sample against a giant modulus or hold the
+# dispatch lock for an unbounded batch.
+
+#: Most units one frame may ask for; larger batches take several frames.
+MAX_UNITS_PER_FRAME = 1 << 16
+#: Widest modulus the authority samples against (4x a paper-strength key).
+MAX_UNITS_MODULUS_BITS = 8192
+#: Narrowest modulus: ``PaillierPublicKey``'s own floor.
+_MIN_UNITS_MODULUS = 15
+
+
+def encode_units_request(modulus: int, count: int) -> bytes:
+    return encode_int(modulus) + encode_int(count)
+
+
+def decode_units_request(payload: bytes) -> tuple[int, int]:
+    """``(modulus, count)`` of a ``rand_units`` request, range-checked."""
+    modulus, offset = decode_int(payload, 0)
+    count, offset = decode_int(payload, offset)
+    _check_consumed(payload, offset, "rand_units request")
+    if modulus < _MIN_UNITS_MODULUS or modulus.bit_length() > MAX_UNITS_MODULUS_BITS:
+        raise SerializationError(
+            f"rand_units modulus of {modulus.bit_length()} bits is out of range"
+        )
+    if not 1 <= count <= MAX_UNITS_PER_FRAME:
+        raise SerializationError(f"rand_units count {count} is out of range")
+    return modulus, count
+
+
+def encode_units_response(units: list[int]) -> bytes:
+    return _encode_ints(units)
+
+
+def decode_units_response(payload: bytes, count: int) -> tuple[int, ...]:
+    units, offset = _decode_ints(payload, 0)
+    _check_consumed(payload, offset, "rand_units response")
+    if len(units) != count:
+        raise SerializationError(
+            f"rand_units response carries {len(units)} units, asked for {count}"
+        )
+    return units
 
 
 # -- typed remote errors ----------------------------------------------------------

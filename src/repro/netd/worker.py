@@ -5,9 +5,9 @@ One executable, three roles:
 * ``shard`` — hosts one :class:`~repro.cluster.shard.SdcShard` and
   serves phase-1/phase-2 sub-queries plus state fan-out frames;
 * ``stp`` — hosts an :class:`~repro.pisa.stp_server.StpServer` whose
-  per-cell re-encryption nonces come from the broker's authority via
-  :class:`~repro.netd.remote.RemoteRandomSource`, keeping the
-  deployment on one draw stream;
+  re-encryption nonces come from the broker's authority, one frame per
+  request, via :class:`~repro.netd.remote.RemoteRandomSource`, keeping
+  the deployment on one draw stream;
 * ``broker`` — runs a whole ``cluster-up`` workload (it builds the
   socket plane, spawning its own shard/STP children) and exits.
 
@@ -434,7 +434,10 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     while inflight[0] > 0 and loop.time() < drain_deadline:
         await asyncio.sleep(0.01)  # audit-ok: RES001 — shutdown drain tick
     if authority_peer is not None:
-        authority_peer.close()
+        # Off-loop: close() posts its drain onto this very loop and blocks
+        # on the result, so calling it here would stall the loop until its
+        # 5 s timeout — past the supervisor's SIGTERM grace.
+        await asyncio.to_thread(authority_peer.close)
     if store is not None:
         await asyncio.to_thread(store.close)
     if args.ready_file:

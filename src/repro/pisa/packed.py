@@ -471,14 +471,17 @@ class PackedStpServer(StpServer):
         su_key = self.directory.su_key(request.su_id)
         layout = self.layout
         sk = self._keypair.private_key
-        # Batch the chunk decryptions (two CRT halves each) and the
+        # Validate every chunk, draw the response nonces in one call,
+        # then batch the chunk decryptions (two CRT halves each) and the
         # response obfuscators through the executor.
-        jobs = []
         for chunk in request.chunks:
             if chunk.public_key != self.group_public_key:
                 raise ProtocolError("chunk not under the group key")
+        nonces = self._rng.random_units(su_key.n, len(request.chunks))
+        jobs = []
+        for chunk, r in zip(request.chunks, nonces):
             jobs.extend(sk.decrypt_pow_jobs(chunk.ciphertext))
-            jobs.append(su_key.obfuscator_job(su_key.random_r(self._rng)))
+            jobs.append(su_key.obfuscator_job(r))
         powers = iter(self._executor.pow_many(jobs))
         converted = []
         for chunk in request.chunks:

@@ -82,17 +82,20 @@ class StpServer:
             raise ProtocolError(f"SU {request.su_id!r} has not registered a key")
         su_key = self.directory.su_key(request.su_id)
         sk = self._keypair.private_key
-        # Validate and draw the re-encryption nonces in cell order, then
-        # batch the expensive exponentiations (two CRT halves per
-        # decryption plus one r**n per re-encryption) through the
-        # executor; results are byte-identical to the inline path.
+        # Validate every cell before the first draw (a rejected request
+        # consumes none), draw the request's re-encryption nonces in one
+        # call, in cell order, then batch the expensive exponentiations
+        # (two CRT halves per decryption plus one r**n per
+        # re-encryption) through the executor; results are
+        # byte-identical to the inline path.
+        cells = [ct for row in request.matrix for ct in row]
+        for ct in cells:
+            if ct.public_key != self.group_public_key:
+                raise ProtocolError("Ṽ entry not under the group key")
         jobs = []
-        for row in request.matrix:
-            for ct in row:
-                if ct.public_key != self.group_public_key:
-                    raise ProtocolError("Ṽ entry not under the group key")
-                jobs.extend(sk.decrypt_pow_jobs(ct.ciphertext))
-                jobs.append(su_key.obfuscator_job(su_key.random_r(self._rng)))
+        for ct, r in zip(cells, self._rng.random_units(su_key.n, len(cells))):
+            jobs.extend(sk.decrypt_pow_jobs(ct.ciphertext))
+            jobs.append(su_key.obfuscator_job(r))
         powers = iter(self._executor.pow_many(jobs))
         converted = []
         for row in request.matrix:

@@ -176,15 +176,17 @@ class BackendServer:
             raise ProtocolError(f"SU {request.su_id!r} has no registered key")
         su_key = self.directory.su_key(request.su_id)
         pk = self.directory.group_public_key
-        # Validate cells and draw re-encryption nonces in order, then
-        # batch the ``Ṽ^{d₂}`` and ``r**n`` exponentiations.
+        # Validate every cell, draw the re-encryption nonces in one
+        # call, in cell order, then batch the ``Ṽ^{d₂}`` and ``r**n``
+        # exponentiations.
+        cells = [ct for ct_row in request.matrix for ct in ct_row]
+        for ct in cells:
+            if ct.public_key != pk:
+                raise ProtocolError("Ṽ entry not under the group key")
         jobs = []
-        for ct_row in request.matrix:
-            for ct in ct_row:
-                if ct.public_key != pk:
-                    raise ProtocolError("Ṽ entry not under the group key")
-                jobs.append((ct.ciphertext, self._share.exponent, pk.n_sq))
-                jobs.append(su_key.obfuscator_job(su_key.random_r(self._rng)))
+        for ct, r in zip(cells, self._rng.random_units(su_key.n, len(cells))):
+            jobs.append((ct.ciphertext, self._share.exponent, pk.n_sq))
+            jobs.append(su_key.obfuscator_job(r))
         powers = iter(self._executor.pow_many(jobs))
         converted = []
         for ct_row, partial_row in zip(request.matrix, request.partials):

@@ -1,7 +1,10 @@
 """Unit tests for repro.crypto.rand."""
 
+import math
+
 import pytest
 
+from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.rand import (
     DeterministicRandomSource,
     SystemRandomSource,
@@ -86,6 +89,57 @@ class TestRandomSourceHelpers:
     def test_choice_empty_raises(self):
         with pytest.raises(ValueError):
             DeterministicRandomSource(0).choice([])
+
+
+class _CountingSource(DeterministicRandomSource):
+    raw_draws = 0
+
+    def randbits(self, bits):
+        self.raw_draws += 1
+        return super().randbits(bits)
+
+
+class TestRandomUnits:
+    """The batched draw consumes the stream exactly as per-cell
+    ``random_r`` calls always have — the loop below is that original,
+    kept here as the reference."""
+
+    @staticmethod
+    def _reference_random_r(rng, n, retries):
+        while True:
+            r = rng.randrange(1, n)
+            if math.gcd(r, n) == 1:
+                return r
+            retries.append(r)
+
+    @pytest.mark.parametrize(
+        "modulus, forces_gcd_retry",
+        [
+            # just above a power of two: randbelow rejects ~half its draws
+            ((1 << 64) + 1, False),
+            # 3·5·7: more than half of [1, 105) shares a factor with it
+            (105, True),
+        ],
+    )
+    def test_batch_equals_successive_random_r(self, modulus, forces_gcd_retry):
+        batched, reference, keyed = (_CountingSource(12) for _ in range(3))
+        retries = []
+        units = batched.random_units(modulus, 50)
+        assert batched.raw_draws > 50  # rejection and/or gcd redraws ran
+        assert units == [
+            self._reference_random_r(reference, modulus, retries) for _ in range(50)
+        ]
+        pk = PaillierPublicKey(modulus)
+        assert units == [pk.random_r(keyed) for _ in range(50)]
+        assert bool(retries) == forces_gcd_retry
+        assert all(math.gcd(r, modulus) == 1 and 1 <= r < modulus for r in units)
+        position = batched.randbits(64)
+        assert position == reference.randbits(64) == keyed.randbits(64)
+
+    def test_empty_batch_draws_nothing(self):
+        rng = DeterministicRandomSource(12)
+        assert rng.random_units(105, 0) == []
+        assert rng.randbits(64) == DeterministicRandomSource(12).randbits(64)
 
 
 class TestSystemSource:

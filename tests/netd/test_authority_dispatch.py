@@ -7,6 +7,11 @@ NetLoop, stalling every authority client behind it.  It now runs under
 ``asyncio.to_thread`` with a dispatch lock keeping the draw stream
 single-file.  These tests pin both properties, plus the audit-clean
 status of the whole socket plane.
+
+The ``rand_units`` frame — one request's worth of STP nonces in one
+round trip — is covered here too: stream equivalence with a local
+source, a hostile peer's malformed requests, and the per-request frame
+count on a live socket plane.
 """
 
 import pathlib
@@ -15,8 +20,18 @@ import threading
 import pytest
 
 from repro.crypto.rand import DeterministicRandomSource
+from repro.crypto.serialization import encode_int
+from repro.errors import SerializationError
+from repro.netd.plane import build_socket_coordinator
 from repro.netd.remote import AuthorityServer, RemoteRandomSource
 from repro.netd.transport import NetLoop, PeerClient
+from repro.netd.wire import (
+    MAX_UNITS_MODULUS_BITS,
+    MAX_UNITS_PER_FRAME,
+    encode_units_request,
+)
+from repro.telemetry import MetricsRegistry
+from repro.watch.scenario import ScenarioConfig
 
 
 class RecordingRng(DeterministicRandomSource):
@@ -104,6 +119,114 @@ class TestOffLoopDispatch:
             for peer in peers:
                 peer.close()
             server.stop()
+
+
+#: Just above a power of two: ``randbelow`` rejects about half its
+#: candidates, so the batch's raw draws outnumber its units.
+REJECTING_MODULUS = (1 << 64) + 1
+#: 3·5·7: 48 of the 104 candidates are units, so the gcd retry fires.
+COMPOSITE_MODULUS = 105
+
+
+@pytest.fixture()
+def authority(netloop):
+    """A seeded authority plus one client: ``(server rng, peer)``."""
+    rng = RecordingRng()
+    server = AuthorityServer(netloop, rng, clock=lambda: 0.0)
+    peer = _client(netloop, server.start())
+    yield rng, peer
+    peer.close()
+    server.stop()
+
+
+class TestBatchedUnits:
+    @pytest.mark.parametrize("modulus", [REJECTING_MODULUS, COMPOSITE_MODULUS])
+    def test_remote_batch_matches_local_and_leaves_the_stream_in_step(
+        self, authority, modulus
+    ):
+        rng, peer = authority
+        local = DeterministicRandomSource(seed=7)
+        assert RemoteRandomSource(peer).random_units(modulus, 40) == (
+            local.random_units(modulus, 40)
+        )
+        assert len(rng.draw_threads) > 40  # retries ran broker-side
+        assert rng.randbits(64) == local.randbits(64)
+
+    def test_batch_over_the_frame_cap_splits_in_stream_order(
+        self, authority, monkeypatch
+    ):
+        monkeypatch.setattr("repro.netd.remote.MAX_UNITS_PER_FRAME", 16)
+        rng, peer = authority
+        local = DeterministicRandomSource(seed=7)
+        assert RemoteRandomSource(peer).random_units(COMPOSITE_MODULUS, 40) == (
+            local.random_units(COMPOSITE_MODULUS, 40)
+        )
+        assert rng.randbits(64) == local.randbits(64)
+
+    def test_empty_batch_sends_no_frame(self, authority):
+        rng, peer = authority
+        assert RemoteRandomSource(peer).random_units(REJECTING_MODULUS, 0) == []
+        assert rng.draw_threads == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            encode_units_request(REJECTING_MODULUS, 0),
+            encode_units_request(REJECTING_MODULUS, MAX_UNITS_PER_FRAME + 1),
+            encode_units_request(14, 4),
+            encode_units_request(1 << MAX_UNITS_MODULUS_BITS, 4),
+            encode_int(REJECTING_MODULUS),
+            encode_units_request(REJECTING_MODULUS, 4)[:-1],
+            encode_units_request(REJECTING_MODULUS, 4) + b"\x00",
+        ],
+        ids=[
+            "count-zero",
+            "count-over-cap",
+            "modulus-below-floor",
+            "modulus-over-bit-cap",
+            "missing-count",
+            "truncated",
+            "trailing-byte",
+        ],
+    )
+    def test_hostile_request_is_refused_before_any_draw(self, authority, payload):
+        """A typed ``err`` frame, nothing consumed, and the connection
+        (``pool_size`` keeps it) serves the next well-formed request.
+        A negative count has no encoding: ``encode_int`` refuses it."""
+        rng, peer = authority
+        with pytest.raises(SerializationError):
+            peer.transact("rand_units", payload)
+        assert rng.draw_threads == []
+        assert RemoteRandomSource(peer).random_units(COMPOSITE_MODULUS, 3) == (
+            DeterministicRandomSource(seed=7).random_units(COMPOSITE_MODULUS, 3)
+        )
+
+
+class TestSocketPlaneAuthorityTraffic:
+    def test_two_authority_frames_per_sign_extraction(self):
+        """One ``rand_units`` request and its response — not a pair per cell."""
+        metrics = MetricsRegistry()
+        coordinator, scenario = build_socket_coordinator(
+            1,
+            256,
+            DeterministicRandomSource(seed=7),
+            ScenarioConfig(seed=7, num_sus=1),
+            metrics=metrics,
+        )
+        try:
+            for pu in scenario.pus:
+                coordinator.enroll_pu(pu)
+            su = scenario.sus[0]
+            coordinator.enroll_su(su)
+            frames = metrics.counter("netd_frames_total", peer="authority")
+            # The first round also dials: a hello pair on top.
+            coordinator.run_request_round(su.su_id)
+            for _ in range(2):
+                before = frames.value
+                coordinator.run_request_round(su.su_id)
+                assert frames.value - before == 2
+        finally:
+            coordinator.close()
 
 
 class TestSocketPlaneAuditClean:

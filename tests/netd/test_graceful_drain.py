@@ -13,10 +13,15 @@ import signal
 import pytest
 
 from repro.crypto.rand import DeterministicRandomSource
-from repro.crypto.serialization import encode_bytes, encode_public_key
+from repro.crypto.serialization import (
+    encode_bytes,
+    encode_private_key,
+    encode_public_key,
+)
 from repro.netd.remote import AuthorityServer
 from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import NetLoop
+from repro.netd.wire import encode_control
 
 
 @pytest.fixture()
@@ -38,6 +43,11 @@ def authority(keypair):
         json.dumps(header).encode("utf-8")
     ) + encode_bytes(encode_public_key(keypair.public_key))
     server.register_bootstrap("shard-t", lambda: payload)
+    stp_payload = encode_control(
+        {"role": "stp", "key_bits": keypair.public_key.key_bits, "sus": []},
+        encode_private_key(keypair.private_key),
+    )
+    server.register_bootstrap("stp-t", lambda: stp_payload)
     yield address
     server.stop()
     loop.close()
@@ -72,6 +82,38 @@ class TestGracefulDrain:
             assert not ready.exists()
         finally:
             supervisor.stop_all()
+
+
+class TestStpWorkerSigterm:
+    """The STP worker's shutdown closes its authority peer — a client
+    whose blocking ``close()`` posts onto the worker's own loop.  Called
+    on that loop it stalled shutdown for its full 5 s timeout, so every
+    socket-plane teardown SIGKILLed the STP after the 3 s grace."""
+
+    @pytest.fixture()
+    def stp_worker(self, authority, tmp_path):
+        host, port = authority
+        supervisor = ProcessSupervisor(workdir=tmp_path / "run", monitor=False)
+        try:
+            supervisor.start(
+                "stp-t",
+                "stp",
+                extra_args=("--authority", f"{host}:{port}"),
+                restart=False,
+            )
+            supervisor.wait_ready(["stp-t"], timeout_s=60.0)
+            yield supervisor
+        finally:
+            supervisor.stop_all()
+
+    def test_sigterm_exits_zero_within_a_second(self, stp_worker):
+        stp_worker.kill("stp-t", signal.SIGTERM)
+        assert stp_worker.wait_exit("stp-t", timeout_s=1.0) == 0
+
+    def test_stop_all_never_escalates_to_sigkill(self, stp_worker):
+        process = stp_worker._handles["stp-t"].process
+        stp_worker.stop_all()
+        assert process.returncode == 0  # -9 if the grace period ran out
 
 
 class TestStaleReadinessSweep:

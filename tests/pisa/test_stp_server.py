@@ -6,7 +6,13 @@ from repro.crypto.paillier import generate_keypair
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ProtocolError
 from repro.pisa.messages import SignExtractionRequest
+from repro.pisa.packed import PackedSignExtractionRequest, PackedStpServer
 from repro.pisa.stp_server import StpServer
+from repro.pisa.two_server import (
+    BackendServer,
+    PartialSignExtractionRequest,
+    deal_two_server_keys,
+)
 
 
 @pytest.fixture()
@@ -88,3 +94,60 @@ class TestSignExtraction:
         assert stp.stats.conversions == 1
         assert stp.stats.cells_decrypted == 4
         assert stp.stats.cells_encrypted == 4
+
+
+# -- validate-then-draw, every variant -------------------------------------------
+
+
+def _baseline_stp(rng, environment):
+    keypair = generate_keypair(256, rng=DeterministicRandomSource("vtd-keys"))
+    stp = StpServer(group_keypair=keypair, rng=rng)
+
+    def make_request(su_id, cells):
+        return SignExtractionRequest("r0", su_id, (tuple(cells),))
+
+    return stp, stp.handle_sign_extraction, make_request
+
+
+def _packed_stp(rng, environment):
+    keypair = generate_keypair(512, rng=DeterministicRandomSource("vtd-keys"))
+    stp = PackedStpServer(keypair, environment, rng=rng)
+
+    def make_request(su_id, cells):
+        return PackedSignExtractionRequest("r0", su_id, tuple(cells))
+
+    return stp, stp.handle_sign_extraction, make_request
+
+
+def _two_server_backend(rng, environment):
+    keypair, directory = deal_two_server_keys(
+        256, rng=DeterministicRandomSource("vtd-keys")
+    )
+    backend = BackendServer(keypair.shares[1], directory, rng=rng)
+
+    def make_request(su_id, cells):
+        return PartialSignExtractionRequest(
+            "r0", su_id, (tuple(cells),), (tuple(1 for _ in cells),)
+        )
+
+    return backend, backend.handle_partial_extraction, make_request
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_baseline_stp, _packed_stp, _two_server_backend],
+    ids=["baseline", "packed", "two-server"],
+)
+def test_rejected_extraction_consumes_no_draws(build, pisa_scenario, su_keys, fresh_rng):
+    """A bad entry anywhere in Ṽ — here the *last* cell — or an unknown
+    SU is rejected before the first nonce is drawn."""
+    rng = DeterministicRandomSource("vtd-stream")
+    untouched = DeterministicRandomSource("vtd-stream")
+    server, handle, make_request = build(rng, pisa_scenario.environment)
+    server.register_su("su-1", su_keys.public_key)
+    good = [server.group_public_key.encrypt(v, rng=fresh_rng) for v in (5, -5)]
+    foreign = su_keys.public_key.encrypt(1, rng=fresh_rng)  # not the group key
+    for bad in (make_request("su-1", good + [foreign]), make_request("ghost", good)):
+        with pytest.raises(ProtocolError):
+            handle(bad)
+    assert rng.randbits(64) == untouched.randbits(64)
