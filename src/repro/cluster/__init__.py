@@ -26,7 +26,7 @@ from repro.cluster.coordinator import ClusterCoordinator, ClusterSdc
 from repro.cluster.fencing import FenceLease, LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
-from repro.cluster.replica import ShardReplicaSet, SnapshotStore
+from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.ring import ConsistentHashRing
 from repro.cluster.router import ShardRouter, SuspectPolicy
 from repro.cluster.shard import SdcShard
@@ -43,7 +43,6 @@ __all__ = [
     "SdcShard",
     "ShardReplicaSet",
     "ShardRouter",
-    "SnapshotStore",
     "SuspectPolicy",
     "execute_handoff",
     "plan_handoff",

@@ -47,17 +47,18 @@ from repro.net.transport import MultiplexedTransport, resolve_multiplexed
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcFront
-from repro.pisa.storage import serialize_directory
+from repro.pisa.storage import encode_shard_state, serialize_directory
 from repro.pisa.su_client import SUClient
 from repro.resilience.journal import JournaledClock, JournalingRandomSource
-from repro.store.coldstart import restore_shard_from_store
+from repro.store.coldstart import rebuild_shard
+from repro.store.memory import MemoryStateStore
 from repro.watch.entities import SUTransmitter
 from repro.watch.environment import SpectrumEnvironment
 
 from repro.cluster.fencing import LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
-from repro.cluster.replica import ShardReplicaSet, SnapshotStore
+from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.ring import DEFAULT_VIRTUAL_NODES
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import (
@@ -83,17 +84,12 @@ class ClusterSdc(SdcFront):
         fresh_beta_encryption: bool = True,
         clock=time.time,
         journal=None,
-        store=None,
     ) -> None:
         super().__init__(
             environment, directory, signer, issuer_id=issuer_id, rng=rng,
             fresh_beta_encryption=fresh_beta_encryption, clock=clock,
         )
         self.router = router
-        #: Optional durable :class:`~repro.store.base.StateStore`; when
-        #: set, every routed PU update is upserted into its per-PU table
-        #: so a cold restart can rebuild the budget without the journal.
-        self.store = store
         #: Optional :class:`repro.resilience.journal.EpochJournal`.  When
         #: set, protocol-step markers are write-ahead logged and each
         #: phase's randomness — which the front has fully drawn by the
@@ -105,15 +101,11 @@ class ClusterSdc(SdcFront):
     # -- Figure 4 step 4 ---------------------------------------------------------
 
     def handle_pu_update(self, message: PUUpdateMessage) -> None:
-        """Route the update to the owning shard (validated there)."""
+        """Route the update to the owning shard (validated — and its
+        store row written — by that shard's replica set)."""
         if self.journal is not None:
             self.journal.pu_update(message.to_bytes())
-        shard_id = self.router.route_pu_update(message)
-        if self.store is not None:
-            # Persist *after* the shard accepted it (ownership checked),
-            # keyed by owning shard so a cold start can restore one
-            # shard without scanning the fleet's rows.
-            self.store.put_pu_update(shard_id, message.pu_id, message.to_bytes())
+        self.router.route_pu_update(message)
 
     # -- Figure 5 phase 1 --------------------------------------------------------
 
@@ -256,10 +248,11 @@ class ClusterCoordinator(PisaCoordinator):
         self._virtual_nodes = virtual_nodes
         self._scatter_threads = scatter_threads
         self._metrics = metrics
-        #: Optional durable :class:`~repro.store.base.StateStore` —
-        #: epoch snapshots, PU rows, and the key directory are mirrored
-        #: into it, making the whole deployment cold-startable.
-        self.store = store
+        #: The deployment's :class:`~repro.store.base.StateStore` (in
+        #: memory unless a durable one is passed): epoch snapshots, PU
+        #: rows, leases and the key directory all live in it, which is
+        #: what makes any shard cold-startable.
+        self.store = store if store is not None else MemoryStateStore()
         super().__init__(
             environment,
             key_bits=key_bits,
@@ -277,7 +270,6 @@ class ClusterCoordinator(PisaCoordinator):
         Control plane only — deterministic, no RNG draws.
         """
         environment, store, metrics = self.environment, self.store, self._metrics
-        self.snapshots = SnapshotStore(store=store)
         shard_ids = tuple(f"shard-{i}" for i in range(self._num_shards))
         self.membership = ClusterMembership(
             shard_ids, virtual_nodes=self._virtual_nodes
@@ -326,7 +318,6 @@ class ClusterCoordinator(PisaCoordinator):
             fresh_beta_encryption=fresh_beta_encryption,
             clock=self._clock,
             journal=self.journal,
-            store=store,
         )
 
     def _build_replica_set(self, shard_id: str) -> ShardReplicaSet:
@@ -349,7 +340,7 @@ class ClusterCoordinator(PisaCoordinator):
         return ShardReplicaSet(
             shard_id,
             shard_factory=factory,
-            snapshots=self.snapshots,
+            store=self.store,
             heartbeat_timeout_s=self._heartbeat_timeout_s,
             journal=self.journal,
         )
@@ -375,9 +366,8 @@ class ClusterCoordinator(PisaCoordinator):
         return client
 
     def _persist_directory(self) -> None:
-        """Mirror the key directory into the durable store."""
-        if self.store is not None:
-            self.store.put_directory(serialize_directory(self.stp.directory))
+        """Mirror the key directory into the store."""
+        self.store.put_directory(serialize_directory(self.stp.directory))
 
     # -- cluster operations ------------------------------------------------------------
 
@@ -389,28 +379,30 @@ class ClusterCoordinator(PisaCoordinator):
             mux.fail_endpoint(shard_id)
 
     def cold_start_shard(self, shard_id: str, tail=None) -> int:
-        """Rebuild a shard replica set from the durable store alone.
+        """Rebuild a shard replica set from the store alone.
 
         The disaster path ``kill9-then-coldstart`` drills: both replicas
         of ``shard_id`` are gone (SIGKILL — nothing in memory survives),
-        so a fresh set is built and both replicas are restored from the
-        store's latest epoch snapshot plus the unconsumed journal
-        ``tail`` (a :class:`~repro.resilience.journal.JournalReadResult`
-        from :func:`repro.store.checkpoint.recover`).  Returns the
-        number of tail records applied to the new primary.
+        so a fresh set is built and both replicas are rebuilt by the one
+        rule (:func:`~repro.store.coldstart.rebuild_shard`) from the
+        store's latest snapshot, its PU rows on the ring's blocks, and
+        the unconsumed journal ``tail`` (a
+        :class:`~repro.resilience.journal.JournalReadResult` from
+        :func:`repro.store.checkpoint.recover`).  Returns the number of
+        tail records applied to the new primary.
         """
-        if self.store is None:
-            raise ProtocolError("cold_start_shard needs a durable store")
         replica_set = self._build_replica_set(shard_id)
-        # Ring ownership first, so a store without a snapshot (crash
-        # before the first epoch commit) can still replay its PU rows;
-        # a snapshot restore *replaces* ownership with the snapshot's.
         assignment = self.membership.ring.assignment(
             tuple(range(self.environment.num_blocks))
         )
-        replica_set.assign_blocks(assignment.get(shard_id, ()))
-        applied = restore_shard_from_store(replica_set.primary, self.store, tail)
-        restore_shard_from_store(replica_set.standby, self.store, tail)
+        live = encode_shard_state(
+            shard_id,
+            -1,
+            assignment.get(shard_id, ()),
+            (raw for _, _, raw in self.store.pu_updates(shard_id)),
+        )
+        _, applied = rebuild_shard(replica_set.primary, live, self.store, tail)
+        rebuild_shard(replica_set.standby, live, self.store, tail)
         # A cold start is a new writer generation: re-adopt the persisted
         # lease (which survived the kill) and bump past it, so anything
         # the dead incarnation still has in flight is fenced out.

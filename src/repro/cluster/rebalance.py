@@ -77,9 +77,10 @@ def execute_handoff(
 ) -> int:
     """Apply a plan: transfer PU state and ownership; returns PUs moved.
 
-    Both replicas of the source release the block and both replicas of
-    the target receive the PU updates, so a failover during *or after*
-    the handoff still finds consistent state on whichever replica wins.
+    Each side goes through its replica set, so both replicas of the
+    source release the block, both replicas of the target receive the PU
+    updates, and the store's rows move with them — a failover or cold
+    start during *or after* the handoff finds consistent state.
     """
     pus_moved = 0
     for move in plan.moves:
@@ -93,12 +94,7 @@ def execute_handoff(
         # the target's ownership check.
         target.assign_blocks((move.block,))
         if source is not None:
-            block_tuple = (move.block,)
-            for pu_id in source.primary.pus_on_blocks(block_tuple):
-                update = source.primary.remove_pu(pu_id)
-                source.standby.remove_pu(pu_id)
-                if update is not None:
-                    target.apply_pu_update(update)
-                    pus_moved += 1
-            source.release_blocks(block_tuple)
+            for update in source.detach_block(move.block):
+                target.apply_pu_update(update)
+                pus_moved += 1
     return pus_moved

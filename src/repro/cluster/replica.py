@@ -3,19 +3,19 @@
 Each shard runs as a *replica set*: a primary :class:`SdcShard` serving
 sub-queries and a warm standby mirroring every PU update as it is
 applied.  Losing a shard therefore loses no durable state — the standby
-holds the same encrypted aggregate, and the per-epoch snapshots written
-at commit (:class:`SnapshotStore`) bound how far even a *cold* restore
-can lag: to the last committed epoch, never further.
+holds the same encrypted aggregate, and the set keeps the shard's rows
+of the deployment's :class:`~repro.store.base.StateStore` current: one
+``pu_updates`` row per tracked PU (written on every update, deleted when
+a handoff moves the PU away) and the epoch snapshot written at commit.
 
 Failure detection is heartbeat-based and clock-injectable: the router
 records a heartbeat on every successful sub-query, and
-:meth:`ShardReplicaSet.is_alive` treats a primary as dead once its
+:meth:`ReplicaSetBase.is_alive` treats a primary as dead once its
 heartbeat is older than ``heartbeat_timeout_s`` (or once a sub-query
 raised :class:`~repro.errors.ShardDownError` outright).  Promotion swaps
-the standby in as primary and rebuilds a fresh standby behind it —
-preferring the latest snapshot when one is at least as recent as the
-promoted primary's committed epoch, which exercises the same
-save/restore path a cold operator restart would use.
+the standby in as primary and rebuilds a fresh standby behind it with
+:func:`repro.store.coldstart.rebuild_shard` — the same rule, fed from
+the same store, a cold operator restart uses.
 """
 
 from __future__ import annotations
@@ -26,58 +26,20 @@ from dataclasses import dataclass
 
 from repro.errors import ClusterError
 from repro.pisa.messages import PUUpdateMessage
-from repro.pisa.storage import restore_shard_state, serialize_shard_state
+from repro.pisa.storage import serialize_shard_state
+from repro.store.coldstart import rebuild_shard
+from repro.store.memory import MemoryStateStore
 
 from repro.cluster.shard import SdcShard
 
 __all__ = [
-    "SnapshotStore",
+    "ReplicaSetBase",
     "ShardReplicaSet",
     "FailoverEvent",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
 ]
 
 DEFAULT_HEARTBEAT_TIMEOUT_S = 1.0
-
-
-class SnapshotStore:
-    """Latest per-shard epoch snapshot, keyed by shard id.
-
-    The in-memory map serves the hot promote path; when a durable
-    :class:`~repro.store.base.StateStore` is attached every save is
-    mirrored to its ``snapshots`` table (the payload *is* the canonical
-    :func:`~repro.pisa.storage.serialize_shard_state` blob, CRC-framed
-    by the engine), and :meth:`latest` falls back to disk — which is how
-    a cold restart finds state the process never held.
-    """
-
-    def __init__(self, store=None) -> None:
-        self._lock = threading.Lock()
-        #: Optional durable engine (duck-typed ``StateStore``).
-        self.store = store
-        #: shard_id → (epoch, blob)
-        self._latest: dict[str, tuple[int, bytes]] = {}
-        self.snapshots_taken = 0
-
-    def save(self, shard: SdcShard) -> int:
-        """Snapshot ``shard`` at its current committed epoch."""
-        blob = serialize_shard_state(shard)
-        with self._lock:
-            epoch = shard.last_committed_epoch
-            current = self._latest.get(shard.shard_id)
-            if current is None or epoch >= current[0]:
-                self._latest[shard.shard_id] = (epoch, blob)
-            self.snapshots_taken += 1
-        if self.store is not None:
-            self.store.put_snapshot(shard.shard_id, epoch, blob)
-        return epoch
-
-    def latest(self, shard_id: str) -> tuple[int, bytes] | None:
-        with self._lock:
-            entry = self._latest.get(shard_id)
-        if entry is None and self.store is not None:
-            entry = self.store.latest_snapshot(shard_id)
-        return entry
 
 
 @dataclass(frozen=True)
@@ -92,42 +54,104 @@ class FailoverEvent:
     fence_token: int = 0
 
 
-class ShardReplicaSet:
+class ReplicaSetBase:
+    """What the broker tracks about one shard, wherever its replicas run.
+
+    Heartbeats, gray-failure suspicion, the fence ratchet and the
+    failover log — shared by the in-process :class:`ShardReplicaSet` and
+    the socket plane's :class:`~repro.netd.remote.RemoteShardSet`.
+    Subclasses provide ``primary`` (anything with an ``alive`` flag).
+    """
+
+    def __init__(self, shard_id: str, heartbeat_timeout_s: float, clock) -> None:
+        if heartbeat_timeout_s <= 0:
+            raise ClusterError("heartbeat_timeout_s must be positive")
+        self.shard_id = shard_id
+        self.heartbeat_timeout_s = heartbeat_timeout_s
+        self._clock = clock
+        # Promotion and heartbeat bookkeeping race with the router's
+        # scatter threads; all mutations hold the lock.
+        self._lock = threading.Lock()
+        self._last_heartbeat = clock()
+        self.failovers: list[FailoverEvent] = []
+        #: Current lease for this shard (0 = fencing not in force).
+        self.fence_token = 0
+        #: Gray-failure flag: primary is alive but degraded; the router
+        #: routes around it instead of promoting.
+        self.suspect = False
+
+    def mark_suspect(self, suspect: bool = True) -> None:
+        self.suspect = suspect
+
+    def record_heartbeat(self, now: float | None = None) -> None:
+        with self._lock:
+            self._last_heartbeat = self._clock() if now is None else now
+
+    def heartbeat_age(self, now: float | None = None) -> float:
+        with self._lock:
+            reference = self._clock() if now is None else now
+            return reference - self._last_heartbeat
+
+    def is_alive(self, now: float | None = None) -> bool:
+        """Primary liveness: not crashed and heartbeat within timeout."""
+        return (
+            self.primary.alive
+            and self.heartbeat_age(now) <= self.heartbeat_timeout_s
+        )
+
+    def _ratchet_fence(self, token: int) -> None:
+        """Leases only move forward."""
+        with self._lock:
+            if token > self.fence_token:
+                self.fence_token = token
+
+    def _log_failover(self, resumed_epoch: int, from_snapshot: bool) -> FailoverEvent:
+        """Record one promotion; the caller holds ``self._lock``."""
+        self.suspect = False
+        self._last_heartbeat = self._clock()
+        event = FailoverEvent(
+            shard_id=self.shard_id,
+            at=self._clock(),
+            resumed_epoch=resumed_epoch,
+            from_snapshot=from_snapshot,
+            fence_token=self.fence_token,
+        )
+        self.failovers.append(event)
+        return event
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.shard_id!r}, "
+            f"primary_alive={self.primary.alive}, "
+            f"failovers={len(self.failovers)})"
+        )
+
+
+class ShardReplicaSet(ReplicaSetBase):
     """Primary + warm standby for one shard, with promote-on-failure."""
 
     def __init__(
         self,
         shard_id: str,
         shard_factory,
-        snapshots: SnapshotStore | None = None,
+        store=None,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         clock=time.monotonic,
         journal=None,
     ) -> None:
-        if heartbeat_timeout_s <= 0:
-            raise ClusterError("heartbeat_timeout_s must be positive")
-        self.shard_id = shard_id
+        super().__init__(shard_id, heartbeat_timeout_s, clock)
         #: ``shard_factory(role: str) -> SdcShard`` — builds an empty
         #: shard (the replica layer assigns blocks and replays state).
         self._factory = shard_factory
-        self.snapshots = snapshots if snapshots is not None else SnapshotStore()
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self._clock = clock
+        #: The deployment's :class:`~repro.store.base.StateStore` (a
+        #: private in-memory one when none was given).  This set is the
+        #: only writer of its shard's PU rows and snapshots.
+        self.store = store if store is not None else MemoryStateStore()
         #: Optional :class:`repro.resilience.journal.EpochJournal`; when
         #: set, epoch commits and promotions are write-ahead logged.
         self.journal = journal
-        # Promotion and heartbeat bookkeeping race with the router's
-        # scatter threads; all mutations hold the lock.
-        self._lock = threading.Lock()
         self.primary: SdcShard = self._factory("a")
         self.standby: SdcShard = self._factory("b")
-        self._last_heartbeat = self._clock()
-        self.failovers: list[FailoverEvent] = []
-        #: Current lease for this shard (0 = fencing not in force).
-        self.fence_token = 0
-        #: Gray-failure flag: primary is alive but degraded; the router
-        #: serves reads from the standby instead of promoting.
-        self.suspect = False
 
     # -- state fan-out -------------------------------------------------------------
 
@@ -146,10 +170,31 @@ class ShardReplicaSet:
     def apply_pu_update(
         self, message: PUUpdateMessage, fence_token: int = 0
     ) -> None:
-        """Warm mirroring: every PU update lands on primary *and* standby."""
+        """Warm mirroring: every PU update lands on primary *and* standby.
+
+        The store row is written *after* both replicas accepted the
+        update (ownership and fence checked), under this shard's id, so
+        a cold start restores one shard without scanning the fleet's.
+        """
         token = fence_token or self.fence_token
         self.primary.handle_pu_update(message, fence_token=token)
         self.standby.handle_pu_update(message, fence_token=token)
+        self.store.put_pu_update(self.shard_id, message.pu_id, message.to_bytes())
+
+    def detach_block(self, block: int) -> tuple[PUUpdateMessage, ...]:
+        """Handoff, source side: give up ``block`` and the PUs on it.
+
+        Both replicas drop each PU's contribution (``⊖`` from the
+        aggregate) and the store forgets its row; the returned updates
+        are for the new owner's :meth:`apply_pu_update`.
+        """
+        moved = []
+        for pu_id in self.primary.pus_on_blocks((block,)):
+            moved.append(self.primary.remove_pu(pu_id))
+            self.standby.remove_pu(pu_id)
+            self.store.delete_pu_update(self.shard_id, pu_id)
+        self.release_blocks((block,))
+        return tuple(moved)
 
     def commit_epoch(
         self, epoch_id: int, snapshot: bool = True, fence_token: int = 0
@@ -159,7 +204,11 @@ class ShardReplicaSet:
         self.primary.commit_epoch(epoch_id, fence_token=token)
         self.standby.commit_epoch(epoch_id, fence_token=token)
         if snapshot:
-            self.snapshots.save(self.primary)
+            self.store.put_snapshot(
+                self.shard_id,
+                self.primary.last_committed_epoch,
+                serialize_shard_state(self.primary),
+            )
         if self.journal is not None:
             self.journal.epoch_commit(self.shard_id, epoch_id)
             if token:
@@ -175,16 +224,9 @@ class ShardReplicaSet:
         token too, so its next write attempt dies with
         :class:`~repro.errors.FencedError` instead of landing.
         """
-        with self._lock:
-            if token > self.fence_token:
-                self.fence_token = token
+        self._ratchet_fence(token)
         self.primary.observe_fence(token)
         self.standby.observe_fence(token)
-
-    # -- gray-failure suspicion ------------------------------------------------------
-
-    def mark_suspect(self, suspect: bool = True) -> None:
-        self.suspect = suspect
 
     def serving_replica(self) -> SdcShard:
         """The replica read-type sub-queries should hit right now.
@@ -199,24 +241,6 @@ class ShardReplicaSet:
             return self.standby
         return self.primary
 
-    # -- liveness ------------------------------------------------------------------
-
-    def record_heartbeat(self, now: float | None = None) -> None:
-        with self._lock:
-            self._last_heartbeat = self._clock() if now is None else now
-
-    def heartbeat_age(self, now: float | None = None) -> float:
-        with self._lock:
-            reference = self._clock() if now is None else now
-            return reference - self._last_heartbeat
-
-    def is_alive(self, now: float | None = None) -> bool:
-        """Primary liveness: not crashed and heartbeat within timeout."""
-        return (
-            self.primary.alive
-            and self.heartbeat_age(now) <= self.heartbeat_timeout_s
-        )
-
     def kill_primary(self) -> None:
         """Inject a primary crash (the loadtest's ``--kill-shard``)."""
         self.primary.kill()
@@ -226,11 +250,10 @@ class ShardReplicaSet:
     def promote(self) -> FailoverEvent:
         """Swap the standby in as primary; rebuild a fresh standby.
 
-        The new standby restores from the latest snapshot when one is at
-        least as recent as the promoted primary's committed epoch (cold
-        path), otherwise it re-mirrors the promoted primary's PU state
-        directly (warm path).  Either way both replicas agree before the
-        next sub-query is served.
+        The new standby is rebuilt by the one rule
+        (:func:`~repro.store.coldstart.rebuild_shard`): the stored
+        snapshot if there is one, then everything the promoted primary
+        holds.  Both replicas agree before the next sub-query is served.
         """
         with self._lock:
             if not self.standby.alive:
@@ -239,42 +262,18 @@ class ShardReplicaSet:
                 )
             promoted = self.standby
             fresh = self._factory("standby")
-            latest = self.snapshots.latest(self.shard_id)
-            from_snapshot = (
-                latest is not None and latest[0] >= promoted.last_committed_epoch
+            from_snapshot, _ = rebuild_shard(
+                fresh, serialize_shard_state(promoted), self.store
             )
-            if from_snapshot:
-                assert latest is not None
-                restore_shard_state(fresh, latest[1])
-            else:
-                fresh.assign_blocks(promoted.blocks)
-                for message in promoted.pu_update_messages():
-                    fresh.handle_pu_update(message)
-                if promoted.last_committed_epoch >= 0:
-                    fresh.commit_epoch(promoted.last_committed_epoch)
             # Both replicas of the new generation serve under the lease
             # current at promotion time.
             promoted.observe_fence(self.fence_token)
             fresh.observe_fence(self.fence_token)
             self.primary = promoted
             self.standby = fresh
-            self.suspect = False
-            self._last_heartbeat = self._clock()
-            event = FailoverEvent(
-                shard_id=self.shard_id,
-                at=self._clock(),
-                resumed_epoch=promoted.last_committed_epoch,
-                from_snapshot=from_snapshot,
-                fence_token=self.fence_token,
+            event = self._log_failover(
+                promoted.last_committed_epoch, from_snapshot
             )
-            self.failovers.append(event)
         if self.journal is not None:
             self.journal.promote(self.shard_id, event.resumed_epoch)
         return event
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardReplicaSet({self.shard_id!r}, "
-            f"primary_alive={self.primary.alive}, "
-            f"failovers={len(self.failovers)})"
-        )

@@ -37,6 +37,8 @@ __all__ = [
     "decode_ciphertext_matrix",
     "encode_bytes",
     "decode_bytes",
+    "encode_str",
+    "decode_str",
 ]
 
 _LEN = struct.Struct(">I")
@@ -79,6 +81,20 @@ def decode_bytes(buffer: bytes, offset: int = 0) -> tuple[bytes, int]:
     if offset + length > len(buffer):
         raise SerializationError("truncated bytes body")
     return bytes(buffer[offset : offset + length]), offset + length
+
+
+def encode_str(value: str) -> bytes:
+    """Length-prefixed UTF-8 string."""
+    return encode_bytes(value.encode("utf-8"))
+
+
+def decode_str(buffer: bytes, offset: int = 0) -> tuple[str, int]:
+    """Decode a string field; a peer's invalid UTF-8 is a typed error."""
+    raw, offset = decode_bytes(buffer, offset)
+    try:
+        return raw.decode("utf-8"), offset
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"corrupt string field: {exc}") from exc
 
 
 def encode_ciphertext(ct: EncryptedNumber) -> bytes:

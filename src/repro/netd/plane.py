@@ -96,14 +96,16 @@ class SocketClusterCoordinator(ClusterCoordinator):
     def __init__(self, environment, netd: NetdContext, scenario_config, **kwargs):
         # The build hooks run inside super().__init__; stash their
         # dependencies first.
-        self._netd = netd
+        #: The :class:`NetdContext` — loop, authority, supervisor, socket
+        #: transport — for health checks and process-level fault drills.
+        self.netd = netd
         self._scenario_config = scenario_config
         super().__init__(environment, **kwargs)
 
     def _build_stp(self, key_bits: int, stp_executor) -> RemoteStp:
         keypair = generate_keypair(key_bits, rng=self._rng)
-        stp = RemoteStp(self._netd.transport, STP_ENDPOINT, keypair, key_bits)
-        self._netd.authority.register_bootstrap(
+        stp = RemoteStp(self.netd.transport, STP_ENDPOINT, keypair, key_bits)
+        self.netd.authority.register_bootstrap(
             STP_ENDPOINT, stp.bootstrap_payload
         )
         return stp
@@ -111,9 +113,9 @@ class SocketClusterCoordinator(ClusterCoordinator):
     def _build_replica_set(self, shard_id: str) -> RemoteShardSet:
         return RemoteShardSet(
             shard_id,
-            self._netd.transport,
-            self._netd.supervisor,
-            self._netd.authority,
+            self.netd.transport,
+            self.netd.supervisor,
+            self.netd.authority,
             self._scenario_config,
             self.stp.group_public_key,
             heartbeat_timeout_s=self._heartbeat_timeout_s,
@@ -121,7 +123,7 @@ class SocketClusterCoordinator(ClusterCoordinator):
 
     def close(self) -> None:
         super().close()
-        self._netd.close()
+        self.netd.close()
 
 
 def build_socket_coordinator(
@@ -162,6 +164,7 @@ def build_socket_coordinator(
     )
     supervisor = ProcessSupervisor(host=host, workdir=workdir, metrics=metrics)
     transport = SocketTransport(record_transcript=record_transcript)
+    netd = NetdContext(loop, authority, supervisor, transport, client_ssl)
     try:
         authority_host, authority_port = authority.start()
         worker_args = ["--authority", f"{authority_host}:{authority_port}"]
@@ -195,7 +198,6 @@ def build_socket_coordinator(
                     metrics=metrics,
                 ),
             )
-        netd = NetdContext(loop, authority, supervisor, transport, client_ssl)
         coordinator = SocketClusterCoordinator(
             scenario.environment,
             netd=netd,
@@ -210,10 +212,7 @@ def build_socket_coordinator(
             scatter_threads=scatter_threads,
         )
     except BaseException:
-        supervisor.stop_all()
-        transport.close_peers()
-        authority.stop()
-        loop.close()
+        netd.close()
         raise
     return coordinator, scenario
 
@@ -301,8 +300,7 @@ def run_socket_loadtest(
 
 def health_check(fixture: ServiceFixture) -> dict:
     """Ping every worker over its live link; include process liveness."""
-    coordinator = fixture.coordinator
-    netd: NetdContext = coordinator._netd
+    netd: NetdContext = fixture.coordinator.netd
     out = {}
     for name in netd.transport.peer_endpoints:
         entry = {"process_running": netd.supervisor.is_running(name)}

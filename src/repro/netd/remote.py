@@ -35,7 +35,7 @@ import signal
 import threading
 import time
 
-from repro.cluster.replica import FailoverEvent
+from repro.cluster.replica import FailoverEvent, ReplicaSetBase
 from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import (
@@ -64,6 +64,7 @@ from repro.netd.wire import (
 )
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
+from repro.pisa.storage import encode_shard_state
 from repro.pisa.stp_server import StpStats
 
 __all__ = [
@@ -354,17 +355,18 @@ class RemoteShard:
         return decode_phase2_response(frame.payload, su_key)
 
 
-class RemoteShardSet:
+class RemoteShardSet(ReplicaSetBase):
     """Broker-side stand-in for :class:`~repro.cluster.replica.ShardReplicaSet`.
 
     There is no warm standby process; the "promote" of the socket plane
     is *restart and re-bootstrap* — :meth:`promote` asks the supervisor
     for a live worker, and the worker pulls its full current state
-    (blocks, latest update per PU, committed epoch) from the bootstrap
-    provider, which this object keeps serving from its caches.  Since
-    ``⊕`` is commutative and the shard keeps only the latest update per
-    PU, replaying those latest updates onto a fresh shard reproduces the
-    exact pre-crash aggregate ``W̃`` state.
+    (blocks, latest update per PU, committed epoch — one
+    ``PISA-SHARD-STATE-v1`` blob) from the bootstrap provider, which
+    this object keeps serving from its caches.  Since ``⊕`` is
+    commutative and the shard keeps only the latest update per PU,
+    folding those latest updates onto a fresh shard reproduces the exact
+    pre-crash aggregate ``W̃`` state.
     """
 
     def __init__(
@@ -378,24 +380,17 @@ class RemoteShardSet:
         heartbeat_timeout_s: float = 1.0,
         clock=time.monotonic,
     ) -> None:
-        self.shard_id = shard_id
+        # The base's ``fence_token`` travels in the bootstrap, so a
+        # restarted worker resumes already fenced.
+        super().__init__(shard_id, heartbeat_timeout_s, clock)
         self._transport = transport
         self.supervisor = supervisor
         self._scenario_spec = dataclasses.asdict(scenario_config)
         self.group_public_key = group_public_key
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self._clock = clock
-        self._lock = threading.Lock()
         self._blocks: set[int] = set()
         self._pu_updates: dict[str, bytes] = {}
         self._last_epoch = -1
         self._hook = None
-        self._last_heartbeat = clock()
-        #: Highest fencing token installed on this shard; travels in the
-        #: bootstrap so a restarted worker resumes already fenced.
-        self.fence_token = 0
-        self.suspect = False
-        self.failovers: list[FailoverEvent] = []
         self.primary = RemoteShard(self)
         authority.register_bootstrap(shard_id, self.bootstrap_payload)
 
@@ -403,20 +398,19 @@ class RemoteShardSet:
 
     def bootstrap_payload(self) -> bytes:
         with self._lock:
-            pu_ids = sorted(self._pu_updates)
-            attachments = [encode_public_key(self.group_public_key)]
-            attachments.extend(self._pu_updates[pu_id] for pu_id in pu_ids)
             return encode_control(
                 {
                     "role": "shard",
-                    "shard_id": self.shard_id,
                     "scenario": self._scenario_spec,
-                    "blocks": sorted(self._blocks),
-                    "pus": pu_ids,
-                    "epoch": self._last_epoch,
                     "fence_token": self.fence_token,
                 },
-                *attachments,
+                encode_public_key(self.group_public_key),
+                encode_shard_state(
+                    self.shard_id,
+                    self._last_epoch,
+                    sorted(self._blocks),
+                    (raw for _, raw in sorted(self._pu_updates.items())),
+                ),
             )
 
     # -- wiring --------------------------------------------------------------------
@@ -439,11 +433,6 @@ class RemoteShardSet:
         with self._lock:
             self._blocks.update(blocks)
         self.transact("assign_blocks", encode_control({"blocks": sorted(blocks)}))
-
-    def release_blocks(self, blocks: tuple[int, ...]) -> None:
-        with self._lock:
-            self._blocks.difference_update(blocks)
-        self.transact("release_blocks", encode_control({"blocks": sorted(blocks)}))
 
     @property
     def blocks(self) -> tuple[int, ...]:
@@ -478,21 +467,6 @@ class RemoteShardSet:
 
     # -- liveness ------------------------------------------------------------------
 
-    def record_heartbeat(self, now: float | None = None) -> None:
-        with self._lock:
-            self._last_heartbeat = self._clock() if now is None else now
-
-    def heartbeat_age(self, now: float | None = None) -> float:
-        with self._lock:
-            reference = self._clock() if now is None else now
-            return reference - self._last_heartbeat
-
-    def is_alive(self, now: float | None = None) -> bool:
-        return (
-            self.primary.alive
-            and self.heartbeat_age(now) <= self.heartbeat_timeout_s
-        )
-
     def kill_primary(self) -> None:
         """Real fault injection: SIGKILL the worker process."""
         self.supervisor.kill(self.shard_id, signal.SIGKILL)
@@ -503,10 +477,6 @@ class RemoteShardSet:
         """The socket plane has no warm standby; the primary always serves."""
         return self.primary
 
-    def mark_suspect(self, suspect: bool = True) -> None:
-        with self._lock:
-            self.suspect = bool(suspect)
-
     def install_fence(self, token: int) -> None:
         """Push a new lease token at the worker (best-effort if it is dead).
 
@@ -516,9 +486,7 @@ class RemoteShardSet:
         frame (it was the one being deposed) still learns it before it
         can serve a single request.
         """
-        with self._lock:
-            if token > self.fence_token:
-                self.fence_token = token
+        self._ratchet_fence(token)
         try:
             self.transact("fence", encode_control({"token": int(token)}))
         except TransportError:
@@ -531,21 +499,6 @@ class RemoteShardSet:
     def promote(self) -> FailoverEvent:
         """Restart-and-re-bootstrap; the socket plane's failover."""
         self.supervisor.ensure_running(self.shard_id)
-        self.record_heartbeat()
         with self._lock:
-            self.suspect = False
-            event = FailoverEvent(
-                shard_id=self.shard_id,
-                at=self._clock(),
-                resumed_epoch=self._last_epoch,
-                from_snapshot=False,
-                fence_token=self.fence_token,
-            )
-            self.failovers.append(event)
-        return event
+            return self._log_failover(self._last_epoch, from_snapshot=False)
 
-    def __repr__(self) -> str:
-        return (
-            f"RemoteShardSet({self.shard_id!r}, "
-            f"alive={self.primary.alive}, failovers={len(self.failovers)})"
-        )

@@ -39,9 +39,11 @@ from repro.crypto.serialization import (
     decode_bytes,
     decode_ciphertext,
     decode_int,
+    decode_str,
     encode_bytes,
     encode_ciphertext,
     encode_int,
+    encode_str,
 )
 from repro.errors import ReproError, SerializationError, TransportError
 from repro.pisa.blinding import CellBlinding
@@ -86,15 +88,6 @@ PROTOCOL_KINDS: dict[type, str] = {
 }
 
 
-def _encode_str(value: str) -> bytes:
-    return encode_bytes(value.encode("utf-8"))
-
-
-def _decode_str(buffer: bytes, offset: int) -> tuple[str, int]:
-    raw, offset = decode_bytes(buffer, offset)
-    return raw.decode("utf-8"), offset
-
-
 def _encode_ints(values: tuple[int, ...]) -> bytes:
     return encode_int(len(values)) + b"".join(encode_int(v) for v in values)
 
@@ -122,9 +115,9 @@ def _check_consumed(buffer: bytes, offset: int, what: str) -> None:
 
 def encode_phase1_request(request: ShardPhase1Request) -> bytes:
     parts = [
-        _encode_str(request.round_id),
-        _encode_str(request.su_id),
-        _encode_str(request.shard_id),
+        encode_str(request.round_id),
+        encode_str(request.su_id),
+        encode_str(request.shard_id),
         encode_int(request.fence_token),
         _encode_ints(request.columns),
         _encode_ints(request.blocks),
@@ -150,9 +143,9 @@ def encode_phase1_request(request: ShardPhase1Request) -> bytes:
 def decode_phase1_request(
     buffer: bytes, public_key: PaillierPublicKey
 ) -> ShardPhase1Request:
-    round_id, offset = _decode_str(buffer, 0)
-    su_id, offset = _decode_str(buffer, offset)
-    shard_id, offset = _decode_str(buffer, offset)
+    round_id, offset = decode_str(buffer, 0)
+    su_id, offset = decode_str(buffer, offset)
+    shard_id, offset = decode_str(buffer, offset)
     fence_token, offset = decode_int(buffer, offset)
     columns, offset = _decode_ints(buffer, offset)
     blocks, offset = _decode_ints(buffer, offset)
@@ -194,8 +187,8 @@ def decode_phase1_request(
 
 def encode_phase1_response(response: ShardPhase1Response) -> bytes:
     parts = [
-        _encode_str(response.round_id),
-        _encode_str(response.shard_id),
+        encode_str(response.round_id),
+        encode_str(response.shard_id),
         _encode_ints(response.columns),
         encode_int(len(response.matrix)),
         encode_int(len(response.matrix[0]) if response.matrix else 0),
@@ -208,8 +201,8 @@ def encode_phase1_response(response: ShardPhase1Response) -> bytes:
 def decode_phase1_response(
     buffer: bytes, public_key: PaillierPublicKey
 ) -> ShardPhase1Response:
-    round_id, offset = _decode_str(buffer, 0)
-    shard_id, offset = _decode_str(buffer, offset)
+    round_id, offset = decode_str(buffer, 0)
+    shard_id, offset = decode_str(buffer, offset)
     columns, offset = _decode_ints(buffer, offset)
     n_rows, offset = decode_int(buffer, offset)
     n_cols, offset = decode_int(buffer, offset)
@@ -228,8 +221,8 @@ def decode_phase1_response(
 
 def encode_phase2_request(request: ShardPhase2Request) -> bytes:
     parts = [
-        _encode_str(request.round_id),
-        _encode_str(request.shard_id),
+        encode_str(request.round_id),
+        encode_str(request.shard_id),
         encode_int(request.fence_token),
         _encode_ints(request.columns),
         encode_int(len(request.matrix)),
@@ -245,8 +238,8 @@ def encode_phase2_request(request: ShardPhase2Request) -> bytes:
 def decode_phase2_request(
     buffer: bytes, su_public_key: PaillierPublicKey
 ) -> ShardPhase2Request:
-    round_id, offset = _decode_str(buffer, 0)
-    shard_id, offset = _decode_str(buffer, offset)
+    round_id, offset = decode_str(buffer, 0)
+    shard_id, offset = decode_str(buffer, offset)
     fence_token, offset = decode_int(buffer, offset)
     columns, offset = _decode_ints(buffer, offset)
     n_rows, offset = decode_int(buffer, offset)
@@ -275,8 +268,8 @@ def decode_phase2_request(
 def encode_phase2_response(response: ShardPhase2Response) -> bytes:
     return b"".join(
         [
-            _encode_str(response.round_id),
-            _encode_str(response.shard_id),
+            encode_str(response.round_id),
+            encode_str(response.shard_id),
             encode_int(response.cell_count),
             encode_ciphertext(response.partial_q),
         ]
@@ -286,8 +279,8 @@ def encode_phase2_response(response: ShardPhase2Response) -> bytes:
 def decode_phase2_response(
     buffer: bytes, su_public_key: PaillierPublicKey
 ) -> ShardPhase2Response:
-    round_id, offset = _decode_str(buffer, 0)
-    shard_id, offset = _decode_str(buffer, offset)
+    round_id, offset = decode_str(buffer, 0)
+    shard_id, offset = decode_str(buffer, offset)
     cell_count, offset = decode_int(buffer, offset)
     partial_q, offset = decode_ciphertext(buffer, su_public_key, offset)
     _check_consumed(buffer, offset, "shard phase-2 response")
@@ -311,8 +304,10 @@ def encode_control(obj: dict, *attachments: bytes) -> bytes:
 
 
 def decode_control(
-    payload: bytes, num_attachments: int = 0
+    payload: bytes, num_attachments: int | None = 0
 ) -> tuple[dict, list[bytes]]:
+    """Header plus exactly ``num_attachments`` blobs (``None``: however
+    many follow — for frames whose header says how many to expect)."""
     raw, offset = decode_bytes(payload, 0)
     try:
         obj = json.loads(raw.decode("utf-8"))
@@ -321,7 +316,11 @@ def decode_control(
     if not isinstance(obj, dict):
         raise SerializationError("control frame header must be a JSON object")
     attachments = []
-    for _ in range(num_attachments):
+    while (
+        offset < len(payload)
+        if num_attachments is None
+        else len(attachments) < num_attachments
+    ):
         blob, offset = decode_bytes(payload, offset)
         attachments.append(blob)
     _check_consumed(payload, offset, "control frame")

@@ -57,33 +57,13 @@ from repro.netd.wire import (
     raise_remote_error,
 )
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
-from repro.pisa.storage import restore_shard_state, serialize_shard_state
+from repro.pisa.storage import decode_shard_state, serialize_shard_state
 from repro.pisa.stp_server import StpServer
-from repro.store import SqliteStateStore
+from repro.store import MemoryStateStore, SqliteStateStore, StateStore, rebuild_shard
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
 _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
-
-
-def _decode_header(payload: bytes) -> tuple[dict, int]:
-    """Control header + offset of the first attachment."""
-    raw, offset = decode_bytes(payload, 0)
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"malformed bootstrap header: {exc}") from exc
-    return obj, offset
-
-
-def _read_attachments(payload: bytes, offset: int, count: int) -> list[bytes]:
-    out = []
-    for _ in range(count):
-        blob, offset = decode_bytes(payload, offset)
-        out.append(blob)
-    if offset != len(payload):
-        raise SerializationError("trailing bytes in bootstrap payload")
-    return out
 
 
 async def _fetch_clock(host: str, port: int, ssl_context=None) -> float:
@@ -156,41 +136,23 @@ class ShardState:
 
     role = "shard"
 
-    def __init__(self, payload: bytes, store: SqliteStateStore | None = None) -> None:
-        obj, offset = _decode_header(payload)
-        attachments = _read_attachments(payload, offset, 1 + len(obj["pus"]))
-        self.group_public_key = decode_public_key(attachments[0])
-        self.store = store
+    def __init__(self, payload: bytes, store: StateStore | None = None) -> None:
+        obj, (key_raw, live) = decode_control(payload, num_attachments=2)
+        self.group_public_key = decode_public_key(key_raw)
+        #: ``--store``'s SQLite file, or memory when the worker has none.
+        self.store = store if store is not None else MemoryStateStore()
         #: Chaos seam: artificial per-sub-query service delay (seconds),
         #: armed by a ``chaos_delay`` frame for gray-failure drills.
         self.delay_s = 0.0
         scenario = build_scenario(ScenarioConfig(**obj["scenario"]))
         self.shard = SdcShard(
-            str(obj["shard_id"]),
-            scenario.environment,
-            self.group_public_key,
-            blocks=tuple(int(b) for b in obj["blocks"]),
+            decode_shard_state(live)[0], scenario.environment, self.group_public_key
         )
-        epoch = int(obj["epoch"])
-        # A durable snapshot at least as recent as the bootstrap epoch
-        # wins over replaying the authority's attachments: it is the same
-        # state, already folded, and proves the store survived the crash.
-        latest = store.latest_snapshot(self.shard.shard_id) if store else None
-        if latest is not None and latest[0] >= epoch:
-            restore_shard_state(self.shard, latest[1])
-        else:
-            # Latest update per PU, replayed in sorted order; ⊕ commutes,
-            # so this reproduces the pre-crash aggregate exactly.
-            for raw in attachments[1:]:
-                self.shard.handle_pu_update(
-                    PUUpdateMessage.from_bytes(raw, self.group_public_key)
-                )
-            if epoch >= 0:
-                self.shard.commit_epoch(epoch)
-            if store is not None and epoch >= 0:
-                store.put_snapshot(
-                    self.shard.shard_id, epoch, serialize_shard_state(self.shard)
-                )
+        # The one rebuild rule: the durable snapshot (if the store
+        # survived the crash) as a head start, then every update the
+        # broker's bootstrap blob holds — ⊕ commutes and state is
+        # latest-per-PU, so this reproduces the pre-crash aggregate.
+        rebuild_shard(self.shard, live, self.store)
         # Learn the current lease *before* serving: a restarted worker
         # must reject the deposed incarnation's stale-token requests from
         # its very first frame.
@@ -216,8 +178,7 @@ class ShardState:
             raw = payload[offset:]
             message = PUUpdateMessage.from_bytes(raw, self.group_public_key)
             self.shard.handle_pu_update(message, fence_token=fence_token)
-            if self.store is not None:
-                self.store.put_pu_update(self.shard.shard_id, message.pu_id, raw)
+            self.store.put_pu_update(self.shard.shard_id, message.pu_id, raw)
             return "ok", encode_control({})
         if kind == "fence":
             obj, _ = decode_control(payload)
@@ -231,20 +192,15 @@ class ShardState:
             obj, _ = decode_control(payload)
             self.shard.assign_blocks(tuple(int(b) for b in obj["blocks"]))
             return "ok", encode_control({})
-        if kind == "release_blocks":
-            obj, _ = decode_control(payload)
-            self.shard.release_blocks(tuple(int(b) for b in obj["blocks"]))
-            return "ok", encode_control({})
         if kind == "commit_epoch":
             obj, _ = decode_control(payload)
             epoch = int(obj["epoch"])
             self.shard.commit_epoch(
                 epoch, fence_token=int(obj.get("fence_token", 0))
             )
-            if self.store is not None:
-                self.store.put_snapshot(
-                    self.shard.shard_id, epoch, serialize_shard_state(self.shard)
-                )
+            self.store.put_snapshot(
+                self.shard.shard_id, epoch, serialize_shard_state(self.shard)
+            )
             return "ok", encode_control({})
         raise TransportError(f"shard worker cannot serve frame kind {kind!r}")
 
@@ -255,9 +211,10 @@ class StpState:
     role = "stp"
 
     def __init__(self, payload: bytes, authority_peer: PeerClient) -> None:
-        obj, offset = _decode_header(payload)
+        obj, attachments = decode_control(payload, num_attachments=None)
         su_ids = [str(s) for s in obj["sus"]]
-        attachments = _read_attachments(payload, offset, 1 + len(su_ids))
+        if len(attachments) != 1 + len(su_ids):
+            raise SerializationError("stp bootstrap: one key per listed SU")
         private_key = decode_private_key(attachments[0])
         keypair = PaillierKeypair(
             public_key=private_key.public_key, private_key=private_key
@@ -330,11 +287,11 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     if args.role == "shard":
         # The store opens *before* the readiness file is written: a shard
         # that cannot reach its durable state must not advertise itself.
-        store = SqliteStateStore(args.store) if args.store else None
-        state = ShardState(payload, store=store)
+        state = ShardState(
+            payload, store=SqliteStateStore(args.store) if args.store else None
+        )
         authority_peer = None
     else:
-        store = None
         # The STP's nonce draws are blocking transacts posted back onto
         # this loop from handler threads; safe because handlers never
         # run on the loop thread (asyncio.to_thread below).
@@ -438,8 +395,8 @@ async def _serve(args, tls: TlsSpec | None) -> int:
         # on the result, so calling it here would stall the loop until its
         # 5 s timeout — past the supervisor's SIGTERM grace.
         await asyncio.to_thread(authority_peer.close)
-    if store is not None:
-        await asyncio.to_thread(store.close)
+    if args.role == "shard":
+        await asyncio.to_thread(state.store.close)
     if args.ready_file:
         await asyncio.to_thread(
             pathlib.Path(args.ready_file).unlink, missing_ok=True

@@ -19,7 +19,7 @@ count that the communication-overhead evaluation (§VI-A) accounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.serialization import (
@@ -27,10 +27,12 @@ from repro.crypto.serialization import (
     decode_ciphertext,
     decode_ciphertext_matrix,
     decode_int,
+    decode_str,
     encode_bytes,
     encode_ciphertext,
     encode_ciphertext_matrix,
     encode_int,
+    encode_str,
 )
 from repro.errors import SerializationError
 from repro.pisa.license import TransmissionLicense
@@ -42,15 +44,6 @@ __all__ = [
     "SignExtractionResponse",
     "LicenseResponse",
 ]
-
-
-def _encode_str(value: str) -> bytes:
-    return encode_bytes(value.encode("utf-8"))
-
-
-def _decode_str(buffer: bytes, offset: int) -> tuple[str, int]:
-    raw, offset = decode_bytes(buffer, offset)
-    return raw.decode("utf-8"), offset
 
 
 @dataclass(frozen=True)
@@ -69,14 +62,14 @@ class PUUpdateMessage:
     ciphertexts: tuple[EncryptedNumber, ...]
 
     def to_bytes(self) -> bytes:
-        parts = [_encode_str(self.pu_id), encode_int(self.block_index),
+        parts = [encode_str(self.pu_id), encode_int(self.block_index),
                  encode_int(len(self.ciphertexts))]
         parts.extend(encode_ciphertext(ct) for ct in self.ciphertexts)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, buffer: bytes, public_key: PaillierPublicKey) -> "PUUpdateMessage":
-        pu_id, offset = _decode_str(buffer, 0)
+        pu_id, offset = decode_str(buffer, 0)
         block_index, offset = decode_int(buffer, offset)
         count, offset = decode_int(buffer, offset)
         cts = []
@@ -114,14 +107,14 @@ class SURequestMessage:
         return len(self.matrix)
 
     def to_bytes(self) -> bytes:
-        parts = [_encode_str(self.su_id), encode_int(len(self.region_blocks))]
+        parts = [encode_str(self.su_id), encode_int(len(self.region_blocks))]
         parts.extend(encode_int(b) for b in self.region_blocks)
         parts.append(encode_ciphertext_matrix(self.matrix))
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, buffer: bytes, public_key: PaillierPublicKey) -> "SURequestMessage":
-        su_id, offset = _decode_str(buffer, 0)
+        su_id, offset = decode_str(buffer, 0)
         count, offset = decode_int(buffer, offset)
         blocks = []
         for _ in range(count):
@@ -154,7 +147,7 @@ class SignExtractionRequest:
 
     def to_bytes(self) -> bytes:
         return b"".join(
-            [_encode_str(self.round_id), _encode_str(self.su_id),
+            [encode_str(self.round_id), encode_str(self.su_id),
              encode_ciphertext_matrix(self.matrix)]
         )
 
@@ -162,8 +155,8 @@ class SignExtractionRequest:
     def from_bytes(
         cls, buffer: bytes, public_key: PaillierPublicKey
     ) -> "SignExtractionRequest":
-        round_id, offset = _decode_str(buffer, 0)
-        su_id, offset = _decode_str(buffer, offset)
+        round_id, offset = decode_str(buffer, 0)
+        su_id, offset = decode_str(buffer, offset)
         matrix, offset = decode_ciphertext_matrix(buffer, public_key, offset)
         if offset != len(buffer):
             raise SerializationError("trailing bytes in sign-extraction request")
@@ -184,7 +177,7 @@ class SignExtractionResponse:
 
     def to_bytes(self) -> bytes:
         return b"".join(
-            [_encode_str(self.round_id), _encode_str(self.su_id),
+            [encode_str(self.round_id), encode_str(self.su_id),
              encode_ciphertext_matrix(self.matrix)]
         )
 
@@ -192,8 +185,8 @@ class SignExtractionResponse:
     def from_bytes(
         cls, buffer: bytes, su_public_key: PaillierPublicKey
     ) -> "SignExtractionResponse":
-        round_id, offset = _decode_str(buffer, 0)
-        su_id, offset = _decode_str(buffer, offset)
+        round_id, offset = decode_str(buffer, 0)
+        su_id, offset = decode_str(buffer, offset)
         matrix, offset = decode_ciphertext_matrix(buffer, su_public_key, offset)
         if offset != len(buffer):
             raise SerializationError("trailing bytes in sign-extraction response")

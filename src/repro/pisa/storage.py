@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import os
 import zlib
+from typing import Iterable, Sequence
 
-from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.serialization import (
     decode_bytes,
     decode_int,
     decode_public_key,
+    decode_str,
     encode_bytes,
     encode_int,
     encode_public_key,
+    encode_str,
 )
 from repro.crypto.signatures import RsaPublicKey
 from repro.errors import IntegrityError, SerializationError
@@ -49,6 +51,8 @@ from repro.pisa.messages import PUUpdateMessage
 __all__ = [
     "serialize_sdc_state",
     "restore_sdc_state",
+    "encode_shard_state",
+    "decode_shard_state",
     "serialize_shard_state",
     "restore_shard_state",
     "serialize_directory",
@@ -134,15 +138,6 @@ def read_state_file(path) -> bytes:
     return blob
 
 
-def _decode_str(buffer: bytes, offset: int) -> tuple[str, int]:
-    """Decode a UTF-8 string field; corruption raises a typed error."""
-    raw, offset = decode_bytes(buffer, offset)
-    try:
-        return raw.decode("utf-8"), offset
-    except UnicodeDecodeError as exc:
-        raise SerializationError(f"corrupt string field: {exc}") from exc
-
-
 def serialize_sdc_state(sdc) -> bytes:
     """Snapshot an SDC's durable state (latest update per PU)."""
     updates = sdc.kernel.pu_update_messages()
@@ -171,6 +166,53 @@ def restore_sdc_state(sdc, blob: bytes) -> int:
     return count
 
 
+def encode_shard_state(
+    shard_id: str, epoch: int, blocks: Sequence[int], updates: Iterable[bytes]
+) -> bytes:
+    """The ``PISA-SHARD-STATE-v1`` blob: an epoch snapshot, a shard
+    worker's bootstrap, or the live view a rebuild folds over a snapshot.
+
+    ``updates`` are ``PUUpdateMessage.to_bytes()`` payloads, latest per
+    PU, in PU-id order.
+    """
+    updates = tuple(updates)
+    parts = [
+        _SHARD_MAGIC,
+        encode_str(shard_id),
+        # Epochs start at −1 (nothing committed); store shifted by one
+        # because the wire integers are non-negative.
+        encode_int(epoch + 1),
+        encode_int(len(blocks)),
+    ]
+    parts.extend(encode_int(block) for block in blocks)
+    parts.append(encode_int(len(updates)))
+    parts.extend(encode_bytes(raw) for raw in updates)
+    return b"".join(parts)
+
+
+def decode_shard_state(
+    blob: bytes,
+) -> tuple[str, int, tuple[int, ...], tuple[bytes, ...]]:
+    """``(shard_id, epoch, blocks, raw updates)`` of a shard-state blob."""
+    if not blob.startswith(_SHARD_MAGIC):
+        raise SerializationError("not a v1 shard snapshot")
+    shard_id, offset = decode_str(blob, len(_SHARD_MAGIC))
+    epoch_plus_one, offset = decode_int(blob, offset)
+    block_count, offset = decode_int(blob, offset)
+    blocks = []
+    for _ in range(block_count):
+        block, offset = decode_int(blob, offset)
+        blocks.append(block)
+    update_count, offset = decode_int(blob, offset)
+    updates = []
+    for _ in range(update_count):
+        raw, offset = decode_bytes(blob, offset)
+        updates.append(raw)
+    if offset != len(blob):
+        raise SerializationError("trailing bytes in shard snapshot")
+    return shard_id, epoch_plus_one - 1, tuple(blocks), tuple(updates)
+
+
 def serialize_shard_state(shard) -> bytes:
     """Snapshot one SDC shard: identity, committed epoch, blocks, PU state.
 
@@ -180,20 +222,12 @@ def serialize_shard_state(shard) -> bytes:
     latest encrypted update per PU (ciphertexts only — a snapshot leaks
     no more than the shard it describes).
     """
-    parts = [
-        _SHARD_MAGIC,
-        encode_bytes(shard.shard_id.encode("utf-8")),
-        # Epochs start at −1 (nothing committed); store shifted by one
-        # because the wire integers are non-negative.
-        encode_int(shard.last_committed_epoch + 1),
-    ]
-    blocks = shard.blocks
-    parts.append(encode_int(len(blocks)))
-    parts.extend(encode_int(block) for block in blocks)
-    updates = shard.pu_update_messages()
-    parts.append(encode_int(len(updates)))
-    parts.extend(encode_bytes(message.to_bytes()) for message in updates)
-    return b"".join(parts)
+    return encode_shard_state(
+        shard.shard_id,
+        shard.last_committed_epoch,
+        shard.blocks,
+        (message.to_bytes() for message in shard.pu_update_messages()),
+    )
 
 
 def restore_shard_state(shard, blob: bytes) -> int:
@@ -205,29 +239,17 @@ def restore_shard_state(shard, blob: bytes) -> int:
     """
     if shard.num_tracked_pus:
         raise SerializationError("restore target already holds PU state")
-    if not blob.startswith(_SHARD_MAGIC):
-        raise SerializationError("not a v1 shard snapshot")
-    shard_id, offset = _decode_str(blob, len(_SHARD_MAGIC))
+    shard_id, epoch, blocks, updates = decode_shard_state(blob)
     if shard_id != shard.shard_id:
         raise SerializationError(
             f"snapshot is for shard {shard_id!r}, not {shard.shard_id!r}"
         )
-    epoch_plus_one, offset = decode_int(blob, offset)
-    block_count, offset = decode_int(blob, offset)
-    blocks = []
-    for _ in range(block_count):
-        block, offset = decode_int(blob, offset)
-        blocks.append(block)
     shard.release_blocks(shard.blocks)
-    shard.assign_blocks(tuple(blocks))
-    update_count, offset = decode_int(blob, offset)
-    group_key = shard.group_public_key
-    for _ in range(update_count):
-        raw, offset = decode_bytes(blob, offset)
-        shard.handle_pu_update(PUUpdateMessage.from_bytes(raw, group_key))
-    if offset != len(blob):
-        raise SerializationError("trailing bytes in shard snapshot")
-    epoch = epoch_plus_one - 1
+    shard.assign_blocks(blocks)
+    for raw in updates:
+        shard.handle_pu_update(
+            PUUpdateMessage.from_bytes(raw, shard.group_public_key)
+        )
     if epoch > shard.last_committed_epoch:
         shard.commit_epoch(epoch)
     return epoch
@@ -241,11 +263,11 @@ def serialize_directory(directory: KeyDirectory) -> bytes:
         encode_int(len(directory._su_keys)),
     ]
     for su_id, public_key in sorted(directory._su_keys.items()):
-        parts.append(encode_bytes(su_id.encode("utf-8")))
+        parts.append(encode_str(su_id))
         parts.append(encode_bytes(encode_public_key(public_key)))
     parts.append(encode_int(len(directory._signing_keys)))
     for issuer_id, key in sorted(directory._signing_keys.items()):
-        parts.append(encode_bytes(issuer_id.encode("utf-8")))
+        parts.append(encode_str(issuer_id))
         parts.append(encode_int(key.n))
         parts.append(encode_int(key.e))
     return b"".join(parts)
@@ -260,12 +282,12 @@ def restore_directory(blob: bytes) -> KeyDirectory:
     directory = KeyDirectory(decode_public_key(group_raw))
     su_count, offset = decode_int(blob, offset)
     for _ in range(su_count):
-        su_id, offset = _decode_str(blob, offset)
+        su_id, offset = decode_str(blob, offset)
         key_raw, offset = decode_bytes(blob, offset)
         directory.register_su_key(su_id, decode_public_key(key_raw))
     issuer_count, offset = decode_int(blob, offset)
     for _ in range(issuer_count):
-        issuer_id, offset = _decode_str(blob, offset)
+        issuer_id, offset = decode_str(blob, offset)
         n, offset = decode_int(blob, offset)
         e, offset = decode_int(blob, offset)
         directory.register_signing_key(issuer_id, RsaPublicKey(n=n, e=e))

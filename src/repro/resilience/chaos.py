@@ -556,20 +556,24 @@ class _ProcKillShard(FaultPlan):
         victim = ctx.coordinator.router.shard_ids[0]
         replica_set = ctx.coordinator.router.replica_set(victim)
         ctx.fault_missed = True
+        # Every worker snapshots to its own disk first, so the restart
+        # rebuilds from a snapshot older than whatever PU churn the
+        # workload sends between here and the kill.
+        ctx.coordinator.sdc.commit_epoch(0)
 
         def kill_once(phase: str, request) -> None:
             if not ctx.fault_missed or phase != "phase1":
                 return
             ctx.fault_missed = False
             replica_set.kill_primary()
-            code = replica_set.supervisor.wait_exit(victim)
+            code = ctx.coordinator.netd.supervisor.wait_exit(victim)
             ctx.note(f"SIGKILL {victim} before phase-1 transact (exit {code})")
 
         replica_set.set_subquery_hook(kill_once)
 
     def finish(self, ctx):
         victim = ctx.coordinator.router.shard_ids[0]
-        supervisor = ctx.coordinator.router.replica_set(victim).supervisor
+        supervisor = ctx.coordinator.netd.supervisor
         if ctx.fault_missed:
             ctx.note(f"fault never fired: no phase-1 sub-query hit {victim}")
         ctx.note(f"restarts({victim})={supervisor.restarts(victim)}")
@@ -833,8 +837,9 @@ class ChaosHarness:
 
     # -- deployment plumbing ----------------------------------------------------
 
-    def _build(self, rng, journal=None, clock=None, store=None, processes=False):
-        """One enrolled deployment; ``processes`` puts it on real sockets."""
+    def _build(self, rng, journal=None, clock=None, store=None, worker_store_dir=None):
+        """One enrolled deployment; ``worker_store_dir`` puts it on real
+        sockets, each shard worker with its own SQLite file in there."""
         scenario_config = ScenarioConfig(seed=self.scenario_seed)
         # Composed schedules can burn several attempts on one sub-query
         # (a failover *and* an injected drop); give the router a
@@ -848,13 +853,14 @@ class ChaosHarness:
             clock=clock if clock is not None else (lambda: FROZEN_CLOCK),
             metrics=self.metrics,
         )
-        if processes:
+        if worker_store_dir is not None:
             from repro.netd.plane import build_socket_coordinator
 
             coordinator, scenario = build_socket_coordinator(
                 self.shards,
                 scenario_config=scenario_config,
                 record_transcript=True,
+                store_dir=worker_store_dir,
                 **shared,
             )
         else:
@@ -1071,6 +1077,7 @@ class ChaosHarness:
             ).inc()
         wants_journal = any(p.wants_journal for p in plans)
         wants_store = any(p.wants_store for p in plans)
+        wants_processes = any(p.wants_processes for p in plans)
 
         device: _DiskFullFile | None = None
         writer: JournalWriter | None = None
@@ -1088,6 +1095,10 @@ class ChaosHarness:
             journal = EpochJournal(writer)
             store = SqliteStateStore(os.path.join(store_dir, "store.sqlite"))
             checkpointer = Checkpointer(store, metrics=self.metrics)
+        elif wants_processes:
+            # Per-shard SQLite files: a killed worker restarts from its
+            # own disk plus the broker's bootstrap, not bootstrap alone.
+            store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
         elif wants_journal:
             device = _DiskFullFile()
             writer = JournalWriter(fileobj=device, fsync_every=8)
@@ -1098,7 +1109,7 @@ class ChaosHarness:
                 DeterministicRandomSource(self.seed),
                 journal=journal,
                 store=store,
-                processes=any(p.wants_processes for p in plans),
+                worker_store_dir=store_dir if wants_processes else None,
             )
             ctx = _RunContext(
                 coordinator=coordinator,

@@ -16,7 +16,7 @@ from repro.store.checkpoint import (
     RecoveredState,
     recover,
 )
-from repro.store.coldstart import restore_shard_from_store, tail_epoch_commits
+from repro.store.coldstart import rebuild_shard, tail_epoch_commits
 from repro.store.memory import MemoryStateStore
 from repro.store.sqlite import SqliteStateStore
 
@@ -34,6 +34,6 @@ __all__ = [
     "Checkpointer",
     "RecoveredState",
     "recover",
-    "restore_shard_from_store",
+    "rebuild_shard",
     "tail_epoch_commits",
 ]

@@ -11,6 +11,10 @@ from repro.cluster.rebalance import execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError, MembershipError
+from repro.pisa.storage import serialize_shard_state
+from repro.store import MemoryStateStore
+
+from tests.cluster.conftest import build_cluster
 
 
 class TestMembership:
@@ -166,3 +170,52 @@ class TestHandoffExecution:
         plan = plan_handoff(old_ring, new_ring, num_blocks)
         with pytest.raises(ClusterError, match="no replica set"):
             execute_handoff(plan, replica_sets)
+
+
+class TestHandoffMovesStoreRows:
+    """A handoff moves the store's PU rows with the PUs, so every shard
+    stays cold-startable across membership changes (scenario seed 6:
+    2 → 3 shards moves two PUs onto the joiner)."""
+
+    @staticmethod
+    def _assert_store_matches_live(coordinator):
+        store = coordinator.store
+        for shard_id, replica_set in coordinator.replica_sets.items():
+            live = replica_set.primary.pu_update_messages()
+            assert [pu_id for _, pu_id, _ in store.pu_updates(shard_id)] == [
+                message.pu_id for message in live
+            ]
+        assert len(store.pu_updates()) == sum(
+            rs.primary.num_tracked_pus for rs in coordinator.replica_sets.values()
+        )
+
+    @staticmethod
+    def _assert_every_shard_cold_starts(coordinator):
+        for shard_id in coordinator.router.shard_ids:
+            replica_set = coordinator.replica_sets[shard_id]
+            live = serialize_shard_state(replica_set.primary)
+            replica_set.primary.kill()
+            replica_set.standby.kill()
+            coordinator.cold_start_shard(shard_id)
+            rebuilt = coordinator.replica_sets[shard_id]
+            assert serialize_shard_state(rebuilt.primary) == live
+            assert serialize_shard_state(rebuilt.standby) == live
+
+    def test_join_then_leave_keep_rows_with_their_pus(self):
+        scenario, coordinator = build_cluster(
+            scenario_seed=6, num_shards=2, store=MemoryStateStore()
+        )
+        try:
+            # Committed before the join: the snapshots predate the moves.
+            coordinator.sdc.commit_epoch(0)
+            coordinator.join_shard("shard-2")
+            assert coordinator.replica_sets["shard-2"].primary.num_tracked_pus == 2
+            self._assert_store_matches_live(coordinator)
+            self._assert_every_shard_cold_starts(coordinator)
+
+            coordinator.leave_shard("shard-2")
+            assert coordinator.store.pu_updates("shard-2") == ()
+            self._assert_store_matches_live(coordinator)
+            self._assert_every_shard_cold_starts(coordinator)
+        finally:
+            coordinator.close()

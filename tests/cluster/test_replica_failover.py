@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.cluster.replica import ShardReplicaSet, SnapshotStore
+from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError
+from repro.pisa.pu_client import PUClient
+from repro.pisa.storage import serialize_shard_state
 
 
 class FakeClock:
@@ -28,7 +30,6 @@ def replica_set(small_scenario, keypair):
     rs = ShardReplicaSet(
         "shard-0",
         shard_factory=factory,
-        snapshots=SnapshotStore(),
         heartbeat_timeout_s=1.0,
         clock=clock,
     )
@@ -57,7 +58,7 @@ class TestMirroring:
     def test_commit_epoch_snapshots_the_primary(self, replica_set):
         replica_set.assign_blocks((0,))
         replica_set.commit_epoch(3)
-        latest = replica_set.snapshots.latest("shard-0")
+        latest = replica_set.store.latest_snapshot("shard-0")
         assert latest is not None
         assert latest[0] == 3
         assert replica_set.standby.last_committed_epoch == 3
@@ -123,6 +124,32 @@ class TestPromotion:
         assert not event.from_snapshot
         assert replica_set.standby.num_tracked_pus == len(pu_updates)
 
+    def test_promote_folds_updates_newer_than_the_snapshot(
+        self, replica_set, pu_updates, small_scenario, keypair, fresh_rng
+    ):
+        # Epoch numbers do not order a snapshot against PU updates: a PU
+        # that switched after the commit is in the promoted primary but
+        # not in the epoch-0 snapshot, and the fresh standby needs both.
+        replica_set.assign_blocks(
+            tuple({u.block_index for u in pu_updates})
+        )
+        for update in pu_updates:
+            replica_set.apply_pu_update(update)
+        replica_set.commit_epoch(0)
+        switched = PUClient(
+            small_scenario.pus[0],
+            small_scenario.environment,
+            keypair.public_key,
+            rng=fresh_rng.fork("switch"),
+        ).build_update()
+        replica_set.apply_pu_update(switched)
+        replica_set.kill_primary()
+        event = replica_set.promote()
+        assert event.from_snapshot
+        assert serialize_shard_state(replica_set.standby) == (
+            serialize_shard_state(replica_set.primary)
+        )
+
     def test_promote_without_live_standby_fails(self, replica_set):
         replica_set.kill_primary()
         replica_set.standby.kill()
@@ -142,21 +169,3 @@ class TestPromotion:
         assert len(replica_set.failovers) == 2
         assert replica_set.primary.alive
         assert replica_set.primary.num_tracked_pus == len(pu_updates)
-
-
-class TestSnapshotStore:
-    def test_keeps_latest_epoch(self, small_scenario, keypair):
-        store = SnapshotStore()
-        shard = SdcShard(
-            "s", small_scenario.environment, keypair.public_key, blocks=(0,)
-        )
-        shard.commit_epoch(1)
-        store.save(shard)
-        shard.commit_epoch(5)
-        store.save(shard)
-        latest = store.latest("s")
-        assert latest is not None and latest[0] == 5
-        assert store.snapshots_taken == 2
-
-    def test_unknown_shard_has_no_snapshot(self):
-        assert SnapshotStore().latest("missing") is None

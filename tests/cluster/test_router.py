@@ -199,7 +199,7 @@ class TestAdministration:
                 replica_set = router.replica_set(shard_id)
                 assert replica_set.primary.last_committed_epoch == 7
                 assert replica_set.standby.last_committed_epoch == 7
-                latest = replica_set.snapshots.latest(shard_id)
+                latest = replica_set.store.latest_snapshot(shard_id)
                 assert latest is not None and latest[0] == 7
         finally:
             router.close()

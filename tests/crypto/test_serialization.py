@@ -10,10 +10,12 @@ from repro.crypto.serialization import (
     decode_ciphertext,
     decode_ciphertext_matrix,
     decode_int,
+    decode_str,
     encode_bytes,
     encode_ciphertext,
     encode_ciphertext_matrix,
     encode_int,
+    encode_str,
     encoded_int_size,
     matrix_wire_size,
 )
@@ -61,6 +63,36 @@ class TestBytesEncoding:
     def test_truncated(self):
         with pytest.raises(SerializationError):
             decode_bytes(encode_bytes(b"hello")[:-1])
+
+
+#: A length-prefixed field whose body is not UTF-8 — what a hostile
+#: peer puts where an id string belongs.
+INVALID_UTF8_FIELD = encode_bytes(b"\xff\xfe\xfd")
+
+
+class TestStrEncoding:
+    @pytest.mark.parametrize("value", ["", "shard-0", "pu-ß-∅"])
+    def test_roundtrip(self, value):
+        decoded, offset = decode_str(encode_str(value) + b"rest")
+        assert decoded == value
+        assert offset == len(encode_str(value))
+
+    def test_truncated(self):
+        with pytest.raises(SerializationError):
+            decode_str(encode_str("hello")[:-1])
+
+    def test_invalid_utf8_is_a_typed_error(self):
+        with pytest.raises(SerializationError, match="corrupt string"):
+            decode_str(INVALID_UTF8_FIELD)
+
+    def test_message_parsers_type_invalid_utf8(self, keypair):
+        from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
+
+        # The id is the first field of both messages; nothing after it
+        # is reached, so the bare field is the whole hostile payload.
+        for parser in (PUUpdateMessage, SignExtractionRequest):
+            with pytest.raises(SerializationError, match="corrupt string"):
+                parser.from_bytes(INVALID_UTF8_FIELD, keypair.public_key)
 
 
 class TestCiphertextEncoding:

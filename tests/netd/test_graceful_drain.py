@@ -13,15 +13,12 @@ import signal
 import pytest
 
 from repro.crypto.rand import DeterministicRandomSource
-from repro.crypto.serialization import (
-    encode_bytes,
-    encode_private_key,
-    encode_public_key,
-)
+from repro.crypto.serialization import encode_private_key, encode_public_key
 from repro.netd.remote import AuthorityServer
 from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import NetLoop
 from repro.netd.wire import encode_control
+from repro.pisa.storage import encode_shard_state
 
 
 @pytest.fixture()
@@ -31,17 +28,11 @@ def authority(keypair):
         loop, DeterministicRandomSource(seed=7), clock=lambda: 0.0
     )
     address = server.start()
-    header = {
-        "shard_id": "shard-t",
-        "blocks": [],
-        "pus": [],
-        "epoch": -1,
-        "scenario": {"seed": 5},
-        "fence_token": 3,
-    }
-    payload = encode_bytes(
-        json.dumps(header).encode("utf-8")
-    ) + encode_bytes(encode_public_key(keypair.public_key))
+    payload = encode_control(
+        {"role": "shard", "scenario": {"seed": 5}, "fence_token": 3},
+        encode_public_key(keypair.public_key),
+        encode_shard_state("shard-t", -1, (), ()),
+    )
     server.register_bootstrap("shard-t", lambda: payload)
     stp_payload = encode_control(
         {"role": "stp", "key_bits": keypair.public_key.key_bits, "sus": []},

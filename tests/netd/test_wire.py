@@ -150,6 +150,23 @@ class TestShardCodecs:
         with pytest.raises(SerializationError, match="trailing"):
             decode_phase1_response(encode_phase1_response(response) + b"\x00", pk)
 
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            decode_phase1_request,
+            decode_phase1_response,
+            decode_phase2_request,
+            decode_phase2_response,
+        ],
+    )
+    def test_invalid_utf8_id_rejected_typed(self, decode, keypair):
+        # A peer's garbage where the round id belongs must surface as the
+        # wire layer's own error, never a bare UnicodeDecodeError.
+        from repro.crypto.serialization import encode_bytes
+
+        with pytest.raises(SerializationError, match="corrupt string"):
+            decode(encode_bytes(b"\xff\xfe\xfd"), keypair.public_key)
+
 
 class TestControlFrames:
     def test_header_and_attachments_roundtrip(self):
