@@ -33,7 +33,11 @@ from repro.errors import ProtocolError
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 
-__all__ = ["StpServer", "StpStats"]
+__all__ = ["StpServer", "StpStats", "MAX_STOCKED_SUS"]
+
+#: How many SUs' next-request nonces the STP holds at once.  Past it the
+#: SU that requested longest ago loses its stock and draws inline again.
+MAX_STOCKED_SUS = 32
 
 
 @dataclass
@@ -60,6 +64,9 @@ class StpServer:
         self._keypair = group_keypair or generate_keypair(key_bits, rng=self._rng)
         self.directory = KeyDirectory(self._keypair.public_key)
         self.stats = StpStats()
+        #: Per SU, the re-encryption nonces drawn for its next request,
+        #: in draw order; SUs in request order, oldest first.
+        self._stock: dict[str, list[int]] = {}
 
     @property
     def group_public_key(self) -> PaillierPublicKey:
@@ -83,17 +90,30 @@ class StpServer:
         su_key = self.directory.su_key(request.su_id)
         sk = self._keypair.private_key
         # Validate every cell before the first draw (a rejected request
-        # consumes none), draw the request's re-encryption nonces in one
-        # call, in cell order, then batch the expensive exponentiations
-        # (two CRT halves per decryption plus one r**n per
-        # re-encryption) through the executor; results are
+        # consumes none and leaves the stock alone).  The nonces are the
+        # ones drawn for this SU while serving its previous request; one
+        # call draws whatever this request still lacks and then the SU's
+        # next request's worth, so in steady state nothing a request
+        # needs waits on a draw.  Then batch the expensive
+        # exponentiations (two CRT halves per decryption plus one r**n
+        # per re-encryption) through the executor; results are
         # byte-identical to the inline path.
         cells = [ct for row in request.matrix for ct in row]
         for ct in cells:
             if ct.public_key != self.group_public_key:
                 raise ProtocolError("Ṽ entry not under the group key")
+        stocked = self._stock.pop(request.su_id, [])
+        surplus = stocked[len(cells):]
+        shortfall = max(0, len(cells) - len(stocked))
+        drawn = self._rng.random_units(
+            su_key.n, shortfall + max(0, len(cells) - len(surplus))
+        )
+        nonces = stocked[: len(cells)] + drawn[:shortfall]
+        self._stock[request.su_id] = surplus + drawn[shortfall:]
+        if len(self._stock) > MAX_STOCKED_SUS:
+            del self._stock[next(iter(self._stock))]
         jobs = []
-        for ct, r in zip(cells, self._rng.random_units(su_key.n, len(cells))):
+        for ct, r in zip(cells, nonces):
             jobs.extend(sk.decrypt_pow_jobs(ct.ciphertext))
             jobs.append(su_key.obfuscator_job(r))
         powers = iter(self._executor.pow_many(jobs))

@@ -10,7 +10,12 @@ responses, the switch's PU update — must equal a constant recorded
 before the SDC implementations were unified.
 
 A pin only ever changes together with a deliberate, documented change
-of the wire transcript.
+of the wire transcript.  One such change so far: the STP draws each
+SU's *next* request's re-encryption nonces while serving the current
+one (docs/protocol.md §3), which moved every later draw —
+``BASIC_DIGEST`` and ``JOURNAL_DIGEST`` were re-recorded in the commit
+that shifted the draws and nothing else; the packed and two-server
+variants draw inline and kept theirs.
 """
 
 import hashlib
@@ -32,20 +37,29 @@ SEED = "golden"
 
 #: The single SDC and every cluster shape draw the same stream, so one
 #: constant pins all four deployments.
-BASIC_DIGEST = "4e8e89758ae0813ceaf97dad9084ec5d1e0d3d5deea1a362927c727b5cfcd8e8"
+BASIC_DIGEST = "2cd9005f944f97b863be07b4dc88ffc7940b7b5a11000df977ecc8f7db44a60a"
 TWO_SERVER_DIGEST = "0fdd733fd1f4b51f416d70fe4686c0d41fbff1dcb08a0dd4ed7cb227c55da30d"
 PACKED_DIGEST = "070efcf281ce14f102c2d15143d3710a586ae50d983d385c7305963e6570736a"
-JOURNAL_DIGEST = "5b53981d053824fa17ca7d15e1809975d3648fd050fc295f1e8924641ae0e2e3"
+JOURNAL_DIGEST = "e13e6d065d0c09a608ae59394a28f6837ab3dea4fbb4094bdba19481156cfe9b"
 #: Seed-4 scenario, SUs 0..2: a deny followed by two grants.
 DECISIONS = (False, True, True)
+#: The same session with every SU asking twice: the second pass is served
+#: from the nonces the STP drew during the first.  Re-pinned whenever
+#: BASIC_DIGEST is.
+REPEAT_DIGEST = "da261c453f913d450f0a322f614842620fd3721da717591044e4ae674e79c23b"
 
 
 def frozen_clock() -> float:
     return FROZEN_CLOCK
 
 
-def run_session(coordinator, scenario) -> tuple[str, tuple[bool, ...]]:
-    """Enrol, run the fixed session, hash every message in order."""
+def run_session(coordinator, scenario, passes=1) -> tuple[str, tuple[bool, ...]]:
+    """Enrol, run the fixed session, hash every message in order.
+
+    ``passes=2`` sends every SU round a second time (re-randomised
+    requests), so the STP serves those from nonces it drew a pass
+    earlier.
+    """
     two_server = hasattr(coordinator, "front")
     sdc = coordinator.front if two_server else coordinator.sdc
     if two_server:
@@ -67,9 +81,12 @@ def run_session(coordinator, scenario) -> tuple[str, tuple[bool, ...]]:
         raw = message.to_bytes()
         digest.update(len(raw).to_bytes(8, "big") + raw)
 
-    for i, su in enumerate(scenario.sus):
+    for i, su in enumerate(scenario.sus * passes):
         client = coordinator.su_client(su.su_id)
-        request = client.prepare_request()
+        if i < len(scenario.sus):
+            request = client.prepare_request()
+        else:
+            request = client.refresh_request()
         sign_request = start(request)
         sign_response = convert(sign_request)
         response = sdc.finish_request(sign_response)
@@ -111,6 +128,28 @@ class TestGoldenTranscripts:
             BASIC_DIGEST,
             DECISIONS,
         )
+
+    def test_repeated_sus(self, golden_scenario):
+        coordinator = PisaCoordinator(
+            golden_scenario.environment,
+            key_bits=256,
+            rng=DeterministicRandomSource(SEED),
+        )
+        coordinator.sdc._clock = frozen_clock
+        assert run_session(coordinator, golden_scenario, passes=2) == (
+            REPEAT_DIGEST,
+            DECISIONS * 2,
+        )
+
+    def test_repeated_sus_cluster(self, golden_scenario):
+        coordinator = build_cluster(golden_scenario, 2)
+        try:
+            assert run_session(coordinator, golden_scenario, passes=2) == (
+                REPEAT_DIGEST,
+                DECISIONS * 2,
+            )
+        finally:
+            coordinator.close()
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_cluster(self, golden_scenario, num_shards):

@@ -7,6 +7,7 @@ from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ProtocolError
 from repro.pisa.messages import SignExtractionRequest
 from repro.pisa.packed import PackedSignExtractionRequest, PackedStpServer
+from repro.pisa import stp_server
 from repro.pisa.stp_server import StpServer
 from repro.pisa.two_server import (
     BackendServer,
@@ -151,3 +152,77 @@ def test_rejected_extraction_consumes_no_draws(build, pisa_scenario, su_keys, fr
         with pytest.raises(ProtocolError):
             handle(bad)
     assert rng.randbits(64) == untouched.randbits(64)
+
+
+# -- the per-SU nonce stock ------------------------------------------------------
+
+
+class RecordingSource(DeterministicRandomSource):
+    """Notes the size of every ``random_units`` batch."""
+
+    def __init__(self, seed) -> None:
+        super().__init__(seed)
+        self.batches: list[int] = []
+
+    def random_units(self, modulus, count):
+        self.batches.append(count)
+        return super().random_units(modulus, count)
+
+
+class TestNonceStock:
+    """While serving SU *j* the STP draws *j*'s next request's nonces."""
+
+    @pytest.fixture()
+    def stocked(self, pisa_scenario, su_keys):
+        rng = RecordingSource("stock-stream")
+        stp, _, make_request = _baseline_stp(rng, pisa_scenario.environment)
+        for su_id in ("su-1", "su-2", "su-3"):
+            stp.register_su(su_id, su_keys.public_key)
+        cell = stp.group_public_key.encrypt(
+            5, rng=DeterministicRandomSource("stock-cells")
+        )
+
+        def ask(su_id, width):
+            return stp.handle_sign_extraction(make_request(su_id, [cell] * width))
+
+        return stp, rng, ask
+
+    def test_narrower_then_wider_request(self, stocked, su_keys):
+        """Surplus is kept, a shortfall is drawn with the same batch, and
+        nonces are used in the order they were drawn."""
+        _, rng, ask = stocked
+        pk = su_keys.public_key
+        stream = DeterministicRandomSource("stock-stream").random_units(pk.n, 16)
+        responses = [ask("su-1", width) for width in (4, 2, 5)]
+        # 4 + the next 4; nothing (2 of the 4 stocked are left, which is
+        # a request's worth); the 3 missing + the next 5.
+        assert rng.batches == [8, 0, 8]
+        used = stream[0:4] + stream[4:6] + stream[6:11]
+        emitted = [ct for response in responses for ct in response.matrix[0]]
+        assert emitted == [pk.encrypt(1, r=r) for r in used]
+
+    def test_rejected_request_leaves_the_stock_alone(self, stocked, su_keys, fresh_rng):
+        stp, rng, ask = stocked
+        ask("su-1", 3)
+        position = len(rng.batches)
+        foreign = su_keys.public_key.encrypt(1, rng=fresh_rng)  # not the group key
+        good = stp.group_public_key.encrypt(1, rng=fresh_rng)
+        for bad in (
+            SignExtractionRequest("r0", "su-1", ((good, foreign),)),
+            SignExtractionRequest("r0", "ghost", ((good,),)),
+        ):
+            with pytest.raises(ProtocolError):
+                stp.handle_sign_extraction(bad)
+        assert len(rng.batches) == position
+        ask("su-1", 3)
+        assert rng.batches[position:] == [3]  # still served from its stock
+
+    def test_eviction_at_the_cap_is_in_request_order(self, stocked, monkeypatch):
+        _, rng, ask = stocked
+        monkeypatch.setattr(stp_server, "MAX_STOCKED_SUS", 2)
+        for su_id in ("su-1", "su-2", "su-3"):
+            ask(su_id, 2)
+        assert rng.batches == [4, 4, 4]
+        ask("su-2", 2)  # still stocked: only the next request's worth
+        ask("su-1", 2)  # asked longest ago, evicted by su-3: draws inline again
+        assert rng.batches[3:] == [2, 4]
