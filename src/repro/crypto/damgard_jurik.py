@@ -93,11 +93,9 @@ class DjPublicKey:
     # -- encryption -------------------------------------------------------------
 
     def random_r(self, rng: RandomSource | None = None) -> int:
-        rng = default_rng(rng)
-        while True:
-            r = rng.randrange(1, self.n)
-            if r % self.n != 0:
-                return r
+        """An encryption nonce uniform in ``Z_n^*`` — one
+        :meth:`RandomSource.random_units` draw, as in Paillier."""
+        return default_rng(rng).random_units(self.n, 1)[0]
 
     def raw_encrypt(
         self, plaintext: int, r: int | None = None, rng: RandomSource | None = None

@@ -424,16 +424,17 @@ class ObfuscatorPool:
     def refill(self, count: int, executor=None) -> None:
         """Precompute ``count`` obfuscators (the offline phase).
 
-        The nonces are drawn serially (randomness stays in-process) and
-        the ``r**n`` exponentiations run through ``executor`` when one is
-        given — see :mod:`repro.crypto.parallel`.
+        The nonces are one :meth:`RandomSource.random_units` batch
+        (randomness stays in-process) and the ``r**n`` exponentiations
+        run through ``executor`` when one is given — see
+        :mod:`repro.crypto.parallel`.
         """
         from repro.crypto.parallel import default_executor
 
         if count < 0:
             raise ValueError("count must be non-negative")
         pk = self.public_key
-        nonces = [pk.random_r(self._rng) for _ in range(count)]
+        nonces = self._rng.random_units(pk.n, count)
         self._stock.extend(
             default_executor(executor).pow_many([pk.obfuscator_job(r) for r in nonces])
         )

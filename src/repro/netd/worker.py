@@ -7,7 +7,9 @@ One executable, three roles:
 * ``stp`` — hosts an :class:`~repro.pisa.stp_server.StpServer` whose
   re-encryption nonces come from the broker's authority, one frame per
   request, via :class:`~repro.netd.remote.RemoteRandomSource`, keeping
-  the deployment on one draw stream;
+  the deployment on one draw stream; between requests it spends its
+  idle time on the ``r**n`` of the nonces already drawn for the next
+  ones (:meth:`~repro.pisa.stp_server.StpServer.fill_stock`);
 * ``broker`` — runs a whole ``cluster-up`` workload (it builds the
   socket plane, spawning its own shard/STP children) and exits.
 
@@ -237,6 +239,15 @@ class StpState:
             return "ok", encode_control({})
         raise TransportError(f"stp worker cannot serve frame kind {kind!r}")
 
+    def ping_counts(self) -> dict:
+        """Stock hit/miss and fill counts for the ``ping`` reply — no values."""
+        stats = self.stp.stats
+        return {
+            "obfuscators_stocked": stats.obfuscators_stocked,
+            "obfuscators_inline": stats.obfuscators_inline,
+            **self.stp.stock_counts(),
+        }
+
 
 def _write_ready(path: str, data: dict) -> None:
     """Atomic write: the supervisor must never read a torn file."""
@@ -317,6 +328,9 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     # on a worker thread.  Mutated only from the loop thread, so a plain
     # counter needs no lock.
     inflight = [0]
+    # The STP's idle-time fills (threads that return at the next request
+    # or on ``stop``); held so shutdown can wait for them.
+    fills: set[asyncio.Future] = set()
 
     async def serve_conn(reader, writer) -> None:
         try:
@@ -328,9 +342,10 @@ async def _serve(args, tls: TlsSpec | None) -> int:
                     )
                     continue
                 if frame.kind == "ping":
-                    await write_frame(
-                        writer, "ok", frame.seq, encode_control(ping_info)
-                    )
+                    info = ping_info
+                    if args.role == "stp":
+                        info = {**ping_info, **state.ping_counts()}
+                    await write_frame(writer, "ok", frame.seq, encode_control(info))
                     continue
                 if frame.kind == "shutdown":
                     await write_frame(writer, "ok", frame.seq, encode_control({}))
@@ -348,6 +363,16 @@ async def _serve(args, tls: TlsSpec | None) -> int:
                 finally:
                     inflight[0] -= 1
                 await write_frame(writer, kind, frame.seq, payload)
+                if frame.kind == "sign_req":
+                    # The reply is out and the broker is busy with the
+                    # SU's side of the next round: precompute r**n for
+                    # the nonces just stocked, off-loop, until the next
+                    # sign_req arrives.
+                    fill = asyncio.ensure_future(
+                        asyncio.to_thread(state.stp.fill_stock, stop.is_set)
+                    )
+                    fills.add(fill)
+                    fill.add_done_callback(fills.discard)
                 if stop.is_set():
                     # Drain discipline: the in-flight frame was answered;
                     # take no new work from this connection.
@@ -390,6 +415,8 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     drain_deadline = loop.time() + 5.0
     while inflight[0] > 0 and loop.time() < drain_deadline:
         await asyncio.sleep(0.01)  # audit-ok: RES001 — shutdown drain tick
+    # A fill sees ``stop`` within one chunk; its stock dies with the process.
+    await asyncio.gather(*fills, return_exceptions=True)
     if authority_peer is not None:
         # Off-loop: close() posts its drain onto this very loop and blocks
         # on the result, so calling it here would stall the loop until its

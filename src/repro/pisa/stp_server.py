@@ -14,12 +14,20 @@ public key ``pk_j``.  Because the SDC multiplied in per-cell one-time
 usable information about the interference indicators (Lemma V.1's
 non-collusion assumption).
 
+The re-encryption nonces depend on nothing a request carries, so the
+STP draws them one request ahead, per SU, and can spend idle time on
+their ``r**n mod n_j²`` (:meth:`StpServer.fill_stock`) — §VI-A's
+obfuscator precomputation, on the STP side.  The stock holds nothing
+the STP would not draw anyway.
+
 The STP also operates the public :class:`~repro.pisa.keys.KeyDirectory`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.crypto.encoding import decode_signed
 from repro.crypto.paillier import (
@@ -38,6 +46,9 @@ __all__ = ["StpServer", "StpStats", "MAX_STOCKED_SUS"]
 #: How many SUs' next-request nonces the STP holds at once.  Past it the
 #: SU that requested longest ago loses its stock and draws inline again.
 MAX_STOCKED_SUS = 32
+#: Obfuscators :meth:`StpServer.fill_stock` computes between two looks
+#: at whether a request has arrived — the longest a request waits for it.
+_FILL_CHUNK = 4
 
 
 @dataclass
@@ -47,6 +58,19 @@ class StpStats:
     conversions: int = 0
     cells_decrypted: int = 0
     cells_encrypted: int = 0
+    #: Re-encryptions whose ``r**n`` :meth:`StpServer.fill_stock` had
+    #: ready when the request arrived / that the request computed itself.
+    obfuscators_stocked: int = 0
+    obfuscators_inline: int = 0
+
+
+@dataclass
+class _Stock:
+    """One SU's pre-drawn re-encryption nonces, in draw order."""
+
+    nonces: list[int] = field(default_factory=list)
+    #: ``r**n mod n²`` for ``nonces[:len(obfuscators)]``.
+    obfuscators: list[int] = field(default_factory=list)
 
 
 class StpServer:
@@ -64,9 +88,14 @@ class StpServer:
         self._keypair = group_keypair or generate_keypair(key_bits, rng=self._rng)
         self.directory = KeyDirectory(self._keypair.public_key)
         self.stats = StpStats()
-        #: Per SU, the re-encryption nonces drawn for its next request,
-        #: in draw order; SUs in request order, oldest first.
-        self._stock: dict[str, list[int]] = {}
+        #: Per SU, the re-encryption nonces drawn for its next request;
+        #: SUs in request order, oldest first.
+        self._stock: dict[str, _Stock] = {}
+        #: Held by the sign extraction being served (or waiting for a
+        #: fill chunk to end); :meth:`fill_stock` yields while it is.
+        self._serving = threading.Lock()
+        #: Guards ``_stock``; a fill chunk holds it while it computes.
+        self._stock_lock = threading.Lock()
 
     @property
     def group_public_key(self) -> PaillierPublicKey:
@@ -90,45 +119,95 @@ class StpServer:
         su_key = self.directory.su_key(request.su_id)
         sk = self._keypair.private_key
         # Validate every cell before the first draw (a rejected request
-        # consumes none and leaves the stock alone).  The nonces are the
-        # ones drawn for this SU while serving its previous request; one
-        # call draws whatever this request still lacks and then the SU's
-        # next request's worth, so in steady state nothing a request
-        # needs waits on a draw.  Then batch the expensive
-        # exponentiations (two CRT halves per decryption plus one r**n
-        # per re-encryption) through the executor; results are
-        # byte-identical to the inline path.
+        # consumes none and leaves the stock alone).
         cells = [ct for row in request.matrix for ct in row]
         for ct in cells:
             if ct.public_key != self.group_public_key:
                 raise ProtocolError("Ṽ entry not under the group key")
-        stocked = self._stock.pop(request.su_id, [])
-        surplus = stocked[len(cells):]
-        shortfall = max(0, len(cells) - len(stocked))
-        drawn = self._rng.random_units(
-            su_key.n, shortfall + max(0, len(cells) - len(surplus))
-        )
-        nonces = stocked[: len(cells)] + drawn[:shortfall]
-        self._stock[request.su_id] = surplus + drawn[shortfall:]
-        if len(self._stock) > MAX_STOCKED_SUS:
-            del self._stock[next(iter(self._stock))]
-        jobs = []
-        for ct, r in zip(cells, nonces):
-            jobs.extend(sk.decrypt_pow_jobs(ct.ciphertext))
-            jobs.append(su_key.obfuscator_job(r))
-        powers = iter(self._executor.pow_many(jobs))
-        converted = []
-        for row in request.matrix:
-            out_row = []
-            for ct in row:
-                raw = sk.raw_decrypt_from_pows(next(powers), next(powers))
-                value = decode_signed(raw, self.group_public_key.n)
-                self.stats.cells_decrypted += 1
-                sign = 1 if value > 0 else -1
-                out_row.append(su_key.encrypt_with_obfuscator(sign, next(powers)))
-                self.stats.cells_encrypted += 1
-            converted.append(tuple(out_row))
-        self.stats.conversions += 1
+        with self._serving, self._stock_lock:
+            # The nonces are the ones drawn for this SU while serving its
+            # previous request; one call draws whatever this request
+            # still lacks and then the SU's next request's worth, so in
+            # steady state nothing a request needs waits on a draw.
+            stock = self._stock.pop(request.su_id, _Stock())
+            surplus = stock.nonces[len(cells):]
+            shortfall = max(0, len(cells) - len(stock.nonces))
+            drawn = self._rng.random_units(
+                su_key.n, shortfall + max(0, len(cells) - len(surplus))
+            )
+            nonces = stock.nonces[: len(cells)] + drawn[:shortfall]
+            ready = stock.obfuscators[: len(cells)]
+            self._stock[request.su_id] = _Stock(
+                surplus + drawn[shortfall:], stock.obfuscators[len(cells):]
+            )
+            if len(self._stock) > MAX_STOCKED_SUS:
+                del self._stock[next(iter(self._stock))]
+            # Batch the expensive exponentiations through the executor:
+            # two CRT halves per decryption, plus the r**n of every
+            # nonce fill_stock() has not reached.  One path whether it
+            # reached all, some or none of them, and the same bytes.
+            jobs = [job for ct in cells for job in sk.decrypt_pow_jobs(ct.ciphertext)]
+            jobs.extend(su_key.obfuscator_job(r) for r in nonces[len(ready):])
+            powers = self._executor.pow_many(jobs)
+            halves = iter(powers)
+            obfuscators = iter(ready + powers[2 * len(cells):])
+            converted = []
+            for row in request.matrix:
+                out_row = []
+                for _ in row:
+                    raw = sk.raw_decrypt_from_pows(next(halves), next(halves))
+                    value = decode_signed(raw, self.group_public_key.n)
+                    sign = 1 if value > 0 else -1
+                    out_row.append(
+                        su_key.encrypt_with_obfuscator(sign, next(obfuscators))
+                    )
+                converted.append(tuple(out_row))
+            self.stats.conversions += 1
+            self.stats.cells_decrypted += len(cells)
+            self.stats.cells_encrypted += len(cells)
+            self.stats.obfuscators_stocked += len(ready)
+            self.stats.obfuscators_inline += len(cells) - len(ready)
         return SignExtractionResponse(
             round_id=request.round_id, su_id=request.su_id, matrix=tuple(converted)
         )
+
+    # -- idle-time work ----------------------------------------------------------
+
+    def fill_stock(self, stop: Callable[[], bool] = lambda: False) -> None:
+        """Compute ``r**n mod n_j²`` for stocked nonces until none is left.
+
+        Meant for time in which no request is being served: it works in
+        chunks of :data:`_FILL_CHUNK`, SUs in the order they are due to
+        ask again, and returns as soon as a sign extraction arrives or
+        ``stop()`` is true.  It draws nothing, so whether and how far it
+        ran changes no byte — only how much of a request's ``pow_many``
+        batch is already done.
+        """
+        while not (stop() or self._serving.locked()):
+            with self._stock_lock:
+                for su_id, stock in self._stock.items():
+                    done = len(stock.obfuscators)
+                    if done < len(stock.nonces):
+                        break
+                else:
+                    return
+                su_key = self.directory.su_key(su_id)
+                chunk = stock.nonces[done : done + _FILL_CHUNK]
+                stock.obfuscators.extend(
+                    self._executor.pow_many([su_key.obfuscator_job(r) for r in chunk])
+                )
+
+    def stock_counts(self) -> dict[str, int]:
+        """How much is stocked and how much of it is filled — counts only.
+
+        Takes no lock (a request holds it for as long as it runs, and
+        this is called from a worker's event loop): ``list()`` of the
+        values is one atomic snapshot, and the counts are a health
+        reading, not an invariant.
+        """
+        stocks = list(self._stock.values())
+        return {
+            "stocked_sus": len(stocks),
+            "stocked_nonces": sum(len(stock.nonces) for stock in stocks),
+            "stocked_obfuscators": sum(len(stock.obfuscators) for stock in stocks),
+        }

@@ -12,12 +12,14 @@ import signal
 
 import pytest
 
+from repro.crypto.paillier import generate_keypair
 from repro.crypto.rand import DeterministicRandomSource
 from repro.crypto.serialization import encode_private_key, encode_public_key
 from repro.netd.remote import AuthorityServer
 from repro.netd.supervisor import ProcessSupervisor
-from repro.netd.transport import NetLoop
-from repro.netd.wire import encode_control
+from repro.netd.transport import NetLoop, PeerClient
+from repro.netd.wire import decode_control, encode_control
+from repro.pisa.messages import SignExtractionRequest
 from repro.pisa.storage import encode_shard_state
 
 
@@ -105,6 +107,40 @@ class TestStpWorkerSigterm:
         process = stp_worker._handles["stp-t"].process
         stp_worker.stop_all()
         assert process.returncode == 0  # -9 if the grace period ran out
+
+    @pytest.fixture()
+    def filling(self, stp_worker, keypair):
+        """The worker just answered a sign extraction and is about a
+        second of ``r**n`` (1024-bit SU key) into filling its stock."""
+        su_key = generate_keypair(
+            1024, rng=DeterministicRandomSource("slow-su")
+        ).public_key
+        cell = keypair.public_key.encrypt(1, rng=DeterministicRandomSource(3))
+        loop = NetLoop(name="drain-test-client")
+        peer = PeerClient("stp-t", lambda: stp_worker.address("stp-t"), loop)
+        try:
+            peer.transact(
+                "register_su",
+                encode_control({"su_id": "su-1"}, encode_public_key(su_key)),
+            )
+            request = SignExtractionRequest("r0", "su-1", ((cell,) * 64,))
+            peer.transact("sign_req", request.to_bytes(), timeout=60.0)
+            ping, _ = decode_control(peer.transact("ping", encode_control({})).payload)
+            assert ping["stocked_nonces"] == 64
+            assert ping["stocked_obfuscators"] < 64  # still at it
+            yield stp_worker
+        finally:
+            peer.close()
+            loop.close()
+
+    def test_sigterm_mid_fill_exits_zero_within_a_second(self, filling):
+        filling.kill("stp-t", signal.SIGTERM)
+        assert filling.wait_exit("stp-t", timeout_s=1.0) == 0
+
+    def test_stop_all_mid_fill_never_escalates_to_sigkill(self, filling):
+        process = filling._handles["stp-t"].process
+        filling.stop_all()
+        assert process.returncode == 0
 
 
 class TestStaleReadinessSweep:

@@ -9,8 +9,14 @@ proven in one schedule.
 
 import pytest
 
+from repro.crypto.rand import DeterministicRandomSource
+from repro.errors import LinkDownError
+from repro.netd.plane import build_socket_coordinator
+from repro.netd.wire import decode_control, encode_control
 from repro.resilience.chaos import ChaosHarness
 from repro.telemetry import MetricsRegistry
+from repro.watch.scenario import ScenarioConfig
+from repro.watch.sdc import PlaintextSDC
 
 PROC_PLAN_NAME = "proc-kill-shard"
 
@@ -58,3 +64,57 @@ class TestFaultGuard:
         assert result.licenses_valid
         assert not result.transcript_equal
         assert any("fault never fired" in note for note in result.notes)
+
+
+class TestRestartedStpWorker:
+    def test_an_empty_stock_changes_no_decision(self):
+        """A SIGKILLed STP worker comes back without the nonces it had
+        drawn ahead: from there on the bytes differ from an uninterrupted
+        run's (those draws are spent), the decisions and licenses do not."""
+        coordinator, scenario = build_socket_coordinator(
+            1,
+            256,
+            DeterministicRandomSource(seed=4),
+            ScenarioConfig(seed=4, num_sus=3),
+        )
+        try:
+            oracle = PlaintextSDC(scenario.environment)
+            for pu in scenario.pus:
+                coordinator.enroll_pu(pu)
+                oracle.pu_update(pu)
+            for su in scenario.sus:
+                coordinator.enroll_su(su)
+            expected = [oracle.process_request(su).granted for su in scenario.sus]
+            assert len(set(expected)) == 2  # grants and denies
+
+            def stp_ping() -> dict:
+                transact = coordinator.netd.transport.transact
+                try:
+                    frame = transact("stp", "ping", encode_control({}))
+                except LinkDownError:
+                    # The pooled connection died with the old process;
+                    # the next dial resolves the new one.
+                    frame = transact("stp", "ping", encode_control({}))
+                return decode_control(frame.payload)[0]
+
+            before = [coordinator.run_request_round(su.su_id) for su in scenario.sus]
+            assert stp_ping()["stocked_sus"] == len(scenario.sus)
+
+            supervisor = coordinator.netd.supervisor
+            supervisor.kill("stp")
+            supervisor.wait_exit("stp")
+            supervisor.ensure_running("stp")
+            assert stp_ping()["stocked_sus"] == 0
+
+            after = [
+                coordinator.run_request_round(su.su_id, reuse_cached_request=True)
+                for su in scenario.sus
+            ]
+            # ``granted`` is "the decrypted value verifies as the
+            # license's signature": a valid license exactly where the
+            # oracle grants.
+            assert [r.granted for r in before] == expected
+            assert [r.granted for r in after] == expected
+            assert stp_ping()["obfuscators_stocked"] == 0  # all drawn afresh
+        finally:
+            coordinator.close()

@@ -1,8 +1,12 @@
 """Unit tests for the STP (sign extraction + key conversion)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.crypto.paillier import generate_keypair
+from repro.crypto.parallel import SerialExecutor
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ProtocolError
 from repro.pisa.messages import SignExtractionRequest
@@ -226,3 +230,110 @@ class TestNonceStock:
         ask("su-2", 2)  # still stocked: only the next request's worth
         ask("su-1", 2)  # asked longest ago, evicted by su-3: draws inline again
         assert rng.batches[3:] == [2, 4]
+
+
+class GatedExecutor(SerialExecutor):
+    """Parks the gated thread inside ``pow_many`` until released."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gated = None
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def pow_many(self, jobs):
+        if threading.current_thread() is self.gated:
+            self.entered.set()
+            assert self.release.wait(10)
+        return super().pow_many(jobs)
+
+
+def serve(stp, executor, request):
+    return stp.handle_sign_extraction(request)
+
+
+def serve_after_full_fill(stp, executor, request):
+    stp.fill_stock()
+    return stp.handle_sign_extraction(request)
+
+
+def serve_preempting_fill(stp, executor, request):
+    """The request arrives from a second thread while a fill is mid-chunk."""
+    executor.entered.clear()
+    executor.release.clear()
+    executor.gated = fill = threading.Thread(target=stp.fill_stock)
+    fill.start()
+    while fill.is_alive() and not executor.entered.wait(0.01):
+        pass
+    responses = []
+    request_thread = threading.Thread(
+        target=lambda: responses.append(stp.handle_sign_extraction(request))
+    )
+    request_thread.start()
+    if fill.is_alive():  # parked mid-chunk: let the request queue up behind it
+        while not stp._serving.locked():
+            time.sleep(0.001)
+    executor.release.set()
+    fill.join(10)
+    request_thread.join(10)
+    return responses[0]
+
+
+class TestFillStock:
+    """``fill_stock()`` moves work, never bytes."""
+
+    #: (SU, width): repeats, a narrower request (its surplus partly
+    #: filled), then a wider one.
+    SESSION = (
+        ("su-1", 6), ("su-2", 6), ("su-1", 6), ("su-2", 3), ("su-1", 9), ("su-2", 6),
+    )
+
+    def run(self, serve_one, environment, su_public_key):
+        executor = GatedExecutor()
+        keypair = generate_keypair(256, rng=DeterministicRandomSource("vtd-keys"))
+        stp = StpServer(
+            group_keypair=keypair,
+            rng=DeterministicRandomSource("fill-stream"),
+            executor=executor,
+        )
+        cell_rng = DeterministicRandomSource("fill-cells")
+        emitted = []
+        for su_id, width in self.SESSION:
+            stp.register_su(su_id, su_public_key)
+            cells = tuple(
+                stp.group_public_key.encrypt(v, rng=cell_rng)
+                for v in range(-2, width - 2)
+            )
+            request = SignExtractionRequest("r0", su_id, (cells,))
+            emitted.append(serve_one(stp, executor, request).to_bytes())
+        return emitted, stp
+
+    def test_bytes_do_not_depend_on_the_fill(self, pisa_scenario, su_keys):
+        env, pk = pisa_scenario.environment, su_keys.public_key
+        never, idle_stp = self.run(serve, env, pk)
+        always, filled_stp = self.run(serve_after_full_fill, env, pk)
+        preempted, preempted_stp = self.run(serve_preempting_fill, env, pk)
+        assert never == always == preempted
+        cells = sum(width for _, width in self.SESSION)
+        for stp in (idle_stp, filled_stp, preempted_stp):
+            stats = stp.stats
+            assert stats.obfuscators_stocked + stats.obfuscators_inline == cells
+        assert idle_stp.stats.obfuscators_stocked == 0
+        # Everything but the two first requests and the 3 + 3 nonces the
+        # last two requests, wider than their stock, drew for themselves.
+        assert filled_stp.stats.obfuscators_stocked == cells - 6 - 6 - 3 - 3
+        # One chunk per gap, then the waiting request stopped the fill.
+        assert (
+            0
+            < preempted_stp.stats.obfuscators_stocked
+            < filled_stp.stats.obfuscators_stocked
+        )
+
+    def test_fill_stops_when_told_to(self, pisa_scenario, su_keys):
+        _, stp = self.run(serve, pisa_scenario.environment, su_keys.public_key)
+        stp.fill_stock(stop=lambda: True)
+        assert stp.stock_counts()["stocked_obfuscators"] == 0
+        stp.fill_stock()
+        counts = stp.stock_counts()
+        assert counts["stocked_sus"] == 2
+        assert counts["stocked_obfuscators"] == counts["stocked_nonces"] == 9 + 6
