@@ -133,9 +133,11 @@ class TestStpWorkerSigterm:
             peer.close()
             loop.close()
 
-    def test_sigterm_mid_fill_exits_zero_within_a_second(self, filling):
+    def test_sigterm_mid_fill_exits_zero_inside_the_grace(self, filling):
+        """The fill sees ``stop`` within one chunk; the supervisor's
+        SIGTERM grace is 3 s."""
         filling.kill("stp-t", signal.SIGTERM)
-        assert filling.wait_exit("stp-t", timeout_s=1.0) == 0
+        assert filling.wait_exit("stp-t", timeout_s=2.0) == 0
 
     def test_stop_all_mid_fill_never_escalates_to_sigkill(self, filling):
         process = filling._handles["stp-t"].process
