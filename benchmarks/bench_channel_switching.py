@@ -8,11 +8,11 @@ traffic the optimisation saves, plus the resulting SDC load against the
 measured per-update cost.
 """
 
-import numpy as np
 import pytest
 from conftest import emit
 
 from repro.analysis.reporting import format_table
+from repro.crypto.rand import DeterministicRandomSource
 from repro.sim.workload import VIRTUAL_SWITCHES_PER_HOUR, PuSwitchProcess
 
 NUM_PUS = 100
@@ -26,7 +26,7 @@ _RESULTS = {}
 
 def test_switch_traffic(benchmark):
     def simulate():
-        rng = np.random.default_rng(7)
+        rng = DeterministicRandomSource(7)
         physical = 0
         virtual_only = 0
         for _ in range(NUM_PUS):

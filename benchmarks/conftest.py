@@ -13,7 +13,7 @@ regimes are used:
 Every bench prints a comparison table (paper-reported vs measured); run
 with ``-s`` to see them, e.g.::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ --ignore=benchmarks/spine --benchmark-only -s
 """
 
 from __future__ import annotations

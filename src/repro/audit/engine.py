@@ -67,7 +67,6 @@ class AuditConfig:
         {
             "repro.service.broker",
             "repro.service.workers",
-            "repro.cluster.compute",
             "repro.cluster.membership",
             "repro.cluster.replica",
             "repro.cluster.router",

@@ -71,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--workload", type=str, default="",
                           help="named traffic shape (repro.sim.traffic; "
                                "default: legacy homogeneous Poisson)")
-    simulate.add_argument("--no-bench", dest="bench", action="store_false",
-                          help="skip BENCH_service.json calibration and use "
-                               "the paper's Table II constants as-is")
 
     profile = sub.add_parser("profile", help="Table II micro-benchmarks")
     profile.add_argument("--key-bits", type=int, default=1024)
@@ -339,25 +336,13 @@ def _cmd_simulate(args) -> int:
         DeploymentSimulator,
         ServiceCostModel,
         WorkloadConfig,
-        load_measured_round,
         paper_profile,
     )
     from repro.watch.scenario import ScenarioConfig, build_scenario
 
-    profile = paper_profile()
-    calibration = 1.0
-    provenance = "paper Table II constants"
-    measured = load_measured_round() if args.bench else None
-    if measured is not None:
-        calibration = ServiceCostModel.calibration_from(profile, measured)
-        provenance = (
-            f"calibrated x{calibration:.4f} to measured "
-            f"{measured.seconds_per_request:.3f} s/req "
-            f"({measured.key_bits}-bit bench, {measured.source})"
-        )
     model = ServiceCostModel(
-        profile, num_channels=100, num_blocks=600,
-        packing_factor=args.packing, calibration=calibration,
+        paper_profile(), num_channels=100, num_blocks=600,
+        packing_factor=args.packing,
     )
     scenario = build_scenario(ScenarioConfig(seed=4, num_sus=3))
     simulator = DeploymentSimulator(
@@ -372,7 +357,7 @@ def _cmd_simulate(args) -> int:
         f"packing k={args.packing}{shape}",
         report.as_table_rows(),
     ))
-    print(f"phase costs: {provenance}")
+    print("phase costs: paper Table II constants")
     return 0
 
 

@@ -10,7 +10,6 @@ Layering (all trust-domain-internal to the SDC):
 
 * :mod:`repro.cluster.ring` — block → shard placement;
 * :mod:`repro.cluster.shard` — the per-partition worker;
-* :mod:`repro.cluster.compute` — one dedicated worker process per shard;
 * :mod:`repro.cluster.router` — scatter-gather + bounded-retry failover;
 * :mod:`repro.cluster.replica` — warm standby, snapshots, promotion;
 * :mod:`repro.cluster.membership` / :mod:`repro.cluster.rebalance` —
@@ -21,7 +20,6 @@ Layering (all trust-domain-internal to the SDC):
 See ``docs/cluster.md`` for the architecture and failure model.
 """
 
-from repro.cluster.compute import DedicatedProcessExecutor
 from repro.cluster.coordinator import ClusterCoordinator, ClusterSdc
 from repro.cluster.fencing import FenceLease, LeaseAuthority
 from repro.cluster.membership import ClusterMembership
@@ -36,7 +34,6 @@ __all__ = [
     "ClusterSdc",
     "ClusterMembership",
     "ConsistentHashRing",
-    "DedicatedProcessExecutor",
     "FenceLease",
     "HandoffPlan",
     "LeaseAuthority",

@@ -2,10 +2,11 @@
 
 The router owns the data path of the cluster: it splits each request's
 columns by ring ownership, fans the per-shard sub-queries out on a
-thread pool (each shard's exponentiations run in that shard's dedicated
-worker process, so the fan-out is genuinely parallel), and gathers the
-results.  It also owns the *failure* path: a sub-query that hits a dead
-primary (:class:`~repro.errors.ShardDownError`) or a cut wire
+thread pool (in memory the shards' exponentiations share this process's
+interpreter; on the socket plane each shard is its own worker process,
+so the fan-out is genuinely parallel), and gathers the results.  It
+also owns the *failure* path: a sub-query that hits a dead primary
+(:class:`~repro.errors.ShardDownError`) or a cut wire
 (:class:`~repro.errors.LinkDownError`) triggers replica promotion and a
 bounded retry against the new primary — at most ``max_attempts`` tries
 per sub-query, after which the failure propagates to the caller.
@@ -432,10 +433,10 @@ class ShardRouter:
         """Fan ``{shard_id: sub-query}`` out concurrently; gather in order.
 
         ``invoke(primary_shard, request)`` runs on a scatter thread per
-        shard; each shard's heavy arithmetic sits in its own worker
-        process, so the batch completes in roughly the slowest shard's
-        time rather than the sum.  Any sub-query that exhausts its
-        retries re-raises here.
+        shard; over the socket plane each shard's heavy arithmetic sits
+        in its own worker process, so the batch completes in roughly
+        the slowest shard's time rather than the sum.  Any sub-query
+        that exhausts its retries re-raises here.
 
         When ``parent`` (a :class:`repro.telemetry.Span`) is given, one
         ``shard`` child span per sub-query is created *here*, in sorted

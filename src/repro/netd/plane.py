@@ -19,7 +19,7 @@ That is asserted by ``tests/netd/test_equivalence.py`` and is the
 contract documented in ``docs/networking.md``.
 
 Construction order matters and is worth spelling out: the authority
-starts first (bound to the run's rng/clock), workers are spawned and
+starts first (bound to the run's rng), workers are spawned and
 poll ``bootstrap``, then the coordinator is built — registering the
 bootstrap providers mid-``__init__`` at the moment the group key
 exists — and the first ``transact`` of the build (block assignment)
@@ -157,10 +157,10 @@ def build_socket_coordinator(
     loop = NetLoop()
     client_ssl = tls.client_context() if tls is not None else None
     server_ssl = tls.server_context() if tls is not None else None
-    # The authority serves the same rng/clock objects the coordinator
-    # will draw from — one stream for the whole deployment.
+    # The authority serves the same rng object the coordinator will
+    # draw from — one stream for the whole deployment.
     authority = AuthorityServer(
-        loop, rng, clock, host=host, ssl_context=server_ssl, metrics=metrics
+        loop, rng, host=host, ssl_context=server_ssl, metrics=metrics
     )
     supervisor = ProcessSupervisor(host=host, workdir=workdir, metrics=metrics)
     transport = SocketTransport(record_transcript=record_transcript)

@@ -6,8 +6,8 @@ protocol draw happens against the broker's RNG stream**.  Local draws
 consumer — the STP worker's per-cell re-encryption nonces — reaches
 back over the wire instead of drawing locally.  :class:`AuthorityServer`
 is that reach-back point: it serves ``rand_units`` (a whole request's
-nonces in one frame), ``rand`` and ``clock`` frames
-straight from the coordinator's (possibly journaling) sources, so the
+nonces in one frame) and ``rand`` frames straight from the
+coordinator's (possibly journaling) source, so the
 unified draw stream — and therefore the epoch journal — covers the
 whole deployment, and a socket-plane run replays the exact in-memory
 draw order.
@@ -69,7 +69,6 @@ from repro.pisa.stp_server import StpStats
 
 __all__ = [
     "AuthorityServer",
-    "RemoteClock",
     "RemoteRandomSource",
     "RemoteShard",
     "RemoteShardSet",
@@ -78,7 +77,7 @@ __all__ = [
 
 
 class AuthorityServer:
-    """The broker's single source of randomness, time, and bootstrap state.
+    """The broker's single source of randomness and bootstrap state.
 
     Runs on the deployment's :class:`~repro.netd.transport.NetLoop`.
     Handlers execute *off* the loop thread (``asyncio.to_thread``): a
@@ -93,14 +92,12 @@ class AuthorityServer:
         self,
         runner,
         rng: RandomSource,
-        clock,
         host: str = "127.0.0.1",
         ssl_context=None,
         metrics=None,
     ) -> None:
         self._runner = runner
         self._rng = rng
-        self._clock = clock
         self._host = host
         self._ssl = ssl_context
         self._metrics = metrics
@@ -173,8 +170,6 @@ class AuthorityServer:
             # as an in-process STP's draws would.
             modulus, count = decode_units_request(payload)
             return "ok", encode_units_response(self._rng.random_units(modulus, count))
-        if kind == "clock":
-            return "ok", encode_control({"value": float(self._clock())})
         if kind == "bootstrap":
             obj, _ = decode_control(payload)
             name = str(obj["name"])
@@ -237,18 +232,6 @@ class RemoteRandomSource(RandomSource):
         frame = self._peer.transact("rand", encode_control({"bits": int(bits)}))
         value, _ = decode_int(frame.payload, 0)
         return value
-
-
-class RemoteClock:
-    """A worker's view of the broker's (possibly journaled) clock."""
-
-    def __init__(self, peer: PeerClient) -> None:
-        self._peer = peer
-
-    def __call__(self) -> float:
-        frame = self._peer.transact("clock", encode_control({}))
-        obj, _ = decode_control(frame.payload)
-        return float(obj["value"])
 
 
 class RemoteStp:

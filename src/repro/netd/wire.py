@@ -10,7 +10,7 @@ Three payload families cross process boundaries:
   same :mod:`repro.crypto.serialization` primitives, matching the
   ``wire_size()`` arithmetic the §VI-A accounting already used (ε as a
   one-byte-magnitude sign flag, obfuscators with a presence flag).
-* **Control frames** (hello, config, bootstrap, rand, clock, errors)
+* **Control frames** (hello, config, bootstrap, rand, errors)
   are small JSON objects — sorted keys, UTF-8 — optionally followed by
   binary attachments via ``encode_bytes``.  The one binary control
   frame is ``rand_units`` (a modulus and a count out, that many

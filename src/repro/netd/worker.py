@@ -68,24 +68,6 @@ _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
 
 
-async def _fetch_clock(host: str, port: int, ssl_context=None) -> float:
-    """One deterministic-clock read, done *async* on the worker's loop.
-
-    (A blocking :class:`~repro.netd.remote.RemoteClock` would post onto
-    this very loop and deadlock; only handler threads may block.)
-    """
-    reader, writer = await asyncio.open_connection(host, port, ssl=ssl_context)
-    try:
-        await write_frame(writer, "clock", 0, encode_control({}))
-        frame = await read_frame(reader)
-        if frame.kind == "err":
-            raise_remote_error(frame.payload, "authority")
-        obj, _ = decode_control(frame.payload)
-        return float(obj["value"])
-    finally:
-        writer.close()
-
-
 async def _pull_bootstrap(
     host: str, port: int, name: str, ssl_context=None
 ) -> bytes:
@@ -314,15 +296,7 @@ async def _serve(args, tls: TlsSpec | None) -> int:
         )
         state = StpState(payload, authority_peer)
 
-    clock_at_boot = await _fetch_clock(
-        authority_host, authority_port, ssl_context=client_ssl
-    )
-
-    ping_info = {
-        "name": args.name,
-        "role": state.role,
-        "clock_at_boot": clock_at_boot,
-    }
+    ping_info = {"name": args.name, "role": state.role}
 
     # Graceful-drain accounting: frames currently inside ``state.handle``
     # on a worker thread.  Mutated only from the loop thread, so a plain
@@ -396,12 +370,7 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     await asyncio.to_thread(
         _write_ready,
         args.ready_file,
-        {
-            "name": args.name,
-            "port": port,
-            "pid": os.getpid(),
-            "clock_at_boot": clock_at_boot,
-        },
+        {"name": args.name, "port": port, "pid": os.getpid()},
     )
 
     await stop.wait()

@@ -155,9 +155,10 @@ class JournalWriter:
         Flush-and-fsync after this many appended records.  ``barrier()``
         forces one regardless, so this only bounds how much un-barriered
         tail a crash can lose — correctness never depends on it.  The
-        default of 256 keeps the paper-scale journal overhead under the
-        15 % budget measured by ``bench_resilience_overhead`` (per-draw
-        fsyncs cost ~40 % round latency; see ``BENCH_resilience.json``).
+        default of 256 keeps the journal's share of a round under the
+        15 % budget (per-draw fsyncs cost ~40 % round latency); the
+        bench spine reports it as ``resilience.journal_append_s`` on
+        ``churn_journaled``, ≈ 1 % of a request.
     """
 
     def __init__(self, path=None, *, fileobj=None, fsync_every: int = 256) -> None:

@@ -4,8 +4,7 @@ Drives a :class:`~repro.service.broker.SpectrumAccessBroker` with
 Poisson SU request arrivals (via :class:`repro.sim.workload.PoissonArrivals`)
 and interleaved PU channel switches, then reports throughput, latency
 percentiles, and the batch-size distribution.  This is what
-``repro serve-loadtest`` and ``benchmarks/bench_service_throughput.py``
-run.
+``repro serve-loadtest`` runs.
 
 ``LoadtestConfig.scenario`` names a deployment from the scenario
 registry (:mod:`repro.sim.registry`) — ``cbrs-tiered`` attaches the
@@ -333,9 +332,9 @@ def build_cluster_service(
     :class:`~repro.cluster.ClusterCoordinator` presents the same
     coordinator surface.  ``executor`` feeds the STP's conversion leg
     (the serial section of every epoch); ``shard_executor_factory``
-    gives each shard its own compute backend (pass one building
-    :class:`~repro.cluster.DedicatedProcessExecutor` for real
-    multi-process scaling).  Call ``fixture.close()`` after the run.
+    gives each shard its own compute backend (shards as real processes
+    are :func:`repro.netd.plane.build_socket_service`'s job).  Call
+    ``fixture.close()`` after the run.
     """
     from repro.cluster import ClusterCoordinator
 

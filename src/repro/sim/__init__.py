@@ -22,13 +22,7 @@ and the chaos harness drive.
 """
 
 from repro.sim.cbrs import CbrsConfig, TieredAdmission, build_cbrs_scenario
-from repro.sim.costmodel import (
-    MeasuredRound,
-    PhaseCosts,
-    ServiceCostModel,
-    load_measured_round,
-    paper_profile,
-)
+from repro.sim.costmodel import PhaseCosts, ServiceCostModel, paper_profile
 from repro.sim.events import EventQueue, ScheduledEvent, SimClock
 from repro.sim.registry import BuiltScenario, build_named_scenario, scenario_names
 from repro.sim.simulator import DeploymentSimulator, SimulationReport
@@ -50,8 +44,6 @@ from repro.sim.workload import PoissonArrivals, PuSwitchProcess, WorkloadConfig
 __all__ = [
     "PhaseCosts",
     "ServiceCostModel",
-    "MeasuredRound",
-    "load_measured_round",
     "paper_profile",
     "EventQueue",
     "ScheduledEvent",

@@ -7,50 +7,24 @@ uses.  The phase decomposition mirrors
 :func:`repro.analysis.scaling.estimate_full_scale` exactly, so simulator
 capacity numbers and benchmark projections are mutually consistent.
 
-When a ``BENCH_service.json`` history exists, the model can additionally
-be *calibrated* to it (:func:`load_measured_round` +
-:meth:`ServiceCostModel.calibration_from`): the analytic profile fixes
-the phase *proportions* while the measured end-to-end round on this
-machine fixes the absolute scale, so capacity answers track measured
-reality instead of the paper's hardware constants.  The analytic
-constants remain the fallback when no bench history is available.
+A model is seeded by a :class:`PaillierCostProfile` and nothing else:
+:func:`paper_profile` (Table II, the paper's hardware) or
+:func:`repro.analysis.scaling.measure_cost_profile` (this machine, at
+the real key size).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.analysis.scaling import PaillierCostProfile, estimate_full_scale
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "PhaseCosts",
-    "ServiceCostModel",
-    "MeasuredRound",
-    "load_measured_round",
-    "paper_profile",
-    "DEFAULT_BENCH_PATH",
-]
-
-#: Where ``benchmarks/bench_service_throughput.py`` appends its history
-#: (the repo root); resolution fails soft when the package is installed
-#: away from a checkout.
-DEFAULT_BENCH_PATH = Path(__file__).resolve().parents[3] / "BENCH_service.json"
-
-#: The reduced-scale configuration the service bench measures at
-#: (``benchmarks/conftest.py``): 10 channels over a 6x8 grid.
-BENCH_CHANNELS = 10
-BENCH_BLOCKS = 48
+__all__ = ["PhaseCosts", "ServiceCostModel", "paper_profile"]
 
 
 def paper_profile() -> PaillierCostProfile:
-    """Table II's measured primitive times on the paper's hardware.
-
-    The hardcoded-constants fallback used whenever no bench history is
-    available to calibrate against.
-    """
+    """Table II's measured primitive times on the paper's hardware."""
     return PaillierCostProfile(
         key_bits=2048, encryption_s=0.030378, decryption_s=0.021170,
         hom_add_s=4e-6, hom_sub_s=7.3e-5, hom_scale_small_s=1.564e-3,
@@ -75,68 +49,6 @@ class PhaseCosts:
     def sdc_per_request_s(self) -> float:
         return self.sdc_phase1_s + self.sdc_phase2_s
 
-    def scaled(self, factor: float) -> "PhaseCosts":
-        """Every phase multiplied by ``factor`` (bench calibration)."""
-        if factor <= 0:
-            raise ConfigurationError("calibration factor must be positive")
-        return replace(
-            self,
-            **{name: getattr(self, name) * factor for name in (
-                "su_prepare_s", "su_refresh_s", "sdc_phase1_s",
-                "stp_convert_s", "sdc_phase2_s", "su_decrypt_s",
-                "pu_prepare_s", "sdc_pu_update_s",
-            )},
-        )
-
-
-@dataclass(frozen=True)
-class MeasuredRound:
-    """The latest measured end-to-end protocol round from bench history."""
-
-    seconds_per_request: float
-    key_bits: int
-    timestamp: str = ""
-    source: str = ""
-
-
-def load_measured_round(
-    path: str | Path | None = None,
-) -> MeasuredRound | None:
-    """Latest baseline round from a ``BENCH_service.json`` history.
-
-    Understands both the ``{"history": [...]}`` layout the bench
-    harness appends to and the legacy single-entry layout, and returns
-    ``None`` (constants fallback) whenever the file is missing,
-    unparseable, or lacks a baseline measurement — a stale or absent
-    bench must never break capacity answers.
-    """
-    bench_path = Path(path) if path is not None else DEFAULT_BENCH_PATH
-    try:
-        payload = json.loads(bench_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if isinstance(payload, dict) and isinstance(payload.get("history"), list):
-        entries = [e for e in payload["history"] if isinstance(e, dict)]
-        entry = entries[-1] if entries else None
-    elif isinstance(payload, dict):
-        entry = payload
-    else:
-        entry = None
-    if entry is None:
-        return None
-    baseline = entry.get("baseline")
-    if not isinstance(baseline, dict):
-        return None
-    seconds = baseline.get("seconds_per_request")
-    if not isinstance(seconds, (int, float)) or seconds <= 0:
-        return None
-    return MeasuredRound(
-        seconds_per_request=float(seconds),
-        key_bits=int(entry.get("key_bits", 0) or 0),
-        timestamp=str(entry.get("timestamp", "")),
-        source=str(bench_path),
-    )
-
 
 class ServiceCostModel:
     """Derives per-phase service times from a measured cost profile.
@@ -154,12 +66,9 @@ class ServiceCostModel:
         num_blocks: int,
         packing_factor: int = 1,
         fresh_beta_encryption: bool = False,
-        calibration: float = 1.0,
     ) -> None:
         if packing_factor < 1:
             raise ConfigurationError("packing_factor must be ≥ 1")
-        if calibration <= 0:
-            raise ConfigurationError("calibration must be positive")
         self.profile = profile
         self.num_channels = num_channels
         self.num_blocks = num_blocks
@@ -191,38 +100,7 @@ class ServiceCostModel:
             pu_prepare_s=estimate.pu_update_prepare_s,
             sdc_pu_update_s=estimate.sdc_pu_update_s,
         )
-        if calibration != 1.0:
-            self.costs = self.costs.scaled(calibration)
-        self.calibration = calibration
         self._estimate = estimate
-
-    @classmethod
-    def calibration_from(
-        cls,
-        profile: PaillierCostProfile,
-        measured: MeasuredRound,
-        bench_channels: int = BENCH_CHANNELS,
-        bench_blocks: int = BENCH_BLOCKS,
-    ) -> float:
-        """Machine-speed factor from a measured bench round.
-
-        The service bench times one full unpacked protocol round at the
-        reduced bench scale; the same round predicted by ``profile`` at
-        that scale gives the denominator.  The ratio folds this
-        machine's primitive speed (and the bench's reduced key size)
-        into one multiplicative factor applicable at any (C, B) scale —
-        the phase proportions stay analytic.
-        """
-        reference = cls(profile, bench_channels, bench_blocks)
-        costs = reference.costs
-        modeled_round_s = (
-            costs.su_prepare_s
-            + costs.sdc_phase1_s
-            + costs.stp_convert_s
-            + costs.sdc_phase2_s
-            + costs.su_decrypt_s
-        )
-        return measured.seconds_per_request / modeled_round_s
 
     # -- wire sizes (for the latency model) ---------------------------------
 

@@ -1,15 +1,13 @@
-"""repro.telemetry — unified tracing, metrics, and profiling plane.
+"""repro.telemetry — unified tracing and metrics plane.
 
 One observability surface for the whole protocol stack:
 
 * :mod:`repro.telemetry.metrics` — counters, gauges, fixed-bucket
   histograms in a :class:`MetricsRegistry` with JSON and Prometheus
-  text exposition.
+  text exposition, and the one nearest-rank :func:`percentile`.
 * :mod:`repro.telemetry.tracing` — span-based tracer with explicit
   context propagation and deterministic span ids, so tracing never
   perturbs protocol transcripts.
-* :mod:`repro.telemetry.profiling` — ``Timer`` / ``phase_profile`` /
-  ``ProfileCapture`` hooks shared by benchmarks and the service.
 
 Secret-hygiene invariant: no secret-typed value (keys, plaintexts,
 blinding factors) may appear as a span attribute or metric label —
@@ -26,8 +24,8 @@ from .metrics import (
     MetricsRegistry,
     labelled,
     parse_labelled,
+    percentile,
 )
-from .profiling import ProfileCapture, Timer, percentile, phase_profile
 from .tracing import Span, Tracer, child
 
 __all__ = [
@@ -42,8 +40,5 @@ __all__ = [
     "Span",
     "Tracer",
     "child",
-    "Timer",
-    "phase_profile",
-    "ProfileCapture",
     "percentile",
 ]

@@ -16,8 +16,8 @@ embedded metrics layer:
 * **machine-readable** — :meth:`MetricsRegistry.snapshot` returns plain
   dicts ready for ``json.dumps`` and
   :meth:`MetricsRegistry.to_prometheus` renders the Prometheus text
-  exposition format, so live scrapes and ``BENCH_*.json`` files come
-  from the same instruments.
+  exposition format, so live scrapes and the bench spine's per-layer
+  numbers come from the same instruments.
 
 Labels follow the Prometheus convention textually —
 ``requests_rejected{reason=queue_full}`` is simply a distinct metric
@@ -38,7 +38,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Collection, Iterator
 
 from repro.errors import TelemetryError
 
@@ -51,6 +51,7 @@ __all__ = [
     "SECRET_LABEL_NAMES",
     "labelled",
     "parse_labelled",
+    "percentile",
 ]
 
 #: Fixed histogram bucket boundaries (seconds).  Spanning 100 µs to
@@ -95,6 +96,21 @@ def parse_labelled(key: str) -> tuple[str, dict[str, str]]:
         label, _, value = pair.partition("=")
         labels[label] = value
     return name, labels
+
+
+def percentile(samples: Collection[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]) of ``samples``.
+
+    The textbook definition: the smallest sample such that at least
+    ``q`` percent of the data is <= it (``ceil(q/100 * n)``-th order
+    statistic).  No interpolation, so the result is always an observed
+    sample.
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[max(0, min(len(ordered) - 1, rank - 1))]
 
 
 class Counter:
@@ -188,11 +204,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile (``q`` in [0, 100]) over the window."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = math.ceil(q / 100.0 * len(ordered))
-        return ordered[max(0, min(len(ordered) - 1, rank - 1))]
+        return percentile(self._samples, q)
 
     @property
     def mean(self) -> float:

@@ -60,7 +60,7 @@ def _client(netloop, address) -> PeerClient:
 class TestOffLoopDispatch:
     def test_rand_draws_execute_off_the_loop_thread(self, netloop):
         rng = RecordingRng()
-        server = AuthorityServer(netloop, rng, clock=lambda: 0.0)
+        server = AuthorityServer(netloop, rng)
         address = server.start()
         peer = _client(netloop, address)
         try:
@@ -78,7 +78,7 @@ class TestOffLoopDispatch:
 
     def test_remote_draws_match_local_stream(self, netloop):
         """Off-loop dispatch must not perturb the draw stream itself."""
-        server = AuthorityServer(netloop, DeterministicRandomSource(seed=7), clock=lambda: 0.0)
+        server = AuthorityServer(netloop, DeterministicRandomSource(seed=7))
         address = server.start()
         peer = _client(netloop, address)
         try:
@@ -94,7 +94,7 @@ class TestOffLoopDispatch:
     def test_concurrent_clients_see_disjoint_draws(self, netloop):
         """The dispatch lock serialises draws into one stream: two racing
         clients never observe the same raw draw twice."""
-        server = AuthorityServer(netloop, DeterministicRandomSource(seed=11), clock=lambda: 0.0)
+        server = AuthorityServer(netloop, DeterministicRandomSource(seed=11))
         address = server.start()
         peers = [_client(netloop, address) for _ in range(2)]
         try:
@@ -132,7 +132,7 @@ COMPOSITE_MODULUS = 105
 def authority(netloop):
     """A seeded authority plus one client: ``(server rng, peer)``."""
     rng = RecordingRng()
-    server = AuthorityServer(netloop, rng, clock=lambda: 0.0)
+    server = AuthorityServer(netloop, rng)
     peer = _client(netloop, server.start())
     yield rng, peer
     peer.close()

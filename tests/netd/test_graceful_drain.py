@@ -26,9 +26,7 @@ from repro.pisa.storage import encode_shard_state
 @pytest.fixture()
 def authority(keypair):
     loop = NetLoop(name="drain-test-loop")
-    server = AuthorityServer(
-        loop, DeterministicRandomSource(seed=7), clock=lambda: 0.0
-    )
+    server = AuthorityServer(loop, DeterministicRandomSource(seed=7))
     address = server.start()
     payload = encode_control(
         {"role": "shard", "scenario": {"seed": 5}, "fence_token": 3},

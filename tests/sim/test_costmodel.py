@@ -4,14 +4,7 @@ import pytest
 
 from repro.analysis.scaling import PaillierCostProfile
 from repro.errors import ConfigurationError
-from repro.sim.costmodel import (
-    BENCH_BLOCKS,
-    BENCH_CHANNELS,
-    MeasuredRound,
-    ServiceCostModel,
-    load_measured_round,
-    paper_profile,
-)
+from repro.sim.costmodel import ServiceCostModel, paper_profile
 
 #: Table II's GMP numbers — the "paper hardware" profile.
 PAPER_PROFILE = PaillierCostProfile(
@@ -76,89 +69,7 @@ class TestServiceCosts:
 
 
 class TestBenchSeeding:
-    """PhaseCosts calibrated from the latest BENCH_service.json entry."""
-
-    def write(self, tmp_path, payload):
-        import json
-
-        path = tmp_path / "BENCH_service.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return path
-
-    def test_history_layout_takes_latest(self, tmp_path):
-        path = self.write(tmp_path, {"history": [
-            {"baseline": {"seconds_per_request": 9.0}, "key_bits": 512},
-            {"baseline": {"seconds_per_request": 3.5}, "key_bits": 512,
-             "timestamp": "2026-08-08T00:00:00Z"},
-        ]})
-        measured = load_measured_round(path)
-        assert measured is not None
-        assert measured.seconds_per_request == 3.5
-        assert measured.key_bits == 512
-        assert measured.timestamp == "2026-08-08T00:00:00Z"
-
-    def test_legacy_single_entry_layout(self, tmp_path):
-        path = self.write(tmp_path, {
-            "baseline": {"seconds_per_request": 2.25}, "key_bits": 512,
-        })
-        measured = load_measured_round(path)
-        assert measured is not None
-        assert measured.seconds_per_request == 2.25
-
-    def test_missing_file_falls_back_to_none(self, tmp_path):
-        assert load_measured_round(tmp_path / "nope.json") is None
-
-    def test_garbage_falls_back_to_none(self, tmp_path):
-        path = tmp_path / "BENCH_service.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert load_measured_round(path) is None
-
-    def test_missing_baseline_falls_back_to_none(self, tmp_path):
-        assert load_measured_round(
-            self.write(tmp_path, {"history": [{"key_bits": 512}]})
-        ) is None
-        assert load_measured_round(
-            self.write(tmp_path, {"baseline": {"seconds_per_request": -1}})
-        ) is None
-
-    def test_repo_bench_history_loads(self):
-        """The checked-in BENCH_service.json must seed the model."""
-        measured = load_measured_round()
-        assert measured is not None
-        assert measured.seconds_per_request > 0
-
-    def test_calibration_scales_every_phase(self):
-        measured = MeasuredRound(seconds_per_request=3.6, key_bits=512)
-        factor = ServiceCostModel.calibration_from(PAPER_PROFILE, measured)
-        base = ServiceCostModel(PAPER_PROFILE, 100, 600)
-        scaled = ServiceCostModel(PAPER_PROFILE, 100, 600, calibration=factor)
-        assert scaled.calibration == factor
-        assert scaled.costs.sdc_phase1_s == pytest.approx(
-            base.costs.sdc_phase1_s * factor
-        )
-        assert scaled.costs.su_decrypt_s == pytest.approx(
-            base.costs.su_decrypt_s * factor
-        )
-
-    def test_calibration_reproduces_measured_round_at_bench_scale(self):
-        measured = MeasuredRound(seconds_per_request=3.6, key_bits=512)
-        factor = ServiceCostModel.calibration_from(PAPER_PROFILE, measured)
-        model = ServiceCostModel(
-            PAPER_PROFILE, BENCH_CHANNELS, BENCH_BLOCKS, calibration=factor
-        )
-        round_s = (
-            model.costs.su_prepare_s + model.costs.sdc_phase1_s
-            + model.costs.stp_convert_s + model.costs.sdc_phase2_s
-            + model.costs.su_decrypt_s
-        )
-        assert round_s == pytest.approx(3.6, rel=1e-9)
-
-    def test_scaled_validates_factor(self):
-        base = ServiceCostModel(PAPER_PROFILE, 100, 600)
-        with pytest.raises(ConfigurationError):
-            base.costs.scaled(0.0)
-        with pytest.raises(ConfigurationError):
-            ServiceCostModel(PAPER_PROFILE, 100, 600, calibration=-2.0)
+    """The model's only seed is a cost profile; ``paper_profile()`` is Table II."""
 
     def test_paper_profile_matches_table_ii(self):
         profile = paper_profile()

@@ -1,8 +1,6 @@
-"""Unit tests for timers, phase profiles, and cProfile capture."""
+"""Unit tests for the shared nearest-rank percentile."""
 
-import pytest
-
-from repro.telemetry import ProfileCapture, Timer, percentile, phase_profile
+from repro.telemetry import percentile
 
 
 class TestPercentile:
@@ -14,77 +12,3 @@ class TestPercentile:
 
     def test_empty_is_zero(self):
         assert percentile([], 50) == 0.0
-
-
-class TestTimer:
-    def _ticking(self, *durations):
-        ticks = []
-        now = 0.0
-        for d in durations:
-            ticks.extend([now, now + d])
-            now += d
-        it = iter(ticks)
-        return Timer(name="t", clock=lambda: next(it))
-
-    def test_laps_accumulate(self):
-        timer = self._ticking(1.0, 3.0)
-        with timer.lap():
-            pass
-        with timer.lap():
-            pass
-        assert timer.count == 2
-        assert timer.total_s == pytest.approx(4.0)
-        assert timer.mean_s == pytest.approx(2.0)
-        assert timer.min_s == pytest.approx(1.0)
-        assert timer.max_s == pytest.approx(3.0)
-
-    def test_time_returns_result(self):
-        timer = self._ticking(0.5)
-        assert timer.time(lambda: "ok") == "ok"
-        assert timer.count == 1
-
-    def test_reset_discards_laps(self):
-        timer = self._ticking(1.0, 2.0)
-        with timer.lap():
-            pass
-        timer.reset()
-        assert timer.count == 0
-        with timer.lap():
-            pass
-        assert timer.total_s == pytest.approx(2.0)
-
-    def test_summary_keys(self):
-        timer = self._ticking(1.0)
-        with timer.lap():
-            pass
-        summary = timer.summary()
-        for key in ("count", "total_s", "mean_s", "min_s", "max_s", "p50_s", "p95_s"):
-            assert key in summary
-
-
-class TestPhaseProfile:
-    def test_profiles_every_phase(self):
-        ticks = iter(float(i) for i in range(100))
-        result = phase_profile(
-            {"a": lambda: None, "b": lambda: None},
-            rounds=3,
-            clock=lambda: next(ticks),
-        )
-        assert set(result) == {"a", "b"}
-        assert result["a"]["count"] == 3
-
-    def test_rejects_nonpositive_rounds(self):
-        with pytest.raises(ValueError):
-            phase_profile({"a": lambda: None}, rounds=0)
-
-
-class TestProfileCapture:
-    def test_capture_and_report(self):
-        capture = ProfileCapture()
-        with capture.capture():
-            sum(range(1000))
-        with capture.capture():
-            sum(range(1000))
-        assert capture.captures == 2
-        report = capture.report(limit=5)
-        assert "cumulative" in report or "function calls" in report
