@@ -18,7 +18,7 @@ from repro.crypto.damgard_jurik import generate_dj_keypair
 from repro.crypto.packing import SlotLayout
 from repro.crypto.rand import DeterministicRandomSource
 
-KEY_BITS = 1024  # keep DJ s=3 benchmarkable in pure Python
+KEY_BITS = 1024  # keep DJ s=3 benchmarkable on the builtin-pow fallback too
 SLOT_PIPELINE_BITS = 67 + 64 + 4  # indicator + α + headroom (packed mode)
 
 _ROWS = {}

@@ -55,7 +55,8 @@ def test_zzz_render_comparison(benchmark):
         ],
         headers=("metric", "PISA", "generic FHE [21]"),
     ))
-    # The paper's claim: PISA is an order of magnitude more practical,
-    # even with our ≈5x-slower pure-Python Paillier narrowing the gap.
+    # The paper's claim: PISA is an order of magnitude more practical —
+    # on either arithmetic of repro.crypto.backend (the builtin-pow
+    # fallback, ≈ 10x slower per modexp, narrows the gap most).
     assert fhe.time_seconds > 10 * pisa_total_s
     assert fhe.memory_mb * 1e6 > 5 * pisa.su_request_bytes

@@ -4,7 +4,8 @@ The benchmark suite reproduces every table and figure of §VI.  Two scale
 regimes are used:
 
 * **paper-scale crypto** — Table II runs at the paper's real 2048-bit
-  modulus (pure-Python primitives are a small constant factor off GMP);
+  modulus (libgmp through ``ctypes`` where the host has it, builtin
+  ``pow`` otherwise: a small constant factor off the paper's C either way);
 * **reduced-scale system** — the end-to-end Figure 6 benches run a
   smaller (C, B, key) configuration and print the measured numbers next
   to an extrapolation to the paper's (100, 600, 2048) setting computed

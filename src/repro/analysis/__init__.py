@@ -3,9 +3,9 @@
 * :mod:`repro.analysis.overhead` — structured computation/communication
   cost summaries assembled from protocol runs;
 * :mod:`repro.analysis.scaling` — extrapolate measured per-operation
-  costs to the paper's full setting (C=100, B=600, n=2048), since the
-  pure-Python substrate cannot run 60 000 2048-bit encryptions per
-  request in benchmark time;
+  costs to the paper's full setting (C=100, B=600, n=2048), since
+  60 000 2048-bit encryptions per request do not fit in benchmark time
+  on either arithmetic of :mod:`repro.crypto.backend`;
 * :mod:`repro.analysis.reporting` — fixed-width text tables matching the
   paper's table/figure structure for benchmark output.
 """

@@ -1,9 +1,12 @@
 """Extrapolation of measured primitive costs to the paper's full scale.
 
 The paper's Figure 6 numbers come from C·B = 60 000 Paillier operations
-per request at n = 2048 on a GMP-backed prototype.  Our pure-Python
-substrate runs the same code path but ≈3-5x slower per primitive, so a
-full-scale request would take hours in a benchmark suite.  Instead:
+per request at n = 2048 on a GMP-backed prototype.  The same code path
+here runs on libgmp where the host has it (:mod:`repro.crypto.backend`;
+exponentiation-bound primitives ≈ 2-8x faster than Table II's on this
+box) and on builtin ``pow`` where not (≈ 1.2-5x slower than Table II's);
+either way a full-scale request is tens of minutes to hours, too long
+for a benchmark suite.  Instead:
 
 1. :func:`measure_cost_profile` times each Paillier primitive *at the
    real key size* (this is exactly Table II, and is fast — microseconds

@@ -47,6 +47,8 @@ class AuditConfig:
     randomness_allowed: frozenset[str] = frozenset({"repro.crypto.rand"})
     #: Modules allowed to import :mod:`hashlib` directly.
     hashing_allowed: frozenset[str] = frozenset({"repro.crypto.hashing"})
+    #: Modules allowed a three-argument ``pow`` (CRY003): the modexp funnel.
+    modexp_allowed: frozenset[str] = frozenset({"repro.crypto.backend"})
     #: Package prefixes where the taint rules (CRY002) apply.
     taint_scope: tuple[str, ...] = (
         "repro.crypto",

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.audit.rules import (  # noqa: F401
     concurrency,
     determinism,
+    modexp,
     net,
     ordering,
     randomness,
@@ -17,6 +18,7 @@ from repro.audit.rules import (  # noqa: F401
 __all__ = [
     "concurrency",
     "determinism",
+    "modexp",
     "net",
     "ordering",
     "randomness",

@@ -364,12 +364,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.analysis.reporting import format_table
     from repro.analysis.scaling import measure_cost_profile
+    from repro.crypto import backend
 
     profile = measure_cost_profile(
         key_bits=args.key_bits, iterations=args.iterations
     )
     print(format_table(
-        f"Paillier @ n = {args.key_bits} bits", profile.as_table_rows()
+        f"Paillier @ n = {args.key_bits} bits · {backend.describe()} · "
+        f"{args.iterations} iterations",
+        profile.as_table_rows(),
     ))
     return 0
 
@@ -425,6 +428,7 @@ def _cmd_serve_loadtest(args) -> int:
     import json
 
     from repro.analysis.reporting import format_table
+    from repro.crypto import backend
     from repro.service import ServiceConfig, run_loadtest
     from repro.service.workers import ProcessWorkerPool
 
@@ -471,6 +475,7 @@ def _cmd_serve_loadtest(args) -> int:
     print(format_table(
         f"serve-loadtest: {args.requests} req @ {args.rate:g}/s, "
         f"window {args.window_ms:g} ms, executor {executor_name}, "
+        f"crypto {backend.describe()}, "
         f"{plane}{shape}",
         report.as_table_rows(),
     ))

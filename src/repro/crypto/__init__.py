@@ -2,6 +2,8 @@
 
 This subpackage implements, from scratch, everything PISA needs:
 
+* :mod:`repro.crypto.backend` — ``powmod``, the one modular-exponentiation
+  funnel: libgmp through ``ctypes`` when present, builtin ``pow`` otherwise.
 * :mod:`repro.crypto.numtheory` — primality testing, prime generation,
   modular inverses, CRT recombination.
 * :mod:`repro.crypto.rand` — secure and deterministic randomness sources.

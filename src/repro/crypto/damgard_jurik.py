@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.crypto.backend import powmod
 from repro.crypto.numtheory import crt_pair, generate_distinct_primes, lcm, modinv
 from repro.crypto.rand import RandomSource, default_rng
 from repro.errors import (
@@ -105,8 +106,8 @@ class DjPublicKey:
             r = self.random_r(rng)
         # (1+n)^m mod n^{s+1}: binomial expansion truncates after s+1
         # terms, but plain pow is already efficient and exact.
-        g_m = pow(1 + self.n, m, self.n_s1)
-        return (g_m * pow(r, self.n_s, self.n_s1)) % self.n_s1
+        g_m = powmod(1 + self.n, m, self.n_s1)
+        return (g_m * powmod(r, self.n_s, self.n_s1)) % self.n_s1
 
     def encrypt(
         self, value: int, r: int | None = None, rng: RandomSource | None = None
@@ -164,7 +165,7 @@ class DjPrivateKey:
         pk = self.public_key
         if not 0 < ciphertext < pk.n_s1:
             raise DecryptionError("ciphertext out of range")
-        return self._extract(pow(ciphertext, self._d, pk.n_s1))
+        return self._extract(powmod(ciphertext, self._d, pk.n_s1))
 
     def decrypt(self, encrypted: "DjCiphertext") -> int:
         if encrypted.public_key != self.public_key:
@@ -227,20 +228,20 @@ class DjCiphertext:
     def scalar_mul(self, scalar: int) -> "DjCiphertext":
         n_s1 = self.public_key.n_s1
         if scalar >= 0:
-            return DjCiphertext(self.public_key, pow(self.ciphertext, scalar, n_s1))
+            return DjCiphertext(self.public_key, powmod(self.ciphertext, scalar, n_s1))
         inv = modinv(self.ciphertext, n_s1)
-        return DjCiphertext(self.public_key, pow(inv, -scalar, n_s1))
+        return DjCiphertext(self.public_key, powmod(inv, -scalar, n_s1))
 
     def add_plain(self, value: int) -> "DjCiphertext":
         pk = self.public_key
-        g_m = pow(1 + pk.n, value % pk.n_s, pk.n_s1)
+        g_m = powmod(1 + pk.n, value % pk.n_s, pk.n_s1)
         return DjCiphertext(pk, (self.ciphertext * g_m) % pk.n_s1)
 
     def rerandomize(self, rng: RandomSource | None = None) -> "DjCiphertext":
         pk = self.public_key
         r = pk.random_r(rng)
         return DjCiphertext(
-            pk, (self.ciphertext * pow(r, pk.n_s, pk.n_s1)) % pk.n_s1
+            pk, (self.ciphertext * powmod(r, pk.n_s, pk.n_s1)) % pk.n_s1
         )
 
     def __add__(self, other):

@@ -1,12 +1,14 @@
 """Number-theoretic primitives.
 
-Pure-Python implementations of everything the Paillier and RSA layers
-need: Miller–Rabin primality testing, random prime generation, modular
-inverses, least common multiple, and Chinese-remainder recombination.
+Everything the Paillier and RSA layers need: Miller–Rabin primality
+testing, random prime generation, modular inverses, least common
+multiple, and Chinese-remainder recombination.
 
-The implementations favour clarity over micro-optimisation, but the hot
-paths (primality testing, modular exponentiation) delegate to CPython's
-C-level ``pow`` and are practical up to a few thousand bits.
+The implementations favour clarity over micro-optimisation; the hot
+paths (Miller–Rabin's exponentiation, ``modinv``) go through
+:func:`repro.crypto.backend.powmod` — libgmp where the host has it,
+CPython's C-level ``pow`` otherwise — and are practical up to a few
+thousand bits either way.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.crypto.backend import powmod
 from repro.crypto.rand import RandomSource, default_rng
 from repro.errors import CryptoError
 
@@ -37,7 +40,7 @@ _SMALL_PRIMES: tuple[int, ...] = tuple(
 
 def _miller_rabin_witness(candidate: int, base: int, d: int, r: int) -> bool:
     """Return True iff ``base`` witnesses that ``candidate`` is composite."""
-    x = pow(base, d, candidate)
+    x = powmod(base, d, candidate)
     if x in (1, candidate - 1):
         return False
     for _ in range(r - 1):
@@ -109,7 +112,7 @@ def modinv(value: int, modulus: int) -> int:
     Raises :class:`CryptoError` when the inverse does not exist.
     """
     try:
-        return pow(value, -1, modulus)
+        return powmod(value, -1, modulus)
     except ValueError as exc:  # pragma: no cover - message text differs by version
         raise CryptoError(f"{value} is not invertible modulo {modulus}") from exc
 

@@ -21,14 +21,18 @@ Implementation notes
 * Scalar multiplication by a *negative* constant inverts the ciphertext
   modulo ``n²`` first, so small negative scalars (PISA uses ``ε ∈ {−1,1}``)
   cost one inverse plus a small exponentiation rather than a 2048-bit one.
-* All values are plain Python integers; there is no GMP dependency.
+* All values are plain Python integers; every modular exponentiation
+  goes through :func:`repro.crypto.backend.powmod` — libgmp where the
+  host has it, builtin ``pow`` where not, the same integers either way.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.crypto.backend import powmod
 from repro.crypto.numtheory import CrtContext, generate_distinct_primes, lcm, modinv
 from repro.crypto.rand import RandomSource, default_rng
 from repro.errors import ConfigurationError, DecryptionError, KeyMismatchError
@@ -110,8 +114,8 @@ class PaillierPublicKey:
         if self.g == self.n + 1:
             g_m = (1 + m * self.n) % self.n_sq
         else:
-            g_m = pow(self.g, m, self.n_sq)
-        return (g_m * pow(r, self.n, self.n_sq)) % self.n_sq
+            g_m = powmod(self.g, m, self.n_sq)
+        return (g_m * powmod(r, self.n, self.n_sq)) % self.n_sq
 
     def encrypt(
         self, value: int, r: int | None = None, rng: RandomSource | None = None
@@ -151,7 +155,7 @@ class PaillierPublicKey:
         if self.g == self.n + 1:
             g_m = (1 + m * self.n) % self.n_sq
         else:
-            g_m = pow(self.g, m, self.n_sq)
+            g_m = powmod(self.g, m, self.n_sq)
         return EncryptedNumber(self, (g_m * obfuscator) % self.n_sq)
 
 
@@ -173,12 +177,12 @@ class PaillierPrivateKey:
         self._p_sq = p * p
         self._q_sq = q * q
         # Standard CRT decryption constants:  h_p = L_p(g^{p-1} mod p²)^{-1}.
-        self._hp = modinv(self._l_function(pow(public_key.g, p - 1, self._p_sq), p), p)
-        self._hq = modinv(self._l_function(pow(public_key.g, q - 1, self._q_sq), q), q)
+        self._hp = modinv(self._l_function(powmod(public_key.g, p - 1, self._p_sq), p), p)
+        self._hq = modinv(self._l_function(powmod(public_key.g, q - 1, self._q_sq), q), q)
         # The textbook μ = L(g^λ mod n²)^{-1} mod n, kept for completeness
         # and for the non-CRT decryption path used in tests.
         n = public_key.n
-        self.mu = modinv(self._l_function(pow(public_key.g, self.lam, public_key.n_sq), n), n)
+        self.mu = modinv(self._l_function(powmod(public_key.g, self.lam, public_key.n_sq), n), n)
 
     @staticmethod
     def _l_function(x: int, n: int) -> int:
@@ -190,10 +194,10 @@ class PaillierPrivateKey:
         if not 0 < ciphertext < self.public_key.n_sq:
             raise DecryptionError("ciphertext out of range")
         mp = (
-            self._l_function(pow(ciphertext, self.p - 1, self._p_sq), self.p) * self._hp
+            self._l_function(powmod(ciphertext, self.p - 1, self._p_sq), self.p) * self._hp
         ) % self.p
         mq = (
-            self._l_function(pow(ciphertext, self.q - 1, self._q_sq), self.q) * self._hq
+            self._l_function(powmod(ciphertext, self.q - 1, self._q_sq), self.q) * self._hq
         ) % self.q
         return self._crt.combine(mp, mq)
 
@@ -225,7 +229,7 @@ class PaillierPrivateKey:
         if not 0 < ciphertext < self.public_key.n_sq:
             raise DecryptionError("ciphertext out of range")
         n = self.public_key.n
-        x = pow(ciphertext, self.lam, self.public_key.n_sq)
+        x = powmod(ciphertext, self.lam, self.public_key.n_sq)
         return (self._l_function(x, n) * self.mu) % n
 
     def decrypt(self, encrypted: "EncryptedNumber") -> int:
@@ -321,9 +325,9 @@ class EncryptedNumber:
         """Homomorphic scalar multiplication ⊗ by a signed integer."""
         n_sq = self.public_key.n_sq
         if scalar >= 0:
-            return EncryptedNumber(self.public_key, pow(self.ciphertext, scalar, n_sq))
+            return EncryptedNumber(self.public_key, powmod(self.ciphertext, scalar, n_sq))
         inv = modinv(self.ciphertext, n_sq)
-        return EncryptedNumber(self.public_key, pow(inv, -scalar, n_sq))
+        return EncryptedNumber(self.public_key, powmod(inv, -scalar, n_sq))
 
     def add_plain(self, value: int) -> "EncryptedNumber":
         """Add a public plaintext constant without a fresh encryption.
@@ -335,7 +339,7 @@ class EncryptedNumber:
         if pk.g == pk.n + 1:
             g_m = (1 + m * pk.n) % pk.n_sq
         else:
-            g_m = pow(pk.g, m, pk.n_sq)
+            g_m = powmod(pk.g, m, pk.n_sq)
         return EncryptedNumber(pk, (self.ciphertext * g_m) % pk.n_sq)
 
     def rerandomize(self, rng: RandomSource | None = None) -> "EncryptedNumber":
@@ -349,7 +353,7 @@ class EncryptedNumber:
         """
         pk = self.public_key
         r = pk.random_r(rng)
-        return EncryptedNumber(pk, (self.ciphertext * pow(r, pk.n, pk.n_sq)) % pk.n_sq)
+        return EncryptedNumber(pk, (self.ciphertext * powmod(r, pk.n, pk.n_sq)) % pk.n_sq)
 
     def rerandomize_with(self, obfuscator: int) -> "EncryptedNumber":
         """Refresh using a precomputed obfuscator ``r**n mod n²``.
@@ -410,13 +414,13 @@ class ObfuscatorPool:
     one multiplication per ciphertext *if* the ``r**n`` values are
     already on hand.  The pool is that offline stock: :meth:`refill`
     does the expensive exponentiations (idle-time work), :meth:`take`
-    pops one factor for a cheap online refresh.
+    pops the oldest factor for a cheap online refresh.
     """
 
     def __init__(self, public_key: PaillierPublicKey, rng: RandomSource | None = None) -> None:
         self.public_key = public_key
         self._rng = default_rng(rng)
-        self._stock: list[int] = []
+        self._stock: deque[int] = deque()
 
     def __len__(self) -> int:
         return len(self._stock)
@@ -445,10 +449,13 @@ class ObfuscatorPool:
             self.refill(count - len(self._stock), executor=executor)
 
     def take(self) -> int:
-        """Pop one precomputed obfuscator; refills one inline if empty."""
+        """Pop the oldest precomputed obfuscator; refills one inline if empty.
+
+        Draw order out: pre-stocking a pool changes no refreshed byte.
+        """
         if not self._stock:
             self.refill(1)
-        return self._stock.pop()
+        return self._stock.popleft()
 
 
 def hom_sum(terms: Iterable[EncryptedNumber]) -> EncryptedNumber:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
+from repro.crypto.backend import powmod
+
 __all__ = ["PowJob", "Executor", "SerialExecutor", "default_executor"]
 
 #: ``(base, exponent, modulus)`` — one modular exponentiation.
@@ -51,7 +53,7 @@ class SerialExecutor:
 
     def pow_many(self, jobs: Sequence[PowJob]) -> list[int]:
         self.jobs_executed += len(jobs)
-        return [pow(base, exponent, modulus) for base, exponent, modulus in jobs]
+        return [powmod(base, exponent, modulus) for base, exponent, modulus in jobs]
 
 
 _SERIAL = SerialExecutor()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto.backend import powmod
 from repro.crypto.hashing import sha256
 from repro.crypto.numtheory import generate_distinct_primes, modinv
 from repro.crypto.rand import RandomSource, default_rng
@@ -114,7 +115,7 @@ class RsaFdhSigner:
         (RSA modulus < Paillier modulus) always satisfies the bound.
         """
         n = self._key.public_key.n
-        sigma = pow(full_domain_hash(message, n), self._key.d, n)
+        sigma = powmod(full_domain_hash(message, n), self._key.d, n)
         if max_value is not None and sigma >= max_value:
             raise SignatureError(
                 "signature does not fit the target plaintext space; use a "
@@ -134,4 +135,4 @@ class RsaFdhVerifier:
         n = self._key.n
         if not 0 <= signature < n:
             return False
-        return pow(signature, self._key.e, n) == full_domain_hash(message, n)
+        return powmod(signature, self._key.e, n) == full_domain_hash(message, n)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.crypto.backend import powmod
 from repro.crypto.numtheory import crt_pair, generate_distinct_primes, lcm
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.rand import RandomSource, default_rng
@@ -63,7 +64,7 @@ class DecryptionShare:
             raise CryptoError("ciphertext not under the shared key")
         return PartialDecryption(
             index=self.index,
-            value=pow(ciphertext.ciphertext, self.exponent, self.public_key.n_sq),
+            value=powmod(ciphertext.ciphertext, self.exponent, self.public_key.n_sq),
         )
 
 

@@ -36,6 +36,7 @@ import sys
 import time
 
 from repro.cluster.shard import SdcShard
+from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.serialization import (
     decode_bytes,
@@ -296,7 +297,7 @@ async def _serve(args, tls: TlsSpec | None) -> int:
         )
         state = StpState(payload, authority_peer)
 
-    ping_info = {"name": args.name, "role": state.role}
+    ping_info = {"name": args.name, "role": state.role, "crypto_backend": backend.describe()}
 
     # Graceful-drain accounting: frames currently inside ``state.handle``
     # on a worker thread.  Mutated only from the loop thread, so a plain

@@ -4,9 +4,10 @@ Every expensive step of a PISA round reduces to batches of independent
 ``pow(base, exponent, modulus)`` jobs (see
 :mod:`repro.crypto.parallel`): the SDC's per-cell α blinding of
 eq. (14), the STP's CRT decryption halves, the two-server threshold
-partials, and ``r**n`` obfuscator precomputation.  Pure-Python big-int
-``pow`` releases no meaningful concurrency under threads, so the service
-runtime ships job batches to worker *processes*.
+partials, and ``r**n`` obfuscator precomputation.  Threads overlap only
+while a job is inside libgmp (:mod:`repro.crypto.backend`; never on the
+builtin-``pow`` fallback) and the Python work around each job is serial,
+so the service runtime ships job batches to worker *processes*.
 
 :class:`ProcessWorkerPool` implements the same
 :class:`~repro.crypto.parallel.Executor` protocol as
@@ -24,6 +25,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
+from repro.crypto.backend import powmod
 from repro.crypto.parallel import Executor, PowJob, SerialExecutor
 
 __all__ = ["ProcessWorkerPool", "Executor", "SerialExecutor", "default_worker_count"]
@@ -36,7 +38,7 @@ def default_worker_count() -> int:
 
 def _pow_chunk(chunk: Sequence[PowJob]) -> list[int]:
     """Worker-side kernel; module-level so it pickles."""
-    return [pow(base, exponent, modulus) for base, exponent, modulus in chunk]
+    return [powmod(base, exponent, modulus) for base, exponent, modulus in chunk]
 
 
 class ProcessWorkerPool:

@@ -3,7 +3,7 @@
 Generates populations of TV towers, PUs, and SUs over a service area,
 seeded for reproducibility.  The default magnitudes follow the paper's
 setting (Table I: 100 PUs, 600 blocks, 100 channels) scaled down by the
-caller where pure-Python crypto makes full scale impractical.
+caller where 2048-bit Paillier makes full scale impractical.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ class TestEngine:
         assert ids == {
             "CRY001",
             "CRY002",
+            "CRY003",
             "SEC001",
             "SEC002",
             "ORD001",

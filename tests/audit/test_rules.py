@@ -50,6 +50,39 @@ class TestCry001Randomness:
         assert not rules_hit(source, module="repro.pisa.blinding", select={"CRY001"})
 
 
+class TestCry003ModexpFunnel:
+    def test_flags_three_argument_pow(self):
+        source = """
+            def obfuscator(r, n, n_sq):
+                return pow(r, n, n_sq)
+        """
+        assert "CRY003" in rules_hit(
+            source, module="repro.crypto.paillier", select={"CRY003"}
+        )
+
+    def test_flags_modular_inverse_and_keyword_modulus(self):
+        findings = run_rules(
+            "inverse = pow(value, -1, modulus)\npower = pow(2, 10, mod=97)\n",
+            module="repro.sim.traffic",
+            select={"CRY003"},
+        )
+        assert [(f.rule, f.line) for f in findings] == [("CRY003", 1), ("CRY003", 2)]
+
+    def test_allows_the_funnel_and_two_argument_pow(self):
+        source = """
+            from repro.crypto.backend import powmod
+
+            def obfuscator(r, n, n_sq):
+                return powmod(r, n, n_sq) + pow(2, 10) + math.pow(2.0, 0.5)
+        """
+        assert not rules_hit(source, module="repro.crypto.paillier", select={"CRY003"})
+
+    def test_allows_builtin_pow_inside_the_backend(self):
+        assert not rules_hit(
+            "fallback = pow(3, 5, 7)\n", module="repro.crypto.backend", select={"CRY003"}
+        )
+
+
 class TestCry002FloatTaint:
     def test_flags_true_division_of_secret(self):
         source = """

@@ -197,6 +197,16 @@ class TestObfuscatorPool:
         pool = ObfuscatorPool(keypair.public_key, rng=fresh_rng)
         assert pool.take() > 0
 
+    def test_stocked_factors_leave_in_draw_order(self, keypair):
+        """A pre-stocked pool hands out what inline takes on the same seed do."""
+        from repro.crypto.paillier import ObfuscatorPool
+        from repro.crypto.rand import DeterministicRandomSource
+
+        stocked = ObfuscatorPool(keypair.public_key, rng=DeterministicRandomSource("pool"))
+        inline = ObfuscatorPool(keypair.public_key, rng=DeterministicRandomSource("pool"))
+        stocked.refill(3)
+        assert [stocked.take() for _ in range(3)] == [inline.take() for _ in range(3)]
+
     def test_negative_refill_rejected(self, keypair, fresh_rng):
         from repro.crypto.paillier import ObfuscatorPool
 

@@ -193,3 +193,25 @@ class TestFailedEnrolmentTeardown:
         assert not any(
             supervisor.is_running(name) for name in supervisor.worker_names()
         )
+
+
+class TestHealthCheck:
+    def test_every_worker_names_its_arithmetic(self):
+        """A worker that silently fell back to builtin ``pow`` is a 10x
+        slower shard and sets the tail: ``ping`` says which arithmetic
+        each process runs."""
+        from repro.crypto import backend
+        from repro.netd import plane
+        from repro.service.loadtest import LoadtestConfig
+
+        fixture = plane.build_socket_service(
+            LoadtestConfig(shards=2, num_sus=1, key_bits=256)
+        )
+        try:
+            health = plane.health_check(fixture)
+        finally:
+            fixture.close()
+        assert sorted(health) == ["shard-0", "shard-1", "stp"]
+        for entry in health.values():
+            assert entry["reachable"] and entry["process_running"]
+            assert entry["crypto_backend"] == backend.describe()

@@ -119,3 +119,20 @@ class TestRefreshPrecompute:
         assert len(client._obfuscators) == cells
         client.refresh_request()
         assert len(client._obfuscators) == 0
+
+    def test_stocked_refresh_emits_the_inline_bytes(self, scenario, group_keys, su_keys):
+        """Whether the pool was pre-stocked changes no request byte."""
+        stocked, inline = (
+            SUClient(
+                scenario.sus[0],
+                scenario.environment,
+                group_keys.public_key,
+                su_keys,
+                rng=DeterministicRandomSource("refresh"),
+            )
+            for _ in range(2)
+        )
+        assert stocked.prepare_request().to_bytes() == inline.prepare_request().to_bytes()
+        stocked.precompute_refresh_material(rounds=2)
+        for _ in range(2):
+            assert stocked.refresh_request().to_bytes() == inline.refresh_request().to_bytes()

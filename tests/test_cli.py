@@ -58,8 +58,13 @@ class TestExecution:
         assert "requests served" in capsys.readouterr().out
 
     def test_profile(self, capsys):
+        from repro.crypto import backend
+
         assert main(["profile", "--key-bits", "128", "--iterations", "3"]) == 0
-        assert "Encryption" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Encryption" in out
+        # key length, arithmetic and reps in the header: a row is self-describing
+        assert f"n = 128 bits · {backend.describe()} · 3 iterations" in out
 
     def test_testbed(self, capsys):
         assert main(["testbed", "--seed", "1"]) == 0
@@ -110,6 +115,9 @@ class TestServeLoadtest:
         ]) == 0
         printed = capsys.readouterr().out
         assert "throughput" in printed
+        from repro.crypto import backend
+
+        assert f"executor serial, crypto {backend.describe()}," in printed
         import json
 
         report = json.loads(out.read_text())
