@@ -13,8 +13,7 @@ paper's security claims.
   call boundaries), transcript ordering (ORD001), service-state races
   (SVC001), resilience/telemetry/transport ownership (RES001, TEL001,
   NET001), determinism proving (DET0xx), and async-race detection for
-  the socket plane (ASY0xx).  Per-file results are cached by content +
-  config + taint digest (:mod:`repro.audit.cache`), findings export as
+  the socket plane (ASY0xx).  Findings export as
   SARIF 2.1.0, ``--explain RULEID`` prints any rule's card, and
   accepted pre-existing findings live in a checked-in baseline
   (``audit-baseline.json``); only *new* findings fail the run.

@@ -2,7 +2,7 @@
 
 Engine v2 reasons *across* functions: a blocking ``os.fsync`` buried in
 a helper must still fail the audit when a coroutine reaches it three
-calls away.  This module extracts, per source file, a JSON-serializable
+calls away.  This module extracts, per source file, a
 :class:`ModuleSummary` — every function definition, every call site,
 and every "primitive operation of interest" (blocking I/O, wall-clock
 reads, ambient randomness, ``hash()``, unordered-set iteration, float
@@ -10,10 +10,7 @@ accumulation, await-boundary read/write pairs) — and assembles the
 summaries into a :class:`Project` that resolves call sites to callees
 and answers reachability questions.
 
-Summaries deliberately hold **no AST nodes**: they round-trip through
-JSON, which is what makes the content-hash cache
-(:mod:`repro.audit.cache`) sound — an unchanged file contributes the
-identical summary without being re-parsed, and the interprocedural
+Summaries deliberately hold **no AST nodes**: the interprocedural
 rules run over summaries alone.
 
 Resolution is *static and conservative*.  A call site resolves when the
@@ -201,37 +198,6 @@ class FunctionInfo:
     def ident(self) -> str:
         return f"{self.module}:{self.qualname}"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "lineno": self.lineno,
-            "is_async": self.is_async,
-            "params": list(self.params),
-            "decorators": list(self.decorators),
-            "returns_secret": self.returns_secret,
-            "return_calls": list(self.return_calls),
-            "calls": [vars(c) for c in self.calls],
-            "ops": [vars(o) for o in self.ops],
-            "races": [vars(r) for r in self.races],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"],
-            module=data["module"],
-            lineno=data["lineno"],
-            is_async=data["is_async"],
-            params=tuple(data["params"]),
-            decorators=tuple(data["decorators"]),
-            returns_secret=data["returns_secret"],
-            return_calls=tuple(data.get("return_calls", ())),
-            calls=tuple(CallRecord(**c) for c in data["calls"]),
-            ops=tuple(OpRecord(**o) for o in data["ops"]),
-            races=tuple(AwaitRace(**r) for r in data["races"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -250,37 +216,6 @@ class ModuleSummary:
     classes: tuple[str, ...] = ()
     #: line → waived rule list (None = waive everything on the line)
     waivers: dict[int, list[str] | None] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": {q: f.to_json_dict() for q, f in self.functions.items()},
-            "imports": self.imports,
-            "aliases": self.aliases,
-            "attr_types": self.attr_types,
-            "classes": list(self.classes),
-            "waivers": {str(k): v for k, v in self.waivers.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            functions={
-                q: FunctionInfo.from_json_dict(f)
-                for q, f in data["functions"].items()
-            },
-            imports=dict(data["imports"]),
-            aliases=dict(data["aliases"]),
-            attr_types={k: dict(v) for k, v in data["attr_types"].items()},
-            classes=tuple(data["classes"]),
-            waivers={
-                int(k): (list(v) if v is not None else None)
-                for k, v in data["waivers"].items()
-            },
-        )
 
     def waived(self, line: int, rule: str) -> bool:
         if line not in self.waivers:
@@ -784,8 +719,7 @@ def build_module_summary(unit, secret_names: frozenset[str]) -> ModuleSummary:
         for name, target in scanner.aliases.items():
             summary.aliases[f"{qualname}::{name}"] = target
 
-    # Waivers (cached so interprocedural findings honor them without the
-    # source being re-read on a cache hit).
+    # Waivers, so interprocedural findings honor them from the summary.
     for line in range(1, len(unit.lines) + 1):
         waived = unit.waived_rules(line)
         if waived is not None:

@@ -6,9 +6,7 @@ rewrites the baseline to exactly the current finding set (preserving
 reasons for entries that survive) and always exits 0.
 
 ``--explain RULEID`` prints the rule card (rationale, bad/good example,
-waiver syntax) and exits without analyzing anything.  ``--cache PATH``
-enables the incremental summary cache: warm runs skip parsing for
-unchanged files.
+waiver syntax) and exits without analyzing anything.
 """
 
 from __future__ import annotations
@@ -51,22 +49,12 @@ def run_audit(
     sarif_path: str | None = None,
     output_format: str = "text",
     select: list[str] | None = None,
-    cache_path: str | None = None,
     verbose: bool = False,
     stream=None,
 ) -> int:
     stream = stream if stream is not None else sys.stdout
     config = AuditConfig(select=frozenset(select or ()))
-    engine = AuditEngine(config)
-
-    cache = None
-    if cache_path is not None:
-        from repro.audit.cache import AuditCache
-
-        cache = AuditCache(cache_path)
-    findings = engine.run(paths, cache=cache)
-    if cache is not None:
-        cache.save()
+    findings = AuditEngine(config).run(paths)
 
     baseline = Baseline.load(baseline_path)
     new, grandfathered, stale = diff_against_baseline(findings, baseline)

@@ -285,86 +285,20 @@ class AuditEngine:
         propagate_facts(project, self.config)
         return project
 
-    def run(self, paths: Iterable[str], cache=None) -> list[Finding]:
-        """Analyze all python files reachable from ``paths``.
-
-        With a :class:`repro.audit.cache.AuditCache`, unchanged files
-        skip parsing entirely: their cached summaries feed the call
-        graph and their cached unit-level findings are replayed, so a
-        warm full-repo audit is dominated by hashing + the summary-rule
-        fixpoint.
-        """
-        from repro.audit.callgraph import Project
-        from repro.audit.taint import propagate_facts
-
-        files = self.collect_files(paths)
-        if cache is None:
-            units = [
-                ModuleUnit.from_source(
-                    p.read_text(encoding="utf-8"),
-                    path=str(p),
-                    module=module_name_for_path(p),
-                )
-                for p in files
-            ]
-            project = self.build_project(units)
-            findings: list[Finding] = []
-            for unit in units:
-                findings.extend(self.run_unit(unit, project))
-            findings.extend(self.run_summary_rules(project))
-            findings.sort()
-            return findings
-        return self._run_cached(files, cache)
-
-    def _run_cached(self, files: list[Path], cache) -> list[Finding]:
-        from repro.audit.callgraph import Project, build_module_summary
-        from repro.audit.taint import propagate_facts
-
-        sources: dict[str, str] = {}
-        keys: dict[str, str] = {}
-        units: dict[str, ModuleUnit] = {}
-        summaries: dict[str, "object"] = {}
-        config_digest = cache.config_digest(self.config)
-
-        for path in files:
-            source = path.read_text(encoding="utf-8")
-            module = module_name_for_path(path)
-            key = cache.content_key(source, config_digest)
-            sources[module] = source
-            keys[module] = key
-            summary = cache.get_summary(str(path), key)
-            if summary is None:
-                unit = ModuleUnit.from_source(source, path=str(path), module=module)
-                units[module] = unit
-                summary = build_module_summary(unit, self.config.secret_names)
-            summaries[module] = summary
-
-        project = Project(summaries)
-        propagate_facts(project, self.config)
-        taint_digest = cache.taint_digest(project)
-
+    def run(self, paths: Iterable[str]) -> list[Finding]:
+        """Analyze all python files reachable from ``paths``."""
+        units = [
+            ModuleUnit.from_source(
+                p.read_text(encoding="utf-8"),
+                path=str(p),
+                module=module_name_for_path(p),
+            )
+            for p in self.collect_files(paths)
+        ]
+        project = self.build_project(units)
         findings: list[Finding] = []
-        for path in files:
-            module = module_name_for_path(path)
-            key = keys[module]
-            cached = cache.get_unit_findings(str(path), key, taint_digest)
-            if cached is None:
-                unit = units.get(module)
-                if unit is None:
-                    unit = ModuleUnit.from_source(
-                        sources[module], path=str(path), module=module
-                    )
-                unit_findings = self.run_unit(unit, project)
-                cache.put(
-                    str(path),
-                    key,
-                    summary=summaries[module],
-                    findings=unit_findings,
-                    taint_digest=taint_digest,
-                )
-                findings.extend(unit_findings)
-            else:
-                findings.extend(cached)
+        for unit in units:
+            findings.extend(self.run_unit(unit, project))
         findings.extend(self.run_summary_rules(project))
         findings.sort()
         return findings

@@ -6,7 +6,7 @@ their check callable:
 
 ``syntactic``
     ``check(unit, config) -> Iterable[Finding]`` — purely local to one
-    parsed module.  Findings are cacheable per content hash.
+    parsed module.
 
 ``taint``
     ``check(unit, config, project=None) -> Iterable[Finding]`` — runs
@@ -16,9 +16,8 @@ their check callable:
 
 ``summary``
     ``check(project, config) -> Iterable[Finding]`` — interprocedural,
-    operating on cached :class:`repro.audit.callgraph.ModuleSummary`
-    data only, never ASTs.  These are cheap and always re-run, which is
-    what keeps the warm-cache audit fast.
+    operating on :class:`repro.audit.callgraph.ModuleSummary` data
+    only, never ASTs.
 
 Every rule also carries explanation metadata (``rationale``, ``bad``,
 ``good``) surfaced by ``repro audit --explain RULEID``.

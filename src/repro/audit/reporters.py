@@ -66,6 +66,8 @@ def render_json(
 
 
 _SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
+#: The SARIF ``tool.driver.version``.
+ENGINE_VERSION = "2.0"
 
 
 def _sarif_result(finding: Finding, level: str, baseline_state: str) -> dict:
@@ -105,7 +107,6 @@ def render_sarif(
     failing the check.  Every emitted ``ruleId`` gets a driver rule
     entry carrying the rule's summary and rationale.
     """
-    from repro.audit.cache import ENGINE_VERSION
     from repro.audit.registry import all_rules
 
     emitted = {f.rule for f in new} | {f.rule for f in grandfathered}

@@ -10,8 +10,9 @@ on every message in flight.
   leaks the factorization and can never decrypt correctly);
 * **STP-bound envelopes carry only blinded values**: messages addressed
   to the STP must be one of the sanctioned sign-extraction envelope
-  types, and their ciphertexts must live under the *group* key — never
-  an SU's personal key (§IV-B: the STP sees only ``Ṽ = ε(αI − β)``);
+  types (or the broker's per-epoch batch of them), and their
+  ciphertexts must live under the *group* key — never an SU's personal
+  key (§IV-B: the STP sees only ``Ṽ = ε(αI − β)``);
 * **re-randomization freshness**: within one epoch, no ciphertext
   integer in an SU-originated request may repeat — a repeat means a
   cached request was re-submitted without re-randomization, which lets
@@ -44,6 +45,10 @@ STP_ENVELOPE_KINDS = frozenset(
         "PartialSignExtractionRequest",
     }
 )
+
+#: The broker's per-epoch frame (:mod:`repro.service.batching`); every
+#: member must itself be one of the kinds above.
+_STP_BATCH_KIND = "BatchSignExtractionRequest"
 
 #: Receiver names treated as the sign-extraction server.
 _STP_RECEIVERS = ("stp", "backend")
@@ -148,12 +153,14 @@ class SanitizingTransport:
     def _check_stp_envelope(
         self, message, kind: str, cts: Iterable, sender: str, receiver: str
     ) -> None:
-        if kind not in STP_ENVELOPE_KINDS:
-            raise SanitizerViolation(
-                f"{kind} {sender}->{receiver}: only blinded sign-extraction "
-                f"envelopes may reach the STP (allowed: "
-                f"{', '.join(sorted(STP_ENVELOPE_KINDS))})"
-            )
+        members = message.requests if kind == _STP_BATCH_KIND else (message,)
+        for member in members:
+            if type(member).__name__ not in STP_ENVELOPE_KINDS:
+                raise SanitizerViolation(
+                    f"{kind} {sender}->{receiver}: only blinded sign-extraction "
+                    f"envelopes may reach the STP (allowed: "
+                    f"{', '.join(sorted(STP_ENVELOPE_KINDS))})"
+                )
         if self._group_key is not None:
             for ct in cts:
                 if ct.public_key != self._group_key:

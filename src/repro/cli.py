@@ -13,8 +13,6 @@ Gives downstream users one entry point into the reproduction:
 ``serve-loadtest``  drive the async service broker with synthetic
                open-loop load and report throughput/latency
                (``--plane socket`` runs shards + STP as subprocesses)
-``cluster-up`` materialise a cluster spec file as real processes and
-               run its seeded workload end to end
 ``trace``      run a traced loadtest and print the span tree plus
                a per-phase latency breakdown
 ``metrics-dump``  run a loadtest and dump the unified metrics
@@ -106,11 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", type=str, default="uhf",
                        help="named scenario from the registry (uhf, "
                             "cbrs-tiered)")
-        p.add_argument("--workload", type=str, default="",
+        p.add_argument("--workload", type=str, default="steady",
                        help="named traffic shape driving the open-loop "
                             "schedule (steady, diurnal, flash-crowd, "
-                            "pu-churn-storm, mobility; default: legacy "
-                            "Poisson driver)")
+                            "pu-churn-storm, mobility)")
         p.add_argument("--tier-capacity", type=int, default=0,
                        help="GAA channel budget for cbrs-tiered "
                             "(0 = derive from WATCH capacity)")
@@ -134,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for Paillier batches "
                             "(0 = serial in-process executor)")
     serve.add_argument("--kill-shard", type=int, default=0, metavar="N",
-                       help="kill a shard primary after N request "
-                            "submissions (failover chaos probe; needs "
+                       help="kill a shard primary once N request events "
+                            "have fired (failover chaos probe; needs "
                             "--shards)")
     serve.add_argument("--store", type=str, default=None, metavar="PATH",
                        help="durable SQLite state store (needs --shards; "
@@ -143,24 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory holding one DB per shard worker)")
     serve.add_argument("--json", type=str, default=None, metavar="PATH",
                        help="also write the full report as JSON")
-
-    cluster_up = sub.add_parser(
-        "cluster-up",
-        help="materialise a cluster spec as real processes and run its "
-             "workload (broker, SDC shards, and STP over TCP frames)",
-    )
-    cluster_up.add_argument("--spec", type=str,
-                            default="examples/cluster_spec.json",
-                            metavar="PATH",
-                            help="cluster spec JSON "
-                                 "(default: examples/cluster_spec.json)")
-    cluster_up.add_argument("--output", type=str, default=None, metavar="PATH",
-                            help="write the loadtest report as JSON")
-    cluster_up.add_argument("--metrics", type=str, default=None, metavar="PATH",
-                            help="write the metrics registry as Prometheus "
-                                 "text exposition")
-    cluster_up.add_argument("--timeout", type=float, default=300.0,
-                            help="seconds to wait for the workload")
+    serve.add_argument("--host", type=str, default=None,
+                       help="socket plane: address the authority and the "
+                            "workers bind (default 127.0.0.1)")
+    serve.add_argument("--tls-cert", type=str, default=None, metavar="PATH",
+                       help="socket plane: deployment certificate; wraps "
+                            "every connection in TLS (needs --tls-key)")
+    serve.add_argument("--tls-key", type=str, default=None, metavar="PATH",
+                       help="socket plane: the certificate's private key")
+    serve.add_argument("--tls-ca", type=str, default=None, metavar="PATH",
+                       help="socket plane: CA bundle; when given, both "
+                            "sides require a certificate it signed")
 
     trace = sub.add_parser(
         "trace",
@@ -242,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--select", action="append", default=None,
                        metavar="RULE",
                        help="run only this rule id (repeatable)")
-    audit.add_argument("--cache", type=str, default=None, metavar="PATH",
-                       help="incremental summary cache file — warm runs "
-                            "skip re-parsing unchanged files")
     audit.add_argument("--explain", type=str, default=None, metavar="RULEID",
                        help="print the rule's rationale, bad/good example, "
                             "and waiver syntax, then exit")
@@ -441,6 +428,15 @@ def _cmd_serve_loadtest(args) -> int:
     if args.store and not args.shards and args.plane != "socket":
         print("--store requires a sharded run (--shards N)", file=sys.stderr)
         return 2
+    tls_given = bool(args.tls_cert or args.tls_key or args.tls_ca)
+    if args.plane != "socket" and (args.host or tls_given):
+        print("--host / --tls-cert / --tls-key / --tls-ca need --plane socket",
+              file=sys.stderr)
+        return 2
+    if tls_given and not (args.tls_cert and args.tls_key):
+        print("TLS needs both --tls-cert and --tls-key (--tls-ca is optional)",
+              file=sys.stderr)
+        return 2
     shards = max(args.shards, 1) if args.plane == "socket" else args.shards
     config = dataclasses.replace(
         _loadtest_config(args),
@@ -454,9 +450,15 @@ def _cmd_serve_loadtest(args) -> int:
         ),
     )
     if args.plane == "socket":
-        from repro.netd import run_socket_loadtest
+        from repro.netd import TlsSpec, run_socket_loadtest
 
-        report, _ = run_socket_loadtest(config, store_dir=args.store or None)
+        tls = TlsSpec(args.tls_cert, args.tls_key, args.tls_ca) if tls_given else None
+        report, _ = run_socket_loadtest(
+            config,
+            tls=tls,
+            host=args.host or "127.0.0.1",
+            store_dir=args.store or None,
+        )
         executor_name = "shard-processes"
         plane = f"{shards}-shard socket plane"
     elif args.workers > 0:
@@ -469,14 +471,11 @@ def _cmd_serve_loadtest(args) -> int:
         report = run_loadtest(config)
         executor_name = "serial"
         plane = f"{args.shards}-shard cluster" if args.shards else "single SDC"
-    shape = f", {args.scenario}" + (
-        f"/{args.workload}" if args.workload else ""
-    )
     print(format_table(
         f"serve-loadtest: {args.requests} req @ {args.rate:g}/s, "
         f"window {args.window_ms:g} ms, executor {executor_name}, "
         f"crypto {backend.describe()}, "
-        f"{plane}{shape}",
+        f"{plane}, {args.scenario}/{args.workload}",
         report.as_table_rows(),
     ))
     if args.json:
@@ -540,43 +539,6 @@ def _cmd_metrics_dump(args) -> int:
         print(f"wrote {args.output}")
     else:
         print(dump, end="" if dump.endswith("\n") else "\n")
-    return 0
-
-
-def _cmd_cluster_up(args) -> int:
-    import json
-
-    from repro.netd.supervisor import ProcessSupervisor
-    from repro.netd.topology import load_cluster_spec
-
-    spec = load_cluster_spec(args.spec)  # fail fast, before any spawn
-    output = args.output or "cluster-report.json"
-    metrics_path = args.metrics or "cluster-metrics.prom"
-    print(f"cluster-up: {spec.shards} shard(s) + stp + broker from {args.spec}")
-    supervisor = ProcessSupervisor(host=spec.host, monitor=False)
-    try:
-        supervisor.start(
-            "broker",
-            "broker",
-            ("--spec", args.spec, "--output", output, "--metrics", metrics_path),
-            restart=False,
-        )
-        supervisor.wait_ready(["broker"], timeout_s=args.timeout)
-        code = supervisor.wait_exit("broker", timeout_s=args.timeout)
-        if code != 0:
-            tail = supervisor._stderr_tail("broker", lines=20)
-            print(f"broker exited with status {code}:\n{tail}", file=sys.stderr)
-            return 1
-    finally:
-        supervisor.stop_all()
-    with open(output, encoding="utf-8") as fh:
-        report = json.load(fh)
-    print(f"workload complete: {report.get('requests', 0)} requests "
-          f"({report.get('granted', 0)} granted, "
-          f"{report.get('rejected', 0)} rejected), "
-          f"wall {report.get('wall_seconds', 0.0):.2f} s")
-    print(f"wrote {output}")
-    print(f"wrote {metrics_path}")
     return 0
 
 
@@ -700,7 +662,6 @@ def _cmd_audit(args) -> int:
         sarif_path=args.sarif,
         output_format=args.format,
         select=args.select,
-        cache_path=args.cache,
         verbose=args.verbose,
     )
 
@@ -709,7 +670,6 @@ _COMMANDS = {
     "demo": _cmd_demo,
     "audit": _cmd_audit,
     "chaos": _cmd_chaos,
-    "cluster-up": _cmd_cluster_up,
     "serve-loadtest": _cmd_serve_loadtest,
     "store": _cmd_store,
     "trace": _cmd_trace,

@@ -36,11 +36,14 @@ from repro.netd.plane import (
     run_socket_loadtest,
 )
 from repro.netd.supervisor import ProcessSupervisor, WorkerHandle
-from repro.netd.topology import ClusterSpec, TlsSpec, load_cluster_spec
-from repro.netd.transport import PeerClient, SocketTransport, classify_network_error
+from repro.netd.transport import (
+    PeerClient,
+    SocketTransport,
+    TlsSpec,
+    classify_network_error,
+)
 
 __all__ = [
-    "ClusterSpec",
     "Frame",
     "FrameDecoder",
     "PeerClient",
@@ -54,6 +57,5 @@ __all__ = [
     "classify_network_error",
     "decode_frame",
     "encode_frame",
-    "load_cluster_spec",
     "run_socket_loadtest",
 ]

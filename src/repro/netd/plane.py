@@ -29,7 +29,6 @@ politely waits for the target worker's readiness file.
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
 import time
 from dataclasses import dataclass
@@ -40,11 +39,9 @@ from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ConfigurationError, TransportError
 from repro.netd.remote import AuthorityServer, RemoteShardSet, RemoteStp
 from repro.netd.supervisor import ProcessSupervisor
-from repro.netd.topology import ClusterSpec, TlsSpec
-from repro.netd.transport import NetLoop, PeerClient, SocketTransport
+from repro.netd.transport import NetLoop, PeerClient, SocketTransport, TlsSpec
 from repro.netd.wire import decode_control, encode_control
 from repro.service import loadtest as loadtest_module
-from repro.service.broker import ServiceConfig
 from repro.service.loadtest import LoadtestConfig, LoadtestReport, ServiceFixture
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
@@ -54,7 +51,6 @@ __all__ = [
     "build_socket_coordinator",
     "build_socket_service",
     "health_check",
-    "run_cluster_workload",
     "run_socket_loadtest",
 ]
 
@@ -316,47 +312,3 @@ def health_check(fixture: ServiceFixture) -> dict:
             entry["error"] = str(exc)
         out[name] = entry
     return out
-
-
-def run_cluster_workload(
-    spec: ClusterSpec,
-    output: str = "",
-    metrics_path: str = "",
-) -> LoadtestReport:
-    """Materialise a spec's process topology and run its workload.
-
-    This is what ``repro cluster-up`` executes (inside the broker
-    worker): build the socket plane, drive the seeded loadtest, and
-    write the report JSON / Prometheus metrics text where asked.
-    """
-    config = LoadtestConfig(
-        seed=spec.seed,
-        num_requests=spec.requests,
-        arrivals_per_second=spec.rate_per_second,
-        num_sus=spec.sus,
-        num_pu_switches=spec.pu_switches,
-        key_bits=spec.key_bits,
-        shards=spec.shards,
-        service=ServiceConfig(
-            batch_window_s=spec.batch_window_ms / 1000.0, max_batch=spec.max_batch
-        ),
-    )
-    metrics = MetricsRegistry()
-    report, _ = run_socket_loadtest(
-        config,
-        scenario_config=ScenarioConfig(seed=spec.scenario_seed, num_sus=max(spec.sus, 1)),
-        metrics=metrics,
-        tls=spec.tls,
-        host=spec.host,
-        store_dir=spec.store_dir or None,
-    )
-    if output:
-        pathlib.Path(output).write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
-    if metrics_path:
-        pathlib.Path(metrics_path).write_text(
-            metrics.to_prometheus(), encoding="utf-8"
-        )
-    return report

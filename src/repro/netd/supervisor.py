@@ -56,15 +56,10 @@ _READY_POLL_S = 0.02
 class WorkerHandle:
     """One supervised worker: its spec, process, and latest address."""
 
-    def __init__(
-        self, name: str, role: str, extra_args: tuple[str, ...], restart: bool
-    ) -> None:
+    def __init__(self, name: str, role: str, extra_args: tuple[str, ...]) -> None:
         self.name = name
         self.role = role
         self.extra_args = extra_args
-        #: Whether the monitor should resurrect this worker on crash
-        #: (serving roles yes; one-shot broker runs no).
-        self.restart = restart
         self.process: subprocess.Popen | None = None
         self.address: tuple[str, int] | None = None
         self.restarts = 0
@@ -126,14 +121,10 @@ class ProcessSupervisor:
     # -- spawning -----------------------------------------------------------------
 
     def start(
-        self,
-        name: str,
-        role: str,
-        extra_args: tuple[str, ...] = (),
-        restart: bool = True,
+        self, name: str, role: str, extra_args: tuple[str, ...] = ()
     ) -> WorkerHandle:
         """Register and launch one worker (non-blocking; see wait_ready)."""
-        handle = WorkerHandle(name, role, tuple(extra_args), restart)
+        handle = WorkerHandle(name, role, tuple(extra_args))
         self._handles[name] = handle
         with handle.lock:
             self._spawn(handle)
@@ -296,8 +287,6 @@ class ProcessSupervisor:
             for handle in list(self._handles.values()):
                 if self._stopping:
                     break
-                if not handle.restart:
-                    continue
                 process = handle.process
                 if process is not None and process.poll() is not None:
                     try:

@@ -28,11 +28,14 @@ import asyncio
 import concurrent.futures
 import errno
 import itertools
+import pathlib
 import ssl
 import threading
 import time
+from dataclasses import dataclass
 
 from repro.errors import (
+    ConfigurationError,
     HandshakeTimeoutError,
     IntegrityError,
     LinkDownError,
@@ -48,6 +51,7 @@ __all__ = [
     "LoopRunner",
     "PeerClient",
     "SocketTransport",
+    "TlsSpec",
     "classify_network_error",
 ]
 
@@ -136,6 +140,41 @@ class NetLoop(LoopRunner):
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=5.0)
             self._loop.close()
+
+
+@dataclass(frozen=True)
+class TlsSpec:
+    """Paths for mutually authenticated TLS between broker and workers."""
+
+    certfile: str
+    keyfile: str
+    cafile: str | None = None
+
+    def __post_init__(self) -> None:
+        for label, path in (("certfile", self.certfile), ("keyfile", self.keyfile)):
+            if not pathlib.Path(path).exists():
+                raise ConfigurationError(f"tls {label} does not exist: {path}")
+        if self.cafile is not None and not pathlib.Path(self.cafile).exists():
+            raise ConfigurationError(f"tls cafile does not exist: {self.cafile}")
+
+    def client_context(self) -> ssl.SSLContext:
+        context = ssl.create_default_context(
+            ssl.Purpose.SERVER_AUTH, cafile=self.cafile
+        )
+        context.load_cert_chain(self.certfile, self.keyfile)
+        # Workers present the shared deployment certificate, not a
+        # per-host one; identity is the CA, not the hostname.
+        context.check_hostname = False
+        return context
+
+    def server_context(self) -> ssl.SSLContext:
+        context = ssl.create_default_context(
+            ssl.Purpose.CLIENT_AUTH, cafile=self.cafile
+        )
+        context.load_cert_chain(self.certfile, self.keyfile)
+        if self.cafile is not None:
+            context.verify_mode = ssl.CERT_REQUIRED
+        return context
 
 
 class PeerClient:

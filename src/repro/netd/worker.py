@@ -1,6 +1,6 @@
 """Socket-plane worker process: ``python -m repro.netd.worker``.
 
-One executable, three roles:
+One executable, two roles:
 
 * ``shard`` — hosts one :class:`~repro.cluster.shard.SdcShard` and
   serves phase-1/phase-2 sub-queries plus state fan-out frames;
@@ -9,9 +9,7 @@ One executable, three roles:
   request, via :class:`~repro.netd.remote.RemoteRandomSource`, keeping
   the deployment on one draw stream; between requests it spends its
   idle time on the ``r**n`` of the nonces already drawn for the next
-  ones (:meth:`~repro.pisa.stp_server.StpServer.fill_stock`);
-* ``broker`` — runs a whole ``cluster-up`` workload (it builds the
-  socket plane, spawning its own shard/STP children) and exits.
+  ones (:meth:`~repro.pisa.stp_server.StpServer.fill_stock`).
 
 Startup is a *pull*: dial the authority, poll ``bootstrap`` until the
 coordinator registers this worker's provider, apply the config, bind an
@@ -47,8 +45,12 @@ from repro.crypto.serialization import (
 from repro.errors import ReproError, SerializationError, TransportError
 from repro.netd.framing import read_frame, write_frame
 from repro.netd.remote import RemoteRandomSource
-from repro.netd.topology import TlsSpec
-from repro.netd.transport import LoopRunner, PeerClient, classify_network_error
+from repro.netd.transport import (
+    LoopRunner,
+    PeerClient,
+    TlsSpec,
+    classify_network_error,
+)
 from repro.netd.wire import (
     decode_control,
     decode_phase1_request,
@@ -401,25 +403,9 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     return 0
 
 
-def _run_broker(args) -> int:
-    # Imported here: the broker role pulls in the whole plane (and its
-    # own supervisor), which shard/stp workers never need.
-    from repro.netd.plane import run_cluster_workload
-    from repro.netd.topology import load_cluster_spec
-
-    spec = load_cluster_spec(args.spec)
-    if args.ready_file:
-        # The broker binds no port of its own; -1 marks "launched".
-        _write_ready(
-            args.ready_file, {"name": args.name, "port": -1, "pid": os.getpid()}
-        )
-    run_cluster_workload(spec, output=args.output, metrics_path=args.metrics)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.netd.worker")
-    parser.add_argument("--role", required=True, choices=("shard", "stp", "broker"))
+    parser.add_argument("--role", required=True, choices=("shard", "stp"))
     parser.add_argument("--name", required=True)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
@@ -433,14 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         default="",
         help="shard role: SQLite state-store path, opened before readiness",
     )
-    parser.add_argument("--spec", default="", help="broker role: cluster spec path")
-    parser.add_argument("--output", default="", help="broker role: report JSON path")
-    parser.add_argument("--metrics", default="", help="broker role: metrics text path")
     args = parser.parse_args(argv)
 
     try:
-        if args.role == "broker":
-            return _run_broker(args)
         if not args.authority:
             raise TransportError("shard/stp workers need --authority host:port")
         tls = None

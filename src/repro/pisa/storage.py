@@ -7,11 +7,13 @@ against a budget missing every active receiver (an unsafe failure).
 
 What needs persisting is deliberately small:
 
-* **SDC**: the latest :class:`~repro.pisa.messages.PUUpdateMessage` per
-  PU (ciphertexts — the SDC stores nothing it can read).  Pending
-  request rounds are *not* persisted: they hold one-time blinding
-  factors, and replaying half-finished rounds after a crash is exactly
-  the replay surface we refuse; SUs simply re-request.
+* **SDC shard** (the one ``PISA-SHARD-STATE-v1`` blob): identity,
+  committed epoch, owned blocks and the latest
+  :class:`~repro.pisa.messages.PUUpdateMessage` per PU (ciphertexts —
+  the SDC stores nothing it can read).  Pending request rounds are
+  *not* persisted: they hold one-time blinding factors, and replaying
+  half-finished rounds after a crash is exactly the replay surface we
+  refuse; SUs simply re-request.
 * **Key directory**: SU public keys and issuer verification keys.
 
 Snapshots are canonical bytes (versioned, self-describing), restored by
@@ -19,17 +21,15 @@ replaying updates through the normal ``handle_pu_update`` path so the
 incremental aggregate is rebuilt by the same audited code that built it.
 
 Durable copies go through the CRC frame helpers (:func:`frame_payload`
-/ :func:`unframe_payload` and the file-level
-:func:`write_state_file` / :func:`read_state_file`): a truncated or
-bit-flipped file surfaces as a typed
-:class:`~repro.errors.IntegrityError` instead of garbage state.  The
+/ :func:`unframe_payload`): a truncated or bit-flipped value surfaces as
+a typed :class:`~repro.errors.IntegrityError` instead of garbage state.
+The state store (:mod:`repro.store`) seals every value with them and the
 write-ahead epoch journal (:mod:`repro.resilience.journal`) frames its
-records with the same helpers, so one decoder audits both formats.
+records with them, so one decoder audits both formats.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Iterable, Sequence
 
@@ -49,8 +49,6 @@ from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import PUUpdateMessage
 
 __all__ = [
-    "serialize_sdc_state",
-    "restore_sdc_state",
     "encode_shard_state",
     "decode_shard_state",
     "serialize_shard_state",
@@ -59,11 +57,8 @@ __all__ = [
     "restore_directory",
     "frame_payload",
     "unframe_payload",
-    "write_state_file",
-    "read_state_file",
 ]
 
-_SDC_MAGIC = b"PISA-SDC-STATE-v1"
 _SHARD_MAGIC = b"PISA-SHARD-STATE-v1"
 _DIR_MAGIC = b"PISA-DIRECTORY-v1"
 
@@ -71,8 +66,6 @@ _DIR_MAGIC = b"PISA-DIRECTORY-v1"
 FRAME_MAGIC = b"PF"
 #: Fixed framing overhead: magic + 4-byte length prefix + 4-byte CRC32.
 FRAME_OVERHEAD = len(FRAME_MAGIC) + 4 + 4
-
-_STATE_FILE_MAGIC = b"PISA-STATE-FILE-v1\n"
 
 
 def frame_payload(payload: bytes) -> bytes:
@@ -104,66 +97,6 @@ def unframe_payload(buffer: bytes, offset: int = 0) -> tuple[bytes, int]:
     if zlib.crc32(payload) != expected:
         raise IntegrityError("frame checksum mismatch")
     return payload, offset + 4
-
-
-def write_state_file(path, blob: bytes) -> None:
-    """Durably write one snapshot blob as a CRC-framed file.
-
-    Written to a sibling temp file, fsynced, then renamed into place, so
-    a crash mid-write leaves either the old file or the new one — never
-    a torn hybrid.
-    """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_STATE_FILE_MAGIC + frame_payload(blob))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
-def read_state_file(path) -> bytes:
-    """Read a snapshot blob written by :func:`write_state_file`.
-
-    Raises :class:`~repro.errors.IntegrityError` when the file is
-    truncated, corrupted, or not a state file at all.
-    """
-    with open(os.fspath(path), "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(_STATE_FILE_MAGIC):
-        raise IntegrityError("not a PISA state file")
-    blob, offset = unframe_payload(raw, len(_STATE_FILE_MAGIC))
-    if offset != len(raw):
-        raise IntegrityError("trailing bytes after state frame")
-    return blob
-
-
-def serialize_sdc_state(sdc) -> bytes:
-    """Snapshot an SDC's durable state (latest update per PU)."""
-    updates = sdc.kernel.pu_update_messages()
-    parts = [_SDC_MAGIC, encode_int(len(updates))]
-    parts.extend(encode_bytes(message.to_bytes()) for message in updates)
-    return b"".join(parts)
-
-
-def restore_sdc_state(sdc, blob: bytes) -> int:
-    """Replay a snapshot into a freshly constructed SDC.
-
-    The SDC must be empty (no PU updates yet) and share the original's
-    environment and group key.  Returns the number of PUs restored.
-    """
-    if sdc.num_tracked_pus:
-        raise SerializationError("restore target already holds PU state")
-    if not blob.startswith(_SDC_MAGIC):
-        raise SerializationError("not a v1 SDC snapshot")
-    count, offset = decode_int(blob, len(_SDC_MAGIC))
-    group_key = sdc.group_public_key
-    for _ in range(count):
-        raw, offset = decode_bytes(blob, offset)
-        sdc.handle_pu_update(PUUpdateMessage.from_bytes(raw, group_key))
-    if offset != len(blob):
-        raise SerializationError("trailing bytes in SDC snapshot")
-    return count
 
 
 def encode_shard_state(

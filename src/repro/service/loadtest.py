@@ -1,20 +1,20 @@
-"""Synthetic open-loop load generation against the service broker.
+"""Synthetic load generation against the service broker.
 
-Drives a :class:`~repro.service.broker.SpectrumAccessBroker` with
-Poisson SU request arrivals (via :class:`repro.sim.workload.PoissonArrivals`)
-and interleaved PU channel switches, then reports throughput, latency
-percentiles, and the batch-size distribution.  This is what
+Drives a :class:`~repro.service.broker.SpectrumAccessBroker` with a
+pre-materialised schedule of SU request arrivals and interleaved PU
+channel switches, then reports throughput, latency percentiles, the
+batch-size distribution and how late the generator ran.  This is what
 ``repro serve-loadtest`` runs.
 
 ``LoadtestConfig.scenario`` names a deployment from the scenario
 registry (:mod:`repro.sim.registry`) — ``cbrs-tiered`` attaches the
 incumbent/PAL/GAA admission ledger to the broker — and
-``LoadtestConfig.workload`` swaps the fixed-cadence driver for a
-pre-materialised schedule from a named traffic model
-(:mod:`repro.sim.traffic`: diurnal, flash-crowd, pu-churn-storm, …).
-Both knobs drive the in-memory and socket planes identically.
+``LoadtestConfig.workload`` names the traffic model
+(:mod:`repro.sim.traffic`: steady, diurnal, flash-crowd,
+pu-churn-storm, …) the schedule is drawn from.  Both drive the
+in-memory and socket planes identically.
 
-The workload is *open-loop across SUs* — arrivals fire on the Poisson
+The workload is *open-loop across SUs* — arrivals fire on the schedule's
 clock whether or not earlier requests finished — but closed-loop per SU:
 a secondary user never has two license requests in flight (its cached
 request would otherwise be refreshed mid-round, breaking the license's
@@ -37,8 +37,13 @@ from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ConfigurationError
 from repro.service.batching import BatchAllocator
 from repro.service.broker import ServiceConfig, ServiceDecision, SpectrumAccessBroker
-from repro.sim.workload import PoissonArrivals, PuSwitchProcess
-from repro.telemetry import MetricsRegistry, Tracer
+from repro.sim.traffic import (
+    KIND_PU_SWITCH,
+    KIND_SU_REQUEST,
+    build_schedule,
+    workload_names,
+)
+from repro.telemetry import Histogram, MetricsRegistry, Tracer
 
 __all__ = [
     "LoadtestConfig",
@@ -59,7 +64,7 @@ class LoadtestConfig:
     num_requests: int = 12
     #: Mean arrival rate, requests per *real* second (open loop).
     arrivals_per_second: float = 50.0
-    #: Distinct SUs cycling through the arrivals (round robin).
+    #: Distinct SUs the schedule draws each arrival's subject from.
     num_sus: int = 3
     #: PU physical channel switches injected across the run.
     num_pu_switches: int = 2
@@ -67,8 +72,8 @@ class LoadtestConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Number of SDC shards; 0 runs the single-SDC packed deployment.
     shards: int = 0
-    #: When > 0 (and ``shards`` > 0), kill shard-0's primary after this
-    #: many request submissions to exercise failover under load.
+    #: When > 0 (and ``shards`` > 0), kill shard-0's primary once this
+    #: many request events have fired, to exercise failover under load.
     kill_shard_after: int = 0
     #: When set (sharded runs only), the coordinator opens a SQLite
     #: :class:`~repro.store.SqliteStateStore` at this path and persists
@@ -78,24 +83,22 @@ class LoadtestConfig:
     #: "cbrs-tiered"); tiered scenarios attach a broker-side
     #: :class:`~repro.sim.cbrs.TieredAdmission` ledger.
     scenario: str = "uhf"
-    #: Named traffic shape from :mod:`repro.sim.traffic` ("" keeps the
-    #: legacy fixed-cadence driver); when set, arrivals follow a
-    #: pre-materialised open-loop schedule.
-    workload: str = ""
+    #: Named traffic shape from :mod:`repro.sim.traffic`; arrivals follow
+    #: the pre-materialised open-loop schedule it draws.
+    workload: str = "steady"
     #: Concurrent-authorization budget for tiered scenarios; 0 derives
     #: it from the WATCH geometry (set 1 to force tier pressure).
     tier_capacity: int = 0
 
     def __post_init__(self) -> None:
         from repro.sim.registry import scenario_names
-        from repro.sim.traffic import workload_names
 
         if self.scenario not in scenario_names():
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r} "
                 f"(known: {', '.join(scenario_names())})"
             )
-        if self.workload and self.workload not in workload_names():
+        if self.workload not in workload_names():
             raise ConfigurationError(
                 f"unknown workload {self.workload!r} "
                 f"(known: {', '.join(workload_names())})"
@@ -172,18 +175,22 @@ class LoadtestReport:
     def throughput_rps(self) -> float:
         return self.completed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
+    def _histogram(self, name: str) -> dict[str, float]:
+        return self.metrics["histograms"].get(name) or Histogram().snapshot()
+
     def latency_stats(self) -> dict[str, float]:
-        return self.metrics["histograms"].get(
-            "request_latency_s",
-            {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-             "p50": 0.0, "p95": 0.0, "p99": 0.0},
-        )
+        return self._histogram("request_latency_s")
+
+    def arrival_lag_stats(self) -> dict[str, float]:
+        """Due time → submission, per request: how late the generator ran."""
+        return self._histogram("arrival_lag_s")
 
     def batch_stats(self) -> dict[str, float]:
         return self.metrics["histograms"].get("batch_size", {"count": 0, "mean": 0.0})
 
     def as_table_rows(self) -> list[tuple[str, str]]:
         latency = self.latency_stats()
+        lag = self.arrival_lag_stats()
         batches = self.batch_stats()
         return [
             ("requests submitted", str(len(self.decisions))),
@@ -193,6 +200,7 @@ class LoadtestReport:
             ("throughput", f"{self.throughput_rps:.2f} req/s"),
             ("latency p50 / p95 / p99",
              f"{latency['p50']:.3f} / {latency['p95']:.3f} / {latency['p99']:.3f} s"),
+            ("arrival lag p50 / max", f"{lag['p50']:.3f} / {lag['max']:.3f} s"),
             ("mean batch size", f"{batches.get('mean', 0.0):.2f}"),
         ]
 
@@ -205,6 +213,7 @@ class LoadtestReport:
             "wall_seconds": self.wall_seconds,
             "throughput_rps": self.throughput_rps,
             "latency_s": self.latency_stats(),
+            "arrival_lag_s": self.arrival_lag_stats(),
             "batch_size": self.batch_stats(),
             "metrics": self.metrics,
         }
@@ -368,14 +377,16 @@ def build_cluster_service(
     return _service_fixture(config, coordinator, scenario, metrics, tracer, store)
 
 
-async def _drive_schedule(fixture: ServiceFixture, config: LoadtestConfig):
-    """Drive a pre-materialised workload schedule (``config.workload``).
+async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
+    """Drive the pre-materialised schedule of ``config.workload``.
 
     The whole schedule — arrival instants, SU subjects, PU switch slots
     — is built up front from a forked deterministic source, so the same
     seed replays byte-identically on the in-memory and socket planes:
     submission *order* is the schedule's order no matter how wall time
-    stretches under load.
+    stretches under load.  Each event is paced against its absolute due
+    time, and every request records how far past it the submission ran
+    (``arrival_lag_s``).
 
     In the byte-identity configuration (``max_batch=1`` with a zero
     batching window — the equivalence-test shape) the driver runs the
@@ -386,8 +397,6 @@ async def _drive_schedule(fixture: ServiceFixture, config: LoadtestConfig):
     runs.  Open-loop pacing is preserved for every throughput-shaped
     configuration.
     """
-    from repro.sim.traffic import KIND_PU_SWITCH, KIND_SU_REQUEST, build_schedule
-
     broker = fixture.broker
     clients = {
         su_id: fixture.coordinator.su_client(su_id) for su_id in fixture.su_ids
@@ -417,28 +426,37 @@ async def _drive_schedule(fixture: ServiceFixture, config: LoadtestConfig):
         grid=fixture.scenario.grid,
         pu_churn_per_hour=churn_per_hour,
     )
+    lag = broker.metrics.histogram("arrival_lag_s")
 
-    async def one_request(su_id: str) -> ServiceDecision:
+    async def one_request(su_id: str, due: float) -> ServiceDecision:
         # Closed loop per SU: refresh only once the previous round is done.
         async with su_locks[su_id]:
             request = clients[su_id].refresh_request()
+            lag.observe(time.perf_counter() - due)
             return await broker.submit_request(su_id, request)
 
     closed_loop = (
         config.service.max_batch == 1 and config.service.batch_window_s == 0.0
     )
     tasks = []
-    elapsed = 0.0
+    start = time.perf_counter()
     for event in schedule.events:
-        if event.time_s > elapsed:
-            await asyncio.sleep(event.time_s - elapsed)  # audit-ok: RES001 — open-loop arrival pacing, not a retry
-            elapsed = event.time_s
+        due = start + event.time_s
+        # Always yields, even when late, so tasks created for earlier
+        # events reach the broker before this one does.
+        await asyncio.sleep(max(0.0, due - time.perf_counter()))  # audit-ok: RES001 — open-loop arrival pacing, not a retry
         if event.kind == KIND_SU_REQUEST:
-            su_id = fixture.su_ids[event.index]
-            outcome = one_request(su_id)
+            task = asyncio.ensure_future(
+                one_request(fixture.su_ids[event.index], due)
+            )
+            tasks.append(task)
+            if len(tasks) == config.kill_shard_after:
+                # Chaos probe: take down a shard's primary mid-run; the
+                # router must promote its standby and later epochs complete.
+                victim = fixture.coordinator.router.shard_ids[0]
+                fixture.coordinator.kill_shard(victim)
             if closed_loop:
-                outcome = _completed(await outcome)
-            tasks.append(asyncio.ensure_future(outcome))
+                await task
         elif event.kind == KIND_PU_SWITCH and event.physical and num_pus:
             pu = fixture.pu_clients[event.index]
             update = pu.switch_channel(event.slot, signal_strength_mw=1.0)
@@ -446,60 +464,6 @@ async def _drive_schedule(fixture: ServiceFixture, config: LoadtestConfig):
                 broker.submit_pu_update(update)
         # su-move events shape only the simulator; live SUs are enrolled
         # at fixed blocks, so the driver skips them.
-    return await asyncio.gather(*tasks)
-
-
-async def _completed(decision: ServiceDecision) -> ServiceDecision:
-    """Wrap an already-resolved decision for a uniform gather."""
-    return decision
-
-
-async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
-    if config.workload:
-        return await _drive_schedule(fixture, config)
-    broker = fixture.broker
-    clients = {
-        su_id: fixture.coordinator.su_client(su_id) for su_id in fixture.su_ids
-    }
-    for client in clients.values():
-        client.prepare_request()
-    su_locks = {su_id: asyncio.Lock() for su_id in fixture.su_ids}
-    drive_rng = DeterministicRandomSource(config.seed).fork("drive")
-    arrivals = PoissonArrivals(
-        rate_per_hour=config.arrivals_per_second * 3600.0, rng=drive_rng
-    )
-    switches = PuSwitchProcess(
-        virtual_rate_per_hour=3600.0, physical_fraction=1.0, rng=drive_rng
-    )
-    switch_budget = config.num_pu_switches
-    switch_every = max(1, config.num_requests // (config.num_pu_switches + 1))
-    num_channels = fixture.scenario.environment.num_channels
-
-    async def one_request(su_id: str) -> ServiceDecision:
-        # Closed loop per SU: refresh only once the previous round is done.
-        async with su_locks[su_id]:
-            request = clients[su_id].refresh_request()
-            return await broker.submit_request(su_id, request)
-
-    tasks = []
-    for i in range(config.num_requests):
-        su_id = fixture.su_ids[i % len(fixture.su_ids)]
-        tasks.append(asyncio.ensure_future(one_request(su_id)))
-        if config.kill_shard_after and i + 1 == config.kill_shard_after:
-            # Chaos probe: take down a shard's primary mid-run; the
-            # router must promote its standby and later epochs complete.
-            victim = fixture.coordinator.router.shard_ids[0]
-            fixture.coordinator.kill_shard(victim)
-        if switch_budget > 0 and fixture.pu_clients and (i + 1) % switch_every == 0:
-            switches.next_switch()
-            pu = fixture.pu_clients[switch_budget % len(fixture.pu_clients)]
-            slot = drive_rng.randbelow(num_channels)
-            update = pu.switch_channel(slot, signal_strength_mw=1.0)
-            if update is not None:
-                broker.submit_pu_update(update)
-                switch_budget -= 1
-        if i + 1 < config.num_requests:
-            await asyncio.sleep(arrivals.next_gap_s())  # audit-ok: RES001 — open-loop arrival pacing, not a retry
     return await asyncio.gather(*tasks)
 
 

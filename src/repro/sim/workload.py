@@ -13,7 +13,7 @@ Both samplers draw exclusively through the injected
 journaled source replays a simulation byte-for-byte.  The richer
 time-varying models (diurnal curves, flash crowds, mobility) live in
 :mod:`repro.sim.traffic`; these two remain as the homogeneous
-building blocks the simulator and loadtest legacy path use directly.
+building blocks the simulator uses directly.
 """
 
 from __future__ import annotations

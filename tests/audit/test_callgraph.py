@@ -1,6 +1,5 @@
 """Call-graph construction, resolution, and fact-lattice propagation."""
 
-from repro.audit.callgraph import ModuleSummary
 from repro.audit.engine import AuditConfig
 from repro.audit.taint import FACT_AMBIENT_RANDOM, FACT_BLOCKING, FACT_WALLCLOCK
 from tests.audit.helpers import build_test_project
@@ -381,31 +380,3 @@ class TestAwaitBoundaryTracking:
         )
         races = project.functions["repro.netd.x:S.update"].races
         assert [r.attr for r in races] == ["_total"]
-
-
-class TestSummarySerialization:
-    def test_round_trip_preserves_everything(self):
-        project = build_test_project(
-            {
-                "repro.netd.x": """
-                import time
-
-                def helper():  # audit-ok: RES001
-                    time.sleep(1)
-
-                class S:
-                    async def update(self):
-                        snapshot = self._n
-                        await self._flush()
-                        self._n = snapshot
-                """
-            }
-        )
-        summary = project.modules["repro.netd.x"]
-        restored = ModuleSummary.from_json_dict(summary.to_json_dict())
-        assert restored.module == summary.module
-        assert set(restored.functions) == set(summary.functions)
-        for name in summary.functions:
-            assert restored.functions[name] == summary.functions[name]
-        assert restored.waivers == summary.waivers
-        assert restored.imports == summary.imports

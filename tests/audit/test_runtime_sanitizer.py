@@ -1,5 +1,7 @@
 """Runtime protocol sanitizer: end-to-end and injected-fault coverage."""
 
+import asyncio
+
 import pytest
 
 from repro.audit.runtime import SanitizingTransport, iter_ciphertexts
@@ -7,6 +9,8 @@ from repro.crypto.paillier import EncryptedNumber
 from repro.errors import SanitizerViolation
 from repro.net.transport import InMemoryTransport
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest, SURequestMessage
+from repro.service import loadtest
+from repro.service.batching import BatchSignExtractionRequest
 
 
 @pytest.fixture()
@@ -118,6 +122,56 @@ class TestStpEnvelope:
         )
         sanitizer.send(request, "sdc", "stp")
         assert sanitizer.messages_checked == 1
+
+
+class TestBatchEnvelope:
+    """The broker frames an epoch's sign extractions in one envelope;
+    the sanitizer lets the frame through and still checks its members."""
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["packed", "2-shard"])
+    def test_sanitized_service_run_decides_every_request(self, shards):
+        config = loadtest.LoadtestConfig(
+            num_requests=2, num_sus=2, num_pu_switches=0, key_bits=256, shards=shards
+        )
+        sanitizer = SanitizingTransport(InMemoryTransport())
+        build = loadtest.build_cluster_service if shards else loadtest.build_packed_service
+        fixture = build(config, transport=sanitizer)
+        try:
+            sanitizer.bind_group_key(fixture.coordinator.stp.group_public_key)
+            report = asyncio.run(loadtest._run_fixture(fixture, config))
+        finally:
+            fixture.close()
+        assert [d.reason for d in report.decisions] == [None, None]
+        assert report.completed == 2
+        assert fixture.coordinator.transport.count("BatchSignExtractionRequest") >= 1
+
+    def _envelope(self, *keys, rng):
+        return BatchSignExtractionRequest(
+            epoch_id=0,
+            requests=tuple(
+                SignExtractionRequest(
+                    round_id=f"r-{i}", su_id=f"su-{i}", matrix=((pk.encrypt(i, rng=rng),),)
+                )
+                for i, pk in enumerate(keys)
+            ),
+        )
+
+    def test_member_under_an_su_key_blocked(self, keypair, second_keypair, fresh_rng):
+        group_pk, su_pk = keypair.public_key, second_keypair.public_key
+        sanitizer = SanitizingTransport(InMemoryTransport(), group_key=group_pk)
+        envelope = self._envelope(group_pk, su_pk, rng=fresh_rng)
+        assert len(list(iter_ciphertexts(envelope))) == 2
+        with pytest.raises(SanitizerViolation, match="group key"):
+            sanitizer.send(envelope, "sdc", "stp")
+        sanitizer.send(self._envelope(group_pk, group_pk, rng=fresh_rng), "sdc", "stp")
+        assert sanitizer.ciphertexts_checked == 2
+
+    def test_non_envelope_member_blocked(self, sanitizer, keypair, fresh_rng):
+        envelope = BatchSignExtractionRequest(
+            epoch_id=0, requests=(_pu_update(keypair.public_key, fresh_rng),)
+        )
+        with pytest.raises(SanitizerViolation, match="sign-extraction envelopes"):
+            sanitizer.send(envelope, "sdc", "stp")
 
 
 class TestFreshness:

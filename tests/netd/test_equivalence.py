@@ -10,86 +10,114 @@ byte codecs.
 """
 
 import asyncio
-import dataclasses
+import shutil
+import subprocess
+from typing import NamedTuple
 
 import pytest
 
 from repro.net.recording import TranscriptTransport
-from repro.netd.plane import build_socket_service, health_check, run_socket_loadtest
+from repro.netd.plane import build_socket_service, health_check
+from repro.netd.transport import TlsSpec
 from repro.resilience.chaos import FROZEN_CLOCK
 from repro.service.loadtest import LoadtestConfig, _run_fixture, run_loadtest
 from repro.service.broker import ServiceConfig
 from repro.telemetry import Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
+#: The default driver in its byte-identity shape (``max_batch=1``, zero
+#: window: one round at a time, so draw order is schedule order).  Two
+#: SUs asking five times between them — the schedule at this seed asks
+#: for SUs 1, 1, 1, 0, 1 — so the STP worker also serves from the stock
+#: it fills between requests, which nothing in memory does.
 CONFIG = LoadtestConfig(
     seed=7,
-    num_requests=2,
+    num_requests=5,
     arrivals_per_second=500.0,
-    num_sus=1,
+    num_sus=2,
     num_pu_switches=0,
     key_bits=256,
     shards=2,
     service=ServiceConfig(batch_window_s=0.0, max_batch=1),
 )
-SCENARIO_CONFIG = ScenarioConfig(seed=7, num_sus=1)
+SCENARIO_CONFIG = ScenarioConfig(seed=7, num_sus=2)
+
+
+class Run(NamedTuple):
+    report: object
+    fingerprints: tuple
+    tracer: Tracer
+    #: The STP worker's ``ping``, read before teardown (socket runs).
+    stp_ping: dict | None = None
+
+
+def _clock():
+    return FROZEN_CLOCK
+
+
+def _memory_run() -> Run:
+    tracer = Tracer()
+    transport = TranscriptTransport()
+    report = run_loadtest(
+        CONFIG,
+        tracer=tracer,
+        transport=transport,
+        clock=_clock,
+        scenario=build_scenario(SCENARIO_CONFIG),
+    )
+    return Run(report, tuple(transport.fingerprints), tracer)
+
+
+def _socket_run(tls=None) -> Run:
+    tracer = Tracer()
+    fixture = build_socket_service(
+        CONFIG,
+        scenario_config=SCENARIO_CONFIG,
+        tracer=tracer,
+        clock=_clock,
+        record_transcript=True,
+        tls=tls,
+    )
+    try:
+        report = asyncio.run(_run_fixture(fixture, CONFIG))
+        fingerprints = tuple(fixture.coordinator.transport.fingerprints)
+        stp_ping = health_check(fixture)["stp"]
+    finally:
+        fixture.close()
+    return Run(report, fingerprints, tracer, stp_ping)
 
 
 @pytest.fixture(scope="module")
-def paired_runs():
-    clock = lambda: FROZEN_CLOCK  # noqa: E731
-
-    memory_tracer = Tracer()
-    memory_transport = TranscriptTransport()
-    memory_report = run_loadtest(
-        CONFIG,
-        tracer=memory_tracer,
-        transport=memory_transport,
-        clock=clock,
-        scenario=build_scenario(SCENARIO_CONFIG),
-    )
-
-    socket_tracer = Tracer()
-    socket_report, socket_fingerprints = run_socket_loadtest(
-        CONFIG,
-        scenario_config=SCENARIO_CONFIG,
-        tracer=socket_tracer,
-        clock=clock,
-        record_transcript=True,
-    )
-    return (
-        memory_report,
-        tuple(memory_transport.fingerprints),
-        memory_tracer,
-        socket_report,
-        socket_fingerprints,
-        socket_tracer,
-    )
+def paired_runs() -> tuple[Run, Run]:
+    return _memory_run(), _socket_run()
 
 
 class TestCrossPlaneEquivalence:
     def test_transcripts_are_byte_identical(self, paired_runs):
-        _, memory_fps, _, _, socket_fps, _ = paired_runs
-        assert len(memory_fps) > 0
-        assert socket_fps == memory_fps
+        memory, socket = paired_runs
+        assert len(memory.fingerprints) > 0
+        assert socket.fingerprints == memory.fingerprints
+
+    def test_memory_run_repeats_byte_identically(self, paired_runs):
+        assert _memory_run().fingerprints == paired_runs[0].fingerprints
 
     def test_span_signatures_match(self, paired_runs):
-        _, _, memory_tracer, _, _, socket_tracer = paired_runs
-        memory_sig = tuple(span.signature() for span in memory_tracer.roots)
-        socket_sig = tuple(span.signature() for span in socket_tracer.roots)
+        memory, socket = paired_runs
+        memory_sig = tuple(span.signature() for span in memory.tracer.roots)
+        socket_sig = tuple(span.signature() for span in socket.tracer.roots)
         assert len(memory_sig) > 0
         assert socket_sig == memory_sig
 
     def test_decisions_match(self, paired_runs):
-        memory_report, _, _, socket_report, _, _ = paired_runs
+        memory_report, socket_report = (run.report for run in paired_runs)
         assert len(socket_report.decisions) == CONFIG.num_requests
+        assert len({d.su_id for d in socket_report.decisions}) == 2
         assert [
             (d.su_id, d.status, d.batch_size) for d in socket_report.decisions
         ] == [(d.su_id, d.status, d.batch_size) for d in memory_report.decisions]
 
     def test_socket_plane_recorded_transport_metrics(self, paired_runs):
-        _, _, _, socket_report, _, _ = paired_runs
-        counters = socket_report.metrics["counters"]
+        counters = paired_runs[1].report.metrics["counters"]
         families = {key.split("{", 1)[0] for key in counters}
         # The in-memory accounting funnel still runs (transport_*) and
         # the real wire adds its own families (netd_*).
@@ -99,54 +127,38 @@ class TestCrossPlaneEquivalence:
         assert "netd_bytes_total" in families
         assert "netd_dials_total" in families
 
-
-# -- repeated SUs: the STP worker serves from its idle-time stock ----------------
-
-#: A workload schedule drives the closed loop (one request at a time, so
-#: draw order is submission order); "steady" at this seed asks for SUs
-#: 1, 1, 1, 0, 1.
-REPEAT_CONFIG = dataclasses.replace(
-    CONFIG, num_requests=5, num_sus=2, workload="steady"
-)
-REPEAT_SCENARIO = ScenarioConfig(seed=7, num_sus=2)
-
-
-@pytest.fixture(scope="module")
-def repeated_su_runs():
-    """Two SUs asking five times between them, closed loop.  On the
-    socket side the STP worker precomputes ``r**n`` between requests; in
-    memory nothing does.  The worker's ``ping`` is read before teardown."""
-    clock = lambda: FROZEN_CLOCK  # noqa: E731
-    memory_transport = TranscriptTransport()
-    run_loadtest(
-        REPEAT_CONFIG,
-        transport=memory_transport,
-        clock=clock,
-        scenario=build_scenario(REPEAT_SCENARIO),
-    )
-    fixture = build_socket_service(
-        REPEAT_CONFIG,
-        scenario_config=REPEAT_SCENARIO,
-        clock=clock,
-        record_transcript=True,
-    )
-    try:
-        asyncio.run(_run_fixture(fixture, REPEAT_CONFIG))
-        socket_fingerprints = tuple(fixture.coordinator.transport.fingerprints)
-        stp_ping = health_check(fixture)["stp"]
-    finally:
-        fixture.close()
-    return tuple(memory_transport.fingerprints), socket_fingerprints, stp_ping
+    def test_tls_run_yields_the_plaintext_fingerprints(
+        self, paired_runs, tmp_path
+    ):
+        openssl = shutil.which("openssl")
+        if openssl is None:
+            pytest.skip("no openssl binary to make a certificate with")
+        cert, key = str(tmp_path / "cert.pem"), str(tmp_path / "key.pem")
+        subprocess.run(
+            [openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes",
+             "-subj", "/CN=pisa-test", "-days", "2", "-keyout", key, "-out", cert],
+            check=True,
+            capture_output=True,
+        )
+        # Self-signed, so the certificate is its own CA: both sides
+        # require it of the other.
+        over_tls = _socket_run(TlsSpec(cert, key, cafile=cert))
+        assert over_tls.stp_ping["reachable"]
+        assert over_tls.fingerprints == paired_runs[1].fingerprints
 
 
 class TestRepeatedSusWithIdleFill:
-    def test_transcripts_are_byte_identical(self, repeated_su_runs):
-        memory_fps, socket_fps, _ = repeated_su_runs
-        assert len(memory_fps) > 0
-        assert socket_fps == memory_fps
+    """On the socket side the STP worker precomputes ``r**n`` between
+    requests; in memory nothing does."""
 
-    def test_ping_shows_the_stock_being_hit(self, repeated_su_runs):
-        _, _, ping = repeated_su_runs
+    def test_transcripts_are_byte_identical(self, paired_runs):
+        memory, socket = paired_runs
+        asked = [d.su_id for d in socket.report.decisions]
+        assert len(asked) > len(set(asked))  # SUs did come back
+        assert socket.fingerprints == memory.fingerprints
+
+    def test_ping_shows_the_stock_being_hit(self, paired_runs):
+        ping = paired_runs[1].stp_ping
         assert ping["reachable"]
         # A repeated SU's request found r**n waiting (the fill starts
         # the moment a reply is written; the next sign_req is a whole

@@ -1,8 +1,7 @@
-"""Socket error taxonomy mapping and cluster-spec parsing."""
+"""Socket error taxonomy mapping and TLS path validation."""
 
 import asyncio
 import errno
-import json
 
 import pytest
 
@@ -14,8 +13,7 @@ from repro.errors import (
     PortInUseError,
     TransportError,
 )
-from repro.netd.topology import ClusterSpec, TlsSpec, load_cluster_spec
-from repro.netd.transport import classify_network_error
+from repro.netd.transport import TlsSpec, classify_network_error
 
 
 class TestErrorClassification:
@@ -60,43 +58,7 @@ class TestErrorClassification:
         assert not issubclass(PortInUseError, LinkDownError)
 
 
-class TestClusterSpec:
-    def test_load_example_spec(self):
-        spec = load_cluster_spec("examples/cluster_spec.json")
-        assert spec.shards == 2
-        assert spec.tls is None
-
-    def test_defaults_and_roundtrip(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"shards": 3}), encoding="utf-8")
-        spec = load_cluster_spec(path)
-        assert spec == ClusterSpec(shards=3)
-        assert spec.to_json_dict()["shards"] == 3
-
-    def test_unknown_keys_are_typos(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"shards": 2, "shrads": 3}), encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="shrads"):
-            load_cluster_spec(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cannot read"):
-            load_cluster_spec(tmp_path / "nope.json")
-
-    def test_not_json(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text("{", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="not JSON"):
-            load_cluster_spec(path)
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [{"shards": 0}, {"requests": 0}, {"rate_per_second": 0.0}, {"sus": 0}],
-    )
-    def test_invalid_values_rejected(self, overrides):
-        with pytest.raises(ConfigurationError):
-            ClusterSpec(**overrides)
-
+class TestTlsSpec:
     def test_tls_paths_must_exist(self, tmp_path):
         cert = tmp_path / "cert.pem"
         cert.write_text("x", encoding="utf-8")

@@ -60,7 +60,6 @@ class TestGracefulDrain:
                     "--store",
                     str(tmp_path / "shard-t.sqlite3"),
                 ),
-                restart=False,
             )
             supervisor.wait_ready(["shard-t"], timeout_s=60.0)
             ready = supervisor._ready_file("shard-t")
@@ -90,7 +89,6 @@ class TestStpWorkerSigterm:
                 "stp-t",
                 "stp",
                 extra_args=("--authority", f"{host}:{port}"),
-                restart=False,
             )
             supervisor.wait_ready(["stp-t"], timeout_s=60.0)
             yield supervisor

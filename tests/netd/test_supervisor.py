@@ -28,6 +28,14 @@ class TestFailureSurfacing:
         with pytest.raises(TransportError, match="--authority"):
             supervisor.wait_ready(["shard-x"], timeout_s=30.0)
 
+    def test_worker_roles_are_shard_and_stp_only(self, capsys):
+        from repro.netd import worker
+
+        with pytest.raises(SystemExit) as exit_info:
+            worker.main(["--role", "broker", "--name", "b"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'broker'" in capsys.readouterr().err
+
     def test_unknown_worker_name(self, supervisor):
         with pytest.raises(TransportError, match="no supervised worker"):
             supervisor.address("ghost")

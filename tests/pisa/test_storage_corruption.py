@@ -1,4 +1,4 @@
-"""Fuzz-ish corruption coverage for the CRC frame and state-file layer.
+"""Fuzz-ish corruption coverage for the CRC frame layer and snapshot blobs.
 
 Every truncation and every single-byte flip of a durable artifact must
 surface as a *typed* :mod:`repro.errors` exception — never a crash with
@@ -11,10 +11,8 @@ from repro.errors import IntegrityError, SerializationError
 from repro.pisa.storage import (
     FRAME_OVERHEAD,
     frame_payload,
-    read_state_file,
     restore_directory,
     unframe_payload,
-    write_state_file,
 )
 
 TYPED = (IntegrityError, SerializationError)
@@ -67,51 +65,6 @@ class TestFrameCorruption:
         framed[-8:-4] = b"BBBB"  # swap payload, keep old CRC
         with pytest.raises(IntegrityError):
             unframe_payload(bytes(framed))
-
-
-class TestStateFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "state.bin"
-        write_state_file(path, b"snapshot-bytes")
-        assert read_state_file(path) == b"snapshot-bytes"
-
-    def test_no_temp_file_left_behind(self, tmp_path):
-        path = tmp_path / "state.bin"
-        write_state_file(path, b"blob")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.bin"]
-
-    def test_every_truncation_is_typed(self, tmp_path):
-        path = tmp_path / "state.bin"
-        write_state_file(path, b"some snapshot worth protecting")
-        raw = path.read_bytes()
-        for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(TYPED):
-                read_state_file(path)
-
-    def test_every_single_byte_flip_is_typed(self, tmp_path):
-        path = tmp_path / "state.bin"
-        write_state_file(path, b"short blob")
-        raw = path.read_bytes()
-        for index in range(len(raw)):
-            corrupted = bytearray(raw)
-            corrupted[index] ^= 0x01
-            path.write_bytes(bytes(corrupted))
-            with pytest.raises(TYPED):
-                read_state_file(path)
-
-    def test_trailing_garbage_is_typed(self, tmp_path):
-        path = tmp_path / "state.bin"
-        write_state_file(path, b"blob")
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(IntegrityError):
-            read_state_file(path)
-
-    def test_not_a_state_file_is_typed(self, tmp_path):
-        path = tmp_path / "state.bin"
-        path.write_bytes(b"random junk, no magic")
-        with pytest.raises(IntegrityError):
-            read_state_file(path)
 
 
 class TestSnapshotBlobFuzz:

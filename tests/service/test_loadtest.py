@@ -19,6 +19,7 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         config = LoadtestConfig()
         assert config.num_requests >= 1
+        assert config.workload == "steady"
 
     def test_zero_requests_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -59,6 +60,7 @@ class TestReport:
     def test_missing_histograms_default_to_zero(self):
         report = self._report()
         assert report.latency_stats()["count"] == 0
+        assert report.arrival_lag_stats()["count"] == 0
         assert report.batch_stats()["count"] == 0
 
     def test_table_and_json_shapes(self):
@@ -68,6 +70,20 @@ class TestReport:
         payload = report.to_json_dict()
         assert payload["completed"] == 3
         assert payload["throughput_rps"] == pytest.approx(1.5)
+
+    def test_arrival_lag_is_reported(self):
+        lag = {"count": 4, "sum": 1.0, "mean": 0.25, "min": 0.0, "max": 0.625,
+               "p50": 0.125, "p95": 0.625, "p99": 0.625}
+        report = LoadtestReport(
+            decisions=(),
+            wall_seconds=1.0,
+            metrics={"counters": {}, "gauges": {},
+                     "histograms": {"arrival_lag_s": lag}},
+        )
+        assert dict(report.as_table_rows())["arrival lag p50 / max"] == (
+            "0.125 / 0.625 s"
+        )
+        assert report.to_json_dict()["arrival_lag_s"] == lag
 
 
 class TestClusterConfigValidation:
@@ -87,18 +103,27 @@ class TestClusterConfigValidation:
 class TestClusterLoadtest:
     def test_two_shard_run_with_mid_run_kill_completes(self):
         """The §VI-style smoke: a 2-shard service survives losing a
-        primary mid-run and still decides every request."""
+        primary mid-run and still decides every request — whatever
+        shape the arrivals have."""
         from repro.service.loadtest import run_loadtest
 
-        config = LoadtestConfig(
-            seed=3,
-            num_requests=4,
-            num_sus=2,
-            num_pu_switches=1,
-            key_bits=256,
-            shards=2,
-            kill_shard_after=2,
-        )
-        report = run_loadtest(config)
-        assert report.completed == 4
-        assert report.rejected == 0
+        for workload in ("steady", "flash-crowd"):
+            config = LoadtestConfig(
+                seed=3,
+                num_requests=4,
+                num_sus=2,
+                num_pu_switches=1,
+                key_bits=256,
+                shards=2,
+                kill_shard_after=2,
+                workload=workload,
+            )
+            report = run_loadtest(config)
+            assert report.completed == 4
+            assert report.rejected == 0
+            counters = report.metrics["counters"]
+            assert counters["cluster_failovers_total{shard=shard-0}"] == 1
+            # Every request was timed against its scheduled instant.
+            lag = report.arrival_lag_stats()
+            assert lag["count"] == 4
+            assert 0.0 <= lag["p50"] <= lag["max"]

@@ -11,20 +11,15 @@ run (2 shards, scenario seed 5, every request granted):
 (c) one Prometheus exposition carries the broker, cluster, retry, and
     transport metric families.
 
-Byte comparison (a) needs a fully serialised draw order: the loadtest
-is open-loop *across* SUs, so with several SUs in flight the shared
-protocol RNG is consumed in scheduling-dependent order (true with or
-without tracing).  The neutrality run therefore uses one SU — the
-per-SU closed loop serialises every draw — plus a frozen license clock
-and ``max_batch=1`` so epoch framing is arrival-independent.  The span
-and exposition assertions keep the multi-SU shape, whose span *trees*
-are scheduling-independent even though its transcripts are not.
+Byte comparison (a) needs a fully serialised draw order, which the
+driver's byte-identity shape gives: ``max_batch=1`` with a zero window
+runs the schedule closed-loop, one round at a time, and the license
+clock is frozen.
 """
 
 import pytest
 
-from repro.crypto.hashing import sha256
-from repro.net.transport import MultiplexedTransport
+from repro.net.recording import TranscriptTransport
 from repro.service.broker import ServiceConfig
 from repro.service.loadtest import LoadtestConfig, run_loadtest
 from repro.telemetry import MetricsRegistry, Tracer
@@ -33,51 +28,25 @@ from repro.watch.scenario import ScenarioConfig, build_scenario
 NUM_REQUESTS = 4
 SHARDS = 2
 
-
-class RecordingTransport(MultiplexedTransport):
-    """Fingerprints every protocol-level payload (shard links excluded,
-    matching the chaos harness's transcript definition)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.fingerprints: list[tuple[str, str, str]] = []
-
-    def _record(self, message, sender, receiver, size, delay) -> None:
-        super()._record(message, sender, receiver, size, delay)
-        if sender.startswith(("shard-", "router")) or receiver.startswith(
-            ("shard-", "router")
-        ):
-            return
-        payload = (
-            message.to_bytes()
-            if hasattr(message, "to_bytes")
-            else repr(message).encode("utf-8")
-        )
-        self.fingerprints.append(
-            (sender, receiver, sha256(payload).hex())
-        )
+CONFIG = LoadtestConfig(
+    seed=7,
+    num_requests=NUM_REQUESTS,
+    arrivals_per_second=500.0,
+    num_sus=3,
+    num_pu_switches=0,
+    key_bits=256,
+    shards=SHARDS,
+    service=ServiceConfig(batch_window_s=0.0, max_batch=1),
+)
 
 
-def _config(num_sus: int = 3) -> LoadtestConfig:
-    return LoadtestConfig(
-        seed=7,
-        num_requests=NUM_REQUESTS,
-        arrivals_per_second=500.0,
-        num_sus=num_sus,
-        num_pu_switches=0,
-        key_bits=256,
-        shards=SHARDS,
-        service=ServiceConfig(batch_window_s=0.0, max_batch=1),
-    )
-
-
-def _run(traced: bool, num_sus: int = 3):
+def _run(traced: bool):
     scenario = build_scenario(ScenarioConfig(seed=5))
-    transport = RecordingTransport()
+    transport = TranscriptTransport()
     tracer = Tracer() if traced else None
     metrics = MetricsRegistry()
     report = run_loadtest(
-        _config(num_sus),
+        CONFIG,
         metrics=metrics,
         scenario=scenario,
         tracer=tracer,
@@ -97,13 +66,9 @@ class TestTranscriptNeutrality:
         report = traced_run[0]
         assert report.granted == NUM_REQUESTS
 
-    def test_traced_transcript_is_byte_identical(self):
-        # Single SU: the closed loop serialises every shared-RNG draw,
-        # so the transcript is a pure function of the seeds and the
-        # comparison is meaningful (multi-SU runs interleave draws in
-        # scheduling-dependent order, traced or not).
-        _, _, _, traced_transport = _run(traced=True, num_sus=1)
-        _, _, _, untraced_transport = _run(traced=False, num_sus=1)
+    def test_traced_transcript_is_byte_identical(self, traced_run):
+        traced_transport = traced_run[3]
+        _, _, _, untraced_transport = _run(traced=False)
         assert traced_transport.fingerprints, "no protocol messages captured"
         assert (
             traced_transport.fingerprints == untraced_transport.fingerprints

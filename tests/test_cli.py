@@ -32,6 +32,12 @@ class TestParser:
         assert args.baseline == "audit-baseline.json"
         assert not args.update_baseline
 
+    def test_audit_has_no_cache_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["audit", "--cache", "audit-cache.json"])
+        assert exit_info.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_demo(self, capsys):
@@ -95,6 +101,7 @@ class TestServeLoadtest:
         assert args.workers == 0
         assert args.max_batch == 8
         assert args.json is None
+        assert args.workload == "steady"
 
     def test_parses_full_flag_set(self):
         args = build_parser().parse_args([
@@ -124,6 +131,30 @@ class TestServeLoadtest:
         assert report["requests"] == 3
         assert report["completed"] + report["rejected"] == 3
         assert "latency_s" in report and "batch_size" in report
+        assert report["arrival_lag_s"]["count"] == 3
+        assert "arrival lag p50 / max" in printed
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--host", "127.0.0.1"], ["--tls-cert", "c.pem", "--tls-key", "k.pem"],
+         ["--tls-ca", "ca.pem"]],
+    )
+    def test_socket_flags_need_the_socket_plane(self, flags, capsys):
+        assert main(["serve-loadtest", *flags]) == 2
+        assert "--plane socket" in capsys.readouterr().err
+
+    def test_tls_needs_cert_and_key(self, capsys, tmp_path):
+        cert = tmp_path / "cert.pem"
+        cert.write_text("x", encoding="utf-8")
+        assert main([
+            "serve-loadtest", "--plane", "socket", "--tls-cert", str(cert),
+        ]) == 2
+        assert "--tls-key" in capsys.readouterr().err
+        assert main([
+            "serve-loadtest", "--plane", "socket", "--tls-cert", str(cert),
+            "--tls-key", str(tmp_path / "missing.pem"),
+        ]) == 1
+        assert "keyfile does not exist" in capsys.readouterr().err
 
 
 class TestTelemetryCommands:

@@ -5,7 +5,8 @@ Every ``benchmarks/`` / ``examples/`` / ``docs/`` / ``tests/`` /
 DESIGN, EXPERIMENTS, ``docs/*.md`` or any file under ``src/repro``
 cites must be a file in the checkout.  The six pre-spine benches PR 17
 retired — and the ``BENCH_*.json`` histories they wrote — may not be
-cited at all, with or without a path.
+cited at all, with or without a path; nor may the ``cluster-up``
+launcher PR 20 retired, its spec file or its ``ClusterSpec``.
 
 History files (``CHANGES.md``, ``ROADMAP.md``) and
 ``benchmarks/spine/README.md`` are deliberately out of scope.
@@ -23,6 +24,7 @@ RETIRED = re.compile(
     r"BENCH_[a-z]+\.json"
     r"|bench_(?:service_throughput|cluster_scaling|socket_plane"
     r"|resilience_overhead|store_coldstart|workload_capacity)"
+    r"|cluster-up|cluster_spec\.json|ClusterSpec"
 )
 
 
