@@ -298,9 +298,7 @@ class SdcShard:
             round_id=request.round_id,
             shard_id=self.shard_id,
             columns=request.columns,
-            matrix=self._kernel.blind(
-                indicators, request.blindings, request.obfuscators
-            ),
+            matrix=self._kernel.blind(indicators, request.blindings),
         )
 
     # -- Figure 5 phase 2, partial aggregation --------------------------------------

@@ -172,40 +172,34 @@ class BlockKernel:
         self,
         indicators: Sequence[Sequence[EncryptedNumber]],
         blindings: Sequence[Sequence[CellBlinding]],
-        obfuscators: Sequence[Sequence[int | None]],
     ) -> tuple[tuple[EncryptedNumber, ...], ...]:
         """Eq. (14) over every cell, with handed-down randomness.
 
-        An obfuscator nonce ``r`` subtracts a *fresh* encryption of β;
-        ``None`` subtracts β as a plaintext constant.  The α and ``r**n``
+        β is a plaintext blind: ``(α ⊗ Ĩ) ⊖ β`` costs one exponentiation
+        (the α) and one multiplication by ``g^{−β}`` per cell.  The α
         exponentiations go to the executor as one batch; its results are
         deterministic, so the output does not depend on which executor
         ran them.
         """
         pk = self.group_public_key
-        jobs = []
-        for indicator_row, blinding_row, obfuscator_row in zip(
-            indicators, blindings, obfuscators
-        ):
-            for indicator, cell, r in zip(indicator_row, blinding_row, obfuscator_row):
-                jobs.append((indicator.ciphertext, cell.alpha, pk.n_sq))  # α ⊗ Ĩ
-                if r is not None:
-                    jobs.append(pk.obfuscator_job(r))
-        powers = iter(self._executor.pow_many(jobs))
-        blinded_rows = []
-        for blinding_row, obfuscator_row in zip(blindings, obfuscators):
-            blinded_row = []
-            for cell, r in zip(blinding_row, obfuscator_row):
-                blinded = EncryptedNumber(pk, next(powers))
-                if r is not None:
-                    blinded = blinded.subtract(
-                        pk.encrypt_with_obfuscator(cell.beta, next(powers))
-                    )
-                else:
-                    blinded = blinded.add_plain(-cell.beta)
-                blinded_row.append(blinded.scalar_mul(cell.epsilon))  # ε ⊗ (…)
-            blinded_rows.append(tuple(blinded_row))
-        return tuple(blinded_rows)
+        powers = iter(
+            self._executor.pow_many(
+                [
+                    (indicator.ciphertext, cell.alpha, pk.n_sq)  # α ⊗ Ĩ
+                    for indicator_row, blinding_row in zip(indicators, blindings)
+                    for indicator, cell in zip(indicator_row, blinding_row)
+                ]
+            )
+        )
+        return tuple(
+            tuple(
+                EncryptedNumber(pk, next(powers))
+                .add_plain(-cell.beta)  # ⊖ β
+                .scalar_mul(cell.epsilon)  # ε ⊗ (…)
+                for cell in blinding_row
+            )
+            for blinding_row in blindings
+        )
 
 
 # -- Figure 5 steps 9-10: phase 2 (block-state-free) --------------------------------

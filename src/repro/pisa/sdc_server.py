@@ -158,32 +158,21 @@ class SdcFront:
             span.set_attribute("blocks", len(request.region_blocks))
         self._check_request(request.su_id, request.region_blocks, request.matrix)
         factory = BlindingFactory(self.blinding_parameters(), rng=self._rng)
-        pk = self.group_public_key
-        # All randomness, drawn here in cell order (row-major: blinding
-        # triple, then obfuscator nonce) — the arithmetic behind _blind
-        # never touches the RNG, so the transcript cannot depend on the
-        # executor or on how the map is partitioned.
-        blindings = []
-        obfuscators = []
-        for row in request.matrix:
-            blinding_row = []
-            obfuscator_row = []
-            for _ in row:
-                blinding_row.append(factory.draw())
-                obfuscator_row.append(
-                    pk.random_r(self._rng) if self._fresh_beta else None
-                )
-            blindings.append(tuple(blinding_row))
-            obfuscators.append(tuple(obfuscator_row))
-        round_id = f"round-{next(self._round_counter)}"
-        blinded = self._blind(
-            round_id, request, tuple(blindings), tuple(obfuscators), span
+        # All randomness, drawn here in cell order (row-major) — the
+        # arithmetic behind _blind never touches the RNG, so the
+        # transcript cannot depend on the executor or on how the map is
+        # partitioned.
+        blindings = tuple(
+            tuple(factory.draw() for _ in row) for row in request.matrix
         )
+        obfuscators = tuple((None,) * len(row) for row in request.matrix)
+        round_id = f"round-{next(self._round_counter)}"
+        blinded = self._blind(round_id, request, blindings, obfuscators, span)
         self._pending[round_id] = PendingRound(
             round_id=round_id,
             su_id=request.su_id,
             region_blocks=request.region_blocks,
-            blindings=tuple(blindings),
+            blindings=blindings,
             request_digest=TransmissionLicense.digest_of(request.digest_bytes()),
             channels=tuple(range(self.environment.num_channels)),
         )
@@ -291,7 +280,7 @@ class SdcServer(SdcFront):
 
     def _blind(self, round_id, request, blindings, obfuscators, span):
         indicators = self.kernel.indicators(request.region_blocks, request.matrix)
-        return self.kernel.blind(indicators, blindings, obfuscators)
+        return self.kernel.blind(indicators, blindings)
 
     def _q_sum(self, pending, response, span) -> EncryptedNumber:
         epsilons = [[cell.epsilon for cell in row] for row in pending.blindings]

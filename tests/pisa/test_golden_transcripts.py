@@ -10,12 +10,19 @@ responses, the switch's PU update — must equal a constant recorded
 before the SDC implementations were unified.
 
 A pin only ever changes together with a deliberate, documented change
-of the wire transcript.  One such change so far: the STP draws each
-SU's *next* request's re-encryption nonces while serving the current
-one (docs/protocol.md §3), which moved every later draw —
-``BASIC_DIGEST`` and ``JOURNAL_DIGEST`` were re-recorded in the commit
-that shifted the draws and nothing else; the packed and two-server
-variants draw inline and kept theirs.
+of the wire transcript.  Two so far, each re-recorded in a commit that
+shifted the draws and nothing else:
+
+* the STP draws each SU's *next* request's re-encryption nonces while
+  serving the current one (docs/protocol.md §3), which moved every later
+  draw — ``BASIC_DIGEST`` and ``JOURNAL_DIGEST``; the packed and
+  two-server variants draw inline and kept theirs;
+* β became a plaintext blind (docs/security.md, "β is a plaintext
+  blind"): the SDC front no longer draws an obfuscator nonce per cell —
+  ``BASIC_DIGEST``, ``JOURNAL_DIGEST``, ``REPEAT_DIGEST`` and
+  ``TWO_SERVER_DIGEST`` (its front is an ``SdcServer``); the packed SDC
+  has its own blinding and kept ``PACKED_DIGEST``, and ``DECISIONS`` did
+  not move.
 """
 
 import hashlib
@@ -37,16 +44,16 @@ SEED = "golden"
 
 #: The single SDC and every cluster shape draw the same stream, so one
 #: constant pins all four deployments.
-BASIC_DIGEST = "2cd9005f944f97b863be07b4dc88ffc7940b7b5a11000df977ecc8f7db44a60a"
-TWO_SERVER_DIGEST = "0fdd733fd1f4b51f416d70fe4686c0d41fbff1dcb08a0dd4ed7cb227c55da30d"
+BASIC_DIGEST = "f1f67faa937346563990e26ddb05aef7c05119ce69e825fe86e9ab2f21d969a0"
+TWO_SERVER_DIGEST = "b9fd5a52de4e2668107db24b2f8ba6fff43b9a93ab3e371118b7f3607b68cff8"
 PACKED_DIGEST = "070efcf281ce14f102c2d15143d3710a586ae50d983d385c7305963e6570736a"
-JOURNAL_DIGEST = "e13e6d065d0c09a608ae59394a28f6837ab3dea4fbb4094bdba19481156cfe9b"
+JOURNAL_DIGEST = "4c8901bb5c799bfe14626f1d2410523298d5fb6d257856ce78449821fb116fec"
 #: Seed-4 scenario, SUs 0..2: a deny followed by two grants.
 DECISIONS = (False, True, True)
 #: The same session with every SU asking twice: the second pass is served
 #: from the nonces the STP drew during the first.  Re-pinned whenever
 #: BASIC_DIGEST is.
-REPEAT_DIGEST = "da261c453f913d450f0a322f614842620fd3721da717591044e4ae674e79c23b"
+REPEAT_DIGEST = "65790a7e765cf675b0942d258dd1ecef2d92f147a8777edb0ba2e45f24c6c5c8"
 
 
 def frozen_clock() -> float:
