@@ -145,18 +145,18 @@ def estimate_full_scale(
     profile: PaillierCostProfile,
     num_channels: int = 100,
     num_blocks: int = 600,
-    fresh_beta_encryption: bool = True,
 ) -> ScaledSystemEstimate:
     """Project Figure 6's phases from a measured primitive profile.
 
-    Per-cell operation counts (mirroring :mod:`repro.pisa.sdc_server`):
+    Per-cell operation counts (mirroring :mod:`repro.pisa.kernel`):
 
     * SU preparation: 1 encryption per cell (eq. (5) arithmetic is
       negligible next to the exponentiation);
     * SU refresh: 1 re-randomisation per cell;
     * SDC phase 1: small scalar (eq. (11)), negate + plain-add
-      (eqs. (10)/(12)), α-scale (≈100-bit), optional β encryption, and
-      the ε sign flip (a subtraction-cost inverse) — per cell;
+      (eqs. (10)/(12)), the ``W̃'`` addition, α-scale (≈100-bit), the
+      plaintext β subtraction (one multiplication) and the ε sign flip
+      (a subtraction-cost inverse) — per cell, no encryption;
     * SDC phase 2: small scalar + plain-add per cell, plus the ΣQ̃
       additions and one full-width η-scale;
     * STP: decryption + encryption per cell;
@@ -173,8 +173,8 @@ def estimate_full_scale(
         + profile.hom_add_s            # add_plain(E)
         + profile.hom_add_s            # + W̃ where present (upper bound)
         + profile.hom_scale_small_s    # α ⊗ I (α ≈ 100 bits)
-        + (profile.encryption_s if fresh_beta_encryption else profile.hom_add_s)
-        + profile.hom_sub_s            # ⊖ β̃ / ε flip inverse
+        + profile.hom_add_s            # ⊖ β, a plaintext blind
+        + profile.hom_sub_s            # ε flip inverse
     )
     sdc_phase2_per_cell = (
         profile.hom_sub_s              # ε ⊗ X̃ (±1 → inverse)

@@ -14,9 +14,9 @@ the test suite asserts byte-for-byte:
 emits the *same bytes* as one SDC — the same ``Ṽ`` matrix to the STP,
 the same license, the same perturbed signature — because:
 
-* all randomness (per-cell ``(α, β, ε)``, obfuscator nonces, the
-  signature nonce, η) is drawn by the shared front, in cell order,
-  before anything is scattered;
+* all randomness (per-cell ``(α, β, ε)``, the signature nonce, η) is
+  drawn by the shared front, in cell order, before anything is
+  scattered;
 * shards perform only deterministic homomorphic arithmetic on that
   handed-down randomness (:mod:`repro.pisa.kernel` behind
   :mod:`repro.cluster.shard`);
@@ -81,13 +81,11 @@ class ClusterSdc(SdcFront):
         router: ShardRouter,
         issuer_id: str = "sdc",
         rng: RandomSource | None = None,
-        fresh_beta_encryption: bool = True,
         clock=time.time,
         journal=None,
     ) -> None:
         super().__init__(
-            environment, directory, signer, issuer_id=issuer_id, rng=rng,
-            fresh_beta_encryption=fresh_beta_encryption, clock=clock,
+            environment, directory, signer, issuer_id=issuer_id, rng=rng, clock=clock
         )
         self.router = router
         #: Optional :class:`repro.resilience.journal.EpochJournal`.  When
@@ -109,7 +107,7 @@ class ClusterSdc(SdcFront):
 
     # -- Figure 5 phase 1 --------------------------------------------------------
 
-    def _blind(self, round_id, request, blindings, obfuscators, span):
+    def _blind(self, round_id, request, blindings, span):
         """Scatter phase 1 and reassemble the exact single-SDC ``Ṽ``.
 
         ``span`` becomes the parent of the per-shard scatter spans.
@@ -132,9 +130,6 @@ class ClusterSdc(SdcFront):
                 ),
                 blindings=tuple(
                     tuple(row[k] for k in columns) for row in blindings
-                ),
-                obfuscators=tuple(
-                    tuple(row[k] for k in columns) for row in obfuscators
                 ),
             )
         if span is not None:
@@ -215,7 +210,6 @@ class ClusterCoordinator(PisaCoordinator):
         signature_bits: int | None = None,
         rng: RandomSource | None = None,
         transport: MultiplexedTransport | None = None,
-        fresh_beta_encryption: bool = True,
         stp_executor=None,
         shard_executor_factory=None,
         heartbeat_timeout_s: float = 1.0,
@@ -234,9 +228,9 @@ class ClusterCoordinator(PisaCoordinator):
         self.journal = journal
         if journal is not None:
             # Journal the shared draw stream at the root: key generation,
-            # blinding triples, obfuscator nonces, client randomness —
-            # everything the deployment ever draws goes through this one
-            # wrapper, so one journal replays the whole deployment.
+            # blinding triples, client randomness — everything the
+            # deployment ever draws goes through this one wrapper, so one
+            # journal replays the whole deployment.
             rng = JournalingRandomSource(default_rng(rng), journal)
             clock = JournaledClock(journal, base=clock)
         self._clock = clock
@@ -259,12 +253,11 @@ class ClusterCoordinator(PisaCoordinator):
             signature_bits=signature_bits,
             rng=rng,
             transport=transport if transport is not None else MultiplexedTransport(),
-            fresh_beta_encryption=fresh_beta_encryption,
             executor=stp_executor,
         )
         self._persist_directory()
 
-    def _build_sdc(self, signer, fresh_beta_encryption, executor) -> ClusterSdc:
+    def _build_sdc(self, signer, executor) -> ClusterSdc:
         """Stand up the shard fleet and the front over it.
 
         Control plane only — deterministic, no RNG draws.
@@ -315,7 +308,6 @@ class ClusterCoordinator(PisaCoordinator):
             signer=signer,
             router=self.router,
             rng=self._rng,
-            fresh_beta_encryption=fresh_beta_encryption,
             clock=self._clock,
             journal=self.journal,
         )

@@ -11,12 +11,11 @@ round bookkeeping, the license — stays on the request front
 The division of labour is chosen so the cluster's transcript is
 **byte-identical** to one SDC's:
 
-* the coordinator draws every ``(α, β, ε)`` and obfuscator nonce ``r``
-  centrally, in the single-SDC cell order, and hands them down inside
-  the sub-query;
+* the coordinator draws every ``(α, β, ε)`` centrally, in the
+  single-SDC cell order, and hands them down inside the sub-query;
 * the shard's kernel performs only *deterministic* homomorphic
   arithmetic — the per-cell indicator (eqs. (10)-(12)) and blinding
-  (eq. (14)) in phase 1, the ``Q̃`` gadget and a partial ``ΣQ̃``
+  (eq. (14), β a plaintext blind) in phase 1, the ``Q̃`` gadget and a partial ``ΣQ̃``
   (eq. (16)) in phase 2.  Paillier addition is ciphertext
   multiplication mod ``n²``, which is commutative and associative, so
   partial sums merge into exactly the integer one kernel over every
@@ -63,9 +62,9 @@ def _str_size(value: str) -> int:
 class ShardPhase1Request:
     """Coordinator → shard: one round's columns owned by this shard.
 
-    ``matrix``/``blindings``/``obfuscators`` are channels × columns,
-    column ``k`` of this sub-query being column ``columns[k]`` (block
-    ``blocks[k]``) of the full request.  The blinding material is SDC
+    ``matrix``/``blindings`` are channels × columns, column ``k`` of
+    this sub-query being column ``columns[k]`` (block ``blocks[k]``) of
+    the full request.  The blinding material is SDC
     randomness in transit between parts of the SDC trust domain — it is
     never visible to the STP or any client.
     """
@@ -77,7 +76,6 @@ class ShardPhase1Request:
     blocks: tuple[int, ...]
     matrix: tuple[tuple[EncryptedNumber, ...], ...]
     blindings: tuple[tuple[CellBlinding, ...], ...]
-    obfuscators: tuple[tuple[int | None, ...], ...]
     #: Router's current lease for this shard; 0 = fencing not in force.
     fence_token: int = 0
 
@@ -87,18 +85,14 @@ class ShardPhase1Request:
         size += encoded_int_size(self.fence_token)
         size += sum(encoded_int_size(c) for c in self.columns)
         size += sum(encoded_int_size(b) for b in self.blocks)
-        for row, blinding_row, obf_row in zip(
-            self.matrix, self.blindings, self.obfuscators
-        ):
-            for ct, cell, r in zip(row, blinding_row, obf_row):
+        for row, blinding_row in zip(self.matrix, self.blindings):
+            for ct, cell in zip(row, blinding_row):
                 size += ciphertext_wire_size(ct.public_key)
                 size += encoded_int_size(cell.alpha)
                 size += encoded_int_size(cell.beta)
                 # ε travels as a one-byte sign flag; both values encode to
                 # the same width, so size it without branching on the sign.
                 size += encoded_int_size(1)
-                if r is not None:
-                    size += encoded_int_size(r)
         return size
 
 

@@ -9,7 +9,7 @@ Three payload families cross process boundaries:
   in-process before; this module gives them byte codecs built from the
   same :mod:`repro.crypto.serialization` primitives, matching the
   ``wire_size()`` arithmetic the §VI-A accounting already used (ε as a
-  one-byte-magnitude sign flag, obfuscators with a presence flag).
+  one-byte-magnitude sign flag).
 * **Control frames** (hello, config, bootstrap, rand, errors)
   are small JSON objects — sorted keys, UTF-8 — optionally followed by
   binary attachments via ``encode_bytes``.  The one binary control
@@ -124,19 +124,12 @@ def encode_phase1_request(request: ShardPhase1Request) -> bytes:
         encode_int(len(request.matrix)),
         encode_int(len(request.matrix[0]) if request.matrix else 0),
     ]
-    for row, blinding_row, obf_row in zip(
-        request.matrix, request.blindings, request.obfuscators
-    ):
-        for ct, cell, r in zip(row, blinding_row, obf_row):
+    for row, blinding_row in zip(request.matrix, request.blindings):
+        for ct, cell in zip(row, blinding_row):
             parts.append(encode_ciphertext(ct))
             parts.append(encode_int(cell.alpha))
             parts.append(encode_int(cell.beta))
             parts.append(encode_int(1 if cell.epsilon == 1 else 0))
-            if r is None:
-                parts.append(encode_int(0))
-            else:
-                parts.append(encode_int(1))
-                parts.append(encode_int(r))
     return b"".join(parts)
 
 
@@ -151,26 +144,20 @@ def decode_phase1_request(
     blocks, offset = _decode_ints(buffer, offset)
     n_rows, offset = decode_int(buffer, offset)
     n_cols, offset = decode_int(buffer, offset)
-    matrix, blindings, obfuscators = [], [], []
+    matrix, blindings = [], []
     for _ in range(n_rows):
-        ct_row, blinding_row, obf_row = [], [], []
+        ct_row, blinding_row = [], []
         for _ in range(n_cols):
             ct, offset = decode_ciphertext(buffer, public_key, offset)
             alpha, offset = decode_int(buffer, offset)
             beta, offset = decode_int(buffer, offset)
             eps_flag, offset = decode_int(buffer, offset)
-            has_r, offset = decode_int(buffer, offset)
-            r = None
-            if has_r:
-                r, offset = decode_int(buffer, offset)
             ct_row.append(ct)
             blinding_row.append(
                 CellBlinding(alpha=alpha, beta=beta, epsilon=1 if eps_flag else -1)
             )
-            obf_row.append(r)
         matrix.append(tuple(ct_row))
         blindings.append(tuple(blinding_row))
-        obfuscators.append(tuple(obf_row))
     _check_consumed(buffer, offset, "shard phase-1 request")
     return ShardPhase1Request(
         round_id=round_id,
@@ -180,7 +167,6 @@ def decode_phase1_request(
         blocks=blocks,
         matrix=tuple(matrix),
         blindings=tuple(blindings),
-        obfuscators=tuple(obfuscators),
         fence_token=fence_token,
     )
 

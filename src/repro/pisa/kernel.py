@@ -9,15 +9,14 @@ cell lives here, once:
   the new one added — plus each PU's latest update.
 * **Phase 1** (Figure 5, steps 3-5): the indicator
   ``Ĩ = Ñ ⊖ R̃`` (eqs. (10)-(12)) and its blinding
-  ``Ṽ = ε ⊗ ((α ⊗ Ĩ) ⊖ β̃)`` (eq. (14)), with the expensive
-  exponentiations batched through the executor seam.
+  ``Ṽ = ε ⊗ ((α ⊗ Ĩ) ⊖ β)`` (eq. (14), β a plaintext blind), with the
+  α exponentiations batched through the executor seam.
 * **Phase 2** (steps 9-10): the ``Q̃`` gadget and a partial ``ΣQ̃``
   (eq. (16)).
 
-The kernel draws **no randomness**: every ``(α, β, ε)`` and obfuscator
-nonce is handed in by the request front
-(:class:`~repro.pisa.sdc_server.SdcFront`), which is what makes the
-transcript independent of how blocks are spread over kernels.  A single
+The kernel draws **no randomness**: every ``(α, β, ε)`` is handed in by
+the request front (:class:`~repro.pisa.sdc_server.SdcFront`), which is
+what makes the transcript independent of how blocks are spread over kernels.  A single
 :class:`~repro.pisa.sdc_server.SdcServer` runs one kernel owning every
 block; a cluster shard (:class:`repro.cluster.shard.SdcShard`) wraps one
 kernel with ownership, liveness, fencing and locking.  Paillier

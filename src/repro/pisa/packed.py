@@ -540,7 +540,7 @@ class PackedCoordinator(PisaCoordinator):
             executor=executor,
         )
 
-    def _build_sdc(self, signer, fresh_beta_encryption, executor) -> PackedSdcServer:
+    def _build_sdc(self, signer, executor) -> PackedSdcServer:
         return PackedSdcServer(
             self.environment,
             directory=self.stp.directory,

@@ -113,7 +113,6 @@ class PisaCoordinator:
         signature_bits: int | None = None,
         rng: RandomSource | None = None,
         transport: InMemoryTransport | None = None,
-        fresh_beta_encryption: bool = True,
         executor=None,
     ) -> None:
         if signature_bits is None:
@@ -130,9 +129,7 @@ class PisaCoordinator:
         # first, then the signing key; nothing after that draws.
         self.stp = self._build_stp(key_bits, executor)
         _, signing_private = generate_rsa_keypair(signature_bits, rng=self._rng)
-        self.sdc = self._build_sdc(
-            RsaFdhSigner(signing_private), fresh_beta_encryption, executor
-        )
+        self.sdc = self._build_sdc(RsaFdhSigner(signing_private), executor)
         self._pu_clients: dict[str, PUClient] = {}
         self._su_clients: dict = {}
 
@@ -142,13 +139,12 @@ class PisaCoordinator:
         """The conversion server; draws the group keypair."""
         return StpServer(key_bits=key_bits, rng=self._rng, executor=executor)
 
-    def _build_sdc(self, signer: RsaFdhSigner, fresh_beta_encryption: bool, executor):
+    def _build_sdc(self, signer: RsaFdhSigner, executor):
         return SdcServer(
             self.environment,
             directory=self.stp.directory,
             signer=signer,
             rng=self._rng,
-            fresh_beta_encryption=fresh_beta_encryption,
             executor=executor,
         )
 

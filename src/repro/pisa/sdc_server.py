@@ -9,9 +9,9 @@ indicators (eqs. (11)-(14)) and the ``Q̃`` gadget sum (eq. (16)).  The
 cross-block:
 
 * validation of every SU request and STP response;
-* all randomness — per-cell ``(α, β, ε)`` and obfuscator nonces in
-  phase 1 (Figure 5, steps 3-5), the signature nonce and ``η`` in
-  phase 2 (steps 9-11) — drawn in one fixed order;
+* all randomness — per-cell ``(α, β, ε)`` in phase 1 (Figure 5,
+  steps 3-5), the signature nonce and ``η`` in phase 2 (steps 9-11) —
+  drawn in one fixed order;
 * the pending rounds between the two STP phases;
 * license issuance: sign, encrypt under the SU's key, perturb with
   ``η ⊗ ΣQ̃`` (eq. (17)) so the result decrypts to a valid signature
@@ -84,7 +84,6 @@ class SdcFront:
         signer: RsaFdhSigner,
         issuer_id: str = "sdc",
         rng: RandomSource | None = None,
-        fresh_beta_encryption: bool = True,
         clock=time.time,
     ) -> None:
         self.environment = environment
@@ -92,7 +91,6 @@ class SdcFront:
         self.signer = signer
         self.issuer_id = issuer_id
         self._rng = default_rng(rng)
-        self._fresh_beta = fresh_beta_encryption
         self._clock = clock
         self._pending: dict[str, PendingRound] = {}
         self._round_counter = itertools.count()
@@ -122,7 +120,7 @@ class SdcFront:
         """Figure 4 step 4: fold a PU's encrypted update into ``W̃'``."""
         raise NotImplementedError
 
-    def _blind(self, round_id, request, blindings, obfuscators, span):
+    def _blind(self, round_id, request, blindings, span):
         """The blinded ``Ṽ`` matrix (eqs. (10)-(14)) for ``request``."""
         raise NotImplementedError
 
@@ -165,9 +163,8 @@ class SdcFront:
         blindings = tuple(
             tuple(factory.draw() for _ in row) for row in request.matrix
         )
-        obfuscators = tuple((None,) * len(row) for row in request.matrix)
         round_id = f"round-{next(self._round_counter)}"
-        blinded = self._blind(round_id, request, blindings, obfuscators, span)
+        blinded = self._blind(round_id, request, blindings, span)
         self._pending[round_id] = PendingRound(
             round_id=round_id,
             su_id=request.su_id,
@@ -262,13 +259,11 @@ class SdcServer(SdcFront):
         signer: RsaFdhSigner,
         issuer_id: str = "sdc",
         rng: RandomSource | None = None,
-        fresh_beta_encryption: bool = True,
         clock=time.time,
         executor: Executor | None = None,
     ) -> None:
         super().__init__(
-            environment, directory, signer, issuer_id=issuer_id, rng=rng,
-            fresh_beta_encryption=fresh_beta_encryption, clock=clock,
+            environment, directory, signer, issuer_id=issuer_id, rng=rng, clock=clock
         )
         self._executor = default_executor(executor)
         self.kernel = BlockKernel(
@@ -278,7 +273,7 @@ class SdcServer(SdcFront):
     def handle_pu_update(self, message: PUUpdateMessage) -> None:
         self.kernel.fold_pu_update(message)
 
-    def _blind(self, round_id, request, blindings, obfuscators, span):
+    def _blind(self, round_id, request, blindings, span):
         indicators = self.kernel.indicators(request.region_blocks, request.matrix)
         return self.kernel.blind(indicators, blindings)
 

@@ -243,7 +243,7 @@ class TwoServerCoordinator(PisaCoordinator):
             keypair.shares[1], directory, rng=self._rng, executor=executor
         )
 
-    def _build_sdc(self, signer, fresh_beta_encryption, executor) -> FrontServer:
+    def _build_sdc(self, signer, executor) -> FrontServer:
         return FrontServer(
             self._front_share,
             self.environment,

@@ -65,7 +65,6 @@ class ServiceCostModel:
         num_channels: int,
         num_blocks: int,
         packing_factor: int = 1,
-        fresh_beta_encryption: bool = False,
     ) -> None:
         if packing_factor < 1:
             raise ConfigurationError("packing_factor must be ≥ 1")
@@ -73,14 +72,8 @@ class ServiceCostModel:
         self.num_channels = num_channels
         self.num_blocks = num_blocks
         self.packing_factor = packing_factor
-        # The paper's 219 s SDC processing implies β arrives as a
-        # plaintext blind (one multiplication), not a fresh per-cell
-        # encryption; capacity modelling defaults to that reading.
         estimate = estimate_full_scale(
-            profile,
-            num_channels=num_channels,
-            num_blocks=num_blocks,
-            fresh_beta_encryption=fresh_beta_encryption,
+            profile, num_channels=num_channels, num_blocks=num_blocks
         )
         cells = num_channels * num_blocks
         k = packing_factor

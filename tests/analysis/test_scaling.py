@@ -64,11 +64,6 @@ class TestExtrapolation:
         assert est.su_request_bytes == 60_000 * ct_bytes
         assert est.pu_update_bytes == 100 * ct_bytes
 
-    def test_fresh_beta_costs_more(self, profile):
-        fresh = estimate_full_scale(profile, fresh_beta_encryption=True)
-        plain = estimate_full_scale(profile, fresh_beta_encryption=False)
-        assert fresh.sdc_processing_s > plain.sdc_processing_s
-
     def test_table_rows(self, profile):
         rows = estimate_full_scale(profile).as_table_rows()
         assert len(rows) == 9

@@ -58,17 +58,56 @@ class TestShardCodecs:
                     CellBlinding(alpha=11, beta=31, epsilon=1),
                 ),
             ),
-            obfuscators=((None, 41), (43, None)),
         )
         decoded = decode_phase1_request(encode_phase1_request(request), pk)
         assert decoded.round_id == "r-1"
         assert decoded.columns == (1, 4)
         assert decoded.blocks == (3, 9)
         assert decoded.blindings == request.blindings
-        assert decoded.obfuscators == ((None, 41), (43, None))
         assert [
             [sk.decrypt(ct) for ct in row] for row in decoded.matrix
         ] == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    @pytest.mark.parametrize("nonce", [None, 41])
+    def test_old_format_phase1_request_rejected(self, keypair, fresh_rng, cols, nonce):
+        """A sub-query from before β became a plaintext blind — every
+        cell followed by a ``has_r`` flag and, when set, a nonce ``r`` —
+        no longer parses, with or without the nonce."""
+        from repro.crypto.serialization import (
+            encode_ciphertext,
+            encode_int,
+            encode_str,
+        )
+
+        pk = keypair.public_key
+        header = b"".join(
+            [
+                encode_str("r-1"),
+                encode_str("su-1"),
+                encode_str("shard-0"),
+                encode_int(0),  # fence token
+                encode_int(cols) + b"".join(encode_int(k) for k in range(cols)),
+                encode_int(cols) + b"".join(encode_int(k) for k in range(cols)),
+                encode_int(1),  # rows
+                encode_int(cols),
+            ]
+        )
+        cell = b"".join(
+            [
+                encode_ciphertext(pk.encrypt(5, rng=fresh_rng)),
+                encode_int(3),  # α
+                encode_int(17),  # β
+                encode_int(1),  # ε flag
+            ]
+        )
+        old_tail = (
+            encode_int(0) if nonce is None else encode_int(1) + encode_int(nonce)
+        )
+        current = decode_phase1_request(header + cell * cols, pk)
+        assert current.blindings == ((CellBlinding(alpha=3, beta=17, epsilon=1),) * cols,)
+        with pytest.raises(SerializationError):
+            decode_phase1_request(header + (cell + old_tail) * cols, pk)
 
     def test_phase1_response_roundtrip(self, keypair, fresh_rng):
         pk = keypair.public_key
@@ -92,7 +131,6 @@ class TestShardCodecs:
             blocks=(0,),
             matrix=ct_matrix(pk, fresh_rng, 1, 1),
             blindings=((CellBlinding(alpha=3, beta=17, epsilon=1),),),
-            obfuscators=((None,),),
             fence_token=42,
         )
         decoded = decode_phase1_request(encode_phase1_request(request), pk)

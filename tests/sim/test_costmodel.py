@@ -50,13 +50,6 @@ class TestServiceCosts:
         )
         assert packed.request_bytes == base.request_bytes // 12
 
-    def test_fresh_beta_costs_more(self):
-        cheap = ServiceCostModel(PAPER_PROFILE, 100, 600)
-        fresh = ServiceCostModel(
-            PAPER_PROFILE, 100, 600, fresh_beta_encryption=True
-        )
-        assert fresh.costs.sdc_phase1_s > 3 * cheap.costs.sdc_phase1_s
-
     def test_saturation_rate(self):
         model = ServiceCostModel(PAPER_PROFILE, 100, 600)
         assert model.saturation_rate_per_hour() == pytest.approx(
