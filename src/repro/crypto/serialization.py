@@ -35,6 +35,7 @@ __all__ = [
     "ciphertext_wire_size",
     "encode_ciphertext_matrix",
     "decode_ciphertext_matrix",
+    "check_matrix_shape",
     "encode_bytes",
     "decode_bytes",
     "encode_str",
@@ -135,6 +136,29 @@ def encode_ciphertext_matrix(
     return b"".join(parts)
 
 
+#: Fewest bytes one encoded cell occupies: a length prefix and one byte.
+_MIN_CELL_BYTES = _LEN.size + 1
+
+
+def check_matrix_shape(n_rows: int, n_cols: int, bytes_left: int) -> None:
+    """Reject a ``(rows, cols)`` header the rest of the buffer cannot hold.
+
+    A peer's header is a claim, and the decode loops run ``rows × cols``
+    times: without this a few bytes saying "20 million rows of no
+    columns" cost seconds of work and millions of empty lists.  Every
+    cell takes at least :data:`_MIN_CELL_BYTES`, and rows without
+    columns carry nothing, so both are refused before the first
+    allocation.
+    """
+    if n_cols == 0 and n_rows != 0:
+        raise SerializationError(f"matrix header claims {n_rows} rows of no columns")
+    if n_rows * n_cols * _MIN_CELL_BYTES > bytes_left:
+        raise SerializationError(
+            f"matrix header claims {n_rows}x{n_cols} cells; "
+            f"{bytes_left} bytes cannot hold them"
+        )
+
+
 def decode_ciphertext_matrix(
     buffer: bytes, public_key: PaillierPublicKey, offset: int = 0
 ) -> tuple[list[list[EncryptedNumber]], int]:
@@ -143,6 +167,7 @@ def decode_ciphertext_matrix(
     (n_rows,) = _LEN.unpack_from(buffer, offset)
     (n_cols,) = _LEN.unpack_from(buffer, offset + 4)
     offset += 8
+    check_matrix_shape(n_rows, n_cols, len(buffer) - offset)
     matrix: list[list[EncryptedNumber]] = []
     for _ in range(n_rows):
         row: list[EncryptedNumber] = []

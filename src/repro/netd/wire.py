@@ -36,6 +36,7 @@ from repro.cluster.shard import (
 )
 from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.serialization import (
+    check_matrix_shape,
     decode_bytes,
     decode_ciphertext,
     decode_int,
@@ -101,6 +102,24 @@ def _decode_ints(buffer: bytes, offset: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), offset
 
 
+def _decode_shape(
+    buffer: bytes, offset: int, columns: tuple[int, ...], what: str
+) -> tuple[int, int, int]:
+    """A sub-query's ``(rows, cols)`` header, checked before any cell is read.
+
+    The header comes from a peer: it has to fit the bytes that follow
+    and agree with the column list it travels with.
+    """
+    n_rows, offset = decode_int(buffer, offset)
+    n_cols, offset = decode_int(buffer, offset)
+    check_matrix_shape(n_rows, n_cols, len(buffer) - offset)
+    if n_rows and n_cols != len(columns):
+        raise SerializationError(
+            f"{what} is {n_cols} cells wide but lists {len(columns)} columns"
+        )
+    return n_rows, n_cols, offset
+
+
 def _check_consumed(buffer: bytes, offset: int, what: str) -> None:
     if offset != len(buffer):
         raise SerializationError(f"trailing bytes in {what}")
@@ -142,8 +161,11 @@ def decode_phase1_request(
     fence_token, offset = decode_int(buffer, offset)
     columns, offset = _decode_ints(buffer, offset)
     blocks, offset = _decode_ints(buffer, offset)
-    n_rows, offset = decode_int(buffer, offset)
-    n_cols, offset = decode_int(buffer, offset)
+    if len(blocks) != len(columns):
+        raise SerializationError("shard phase-1 request: one block per column")
+    n_rows, n_cols, offset = _decode_shape(
+        buffer, offset, columns, "shard phase-1 request"
+    )
     matrix, blindings = [], []
     for _ in range(n_rows):
         ct_row, blinding_row = [], []
@@ -190,8 +212,9 @@ def decode_phase1_response(
     round_id, offset = decode_str(buffer, 0)
     shard_id, offset = decode_str(buffer, offset)
     columns, offset = _decode_ints(buffer, offset)
-    n_rows, offset = decode_int(buffer, offset)
-    n_cols, offset = decode_int(buffer, offset)
+    n_rows, n_cols, offset = _decode_shape(
+        buffer, offset, columns, "shard phase-1 response"
+    )
     matrix = []
     for _ in range(n_rows):
         row = []
@@ -228,8 +251,9 @@ def decode_phase2_request(
     shard_id, offset = decode_str(buffer, offset)
     fence_token, offset = decode_int(buffer, offset)
     columns, offset = _decode_ints(buffer, offset)
-    n_rows, offset = decode_int(buffer, offset)
-    n_cols, offset = decode_int(buffer, offset)
+    n_rows, n_cols, offset = _decode_shape(
+        buffer, offset, columns, "shard phase-2 request"
+    )
     matrix, epsilons = [], []
     for _ in range(n_rows):
         ct_row, eps_row = [], []

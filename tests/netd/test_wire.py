@@ -147,7 +147,7 @@ class TestShardCodecs:
         request = ShardPhase2Request(
             round_id="r-2",
             shard_id="shard-0",
-            columns=(2,),
+            columns=(2, 5),
             matrix=ct_matrix(su_pk, fresh_rng, 1, 2),
             epsilons=((1, -1),),
         )
@@ -160,7 +160,7 @@ class TestShardCodecs:
         request = ShardPhase2Request(
             round_id="r-2",
             shard_id="shard-0",
-            columns=(2,),
+            columns=(2, 5),
             matrix=ct_matrix(su_pk, fresh_rng, 1, 2),
             epsilons=((1, -1),),
             fence_token=7,
