@@ -103,6 +103,10 @@ class SUClient:
 
         This is the §VI-A "≈221 s at full scale" phase; the result is
         cached so later rounds can re-randomise instead of re-encrypting.
+        Each cell's ``r**n`` comes from the obfuscator pool, so a
+        preparation over a stocked pool costs one multiplication per
+        cell; an empty pool computes the factor inline from the same
+        draw, and the bytes are the same either way.
         """
         env = self.environment
         f_matrix = su_request_matrix(
@@ -117,7 +121,9 @@ class SUClient:
         blocks = tuple(self.region.sorted_indices())
         matrix = tuple(
             tuple(
-                self.group_public_key.encrypt(int(f_matrix[c, b]), rng=self._rng)
+                self.group_public_key.encrypt_with_obfuscator(
+                    int(f_matrix[c, b]), self._obfuscators.take()
+                )
                 for b in blocks
             )
             for c in range(env.num_channels)
@@ -130,10 +136,11 @@ class SUClient:
     def precompute_refresh_material(self, rounds: int = 1, executor=None) -> None:
         """Offline phase of the §VI-A refresh: stock up ``r**n`` factors.
 
-        Call during idle time; each future :meth:`refresh_request` then
-        costs one modular multiplication per ciphertext (the paper's
-        "same amount of time as homomorphic addition").  An executor
-        parallelises the stocking exponentiations.
+        Call during idle time; each future :meth:`refresh_request` (or
+        re-preparation) then costs one modular multiplication per
+        ciphertext (the paper's "same amount of time as homomorphic
+        addition").  An executor parallelises the stocking
+        exponentiations.
         """
         if self._cached_request is None:
             raise ProtocolError("no cached request; call prepare_request first")

@@ -120,6 +120,39 @@ class TestRefreshPrecompute:
         client.refresh_request()
         assert len(client._obfuscators) == 0
 
+    def test_stocked_preparation_emits_the_inline_bytes_without_a_modexp(
+        self, scenario, group_keys, su_keys
+    ):
+        """``prepare_request`` takes each cell's ``r**n`` from the pool:
+        over a stocked pool it submits no ``pow_many`` job at all, over
+        an empty one it computes one per cell inline — same bytes."""
+        from repro.crypto.parallel import default_executor
+
+        stocked, inline = (
+            SUClient(
+                scenario.sus[0],
+                scenario.environment,
+                group_keys.public_key,
+                su_keys,
+                rng=DeterministicRandomSource("prepare"),
+            )
+            for _ in range(2)
+        )
+        first = stocked.prepare_request()
+        assert first.to_bytes() == inline.prepare_request().to_bytes()
+        cells = sum(len(row) for row in first.matrix)
+        stocked.precompute_refresh_material(rounds=1)  # offline
+        serial = default_executor()
+
+        before = serial.jobs_executed
+        stocked_bytes = stocked.prepare_request().to_bytes()
+        assert serial.jobs_executed == before
+        assert len(stocked._obfuscators) == 0
+
+        inline_bytes = inline.prepare_request().to_bytes()
+        assert serial.jobs_executed == before + cells
+        assert stocked_bytes == inline_bytes != first.to_bytes()
+
     def test_stocked_refresh_emits_the_inline_bytes(self, scenario, group_keys, su_keys):
         """Whether the pool was pre-stocked changes no request byte."""
         stocked, inline = (
