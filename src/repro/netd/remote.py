@@ -2,7 +2,7 @@
 
 Determinism across process boundaries hinges on one rule: **every
 protocol draw happens against the broker's RNG stream**.  Local draws
-(blinding triples, obfuscator nonces, keys) already do; the one remote
+(blinding triples, client nonces, keys) already do; the one remote
 consumer — the STP worker's per-cell re-encryption nonces — reaches
 back over the wire instead of drawing locally.  :class:`AuthorityServer`
 is that reach-back point: it serves ``rand_units`` (a whole request's
