@@ -16,13 +16,14 @@ cell lives here, once:
 
 The kernel draws **no randomness**: every ``(α, β, ε)`` is handed in by
 the request front (:class:`~repro.pisa.sdc_server.SdcFront`), which is
-what makes the transcript independent of how blocks are spread over kernels.  A single
-:class:`~repro.pisa.sdc_server.SdcServer` runs one kernel owning every
-block; a cluster shard (:class:`repro.cluster.shard.SdcShard`) wraps one
-kernel with ownership, liveness, fencing and locking.  Paillier
-addition is ciphertext multiplication mod ``n²`` — commutative and
-associative — so partial sums over any partition of the cells merge
-into exactly the integer one loop over all of them produces.
+what makes the transcript independent of how blocks are spread over
+kernels.  A single :class:`~repro.pisa.sdc_server.SdcServer` runs one
+kernel owning every block; a cluster shard
+(:class:`repro.cluster.shard.SdcShard`) wraps one kernel with ownership,
+liveness, fencing and locking.  Paillier addition is ciphertext
+multiplication mod ``n²`` — commutative and associative — so partial
+sums over any partition of the cells merge into exactly the integer one
+loop over all of them produces.
 
 The kernel is not thread-safe; a caller that shares one across threads
 serialises the state-touching calls (everything except :meth:`blind`
