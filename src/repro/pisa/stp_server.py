@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.crypto.encoding import decode_signed
 from repro.crypto.paillier import (
+    EncryptedNumber,
     PaillierKeypair,
     PaillierPublicKey,
     generate_keypair,
@@ -41,7 +42,7 @@ from repro.errors import ProtocolError
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 
-__all__ = ["StpServer", "StpStats", "MAX_STOCKED_SUS"]
+__all__ = ["SignConverter", "StpServer", "StpStats", "MAX_STOCKED_SUS"]
 
 #: How many SUs' next-request nonces the STP holds at once.  Past it the
 #: SU that requested longest ago loses its stock and draws inline again.
@@ -73,20 +74,26 @@ class _Stock:
     obfuscators: list[int] = field(default_factory=list)
 
 
-class StpServer:
-    """Key authority + sign-extraction/key-conversion service."""
+class SignConverter:
+    """Steps 6-8 of Figure 5, once, for every conversion server.
+
+    Owns everything about a conversion that does not depend on how a
+    ``Ṽ`` ciphertext is opened: the SU-key check, whole-request
+    validation, the one-ahead nonce draw and the per-SU stock, the single
+    ``pow_many`` batch, the ``> 0`` of eq. (15), the re-encryption under
+    ``pk_j``, :class:`StpStats` and :meth:`fill_stock`.  A subclass says
+    how to open, in two hooks: :meth:`_open_jobs` and :meth:`_open`.
+    """
 
     def __init__(
         self,
-        group_keypair: PaillierKeypair | None = None,
-        key_bits: int = 2048,
+        directory: KeyDirectory,
         rng: RandomSource | None = None,
         executor: Executor | None = None,
     ) -> None:
+        self.directory = directory
         self._rng = default_rng(rng)
         self._executor = default_executor(executor)
-        self._keypair = group_keypair or generate_keypair(key_bits, rng=self._rng)
-        self.directory = KeyDirectory(self._keypair.public_key)
         self.stats = StpStats()
         #: Per SU, the re-encryption nonces drawn for its next request;
         #: SUs in request order, oldest first.
@@ -99,12 +106,31 @@ class StpServer:
 
     @property
     def group_public_key(self) -> PaillierPublicKey:
-        """``pk_G`` — published; the secret half never leaves this object."""
-        return self._keypair.public_key
+        """``pk_G`` — published."""
+        return self.directory.group_public_key
 
     def register_su(self, su_id: str, public_key: PaillierPublicKey) -> None:
         """Accept an SU's ``pk_i`` upload (§III-C)."""
         self.directory.register_su_key(su_id, public_key)
+
+    # -- how a ciphertext is opened: the two hooks -------------------------------
+
+    def _open_jobs(self, ciphertext: int) -> tuple[tuple[int, int, int], ...]:
+        """The secret-exponent ``pow`` jobs that open one ``Ṽ`` ciphertext."""
+        raise NotImplementedError
+
+    def _open(self, request, powers: list[int]) -> list[Sequence[int]]:
+        """Per ciphertext, in request order, the signed values it holds.
+
+        ``powers`` are the results of every :meth:`_open_jobs` job, in
+        the order submitted.
+        """
+        raise NotImplementedError
+
+    def _encode(self, positive: list[bool]) -> int:
+        """One ciphertext's signs as the plaintext sent back: ``X = ±1``."""
+        (sign,) = positive
+        return 1 if sign else -1
 
     # -- the key-conversion service --------------------------------------------
 
@@ -114,13 +140,21 @@ class StpServer:
         """Steps 6-8 of Figure 5: decrypt Ṽ, take signs, re-encrypt under pk_j."""
         if span is not None:
             span.set_attribute("rows", len(request.matrix))
+        cells = [ct for row in request.matrix for ct in row]
+        converted = iter(self._convert(request, cells))
+        return SignExtractionResponse(
+            round_id=request.round_id,
+            su_id=request.su_id,
+            matrix=tuple(tuple(next(converted) for _ in row) for row in request.matrix),
+        )
+
+    def _convert(self, request, cells) -> list[EncryptedNumber]:
+        """``cells`` of ``request`` as encrypted signs under its SU's key."""
         if not self.directory.has_su_key(request.su_id):
             raise ProtocolError(f"SU {request.su_id!r} has not registered a key")
         su_key = self.directory.su_key(request.su_id)
-        sk = self._keypair.private_key
         # Validate every cell before the first draw (a rejected request
         # consumes none and leaves the stock alone).
-        cells = [ct for row in request.matrix for ct in row]
         for ct in cells:
             if ct.public_key != self.group_public_key:
                 raise ProtocolError("Ṽ entry not under the group key")
@@ -143,33 +177,26 @@ class StpServer:
             if len(self._stock) > MAX_STOCKED_SUS:
                 del self._stock[next(iter(self._stock))]
             # Batch the expensive exponentiations through the executor:
-            # two CRT halves per decryption, plus the r**n of every
-            # nonce fill_stock() has not reached.  One path whether it
-            # reached all, some or none of them, and the same bytes.
-            jobs = [job for ct in cells for job in sk.decrypt_pow_jobs(ct.ciphertext)]
+            # the opening of every cell, plus the r**n of every nonce
+            # fill_stock() has not reached.  One path whether it reached
+            # all, some or none of them, and the same bytes.
+            jobs = [job for ct in cells for job in self._open_jobs(ct.ciphertext)]
+            opening = len(jobs)
             jobs.extend(su_key.obfuscator_job(r) for r in nonces[len(ready):])
             powers = self._executor.pow_many(jobs)
-            halves = iter(powers)
-            obfuscators = iter(ready + powers[2 * len(cells):])
-            converted = []
-            for row in request.matrix:
-                out_row = []
-                for _ in row:
-                    raw = sk.raw_decrypt_from_pows(next(halves), next(halves))
-                    value = decode_signed(raw, self.group_public_key.n)
-                    sign = 1 if value > 0 else -1
-                    out_row.append(
-                        su_key.encrypt_with_obfuscator(sign, next(obfuscators))
-                    )
-                converted.append(tuple(out_row))
+            opened = self._open(request, powers[:opening])
+            converted = [
+                su_key.encrypt_with_obfuscator(
+                    self._encode([value > 0 for value in values]), obfuscator
+                )
+                for values, obfuscator in zip(opened, ready + powers[opening:])
+            ]
             self.stats.conversions += 1
             self.stats.cells_decrypted += len(cells)
             self.stats.cells_encrypted += len(cells)
             self.stats.obfuscators_stocked += len(ready)
             self.stats.obfuscators_inline += len(cells) - len(ready)
-        return SignExtractionResponse(
-            round_id=request.round_id, su_id=request.su_id, matrix=tuple(converted)
-        )
+        return converted
 
     # -- idle-time work ----------------------------------------------------------
 
@@ -211,3 +238,38 @@ class StpServer:
             "stocked_nonces": sum(len(stock.nonces) for stock in stocks),
             "stocked_obfuscators": sum(len(stock.obfuscators) for stock in stocks),
         }
+
+
+class StpServer(SignConverter):
+    """Key authority + sign-extraction/key-conversion service.
+
+    Opens a ciphertext with the whole group secret key: two CRT halves.
+    """
+
+    def __init__(
+        self,
+        group_keypair: PaillierKeypair | None = None,
+        key_bits: int = 2048,
+        rng: RandomSource | None = None,
+        executor: Executor | None = None,
+    ) -> None:
+        rng = default_rng(rng)
+        self._keypair = group_keypair or generate_keypair(key_bits, rng=rng)
+        super().__init__(
+            KeyDirectory(self._keypair.public_key), rng=rng, executor=executor
+        )
+
+    def _open_jobs(self, ciphertext: int):
+        return self._keypair.private_key.decrypt_pow_jobs(ciphertext)
+
+    def _plaintexts(self, powers: list[int]) -> list[int]:
+        """The raw plaintexts behind ``powers``, two CRT halves each."""
+        sk = self._keypair.private_key
+        halves = iter(powers)
+        return [
+            sk.raw_decrypt_from_pows(pow_p, pow_q) for pow_p, pow_q in zip(halves, halves)
+        ]
+
+    def _open(self, request, powers: list[int]):
+        n = self.group_public_key.n
+        return [(decode_signed(raw, n),) for raw in self._plaintexts(powers)]
