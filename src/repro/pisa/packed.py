@@ -446,7 +446,12 @@ class PackedSdcServer(SdcFront):
 
 
 class PackedStpServer(StpServer):
-    """The STP's packed conversion: one decrypt + one encrypt per chunk."""
+    """The STP's packed conversion: one decrypt + one encrypt per chunk.
+
+    The baseline STP's converter and CRT opening; what differs is the
+    message shape (a flat chunk list), that a ciphertext opens to ``k``
+    slots, and how their signs go back.
+    """
 
     def __init__(
         self,
@@ -459,46 +464,31 @@ class PackedStpServer(StpServer):
         super().__init__(group_keypair=group_keypair, rng=rng, executor=executor)
         self.config = config or PackedProtocolConfig()
         self.layout = self.config.layout(group_keypair.public_key, environment)
-        self.chunks_converted = 0
+
+    chunks_converted = property(lambda self: self.stats.cells_decrypted)
 
     def handle_sign_extraction(
         self, request: PackedSignExtractionRequest, span=None
     ) -> PackedSignExtractionResponse:
         if span is not None:
             span.set_attribute("chunks", len(request.chunks))
-        if not self.directory.has_su_key(request.su_id):
-            raise ProtocolError(f"SU {request.su_id!r} has not registered a key")
-        su_key = self.directory.su_key(request.su_id)
-        layout = self.layout
-        sk = self._keypair.private_key
-        # Validate every chunk, draw the response nonces in one call,
-        # then batch the chunk decryptions (two CRT halves each) and the
-        # response obfuscators through the executor.
-        for chunk in request.chunks:
-            if chunk.public_key != self.group_public_key:
-                raise ProtocolError("chunk not under the group key")
-        nonces = self._rng.random_units(su_key.n, len(request.chunks))
-        jobs = []
-        for chunk, r in zip(request.chunks, nonces):
-            jobs.extend(sk.decrypt_pow_jobs(chunk.ciphertext))
-            jobs.append(su_key.obfuscator_job(r))
-        powers = iter(self._executor.pow_many(jobs))
-        converted = []
-        for chunk in request.chunks:
-            packed = sk.raw_decrypt_from_pows(next(powers), next(powers))
-            slots = layout.unpack(packed)
-            # eq. (15) per slot, stored as X_i + 1 ∈ {0, 2} to keep the
-            # packed plaintext non-negative.
-            signs = [
-                2 if slot - layout.half_slot > 0 else 0 for slot in slots
-            ]
-            converted.append(
-                su_key.encrypt_with_obfuscator(layout.pack(signs), next(powers))
-            )
-            self.chunks_converted += 1
         return PackedSignExtractionResponse(
-            round_id=request.round_id, su_id=request.su_id, chunks=tuple(converted)
+            round_id=request.round_id,
+            su_id=request.su_id,
+            chunks=tuple(self._convert(request, request.chunks)),
         )
+
+    def _open(self, request, powers: list[int]):
+        layout = self.layout
+        return [
+            [slot - layout.half_slot for slot in layout.unpack(packed)]
+            for packed in self._plaintexts(powers)
+        ]
+
+    def _encode(self, positive: list[bool]) -> int:
+        # Stored as X_i + 1 ∈ {0, 2} to keep the packed plaintext
+        # non-negative.
+        return self.layout.pack([2 if sign else 0 for sign in positive])
 
 
 class PackedCoordinator(PisaCoordinator):

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
-from repro.crypto.parallel import Executor, default_executor
-from repro.crypto.rand import RandomSource, default_rng
+from repro.crypto.parallel import Executor
+from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import encode_ciphertext_matrix, encode_int
 from repro.crypto.threshold import (
     DecryptionShare,
@@ -44,9 +44,9 @@ from repro.crypto.threshold import (
 )
 from repro.errors import ProtocolError, SerializationError
 from repro.pisa.keys import KeyDirectory
-from repro.pisa.messages import SignExtractionResponse
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcServer
+from repro.pisa.stp_server import SignConverter
 
 __all__ = [
     "PartialSignExtractionRequest",
@@ -135,13 +135,14 @@ class FrontServer(SdcServer):
         )
 
 
-class BackendServer:
+class BackendServer(SignConverter):
     """The lightweight co-server replacing the STP.
 
     Holds share ``d₂`` and the public directory.  Unlike the STP it
     *cannot* decrypt protocol traffic on its own — it only completes
     decryptions the front server has already half-opened, which by
-    protocol are always the blinded ``Ṽ`` values.
+    protocol are always the blinded ``Ṽ`` values.  Everything else about
+    the conversion is the shared converter's.
     """
 
     def __init__(
@@ -153,58 +154,28 @@ class BackendServer:
     ) -> None:
         if share.public_key != directory.group_public_key:
             raise ProtocolError("share does not match the directory's group key")
+        super().__init__(directory, rng=rng, executor=executor)
         self._share = share
-        self.directory = directory
-        self._rng = default_rng(rng)
-        self._executor = default_executor(executor)
-        self.cells_combined = 0
 
-    @property
-    def group_public_key(self) -> PaillierPublicKey:
-        return self.directory.group_public_key
+    handle_partial_extraction = SignConverter.handle_sign_extraction
+    cells_combined = property(lambda self: self.stats.cells_decrypted)
 
-    def register_su(self, su_id: str, public_key: PaillierPublicKey) -> None:
-        self.directory.register_su_key(su_id, public_key)
+    def _open_jobs(self, ciphertext: int):
+        return ((ciphertext, self._share.exponent, self.group_public_key.n_sq),)
 
-    def handle_partial_extraction(
-        self, request: PartialSignExtractionRequest, span=None
-    ) -> SignExtractionResponse:
-        """Combine partials, extract signs (eq. (15)), convert to pk_j."""
-        if span is not None:
-            span.set_attribute("rows", len(request.matrix))
-        if not self.directory.has_su_key(request.su_id):
-            raise ProtocolError(f"SU {request.su_id!r} has no registered key")
-        su_key = self.directory.su_key(request.su_id)
-        pk = self.directory.group_public_key
-        # Validate every cell, draw the re-encryption nonces in one
-        # call, in cell order, then batch the ``Ṽ^{d₂}`` and ``r**n``
-        # exponentiations.
-        cells = [ct for ct_row in request.matrix for ct in ct_row]
-        for ct in cells:
-            if ct.public_key != pk:
-                raise ProtocolError("Ṽ entry not under the group key")
-        jobs = []
-        for ct, r in zip(cells, self._rng.random_units(su_key.n, len(cells))):
-            jobs.append((ct.ciphertext, self._share.exponent, pk.n_sq))
-            jobs.append(su_key.obfuscator_job(r))
-        powers = iter(self._executor.pow_many(jobs))
-        converted = []
-        for ct_row, partial_row in zip(request.matrix, request.partials):
-            out_row = []
-            for ct, front_partial in zip(ct_row, partial_row):
-                own = PartialDecryption(index=self._share.index, value=next(powers))
-                obfuscator = next(powers)
-                value = combine_partials(
-                    pk,
-                    [PartialDecryption(index=1 - self._share.index, value=front_partial), own],
-                )
-                self.cells_combined += 1
-                sign = 1 if value > 0 else -1
-                out_row.append(su_key.encrypt_with_obfuscator(sign, obfuscator))
-            converted.append(tuple(out_row))
-        return SignExtractionResponse(
-            round_id=request.round_id, su_id=request.su_id, matrix=tuple(converted)
-        )
+    def _open(self, request: PartialSignExtractionRequest, powers: list[int]):
+        """Combine the front's ``Ṽ^{d₁}`` with this share's ``Ṽ^{d₂}``."""
+        pk = self.group_public_key
+        own, front = self._share.index, 1 - self._share.index
+        front_partials = (value for row in request.partials for value in row)
+        return [
+            (
+                combine_partials(
+                    pk, [PartialDecryption(front, theirs), PartialDecryption(own, ours)]
+                ),
+            )
+            for theirs, ours in zip(front_partials, powers)
+        ]
 
 
 class TwoServerCoordinator(PisaCoordinator):

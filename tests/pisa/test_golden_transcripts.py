@@ -45,8 +45,8 @@ SEED = "golden"
 #: The single SDC and every cluster shape draw the same stream, so one
 #: constant pins all four deployments.
 BASIC_DIGEST = "f1f67faa937346563990e26ddb05aef7c05119ce69e825fe86e9ab2f21d969a0"
-TWO_SERVER_DIGEST = "b9fd5a52de4e2668107db24b2f8ba6fff43b9a93ab3e371118b7f3607b68cff8"
-PACKED_DIGEST = "070efcf281ce14f102c2d15143d3710a586ae50d983d385c7305963e6570736a"
+TWO_SERVER_DIGEST = "bbc8141d05c8bae7cb30acf57e197b205b3517932ab0801392a43e05390a138e"
+PACKED_DIGEST = "3298daadc5b34eeed57d3105d641515fe90e76a33fcd9695e3a8a15d9be9d80c"
 JOURNAL_DIGEST = "4c8901bb5c799bfe14626f1d2410523298d5fb6d257856ce78449821fb116fec"
 #: Seed-4 scenario, SUs 0..2: a deny followed by two grants.
 DECISIONS = (False, True, True)
