@@ -465,8 +465,6 @@ class PackedStpServer(StpServer):
         self.config = config or PackedProtocolConfig()
         self.layout = self.config.layout(group_keypair.public_key, environment)
 
-    chunks_converted = property(lambda self: self.stats.cells_decrypted)
-
     def handle_sign_extraction(
         self, request: PackedSignExtractionRequest, span=None
     ) -> PackedSignExtractionResponse:

@@ -83,10 +83,10 @@ class PisaCoordinator:
 
     Every protocol variant deploys through this class: the variants'
     coordinators subclass it and override only the build hooks
-    (:meth:`_build_stp`, :meth:`_build_sdc`, :meth:`_build_su_client`)
-    and, where the conversion leg differs, :meth:`_start_request` /
-    :meth:`_convert_signs`.  Enrolment and the Figure 5 round driver are
-    defined here once.
+    (:meth:`_build_stp`, :meth:`_build_sdc`, :meth:`_build_su_client`).
+    Whatever they build answers ``start_request`` / ``finish_request``
+    at the SDC and ``handle_sign_extraction`` at the conversion server,
+    so enrolment and the Figure 5 round driver are defined here once.
 
     Parameters
     ----------
@@ -158,12 +158,6 @@ class PisaCoordinator:
             rng=self._rng,
         )
 
-    def _start_request(self, request):
-        return self.sdc.start_request(request)
-
-    def _convert_signs(self, sign_request):
-        return self.stp.handle_sign_extraction(sign_request)
-
     # -- enrolment -----------------------------------------------------------------
 
     def enroll_pu(self, pu: PUReceiver) -> PUClient:
@@ -229,11 +223,11 @@ class PisaCoordinator:
         t1 = time.perf_counter()
         self.transport.send(request, sender=su_id, receiver=sdc_name)
 
-        sign_request = self._start_request(request)
+        sign_request = self.sdc.start_request(request)
         t2 = time.perf_counter()
         self.transport.send(sign_request, sender=sdc_name, receiver=stp_name)
 
-        sign_response = self._convert_signs(sign_request)
+        sign_response = self.stp.handle_sign_extraction(sign_request)
         t3 = time.perf_counter()
         self.transport.send(sign_response, sender=stp_name, receiver=sdc_name)
 

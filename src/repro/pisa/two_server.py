@@ -109,15 +109,13 @@ class FrontServer(SdcServer):
             raise ProtocolError("share does not match the directory's group key")
         self._share = share
 
-    def start_request_with_partials(
-        self, request, span=None
-    ) -> PartialSignExtractionRequest:
+    def start_request(self, request, span=None) -> PartialSignExtractionRequest:
         """Eq. (14) blinding + the front's threshold partials.
 
         The ``Ṽ^{d₁}`` exponentiations are independent per cell, so they
         ship to the executor as one batch.
         """
-        extraction = self.start_request(request, span=span)
+        extraction = super().start_request(request, span=span)
         jobs = [
             (ct.ciphertext, self._share.exponent, self.group_public_key.n_sq)
             for row in extraction.matrix
@@ -157,9 +155,6 @@ class BackendServer(SignConverter):
         super().__init__(directory, rng=rng, executor=executor)
         self._share = share
 
-    handle_partial_extraction = SignConverter.handle_sign_extraction
-    cells_combined = property(lambda self: self.stats.cells_decrypted)
-
     def _open_jobs(self, ciphertext: int):
         return ((ciphertext, self._share.exponent, self.group_public_key.n_sq),)
 
@@ -189,24 +184,6 @@ class TwoServerCoordinator(PisaCoordinator):
     sdc_endpoint = "sdc-front"
     stp_endpoint = "sdc-back"
 
-    def __init__(
-        self,
-        environment,
-        key_bits: int = 2048,
-        signature_bits: int | None = None,
-        rng: RandomSource | None = None,
-        transport=None,
-        executor: Executor | None = None,
-    ) -> None:
-        super().__init__(
-            environment,
-            key_bits=key_bits,
-            signature_bits=signature_bits,
-            rng=rng,
-            transport=transport,
-            executor=executor,
-        )
-
     def _build_stp(self, key_bits: int, executor) -> BackendServer:
         keypair, directory = deal_two_server_keys(key_bits, rng=self._rng)
         self._front_share = keypair.shares[0]
@@ -223,12 +200,6 @@ class TwoServerCoordinator(PisaCoordinator):
             rng=self._rng,
             executor=executor,
         )
-
-    def _start_request(self, request):
-        return self.sdc.start_request_with_partials(request)
-
-    def _convert_signs(self, sign_request):
-        return self.stp.handle_partial_extraction(sign_request)
 
     @property
     def front(self) -> FrontServer:

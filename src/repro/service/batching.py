@@ -204,8 +204,9 @@ class BatchAllocator:
     Variant-agnostic: the three phases are injected as callables, so the
     same allocator drives baseline PISA, the packed extension, and the
     two-server split.  Use :meth:`for_coordinator` to wire one from any
-    coordinator (duck-typed on the shared ``sdc``/``stp`` /
-    ``front``/``backend`` layout).
+    coordinator: every variant's SDC answers ``start_request`` /
+    ``finish_request`` and its conversion server
+    ``handle_sign_extraction``.
     """
 
     def __init__(
@@ -235,7 +236,7 @@ class BatchAllocator:
 
     @classmethod
     def for_coordinator(cls, coordinator) -> "BatchAllocator":
-        """Build the phase wiring from any of the four coordinators.
+        """Build the phase wiring from any coordinator — one wiring.
 
         A cluster coordinator's SDC facade exposes ``commit_epoch``; when
         present it is wired as the end-of-epoch hook, so each completed
@@ -245,17 +246,6 @@ class BatchAllocator:
         homomorphic work per shard internally, so one allocation pass is
         automatically batched shard-by-shard.
         """
-        if hasattr(coordinator, "front"):  # two-server split
-            return cls(
-                phase1=coordinator.front.start_request_with_partials,
-                convert=coordinator.backend.handle_partial_extraction,
-                phase2=coordinator.front.finish_request,
-                process_response=lambda su_id, response: coordinator.su_client(
-                    su_id
-                ).process_response(response, coordinator.directory),
-                transport=coordinator.transport,
-                conversion_peer="sdc-back",
-            )
         return cls(
             phase1=coordinator.sdc.start_request,
             convert=coordinator.stp.handle_sign_extraction,
@@ -264,6 +254,7 @@ class BatchAllocator:
                 su_id
             ).process_response(response, coordinator.stp.directory),
             transport=coordinator.transport,
+            conversion_peer=coordinator.stp_endpoint,
             commit_epoch=getattr(coordinator.sdc, "commit_epoch", None),
         )
 

@@ -99,9 +99,8 @@ class TestConformance:
 
         clock = Clock()
         # Point the license issuer at the same clock so validity windows
-        # line up (the SDC attribute differs by variant).
-        sdc = getattr(coordinator, "sdc", None) or coordinator.front
-        sdc._clock = clock
+        # line up.
+        coordinator.sdc._clock = clock
         session = SuSession(
             coordinator, granted_su.su_id, clock=clock,
             renew_margin_s=60,
@@ -140,12 +139,8 @@ class TestMalformedInputRejected:
         if close is not None:
             close()
 
-    @staticmethod
-    def _sdc(coordinator):
-        return getattr(coordinator, "sdc", None) or coordinator.front
-
     def _assert_state_untouched(self, coordinator, cross_scenario, cross_oracle):
-        assert self._sdc(coordinator).pending_rounds == 0
+        assert coordinator.sdc.pending_rounds == 0
         su = cross_scenario.sus[0]
         assert (
             coordinator.run_request_round(su.su_id).granted
@@ -164,7 +159,7 @@ class TestMalformedInputRejected:
             tuple(foreign.encrypt(0, rng=fresh_rng) for _ in good.ciphertexts),
         )
         with pytest.raises(ProtocolError):
-            self._sdc(coordinator).handle_pu_update(bad)
+            coordinator.sdc.handle_pu_update(bad)
         self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
 
     @pytest.mark.parametrize("offset", [0, 1000])
@@ -177,7 +172,7 @@ class TestMalformedInputRejected:
             good, block_index=cross_scenario.environment.num_blocks + offset
         )
         with pytest.raises(ProtocolError):
-            self._sdc(coordinator).handle_pu_update(bad)
+            coordinator.sdc.handle_pu_update(bad)
         self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
 
     @pytest.mark.parametrize("block", [-1, 10**6])
@@ -189,7 +184,7 @@ class TestMalformedInputRejected:
         good = coordinator.su_client(su.su_id).prepare_request()
         bad = replace(good, region_blocks=(block,) + good.region_blocks[1:])
         with pytest.raises(ProtocolError):
-            self._sdc(coordinator).start_request(bad)
+            coordinator.sdc.start_request(bad)
         self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
 
 

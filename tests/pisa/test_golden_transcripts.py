@@ -67,16 +67,7 @@ def run_session(coordinator, scenario, passes=1) -> tuple[str, tuple[bool, ...]]
     requests), so the STP serves those from nonces it drew a pass
     earlier.
     """
-    two_server = hasattr(coordinator, "front")
-    sdc = coordinator.front if two_server else coordinator.sdc
-    if two_server:
-        start = sdc.start_request_with_partials
-        convert = coordinator.backend.handle_partial_extraction
-        directory = coordinator.directory
-    else:
-        start = sdc.start_request
-        convert = coordinator.stp.handle_sign_extraction
-        directory = coordinator.stp.directory
+    sdc, stp = coordinator.sdc, coordinator.stp
     pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
     for su in scenario.sus:
         coordinator.enroll_su(su)
@@ -94,12 +85,12 @@ def run_session(coordinator, scenario, passes=1) -> tuple[str, tuple[bool, ...]]
             request = client.prepare_request()
         else:
             request = client.refresh_request()
-        sign_request = start(request)
-        sign_response = convert(sign_request)
+        sign_request = sdc.start_request(request)
+        sign_response = stp.handle_sign_extraction(sign_request)
         response = sdc.finish_request(sign_response)
         for message in (request, sign_request, sign_response, response):
             absorb(message)
-        decisions.append(client.process_response(response, directory).granted)
+        decisions.append(client.process_response(response, stp.directory).granted)
         if i == 0:
             update = pu_clients[0].switch_channel(1, signal_strength_mw=2.0)
             absorb(update)

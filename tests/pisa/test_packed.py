@@ -117,7 +117,7 @@ class TestEfficiency:
         chunks_per_row = deployment.layout.chunk_count(env.num_blocks)
         expected_per_round = env.num_channels * chunks_per_row
         # Dummies add dummy_fraction more.
-        converted = deployment.stp.chunks_converted
+        converted = deployment.stp.stats.cells_decrypted
         rounds = deployment.sdc.chunks_processed / expected_per_round
         assert converted >= deployment.sdc.chunks_processed  # + dummies
 

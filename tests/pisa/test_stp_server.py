@@ -135,7 +135,7 @@ def _two_server_backend(rng, environment):
             "r0", su_id, (tuple(cells),), (tuple(1 for _ in cells),)
         )
 
-    return backend, backend.handle_partial_extraction, make_request
+    return backend, backend.handle_sign_extraction, make_request
 
 
 @pytest.mark.parametrize(

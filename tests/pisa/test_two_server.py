@@ -73,7 +73,7 @@ class TestTrustModel:
     def test_unregistered_su_rejected(self, deployment, pisa_scenario, fresh_rng):
         su = pisa_scenario.sus[0]
         request = deployment.su_client(su.su_id).prepare_request()
-        extraction = deployment.front.start_request_with_partials(request)
+        extraction = deployment.front.start_request(request)
         spoofed = PartialSignExtractionRequest(
             round_id=extraction.round_id,
             su_id="ghost",
@@ -81,9 +81,9 @@ class TestTrustModel:
             partials=extraction.partials,
         )
         with pytest.raises(ProtocolError):
-            deployment.backend.handle_partial_extraction(spoofed)
+            deployment.backend.handle_sign_extraction(spoofed)
         # Finish the legitimate round to leave clean state.
-        conversion = deployment.backend.handle_partial_extraction(extraction)
+        conversion = deployment.backend.handle_sign_extraction(extraction)
         deployment.front.finish_request(conversion)
 
 
@@ -91,7 +91,7 @@ class TestMessages:
     def test_partials_shape_validated(self, deployment, pisa_scenario):
         su = pisa_scenario.sus[0]
         request = deployment.su_client(su.su_id).prepare_request()
-        extraction = deployment.front.start_request_with_partials(request)
+        extraction = deployment.front.start_request(request)
         with pytest.raises(SerializationError):
             PartialSignExtractionRequest(
                 round_id=extraction.round_id,
@@ -99,7 +99,7 @@ class TestMessages:
                 matrix=extraction.matrix,
                 partials=extraction.partials[:-1],
             )
-        conversion = deployment.backend.handle_partial_extraction(extraction)
+        conversion = deployment.backend.handle_sign_extraction(extraction)
         deployment.front.finish_request(conversion)
 
     def test_wire_size_roughly_doubles(self, deployment, pisa_scenario):
@@ -120,5 +120,6 @@ class TestAccounting:
     def test_backend_combined_every_cell(self, deployment, pisa_scenario):
         env = pisa_scenario.environment
         cells_per_round = env.num_channels * env.num_blocks
-        assert deployment.backend.cells_combined % cells_per_round == 0
-        assert deployment.backend.cells_combined > 0
+        stats = deployment.backend.stats
+        assert stats.cells_decrypted % cells_per_round == 0
+        assert stats.cells_decrypted > 0

@@ -25,6 +25,7 @@ RETIRED = re.compile(
     r"|bench_(?:service_throughput|cluster_scaling|socket_plane"
     r"|resilience_overhead|store_coldstart|workload_capacity)"
     r"|cluster-up|cluster_spec\.json|ClusterSpec"
+    r"|handle_partial_extraction|start_request_with_partials"
 )
 
 
