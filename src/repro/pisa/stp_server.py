@@ -155,9 +155,12 @@ class SignConverter:
         su_key = self.directory.su_key(request.su_id)
         # Validate every cell before the first draw (a rejected request
         # consumes none and leaves the stock alone).
+        pk = self.group_public_key
         for ct in cells:
-            if ct.public_key != self.group_public_key:
+            if ct.public_key != pk:
                 raise ProtocolError("Ṽ entry not under the group key")
+            if not 0 < ct.ciphertext < pk.n_sq:
+                raise ProtocolError("Ṽ entry outside (0, n²)")
         with self._serving, self._stock_lock:
             # The nonces are the ones drawn for this SU while serving its
             # previous request; one call draws whatever this request

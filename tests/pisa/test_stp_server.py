@@ -1,18 +1,24 @@
 """Unit tests for the STP (sign extraction + key conversion)."""
 
+import functools
+import itertools
 import threading
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.crypto.paillier import generate_keypair
+from repro.crypto.paillier import EncryptedNumber, generate_keypair
 from repro.crypto.parallel import SerialExecutor
 from repro.crypto.rand import DeterministicRandomSource
-from repro.errors import ProtocolError
+from repro.errors import DecryptionError, ProtocolError, ReproError
 from repro.pisa.messages import SignExtractionRequest
 from repro.pisa.packed import PackedSignExtractionRequest, PackedStpServer
 from repro.pisa import stp_server
-from repro.pisa.stp_server import StpServer
+from repro.pisa.stp_server import StpServer, StpStats
 from repro.pisa.two_server import (
     BackendServer,
     PartialSignExtractionRequest,
@@ -101,123 +107,197 @@ class TestSignExtraction:
         assert stp.stats.cells_encrypted == 4
 
 
-# -- validate-then-draw, every variant -------------------------------------------
+# -- one converter, three ways to open a ciphertext ------------------------------
 
 
-def _baseline_stp(rng, environment):
-    keypair = generate_keypair(256, rng=DeterministicRandomSource("vtd-keys"))
-    stp = StpServer(group_keypair=keypair, rng=rng)
+@dataclass
+class Harness:
+    """A conversion server and how to talk to it in its own message shape."""
+
+    server: object
+    #: ``(su_id, cells) -> request``.
+    make_request: Callable
+    #: A signed value as the ``Ṽ`` plaintext that carries it, and as the
+    #: plaintext its sign comes back in.
+    encode: Callable = lambda value: value
+    expected: Callable = lambda value: 1 if value > 0 else -1
+
+    def cell(self, value, rng) -> EncryptedNumber:
+        return self.server.group_public_key.encrypt(self.encode(value), rng=rng)
+
+    def ask(self, su_id, cells) -> list[EncryptedNumber]:
+        return emitted(
+            self.server.handle_sign_extraction(self.make_request(su_id, cells))
+        )
+
+
+def emitted(response) -> list[EncryptedNumber]:
+    """Every ciphertext of a conversion response, in cell order."""
+    if hasattr(response, "chunks"):
+        return list(response.chunks)
+    return [ct for row in response.matrix for ct in row]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_keypair(bits):
+    return generate_keypair(bits, rng=DeterministicRandomSource("vtd-keys"))
+
+
+@functools.lru_cache(maxsize=None)
+def _su_keypair():
+    return generate_keypair(256, rng=DeterministicRandomSource("vtd-su-keys"))
+
+
+def _baseline_stp(rng, environment, executor=None):
+    stp = StpServer(group_keypair=_group_keypair(256), rng=rng, executor=executor)
 
     def make_request(su_id, cells):
         return SignExtractionRequest("r0", su_id, (tuple(cells),))
 
-    return stp, stp.handle_sign_extraction, make_request
+    return Harness(stp, make_request)
 
 
-def _packed_stp(rng, environment):
-    keypair = generate_keypair(512, rng=DeterministicRandomSource("vtd-keys"))
-    stp = PackedStpServer(keypair, environment, rng=rng)
+def _packed_stp(rng, environment, executor=None):
+    stp = PackedStpServer(_group_keypair(512), environment, rng=rng, executor=executor)
+    layout = stp.layout
 
     def make_request(su_id, cells):
         return PackedSignExtractionRequest("r0", su_id, tuple(cells))
 
-    return stp, stp.handle_sign_extraction, make_request
+    # The value rides in slot 0; the other slots sit at −half_slot and
+    # come back 0.
+    return Harness(
+        stp,
+        make_request,
+        encode=lambda value: layout.pack([layout.half_slot + value]),
+        expected=lambda value: layout.pack([2 if value > 0 else 0]),
+    )
 
 
-def _two_server_backend(rng, environment):
+def _two_server_backend(rng, environment, executor=None):
     keypair, directory = deal_two_server_keys(
         256, rng=DeterministicRandomSource("vtd-keys")
     )
-    backend = BackendServer(keypair.shares[1], directory, rng=rng)
+    backend = BackendServer(keypair.shares[1], directory, rng=rng, executor=executor)
+    front, n_sq = keypair.shares[0], keypair.public_key.n_sq
 
-    def make_request(su_id, cells):
-        return PartialSignExtractionRequest(
-            "r0", su_id, (tuple(cells),), (tuple(1 for _ in cells),)
+    def make_request(su_id, cells, combine=True):
+        partials = tuple(
+            pow(ct.ciphertext, front.exponent, n_sq) if combine else 1 for ct in cells
         )
+        return PartialSignExtractionRequest("r0", su_id, (tuple(cells),), (partials,))
 
-    return backend, backend.handle_sign_extraction, make_request
+    return Harness(backend, make_request)
 
 
-@pytest.mark.parametrize(
+BUILDERS = pytest.mark.parametrize(
     "build",
     [_baseline_stp, _packed_stp, _two_server_backend],
     ids=["baseline", "packed", "two-server"],
 )
+
+
+# -- validate-then-draw, every variant -------------------------------------------
+
+
+@BUILDERS
 def test_rejected_extraction_consumes_no_draws(build, pisa_scenario, su_keys, fresh_rng):
-    """A bad entry anywhere in Ṽ — here the *last* cell — or an unknown
-    SU is rejected before the first nonce is drawn."""
+    """A bad entry anywhere in Ṽ — here the *last* cell: a foreign key, a
+    ciphertext outside ``(0, n²)`` — or an unknown SU is rejected before
+    the first nonce is drawn and before the stock is touched."""
     rng = DeterministicRandomSource("vtd-stream")
     untouched = DeterministicRandomSource("vtd-stream")
-    server, handle, make_request = build(rng, pisa_scenario.environment)
+    harness = build(rng, pisa_scenario.environment)
+    server, pk = harness.server, harness.server.group_public_key
     server.register_su("su-1", su_keys.public_key)
-    good = [server.group_public_key.encrypt(v, rng=fresh_rng) for v in (5, -5)]
+    good = [harness.cell(v, fresh_rng) for v in (5, -5)]
     foreign = su_keys.public_key.encrypt(1, rng=fresh_rng)  # not the group key
-    for bad in (make_request("su-1", good + [foreign]), make_request("ghost", good)):
-        with pytest.raises(ProtocolError):
-            handle(bad)
+    zeroed = harness.make_request("su-1", good + [EncryptedNumber(pk, 0)])
+    rejected = [
+        (harness.make_request("su-1", good + [foreign]), ProtocolError),
+        (harness.make_request("ghost", good), ProtocolError),
+        (zeroed, ReproError),
+    ]
+    if build is _baseline_stp:  # the same cell, as the wire delivers it
+        decoded = SignExtractionRequest.from_bytes(zeroed.to_bytes(), pk)
+        rejected.append((decoded, ReproError))
+    before = server.stock_counts()
+    for bad, error in rejected:
+        with pytest.raises(error):
+            server.handle_sign_extraction(bad)
     assert rng.randbits(64) == untouched.randbits(64)
+    assert server.stock_counts() == before
+    assert server.stats == StpStats()
 
 
 # -- the per-SU nonce stock ------------------------------------------------------
 
 
 class RecordingSource(DeterministicRandomSource):
-    """Notes the size of every ``random_units`` batch."""
+    """Notes the size and the output of every ``random_units`` batch."""
 
     def __init__(self, seed) -> None:
         super().__init__(seed)
         self.batches: list[int] = []
+        self.drawn: list[int] = []
 
     def random_units(self, modulus, count):
         self.batches.append(count)
-        return super().random_units(modulus, count)
+        units = super().random_units(modulus, count)
+        self.drawn.extend(units)
+        return units
 
 
 class TestNonceStock:
-    """While serving SU *j* the STP draws *j*'s next request's nonces."""
+    """While serving SU *j* the converter draws *j*'s next request's
+    nonces.  The baseline STP here; the subclasses below run the same
+    tests on the packed STP and the two-server backend."""
+
+    build = staticmethod(_baseline_stp)
 
     @pytest.fixture()
     def stocked(self, pisa_scenario, su_keys):
         rng = RecordingSource("stock-stream")
-        stp, _, make_request = _baseline_stp(rng, pisa_scenario.environment)
+        harness = self.build(rng, pisa_scenario.environment)
         for su_id in ("su-1", "su-2", "su-3"):
-            stp.register_su(su_id, su_keys.public_key)
-        cell = stp.group_public_key.encrypt(
-            5, rng=DeterministicRandomSource("stock-cells")
-        )
+            harness.server.register_su(su_id, su_keys.public_key)
+        cell = harness.cell(5, DeterministicRandomSource("stock-cells"))
 
         def ask(su_id, width):
-            return stp.handle_sign_extraction(make_request(su_id, [cell] * width))
+            return harness.ask(su_id, [cell] * width)
 
-        return stp, rng, ask
+        return harness, rng, ask
 
     def test_narrower_then_wider_request(self, stocked, su_keys):
         """Surplus is kept, a shortfall is drawn with the same batch, and
         nonces are used in the order they were drawn."""
-        _, rng, ask = stocked
+        harness, rng, ask = stocked
         pk = su_keys.public_key
         stream = DeterministicRandomSource("stock-stream").random_units(pk.n, 16)
-        responses = [ask("su-1", width) for width in (4, 2, 5)]
+        answers = [ct for width in (4, 2, 5) for ct in ask("su-1", width)]
         # 4 + the next 4; nothing (2 of the 4 stocked are left, which is
         # a request's worth); the 3 missing + the next 5.
         assert rng.batches == [8, 0, 8]
         used = stream[0:4] + stream[4:6] + stream[6:11]
-        emitted = [ct for response in responses for ct in response.matrix[0]]
-        assert emitted == [pk.encrypt(1, r=r) for r in used]
+        assert answers == [pk.encrypt(harness.expected(5), r=r) for r in used]
 
     def test_rejected_request_leaves_the_stock_alone(self, stocked, su_keys, fresh_rng):
-        stp, rng, ask = stocked
+        harness, rng, ask = stocked
         ask("su-1", 3)
         position = len(rng.batches)
+        counts = harness.server.stock_counts()
         foreign = su_keys.public_key.encrypt(1, rng=fresh_rng)  # not the group key
-        good = stp.group_public_key.encrypt(1, rng=fresh_rng)
+        good = harness.cell(1, fresh_rng)
+        zero = EncryptedNumber(harness.server.group_public_key, 0)
         for bad in (
-            SignExtractionRequest("r0", "su-1", ((good, foreign),)),
-            SignExtractionRequest("r0", "ghost", ((good,),)),
+            harness.make_request("su-1", [good, foreign]),
+            harness.make_request("ghost", [good]),
+            harness.make_request("su-1", [good, zero]),
         ):
-            with pytest.raises(ProtocolError):
-                stp.handle_sign_extraction(bad)
+            with pytest.raises(ReproError):
+                harness.server.handle_sign_extraction(bad)
         assert len(rng.batches) == position
+        assert harness.server.stock_counts() == counts
         ask("su-1", 3)
         assert rng.batches[position:] == [3]  # still served from its stock
 
@@ -230,6 +310,38 @@ class TestNonceStock:
         ask("su-2", 2)  # still stocked: only the next request's worth
         ask("su-1", 2)  # asked longest ago, evicted by su-3: draws inline again
         assert rng.batches[3:] == [2, 4]
+
+
+class TestNonceStockPacked(TestNonceStock):
+    build = staticmethod(_packed_stp)
+
+
+class TestNonceStockTwoServer(TestNonceStock):
+    build = staticmethod(_two_server_backend)
+
+    def test_partials_that_do_not_combine_burn_that_requests_nonces(
+        self, stocked, su_keys
+    ):
+        """A failure only the opening can see comes after the draw: a
+        ``DecryptionError``, the request's nonces gone for good, the
+        SU's next request still stocked."""
+        harness, rng, ask = stocked
+        pk = su_keys.public_key
+        first = ask("su-1", 2)
+        cell = harness.cell(5, DeterministicRandomSource("stock-cells"))
+        bad = harness.make_request("su-1", [cell] * 2, combine=False)
+        with pytest.raises(DecryptionError):
+            harness.server.handle_sign_extraction(bad)
+        assert rng.batches == [4, 2]
+        assert harness.server.stock_counts()["stocked_nonces"] == 2
+        assert harness.server.stats.conversions == 1
+        second = ask("su-1", 2)
+        assert rng.batches == [4, 2, 2]
+        stream = rng.drawn
+        # stream[2:4] went with the failed request and is never emitted.
+        assert first + second == [
+            pk.encrypt(harness.expected(5), r=r) for r in stream[0:2] + stream[4:6]
+        ]
 
 
 class GatedExecutor(SerialExecutor):
@@ -280,7 +392,10 @@ def serve_preempting_fill(stp, executor, request):
 
 
 class TestFillStock:
-    """``fill_stock()`` moves work, never bytes."""
+    """``fill_stock()`` moves work, never bytes — on the baseline STP
+    here, on the other two converters in the subclasses below."""
+
+    build = staticmethod(_baseline_stp)
 
     #: (SU, width): repeats, a narrower request (its surplus partly
     #: filled), then a wider one.
@@ -290,21 +405,16 @@ class TestFillStock:
 
     def run(self, serve_one, environment, su_public_key):
         executor = GatedExecutor()
-        keypair = generate_keypair(256, rng=DeterministicRandomSource("vtd-keys"))
-        stp = StpServer(
-            group_keypair=keypair,
-            rng=DeterministicRandomSource("fill-stream"),
-            executor=executor,
+        harness = self.build(
+            DeterministicRandomSource("fill-stream"), environment, executor=executor
         )
+        stp = harness.server
         cell_rng = DeterministicRandomSource("fill-cells")
         emitted = []
         for su_id, width in self.SESSION:
             stp.register_su(su_id, su_public_key)
-            cells = tuple(
-                stp.group_public_key.encrypt(v, rng=cell_rng)
-                for v in range(-2, width - 2)
-            )
-            request = SignExtractionRequest("r0", su_id, (cells,))
+            cells = [harness.cell(v, cell_rng) for v in range(-2, width - 2)]
+            request = harness.make_request(su_id, cells)
             emitted.append(serve_one(stp, executor, request).to_bytes())
         return emitted, stp
 
@@ -337,3 +447,74 @@ class TestFillStock:
         counts = stp.stock_counts()
         assert counts["stocked_sus"] == 2
         assert counts["stocked_obfuscators"] == counts["stocked_nonces"] == 9 + 6
+
+
+class TestFillStockPacked(TestFillStock):
+    build = staticmethod(_packed_stp)
+
+
+class TestFillStockTwoServer(TestFillStock):
+    build = staticmethod(_two_server_backend)
+
+
+# -- every nonce once, in draw order, whatever the fill did ------------------------
+
+
+def _fill_skipped(server):
+    pass
+
+
+def _fill_one_chunk(server):
+    calls = itertools.count()
+    server.fill_stock(stop=lambda: next(calls) >= 1)
+
+
+def _fill_all(server):
+    server.fill_stock()
+
+
+@BUILDERS
+@settings(max_examples=15, deadline=None)
+@given(
+    session=st.lists(
+        st.tuples(
+            st.sampled_from(("su-1", "su-2", "su-3")),
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from((_fill_skipped, _fill_one_chunk, _fill_all)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_every_nonce_is_used_once_in_draw_order(build, session, pisa_scenario):
+    """Whatever the widths, the interleaving of SUs and the fill between
+    requests: every emitted ciphertext is the expected sign encrypted with
+    the next unused nonce of those drawn while serving that SU."""
+    rng = RecordingSource("property-stream")
+    harness = build(rng, pisa_scenario.environment)
+    server, pk = harness.server, _su_keypair().public_key
+    cell_rng = DeterministicRandomSource("property-cells")
+    drawn_for: dict[str, list[int]] = {}
+    used: dict[str, int] = {}
+    consumed = []
+    for su_id, width, fill in session:
+        server.register_su(su_id, pk)
+        values = [3 if i % 2 else -3 for i in range(width)]
+        cells = [harness.cell(v, cell_rng) for v in values]
+        mark = len(rng.drawn)
+        answers = harness.ask(su_id, cells)
+        mine = drawn_for.setdefault(su_id, [])
+        mine.extend(rng.drawn[mark:])
+        start = used.get(su_id, 0)
+        nonces = mine[start : start + width]
+        used[su_id] = start + width
+        assert answers == [
+            pk.encrypt(harness.expected(v), r=r) for v, r in zip(values, nonces)
+        ]
+        consumed.extend(nonces)
+        fill(server)
+    assert len(set(consumed)) == len(consumed) == sum(w for _, w, _ in session)
+    replay = DeterministicRandomSource("property-stream")
+    assert rng.drawn == replay.random_units(pk.n, len(rng.drawn))
+    stats = server.stats
+    assert stats.obfuscators_stocked + stats.obfuscators_inline == len(consumed)
