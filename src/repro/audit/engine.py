@@ -58,10 +58,9 @@ class AuditConfig:
     )
     #: Package prefixes where secret-logging (SEC001) applies.
     logging_scope: tuple[str, ...] = ("repro.pisa", "repro.service", "repro.cluster")
-    #: Modules whose job *is* branching on decrypted signs (SEC002 exempt).
-    sign_extraction_modules: frozenset[str] = frozenset(
-        {"repro.pisa.stp_server", "repro.pisa.two_server", "repro.pisa.packed"}
-    )
+    #: The module whose job *is* branching on decrypted signs (SEC002
+    #: exempt): the one converter every variant's eq. (15) runs in.
+    sign_extraction_modules: frozenset[str] = frozenset({"repro.pisa.stp_server"})
     #: Package prefixes where the transcript-order rule (ORD001) applies.
     ordering_scope: tuple[str, ...] = ("repro.pisa",)
     #: Modules subject to the shared-state race heuristic (SVC001).

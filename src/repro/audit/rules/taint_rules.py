@@ -13,9 +13,10 @@ All three share the intra-function taint walk from
   the material the protocol exists to hide.  Applies in the protocol and
   service layers, where log lines leave the process.
 * **SEC002** — branching on a secret-derived value creates a timing /
-  control-flow side channel.  The STP sign-extraction modules are the
-  one place the protocol *requires* comparing a decrypted value, so they
-  are exempt by configuration.
+  control-flow side channel.  The sign converter's module
+  (:mod:`repro.pisa.stp_server`) is the one place the protocol
+  *requires* comparing a decrypted value, so it is exempt by
+  configuration.
 
 Engine v2 makes all three *interprocedural*: when a project call graph
 is available, locals bound from calls that resolve to secret-returning
@@ -188,8 +189,8 @@ def check_secret_logging(unit, config, project=None) -> Iterator:
     kind="taint",
     rationale=(
         "Branching on secret-derived values creates control-flow timing "
-        "side channels; only the STP sign-extraction modules are sanctioned "
-        "to compare decrypted values, and they are exempt by configuration."
+        "side channels; only the sign converter's module is sanctioned "
+        "to compare decrypted values, and it is exempt by configuration."
     ),
     bad="if lam > threshold:          # timing reveals the secret's magnitude",
     good="mask = int(gcd(lam, n) != 1)  # constant-shape arithmetic selection",

@@ -1,6 +1,7 @@
 """Positive and negative fixtures for every analyzer rule."""
 
 from tests.audit.helpers import run_rules, rules_hit
+from repro.audit.engine import AuditConfig
 
 
 class TestCry001Randomness:
@@ -218,6 +219,22 @@ class TestSec002SecretBranching:
                 value = sk.decrypt(ct)
                 return 1 if value > 0 else -1
         """
+        assert not rules_hit(
+            source, module="repro.pisa.stp_server", select={"SEC002"}
+        )
+
+    def test_only_the_converter_module_is_exempt(self):
+        """The packed STP's slot compare, as it stood before the compare
+        moved into the one converter."""
+        source = """
+            def convert(sk, layout, chunk):
+                slots = layout.unpack(sk.raw_decrypt(chunk))
+                return [2 if slot - layout.half_slot > 0 else 0 for slot in slots]
+        """
+        assert AuditConfig().sign_extraction_modules == {"repro.pisa.stp_server"}
+        assert "SEC002" in rules_hit(
+            source, module="repro.pisa.packed", select={"SEC002"}
+        )
         assert not rules_hit(
             source, module="repro.pisa.stp_server", select={"SEC002"}
         )

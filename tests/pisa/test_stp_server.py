@@ -474,7 +474,7 @@ def _fill_all(server):
 
 
 @BUILDERS
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     session=st.lists(
         st.tuples(
