@@ -15,7 +15,10 @@ blinding), dividing exactly those costs by ``k``:
 * blinding (eq. (14)) uses one shared ``α`` per chunk and independent
   per-slot ``β_i``, applied as a single packed plaintext addition;
 * the STP decrypts one ciphertext per chunk, extracts ``k`` signs, and
-  returns them as one packed ciphertext under the SU's key;
+  returns them as one packed ciphertext under the SU's key — the
+  baseline's converter (:class:`~repro.pisa.stp_server.SignConverter`:
+  validation, nonce stock, stats), with only the opening and the slot
+  encoding its own;
 * eq. (16)/(17) work on packed 0/−2 gadget slots: the homomorphic *sum
   of chunks* is the zero plaintext exactly when every slot of every
   chunk grants, so the license perturbation needs no unpacking.
@@ -483,10 +486,10 @@ class PackedStpServer(StpServer):
             for packed in self._plaintexts(powers)
         ]
 
-    def _encode(self, positive: list[bool]) -> int:
+    def _encode(self, signs: list[int]) -> int:
         # Stored as X_i + 1 ∈ {0, 2} to keep the packed plaintext
         # non-negative.
-        return self.layout.pack([2 if sign else 0 for sign in positive])
+        return self.layout.pack([sign + 1 for sign in signs])
 
 
 class PackedCoordinator(PisaCoordinator):

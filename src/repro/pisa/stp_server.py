@@ -14,11 +14,16 @@ public key ``pk_j``.  Because the SDC multiplied in per-cell one-time
 usable information about the interference indicators (Lemma V.1's
 non-collusion assumption).
 
+Steps 6-8 are written once, in :class:`SignConverter`; the packed STP
+(:mod:`repro.pisa.packed`) and the two-server backend
+(:mod:`repro.pisa.two_server`) are the same converter with another way
+to open a ciphertext.
+
 The re-encryption nonces depend on nothing a request carries, so the
-STP draws them one request ahead, per SU, and can spend idle time on
-their ``r**n mod n_j²`` (:meth:`StpServer.fill_stock`) — §VI-A's
+converter draws them one request ahead, per SU, and can spend idle time
+on their ``r**n mod n_j²`` (:meth:`SignConverter.fill_stock`) — §VI-A's
 obfuscator precomputation, on the STP side.  The stock holds nothing
-the STP would not draw anyway.
+the converter would not draw anyway.
 
 The STP also operates the public :class:`~repro.pisa.keys.KeyDirectory`.
 """
@@ -44,10 +49,10 @@ from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 
 __all__ = ["SignConverter", "StpServer", "StpStats", "MAX_STOCKED_SUS"]
 
-#: How many SUs' next-request nonces the STP holds at once.  Past it the
+#: How many SUs' next-request nonces a converter holds at once.  Past it the
 #: SU that requested longest ago loses its stock and draws inline again.
 MAX_STOCKED_SUS = 32
-#: Obfuscators :meth:`StpServer.fill_stock` computes between two looks
+#: Obfuscators :meth:`SignConverter.fill_stock` computes between two looks
 #: at whether a request has arrived — the longest a request waits for it.
 _FILL_CHUNK = 4
 
@@ -59,7 +64,7 @@ class StpStats:
     conversions: int = 0
     cells_decrypted: int = 0
     cells_encrypted: int = 0
-    #: Re-encryptions whose ``r**n`` :meth:`StpServer.fill_stock` had
+    #: Re-encryptions whose ``r**n`` :meth:`SignConverter.fill_stock` had
     #: ready when the request arrived / that the request computed itself.
     obfuscators_stocked: int = 0
     obfuscators_inline: int = 0
@@ -127,10 +132,10 @@ class SignConverter:
         """
         raise NotImplementedError
 
-    def _encode(self, positive: list[bool]) -> int:
-        """One ciphertext's signs as the plaintext sent back: ``X = ±1``."""
-        (sign,) = positive
-        return 1 if sign else -1
+    def _encode(self, signs: list[int]) -> int:
+        """One ciphertext's signs ``X = ±1`` as the plaintext sent back."""
+        (sign,) = signs
+        return sign
 
     # -- the key-conversion service --------------------------------------------
 
@@ -190,7 +195,8 @@ class SignConverter:
             opened = self._open(request, powers[:opening])
             converted = [
                 su_key.encrypt_with_obfuscator(
-                    self._encode([value > 0 for value in values]), obfuscator
+                    self._encode([1 if value > 0 else -1 for value in values]),
+                    obfuscator,
                 )
                 for values, obfuscator in zip(opened, ready + powers[opening:])
             ]

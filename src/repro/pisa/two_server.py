@@ -18,7 +18,11 @@ lightweight co-server) using
   own partials, combines, sees only the blinded values ``V`` (protected
   by α/β/ε exactly as the STP was), extracts signs (eq. (15)), and
   returns them encrypted under the SU's key.  The front unblinds and
-  issues the license as before (eqs. (16)/(17)).
+  issues the license as before (eqs. (16)/(17)).  The backend is the
+  STP's converter (:class:`~repro.pisa.stp_server.SignConverter`) with
+  "combine two partials" as its way to open a ciphertext, and both
+  servers answer the baseline's method names (``start_request``,
+  ``handle_sign_extraction``).
 
 Compared to the STP design: the same two communication legs and the
 same per-cell work at the conversion server (one exponentiation + one
@@ -208,10 +212,6 @@ class TwoServerCoordinator(PisaCoordinator):
     @property
     def backend(self) -> BackendServer:
         return self.stp
-
-    @property
-    def directory(self) -> KeyDirectory:
-        return self.stp.directory
 
     @property
     def group_public_key(self) -> PaillierPublicKey:

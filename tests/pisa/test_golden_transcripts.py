@@ -10,19 +10,24 @@ responses, the switch's PU update — must equal a constant recorded
 before the SDC implementations were unified.
 
 A pin only ever changes together with a deliberate, documented change
-of the wire transcript.  Two so far, each re-recorded in a commit that
+of the wire transcript.  Three so far, each re-recorded in a commit that
 shifted the draws and nothing else:
 
 * the STP draws each SU's *next* request's re-encryption nonces while
-  serving the current one (docs/protocol.md §3), which moved every later
+  serving the current one (docs/protocol.md §4), which moved every later
   draw — ``BASIC_DIGEST`` and ``JOURNAL_DIGEST``; the packed and
-  two-server variants draw inline and kept theirs;
+  two-server variants drew inline then and kept theirs;
 * β became a plaintext blind (docs/security.md, "β is a plaintext
   blind"): the SDC front no longer draws an obfuscator nonce per cell —
   ``BASIC_DIGEST``, ``JOURNAL_DIGEST``, ``REPEAT_DIGEST`` and
   ``TWO_SERVER_DIGEST`` (its front is an ``SdcServer``); the packed SDC
   has its own blinding and kept ``PACKED_DIGEST``, and ``DECISIONS`` did
-  not move.
+  not move;
+* the packed STP and the two-server backend became the baseline's
+  converter with another way to open a ciphertext, so they too draw one
+  request ahead — ``PACKED_DIGEST`` and ``TWO_SERVER_DIGEST``; the
+  baseline's stream did not change, and ``DECISIONS`` held because a
+  re-encryption nonce decides nothing: it only re-randomises ``X̃``.
 """
 
 import hashlib
