@@ -15,10 +15,8 @@ blinding), dividing exactly those costs by ``k``:
 * blinding (eq. (14)) uses one shared ``α`` per chunk and independent
   per-slot ``β_i``, applied as a single packed plaintext addition;
 * the STP decrypts one ciphertext per chunk, extracts ``k`` signs, and
-  returns them as one packed ciphertext under the SU's key — the
-  baseline's converter (:class:`~repro.pisa.stp_server.SignConverter`:
-  validation, nonce stock, stats), with only the opening and the slot
-  encoding its own;
+  returns them as one packed ciphertext under the SU's key (the
+  baseline's converter, with its own opening and slot encoding);
 * eq. (16)/(17) work on packed 0/−2 gadget slots: the homomorphic *sum
   of chunks* is the zero plaintext exactly when every slot of every
   chunk grants, so the license perturbation needs no unpacking.

@@ -19,10 +19,9 @@ lightweight co-server) using
   by α/β/ε exactly as the STP was), extracts signs (eq. (15)), and
   returns them encrypted under the SU's key.  The front unblinds and
   issues the license as before (eqs. (16)/(17)).  The backend is the
-  STP's converter (:class:`~repro.pisa.stp_server.SignConverter`) with
-  "combine two partials" as its way to open a ciphertext, and both
-  servers answer the baseline's method names (``start_request``,
-  ``handle_sign_extraction``).
+  STP's :class:`~repro.pisa.stp_server.SignConverter` opening a
+  ciphertext by combining two partials; both servers keep the
+  baseline's method names.
 
 Compared to the STP design: the same two communication legs and the
 same per-cell work at the conversion server (one exponentiation + one
@@ -143,8 +142,7 @@ class BackendServer(SignConverter):
     Holds share ``d₂`` and the public directory.  Unlike the STP it
     *cannot* decrypt protocol traffic on its own — it only completes
     decryptions the front server has already half-opened, which by
-    protocol are always the blinded ``Ṽ`` values.  Everything else about
-    the conversion is the shared converter's.
+    protocol are always the blinded ``Ṽ`` values.
     """
 
     def __init__(
