@@ -23,6 +23,7 @@ executor runs the batch — a property the test suite asserts.
 
 from __future__ import annotations
 
+import threading
 from typing import Protocol, Sequence
 
 from repro.crypto.backend import powmod
@@ -50,9 +51,14 @@ class SerialExecutor:
 
     def __init__(self) -> None:
         self.jobs_executed = 0
+        # The process-wide instance is shared by the router's scatter
+        # threads and the broker's idle-fill thread; the counter is a
+        # read-modify-write and needs the lock.
+        self._stats_lock = threading.Lock()
 
     def pow_many(self, jobs: Sequence[PowJob]) -> list[int]:
-        self.jobs_executed += len(jobs)
+        with self._stats_lock:
+            self.jobs_executed += len(jobs)
         return [powmod(base, exponent, modulus) for base, exponent, modulus in jobs]
 
 

@@ -260,7 +260,21 @@ class RemoteStp:
         #: su_id → public key, in registration order (dicts preserve it);
         #: the bootstrap provider serialises this.
         self._su_registry: dict[str, PaillierPublicKey] = {}
-        self.stats = StpStats()
+        self._stats = StpStats()
+
+    @property
+    def stats(self) -> StpStats:
+        """Conversions as counted here; stock hits and misses as the
+        worker's ``ping`` reports them — one round trip, since only the
+        worker knows how far its fill got (a restarted one counts from 0).
+        """
+        frame = self._transport.transact(self._endpoint, "ping", encode_control({}))
+        info, _ = decode_control(frame.payload)
+        return dataclasses.replace(
+            self._stats,
+            obfuscators_stocked=int(info["obfuscators_stocked"]),
+            obfuscators_inline=int(info["obfuscators_inline"]),
+        )
 
     @property
     def group_public_key(self) -> PaillierPublicKey:
@@ -301,9 +315,9 @@ class RemoteStp:
         )
         response = SignExtractionResponse.from_bytes(frame.payload, su_key)
         cells = sum(len(row) for row in request.matrix)
-        self.stats.cells_decrypted += cells
-        self.stats.cells_encrypted += cells
-        self.stats.conversions += 1
+        self._stats.cells_decrypted += cells
+        self._stats.cells_encrypted += cells
+        self._stats.conversions += 1
         return response
 
 

@@ -24,6 +24,11 @@ The per-request crypto transcript is byte-identical to the unbatched
 protocol: batching changes message framing and scheduling, never
 ciphertexts, so a license issued inside an epoch equals the license the
 same request would get alone (fixed RNG seed).
+
+A wired :class:`BatchAllocator` also carries the deployment's *idle
+work* — with a conversion server in this process, its §VI-A obfuscator
+fill — for the broker to run between epochs; the allocator itself never
+runs it.
 """
 
 from __future__ import annotations
@@ -218,6 +223,7 @@ class BatchAllocator:
         transport=None,
         conversion_peer: str = "stp",
         commit_epoch: Callable | None = None,
+        idle_work: Callable | None = None,
     ) -> None:
         self._phase1 = phase1
         self._convert = convert
@@ -226,6 +232,11 @@ class BatchAllocator:
         self._transport = transport
         self._conversion_peer = conversion_peer
         self._commit_epoch = commit_epoch
+        #: ``idle_work(stop)``: request-independent work of the wired
+        #: deployment that whoever drives the allocator may run while no
+        #: pass is — never during :meth:`allocate` — and that returns
+        #: soon after ``stop()`` turns true.  ``None`` when there is none.
+        self.idle_work = idle_work
         # Span support is detected once, here, rather than try/except per
         # call: phase callables may be plain lambdas (tests) that don't
         # take a ``span`` kwarg, and a per-call TypeError probe could
@@ -245,6 +256,12 @@ class BatchAllocator:
         resumes from.  The cluster facade also splits each request's
         homomorphic work per shard internally, so one allocation pass is
         automatically batched shard-by-shard.
+
+        A conversion server in this process exposes ``fill_stock`` (the
+        ``r**n`` of re-encryption nonces it has already drawn, §VI-A);
+        it becomes the allocator's idle work, which the broker runs
+        between epochs.  The socket plane's STP proxy has none: the STP
+        worker triggers its own fill, and nothing is filled twice.
         """
         return cls(
             phase1=coordinator.sdc.start_request,
@@ -256,6 +273,7 @@ class BatchAllocator:
             transport=coordinator.transport,
             conversion_peer=coordinator.stp_endpoint,
             commit_epoch=getattr(coordinator.sdc, "commit_epoch", None),
+            idle_work=getattr(coordinator.stp, "fill_stock", None),
         )
 
     def _run_phase(self, fn, supports_span, message, parent, name):

@@ -8,6 +8,14 @@ requests, and each closed epoch runs as one allocation pass on a worker
 thread (``asyncio.to_thread``) so the event loop keeps accepting traffic
 while big-int arithmetic grinds.
 
+Between epochs the broker runs the allocator's *idle work*
+(:attr:`~repro.service.batching.BatchAllocator.idle_work` — with a
+conversion server in this process, its §VI-A obfuscator fill) on one
+more worker thread: from the moment an epoch's decisions are resolved
+until the next epoch is dispatched.  The thread is told to stop and
+joined before the allocation pass starts, and again in :meth:`stop`, so
+it never runs beside a pass and never outlives the broker.
+
 Every request resolves to a :class:`ServiceDecision`:
 
 * ``granted`` / ``denied`` — the protocol ran and the license says yes/no;
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import threading
 import time
 from dataclasses import dataclass
 
@@ -216,6 +225,12 @@ class SpectrumAccessBroker:
             retryable=(ClusterError,),
         )
         self._retry_rng = DeterministicRandomSource(0)
+        #: What the allocator's deployment can do while no epoch runs
+        #: (``None``: nothing), the event that tells it to stop, and the
+        #: thread it is running on right now.
+        self._idle_work = getattr(allocator, "idle_work", None)
+        self._idle_stop = threading.Event()
+        self._idle: asyncio.Future | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -235,7 +250,11 @@ class SpectrumAccessBroker:
             self._shutting_down = True
             self._queue.put_nowait(_SHUTDOWN)
             assert self._loop_task is not None
-            await self._loop_task
+            try:
+                await self._loop_task
+            finally:
+                # After the loop: its last flush starts the idle work again.
+                await self._stop_idle_work()
             self._loop_task = None
             self._running = False
 
@@ -423,6 +442,26 @@ class SpectrumAccessBroker:
                 )
             )
 
+    def _start_idle_work(self) -> None:
+        if self._idle_work is None:
+            return
+        self._idle_stop.clear()
+        self._idle = asyncio.ensure_future(
+            asyncio.to_thread(self._idle_work, self._idle_stop.is_set)
+        )
+
+    async def _stop_idle_work(self) -> None:
+        """Returns once the idle thread has: one unit of its work at most."""
+        if self._idle is None:
+            return
+        self._idle_stop.set()
+        idle, self._idle = self._idle, None
+        try:
+            await idle
+        except Exception:
+            # Idle work is optional; requests go on without what it prepares.
+            self.metrics.counter("idle_work_failures").inc()
+
     async def _dispatch(self, epoch: Epoch) -> None:
         """Run one closed epoch: expire stale tickets, allocate the rest."""
         now = self._clock()
@@ -462,6 +501,7 @@ class SpectrumAccessBroker:
             # against the recovered plane is cheap and usually succeeds.
             self.metrics.counter("epoch_cluster_retries").inc()
 
+        await self._stop_idle_work()
         try:
             with self.metrics.timer("epoch_allocation_s"):
                 results = await asyncio.to_thread(
@@ -502,3 +542,4 @@ class SpectrumAccessBroker:
                     )
                 )
         self.metrics.gauge("queue_depth").set(self._pending)
+        self._start_idle_work()

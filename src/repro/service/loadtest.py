@@ -188,10 +188,20 @@ class LoadtestReport:
     def batch_stats(self) -> dict[str, float]:
         return self.metrics["histograms"].get("batch_size", {"count": 0, "mean": 0.0})
 
+    def stp_obfuscator_counts(self) -> dict[str, int]:
+        """Re-encryptions whose ``r**n`` the idle fill had ready / that
+        the request computed itself (the same two counters on every plane)."""
+        counters = self.metrics["counters"]
+        return {
+            "ready": counters.get("stp_obfuscators_stocked_total", 0),
+            "inline": counters.get("stp_obfuscators_inline_total", 0),
+        }
+
     def as_table_rows(self) -> list[tuple[str, str]]:
         latency = self.latency_stats()
         lag = self.arrival_lag_stats()
         batches = self.batch_stats()
+        obfuscators = self.stp_obfuscator_counts()
         return [
             ("requests submitted", str(len(self.decisions))),
             ("completed (granted/denied)", f"{self.completed} ({self.granted} granted)"),
@@ -202,6 +212,8 @@ class LoadtestReport:
              f"{latency['p50']:.3f} / {latency['p95']:.3f} / {latency['p99']:.3f} s"),
             ("arrival lag p50 / max", f"{lag['p50']:.3f} / {lag['max']:.3f} s"),
             ("mean batch size", f"{batches.get('mean', 0.0):.2f}"),
+            ("stp obfuscators ready / inline",
+             f"{obfuscators['ready']} / {obfuscators['inline']}"),
         ]
 
     def to_json_dict(self) -> dict:
@@ -215,6 +227,7 @@ class LoadtestReport:
             "latency_s": self.latency_stats(),
             "arrival_lag_s": self.arrival_lag_stats(),
             "batch_size": self.batch_stats(),
+            "stp_obfuscators": self.stp_obfuscator_counts(),
             "metrics": self.metrics,
         }
 
@@ -467,6 +480,19 @@ async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
     return await asyncio.gather(*tasks)
 
 
+def _publish_stp_counts(fixture: ServiceFixture) -> None:
+    """The conversion server's stock hits and misses, as counters.
+
+    One pair of names on both planes: in memory the converter's own
+    ``StpStats``, over sockets what the STP worker's ``ping`` carries
+    (its proxy's ``stats`` asks).  Counts only.
+    """
+    stats = fixture.coordinator.stp.stats
+    metrics = fixture.broker.metrics
+    metrics.counter("stp_obfuscators_stocked_total").inc(stats.obfuscators_stocked)
+    metrics.counter("stp_obfuscators_inline_total").inc(stats.obfuscators_inline)
+
+
 async def _run_fixture(
     fixture: ServiceFixture, config: LoadtestConfig
 ) -> LoadtestReport:
@@ -475,6 +501,8 @@ async def _run_fixture(
     async with fixture.broker:
         decisions = await _drive(fixture, config)
     wall = time.perf_counter() - start
+    # Off-loop: on the socket plane reading the counts is a round trip.
+    await asyncio.to_thread(_publish_stp_counts, fixture)
     return LoadtestReport(
         decisions=tuple(decisions),
         wall_seconds=wall,

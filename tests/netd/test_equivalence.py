@@ -20,6 +20,7 @@ from repro.net.recording import TranscriptTransport
 from repro.netd.plane import build_socket_service, health_check
 from repro.netd.transport import TlsSpec
 from repro.resilience.chaos import FROZEN_CLOCK
+from repro.service.batching import BatchAllocator
 from repro.service.loadtest import LoadtestConfig, _run_fixture, run_loadtest
 from repro.service.broker import ServiceConfig
 from repro.telemetry import Tracer
@@ -28,8 +29,9 @@ from repro.watch.scenario import ScenarioConfig, build_scenario
 #: The default driver in its byte-identity shape (``max_batch=1``, zero
 #: window: one round at a time, so draw order is schedule order).  Two
 #: SUs asking five times between them — the schedule at this seed asks
-#: for SUs 1, 1, 1, 0, 1 — so the STP worker also serves from the stock
-#: it fills between requests, which nothing in memory does.
+#: for SUs 1, 1, 1, 0, 1 — so the converter also serves from the stock
+#: it fills between requests: the STP worker's own trigger over sockets,
+#: the broker's idle work in memory.
 CONFIG = LoadtestConfig(
     seed=7,
     num_requests=5,
@@ -49,6 +51,8 @@ class Run(NamedTuple):
     tracer: Tracer
     #: The STP worker's ``ping``, read before teardown (socket runs).
     stp_ping: dict | None = None
+    #: What a broker over this run's coordinator is handed as idle work.
+    idle_work: object = None
 
 
 def _clock():
@@ -82,9 +86,10 @@ def _socket_run(tls=None) -> Run:
         report = asyncio.run(_run_fixture(fixture, CONFIG))
         fingerprints = tuple(fixture.coordinator.transport.fingerprints)
         stp_ping = health_check(fixture)["stp"]
+        idle_work = BatchAllocator.for_coordinator(fixture.coordinator).idle_work
     finally:
         fixture.close()
-    return Run(report, fingerprints, tracer, stp_ping)
+    return Run(report, fingerprints, tracer, stp_ping, idle_work)
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +153,9 @@ class TestCrossPlaneEquivalence:
 
 
 class TestRepeatedSusWithIdleFill:
-    """On the socket side the STP worker precomputes ``r**n`` between
-    requests; in memory nothing does."""
+    """The converter precomputes ``r**n`` between requests on both
+    planes: over sockets the STP worker triggers it, in memory the
+    broker does — never both."""
 
     def test_transcripts_are_byte_identical(self, paired_runs):
         memory, socket = paired_runs
@@ -170,3 +176,21 @@ class TestRepeatedSusWithIdleFill:
         cells = ping["stocked_nonces"] // 2
         assert ping["obfuscators_stocked"] + ping["obfuscators_inline"] == 5 * cells
         assert set(ping) >= {"stocked_obfuscators", "name", "role"}
+
+    def test_both_planes_report_the_stock_being_hit(self, paired_runs):
+        cells = paired_runs[1].stp_ping["stocked_nonces"] // 2
+        for run in paired_runs:
+            counters = run.report.metrics["counters"]
+            assert counters["stp_obfuscators_stocked_total"] > 0
+            assert (
+                counters["stp_obfuscators_stocked_total"]
+                + counters["stp_obfuscators_inline_total"]
+                == 5 * cells
+            )
+        ping = paired_runs[1].stp_ping
+        counters = paired_runs[1].report.metrics["counters"]
+        assert counters["stp_obfuscators_stocked_total"] == ping["obfuscators_stocked"]
+
+    def test_the_socket_broker_is_handed_no_fill(self, paired_runs):
+        """The STP worker keeps its own trigger; nothing is filled twice."""
+        assert paired_runs[1].idle_work is None

@@ -85,6 +85,24 @@ class TestReport:
         )
         assert report.to_json_dict()["arrival_lag_s"] == lag
 
+    def test_stp_obfuscator_counts_are_reported(self):
+        assert dict(self._report().as_table_rows())[
+            "stp obfuscators ready / inline"
+        ] == "0 / 0"
+        report = LoadtestReport(
+            decisions=(),
+            wall_seconds=1.0,
+            metrics={"counters": {"stp_obfuscators_stocked_total": 240,
+                                  "stp_obfuscators_inline_total": 120},
+                     "gauges": {}, "histograms": {}},
+        )
+        assert dict(report.as_table_rows())["stp obfuscators ready / inline"] == (
+            "240 / 120"
+        )
+        assert report.to_json_dict()["stp_obfuscators"] == {
+            "ready": 240, "inline": 120,
+        }
+
 
 class TestClusterConfigValidation:
     def test_negative_shards_rejected(self):

@@ -1,5 +1,9 @@
 """Worker-pool executor: correctness, chunking, and protocol equivalence."""
 
+import sys
+import threading
+from collections import UserList
+
 import pytest
 
 from repro.crypto.parallel import SerialExecutor, default_executor
@@ -23,6 +27,37 @@ class TestSerialExecutor:
     def test_default_executor_passthrough(self):
         executor = SerialExecutor()
         assert default_executor(executor) is executor
+
+    def test_job_count_is_exact_under_threads(self):
+        """The process-wide instance is shared by scatter threads and the
+        broker's idle fill; a lost update would move the per-cell job
+        pins of ``tests/pisa/test_kernel.py``.
+
+        The batch is a ``UserList`` because its ``len()`` runs Python
+        code: CPython 3.11 inlines ``len(list)`` without a thread-switch
+        check, which hides the race there and nowhere else.
+        """
+        executor = SerialExecutor()
+        threads, calls, jobs = 16, 10_000, UserList([(3, 5, 7)])
+        barrier = threading.Barrier(threads)
+
+        def work():
+            barrier.wait(timeout=60)
+            for _ in range(calls):
+                executor.pow_many(jobs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert executor.jobs_executed == threads * calls
 
 
 class TestProcessWorkerPool:

@@ -114,6 +114,9 @@ class TestServeLoadtest:
         assert args.json == "out.json"
 
     def test_runs_and_writes_json(self, capsys, tmp_path):
+        import threading
+
+        threads_before = set(threading.enumerate())
         out = tmp_path / "report.json"
         assert main([
             "serve-loadtest", "--seed", "3", "--requests", "3", "--rate", "200",
@@ -133,6 +136,19 @@ class TestServeLoadtest:
         assert "latency_s" in report and "batch_size" in report
         assert report["arrival_lag_s"]["count"] == 3
         assert "arrival lag p50 / max" in printed
+        obfuscators = report["stp_obfuscators"]
+        counters = report["metrics"]["counters"]
+        assert obfuscators == {
+            "ready": counters["stp_obfuscators_stocked_total"],
+            "inline": counters["stp_obfuscators_inline_total"],
+        }
+        assert obfuscators["ready"] + obfuscators["inline"] > 0
+        assert (
+            f"stp obfuscators ready / inline | "
+            f"{obfuscators['ready']} / {obfuscators['inline']}"
+        ) in " ".join(printed.split())
+        # No fill thread outlives the run.
+        assert set(threading.enumerate()) <= threads_before
 
     @pytest.mark.parametrize(
         "flags",
