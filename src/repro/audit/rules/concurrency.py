@@ -1,9 +1,10 @@
-"""ASY0xx — asyncio-hygiene rules for the socket plane.
+"""ASY0xx — asyncio-hygiene rules for the code around the broker loop.
 
-``repro.netd`` runs the protocol over a real event loop with worker
-processes and a monitor thread; ``repro.service`` runs the broker loop.
-Five failure shapes cover the concurrency bugs that actually bite
-there:
+``repro.service`` runs the broker on an event loop; ``repro.netd`` —
+blocking sockets, a thread per connection, a supervisor's monitor
+thread — is the sync code next to it and stays in scope so that it
+grows no coroutine of its own unnoticed.  Five failure shapes cover the
+concurrency bugs that actually bite there:
 
 * **ASY001** — a blocking call (``time.sleep``, sync socket/file I/O,
   ``fsync``) *reachable* from a coroutine: it stalls every connection
@@ -20,7 +21,7 @@ there:
   written after it without a lock: another task interleaves inside the
   window and the write clobbers its update.
 * **ASY005** — sync code touching a live loop with non-thread-safe
-  methods (``loop.call_soon``/``create_task``): from the supervisor's
+  methods (``loop.call_soon``/``create_task``): from a connection or
   monitor thread this corrupts the loop's internal queues; the
   thread-safe spellings exist for exactly this.
 
@@ -229,10 +230,9 @@ def check_await_boundary_race(project, config) -> Iterator[Finding]:
     rationale=(
         "loop.call_soon/call_at/call_later/create_task mutate the loop's "
         "ready queue without locking — they are only safe from the loop "
-        "thread itself. The supervisor's monitor thread and any worker "
-        "thread must use call_soon_threadsafe (or "
-        "asyncio.run_coroutine_threadsafe), which wakes the loop through "
-        "its self-pipe."
+        "thread itself. Any other thread must use the loop's *_threadsafe "
+        "spellings (call_soon_threadsafe for a callback), which wake the "
+        "loop through its self-pipe."
     ),
     bad="self._loop.call_soon(conn.close)    # from the monitor thread",
     good="self._loop.call_soon_threadsafe(conn.close)",
@@ -252,5 +252,5 @@ def check_cross_thread_loop_access(project, config) -> Iterator[Finding]:
                         op,
                         "ASY005",
                         f"{op.detail} from sync code — not thread-safe; use "
-                        "call_soon_threadsafe/run_coroutine_threadsafe",
+                        "call_soon_threadsafe",
                     )

@@ -3,8 +3,9 @@
 ``repro.netd`` turns the in-process deployment into an actually
 distributed one.  The broker (coordinator + all protocol randomness)
 stays in the launching process; SDC shards and the STP run as worker
-subprocesses reached over asyncio TCP with CRC-checked, length-prefixed
-frames carrying the existing ``pisa.messages`` wire encodings.
+subprocesses reached over TCP — blocking sockets, a thread per
+connection — with CRC-checked, length-prefixed frames carrying the
+existing ``pisa.messages`` wire encodings.
 
 The hard invariant is determinism: a socket-plane run produces
 byte-identical protocol transcripts (and an identical span-tree
@@ -28,7 +29,13 @@ See ``docs/networking.md`` for the frame format, process topology, and
 TLS setup.
 """
 
-from repro.netd.framing import Frame, FrameDecoder, decode_frame, encode_frame
+from repro.netd.framing import (
+    Frame,
+    FrameDecoder,
+    FrameStream,
+    decode_frame,
+    encode_frame,
+)
 from repro.netd.plane import (
     SocketClusterCoordinator,
     build_socket_coordinator,
@@ -37,6 +44,7 @@ from repro.netd.plane import (
 )
 from repro.netd.supervisor import ProcessSupervisor, WorkerHandle
 from repro.netd.transport import (
+    FrameServer,
     PeerClient,
     SocketTransport,
     TlsSpec,
@@ -46,6 +54,8 @@ from repro.netd.transport import (
 __all__ = [
     "Frame",
     "FrameDecoder",
+    "FrameServer",
+    "FrameStream",
     "PeerClient",
     "ProcessSupervisor",
     "SocketClusterCoordinator",

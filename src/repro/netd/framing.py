@@ -25,8 +25,10 @@ and journal readers use.
 
 from __future__ import annotations
 
-import asyncio
+import collections
+import socket
 import struct  # audit-ok: NET001 — netd owns the frame header layout
+import time
 import zlib
 
 from repro.crypto.serialization import decode_bytes, decode_int, encode_bytes, encode_int
@@ -38,21 +40,22 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "Frame",
     "FrameDecoder",
+    "FrameStream",
     "decode_frame",
     "encode_frame",
-    "read_frame",
-    "write_frame",
 ]
 
 FRAME_MAGIC = b"NP"
 _LEN = struct.Struct(">I")
+_HEADER_SIZE = len(FRAME_MAGIC) + _LEN.size
 #: magic + length prefix + trailing CRC.
-FRAME_OVERHEAD = len(FRAME_MAGIC) + _LEN.size + 4
+FRAME_OVERHEAD = _HEADER_SIZE + 4
 #: Default ceiling on one frame's body.  A paper-scale phase-1
 #: sub-query at 2048-bit keys is a few MB; 256 MB rejects garbage
 #: lengths (a corrupt prefix would otherwise stall a reader waiting for
 #: gigabytes) without constraining any real message.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+_RECV_BYTES = 1 << 18
 
 
 class Frame:
@@ -96,13 +99,16 @@ def _decode_body(body: bytes) -> Frame:
     return Frame(kind, seq, payload)
 
 
-def decode_frame(
-    buffer: bytes, offset: int = 0, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> tuple[Frame, int]:
-    """Decode one frame at ``offset``; returns ``(frame, next_offset)``."""
-    header_end = offset + len(FRAME_MAGIC) + _LEN.size
+def _parse(buffer, offset: int, max_frame_bytes: int) -> tuple[Frame, int] | None:
+    """The header checks, once: the frame at ``offset`` and where it ends.
+
+    ``None`` means the buffer stops before the frame does.  Magic and the
+    length cap are judged as soon as the six header bytes are there, the
+    CRC once the whole frame is.
+    """
+    header_end = offset + _HEADER_SIZE
     if len(buffer) < header_end:
-        raise IntegrityError("frame truncated inside the length prefix")
+        return None
     if buffer[offset : offset + len(FRAME_MAGIC)] != FRAME_MAGIC:
         raise IntegrityError("bad frame magic")
     (body_len,) = _LEN.unpack_from(buffer, offset + len(FRAME_MAGIC))
@@ -112,12 +118,24 @@ def decode_frame(
         )
     end = header_end + body_len + 4
     if len(buffer) < end:
-        raise IntegrityError("frame truncated before its CRC")
-    body = buffer[header_end : header_end + body_len]
+        return None
+    body = bytes(buffer[header_end : header_end + body_len])
     (expected_crc,) = _LEN.unpack_from(buffer, header_end + body_len)
     if zlib.crc32(body) != expected_crc:
         raise IntegrityError("frame CRC mismatch")
     return _decode_body(body), end
+
+
+def decode_frame(
+    buffer: bytes, offset: int = 0, max_frame_bytes: int = MAX_FRAME_BYTES
+) -> tuple[Frame, int]:
+    """Decode one whole frame at ``offset``; returns ``(frame, next_offset)``."""
+    parsed = _parse(buffer, offset, max_frame_bytes)
+    if parsed is None:
+        if len(buffer) < offset + _HEADER_SIZE:
+            raise IntegrityError("frame truncated inside the length prefix")
+        raise IntegrityError("frame truncated before its CRC")
+    return parsed
 
 
 class FrameDecoder:
@@ -141,54 +159,60 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[Frame]:
         self._buffer.extend(data)
         frames: list[Frame] = []
-        header_size = len(FRAME_MAGIC) + _LEN.size
-        while len(self._buffer) >= header_size:
-            if bytes(self._buffer[: len(FRAME_MAGIC)]) != FRAME_MAGIC:
-                raise IntegrityError("bad frame magic in stream")
-            (body_len,) = _LEN.unpack_from(self._buffer, len(FRAME_MAGIC))
-            if body_len > self._max:
-                raise IntegrityError(
-                    f"frame body of {body_len} bytes exceeds the {self._max}-byte cap"
-                )
-            total = header_size + body_len + 4
-            if len(self._buffer) < total:
-                break
-            frame, _ = decode_frame(bytes(self._buffer[:total]), 0, self._max)
+        while (parsed := _parse(self._buffer, 0, self._max)) is not None:
+            frame, end = parsed
             frames.append(frame)
-            del self._buffer[:total]
+            del self._buffer[:end]
         return frames
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> Frame:
-    """Read exactly one frame from an asyncio stream.
+class FrameStream:
+    """One connection's frames over a blocking ``socket`` / ``ssl`` object.
 
-    Raises :class:`~repro.errors.IntegrityError` on corruption and lets
-    ``asyncio.IncompleteReadError`` (peer closed mid-frame) propagate
-    for the connection layer to classify as a link fault.
+    The reader is a :class:`FrameDecoder` fed from ``recv``, so a frame
+    split across segments and two frames in one segment both come out
+    whole and in order.  Both calls block the calling thread, each under
+    its own ``timeout`` (``None``: for as long as it takes) and raise
+    what the socket raises — ``socket.timeout``, ``OSError`` — plus
+    ``EOFError`` when the peer closes and
+    :class:`~repro.errors.IntegrityError` on a corrupt frame; the
+    connection layer classifies them.
     """
-    header = await reader.readexactly(len(FRAME_MAGIC) + _LEN.size)
-    if header[: len(FRAME_MAGIC)] != FRAME_MAGIC:
-        raise IntegrityError("bad frame magic on stream")
-    (body_len,) = _LEN.unpack_from(header, len(FRAME_MAGIC))
-    if body_len > max_frame_bytes:
-        raise IntegrityError(
-            f"frame body of {body_len} bytes exceeds the {max_frame_bytes}-byte cap"
-        )
-    rest = await reader.readexactly(body_len + 4)
-    body = rest[:body_len]
-    (expected_crc,) = _LEN.unpack_from(rest, body_len)
-    if zlib.crc32(body) != expected_crc:
-        raise IntegrityError("frame CRC mismatch on stream")
-    return _decode_body(body)
 
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self._decoder = FrameDecoder()
+        self._frames: collections.deque[Frame] = collections.deque()
 
-async def write_frame(
-    writer: asyncio.StreamWriter, kind: str, seq: int, payload: bytes
-) -> int:
-    """Encode and write one frame; returns the bytes put on the wire."""
-    data = encode_frame(kind, seq, payload)
-    writer.write(data)
-    await writer.drain()
-    return len(data)
+    def send(self, kind: str, seq: int, payload: bytes, timeout: float | None = None) -> int:
+        """Encode and write one frame; returns the bytes put on the wire."""
+        data = encode_frame(kind, seq, payload)
+        self._sock.settimeout(timeout)
+        self._sock.sendall(data)
+        return len(data)
+
+    def recv(self, timeout: float | None = None) -> Frame:
+        """The next frame; ``timeout`` bounds the whole frame, not one read."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._frames:
+            if deadline is not None:
+                # A zero timeout would mean non-blocking, not "expired".
+                timeout = max(deadline - time.monotonic(), 1e-6)
+            self._sock.settimeout(timeout)
+            data = self._sock.recv(_RECV_BYTES)
+            if not data:
+                where = "mid-frame" if self._decoder.pending_bytes else "between frames"
+                raise EOFError(f"peer closed the connection {where}")
+            self._frames.extend(self._decoder.feed(data))
+        return self._frames.popleft()
+
+    def shutdown(self) -> None:
+        """End the connection from any thread: a blocked :meth:`recv` wakes
+        with EOF and the thread that owns the stream goes on to close it."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer reset it first, or the owner already closed it
+
+    def close(self) -> None:
+        self._sock.close()

@@ -39,7 +39,7 @@ from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ConfigurationError, TransportError
 from repro.netd.remote import AuthorityServer, RemoteShardSet, RemoteStp
 from repro.netd.supervisor import ProcessSupervisor
-from repro.netd.transport import NetLoop, PeerClient, SocketTransport, TlsSpec
+from repro.netd.transport import PeerClient, SocketTransport, TlsSpec
 from repro.netd.wire import decode_control, encode_control
 from repro.service import loadtest as loadtest_module
 from repro.service.loadtest import LoadtestConfig, LoadtestReport, ServiceFixture
@@ -55,13 +55,14 @@ __all__ = [
 ]
 
 STP_ENDPOINT = "stp"
+#: How long :func:`health_check` waits for one worker's ``ping``.
+HEALTH_TIMEOUT_S = 5.0
 
 
 @dataclass
 class NetdContext:
     """Everything one socket-plane deployment owns besides the coordinator."""
 
-    loop: NetLoop
     authority: AuthorityServer
     supervisor: ProcessSupervisor
     transport: SocketTransport
@@ -69,11 +70,10 @@ class NetdContext:
 
     def close(self) -> None:
         # SIGTERM first (workers shut down gracefully and the monitor
-        # stops resurrecting), then drop connections and the loop.
+        # stops resurrecting), then drop connections and the authority.
         self.supervisor.stop_all()
         self.transport.close_peers()
         self.authority.stop()
-        self.loop.close()
 
 
 class SocketClusterCoordinator(ClusterCoordinator):
@@ -92,7 +92,7 @@ class SocketClusterCoordinator(ClusterCoordinator):
     def __init__(self, environment, netd: NetdContext, scenario_config, **kwargs):
         # The build hooks run inside super().__init__; stash their
         # dependencies first.
-        #: The :class:`NetdContext` — loop, authority, supervisor, socket
+        #: The :class:`NetdContext` — authority, supervisor, socket
         #: transport — for health checks and process-level fault drills.
         self.netd = netd
         self._scenario_config = scenario_config
@@ -150,17 +150,14 @@ def build_socket_coordinator(
     metrics = metrics if metrics is not None else MetricsRegistry()
     clock = clock if clock is not None else time.time
 
-    loop = NetLoop()
     client_ssl = tls.client_context() if tls is not None else None
     server_ssl = tls.server_context() if tls is not None else None
     # The authority serves the same rng object the coordinator will
     # draw from — one stream for the whole deployment.
-    authority = AuthorityServer(
-        loop, rng, host=host, ssl_context=server_ssl, metrics=metrics
-    )
+    authority = AuthorityServer(rng, host=host, ssl_context=server_ssl, metrics=metrics)
     supervisor = ProcessSupervisor(host=host, workdir=workdir, metrics=metrics)
     transport = SocketTransport(record_transcript=record_transcript)
-    netd = NetdContext(loop, authority, supervisor, transport, client_ssl)
+    netd = NetdContext(authority, supervisor, transport, client_ssl)
     try:
         authority_host, authority_port = authority.start()
         worker_args = ["--authority", f"{authority_host}:{authority_port}"]
@@ -189,7 +186,6 @@ def build_socket_coordinator(
                     # late-bound per peer; the provider re-reads the
                     # readiness file, so restarts re-resolve transparently
                     (lambda n: (lambda: supervisor.address(n)))(name),
-                    loop,
                     ssl_context=client_ssl,
                     metrics=metrics,
                 ),
@@ -302,7 +298,7 @@ def health_check(fixture: ServiceFixture) -> dict:
         entry = {"process_running": netd.supervisor.is_running(name)}
         try:
             frame = netd.transport.transact(
-                name, "ping", encode_control({}), timeout=5.0
+                name, "ping", encode_control({}), timeout=HEALTH_TIMEOUT_S
             )
             info, _ = decode_control(frame.payload)
             entry.update(info)

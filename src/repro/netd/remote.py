@@ -29,7 +29,6 @@ unmodified over real sockets.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import signal
 import threading
@@ -45,10 +44,11 @@ from repro.crypto.serialization import (
     encode_private_key,
     encode_public_key,
 )
-from repro.errors import ProtocolError, ReproError, TransportError
-from repro.netd.framing import read_frame, write_frame
-from repro.netd.transport import PeerClient, SocketTransport, classify_network_error
+from repro.errors import ProtocolError, SerializationError, TransportError
+from repro.netd.framing import FrameStream
+from repro.netd.transport import FrameServer, PeerClient, SocketTransport
 from repro.netd.wire import (
+    MAX_UNITS_MODULUS_BITS,
     MAX_UNITS_PER_FRAME,
     decode_control,
     decode_phase1_response,
@@ -79,34 +79,32 @@ __all__ = [
 class AuthorityServer:
     """The broker's single source of randomness and bootstrap state.
 
-    Runs on the deployment's :class:`~repro.netd.transport.NetLoop`.
-    Handlers execute *off* the loop thread (``asyncio.to_thread``): a
+    A thread per connection calls :meth:`_dispatch` directly: a
     journaling RandomSource fsyncs its journal on every draw and
-    bootstrap providers encode private keys under locks, and neither
-    belongs on the event loop.  A dispatch lock serialises the handlers
-    instead, so concurrent remote draws still see one stream in one
-    order — exactly like concurrent local ones.
+    bootstrap providers encode private keys under locks, and a blocked
+    thread stalls only its own connection.  A dispatch lock serialises
+    the handlers, so concurrent remote draws still see one stream in
+    one order — exactly like concurrent local ones.
     """
 
     def __init__(
         self,
-        runner,
         rng: RandomSource,
         host: str = "127.0.0.1",
         ssl_context=None,
         metrics=None,
     ) -> None:
-        self._runner = runner
         self._rng = rng
         self._host = host
         self._ssl = ssl_context
         self._metrics = metrics
         self._providers: dict[str, object] = {}
+        #: Guards the provider table and the frame counter.
         self._lock = threading.Lock()
-        #: Serialises _dispatch across connections now that handlers run
-        #: in worker threads: draw order must stay a single stream.
+        #: Serialises _dispatch across connection threads: draw order
+        #: must stay a single stream.
         self._dispatch_lock = threading.Lock()
-        self._server: asyncio.AbstractServer | None = None
+        self._server: FrameServer | None = None
         self.address: tuple[str, int] | None = None
 
     def register_bootstrap(self, name: str, provider) -> None:
@@ -115,41 +113,25 @@ class AuthorityServer:
             self._providers[name] = provider
 
     def start(self) -> tuple[str, int]:
-        self.address = self._runner.run(self._start(), timeout=10.0)
+        self._server = FrameServer(
+            "authority", self._host, 0, self._serve, ssl_context=self._ssl
+        )
+        self.address = self._server.address
         return self.address
 
-    async def _start(self) -> tuple[str, int]:
-        try:
-            self._server = await asyncio.start_server(
-                self._serve, self._host, 0, ssl=self._ssl
-            )
-        except Exception as exc:
-            raise classify_network_error(exc, "authority") from exc
-        port = self._server.sockets[0].getsockname()[1]
-        return (self._host, port)
-
-    async def _serve(self, reader, writer) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                try:
-                    # Off-loop: randbits on a journaling source fsyncs,
-                    # bootstrap providers serialize keypairs — blocking
-                    # work that would stall every authority client.
-                    kind, payload = await asyncio.to_thread(
-                        self._dispatch, frame.kind, frame.payload
-                    )
-                except ReproError as exc:
-                    kind, payload = "err", encode_error(exc)
-                await write_frame(writer, kind, frame.seq, payload)
-                if self._metrics is not None:
+    def _serve(self, conn: FrameStream) -> None:
+        while True:
+            frame = conn.recv()
+            try:
+                kind, payload = self._dispatch(frame.kind, frame.payload)
+            except Exception as exc:  # ship, don't drop the connection
+                kind, payload = "err", encode_error(exc)
+            conn.send(kind, frame.seq, payload)
+            if self._metrics is not None:
+                with self._lock:
                     self._metrics.counter(
                         "netd_frames_total", peer="authority"
                     ).inc(2)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
 
     def _dispatch(self, kind: str, payload: bytes) -> tuple[str, bytes]:
         with self._dispatch_lock:
@@ -161,9 +143,13 @@ class AuthorityServer:
         if kind == "ping":
             return "ok", encode_control({"ok": True})
         if kind == "rand":
+            # Bounded before any draw happens, like ``rand_units``: a
+            # peer cannot hold the dispatch lock for an unbounded width.
             obj, _ = decode_control(payload)
-            value = self._rng.randbits(int(obj["bits"]))
-            return "ok", encode_int(value)
+            bits = obj.get("bits")
+            if type(bits) is not int or not 1 <= bits <= MAX_UNITS_MODULUS_BITS:
+                raise SerializationError(f"rand width {bits!r} is out of range")
+            return "ok", encode_int(self._rng.randbits(bits))
         if kind == "rand_units":
             # The base-class loop, run where the stream lives: rejection
             # sampling and gcd retries consume the broker's source exactly
@@ -172,7 +158,9 @@ class AuthorityServer:
             return "ok", encode_units_response(self._rng.random_units(modulus, count))
         if kind == "bootstrap":
             obj, _ = decode_control(payload)
-            name = str(obj["name"])
+            name = obj.get("name")
+            if not isinstance(name, str):
+                raise SerializationError("bootstrap names no worker")
             with self._lock:
                 provider = self._providers.get(name)
             if provider is None:
@@ -183,19 +171,9 @@ class AuthorityServer:
         raise TransportError(f"authority cannot serve frame kind {kind!r}")
 
     def stop(self) -> None:
-        server = self._server
-        if server is None:
-            return
-        self._server = None
-
-        async def _close() -> None:
+        server, self._server = self._server, None
+        if server is not None:
             server.close()
-            await server.wait_closed()
-
-        try:
-            self._runner.run(_close(), timeout=5.0)
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
 
 
 class RemoteRandomSource(RandomSource):

@@ -1,12 +1,13 @@
-"""The broker side of the socket plane: peer clients and the transport.
+"""The socket plane's connections: peer clients, the frame server, the transport.
 
-Blocking protocol code (the batch allocator, the router's scatter
-threads) talks to workers through :class:`PeerClient.transact`, which
-posts a coroutine onto a dedicated background event loop
-(:class:`NetLoop`) and blocks the *calling* thread only.  Each peer
-keeps a small connection pool with a bounded in-flight semaphore —
-backpressure is per peer, so a slow shard cannot starve its siblings'
-links.
+One I/O model: blocking ``socket`` / ``ssl`` objects used by the thread
+that wants the answer.  Every caller of the plane is blocking code — the
+batch allocator, the router's scatter threads, the STP worker's nonce
+draw — so :meth:`PeerClient.transact` takes an idle connection (or
+dials one), sends a frame and reads the reply in the calling thread,
+and :class:`FrameServer` gives each accepted connection a thread of its
+own.  Backpressure is per peer (a bounded number of exchanges in
+flight), so a slow shard cannot starve its siblings' links.
 
 :class:`SocketTransport` extends the in-memory
 :class:`~repro.net.recording.TranscriptTransport`: ``send()`` stays the
@@ -24,12 +25,12 @@ exactly like a cut in-memory wire.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import errno
 import itertools
 import pathlib
+import socket
 import ssl
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -43,37 +44,42 @@ from repro.errors import (
     TransportError,
 )
 from repro.net.recording import TranscriptTransport
-from repro.netd.framing import Frame, read_frame, write_frame
+from repro.netd.framing import Frame, FrameStream
 from repro.netd.wire import encode_control, raise_remote_error
 
 __all__ = [
-    "NetLoop",
-    "LoopRunner",
+    "FrameServer",
     "PeerClient",
     "SocketTransport",
     "TlsSpec",
     "classify_network_error",
 ]
 
-DEFAULT_CONNECT_TIMEOUT_S = 5.0
-DEFAULT_REQUEST_TIMEOUT_S = 120.0
-DEFAULT_RESOLVE_TIMEOUT_S = 30.0
-DEFAULT_POOL_SIZE = 2
-DEFAULT_MAX_IN_FLIGHT = 8
+#: TCP connect, TLS handshake and the hello exchange, each.
+CONNECT_TIMEOUT_S = 5.0
+#: Sending one frame, and reading its reply, each.
+REQUEST_TIMEOUT_S = 120.0
+#: How long a dial waits for a (re)starting worker to report an address.
+RESOLVE_TIMEOUT_S = 30.0
+POOL_SIZE = 2
+MAX_IN_FLIGHT = 8
 _RESOLVE_POLL_S = 0.02
+#: Teardown never waits longer than this for one thread.
+_JOIN_TIMEOUT_S = 5.0
 
 
 def classify_network_error(exc: BaseException, peer: str = "peer") -> TransportError:
-    """Map an OS/asyncio failure onto the socket plane's typed taxonomy.
+    """Map an OS/socket failure onto the socket plane's typed taxonomy.
 
-    * refused / reset / broken pipe / peer closed mid-frame →
-      :class:`~repro.errors.LinkDownError` — retryable, triggers the
+    * refused / reset / broken pipe / timed out / peer closed mid-frame
+      → :class:`~repro.errors.LinkDownError` — retryable, triggers the
       same promote-and-retry path as an injected link cut;
     * ``EADDRINUSE`` → :class:`~repro.errors.PortInUseError` — not
-      retryable against the same address;
-    * corrupt frame → :class:`~repro.errors.IntegrityError` passes
-      through unchanged (the stream is untrustworthy, not the peer
-      dead — the caller tears the connection down and re-dials).
+      retryable against the same address.
+
+    A corrupt frame is not a network error: callers let
+    :class:`~repro.errors.IntegrityError` through as it is (the stream
+    is untrustworthy, not the peer dead) and drop the connection.
     """
     if isinstance(exc, TransportError):
         return exc
@@ -85,7 +91,7 @@ def classify_network_error(exc: BaseException, peer: str = "peer") -> TransportE
             ConnectionRefusedError,
             ConnectionResetError,
             BrokenPipeError,
-            asyncio.IncompleteReadError,
+            socket.timeout,
             EOFError,
         ),
     ):
@@ -93,53 +99,6 @@ def classify_network_error(exc: BaseException, peer: str = "peer") -> TransportE
     if isinstance(exc, (ConnectionError, OSError)):
         return LinkDownError(f"link to {peer} failed: {type(exc).__name__}: {exc}")
     return TransportError(f"{peer}: {type(exc).__name__}: {exc}")
-
-
-class LoopRunner:
-    """Blocking facade over a running asyncio loop owned by someone else."""
-
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return self._loop
-
-    def run(self, coro, timeout: float | None = None):
-        """Run ``coro`` on the loop; block the calling thread for the result."""
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise
-
-
-class NetLoop(LoopRunner):
-    """A private event loop on a daemon thread for all netd I/O.
-
-    The loadtest driver owns the process's foreground ``asyncio.run``
-    loop; netd I/O must not share it (blocking protocol threads wait on
-    netd futures, and waiting on your own loop deadlocks).  One NetLoop
-    per deployment carries every peer connection and the authority
-    server.
-    """
-
-    def __init__(self, name: str = "netd-loop") -> None:
-        loop = asyncio.new_event_loop()
-        super().__init__(loop)
-        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
-        self._thread.start()
-
-    def _main(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def close(self) -> None:
-        if not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5.0)
-            self._loop.close()
 
 
 @dataclass(frozen=True)
@@ -184,55 +143,43 @@ class PeerClient:
     restarts on a fresh ephemeral port is reachable as soon as the
     supervisor has read its new readiness file — no explicit reconnect
     step.  Connections are validated with a hello handshake on dial
-    (bounded by ``connect_timeout_s`` →
-    :class:`~repro.errors.HandshakeTimeoutError`), recycled through a
-    pool of ``pool_size``, and discarded on any fault.  A semaphore
-    bounds in-flight requests at ``max_in_flight``.
+    (bounded by :data:`CONNECT_TIMEOUT_S` →
+    :class:`~repro.errors.HandshakeTimeoutError`), kept idle on a stack
+    of at most :data:`POOL_SIZE`, and discarded on any fault.  A
+    semaphore bounds the exchanges in flight at :data:`MAX_IN_FLIGHT`.
+    Any thread may call :meth:`transact`; it blocks that thread only.
     """
 
     def __init__(
         self,
         name: str,
         address_provider,
-        runner: LoopRunner,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
-        request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-        resolve_timeout_s: float = DEFAULT_RESOLVE_TIMEOUT_S,
         ssl_context: ssl.SSLContext | None = None,
         metrics=None,
     ) -> None:
         self.name = name
         self._address_provider = address_provider
-        self._runner = runner
-        self._pool_size = pool_size
-        self._connect_timeout_s = connect_timeout_s
-        self._request_timeout_s = request_timeout_s
-        self._resolve_timeout_s = resolve_timeout_s
         self._ssl = ssl_context
         self._metrics = metrics
         self._seq = itertools.count()
-        # Loop-confined state, created lazily on the runner's loop.
-        self._pool: asyncio.LifoQueue | None = None
-        self._sem: asyncio.Semaphore | None = None
-        self._max_in_flight = max_in_flight
+        self._in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        #: Guards the idle stack, ``_closed`` and this peer's counters.
+        self._lock = threading.Lock()
+        self._idle: list[FrameStream] = []
         self._closed = False
 
-    def _count(self, family: str, amount: int = 1) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(family, peer=self.name).inc(amount)
-
-    # -- addressing (calling-thread side) -----------------------------------------
+    def _count(self, frames: int, payload_bytes: int, dials: int = 0) -> None:
+        if self._metrics is None:
+            return
+        with self._lock:
+            self._metrics.counter("netd_frames_total", peer=self.name).inc(frames)
+            self._metrics.counter("netd_bytes_total", peer=self.name).inc(payload_bytes)
+            if dials:
+                self._metrics.counter("netd_dials_total", peer=self.name).inc(dials)
 
     def _resolve_address(self) -> tuple[str, int]:
-        """Consult the provider, waiting out worker (re)starts.
-
-        Runs on the *calling* thread, never the event loop — the
-        provider may poll supervisor readiness files, and the loop must
-        stay free to serve the authority while a worker boots.
-        """
-        deadline = time.monotonic() + self._resolve_timeout_s
+        """Consult the provider, waiting out worker (re)starts."""
+        deadline = time.monotonic() + RESOLVE_TIMEOUT_S
         while True:
             try:
                 return self._address_provider()
@@ -243,126 +190,191 @@ class PeerClient:
                     ) from exc
                 time.sleep(_RESOLVE_POLL_S)  # audit-ok: RES001 — readiness poll
 
-    # -- connection management (loop side) ---------------------------------------
-
-    async def _dial(self, address: tuple[str, int]):
-        host, port = address
+    def _dial(self) -> FrameStream:
+        host, port = self._resolve_address()
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port, ssl=self._ssl),
-                timeout=self._connect_timeout_s,
-            )
-        except asyncio.TimeoutError as exc:
-            raise LinkDownError(
-                f"connect to {self.name} at {host}:{port} timed out"
-            ) from exc
-        except Exception as exc:
+            sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
+        except OSError as exc:
             raise classify_network_error(exc, self.name) from exc
         try:
-            sent = await write_frame(writer, "hello", next(self._seq), encode_control({}))
-            hello = await asyncio.wait_for(
-                read_frame(reader), timeout=self._connect_timeout_s
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._ssl is not None:
+                sock = self._ssl.wrap_socket(sock)
+            conn = FrameStream(sock)
+            sent = conn.send(
+                "hello", next(self._seq), encode_control({}), CONNECT_TIMEOUT_S
             )
-        except asyncio.TimeoutError as exc:
-            writer.close()
-            raise HandshakeTimeoutError(
-                f"{self.name} at {host}:{port} accepted but never said hello"
-            ) from exc
-        except Exception as exc:
-            writer.close()
-            raise classify_network_error(exc, self.name) from exc
-        if hello.kind != "hello":
-            writer.close()
-            raise TransportError(
-                f"{self.name} answered the hello with {hello.kind!r}"
-            )
-        self._count("netd_frames_total", 2)
-        self._count("netd_bytes_total", sent)
-        self._count("netd_dials_total")
-        return reader, writer
-
-    async def _checkout(self, address: tuple[str, int]):
-        assert self._pool is not None
-        try:
-            return self._pool.get_nowait()
-        except asyncio.QueueEmpty:
-            return await self._dial(address)
-
-    def _checkin(self, conn) -> None:
-        assert self._pool is not None
-        if self._closed or self._pool.qsize() >= self._pool_size:
-            conn[1].close()
-            return
-        self._pool.put_nowait(conn)
-
-    async def _transact(
-        self, address: tuple[str, int], kind: str, payload: bytes
-    ) -> Frame:
-        if self._pool is None:
-            self._pool = asyncio.LifoQueue()
-            self._sem = asyncio.Semaphore(self._max_in_flight)
-        assert self._sem is not None
-        async with self._sem:
-            reader, writer = await self._checkout(address)
-            seq = next(self._seq)
-            try:
-                sent = await write_frame(writer, kind, seq, payload)
-                response = await asyncio.wait_for(
-                    read_frame(reader), timeout=self._request_timeout_s
-                )
-            except asyncio.TimeoutError as exc:
-                writer.close()
-                raise LinkDownError(
-                    f"{self.name} did not answer a {kind!r} frame in "
-                    f"{self._request_timeout_s:.0f}s"
-                ) from exc
-            except IntegrityError:
-                writer.close()
-                raise
-            except Exception as exc:
-                writer.close()
-                raise classify_network_error(exc, self.name) from exc
-            self._count("netd_frames_total", 2)
-            self._count("netd_bytes_total", sent + len(response.payload))
-            if response.seq != seq:
-                writer.close()
+            hello = conn.recv(CONNECT_TIMEOUT_S)
+            if hello.kind != "hello":
                 raise TransportError(
-                    f"{self.name} answered seq {response.seq}, expected {seq}"
+                    f"{self.name} answered the hello with {hello.kind!r}"
                 )
-            self._checkin((reader, writer))
-            if response.kind == "err":
-                raise_remote_error(response.payload, self.name)
-            return response
+        except BaseException as exc:
+            sock.close()
+            if isinstance(exc, socket.timeout):
+                raise HandshakeTimeoutError(
+                    f"{self.name} at {host}:{port} accepted but never said hello"
+                ) from exc
+            if isinstance(exc, (OSError, EOFError)):
+                raise classify_network_error(exc, self.name) from exc
+            raise
+        self._count(2, sent, dials=1)
+        return conn
 
-    # -- blocking facade (any thread) ---------------------------------------------
+    def _checkout(self) -> FrameStream:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._dial()
+
+    def _checkin(self, conn: FrameStream) -> None:
+        with self._lock:
+            if not self._closed and len(self._idle) < POOL_SIZE:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def transact(
         self, kind: str, payload: bytes, timeout: float | None = None
     ) -> Frame:
-        """Send one frame, wait for the paired response; typed errors."""
-        address = self._resolve_address()
-        return self._runner.run(
-            self._transact(address, kind, payload),
-            timeout=timeout if timeout is not None else self._request_timeout_s + 5.0,
-        )
+        """Send one frame, wait for the paired response; typed errors.
+
+        ``timeout`` (default :data:`REQUEST_TIMEOUT_S`) bounds the send
+        and the wait for the reply; a peer that misses it is a
+        :class:`~repro.errors.LinkDownError` like any other dead link,
+        and the half-used connection is dropped, never pooled.
+        """
+        limit = REQUEST_TIMEOUT_S if timeout is None else timeout
+        with self._in_flight:
+            conn = self._checkout()
+            seq = next(self._seq)
+            try:
+                sent = conn.send(kind, seq, payload, limit)
+                response = conn.recv(limit)
+            except BaseException as exc:
+                conn.close()
+                if isinstance(exc, (OSError, EOFError)):
+                    raise classify_network_error(exc, self.name) from exc
+                raise
+            self._count(2, sent + len(response.payload))
+            if response.seq != seq:
+                conn.close()
+                raise TransportError(
+                    f"{self.name} answered seq {response.seq}, expected {seq}"
+                )
+            self._checkin(conn)
+        if response.kind == "err":
+            raise_remote_error(response.payload, self.name)
+        return response
 
     def close(self) -> None:
-        self._closed = True
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
-        async def _drain() -> None:
-            if self._pool is None:
-                return
-            while True:
-                try:
-                    _, writer = self._pool.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
-                writer.close()
 
+class FrameServer:
+    """A listening socket, an accept thread, and a thread per connection.
+
+    ``serve(stream)`` is one connection's whole life, run in that
+    connection's thread; it returns, or raises what
+    :meth:`FrameStream.recv` raises, when the connection is over.  The
+    threads are daemons named ``netd-<name>-*``; :meth:`close` leaves
+    none behind.
+    """
+
+    def __init__(
+        self, name: str, host: str, port: int, serve, ssl_context=None
+    ) -> None:
         try:
-            self._runner.run(_drain(), timeout=5.0)
-        except Exception:  # pragma: no cover - teardown best effort
+            self._listener = socket.create_server((host, port))
+        except OSError as exc:
+            raise classify_network_error(exc, name) from exc
+        self.address = (host, self._listener.getsockname()[1])
+        self._name = name
+        self._serve = serve
+        self._ssl = ssl_context
+        self._accepting = True
+        self._lock = threading.Lock()
+        self._conns: dict[FrameStream, threading.Thread] = {}
+        self._acceptor = threading.Thread(
+            target=self._accept, name=f"netd-{name}-accept", daemon=True
+        )
+        self._acceptor.start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                if not self._accepting:
+                    return
+                continue  # that one connection died in the backlog
+            if not self._accepting:
+                sock.close()
+                return
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self._ssl is not None:
+                    # Wrapped here, shaken in the connection's own thread:
+                    # a slow client must not hold up the next accept.
+                    sock = self._ssl.wrap_socket(
+                        sock, server_side=True, do_handshake_on_connect=False
+                    )
+            except OSError:
+                sock.close()
+                continue
+            stream = FrameStream(sock)
+            thread = threading.Thread(
+                target=self._run,
+                args=(stream, sock),
+                name=f"netd-{self._name}-conn",
+                daemon=True,
+            )
+            with self._lock:
+                self._conns[stream] = thread
+            thread.start()
+
+    def _run(self, stream: FrameStream, sock) -> None:
+        try:
+            if self._ssl is not None:
+                sock.settimeout(CONNECT_TIMEOUT_S)
+                sock.do_handshake()
+            self._serve(stream)
+        except (OSError, EOFError):
+            pass  # the peer went away
+        except IntegrityError as exc:
+            # No trustworthy continuation: drop the connection, say why.
+            print(f"{self._name}: dropped a connection: {exc}", file=sys.stderr)
+        finally:
+            stream.close()
+            with self._lock:
+                del self._conns[stream]
+
+    def stop_accepting(self) -> None:
+        """Close the listening socket; open connections carry on."""
+        if not self._accepting:
+            return
+        self._accepting = False
+        # close() does not wake a blocked accept() on Linux; a connection does.
+        try:
+            socket.create_connection(self.address, timeout=_JOIN_TIMEOUT_S).close()
+        except OSError:
             pass
+        self._acceptor.join(_JOIN_TIMEOUT_S)
+        self._listener.close()
+
+    def close(self) -> None:
+        """Stop accepting, end every open connection, join its thread."""
+        self.stop_accepting()
+        with self._lock:
+            conns = list(self._conns.items())
+        for stream, _ in conns:
+            stream.shutdown()
+        for _, thread in conns:
+            thread.join(_JOIN_TIMEOUT_S)
 
 
 class SocketTransport(TranscriptTransport):

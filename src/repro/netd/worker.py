@@ -17,20 +17,23 @@ ephemeral port, atomically write the readiness file.  A crash restart
 re-runs exactly the same pull — the provider serves current state — so
 the supervisor never pushes anything.
 
-The request loop reads frames on the process's asyncio loop and runs
-handlers in a worker thread (``asyncio.to_thread``), so pings stay
-responsive while a shard grinds through homomorphic arithmetic.
+Every accepted connection has a thread of its own that reads a frame,
+runs the handler and writes the reply, so pings on one connection stay
+responsive while a shard grinds through homomorphic arithmetic on
+another.  The main thread only waits: for SIGTERM/SIGINT or a
+``shutdown`` frame, or for the broker that spawned it to disappear.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import pathlib
 import signal
+import socket
 import sys
+import threading
 import time
 
 from repro.cluster.shard import SdcShard
@@ -43,14 +46,9 @@ from repro.crypto.serialization import (
     decode_public_key,
 )
 from repro.errors import ReproError, SerializationError, TransportError
-from repro.netd.framing import read_frame, write_frame
+from repro.netd.framing import FrameStream
 from repro.netd.remote import RemoteRandomSource
-from repro.netd.transport import (
-    LoopRunner,
-    PeerClient,
-    TlsSpec,
-    classify_network_error,
-)
+from repro.netd.transport import CONNECT_TIMEOUT_S, FrameServer, PeerClient, TlsSpec
 from repro.netd.wire import (
     decode_control,
     decode_phase1_request,
@@ -71,51 +69,48 @@ _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
 
 
-async def _pull_bootstrap(
-    host: str, port: int, name: str, ssl_context=None
-) -> bytes:
-    """Poll the authority until our provider is registered."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + _BOOTSTRAP_TIMEOUT_S
+def _pull_bootstrap(
+    host: str, port: int, name: str, stopping, ssl_context=None
+) -> bytes | None:
+    """Poll the authority until our provider is registered.
+
+    ``stopping(wait_s)`` is the poll's sleep: true, and the pull gives
+    up with ``None``, once the worker has been told to stop.
+    """
+    deadline = time.monotonic() + _BOOTSTRAP_TIMEOUT_S
+    conn = None
     seq = 0
-    while True:
-        if loop.time() > deadline:
-            raise TransportError(f"worker {name!r}: bootstrap timed out")
-        try:
-            reader, writer = await asyncio.open_connection(host, port, ssl=ssl_context)
-        except OSError:
-            await asyncio.sleep(_BOOTSTRAP_POLL_S)  # audit-ok: RES001 — startup poll
-            continue
-        try:
-            while True:
-                await write_frame(
-                    writer, "bootstrap", seq, encode_control({"name": name})
+    try:
+        while time.monotonic() <= deadline:
+            try:
+                if conn is None:
+                    sock = socket.create_connection(
+                        (host, port), timeout=CONNECT_TIMEOUT_S
+                    )
+                    if ssl_context is not None:
+                        sock = ssl_context.wrap_socket(sock)
+                    conn = FrameStream(sock)
+                conn.send(
+                    "bootstrap", seq, encode_control({"name": name}), CONNECT_TIMEOUT_S
                 )
                 seq += 1
-                frame = await read_frame(reader)
+                frame = conn.recv(CONNECT_TIMEOUT_S)
+            except (OSError, EOFError):
+                # No authority yet, or not any more: dial again.
+                if conn is not None:
+                    conn.close()
+                    conn = None
+            else:
                 if frame.kind == "ok":
                     return frame.payload
                 if frame.kind == "err":
                     raise_remote_error(frame.payload, "authority")
-                if loop.time() > deadline:
-                    raise TransportError(f"worker {name!r}: bootstrap timed out")
-                await asyncio.sleep(_BOOTSTRAP_POLL_S)  # audit-ok: RES001 — startup poll
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            await asyncio.sleep(_BOOTSTRAP_POLL_S)  # audit-ok: RES001 — startup poll
-        finally:
-            writer.close()
-
-
-async def _race_stop(awaitable, stop: asyncio.Event):
-    """Run *awaitable* unless *stop* fires first; ``None`` means stopped."""
-    task = asyncio.ensure_future(awaitable)
-    stopper = asyncio.ensure_future(stop.wait())
-    done, _ = await asyncio.wait({task, stopper}, return_when=asyncio.FIRST_COMPLETED)
-    if task in done:
-        stopper.cancel()
-        return task.result()
-    task.cancel()
-    return None
+            if stopping(_BOOTSTRAP_POLL_S):
+                return None
+        raise TransportError(f"worker {name!r}: bootstrap timed out")
+    finally:
+        if conn is not None:
+            conn.close()
 
 
 class ShardState:
@@ -242,11 +237,10 @@ def _write_ready(path: str, data: dict) -> None:
     os.replace(tmp, target)
 
 
-async def _serve(args, tls: TlsSpec | None) -> int:
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
+def _serve(args, tls: TlsSpec | None) -> int:
+    stop = threading.Event()
     for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
+        signal.signal(sig, lambda *_: stop.set())
 
     # Orphan guard: if the supervising broker dies without a graceful
     # stop_all (SIGKILL, OOM), this process is reparented — exit rather
@@ -256,28 +250,21 @@ async def _serve(args, tls: TlsSpec | None) -> int:
     # still starting up; bare getppid() is the manual-launch fallback.
     parent_pid = int(os.environ.get("REPRO_NETD_PARENT_PID") or os.getppid())
 
-    async def watch_parent() -> None:
-        while not stop.is_set():
-            if os.getppid() != parent_pid:
-                stop.set()
-                return
-            await asyncio.sleep(0.5)  # audit-ok: RES001 — orphan watchdog tick
-
-    # Started *before* the bootstrap pull: a worker whose broker died
-    # mid-spawn must not sit in the poll loop until the 60 s timeout.
-    watchdog = asyncio.ensure_future(watch_parent())
+    def stopping(wait_s: float) -> bool:
+        """Wait up to ``wait_s`` for a stop; an orphan stops itself."""
+        if not stop.wait(wait_s) and os.getppid() != parent_pid:
+            stop.set()
+        return stop.is_set()
 
     authority_host, authority_port = args.authority.rsplit(":", 1)
     authority_port = int(authority_port)
     client_ssl = tls.client_context() if tls is not None else None
-    payload = await _race_stop(
-        _pull_bootstrap(
-            authority_host, authority_port, args.name, ssl_context=client_ssl
-        ),
-        stop,
+    # The pull watches for a stop too: a worker whose broker died
+    # mid-spawn must not sit in the poll loop until the 60 s timeout.
+    payload = _pull_bootstrap(
+        authority_host, authority_port, args.name, stopping, ssl_context=client_ssl
     )
     if payload is None:
-        watchdog.cancel()
         return 0
 
     if args.role == "shard":
@@ -288,118 +275,103 @@ async def _serve(args, tls: TlsSpec | None) -> int:
         )
         authority_peer = None
     else:
-        # The STP's nonce draws are blocking transacts posted back onto
-        # this loop from handler threads; safe because handlers never
-        # run on the loop thread (asyncio.to_thread below).
         authority_peer = PeerClient(
             "authority",
             lambda: (authority_host, authority_port),
-            LoopRunner(loop),
             ssl_context=client_ssl,
         )
         state = StpState(payload, authority_peer)
 
     ping_info = {"name": args.name, "role": state.role, "crypto_backend": backend.describe()}
 
-    # Graceful-drain accounting: frames currently inside ``state.handle``
-    # on a worker thread.  Mutated only from the loop thread, so a plain
-    # counter needs no lock.
-    inflight = [0]
-    # The STP's idle-time fills (threads that return at the next request
-    # or on ``stop``); held so shutdown can wait for them.
-    fills: set[asyncio.Future] = set()
+    # Graceful-drain accounting: frames between their arrival and the
+    # end of their reply, over all connection threads.
+    in_flight = [0]
+    in_flight_lock = threading.Lock()
+    # The STP's idle-time fill has a thread of its own — it must never
+    # sit between a connection and its next frame — woken after every
+    # sign_req reply; each run returns at the next request or on ``stop``.
+    reply_sent = threading.Event()
 
-    async def serve_conn(reader, writer) -> None:
+    def fill_when_idle() -> None:
+        while True:
+            reply_sent.wait()
+            reply_sent.clear()
+            if stop.is_set():
+                return
+            state.stp.fill_stock(stop.is_set)
+
+    def respond(frame) -> tuple[str, bytes]:
+        if frame.kind == "hello":
+            return "hello", encode_control({"name": args.name})
+        if frame.kind == "ping":
+            info = ping_info
+            if args.role == "stp":
+                info = {**ping_info, **state.ping_counts()}
+            return "ok", encode_control(info)
+        if frame.kind == "shutdown":
+            stop.set()
+            return "ok", encode_control({})
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame.kind == "hello":
-                    await write_frame(
-                        writer, "hello", frame.seq, encode_control({"name": args.name})
-                    )
-                    continue
-                if frame.kind == "ping":
-                    info = ping_info
-                    if args.role == "stp":
-                        info = {**ping_info, **state.ping_counts()}
-                    await write_frame(writer, "ok", frame.seq, encode_control(info))
-                    continue
-                if frame.kind == "shutdown":
-                    await write_frame(writer, "ok", frame.seq, encode_control({}))
-                    stop.set()
-                    continue
-                inflight[0] += 1
-                try:
-                    kind, payload = await asyncio.to_thread(
-                        state.handle, frame.kind, frame.payload
-                    )
-                except ReproError as exc:
-                    kind, payload = "err", encode_error(exc)
-                except Exception as exc:  # ship, don't kill the worker
-                    kind, payload = "err", encode_error(exc)
-                finally:
-                    inflight[0] -= 1
-                await write_frame(writer, kind, frame.seq, payload)
-                if frame.kind == "sign_req":
-                    # The reply is out and the broker is busy with the
-                    # SU's side of the next round: precompute r**n for
-                    # the nonces just stocked, off-loop, until the next
-                    # sign_req arrives.
-                    fill = asyncio.ensure_future(
-                        asyncio.to_thread(state.stp.fill_stock, stop.is_set)
-                    )
-                    fills.add(fill)
-                    fill.add_done_callback(fills.discard)
-                if stop.is_set():
-                    # Drain discipline: the in-flight frame was answered;
-                    # take no new work from this connection.
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            writer.close()
+            return state.handle(frame.kind, frame.payload)
+        except Exception as exc:  # ship, don't kill the worker
+            return "err", encode_error(exc)
 
-    server_ssl = tls.server_context() if tls is not None else None
-    try:
-        server = await asyncio.start_server(
-            serve_conn, args.host, args.port, ssl=server_ssl
-        )
-    except Exception as exc:
-        raise classify_network_error(exc, args.name) from exc
-    port = server.sockets[0].getsockname()[1]
-    # The ready-file write is sync file I/O (write_text + os.replace):
-    # done inline it would stall the freshly started server's loop, so
-    # it runs off-loop like every other blocking frame here (ASY001).
-    await asyncio.to_thread(
-        _write_ready,
+    def serve_conn(conn: FrameStream) -> None:
+        # Drain discipline: the frame in flight is answered; once
+        # stopping, no new work is taken from this connection.
+        while not stop.is_set():
+            frame = conn.recv()
+            with in_flight_lock:
+                in_flight[0] += 1
+            try:
+                kind, payload = respond(frame)
+                conn.send(kind, frame.seq, payload)
+            finally:
+                with in_flight_lock:
+                    in_flight[0] -= 1
+            if frame.kind == "sign_req":
+                # The reply is out and the broker is busy with the SU's
+                # side of the next round: precompute r**n for the nonces
+                # just stocked until the next sign_req arrives.
+                reply_sent.set()
+
+    server = FrameServer(
+        args.name,
+        args.host,
+        args.port,
+        serve_conn,
+        ssl_context=tls.server_context() if tls is not None else None,
+    )
+    filler = None
+    if args.role == "stp":
+        filler = threading.Thread(target=fill_when_idle, name="netd-fill", daemon=True)
+        filler.start()
+    _write_ready(
         args.ready_file,
-        {"name": args.name, "port": port, "pid": os.getpid()},
+        {"name": args.name, "port": server.address[1], "pid": os.getpid()},
     )
 
-    await stop.wait()
-    watchdog.cancel()
+    while not stopping(0.5):  # the orphan watchdog's tick
+        pass
+    server.stop_accepting()
+    # Graceful drain (SIGTERM path): finish the frames the connection
+    # threads are already serving, flush durable state, and only then
+    # revoke the readiness file — a supervisor that reads it mid-shutdown
+    # must never see "ready" after the store has closed.
+    drain_deadline = time.monotonic() + 5.0
+    while in_flight[0] > 0 and time.monotonic() < drain_deadline:
+        time.sleep(0.01)  # audit-ok: RES001 — shutdown drain tick
     server.close()
-    await server.wait_closed()
-    # Graceful drain (SIGTERM path): finish the frame a handler thread is
-    # already serving, flush durable state, and only then revoke the
-    # readiness file — a supervisor that reads it mid-shutdown must never
-    # see "ready" after the store has closed.
-    drain_deadline = loop.time() + 5.0
-    while inflight[0] > 0 and loop.time() < drain_deadline:
-        await asyncio.sleep(0.01)  # audit-ok: RES001 — shutdown drain tick
-    # A fill sees ``stop`` within one chunk; its stock dies with the process.
-    await asyncio.gather(*fills, return_exceptions=True)
-    if authority_peer is not None:
-        # Off-loop: close() posts its drain onto this very loop and blocks
-        # on the result, so calling it here would stall the loop until its
-        # 5 s timeout — past the supervisor's SIGTERM grace.
-        await asyncio.to_thread(authority_peer.close)
+    if filler is not None:
+        # A fill sees ``stop`` within one chunk; its stock dies with the process.
+        reply_sent.set()
+        filler.join()
+        authority_peer.close()
     if args.role == "shard":
-        await asyncio.to_thread(state.store.close)
+        state.store.close()
     if args.ready_file:
-        await asyncio.to_thread(
-            pathlib.Path(args.ready_file).unlink, missing_ok=True
-        )
+        pathlib.Path(args.ready_file).unlink(missing_ok=True)
     return 0
 
 
@@ -431,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
                 keyfile=args.tls_key,
                 cafile=args.tls_ca or None,
             )
-        return asyncio.run(_serve(args, tls))
+        return _serve(args, tls)
     except ReproError as exc:
         print(f"{args.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -237,9 +237,9 @@ class SignConverter:
         """How much is stocked and how much of it is filled — counts only.
 
         Takes no lock (a request holds it for as long as it runs, and
-        this is called from a worker's event loop): ``list()`` of the
-        values is one atomic snapshot, and the counts are a health
-        reading, not an invariant.
+        this answers a worker's ``ping``, which must not wait for one):
+        ``list()`` of the values is one atomic snapshot, and the counts
+        are a health reading, not an invariant.
         """
         stocks = list(self._stock.values())
         return {

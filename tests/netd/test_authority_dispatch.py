@@ -1,17 +1,17 @@
-"""AuthorityServer handler threading: dispatch runs off the event loop.
+"""AuthorityServer dispatch: one draw stream, whoever is connected.
 
-Regression suite for the ASY001 finding the interprocedural audit
-surfaced: ``_dispatch`` does blocking work (journal fsync on draws, key
-serialization in bootstrap providers) and used to run directly on the
-NetLoop, stalling every authority client behind it.  It now runs under
-``asyncio.to_thread`` with a dispatch lock keeping the draw stream
-single-file.  These tests pin both properties, plus the audit-clean
-status of the whole socket plane.
+``_dispatch`` does blocking work (journal fsync on draws, key
+serialization in bootstrap providers); every connection has a thread of
+its own for it, and a dispatch lock keeps the draw stream single-file.
+These tests pin the stream's equality with a local source and its
+single order under racing clients, plus the audit-clean status of the
+whole socket plane.
 
 The ``rand_units`` frame — one request's worth of STP nonces in one
 round trip — is covered here too: stream equivalence with a local
-source, a hostile peer's malformed requests, and the per-request frame
-count on a live socket plane.
+source, a hostile peer's malformed requests (of every control kind the
+authority serves), and the per-request frame count on a live socket
+plane.
 """
 
 import pathlib
@@ -24,10 +24,11 @@ from repro.crypto.serialization import encode_int
 from repro.errors import SerializationError
 from repro.netd.plane import build_socket_coordinator
 from repro.netd.remote import AuthorityServer, RemoteRandomSource
-from repro.netd.transport import NetLoop, PeerClient
+from repro.netd.transport import PeerClient
 from repro.netd.wire import (
     MAX_UNITS_MODULUS_BITS,
     MAX_UNITS_PER_FRAME,
+    encode_control,
     encode_units_request,
 )
 from repro.telemetry import MetricsRegistry
@@ -35,7 +36,7 @@ from repro.watch.scenario import ScenarioConfig
 
 
 class RecordingRng(DeterministicRandomSource):
-    """Records the thread each draw executes on."""
+    """Records every raw draw (as the thread it executed on)."""
 
     def __init__(self) -> None:
         super().__init__(seed=7)
@@ -46,41 +47,23 @@ class RecordingRng(DeterministicRandomSource):
         return super().randbits(bits)
 
 
-@pytest.fixture()
-def netloop():
-    loop = NetLoop(name="test-authority-loop")
-    yield loop
-    loop.close()
+def _client(address) -> PeerClient:
+    return PeerClient("authority", lambda: address, metrics=MetricsRegistry())
 
 
-def _client(netloop, address) -> PeerClient:
-    return PeerClient("authority", lambda: address, netloop, pool_size=2)
+def _dials(peer: PeerClient) -> int:
+    return peer._metrics.counter("netd_dials_total", peer="authority").value
 
 
 class TestOffLoopDispatch:
-    def test_rand_draws_execute_off_the_loop_thread(self, netloop):
-        rng = RecordingRng()
-        server = AuthorityServer(netloop, rng)
-        address = server.start()
-        peer = _client(netloop, address)
-        try:
-            remote = RemoteRandomSource(peer)
-            values = [remote.randbits(64) for _ in range(3)]
-            assert all(0 <= v < 2**64 for v in values)
-            assert len(rng.draw_threads) == 3
-            loop_thread = netloop._thread.ident
-            assert all(t != loop_thread for t in rng.draw_threads), (
-                "blocking draw ran on the event loop thread"
-            )
-        finally:
-            peer.close()
-            server.stop()
+    """There is no loop to be off any more — a thread per connection
+    dispatches directly; the class keeps its name so the test ids do."""
 
-    def test_remote_draws_match_local_stream(self, netloop):
-        """Off-loop dispatch must not perturb the draw stream itself."""
-        server = AuthorityServer(netloop, DeterministicRandomSource(seed=7))
+    def test_remote_draws_match_local_stream(self):
+        """A thread per connection must not perturb the draw stream itself."""
+        server = AuthorityServer(DeterministicRandomSource(seed=7))
         address = server.start()
-        peer = _client(netloop, address)
+        peer = _client(address)
         try:
             remote = RemoteRandomSource(peer)
             local = DeterministicRandomSource(seed=7)
@@ -91,12 +74,12 @@ class TestOffLoopDispatch:
             peer.close()
             server.stop()
 
-    def test_concurrent_clients_see_disjoint_draws(self, netloop):
+    def test_concurrent_clients_see_disjoint_draws(self):
         """The dispatch lock serialises draws into one stream: two racing
         clients never observe the same raw draw twice."""
-        server = AuthorityServer(netloop, DeterministicRandomSource(seed=11))
+        server = AuthorityServer(DeterministicRandomSource(seed=11))
         address = server.start()
-        peers = [_client(netloop, address) for _ in range(2)]
+        peers = [_client(address) for _ in range(2)]
         try:
             results: list[list[int]] = [[], []]
 
@@ -129,11 +112,11 @@ COMPOSITE_MODULUS = 105
 
 
 @pytest.fixture()
-def authority(netloop):
+def authority():
     """A seeded authority plus one client: ``(server rng, peer)``."""
     rng = RecordingRng()
-    server = AuthorityServer(netloop, rng)
-    peer = _client(netloop, server.start())
+    server = AuthorityServer(rng)
+    peer = _client(server.start())
     yield rng, peer
     peer.close()
     server.stop()
@@ -169,15 +152,22 @@ class TestBatchedUnits:
         assert rng.draw_threads == []
 
     @pytest.mark.parametrize(
-        "payload",
+        "kind, payload",
         [
-            encode_units_request(REJECTING_MODULUS, 0),
-            encode_units_request(REJECTING_MODULUS, MAX_UNITS_PER_FRAME + 1),
-            encode_units_request(14, 4),
-            encode_units_request(1 << MAX_UNITS_MODULUS_BITS, 4),
-            encode_int(REJECTING_MODULUS),
-            encode_units_request(REJECTING_MODULUS, 4)[:-1],
-            encode_units_request(REJECTING_MODULUS, 4) + b"\x00",
+            ("rand_units", encode_units_request(REJECTING_MODULUS, 0)),
+            ("rand_units", encode_units_request(REJECTING_MODULUS, MAX_UNITS_PER_FRAME + 1)),
+            ("rand_units", encode_units_request(14, 4)),
+            ("rand_units", encode_units_request(1 << MAX_UNITS_MODULUS_BITS, 4)),
+            ("rand_units", encode_int(REJECTING_MODULUS)),
+            ("rand_units", encode_units_request(REJECTING_MODULUS, 4)[:-1]),
+            ("rand_units", encode_units_request(REJECTING_MODULUS, 4) + b"\x00"),
+            ("rand", encode_control({})),
+            ("rand", encode_control({"bits": "x"})),
+            ("rand", encode_control({"bits": -5})),
+            ("rand", encode_control({"bits": MAX_UNITS_MODULUS_BITS + 1})),
+            ("rand", encode_control({"bits": 200_000_000})),
+            ("bootstrap", encode_control({})),
+            ("bootstrap", encode_control({"name": 7})),
         ],
         ids=[
             "count-zero",
@@ -187,19 +177,27 @@ class TestBatchedUnits:
             "missing-count",
             "truncated",
             "trailing-byte",
+            "rand-no-width",
+            "rand-width-not-a-number",
+            "rand-width-negative",
+            "rand-width-over-cap",
+            "rand-width-that-held-the-lock-for-minutes",
+            "bootstrap-no-name",
+            "bootstrap-name-not-a-string",
         ],
     )
-    def test_hostile_request_is_refused_before_any_draw(self, authority, payload):
-        """A typed ``err`` frame, nothing consumed, and the connection
-        (``pool_size`` keeps it) serves the next well-formed request.
+    def test_hostile_request_is_refused_before_any_draw(self, authority, kind, payload):
+        """A typed ``err`` frame, nothing consumed, and the same
+        connection (no second dial) serves the next well-formed request.
         A negative count has no encoding: ``encode_int`` refuses it."""
         rng, peer = authority
         with pytest.raises(SerializationError):
-            peer.transact("rand_units", payload)
+            peer.transact(kind, payload)
         assert rng.draw_threads == []
         assert RemoteRandomSource(peer).random_units(COMPOSITE_MODULUS, 3) == (
             DeterministicRandomSource(seed=7).random_units(COMPOSITE_MODULUS, 3)
         )
+        assert _dials(peer) == 1
 
 
 class TestSocketPlaneAuthorityTraffic:

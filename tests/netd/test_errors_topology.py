@@ -1,7 +1,7 @@
 """Socket error taxonomy mapping and TLS path validation."""
 
-import asyncio
 import errno
+import socket
 
 import pytest
 
@@ -23,8 +23,8 @@ class TestErrorClassification:
             ConnectionRefusedError("refused"),
             ConnectionResetError("reset"),
             BrokenPipeError("pipe"),
-            asyncio.IncompleteReadError(b"", 10),
-            EOFError(),
+            EOFError("peer closed the connection mid-frame"),
+            socket.timeout("timed out"),
             OSError(errno.EHOSTUNREACH, "unreachable"),
         ],
     )

@@ -3,24 +3,35 @@
 The frame layer must carry every canonical protocol encoding verbatim
 (the socket plane adds framing, not a second serialisation format) and
 refuse anything torn, truncated, or bit-flipped — a TCP stream with a
-corrupt frame has no trustworthy continuation.
+corrupt frame has no trustworthy continuation.  The streaming decoder is
+the production reader, so it is also driven over real sockets here: a
+``socketpair`` for the stream itself, a loopback server for what a
+:class:`~repro.netd.transport.PeerClient` makes of a faulty peer.
 """
 
 import random
+import socket
+import sys
+import threading
+import time
 import zlib
 
 import pytest
 
-from repro.errors import IntegrityError
+from repro.errors import HandshakeTimeoutError, IntegrityError, LinkDownError
+from repro.netd import transport
 from repro.netd.framing import (
     FRAME_MAGIC,
     FRAME_OVERHEAD,
     Frame,
     FrameDecoder,
+    FrameStream,
     decode_frame,
     encode_frame,
 )
+from repro.netd.transport import FrameServer, PeerClient, classify_network_error
 from repro.netd.wire import PROTOCOL_KINDS
+from repro.telemetry import MetricsRegistry
 from repro.pisa.license import TransmissionLicense
 from repro.pisa.messages import (
     LicenseResponse,
@@ -198,3 +209,182 @@ class TestFrameDecoderStreaming:
         bad[0] ^= 0xFF
         with pytest.raises(IntegrityError):
             decoder.feed(bytes(bad))
+
+
+@pytest.fixture()
+def wire():
+    """A connected pair: the raw sending socket and the reading stream."""
+    sender, receiver = socket.socketpair()
+    stream = FrameStream(receiver)
+    yield sender, stream
+    sender.close()
+    stream.close()
+
+
+class TestFrameStreamOverARealSocket:
+    def test_frame_delivered_one_byte_at_a_time(self, wire):
+        sender, stream = wire
+        data = encode_frame("phase1", 7, b"\x01\x02\x03" * 50)
+
+        def trickle() -> None:
+            for byte in data:
+                sender.sendall(bytes([byte]))
+
+        feeder = threading.Thread(target=trickle)
+        feeder.start()
+        assert stream.recv(timeout=10.0) == Frame("phase1", 7, b"\x01\x02\x03" * 50)
+        feeder.join(timeout=10.0)
+        assert not feeder.is_alive()
+
+    def test_two_frames_in_one_segment(self, wire):
+        sender, stream = wire
+        sender.sendall(encode_frame("a", 0, b"first") + encode_frame("b", 1, b"second"))
+        assert stream.recv(timeout=10.0) == Frame("a", 0, b"first")
+        # The second came off the wire with the first: no further read.
+        sender.close()
+        assert stream.recv(timeout=10.0) == Frame("b", 1, b"second")
+
+    def test_one_megabyte_frame(self, wire):
+        sender, stream = wire
+        payload = random.Random(5).randbytes(1 << 20)
+        feeder = threading.Thread(
+            target=sender.sendall, args=(encode_frame("big", 3, payload),)
+        )
+        feeder.start()
+        assert stream.recv(timeout=30.0) == Frame("big", 3, payload)
+        feeder.join(timeout=10.0)
+        assert not feeder.is_alive()
+
+    def test_peer_closing_mid_frame_is_a_dead_link(self, wire):
+        sender, stream = wire
+        sender.sendall(encode_frame("a", 0, b"torn")[:-3])
+        sender.close()
+        with pytest.raises(EOFError, match="mid-frame") as caught:
+            stream.recv(timeout=10.0)
+        assert isinstance(classify_network_error(caught.value, "p"), LinkDownError)
+
+    def test_timeout_bounds_the_whole_frame_not_one_read(self, wire):
+        """Every read below succeeds well inside the timeout; the frame
+        as a whole does not arrive in it."""
+        sender, stream = wire
+        data = encode_frame("slow", 0, b"x" * 40)
+        done = threading.Event()
+
+        def trickle() -> None:
+            for byte in data:
+                if done.wait(0.02):
+                    return
+                sender.sendall(bytes([byte]))
+
+        feeder = threading.Thread(target=trickle)
+        feeder.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(socket.timeout):
+                stream.recv(timeout=0.2)
+            assert time.monotonic() - start < 0.6  # 50+ bytes at 20 ms would be 1 s
+        finally:
+            done.set()
+            feeder.join(timeout=10.0)
+        assert not feeder.is_alive()
+
+
+def _corrupt(index: int) -> bytes:
+    data = bytearray(encode_frame("ok", 0, b"payload"))
+    data[index] ^= 0xFF
+    return bytes(data)
+
+
+#: What the fake peer writes back in place of a reply (``None``: nothing,
+#: ever), and what ``transact`` must make of it.
+PEER_FAULTS = [
+    pytest.param(_corrupt(0), IntegrityError, id="bad-magic"),
+    pytest.param(_corrupt(-6), IntegrityError, id="flipped-crc"),
+    pytest.param(FRAME_MAGIC + b"\xff\xff\xff\xff", IntegrityError, id="over-cap-length"),
+    pytest.param(encode_frame("ok", 0, b"payload")[:-3], LinkDownError, id="closed-mid-frame"),
+    pytest.param(None, LinkDownError, id="no-answer-in-time"),
+]
+
+
+@pytest.fixture()
+def fake_peer():
+    """A loopback peer that says hello and pings like a worker, and
+    answers a ``fault`` frame with whatever bytes ``script["fault"]``
+    holds, then drops the connection.  Yields ``(script, client, dial
+    count)``."""
+    script = {"fault": None}
+
+    def serve(stream: FrameStream) -> None:
+        while True:
+            frame = stream.recv()
+            if frame.kind == "fault":
+                if script["fault"] is None:
+                    stream.recv()  # say nothing until the client hangs up
+                stream._sock.sendall(script["fault"])
+                return
+            stream.send("hello" if frame.kind == "hello" else "ok", frame.seq, b"")
+
+    server = FrameServer("fake", "127.0.0.1", 0, serve)
+    metrics = MetricsRegistry()
+    client = PeerClient("fake", lambda: server.address, metrics=metrics)
+    yield script, client, lambda: metrics.counter("netd_dials_total", peer="fake").value
+    client.close()
+    server.close()
+
+
+class TestPeerClientAgainstAFaultyPeer:
+    @pytest.mark.parametrize("fault, expected", PEER_FAULTS)
+    def test_faulted_connection_is_never_reused(self, fake_peer, fault, expected):
+        script, client, dials = fake_peer
+        script["fault"] = fault
+        assert client.transact("ping", b"").kind == "ok"
+        assert client.transact("ping", b"").kind == "ok"
+        assert dials() == 1  # pooled and reused
+        with pytest.raises(expected):
+            client.transact("fault", b"", timeout=0.2)
+        assert client._idle == []
+        assert client.transact("ping", b"").kind == "ok"
+        assert dials() == 2
+
+    def test_peer_that_never_says_hello(self, monkeypatch):
+        monkeypatch.setattr(transport, "CONNECT_TIMEOUT_S", 0.2)
+        # recv twice: the hello, then nothing until the client gives up.
+        mute = FrameServer("mute", "127.0.0.1", 0, lambda s: (s.recv(), s.recv()))
+        client = PeerClient("mute", lambda: mute.address)
+        try:
+            with pytest.raises(HandshakeTimeoutError, match="never said hello"):
+                client.transact("ping", b"")
+        finally:
+            client.close()
+            mute.close()
+
+    def test_many_threads_share_one_client(self, fake_peer):
+        """More callers than cores on one peer, switching every 10 µs:
+        each exchange is paired with its own reply, the idle stack never
+        outgrows the pool, and the counters lose no update."""
+        _, client, dials = fake_peer
+        callers, each = 16, 40
+        failures: list[BaseException] = []
+
+        def hammer() -> None:
+            try:
+                for _ in range(each):
+                    assert client.transact("ping", b"").kind == "ok"
+                    assert len(client._idle) <= transport.POOL_SIZE
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        frames = client._metrics.counter("netd_frames_total", peer="fake").value
+        assert frames == 2 * (callers * each + dials())

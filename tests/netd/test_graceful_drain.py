@@ -9,6 +9,7 @@ must sweep readiness files left behind by SIGKILLed predecessors.
 
 import json
 import signal
+import threading
 
 import pytest
 
@@ -17,16 +18,20 @@ from repro.crypto.rand import DeterministicRandomSource
 from repro.crypto.serialization import encode_private_key, encode_public_key
 from repro.netd.remote import AuthorityServer
 from repro.netd.supervisor import ProcessSupervisor
-from repro.netd.transport import NetLoop, PeerClient
+from repro.netd.transport import PeerClient
 from repro.netd.wire import decode_control, encode_control
 from repro.pisa.messages import SignExtractionRequest
 from repro.pisa.storage import encode_shard_state
 
 
+def _plane_threads() -> list[str]:
+    """Live threads the socket plane started (it names them ``netd-*``)."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("netd-")]
+
+
 @pytest.fixture()
 def authority(keypair):
-    loop = NetLoop(name="drain-test-loop")
-    server = AuthorityServer(loop, DeterministicRandomSource(seed=7))
+    server = AuthorityServer(DeterministicRandomSource(seed=7))
     address = server.start()
     payload = encode_control(
         {"role": "shard", "scenario": {"seed": 5}, "fence_token": 3},
@@ -41,7 +46,6 @@ def authority(keypair):
     server.register_bootstrap("stp-t", lambda: stp_payload)
     yield address
     server.stop()
-    loop.close()
 
 
 class TestGracefulDrain:
@@ -112,8 +116,7 @@ class TestStpWorkerSigterm:
             1024, rng=DeterministicRandomSource("slow-su")
         ).public_key
         cell = keypair.public_key.encrypt(1, rng=DeterministicRandomSource(3))
-        loop = NetLoop(name="drain-test-client")
-        peer = PeerClient("stp-t", lambda: stp_worker.address("stp-t"), loop)
+        peer = PeerClient("stp-t", lambda: stp_worker.address("stp-t"))
         try:
             peer.transact(
                 "register_su",
@@ -127,7 +130,6 @@ class TestStpWorkerSigterm:
             yield stp_worker
         finally:
             peer.close()
-            loop.close()
 
     def test_sigterm_mid_fill_exits_zero_inside_the_grace(self, filling):
         """The fill sees ``stop`` within one chunk; the supervisor's
@@ -191,6 +193,7 @@ class TestFailedEnrolmentTeardown:
         assert not any(
             supervisor.is_running(name) for name in supervisor.worker_names()
         )
+        assert _plane_threads() == []
 
 
 class TestHealthCheck:
@@ -207,9 +210,45 @@ class TestHealthCheck:
         )
         try:
             health = plane.health_check(fixture)
+            supervisor = fixture.coordinator.netd.supervisor
+            workers = [supervisor._handles[n].process for n in supervisor.worker_names()]
+            assert "netd-authority-accept" in _plane_threads()
         finally:
             fixture.close()
         assert sorted(health) == ["shard-0", "shard-1", "stp"]
         for entry in health.values():
             assert entry["reachable"] and entry["process_running"]
             assert entry["crypto_backend"] == backend.describe()
+        # Teardown hygiene: no thread of the plane's, no child, survives.
+        assert _plane_threads() == []
+        assert [w.returncode for w in workers] == [0, 0, 0]
+
+    def test_stopped_worker_reads_unreachable_not_an_exception(self, monkeypatch):
+        """A SIGSTOPped worker accepts (the kernel does) and never
+        answers: the ping times out as a dead link — typed, and its
+        half-used connection is gone — so the report says so, and the
+        next transact after SIGCONT dials afresh."""
+        from repro.netd import plane
+        from repro.service.loadtest import LoadtestConfig
+
+        monkeypatch.setattr(plane, "HEALTH_TIMEOUT_S", 0.5)
+        metrics = plane.MetricsRegistry()
+        fixture = plane.build_socket_service(
+            LoadtestConfig(shards=1, num_sus=1, key_bits=256), metrics=metrics
+        )
+        netd = fixture.coordinator.netd
+        dials = metrics.counter("netd_dials_total", peer="shard-0")
+        try:
+            netd.supervisor.kill("shard-0", signal.SIGSTOP)
+            try:
+                health = plane.health_check(fixture)
+            finally:
+                netd.supervisor.kill("shard-0", signal.SIGCONT)
+            assert health["shard-0"]["process_running"] is True
+            assert health["shard-0"]["reachable"] is False
+            assert health["stp"]["reachable"] is True
+            before = dials.value
+            assert netd.transport.transact("shard-0", "ping", b"").kind == "ok"
+            assert dials.value == before + 1
+        finally:
+            fixture.close()
