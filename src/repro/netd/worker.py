@@ -31,7 +31,6 @@ import json
 import os
 import pathlib
 import signal
-import socket
 import sys
 import threading
 import time
@@ -45,7 +44,13 @@ from repro.crypto.serialization import (
     decode_private_key,
     decode_public_key,
 )
-from repro.errors import ReproError, SerializationError, TransportError
+from repro.errors import (
+    HandshakeTimeoutError,
+    LinkDownError,
+    ReproError,
+    SerializationError,
+    TransportError,
+)
 from repro.netd.framing import FrameStream
 from repro.netd.remote import RemoteRandomSource
 from repro.netd.transport import CONNECT_TIMEOUT_S, FrameServer, PeerClient, TlsSpec
@@ -57,7 +62,6 @@ from repro.netd.wire import (
     encode_error,
     encode_phase1_response,
     encode_phase2_response,
-    raise_remote_error,
 )
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
 from repro.pisa.storage import decode_shard_state, serialize_shard_state
@@ -69,48 +73,26 @@ _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
 
 
-def _pull_bootstrap(
-    host: str, port: int, name: str, stopping, ssl_context=None
-) -> bytes | None:
+def _pull_bootstrap(authority: PeerClient, name: str, stopping) -> bytes | None:
     """Poll the authority until our provider is registered.
 
     ``stopping(wait_s)`` is the poll's sleep: true, and the pull gives
     up with ``None``, once the worker has been told to stop.
     """
     deadline = time.monotonic() + _BOOTSTRAP_TIMEOUT_S
-    conn = None
-    seq = 0
-    try:
-        while time.monotonic() <= deadline:
-            try:
-                if conn is None:
-                    sock = socket.create_connection(
-                        (host, port), timeout=CONNECT_TIMEOUT_S
-                    )
-                    if ssl_context is not None:
-                        sock = ssl_context.wrap_socket(sock)
-                    conn = FrameStream(sock)
-                conn.send(
-                    "bootstrap", seq, encode_control({"name": name}), CONNECT_TIMEOUT_S
-                )
-                seq += 1
-                frame = conn.recv(CONNECT_TIMEOUT_S)
-            except (OSError, EOFError):
-                # No authority yet, or not any more: dial again.
-                if conn is not None:
-                    conn.close()
-                    conn = None
-            else:
-                if frame.kind == "ok":
-                    return frame.payload
-                if frame.kind == "err":
-                    raise_remote_error(frame.payload, "authority")
-            if stopping(_BOOTSTRAP_POLL_S):
-                return None
-        raise TransportError(f"worker {name!r}: bootstrap timed out")
-    finally:
-        if conn is not None:
-            conn.close()
+    while time.monotonic() <= deadline:
+        try:
+            frame = authority.transact(
+                "bootstrap", encode_control({"name": name}), timeout=CONNECT_TIMEOUT_S
+            )
+        except (LinkDownError, HandshakeTimeoutError):
+            pass  # no authority yet, or not any more: the next poll dials again
+        else:
+            if frame.kind == "ok":
+                return frame.payload
+        if stopping(_BOOTSTRAP_POLL_S):
+            return None
+    raise TransportError(f"worker {name!r}: bootstrap timed out")
 
 
 class ShardState:
@@ -258,12 +240,17 @@ def _serve(args, tls: TlsSpec | None) -> int:
 
     authority_host, authority_port = args.authority.rsplit(":", 1)
     authority_port = int(authority_port)
-    client_ssl = tls.client_context() if tls is not None else None
+    # The bootstrap poll's link, and afterwards the STP's to its nonces.
+    authority = PeerClient(
+        "authority",
+        lambda: (authority_host, authority_port),
+        ssl_context=tls.client_context() if tls is not None else None,
+    )
     # The pull watches for a stop too: a worker whose broker died
     # mid-spawn must not sit in the poll loop until the 60 s timeout.
-    payload = _pull_bootstrap(
-        authority_host, authority_port, args.name, stopping, ssl_context=client_ssl
-    )
+    payload = _pull_bootstrap(authority, args.name, stopping)
+    if payload is None or args.role == "shard":
+        authority.close()  # only the STP comes back for more
     if payload is None:
         return 0
 
@@ -273,14 +260,8 @@ def _serve(args, tls: TlsSpec | None) -> int:
         state = ShardState(
             payload, store=SqliteStateStore(args.store) if args.store else None
         )
-        authority_peer = None
     else:
-        authority_peer = PeerClient(
-            "authority",
-            lambda: (authority_host, authority_port),
-            ssl_context=client_ssl,
-        )
-        state = StpState(payload, authority_peer)
+        state = StpState(payload, authority)
 
     ping_info = {"name": args.name, "role": state.role, "crypto_backend": backend.describe()}
 
@@ -367,7 +348,7 @@ def _serve(args, tls: TlsSpec | None) -> int:
         # A fill sees ``stop`` within one chunk; its stock dies with the process.
         reply_sent.set()
         filler.join()
-        authority_peer.close()
+        authority.close()
     if args.role == "shard":
         state.store.close()
     if args.ready_file:
