@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.crypto.paillier import PaillierKeypair, generate_keypair
 from repro.crypto.rand import RandomSource, default_rng
+from repro.watch.params import PaperSettings
 
 __all__ = [
     "PaillierCostProfile",
@@ -120,6 +121,8 @@ class ScaledSystemEstimate:
     request_preparation_s: float
     request_refresh_s: float
     sdc_processing_s: float
+    #: The phase-2 share of ``sdc_processing_s`` (ΣQ̃, SG̃ and η ⊗ ΣQ̃).
+    sdc_phase2_s: float
     stp_conversion_s: float
     pu_update_prepare_s: float
     sdc_pu_update_s: float
@@ -148,38 +151,42 @@ def estimate_full_scale(
 ) -> ScaledSystemEstimate:
     """Project Figure 6's phases from a measured primitive profile.
 
-    Per-cell operation counts (mirroring :mod:`repro.pisa.kernel`):
+    Per-cell operation counts (mirroring :mod:`repro.pisa.kernel`, which
+    executes eqs. (10)-(16) in closed form):
 
     * SU preparation: 1 encryption per cell (eq. (5) arithmetic is
       negligible next to the exponentiation);
     * SU refresh: 1 re-randomisation per cell;
-    * SDC phase 1: small scalar (eq. (11)), negate + plain-add
-      (eqs. (10)/(12)), the ``W̃'`` addition, α-scale (≈100-bit), the
-      plaintext β subtraction (one multiplication) and the ε sign flip
-      (a subtraction-cost inverse) — per cell, no encryption;
-    * SDC phase 2: small scalar + plain-add per cell, plus the ΣQ̃
-      additions and one full-width η-scale;
+    * SDC phase 1: ``F^{−εαΔ}`` — one ≈110-bit scaling, with a
+      subtraction-cost inverse inside it on the half of the cells where
+      ε = +1 — and one multiplication by ``g^{ε(αE−β)}``, no encryption;
+      on each PU-occupied cell (at most Table I's 100 PUs' blocks × every
+      channel) ``W^{εα}`` adds another scaling, an inverse where ε = −1
+      and a multiplication;
+    * SDC phase 2: one multiplication per cell into ``Π₊X`` or ``Π₋X``,
+      then per request one inverse, one plain addition (``g^{−k}``), the
+      SG̃ encryption and one full-width η-scale;
     * STP: decryption + encryption per cell;
     * PU update: one encryption per channel client-side; SDC folds it in
       with one addition per channel (plus one subtraction when
       replacing).
     """
     cells = num_channels * num_blocks
+    occupied = min(PaperSettings.num_pus, num_blocks) * num_channels
     ct_bytes = 4 + (2 * profile.key_bits + 7) // 8
 
-    sdc_phase1_per_cell = (
-        profile.hom_scale_small_s      # eq. (11) R = F ⊗ X
-        + profile.hom_sub_s            # negate (modular inverse path)
-        + profile.hom_add_s            # add_plain(E)
-        + profile.hom_add_s            # + W̃ where present (upper bound)
-        + profile.hom_scale_small_s    # α ⊗ I (α ≈ 100 bits)
-        + profile.hom_add_s            # ⊖ β, a plaintext blind
-        + profile.hom_sub_s            # ε flip inverse
+    exponentiation = (
+        profile.hom_scale_small_s      # (εα) ⊗, α ≈ 100 bits
+        + profile.hom_sub_s / 2        # its inverse, on half the cells
+        + profile.hom_add_s            # one multiplication into the cell
     )
-    sdc_phase2_per_cell = (
-        profile.hom_sub_s              # ε ⊗ X̃ (±1 → inverse)
-        + profile.hom_add_s            # add_plain(−1)
-        + profile.hom_add_s            # fold into ΣQ̃
+    sdc_phase1 = (cells + occupied) * exponentiation
+    sdc_phase2 = (
+        cells * profile.hom_add_s      # × X into Π₊X or Π₋X
+        + profile.hom_sub_s            # (Π₋X)^{−1}
+        + profile.hom_add_s            # ⊖ k·1̃, a plaintext constant
+        + profile.encryption_s         # SG̃
+        + profile.hom_scale_full_s     # η ⊗ ΣQ̃
     )
     return ScaledSystemEstimate(
         num_channels=num_channels,
@@ -190,9 +197,8 @@ def estimate_full_scale(
         # ciphertext — the same cost class as homomorphic addition
         # (§VI-A); the r**n exponentiations happen offline.
         request_refresh_s=cells * profile.hom_add_s,
-        sdc_processing_s=cells * (sdc_phase1_per_cell + sdc_phase2_per_cell)
-        + profile.encryption_s  # SG̃
-        + profile.hom_scale_full_s,  # η ⊗ ΣQ̃
+        sdc_processing_s=sdc_phase1 + sdc_phase2,
+        sdc_phase2_s=sdc_phase2,
         stp_conversion_s=cells * (profile.decryption_s + profile.encryption_s),
         pu_update_prepare_s=num_channels * profile.encryption_s,
         sdc_pu_update_s=num_channels * (profile.hom_add_s + profile.hom_sub_s),

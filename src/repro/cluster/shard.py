@@ -286,13 +286,13 @@ class SdcShard:
         self.observe_fence(request.fence_token)
         with self._lock:
             self._check_owned(request.blocks)
-            indicators = self._kernel.indicators(request.blocks, request.matrix)
+            cells = self._kernel.phase1_cells(request.blocks, request.matrix)
         # The exponentiations run outside the lock: they read no state.
         return ShardPhase1Response(
             round_id=request.round_id,
             shard_id=self.shard_id,
             columns=request.columns,
-            matrix=self._kernel.blind(indicators, request.blindings),
+            matrix=self._kernel.blind(cells, request.blindings),
         )
 
     # -- Figure 5 phase 2, partial aggregation --------------------------------------

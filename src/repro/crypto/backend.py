@@ -13,7 +13,9 @@ or a non-invertible base under a negative exponent where Python raises
 ``ValueError``, so the native path is taken only where it is safe and
 worth the ≈ 8 µs a round of foreign calls costs: plain ``int``
 arguments, ``base ≥ 0``, ``modulus ≥`` :data:`_NATIVE_FLOOR`, exponent
-``≥ 2`` (``mpz_powm``) or ``−1`` (``mpz_invert``, return code checked).
+``≥ 2`` (``mpz_powm``) or negative (``mpz_invert`` with its return code
+checked, then ``mpz_powm`` by ``|exponent|`` unless that is 1 — one
+import and one export either way).
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class _Gmp:
         if exponent < 0:
             if not self.invert(result_z, base_z, modulus_z):
                 raise ValueError("base is not invertible for the given modulus")
-        else:
+            base_z, exponent = result_z, -exponent
+        if exponent > 1:
             self._set(exponent_z, exponent)
             self.powm(result_z, base_z, exponent_z, modulus_z)
         out = ctypes.create_string_buffer((modulus.bit_length() + 7) >> 3)  # result < modulus
@@ -104,7 +107,7 @@ def _load_gmp() -> _Gmp | None:
     try:
         gmp = _Gmp(path)
         m = (1 << 521) - 1  # prime, so 3 is invertible
-        proven = all(gmp.powmod(3, e, m) == pow(3, e, m) for e in (m >> 1, -1))
+        proven = all(gmp.powmod(3, e, m) == pow(3, e, m) for e in (m >> 1, -1, -(m >> 1)))
     except (OSError, AttributeError, ValueError):
         return None
     return gmp if proven else None
@@ -123,7 +126,7 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
         or type(modulus) is not int
         or base < 0
         or modulus < _NATIVE_FLOOR
-        or not (exponent > 1 or exponent == -1)
+        or 0 <= exponent <= 1
     ):
         return pow(base, exponent, modulus)
     return gmp.powmod(base, exponent, modulus)

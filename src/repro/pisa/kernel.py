@@ -7,12 +7,12 @@ cell lives here, once:
   ``W̃' = ⊕_i W̃_i`` (eq. (9)), maintained incrementally — a
   re-submitting PU's old contribution is homomorphically subtracted and
   the new one added — plus each PU's latest update.
-* **Phase 1** (Figure 5, steps 3-5): the indicator
-  ``Ĩ = Ñ ⊖ R̃`` (eqs. (10)-(12)) and its blinding
-  ``Ṽ = ε ⊗ ((α ⊗ Ĩ) ⊖ β)`` (eq. (14), β a plaintext blind), with the
-  α exponentiations batched through the executor seam.
-* **Phase 2** (steps 9-10): the ``Q̃`` gadget and a partial ``ΣQ̃``
-  (eq. (16)).
+* **Phase 1** (Figure 5, steps 3-5): ``Ṽ = ε ⊗ ((α ⊗ Ĩ) ⊖ β)``
+  (eq. (14), β a plaintext blind) of ``Ĩ = Ẽ ⊖ (Δ ⊗ F̃) ⊕ W̃'`` (eqs. (10)-(12)).
+* **Phase 2** (steps 9-10): a partial ``ΣQ̃`` of ``Q̃ = (ε ⊗ X̃) ⊖ 1̃`` (eq. (16)).
+
+Both run in closed form — the residue of ``Z*_{n²}`` each operator chain
+computes (``g = n + 1`` has order ``n``), so the bytes are the chain's.
 
 The kernel draws **no randomness**: every ``(α, β, ε)`` is handed in by
 the request front (:class:`~repro.pisa.sdc_server.SdcFront`), which is
@@ -32,16 +32,18 @@ and :func:`partial_q_sum`).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
-from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey, hom_sum
+from repro.crypto.numtheory import modinv
+from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.parallel import Executor, default_executor
 from repro.errors import ProtocolError
 from repro.pisa.blinding import CellBlinding
 from repro.pisa.messages import PUUpdateMessage
 from repro.watch.environment import SpectrumEnvironment
 
-__all__ = ["BlockKernel", "partial_q_sum", "require_key"]
+__all__ = ["BlockKernel", "partial_q_sum", "require_key", "require_units"]
 
 
 def require_key(
@@ -51,6 +53,26 @@ def require_key(
     for ct in ciphertexts:
         if ct.public_key != key:
             raise ProtocolError(f"{what} not under the expected key")
+
+
+def require_units(
+    ciphertexts: Iterable[EncryptedNumber], key: PaillierPublicKey, what: str
+) -> None:
+    """:func:`require_key`, and reject a ciphertext that is 0 or shares a factor with
+    ``n`` (no inverse for the closed forms): one ``gcd`` of the product mod ``n``."""
+    product = 1
+    for ct in ciphertexts:
+        if ct.public_key != key:
+            raise ProtocolError(f"{what} not under the expected key")
+        product = product * ct.ciphertext % key.n
+    if math.gcd(product, key.n) != 1:
+        raise ProtocolError(f"{what} is not a unit mod n²")
+
+
+def _require_signs(epsilons: Iterable[int]) -> None:
+    """Reject any ε outside {−1, +1}: the closed forms assume it."""
+    if not all(epsilon in (1, -1) for epsilon in epsilons):  # audit-ok: SEC002 — range check
+        raise ProtocolError("ε outside {−1, +1}")
 
 
 class BlockKernel:
@@ -78,14 +100,14 @@ class BlockKernel:
         A PU that re-submits (it switched channels) has its previous
         vector subtracted first, so the aggregate always equals
         ``⊕_{i∈PUs} W̃_i`` over each PU's *latest* state.  A malformed
-        update is rejected before any state changes.
+        update (a non-unit ciphertext included) is rejected before any state changes.
         """
         env = self.environment
         if len(message.ciphertexts) != env.num_channels:
             raise ProtocolError("PU update must carry one ciphertext per channel")
         if not 0 <= message.block_index < env.num_blocks:
             raise ProtocolError(f"PU block {message.block_index} outside the area")
-        require_key(message.ciphertexts, self.group_public_key, "PU update")
+        require_units(message.ciphertexts, self.group_public_key, "PU update")
         self.remove_pu(message.pu_id)  # ⊖ old
         for c, ct in enumerate(message.ciphertexts):  # ⊕ new
             cell = (c, message.block_index)
@@ -132,73 +154,55 @@ class BlockKernel:
 
     # -- Figure 5 steps 3-5: phase 1 ------------------------------------------------
 
-    def _indicator_cell(
-        self, f_ct: EncryptedNumber, channel: int, block: int
-    ) -> EncryptedNumber:
-        """``Ĩ(c, i) = Ñ(c, i) ⊖ R̃(c, i)`` for one cell (eqs. (10)-(12)).
-
-        ``Ñ = W̃' ⊕ Ẽ`` with the public ``E`` added as a plaintext
-        constant (one multiplication, no fresh encryption); cells without
-        PU contributions reduce to ``E − R`` directly.
-        """
-        params = self.environment.params
-        r_ct = f_ct.scalar_mul(params.sinr_plus_redn_int)  # eq. (11)
-        e_value = int(self.environment.e_matrix[channel, block])
-        indicator = r_ct.scalar_mul(-1).add_plain(e_value)  # E − R
-        w_ct = self._w_sum.get((channel, block))
-        if w_ct is not None:
-            indicator = indicator.add(w_ct)  # + (T − E) where a PU sits
-        return indicator
-
-    def indicators(
+    def phase1_cells(
         self,
         blocks: Sequence[int],
         matrix: Sequence[Sequence[EncryptedNumber]],
-    ) -> list[list[EncryptedNumber]]:
-        """``Ĩ`` for a channels × columns request; column ``k`` is ``blocks[k]``.
-
-        A kernel behind a wire is its own trust boundary, so the group
-        key is checked here as well as at the front.
+    ) -> list[list[tuple[EncryptedNumber, EncryptedNumber | None, int]]]:
+        """``(F̃, W̃' or None, E)`` per cell of a channels × columns request,
+        column ``k`` being block ``blocks[k]``: the only state phase 1 reads
+        (a shard holds its lock for this, not for :meth:`blind`).  A kernel
+        behind a wire is its own trust boundary, so the group key and the
+        unit check run here as well as at the front.
         """
-        rows = []
-        for c, row in enumerate(matrix):
-            require_key(row, self.group_public_key, "request entry")
-            rows.append(
-                [self._indicator_cell(f_ct, c, blocks[k]) for k, f_ct in enumerate(row)]
-            )
-        return rows
+        require_units((ct for row in matrix for ct in row), self.group_public_key, "request entry")
+        e_matrix = self.environment.e_matrix
+        return [
+            [
+                (f_ct, self._w_sum.get((c, blocks[k])), int(e_matrix[c, blocks[k]]))
+                for k, f_ct in enumerate(row)
+            ]
+            for c, row in enumerate(matrix)
+        ]
 
     def blind(
         self,
-        indicators: Sequence[Sequence[EncryptedNumber]],
+        cells: Sequence[Sequence[tuple]],
         blindings: Sequence[Sequence[CellBlinding]],
     ) -> tuple[tuple[EncryptedNumber, ...], ...]:
-        """Eq. (14) over every cell, with handed-down randomness.
-
-        β is a plaintext blind: ``(α ⊗ Ĩ) ⊖ β`` costs one exponentiation
-        (the α) and one multiplication by ``g^{−β}`` per cell.  The α
-        exponentiations go to the executor as one batch; its results are
-        deterministic, so the output does not depend on which executor
-        ran them.
-        """
+        """Eqs. (10)-(14) over :meth:`phase1_cells`, with handed-down randomness:
+        ``F^{−εαΔ} · W^{εα} · g^{ε(αE−β)}``, the exponentiations (``F`` per cell,
+        ``W`` where a PU sits) one executor batch whose results are deterministic,
+        so the output does not depend on which executor ran them."""
+        _require_signs(cell.epsilon for row in blindings for cell in row)
         pk = self.group_public_key
-        powers = iter(
-            self._executor.pow_many(
-                [
-                    (indicator.ciphertext, cell.alpha, pk.n_sq)  # α ⊗ Ĩ
-                    for indicator_row, blinding_row in zip(indicators, blindings)
-                    for indicator, cell in zip(indicator_row, blinding_row)
-                ]
-            )
-        )
+        delta = self.environment.params.sinr_plus_redn_int
+        jobs = []
+        for cell_row, blinding_row in zip(cells, blindings):
+            for (f_ct, w_ct, _), cell in zip(cell_row, blinding_row):
+                scale = cell.epsilon * cell.alpha
+                jobs.append((f_ct.ciphertext, -scale * delta, pk.n_sq))
+                if w_ct is not None:
+                    jobs.append((w_ct.ciphertext, scale, pk.n_sq))
+        powers = iter(self._executor.pow_many(jobs))
         return tuple(
             tuple(
-                EncryptedNumber(pk, next(powers))
-                .add_plain(-cell.beta)  # ⊖ β
-                .scalar_mul(cell.epsilon)  # ε ⊗ (…)
-                for cell in blinding_row
+                EncryptedNumber(
+                    pk, next(powers) if w_ct is None else next(powers) * next(powers)
+                ).add_plain(cell.epsilon * (cell.alpha * e_value - cell.beta))
+                for (_, w_ct, e_value), cell in zip(cell_row, blinding_row)
             )
-            for blinding_row in blindings
+            for cell_row, blinding_row in zip(cells, blindings)
         )
 
 
@@ -213,11 +217,18 @@ def partial_q_sum(
 
     Each ``Q`` is 0 where the cell's budget holds and −2 where it does
     not, so the sum is the zero plaintext exactly when every cell grants.
+    Executed as ``g^{−k} · Π_{ε=+1} X · (Π_{ε=−1} X)^{−1}``: one inverse
+    per sum, one multiplication per cell into the product its ε indexes.
     """
-    if not any(len(x_row) for x_row in matrix):
-        raise ProtocolError("phase 2 needs at least one cell")
-    return hom_sum(
-        x_ct.scalar_mul(epsilon).add_plain(-1)
-        for x_row, epsilon_row in zip(matrix, epsilons)
-        for x_ct, epsilon in zip(x_row, epsilon_row)
-    )
+    cells = [x_ct for x_row in matrix for x_ct in x_row]
+    signs = [epsilon for epsilon_row in epsilons for epsilon in epsilon_row]
+    if not cells or [len(row) for row in matrix] != [len(row) for row in epsilons]:
+        raise ProtocolError("phase 2 needs at least one cell, each with its ε")
+    pk = cells[0].public_key
+    require_key(cells, pk, "converted sign")
+    _require_signs(signs)
+    products = [1, 1]  # Π over ε = −1, Π over ε = +1
+    for cell, epsilon in zip(cells, signs):
+        side = (epsilon + 1) >> 1
+        products[side] = products[side] * cell.ciphertext % pk.n_sq
+    return EncryptedNumber(pk, products[1] * modinv(products[0], pk.n_sq)).add_plain(-len(cells))

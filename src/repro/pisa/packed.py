@@ -13,7 +13,9 @@ blinding), dividing exactly those costs by ``k``:
   public ``E`` terms arrive as one packed plaintext addition, and PU
   contributions are shifted into their slot (``2^{iW} ⊗ W̃``);
 * blinding (eq. (14)) uses one shared ``α`` per chunk and independent
-  per-slot ``β_i``, applied as a single packed plaintext addition;
+  per-slot ``β_i``, applied as a single packed plaintext addition — all
+  executed as ``F^{−Δα} · Π W^{2^{iW}·α} · g^{α·E + bias}``, the same
+  residue as the chain, one exponentiation per chunk and PU slot;
 * the STP decrypts one ciphertext per chunk, extracts ``k`` signs, and
   returns them as one packed ciphertext under the SU's key (the
   baseline's converter, with its own opening and slot encoding);
@@ -312,26 +314,6 @@ class PackedSdcServer(SdcFront):
 
     # -- packed request processing -------------------------------------------
 
-    def _indicator_chunk(
-        self, f_chunk: EncryptedNumber, channel: int, blocks: list[int]
-    ) -> EncryptedNumber:
-        """Slot-parallel eqs. (10)-(12) for one chunk (no randomness)."""
-        env = self.environment
-        layout = self.layout
-        x_int = env.params.sinr_plus_redn_int
-        # R slots: X · F_i  (one scalar multiplication for all slots).
-        r_ct = f_chunk.scalar_mul(x_int)
-        # I slots: E_i − X·F_i (+ W_i below).
-        e_packed = layout.pack(
-            [int(env.e_matrix[channel, b]) for b in blocks]
-        )
-        indicator = r_ct.scalar_mul(-1).add_plain(e_packed)
-        for slot, block in enumerate(blocks):
-            w_ct = self.kernel.cell(channel, block)
-            if w_ct is not None:
-                indicator = indicator.add(w_ct.scalar_mul(layout.shift(slot)))
-        return indicator
-
     def _draw_chunk_blinding(self, blocks: list[int]) -> tuple[int, int]:
         """Eq. (14), packed: shared α per chunk plus per-slot bias terms.
 
@@ -368,28 +350,37 @@ class PackedSdcServer(SdcFront):
             if len(row) != len(block_chunks):
                 raise ProtocolError("row chunk count does not match the region")
         pk = self.group_public_key
-        # Pass 1: indicators + all randomness in chunk order (so results
-        # are byte-identical whichever executor runs pass 2).
-        prepared: list[tuple[EncryptedNumber, int, int]] = []
-        used_slots: list[int] = []
+        delta = env.params.sinr_plus_redn_int
+        # Pass 1: all randomness in chunk order (so results are
+        # byte-identical whichever executor runs pass 2), and each chunk's
+        # eqs. (10)-(14) in closed form, F^{−Δα} · Π W^{2^{iW}·α} ·
+        # g^{α·E + bias}: its exponentiations as jobs, the rest as
+        # (PU factors, plaintext) to finish with.
+        jobs, finishes, used_slots = [], [], []
         for c, row in enumerate(request.rows):
             for f_chunk, blocks in zip(row, block_chunks):
-                indicator = self._indicator_chunk(f_chunk, c, blocks)
                 alpha, packed_bias = self._draw_chunk_blinding(blocks)
-                prepared.append((indicator, alpha, packed_bias))
+                pu_jobs = [
+                    (w_ct.ciphertext, layout.shift(slot) * alpha, pk.n_sq)
+                    for slot, block in enumerate(blocks)
+                    if (w_ct := self.kernel.cell(c, block)) is not None
+                ]
+                jobs += [(f_chunk.ciphertext, -delta * alpha, pk.n_sq), *pu_jobs]
+                e_packed = layout.pack([int(env.e_matrix[c, b]) for b in blocks])
+                finishes.append((len(pu_jobs), alpha * e_packed + packed_bias))
                 used_slots.append(len(blocks))
-        self.chunks_processed += len(prepared)
-        num_dummies = max(1, int(len(prepared) * self.config.dummy_fraction))
+        self.chunks_processed += len(finishes)
+        num_dummies = max(1, int(len(finishes) * self.config.dummy_fraction))
         dummy_draws = [self._draw_dummy_chunk() for _ in range(num_dummies)]
-        # Pass 2: batch the α exponentiations and dummy obfuscators.
-        jobs = [(indicator.ciphertext, alpha, pk.n_sq)
-                for indicator, alpha, _ in prepared]
+        # Pass 2: one batch with the dummy obfuscators.
         jobs.extend(pk.obfuscator_job(r) for _, r in dummy_draws)
         powers = iter(self._executor.pow_many(jobs))
-        real_chunks = [
-            EncryptedNumber(pk, next(powers)).add_plain(packed_bias)
-            for _, _, packed_bias in prepared
-        ]
+        real_chunks = []
+        for pu_factors, plain in finishes:
+            product = next(powers)
+            for _ in range(pu_factors):
+                product = product * next(powers) % pk.n_sq
+            real_chunks.append(EncryptedNumber(pk, product).add_plain(plain))
         dummies = [
             pk.encrypt_with_obfuscator(packed, next(powers))
             for (packed, _) in dummy_draws
@@ -425,17 +416,13 @@ class PackedSdcServer(SdcFront):
         if len(response.chunks) <= max(pending.real_positions, default=0):
             raise ProtocolError("response chunk count mismatch")
         del self._pending[response.round_id]
-        layout = self.layout
-        # Q chunks: slots (X_i + 1) − 2 = X_i − 1 ∈ {0, −2} on used slots.
-        q_chunks = []
-        for position, used in zip(pending.real_positions, pending.used_slots):
-            x_chunk = response.chunks[position]
-            q_chunks.append(x_chunk.add_plain(-layout.pack([2] * used)))
+        # ΣQ̃ over the chunks: slots (X_i + 1) − 2 = X_i − 1 ∈ {0, −2} on used
+        # slots, the −2s added once to the sum (the same residue as per chunk).
+        twos = sum(self.layout.pack([2] * used) for used in pending.used_slots)
+        q_sum = hom_sum(response.chunks[p] for p in pending.real_positions).add_plain(-twos)
         sig_r = su_key.random_r(self._rng)
         eta = self._rng.randrange(1 << 63, 1 << 64)
-        return self._issue_license(
-            pending, su_key, hom_sum(q_chunks), sig_r, eta, int(self._clock())
-        )
+        return self._issue_license(pending, su_key, q_sum, sig_r, eta, int(self._clock()))
 
     def _shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

@@ -36,7 +36,7 @@ from repro.crypto.rand import RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
 from repro.pisa.blinding import BlindingFactory, BlindingParameters, CellBlinding
-from repro.pisa.kernel import BlockKernel, partial_q_sum, require_key
+from repro.pisa.kernel import BlockKernel, partial_q_sum, require_key, require_units
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
 from repro.pisa.messages import (
@@ -140,8 +140,7 @@ class SdcFront:
         for block in region_blocks:
             if not 0 <= block < env.num_blocks:
                 raise ProtocolError(f"disclosed block {block} outside the area")
-        for row in rows:
-            require_key(row, self.group_public_key, "request entry")
+        require_units((ct for row in rows for ct in row), self.group_public_key, "request entry")
 
     def start_request(
         self, request: SURequestMessage, span=None
@@ -274,8 +273,8 @@ class SdcServer(SdcFront):
         self.kernel.fold_pu_update(message)
 
     def _blind(self, round_id, request, blindings, span):
-        indicators = self.kernel.indicators(request.region_blocks, request.matrix)
-        return self.kernel.blind(indicators, blindings)
+        cells = self.kernel.phase1_cells(request.region_blocks, request.matrix)
+        return self.kernel.blind(cells, blindings)
 
     def _q_sum(self, pending, response, span) -> EncryptedNumber:
         epsilons = [[cell.epsilon for cell in row] for row in pending.blindings]

@@ -75,18 +75,14 @@ class ServiceCostModel:
         estimate = estimate_full_scale(
             profile, num_channels=num_channels, num_blocks=num_blocks
         )
-        cells = num_channels * num_blocks
         k = packing_factor
-        # Phase 1 vs phase 2 split of the SDC estimate: phase 2 is the
-        # cheap ε-unblind + ΣQ̃ accumulation (adds only).
-        phase2 = cells * (
-            profile.hom_sub_s + 2 * profile.hom_add_s
-        ) + profile.hom_scale_full_s
-        phase1 = max(estimate.sdc_processing_s - phase2, 0.0)
+        # Phase 2 is the cheap ΣQ̃ accumulation (one multiplication per
+        # cell, one inverse per request) plus the license.
+        phase2 = estimate.sdc_phase2_s
         self.costs = PhaseCosts(
             su_prepare_s=estimate.request_preparation_s / k,
             su_refresh_s=estimate.request_refresh_s / k,
-            sdc_phase1_s=phase1 / k,
+            sdc_phase1_s=(estimate.sdc_processing_s - phase2) / k,
             stp_convert_s=estimate.stp_conversion_s / k,
             sdc_phase2_s=phase2 / k,
             su_decrypt_s=profile.decryption_s,

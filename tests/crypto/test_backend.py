@@ -95,7 +95,7 @@ def test_differential(native):
         (5, 3, 0),  # zero modulus: GMP divides by zero
         (6, -1, FLOOR * 3),  # gcd ≠ 1: GMP divides by zero
         (0, -1, FLOOR + 1),
-        (5, -2, FLOOR + 1),  # other negative exponents stay on pow
+        (5, -2, FLOOR + 1),  # native: mpz_invert, then mpz_powm by 2
         (5, 3, (1 << 16) + 1),  # 16-bit modulus
         (-5, 3, FLOOR + 1),  # negative base
         (numpy.int64(5), 3, FLOOR + 1),
@@ -114,11 +114,12 @@ def test_native_path_is_taken_inside_its_domain():
     with mock.patch.object(backend._gmp, "powmod", wraps=backend._gmp.powmod) as native:
         assert backend.powmod(3, FLOOR, FLOOR + 1) == pow(3, FLOOR, FLOOR + 1)
         assert backend.powmod(2, -1, FLOOR + 1) == pow(2, -1, FLOOR + 1)
-        assert native.call_count == 2
+        assert backend.powmod(2, -(1 << 100), FLOOR + 1) == pow(2, -(1 << 100), FLOOR + 1)
+        assert native.call_count == 3
         backend.powmod(3, 1, FLOOR + 1)
         backend.powmod(3, FLOOR, FLOOR - 1)
         backend.powmod(True, FLOOR, FLOOR + 1)
-        assert native.call_count == 2
+        assert native.call_count == 3
     assert backend.describe().startswith("gmp ") and backend.describe().endswith("(ctypes)")
 
 

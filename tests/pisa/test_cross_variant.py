@@ -7,16 +7,18 @@ plaintext oracle, through the same client-facing surfaces: request
 rounds, cached refreshes, power negotiation, and license sessions.
 """
 
+import copy
 from dataclasses import replace
 
 import pytest
 
 from repro.cluster import ClusterCoordinator
+from repro.crypto.paillier import EncryptedNumber
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ProtocolError
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.negotiation import PowerNegotiator
-from repro.pisa.packed import PackedCoordinator
+from repro.pisa.packed import PackedCoordinator, PackedRequestMessage
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.session import SessionState, SuSession
 from repro.pisa.two_server import TwoServerCoordinator
@@ -139,6 +141,17 @@ class TestMalformedInputRejected:
         if close is not None:
             close()
 
+    #: Ciphertexts outside ``Z*_{n²}``: 0, and one sharing a factor with ``n``.
+    NON_UNITS = {"zero": lambda n: 0, "multiple-of-n": lambda n: 7 * n}
+
+    @staticmethod
+    def _stream(coordinator):
+        """A copy of the front's draw stream, readable without consuming it."""
+        return copy.copy(coordinator.sdc._rng)
+
+    def _assert_no_draws(self, coordinator, before):
+        assert self._stream(coordinator).randbits(64) == before.randbits(64)
+
     def _assert_state_untouched(self, coordinator, cross_scenario, cross_oracle):
         assert coordinator.sdc.pending_rounds == 0
         su = cross_scenario.sus[0]
@@ -185,6 +198,43 @@ class TestMalformedInputRejected:
         bad = replace(good, region_blocks=(block,) + good.region_blocks[1:])
         with pytest.raises(ProtocolError):
             coordinator.sdc.start_request(bad)
+        self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
+
+    @pytest.mark.parametrize("non_unit", sorted(NON_UNITS))
+    def test_request_cell_not_a_unit(
+        self, enrolled, cross_scenario, cross_oracle, non_unit
+    ):
+        """Refused before the first draw: unchecked, such a cell surfaced
+        only after every cell's (α, β, ε) was drawn, or not at all."""
+        coordinator, _ = enrolled
+        pk = coordinator.sdc.group_public_key
+        good = coordinator.su_client(cross_scenario.sus[0].su_id).prepare_request()
+        field = "rows" if isinstance(good, PackedRequestMessage) else "matrix"
+        rows = [list(row) for row in getattr(good, field)]
+        rows[-1][-1] = EncryptedNumber(pk, self.NON_UNITS[non_unit](pk.n))
+        bad = replace(good, **{field: tuple(tuple(row) for row in rows)})
+        before = self._stream(coordinator)
+        with pytest.raises(ProtocolError):
+            coordinator.sdc.start_request(bad)
+        self._assert_no_draws(coordinator, before)
+        self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
+
+    @pytest.mark.parametrize("non_unit", sorted(NON_UNITS))
+    def test_pu_update_not_a_unit(
+        self, enrolled, cross_scenario, cross_oracle, non_unit
+    ):
+        coordinator, pu_clients = enrolled
+        pk = coordinator.sdc.group_public_key
+        good = pu_clients[0].build_update()
+        bad = replace(
+            good,
+            ciphertexts=good.ciphertexts[:-1]
+            + (EncryptedNumber(pk, self.NON_UNITS[non_unit](pk.n)),),
+        )
+        before = self._stream(coordinator)
+        with pytest.raises(ProtocolError):
+            coordinator.sdc.handle_pu_update(bad)
+        self._assert_no_draws(coordinator, before)
         self._assert_state_untouched(coordinator, cross_scenario, cross_oracle)
 
 

@@ -229,7 +229,10 @@ class TestStoppingTheFill:
 
     def test_fill_is_joined_before_the_pass_and_in_stop(self, idle_scenario):
         executor, coordinator, _, su_id, client, broker = self._deploy(idle_scenario)
-        cells = idle_scenario.environment.num_blocks * idle_scenario.environment.num_channels
+        env = idle_scenario.environment
+        cells = env.num_blocks * env.num_channels
+        # Phase 1 batches one job per cell plus one per PU-occupied cell.
+        occupied = env.num_channels * len({pu.block_index for pu in idle_scenario.pus})
 
         async def scenario():
             executor.hold.set()
@@ -250,7 +253,7 @@ class TestStoppingTheFill:
             # It waited for that one chunk: phase 1's batch is the very
             # next thing the executor saw.
             assert executor.log[logged - 1] <= _FILL_CHUNK
-            assert executor.log[logged] == cells
+            assert executor.log[logged] == cells + occupied
             assert coordinator.stp.stats.obfuscators_stocked == _FILL_CHUNK
             # stop() with a chunk at the gate: waits for it, then the
             # fill goes no further.

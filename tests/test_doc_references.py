@@ -26,6 +26,7 @@ RETIRED = re.compile(
     r"|resilience_overhead|store_coldstart|workload_capacity)"
     r"|cluster-up|cluster_spec\.json|ClusterSpec"
     r"|handle_partial_extraction|start_request_with_partials"
+    r"|_indicator_cell"
 )
 
 
