@@ -89,12 +89,10 @@ def iter_ciphertexts(value: object, _depth: int = 0) -> Iterator:
 
 
 def _modulus_of(ct) -> int:
-    """Ciphertext-space modulus: n² for Paillier, n^{s+1} for Damgård–Jurik."""
+    """Ciphertext-space modulus: n² for a Paillier key."""
     pk = ct.public_key
     if hasattr(pk, "n_sq"):
         return pk.n_sq
-    if hasattr(pk, "n_s1"):
-        return pk.n_s1
     raise SanitizerViolation(
         f"ciphertext public key {type(pk).__name__} exposes no modulus"
     )
@@ -181,22 +179,6 @@ class SanitizingTransport:
             self._seen.add(value)
 
     # -- delegation --------------------------------------------------------
-
-    def channel(self, sender: str, receiver: str):
-        """A per-link send handle that still routes through the sanitizer.
-
-        Without this override, ``__getattr__`` would hand back the inner
-        multiplexed transport's channel — bound to the *inner* transport,
-        silently bypassing every check above.  The canonical stack is
-        ``SanitizingTransport(MultiplexedTransport(...))``: sanitize at
-        the outside (checks see exactly what the caller sent), inject
-        faults at the inside (a dropped message was still a *sent*
-        message and must still pass the protocol checks).  See
-        ``docs/resilience.md``.
-        """
-        from repro.net.transport import BoundChannel
-
-        return BoundChannel(transport=self, sender=sender, receiver=receiver)
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)

@@ -43,7 +43,7 @@ from repro.crypto.rand import RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
 from repro.geo.region import PrivacyRegion
-from repro.net.transport import MultiplexedTransport, resolve_multiplexed
+from repro.net.transport import InMemoryTransport, resolve_transport
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcFront
@@ -209,7 +209,7 @@ class ClusterCoordinator(PisaCoordinator):
         key_bits: int = 2048,
         signature_bits: int | None = None,
         rng: RandomSource | None = None,
-        transport: MultiplexedTransport | None = None,
+        transport: InMemoryTransport | None = None,
         stp_executor=None,
         shard_executor_factory=None,
         heartbeat_timeout_s: float = 1.0,
@@ -252,7 +252,7 @@ class ClusterCoordinator(PisaCoordinator):
             key_bits=key_bits,
             signature_bits=signature_bits,
             rng=rng,
-            transport=transport if transport is not None else MultiplexedTransport(),
+            transport=transport if transport is not None else InMemoryTransport(),
             executor=stp_executor,
         )
         self._persist_directory()
@@ -284,10 +284,10 @@ class ClusterCoordinator(PisaCoordinator):
         self.router = ShardRouter(
             self.membership,
             self.replica_sets,
-            # Unwrap decorator transports (sanitizer, chaos recorder) so
-            # link accounting and fault handling reach the multiplexed
-            # layer regardless of stacking order.
-            transport=resolve_multiplexed(self.transport),
+            # Unwrap decorator transports (the sanitizer) so link
+            # accounting and fault handling reach the transport itself
+            # regardless of stacking order.
+            transport=resolve_transport(self.transport),
             max_attempts=self._max_attempts,
             scatter_threads=self._scatter_threads,
             metrics=metrics,
@@ -366,9 +366,9 @@ class ClusterCoordinator(PisaCoordinator):
     def kill_shard(self, shard_id: str) -> None:
         """Crash a shard's primary and cut its wire (failover drill)."""
         self.replica_sets[shard_id].kill_primary()
-        mux = resolve_multiplexed(self.transport)
-        if mux is not None:
-            mux.fail_endpoint(shard_id)
+        wire = resolve_transport(self.transport)
+        if wire is not None:
+            wire.fail_endpoint(shard_id)
 
     def cold_start_shard(self, shard_id: str, tail=None) -> int:
         """Rebuild a shard replica set from the store alone.

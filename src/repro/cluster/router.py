@@ -17,7 +17,7 @@ between epochs) proactively promotes any shard whose primary is dead
 and whose heartbeat has aged past the replica set's timeout — so a
 crashed shard is recovered even when no request happens to land on it.
 
-When a :class:`~repro.net.transport.MultiplexedTransport` is attached,
+When a :class:`~repro.net.transport.InMemoryTransport` is attached,
 every sub-query and response is accounted on its own directed
 router↔shard link, and failure injection at the transport layer
 (``fail_endpoint``) is honoured exactly like a shard crash.
@@ -42,7 +42,7 @@ from repro.errors import (
     RetryExhaustedError,
     ShardDownError,
 )
-from repro.net.transport import MultiplexedTransport, resolve_multiplexed
+from repro.net.transport import InMemoryTransport, resolve_transport
 from repro.pisa.messages import PUUpdateMessage
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, run_with_policy
 from repro.telemetry import child
@@ -92,7 +92,7 @@ class ShardRouter:
         self,
         membership: ClusterMembership,
         replica_sets: dict[str, ShardReplicaSet],
-        transport: MultiplexedTransport | None = None,
+        transport: InMemoryTransport | None = None,
         endpoint: str = "router",
         max_attempts: int = 2,
         scatter_threads: int | None = None,
@@ -148,7 +148,7 @@ class ShardRouter:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="shard-router"
         )
-        self._mux = resolve_multiplexed(transport)
+        self._wire = resolve_transport(transport)
         if fencing is not None:
             for shard_id in replica_sets:
                 fencing.register(shard_id)
@@ -272,18 +272,18 @@ class ShardRouter:
     # -- gray-failure detection --------------------------------------------------------
 
     def _modelled_rtt(self, shard_id: str) -> float:
-        """The transport-modelled round trip for one sub-query, if any.
+        """The injected round-trip delay for one sub-query, if any.
 
-        The in-memory transports deliver synchronously and *model* delay
-        as accounting, so a wall-clock RTT measurement alone would never
-        see an injected slowdown; folding the modelled one-way delays in
-        makes gray-failure detection observable on both planes.
+        The in-memory transports deliver synchronously and only *report*
+        an injected delay, so a wall-clock RTT measurement alone would
+        never see it; folding the armed one-way delays in makes
+        gray-failure detection observable on both planes.
         """
-        if self._mux is None:
+        if self._wire is None:
             return 0.0
-        return self._mux.pending_delay_seconds(
+        return self._wire.pending_delay_seconds(
             self.endpoint, shard_id
-        ) + self._mux.pending_delay_seconds(shard_id, self.endpoint)
+        ) + self._wire.pending_delay_seconds(shard_id, self.endpoint)
 
     def _note_rtt(self, shard_id: str, rtt_s: float) -> None:
         if self._metrics is not None:

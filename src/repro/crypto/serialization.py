@@ -236,88 +236,3 @@ __all__.extend([
     "decode_private_key",
 ])
 
-
-# -- Damgård–Jurik ---------------------------------------------------------------
-#
-# DJ generalizes Paillier to plaintext space Z_{n^s} with ciphertexts in
-# Z*_{n^{s+1}}; the wire formats mirror the Paillier ones but carry ``s``
-# so a decoder can rebuild the exact parameterization.  Imports are lazy:
-# the serialization module must stay importable without pulling the DJ
-# machinery into every message-layer consumer.
-
-
-def encode_dj_public_key(public_key) -> bytes:
-    """Canonical encoding of a Damgård–Jurik public key ``(n, s)``."""
-    return b"PISA-DJPK-v1" + encode_int(public_key.n) + encode_int(public_key.s)
-
-
-def decode_dj_public_key(buffer: bytes):
-    """Inverse of :func:`encode_dj_public_key`."""
-    from repro.crypto.damgard_jurik import DjPublicKey
-
-    magic = b"PISA-DJPK-v1"
-    if not buffer.startswith(magic):
-        raise SerializationError("not a v1 Damgård–Jurik public key")
-    n, offset = decode_int(buffer, len(magic))
-    s, offset = decode_int(buffer, offset)
-    if offset != len(buffer):
-        raise SerializationError("trailing bytes in Damgård–Jurik public key")
-    if s < 1:
-        raise SerializationError("Damgård–Jurik parameter s must be >= 1")
-    return DjPublicKey(n, s)
-
-
-def encode_dj_private_key(private_key) -> bytes:
-    """Canonical encoding of a DJ private key (primes plus ``s``).
-
-    Raw secret material — test/CLI persistence only, like the Paillier
-    private-key encoding above.
-    """
-    return (
-        b"PISA-DJSK-v1"
-        + encode_int(private_key.p)
-        + encode_int(private_key.q)
-        + encode_int(private_key.public_key.s)
-    )
-
-
-def decode_dj_private_key(buffer: bytes):
-    """Inverse of :func:`encode_dj_private_key`."""
-    from repro.crypto.damgard_jurik import DjPrivateKey, DjPublicKey
-
-    magic = b"PISA-DJSK-v1"
-    if not buffer.startswith(magic):
-        raise SerializationError("not a v1 Damgård–Jurik private key")
-    p, offset = decode_int(buffer, len(magic))
-    q, offset = decode_int(buffer, offset)
-    s, offset = decode_int(buffer, offset)
-    if offset != len(buffer):
-        raise SerializationError("trailing bytes in Damgård–Jurik private key")
-    if s < 1:
-        raise SerializationError("Damgård–Jurik parameter s must be >= 1")
-    return DjPrivateKey(DjPublicKey(p * q, s), p, q)
-
-
-def encode_dj_ciphertext(ct) -> bytes:
-    """Encode a DJ ciphertext as its raw integer (key carried out of band)."""
-    return encode_int(ct.ciphertext)
-
-
-def decode_dj_ciphertext(buffer: bytes, public_key, offset: int = 0):
-    """Decode a DJ ciphertext; returns ``(ciphertext, next_offset)``."""
-    from repro.crypto.damgard_jurik import DjCiphertext
-
-    value, offset = decode_int(buffer, offset)
-    if value >= public_key.n_s1:
-        raise SerializationError("ciphertext exceeds n^{s+1} for the given key")
-    return DjCiphertext(public_key, value), offset
-
-
-__all__.extend([
-    "encode_dj_public_key",
-    "decode_dj_public_key",
-    "encode_dj_private_key",
-    "decode_dj_private_key",
-    "encode_dj_ciphertext",
-    "decode_dj_ciphertext",
-])

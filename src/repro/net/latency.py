@@ -1,38 +1,21 @@
-"""Latency models for the simulated transport.
+"""The link latency model of the deployment simulator.
 
 The protocol's round-trip structure (SU → SDC → STP → SDC → SU) makes
 communication rounds a first-class cost — the paper's future work
 explicitly targets "a protocol that requires less communication rounds
-and latency".  These models let benchmarks attach a transfer-time
-estimate to the byte counts the transport records.
+and latency".  :class:`repro.sim.simulator.DeploymentSimulator` turns
+the byte counts of a round into transfer time with this model.
 """
 
 from __future__ import annotations
 
-import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.crypto.rand import DeterministicRandomSource
-
-__all__ = [
-    "LatencyModel",
-    "ConstantLatency",
-    "DistanceLatency",
-    "SeededJitterLatency",
-]
-
-
-class LatencyModel(ABC):
-    """Maps a message (size, endpoints) to a one-way delay in seconds."""
-
-    @abstractmethod
-    def delay_seconds(self, size_bytes: int, sender: str, receiver: str) -> float:
-        """One-way delay for ``size_bytes`` from ``sender`` to ``receiver``."""
+__all__ = ["ConstantLatency"]
 
 
 @dataclass(frozen=True)
-class ConstantLatency(LatencyModel):
+class ConstantLatency:
     """Fixed propagation delay plus bandwidth-limited serialisation.
 
     ``delay = rtt/2 + size / bandwidth`` — the classic first-order model.
@@ -46,75 +29,3 @@ class ConstantLatency(LatencyModel):
         if size_bytes < 0:
             raise ValueError("size must be non-negative")
         return self.rtt_seconds / 2.0 + size_bytes / self.bandwidth_bytes_per_s
-
-
-@dataclass(frozen=True)
-class DistanceLatency(LatencyModel):
-    """Propagation at a fraction of c over great-circle-ish distances.
-
-    ``positions`` maps endpoint names to metric (x, y) coordinates;
-    unknown endpoints fall back to ``default_distance_m``.
-    """
-
-    positions: dict[str, tuple[float, float]]
-    bandwidth_bytes_per_s: float = 100e6 / 8
-    propagation_fraction_of_c: float = 0.66
-    default_distance_m: float = 50_000.0
-
-    def delay_seconds(self, size_bytes: int, sender: str, receiver: str) -> float:
-        if sender in self.positions and receiver in self.positions:
-            sx, sy = self.positions[sender]
-            rx, ry = self.positions[receiver]
-            distance = math.hypot(sx - rx, sy - ry)
-        else:
-            distance = self.default_distance_m
-        propagation = distance / (299_792_458.0 * self.propagation_fraction_of_c)
-        return propagation + size_bytes / self.bandwidth_bytes_per_s
-
-
-class SeededJitterLatency(LatencyModel):
-    """A base model plus deterministic per-link multiplicative jitter.
-
-    Each directed ``(sender, receiver)`` link gets its own
-    :class:`~repro.crypto.rand.DeterministicRandomSource` forked from the
-    seed by link label, so:
-
-    * the jitter sequence on one link is independent of traffic on any
-      other link (a multiplexed cluster transport interleaves sends
-      across links without perturbing each other's draws);
-    * two transports built from the same seed replay identical delays
-      message-for-message — the property the failover benchmarks rely on
-      to make recovery-latency numbers reproducible.
-
-    The delay is ``base · (1 + u · jitter_fraction)`` with ``u`` uniform
-    in ``[0, 1)``; jitter only ever *adds* latency, keeping the base
-    model a lower bound.
-    """
-
-    def __init__(
-        self,
-        base: LatencyModel,
-        seed: int | str | bytes = 0,
-        jitter_fraction: float = 0.2,
-    ) -> None:
-        if jitter_fraction < 0:
-            raise ValueError("jitter_fraction must be non-negative")
-        self.base = base
-        self.seed = seed
-        self.jitter_fraction = jitter_fraction
-        self._root = DeterministicRandomSource(seed)
-        self._links: dict[tuple[str, str], DeterministicRandomSource] = {}
-
-    def _link_rng(self, sender: str, receiver: str) -> DeterministicRandomSource:
-        link = (sender, receiver)
-        rng = self._links.get(link)
-        if rng is None:
-            rng = self._root.fork(f"link:{sender}->{receiver}")
-            self._links[link] = rng
-        return rng
-
-    def delay_seconds(self, size_bytes: int, sender: str, receiver: str) -> float:
-        base_delay = self.base.delay_seconds(size_bytes, sender, receiver)
-        # 53 bits → uniform in [0, 1) at double precision.
-        u = self._link_rng(sender, receiver).randbits(53) / float(1 << 53)
-        return base_delay * (1.0 + u * self.jitter_fraction)

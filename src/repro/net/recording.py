@@ -18,7 +18,7 @@ recorded once — the logical delivered-exactly-once transcript.
 from __future__ import annotations
 
 from repro.crypto.hashing import sha256
-from repro.net.transport import MultiplexedTransport
+from repro.net.transport import InMemoryTransport
 
 __all__ = ["TranscriptTransport", "fingerprint_message", "is_protocol_link"]
 
@@ -46,25 +46,21 @@ def is_protocol_link(sender: str, receiver: str) -> bool:
     return True
 
 
-class TranscriptTransport(MultiplexedTransport):
-    """A multiplexed transport that also fingerprints the transcript.
+class TranscriptTransport(InMemoryTransport):
+    """An in-memory transport that also fingerprints the transcript.
 
     Subclassing (rather than wrapping) keeps
-    ``resolve_multiplexed``-based coordinator plumbing — link failure,
+    ``resolve_transport``-based coordinator plumbing — link failure,
     fault injection — working unchanged.  ``record_transcript=False``
     turns capture off without changing the type (the socket plane's
     default, so the hot path skips the extra ``to_bytes``).
     """
 
-    def __init__(self, *args, record_transcript: bool = True, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, record_transcript: bool = True) -> None:
+        super().__init__()
         self.record_transcript = record_transcript
         self.fingerprints: list[str] = []
         self._marks: list[int] = []
-
-    @staticmethod
-    def _is_protocol_link(sender: str, receiver: str) -> bool:
-        return is_protocol_link(sender, receiver)
 
     def send(self, message, sender: str, receiver: str):
         result = super().send(message, sender, receiver)

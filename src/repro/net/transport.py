@@ -1,149 +1,133 @@
 """In-memory message transport with exact byte accounting.
 
 Every protocol message passed through :class:`InMemoryTransport` is
-recorded with its serialised size (via the message's ``wire_size()``)
-and, when a latency model is attached, its modelled one-way delay.  The
-evaluation harness sums these records to reproduce the §VI-A
-communication-overhead numbers.
+counted under its class name with its serialised size (via the
+message's ``wire_size()``).  Those per-kind totals are the §VI-A
+communication-overhead numbers; they are running sums, so a transport
+costs the same memory after a million sends as after one.
 
-Aggregate totals (bytes, counts, delays, per-kind and per-link
-breakdowns) are maintained *incrementally* on every send, so they stay
-exact even when the per-message record log is capped with
-``max_records`` — the configuration long-running service loops use to
-keep memory bounded.
+The same transport is the failure-injection point of the in-memory
+planes: a directed link can be cut, and transient drop / duplicate /
+delay faults can be armed on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.errors import LinkDownError, MessageDroppedError
-from repro.net.latency import LatencyModel
 
-__all__ = [
-    "MessageRecord",
-    "InMemoryTransport",
-    "MultiplexedTransport",
-    "BoundChannel",
-    "resolve_multiplexed",
-]
+__all__ = ["InMemoryTransport", "resolve_transport"]
 
 
 class _SizedMessage(Protocol):
     def wire_size(self) -> int: ...
 
 
-@dataclass(frozen=True)
-class MessageRecord:
-    """One message's accounting entry."""
+@dataclass
+class _LinkFaults:
+    """Remaining injected-fault budgets for one directed link."""
 
-    sender: str
-    receiver: str
-    kind: str
-    size_bytes: int
-    delay_seconds: float
+    #: Next N sends are dropped (raise ``MessageDroppedError``).
+    drop: int = 0
+    #: Next N sends are counted twice (wire-level duplicate).
+    duplicate: int = 0
+    #: Extra one-way delay carried by affected sends.
+    delay_extra_s: float = 0.0
+    #: How many sends the extra delay applies to; ``-1`` = all of them.
+    delay_remaining: int = 0
 
     @property
-    def size_mb(self) -> float:
-        return self.size_bytes / 1e6
+    def exhausted(self) -> bool:
+        return self.drop == 0 and self.duplicate == 0 and self.delay_remaining == 0
 
 
 class InMemoryTransport:
-    """Synchronous delivery with accounting.
+    """Synchronous delivery with per-kind byte accounting and link faults.
 
     ``send`` returns the message unchanged (delivery is the caller
     invoking the receiver), so protocol code stays a plain call graph
-    while the transport observes sizes and delays on the side.
+    while the transport counts bytes on the side.
 
-    Parameters
-    ----------
-    latency:
-        Optional delay model applied to every message.
-    max_records:
-        When set, ``records`` becomes a ring buffer holding only the
-        most recent ``max_records`` entries.  All aggregate queries
-        (:meth:`total_bytes`, :meth:`count`, :meth:`by_kind`,
-        :meth:`total_delay_seconds`) keep counting *every* message ever
-        sent — eviction only drops the per-message detail.
+    Links are directed ``(sender, receiver)`` pairs.  Sending on a cut
+    link (:meth:`fail_link`, :meth:`fail_endpoint`) raises
+    :class:`~repro.errors.LinkDownError` *without* counting the message
+    — the bytes never made it onto the wire, so they must not count
+    toward the §VI-A totals.
+
+    **Fault injection** (:meth:`inject_faults`) layers transient faults
+    on top: drop the next N sends
+    (:class:`~repro.errors.MessageDroppedError` — the link itself stays
+    up, so the retry policy retries in place instead of failing over),
+    count them twice on the wire, or delay them.  Delivery is the
+    synchronous return value, so a duplicate lands in the byte counters,
+    not the call graph, and a delay is reported by
+    :meth:`pending_delay_seconds`, not slept.
     """
 
-    def __init__(
-        self, latency: LatencyModel | None = None, max_records: int | None = None
-    ) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be positive when set")
-        self.latency = latency
-        self.max_records = max_records
-        self.records: deque[MessageRecord] = deque(maxlen=max_records)
+    def __init__(self) -> None:
+        self._total_messages = 0
+        self._total_bytes = 0
+        #: kind → [count, bytes]
+        self._by_kind: dict[str, list[int]] = {}
         #: Optional :class:`repro.telemetry.MetricsRegistry` exposing
         #: per-link transfer counters (see :meth:`attach_metrics`).
         self._metrics = None
-        self._reset_totals()
-
-    def _reset_totals(self) -> None:
-        self._total_messages = 0
-        self._total_bytes = 0
-        self._total_delay = 0.0
-        #: kind → [count, bytes]
-        self._by_kind: dict[str, list[int]] = {}
-        #: (sender, receiver) → summed delay on that link
-        self._link_delay: dict[tuple[str, str], float] = {}
+        self._link_down: set[tuple[str, str]] = set()
+        self._down_endpoints: set[str] = set()
+        self._faults: dict[tuple[str, str], _LinkFaults] = {}
+        #: Injected-fault counters: dropped / duplicated / delayed.
+        self.fault_stats: dict[str, int] = {"dropped": 0, "duplicated": 0, "delayed": 0}
 
     def attach_metrics(self, metrics) -> None:
         """Mirror transfer accounting into a telemetry registry.
 
-        Every recorded message increments
+        Every counted message increments
         ``transport_records_total{link="sender->receiver"}`` and adds its
-        size to ``transport_bytes_total{link=...}``.  Wired through
-        :meth:`_record` — the single accounting funnel — so fault-path
-        records (duplicates, reorder flushes) are mirrored too, and the
-        counters match :attr:`records` / the aggregate totals exactly.
+        size to ``transport_bytes_total{link=...}`` — duplicates twice,
+        drops and cut-link sends not at all — so the per-link counters
+        sum to :meth:`count` / :meth:`total_bytes` exactly.
         """
         self._metrics = metrics
 
+    # -- sending -------------------------------------------------------------------
+
     def send(self, message: _SizedMessage, sender: str, receiver: str):
         """Account for one message and hand it back for delivery."""
-        size = message.wire_size()
-        delay = (
-            self.latency.delay_seconds(size, sender, receiver)
-            if self.latency is not None
-            else 0.0
-        )
-        self._record(message, sender, receiver, size, delay)
-        return message
-
-    def _record(
-        self,
-        message: _SizedMessage,
-        sender: str,
-        receiver: str,
-        size: int,
-        delay: float,
-    ) -> None:
-        kind = type(message).__name__
-        self.records.append(
-            MessageRecord(
-                sender=sender,
-                receiver=receiver,
-                kind=kind,
-                size_bytes=size,
-                delay_seconds=delay,
-            )
-        )
-        self._total_messages += 1
-        self._total_bytes += size
-        self._total_delay += delay
-        kind_totals = self._by_kind.setdefault(kind, [0, 0])
-        kind_totals[0] += 1
-        kind_totals[1] += size
+        if not self.link_is_up(sender, receiver):
+            raise LinkDownError(f"link {sender!r} -> {receiver!r} is down")
         link = (sender, receiver)
-        self._link_delay[link] = self._link_delay.get(link, 0.0) + delay
+        copies = 1
+        faults = self._faults.get(link)
+        if faults is not None:
+            if faults.drop > 0:
+                faults.drop -= 1
+                self.fault_stats["dropped"] += 1
+                raise MessageDroppedError(
+                    f"injected drop on link {sender!r} -> {receiver!r}"
+                )
+            if faults.delay_remaining != 0:
+                if faults.delay_remaining > 0:
+                    faults.delay_remaining -= 1
+                self.fault_stats["delayed"] += 1
+            if faults.duplicate > 0:
+                faults.duplicate -= 1
+                copies = 2
+                self.fault_stats["duplicated"] += 1
+            if faults.exhausted:
+                del self._faults[link]
+        size = message.wire_size() * copies
+        self._total_messages += copies
+        self._total_bytes += size
+        kind_totals = self._by_kind.setdefault(type(message).__name__, [0, 0])
+        kind_totals[0] += copies
+        kind_totals[1] += size
         if self._metrics is not None:
             label = f"{sender}->{receiver}"
-            self._metrics.counter("transport_records_total", link=label).inc()
+            self._metrics.counter("transport_records_total", link=label).inc(copies)
             self._metrics.counter("transport_bytes_total", link=label).inc(size)
+        return message
 
     # -- accounting queries ------------------------------------------------------
 
@@ -152,21 +136,6 @@ class InMemoryTransport:
         if kind is None:
             return self._total_bytes
         return self._by_kind.get(kind, (0, 0))[1]
-
-    def total_delay_seconds(self, parallel: bool = False) -> float:
-        """Modelled transfer delay of the whole exchange.
-
-        ``parallel=False`` (default) is the serial view — the sum of
-        every one-way delay, as if all messages shared one wire.  A
-        concurrent runtime overlaps independent transfers, so
-        ``parallel=True`` reports the *critical path* instead: transfers
-        on the same directed ``(sender, receiver)`` link serialise,
-        distinct links proceed concurrently, giving
-        ``max over links of (sum of that link's delays)``.
-        """
-        if not parallel:
-            return self._total_delay
-        return max(self._link_delay.values(), default=0.0)
 
     def count(self, kind: str | None = None) -> int:
         if kind is None:
@@ -177,121 +146,7 @@ class InMemoryTransport:
         """``{kind: (message_count, total_bytes)}`` summary."""
         return {kind: (count, size) for kind, (count, size) in self._by_kind.items()}
 
-    def clear(self) -> None:
-        self.records.clear()
-        self._reset_totals()
-
-
-@dataclass(frozen=True)
-class BoundChannel:
-    """A transport pre-bound to one directed link.
-
-    Protocol drivers that talk to exactly one peer (the cluster router's
-    per-shard channels) take one of these instead of a
-    ``(transport, sender, receiver)`` triple — the link identity travels
-    with the handle, so a caller cannot accidentally account a shard-A
-    message on shard B's wire.
-    """
-
-    transport: "MultiplexedTransport"
-    sender: str
-    receiver: str
-
-    def send(self, message: _SizedMessage):
-        return self.transport.send(message, self.sender, self.receiver)
-
-    @property
-    def link(self) -> tuple[str, str]:
-        return (self.sender, self.receiver)
-
-
-@dataclass
-class _LinkFaults:
-    """Remaining injected-fault budgets for one directed link."""
-
-    #: Next N sends are dropped (raise ``MessageDroppedError``).
-    drop: int = 0
-    #: Next N sends are recorded twice (wire-level duplicate).
-    duplicate: int = 0
-    #: Extra one-way delay added to affected sends.
-    delay_extra_s: float = 0.0
-    #: How many sends the extra delay applies to; ``-1`` = all of them.
-    delay_remaining: int = 0
-    #: When > 1, records are held back and flushed in reverse once this
-    #: many accumulate (wire-level reordering of the accounting log).
-    reorder_window: int = 0
-    held: deque = field(default_factory=deque)
-
-    @property
-    def exhausted(self) -> bool:
-        return (
-            self.drop == 0
-            and self.duplicate == 0
-            and self.delay_remaining == 0
-            and self.reorder_window <= 1
-            and not self.held
-        )
-
-
-class MultiplexedTransport(InMemoryTransport):
-    """An :class:`InMemoryTransport` with per-link overrides.
-
-    The base transport applies one latency model to every message.  A
-    sharded deployment is not that uniform: the coordinator↔shard links
-    are intra-datacentre while SU↔router links cross a WAN, and failure
-    injection must be able to cut exactly one shard's wire while its
-    siblings keep flowing.  ``configure_link`` attaches a per-directed-link
-    latency model and an up/down flag; unconfigured links fall through to
-    the shared default, so existing single-transport call sites behave
-    identically.
-
-    Sending on a failed link raises :class:`~repro.errors.LinkDownError`
-    *without* recording the message — the bytes never made it onto the
-    wire, so they must not count toward the §VI-A overhead totals.
-
-    **Fault injection** (:meth:`inject_faults`) layers finer, *transient*
-    faults on top: drop the next N sends
-    (:class:`~repro.errors.MessageDroppedError` — the link itself stays
-    up, so the retry policy retries in place instead of failing over),
-    duplicate them on the wire log, stretch their delay, or reorder the
-    accounting log through a hold-back window.  Delivery in this
-    in-memory model is the synchronous return value, so duplicate and
-    reorder affect the observed *wire log*, not the call graph — exactly
-    the layer the §VI-A accounting and the chaos transcript read.
-    """
-
-    def __init__(
-        self, latency: LatencyModel | None = None, max_records: int | None = None
-    ) -> None:
-        super().__init__(latency=latency, max_records=max_records)
-        self._link_latency: dict[tuple[str, str], LatencyModel | None] = {}
-        self._link_down: set[tuple[str, str]] = set()
-        self._down_endpoints: set[str] = set()
-        self._faults: dict[tuple[str, str], _LinkFaults] = {}
-        #: Injected-fault counters: dropped / duplicated / delayed / reordered.
-        self.fault_stats: dict[str, int] = {
-            "dropped": 0,
-            "duplicated": 0,
-            "delayed": 0,
-            "reordered": 0,
-        }
-
     # -- link administration -----------------------------------------------------
-
-    def configure_link(
-        self,
-        sender: str,
-        receiver: str,
-        latency: LatencyModel | None = None,
-        fail: bool = False,
-    ) -> None:
-        """Override one directed link's latency model and/or fail it."""
-        link = (sender, receiver)
-        self._link_latency[link] = latency
-        if fail:
-            self._link_down.add(link)
-        else:
-            self._link_down.discard(link)
 
     def fail_link(self, sender: str, receiver: str) -> None:
         """Cut a directed link; subsequent sends raise ``LinkDownError``."""
@@ -313,10 +168,6 @@ class MultiplexedTransport(InMemoryTransport):
         down = self._down_endpoints
         return sender not in down and receiver not in down
 
-    def channel(self, sender: str, receiver: str) -> BoundChannel:
-        """A send handle bound to one directed link."""
-        return BoundChannel(transport=self, sender=sender, receiver=receiver)
-
     # -- fault injection -----------------------------------------------------------
 
     def inject_faults(
@@ -328,123 +179,50 @@ class MultiplexedTransport(InMemoryTransport):
         duplicate: int = 0,
         delay_s: float = 0.0,
         delay_count: int = -1,
-        reorder_window: int = 0,
     ) -> None:
         """Arm transient faults on one directed link.
 
         ``drop``/``duplicate`` are budgets consumed one send at a time;
-        ``delay_s`` adds to the modelled delay of the next
-        ``delay_count`` sends (``-1`` = every send); ``reorder_window``
-        > 1 holds records back and flushes them reversed per window.
-        Budgets are deterministic — the same arm + the same send
-        sequence always yields the same fault schedule.
+        ``delay_s`` is carried by the next ``delay_count`` sends (``-1``
+        = every send).  Budgets are deterministic — the same arm + the
+        same send sequence always yields the same fault schedule.
         """
-        link = (sender, receiver)
-        faults = self._faults.setdefault(link, _LinkFaults())
+        faults = self._faults.setdefault((sender, receiver), _LinkFaults())
         faults.drop += drop
         faults.duplicate += duplicate
         if delay_s > 0.0:
             faults.delay_extra_s = delay_s
             faults.delay_remaining = delay_count
-        if reorder_window:
-            faults.reorder_window = reorder_window
 
     def pending_delay_seconds(self, sender: str, receiver: str) -> float:
-        """The modelled one-way delay the next send on this link would see.
+        """The injected delay the next send on this link would carry.
 
-        Base latency (per-link model falling back to the shared default,
-        sized at zero payload bytes) plus any armed delay injection.
         Read-only — budgets are not consumed.  The router folds this into
         its RTT observations: in-memory transports deliver synchronously,
-        so a modelled slowdown is invisible to wall-clock timing alone.
+        so an injected slowdown is invisible to wall-clock timing alone.
         """
-        link = (sender, receiver)
-        model = (
-            self._link_latency[link]
-            if link in self._link_latency
-            else self.latency
-        )
-        delay = model.delay_seconds(0, sender, receiver) if model else 0.0
-        faults = self._faults.get(link)
-        if faults is not None and faults.delay_remaining != 0:
-            delay += faults.delay_extra_s
-        return delay
+        faults = self._faults.get((sender, receiver))
+        if faults is None or faults.delay_remaining == 0:
+            return 0.0
+        return faults.delay_extra_s
 
     def clear_faults(self) -> None:
-        """Disarm all faults, flushing any held (reordered) records."""
-        for faults in self._faults.values():
-            while faults.held:
-                self._record(*faults.held.popleft())
+        """Disarm every injected fault (cut links stay cut)."""
         self._faults.clear()
 
-    # -- sending -------------------------------------------------------------------
 
-    def send(self, message: _SizedMessage, sender: str, receiver: str):
-        if not self.link_is_up(sender, receiver):
-            raise LinkDownError(f"link {sender!r} -> {receiver!r} is down")
-        link = (sender, receiver)
-        model = (
-            self._link_latency[link]
-            if link in self._link_latency
-            else self.latency
-        )
-        size = message.wire_size()
-        delay = (
-            model.delay_seconds(size, sender, receiver)
-            if model is not None
-            else 0.0
-        )
-        faults = self._faults.get(link)
-        if faults is None:
-            self._record(message, sender, receiver, size, delay)
-            return message
-        if faults.drop > 0:
-            faults.drop -= 1
-            self.fault_stats["dropped"] += 1
-            raise MessageDroppedError(
-                f"injected drop on link {sender!r} -> {receiver!r}"
-            )
-        if faults.delay_remaining != 0:
-            if faults.delay_remaining > 0:
-                faults.delay_remaining -= 1
-            delay += faults.delay_extra_s
-            self.fault_stats["delayed"] += 1
-        copies = 1
-        if faults.duplicate > 0:
-            faults.duplicate -= 1
-            copies = 2
-            self.fault_stats["duplicated"] += 1
-        entries = [(message, sender, receiver, size, delay)] * copies
-        if faults.reorder_window > 1:
-            faults.held.extend(entries)
-            while len(faults.held) >= faults.reorder_window:
-                batch = [
-                    faults.held.popleft() for _ in range(faults.reorder_window)
-                ]
-                for entry in reversed(batch):
-                    self._record(*entry)
-                self.fault_stats["reordered"] += len(batch)
-        else:
-            for entry in entries:
-                self._record(*entry)
-        if faults.exhausted:
-            del self._faults[link]
-        return message
+def resolve_transport(transport) -> InMemoryTransport | None:
+    """Unwrap decorator transports down to the :class:`InMemoryTransport`.
 
-
-def resolve_multiplexed(transport) -> MultiplexedTransport | None:
-    """Unwrap decorator transports down to the ``MultiplexedTransport``.
-
-    Wrappers like :class:`repro.audit.runtime.SanitizingTransport` (and
-    the chaos recorder) expose their wrapped transport as ``.inner``;
-    coordinator code that needs link administration (failing a shard's
-    wire, arming faults) must reach the multiplexed layer rather than
-    giving up because the outermost object is a wrapper.  Returns
-    ``None`` when no multiplexed transport is in the stack.
+    Wrappers like :class:`repro.audit.runtime.SanitizingTransport` expose
+    their wrapped transport as ``.inner``; coordinator code that needs
+    link administration (failing a shard's wire, arming faults) must
+    reach the transport itself rather than the outermost wrapper.
+    Returns ``None`` when no transport is in the stack.
     """
     seen = 0
     while transport is not None and seen < 16:
-        if isinstance(transport, MultiplexedTransport):
+        if isinstance(transport, InMemoryTransport):
             return transport
         transport = getattr(transport, "inner", None)
         seen += 1

@@ -427,8 +427,6 @@ class RemoteShardSet(ReplicaSetBase):
         self, epoch_id: int, snapshot: bool = True, fence_token: int = 0
     ) -> None:
         token = fence_token or self.fence_token
-        with self._lock:
-            self._last_epoch = max(self._last_epoch, epoch_id)
         self.transact(
             "commit_epoch",
             encode_control(
@@ -439,6 +437,10 @@ class RemoteShardSet(ReplicaSetBase):
                 }
             ),
         )
+        # Only an epoch the worker accepted is one a restart may resume
+        # from: a fenced or failed commit leaves the bootstrap unchanged.
+        with self._lock:
+            self._last_epoch = max(self._last_epoch, epoch_id)
 
     # -- liveness ------------------------------------------------------------------
 

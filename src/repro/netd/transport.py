@@ -386,8 +386,8 @@ class SocketTransport(TranscriptTransport):
     the separate :meth:`transact`, keyed by registered peer endpoint.
     """
 
-    def __init__(self, *args, record_transcript: bool = False, **kwargs) -> None:
-        super().__init__(*args, record_transcript=record_transcript, **kwargs)
+    def __init__(self, record_transcript: bool = False) -> None:
+        super().__init__(record_transcript=record_transcript)
         self._peers: dict[str, PeerClient] = {}
 
     def register_peer(self, endpoint: str, peer: PeerClient) -> None:

@@ -15,8 +15,8 @@ Three sub-systems, each usable alone:
   and the cluster router both route their retries through it; the
   ``RES001`` audit rule flags hand-rolled retry loops elsewhere.
 * :mod:`repro.resilience.chaos` — a **deterministic chaos harness**:
-  seeded fault plans (process kill, transport drop/delay/duplicate/
-  reorder, journal disk-full, STP outage with queue-and-drain) that
+  seeded fault plans (process kill, transport drop/delay/duplicate,
+  journal disk-full, STP outage with queue-and-drain) that
   assert transcript equality and license validity after every injected
   schedule.  ``repro chaos`` runs it from the command line.
 

@@ -6,12 +6,12 @@ asserts the property the paper's protocol depends on:
 
     **the protocol transcript is byte-identical and every issued
     license verifies**, no matter which components were killed,
-    which wires dropped/delayed/duplicated/reordered messages, or
+    which wires dropped/delayed/duplicated messages, or
     where the journal device failed.
 
 Faults are *fault plans*: named, seeded, composable units
 (``kill-shard``, ``drop-links``, ``coordinator-crash``, ...) that arm
-transport faults (:meth:`repro.net.transport.MultiplexedTransport.inject_faults`),
+transport faults (:meth:`repro.net.transport.InMemoryTransport.inject_faults`),
 kill processes, cut the SDC↔STP wire, or fill the journal device at a
 deterministic point.  ``repro chaos --seed 7 --plan kill-shard,drop-links``
 runs one composed schedule from the command line.
@@ -194,17 +194,17 @@ class _DropLinks(FaultPlan):
 
     def before_round(self, ctx, round_index):
         for shard_id in ctx.coordinator.router.shard_ids:
-            ctx.mux.inject_faults("router", shard_id, drop=1)
+            ctx.transport.inject_faults("router", shard_id, drop=1)
 
 
 class _DelayLinks(FaultPlan):
-    """Stretch the modelled delay of two sends per shard link per round."""
+    """Delay two sends per shard link per round by 5 ms."""
 
     name = "delay-links"
 
     def before_round(self, ctx, round_index):
         for shard_id in ctx.coordinator.router.shard_ids:
-            ctx.mux.inject_faults(
+            ctx.transport.inject_faults(
                 "router", shard_id, delay_s=0.005, delay_count=2
             )
 
@@ -216,17 +216,7 @@ class _DuplicateLinks(FaultPlan):
 
     def before_round(self, ctx, round_index):
         for shard_id in ctx.coordinator.router.shard_ids:
-            ctx.mux.inject_faults("router", shard_id, duplicate=1)
-
-
-class _ReorderLinks(FaultPlan):
-    """Reorder the wire log of the first shard link in windows of two."""
-
-    name = "reorder-links"
-
-    def before_round(self, ctx, round_index):
-        shard_id = ctx.coordinator.router.shard_ids[0]
-        ctx.mux.inject_faults("router", shard_id, reorder_window=2)
+            ctx.transport.inject_faults("router", shard_id, duplicate=1)
 
 
 class _StpOutage(FaultPlan):
@@ -242,7 +232,7 @@ class _StpOutage(FaultPlan):
 
     def before_round(self, ctx, round_index):
         if round_index == min(1, ctx.rounds - 1):
-            ctx.mux.fail_link("sdc", "stp")
+            ctx.transport.fail_link("sdc", "stp")
             ctx.stp_outage_remaining = self.OUTAGE_RETRIES
             ctx.note(f"cut sdc->stp before round {round_index}")
 
@@ -252,7 +242,7 @@ class _StpOutage(FaultPlan):
         ctx.stp_outage_remaining -= 1
         ctx.stp_drained_sends += 1
         if ctx.stp_outage_remaining <= 0:
-            ctx.mux.restore_link("sdc", "stp")
+            ctx.transport.restore_link("sdc", "stp")
             ctx.note("stp outage drained; link restored")
 
 
@@ -403,7 +393,7 @@ class _AsymmetricPartition(FaultPlan):
         incumbent = ctx.coordinator.fencing.bump(victim, "manual")
         replica_set.install_fence(incumbent.token)
         stale = incumbent.token
-        ctx.mux.fail_link("router", victim)
+        ctx.transport.fail_link("router", victim)
         ctx.note(f"cut router->{victim} (shard alive) before round {round_index}")
         real_recover = router._recover
 
@@ -412,7 +402,7 @@ class _AsymmetricPartition(FaultPlan):
             if shard_id != victim:
                 return
             router._recover = real_recover
-            ctx.mux.restore_link("router", victim)
+            ctx.transport.restore_link("router", victim)
             ctx.note(f"partition healed after fence+promote of {victim}")
             # The old primary comes back from the partition and tries to
             # finish the write it was holding — with its dead lease.
@@ -528,7 +518,7 @@ class _GraySlowShard(FaultPlan):
 
     def arm(self, ctx):
         victim = ctx.coordinator.router.shard_ids[0]
-        ctx.mux.inject_faults(
+        ctx.transport.inject_faults(
             "router", victim, delay_s=self.DELAY_S, delay_count=-1
         )
         ctx.note(
@@ -638,7 +628,6 @@ _PLAN_TYPES = (
     _DropLinks,
     _DelayLinks,
     _DuplicateLinks,
-    _ReorderLinks,
     _StpOutage,
     _CoordinatorCrash,
     _JournalDiskFull,
@@ -711,7 +700,7 @@ class _RunContext:
     notes: list = field(default_factory=list)
 
     @property
-    def mux(self) -> TranscriptTransport:
+    def transport(self) -> TranscriptTransport:
         """The deployment's transport: fault injection + transcript."""
         return self.coordinator.transport
 
@@ -892,7 +881,7 @@ class ChaosHarness:
         The traffic model's continuous schedule is quantised onto the
         harness's round structure: each ``su-request`` event names the
         round's subject, and every *physical* ``pu-switch`` since the
-        previous request is applied (through the faulted mux) just
+        previous request is applied (through the faulted transport) just
         before that round.  Compiled once per harness from a dedicated
         seed fork, so all runs see the same script; ``su-move`` events
         are ignored — chaos rounds have no spatial dimension.
@@ -926,7 +915,7 @@ class ChaosHarness:
         return tuple(script)
 
     def _apply_churn(self, ctx: _RunContext, plans, churn) -> None:
-        """Scripted PU switches, sent through the (possibly faulted) mux.
+        """Scripted PU switches, sent through the (possibly faulted) transport.
 
         Updates ride the same retry policy as protocol sends, so a
         churn storm composed with a partition exercises the failover
@@ -946,7 +935,7 @@ class ChaosHarness:
                     plan.on_send_retry(ctx, exc, (pu_id, "sdc"))
 
             run_with_policy(
-                lambda u=update, p=pu_id: ctx.mux.send(u, p, "sdc"),
+                lambda u=update, p=pu_id: ctx.transport.send(u, p, "sdc"),
                 SEND_POLICY,
                 rng=DeterministicRandomSource(0),
                 on_retry=on_retry,
@@ -963,7 +952,7 @@ class ChaosHarness:
                     plan.on_send_retry(ctx, exc, (sender, receiver))
 
             run_with_policy(
-                lambda: ctx.mux.send(message, sender, receiver),
+                lambda: ctx.transport.send(message, sender, receiver),
                 SEND_POLICY,
                 rng=DeterministicRandomSource(0),
                 on_retry=on_retry,
@@ -1025,7 +1014,7 @@ class ChaosHarness:
         """Enrolment already ran in ``_build``; mark it and run rounds."""
         for plan in plans:
             plan.arm(ctx)
-        ctx.mux.mark()
+        ctx.transport.mark()
         outcomes = []
         for round_index in range(ctx.rounds):
             for plan in plans:
@@ -1036,12 +1025,12 @@ class ChaosHarness:
             else:
                 su_id = su_ids[round_index % len(su_ids)]
             outcomes.append(self._run_round(ctx, plans, su_id))
-            ctx.mux.mark()
+            ctx.transport.mark()
         for plan in plans:
             plan.finish(ctx)
-        ctx.mux.clear_faults()
+        ctx.transport.clear_faults()
         return _RunRecord(
-            segments=ctx.mux.segments(),
+            segments=ctx.transport.segments(),
             granted=tuple(o.granted for o in outcomes),
             licenses=tuple(o.license for o in outcomes),
         )
@@ -1136,7 +1125,7 @@ class ChaosHarness:
                 failovers = ctx.coordinator.router.stats.failovers
                 drops_retried = ctx.coordinator.router.stats.drops_retried
                 suspects = ctx.coordinator.router.stats.suspects
-                fault_stats = dict(ctx.mux.fault_stats)
+                fault_stats = dict(ctx.transport.fault_stats)
                 coordinator.close()
 
             writer_violations = -1

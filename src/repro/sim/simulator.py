@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.crypto.rand import DeterministicRandomSource, RandomSource
 from repro.errors import ConfigurationError
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import ConstantLatency
 from repro.sim.costmodel import ServiceCostModel
 from repro.sim.events import EventQueue
 from repro.sim.traffic import (
@@ -142,7 +142,7 @@ class DeploymentSimulator:
         scenario: Scenario,
         cost_model: ServiceCostModel,
         workload: WorkloadConfig | None = None,
-        latency: LatencyModel | None = None,
+        latency: ConstantLatency | None = None,
         sdc_workers: int = 1,
         stp_workers: int = 1,
         rng: RandomSource | None = None,

@@ -12,7 +12,8 @@ from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError, ShardDownError
-from repro.net.transport import MultiplexedTransport
+from repro.net.transport import InMemoryTransport
+from repro.telemetry import MetricsRegistry
 
 from tests.cluster.conftest import build_cluster
 
@@ -134,7 +135,7 @@ class TestFailover:
     def test_cut_wire_counts_as_shard_failure(
         self, small_scenario, keypair, pu_updates
     ):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         router = make_router(small_scenario, keypair, transport=transport)
         try:
             update = pu_updates[0]
@@ -166,14 +167,16 @@ class TestTransportAccounting:
     def test_subqueries_are_accounted_per_link(
         self, small_scenario, keypair, pu_updates
     ):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
+        metrics = MetricsRegistry()
+        transport.attach_metrics(metrics)
         router = make_router(small_scenario, keypair, transport=transport)
         try:
             update = pu_updates[0]
             owner = router.route_pu_update(update)
-            senders = {(r.sender, r.receiver) for r in transport.records}
-            assert ("router", owner) in senders
-            assert (owner, "router") in senders
+            counters = metrics.snapshot()["counters"]
+            for link in (f"router->{owner}", f"{owner}->router"):
+                assert counters[f"transport_bytes_total{{link={link}}}"] == update.wire_size()
         finally:
             router.close()
 

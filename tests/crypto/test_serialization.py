@@ -176,98 +176,3 @@ class TestKeySerialization:
         with pytest.raises(SerializationError):
             decode_public_key(blob + b"\x00")
 
-
-class TestDjSerialization:
-    """Round-trips and malformed-input rejection for the Damgård–Jurik forms."""
-
-    @pytest.fixture(scope="class", params=[1, 2, 3])
-    def dj_keypair(self, request):
-        from repro.crypto.damgard_jurik import generate_dj_keypair
-        from repro.crypto.rand import DeterministicRandomSource
-
-        rng = DeterministicRandomSource(f"dj-serialization-{request.param}")
-        return generate_dj_keypair(key_bits=128, s=request.param, rng=rng)
-
-    def test_public_key_roundtrip(self, dj_keypair):
-        from repro.crypto.serialization import (
-            decode_dj_public_key,
-            encode_dj_public_key,
-        )
-
-        pk = dj_keypair.public_key
-        decoded = decode_dj_public_key(encode_dj_public_key(pk))
-        assert decoded.n == pk.n
-        assert decoded.s == pk.s
-        assert decoded.n_s1 == pk.n_s1
-
-    def test_private_key_roundtrip(self, dj_keypair, fresh_rng):
-        from repro.crypto.serialization import (
-            decode_dj_private_key,
-            encode_dj_private_key,
-        )
-
-        sk = decode_dj_private_key(encode_dj_private_key(dj_keypair.private_key))
-        assert sk.public_key.s == dj_keypair.public_key.s
-        ct = dj_keypair.public_key.encrypt(-31337, rng=fresh_rng)
-        assert sk.decrypt(ct) == -31337
-
-    def test_ciphertext_roundtrip(self, dj_keypair, fresh_rng):
-        from repro.crypto.serialization import (
-            decode_dj_ciphertext,
-            encode_dj_ciphertext,
-        )
-
-        pk, sk = dj_keypair.public_key, dj_keypair.private_key
-        # Exercise the widened Z_{n^s} plaintext space for s > 1.
-        value = pk.n - 2 if pk.s > 1 else 4242
-        ct = pk.encrypt(value, rng=fresh_rng)
-        blob = encode_dj_ciphertext(ct)
-        decoded, offset = decode_dj_ciphertext(blob, pk)
-        assert offset == len(blob)
-        assert sk.decrypt(decoded) == value
-
-    def test_ciphertext_range_validation(self, dj_keypair):
-        from repro.crypto.serialization import decode_dj_ciphertext
-
-        pk = dj_keypair.public_key
-        blob = encode_int(pk.n_s1 + 9)
-        with pytest.raises(SerializationError):
-            decode_dj_ciphertext(blob, pk)
-
-    def test_bad_magic_rejected(self):
-        from repro.crypto.serialization import (
-            decode_dj_private_key,
-            decode_dj_public_key,
-        )
-
-        with pytest.raises(SerializationError):
-            decode_dj_public_key(b"PISA-PK-v1garbage")
-        with pytest.raises(SerializationError):
-            decode_dj_private_key(b"garbage")
-
-    def test_trailing_bytes_rejected(self, dj_keypair):
-        from repro.crypto.serialization import (
-            decode_dj_public_key,
-            encode_dj_public_key,
-        )
-
-        blob = encode_dj_public_key(dj_keypair.public_key)
-        with pytest.raises(SerializationError):
-            decode_dj_public_key(blob + b"\x00")
-
-    def test_invalid_s_rejected(self):
-        from repro.crypto.serialization import decode_dj_public_key
-
-        blob = b"PISA-DJPK-v1" + encode_int(77) + encode_int(0)
-        with pytest.raises(SerializationError):
-            decode_dj_public_key(blob)
-
-    def test_truncated_private_key_rejected(self, dj_keypair):
-        from repro.crypto.serialization import (
-            decode_dj_private_key,
-            encode_dj_private_key,
-        )
-
-        blob = encode_dj_private_key(dj_keypair.private_key)
-        with pytest.raises(SerializationError):
-            decode_dj_private_key(blob[:-3])

@@ -1,8 +1,8 @@
-"""Unit tests for latency models."""
+"""Unit tests for the simulator's link latency model."""
 
 import pytest
 
-from repro.net.latency import ConstantLatency, DistanceLatency
+from repro.net.latency import ConstantLatency
 
 
 class TestConstantLatency:
@@ -22,89 +22,3 @@ class TestConstantLatency:
         model = ConstantLatency()
         assert model.delay_seconds(10_000, "a", "b") > model.delay_seconds(10, "a", "b")
 
-
-class TestDistanceLatency:
-    def test_known_positions(self):
-        model = DistanceLatency(
-            positions={"a": (0.0, 0.0), "b": (3_000.0, 4_000.0)},
-            bandwidth_bytes_per_s=1e9,
-        )
-        # 5 km at 0.66c ≈ 25.3 µs propagation.
-        delay = model.delay_seconds(0, "a", "b")
-        assert delay == pytest.approx(5_000 / (299_792_458.0 * 0.66), rel=1e-6)
-
-    def test_unknown_endpoint_uses_default(self):
-        model = DistanceLatency(positions={}, default_distance_m=10_000.0)
-        assert model.delay_seconds(0, "x", "y") > 0
-
-    def test_farther_is_slower(self):
-        model = DistanceLatency(
-            positions={"a": (0, 0), "near": (100, 0), "far": (100_000, 0)}
-        )
-        assert model.delay_seconds(0, "a", "far") > model.delay_seconds(0, "a", "near")
-
-
-class TestSeededJitterLatency:
-    def _model(self, seed=7, jitter_fraction=0.2):
-        from repro.net.latency import SeededJitterLatency
-
-        return SeededJitterLatency(
-            ConstantLatency(rtt_seconds=0.02, bandwidth_bytes_per_s=1e6),
-            seed=seed,
-            jitter_fraction=jitter_fraction,
-        )
-
-    def test_jitter_is_bounded_and_additive(self):
-        model = self._model()
-        base = ConstantLatency(rtt_seconds=0.02, bandwidth_bytes_per_s=1e6)
-        for _ in range(50):
-            delay = model.delay_seconds(1000, "router", "shard-0")
-            floor = base.delay_seconds(1000, "router", "shard-0")
-            assert floor <= delay <= floor * 1.2
-
-    def test_same_seed_replays_identical_delays(self):
-        a, b = self._model(seed=7), self._model(seed=7)
-        delays_a = [a.delay_seconds(100, "router", "shard-0") for _ in range(20)]
-        delays_b = [b.delay_seconds(100, "router", "shard-0") for _ in range(20)]
-        assert delays_a == delays_b
-
-    def test_different_seeds_diverge(self):
-        a, b = self._model(seed=7), self._model(seed=8)
-        delays_a = [a.delay_seconds(100, "x", "y") for _ in range(10)]
-        delays_b = [b.delay_seconds(100, "x", "y") for _ in range(10)]
-        assert delays_a != delays_b
-
-    def test_links_have_independent_streams(self):
-        """Traffic on one link must not perturb another link's draws —
-        the property that keeps multiplexed cluster runs reproducible."""
-        quiet = self._model(seed=7)
-        busy = self._model(seed=7)
-        # The busy transport interleaves heavy traffic on other links.
-        for _ in range(25):
-            busy.delay_seconds(100, "router", "shard-1")
-            busy.delay_seconds(100, "shard-1", "router")
-        quiet_delays = [
-            quiet.delay_seconds(100, "router", "shard-0") for _ in range(10)
-        ]
-        busy_delays = [
-            busy.delay_seconds(100, "router", "shard-0") for _ in range(10)
-        ]
-        assert quiet_delays == busy_delays
-
-    def test_directions_are_distinct_links(self):
-        model = self._model()
-        forward = model.delay_seconds(100, "a", "b")
-        model_2 = self._model()
-        backward = model_2.delay_seconds(100, "b", "a")
-        assert forward != backward
-
-    def test_zero_jitter_degenerates_to_base(self):
-        model = self._model(jitter_fraction=0.0)
-        base = ConstantLatency(rtt_seconds=0.02, bandwidth_bytes_per_s=1e6)
-        assert model.delay_seconds(500, "a", "b") == pytest.approx(
-            base.delay_seconds(500, "a", "b")
-        )
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            self._model(jitter_fraction=-0.1)

@@ -1,15 +1,27 @@
 """Unit tests for the accounted in-memory transport."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.latency import ConstantLatency
+from repro.errors import LinkDownError, MessageDroppedError
 from repro.net.transport import InMemoryTransport
+from repro.telemetry import MetricsRegistry
 
 
 @dataclass
 class FakeMessage:
+    size: int
+
+    def wire_size(self) -> int:
+        return self.size
+
+
+@dataclass
+class OtherMessage:
     size: int
 
     def wire_size(self) -> int:
@@ -31,14 +43,8 @@ class TestAccounting:
 
     def test_filter_by_kind(self):
         transport = InMemoryTransport()
-
-        @dataclass
-        class OtherMessage:
-            def wire_size(self) -> int:
-                return 7
-
         transport.send(FakeMessage(100), "a", "b")
-        transport.send(OtherMessage(), "a", "b")
+        transport.send(OtherMessage(7), "a", "b")
         assert transport.total_bytes("FakeMessage") == 100
         assert transport.total_bytes("OtherMessage") == 7
         assert transport.count("FakeMessage") == 1
@@ -49,127 +55,30 @@ class TestAccounting:
         transport.send(FakeMessage(20), "a", "b")
         assert transport.by_kind() == {"FakeMessage": (2, 30)}
 
-    def test_records_have_metadata(self):
+    def test_memory_stays_flat_over_many_sends(self):
+        """A long-running broker sends forever; accounting must not grow."""
         transport = InMemoryTransport()
-        transport.send(FakeMessage(1_000_000), "su-1", "sdc")
-        record = transport.records[0]
-        assert record.sender == "su-1"
-        assert record.receiver == "sdc"
-        assert record.size_mb == pytest.approx(1.0)
-
-    def test_clear(self):
-        transport = InMemoryTransport()
-        transport.send(FakeMessage(10), "a", "b")
-        transport.clear()
-        assert transport.count() == 0
-
-
-class TestLatencyIntegration:
-    def test_no_model_zero_delay(self):
-        transport = InMemoryTransport()
-        transport.send(FakeMessage(10), "a", "b")
-        assert transport.total_delay_seconds() == 0.0
-
-    def test_constant_model_applied(self):
-        transport = InMemoryTransport(latency=ConstantLatency(
-            rtt_seconds=0.1, bandwidth_bytes_per_s=1000.0
-        ))
-        transport.send(FakeMessage(500), "a", "b")
-        assert transport.total_delay_seconds() == pytest.approx(0.05 + 0.5)
+        transport.attach_metrics(MetricsRegistry())
+        request, response = FakeMessage(29_000_000), OtherMessage(4_100)
+        for _ in range(10):  # first-use allocations: kinds, links, counters
+            transport.send(request, "su-0", "sdc")
+            transport.send(response, "sdc", "su-0")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                transport.send(request, "su-0", "sdc")
+                transport.send(response, "sdc", "su-0")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert transport.count() == 20_020
+        assert grown < 64 * 1024
 
 
-class TestRecordCap:
-    def test_ring_buffer_keeps_most_recent(self):
-        transport = InMemoryTransport(max_records=2)
-        for size in (10, 20, 30):
-            transport.send(FakeMessage(size), "a", "b")
-        assert [r.size_bytes for r in transport.records] == [20, 30]
-
-    def test_totals_stay_exact_after_eviction(self):
-        transport = InMemoryTransport(max_records=1)
-        for size in (100, 50, 25):
-            transport.send(FakeMessage(size), "a", "b")
-        assert transport.total_bytes() == 175
-        assert transport.count() == 3
-        assert transport.by_kind() == {"FakeMessage": (3, 175)}
-        assert len(transport.records) == 1
-
-    def test_delay_totals_survive_eviction(self):
-        transport = InMemoryTransport(
-            latency=ConstantLatency(rtt_seconds=0.0, bandwidth_bytes_per_s=100.0),
-            max_records=1,
-        )
-        transport.send(FakeMessage(100), "a", "b")  # 1.0 s
-        transport.send(FakeMessage(200), "a", "b")  # 2.0 s
-        assert transport.total_delay_seconds() == pytest.approx(3.0)
-
-    def test_uncapped_by_default(self):
-        transport = InMemoryTransport()
-        for _ in range(10):
-            transport.send(FakeMessage(1), "a", "b")
-        assert len(transport.records) == 10
-        assert transport.max_records is None
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            InMemoryTransport(max_records=0)
-
-    def test_clear_resets_totals(self):
-        transport = InMemoryTransport(max_records=2)
-        transport.send(FakeMessage(10), "a", "b")
-        transport.clear()
-        assert transport.total_bytes() == 0
-        assert transport.count() == 0
-
-
-class TestParallelDelay:
-    LATENCY = ConstantLatency(rtt_seconds=0.0, bandwidth_bytes_per_s=100.0)
-
-    def test_single_link_equals_serial(self):
-        transport = InMemoryTransport(latency=self.LATENCY)
-        transport.send(FakeMessage(100), "a", "b")  # 1.0 s
-        transport.send(FakeMessage(300), "a", "b")  # 3.0 s
-        assert transport.total_delay_seconds(parallel=True) == pytest.approx(4.0)
-        assert transport.total_delay_seconds() == pytest.approx(4.0)
-
-    def test_independent_links_overlap(self):
-        transport = InMemoryTransport(latency=self.LATENCY)
-        transport.send(FakeMessage(100), "su-1", "sdc")  # 1.0 s on link A
-        transport.send(FakeMessage(300), "su-2", "sdc")  # 3.0 s on link B
-        transport.send(FakeMessage(200), "su-2", "sdc")  # 2.0 s on link B
-        # Critical path = busiest link (su-2 -> sdc: 5.0 s), not the 6.0 s sum.
-        assert transport.total_delay_seconds(parallel=True) == pytest.approx(5.0)
-        assert transport.total_delay_seconds() == pytest.approx(6.0)
-
-    def test_direction_matters(self):
-        transport = InMemoryTransport(latency=self.LATENCY)
-        transport.send(FakeMessage(100), "a", "b")
-        transport.send(FakeMessage(100), "b", "a")
-        assert transport.total_delay_seconds(parallel=True) == pytest.approx(1.0)
-
-    def test_empty_transport(self):
-        transport = InMemoryTransport()
-        assert transport.total_delay_seconds(parallel=True) == 0.0
-
-
-class TestMultiplexedTransport:
-    def _mux(self, **kwargs):
-        from repro.net.transport import MultiplexedTransport
-
-        return MultiplexedTransport(**kwargs)
-
-    def test_behaves_like_base_transport_by_default(self):
-        transport = self._mux(latency=ConstantLatency(
-            rtt_seconds=0.1, bandwidth_bytes_per_s=1000.0
-        ))
-        transport.send(FakeMessage(500), "router", "shard-0")
-        assert transport.total_bytes() == 500
-        assert transport.total_delay_seconds() == pytest.approx(0.05 + 0.5)
-
+class TestLinkAdministration:
     def test_failed_link_raises_and_records_nothing(self):
-        from repro.errors import LinkDownError
-
-        transport = self._mux()
+        transport = InMemoryTransport()
         transport.fail_link("router", "shard-0")
         with pytest.raises(LinkDownError):
             transport.send(FakeMessage(10), "router", "shard-0")
@@ -182,16 +91,14 @@ class TestMultiplexedTransport:
         assert transport.count() == 2
 
     def test_restore_link(self):
-        transport = self._mux()
+        transport = InMemoryTransport()
         transport.fail_link("a", "b")
         transport.restore_link("a", "b")
         transport.send(FakeMessage(1), "a", "b")
         assert transport.count() == 1
 
     def test_fail_endpoint_cuts_both_directions(self):
-        from repro.errors import LinkDownError
-
-        transport = self._mux()
+        transport = InMemoryTransport()
         transport.fail_endpoint("shard-0")
         for sender, receiver in (("router", "shard-0"), ("shard-0", "router")):
             with pytest.raises(LinkDownError):
@@ -200,100 +107,98 @@ class TestMultiplexedTransport:
         transport.send(FakeMessage(1), "router", "shard-0")
         assert transport.link_is_up("router", "shard-0")
 
-    def test_per_link_latency_override(self):
-        transport = self._mux(latency=ConstantLatency(
-            rtt_seconds=1.0, bandwidth_bytes_per_s=1e12
-        ))
-        transport.configure_link(
-            "router", "shard-0",
-            latency=ConstantLatency(rtt_seconds=0.001, bandwidth_bytes_per_s=1e12),
-        )
-        transport.send(FakeMessage(0), "router", "shard-0")  # fast link
-        transport.send(FakeMessage(0), "router", "shard-1")  # default link
-        fast, slow = transport.records
-        assert fast.delay_seconds == pytest.approx(0.0005)
-        assert slow.delay_seconds == pytest.approx(0.5)
 
-    def test_configured_link_with_no_model_is_free(self):
-        transport = self._mux(latency=ConstantLatency(rtt_seconds=1.0))
-        transport.configure_link("a", "b", latency=None)
-        transport.send(FakeMessage(10), "a", "b")
-        assert transport.total_delay_seconds() == 0.0
+LINKS = (("su-0", "sdc"), ("sdc", "stp"), ("router", "shard-0"), ("shard-0", "router"))
 
-    def test_channel_binds_one_directed_link(self):
-        transport = self._mux()
-        channel = transport.channel("router", "shard-2")
-        assert channel.link == ("router", "shard-2")
-        channel.send(FakeMessage(42))
-        record = transport.records[0]
-        assert (record.sender, record.receiver) == ("router", "shard-2")
-        assert record.size_bytes == 42
-
-    def test_ring_buffer_eviction_across_multiplexed_links(self):
-        transport = self._mux(max_records=2)
-        transport.configure_link("router", "shard-1", latency=None)
-        transport.send(FakeMessage(10), "router", "shard-0")
-        transport.send(FakeMessage(20), "router", "shard-1")
-        transport.send(FakeMessage(30), "shard-1", "router")
-        assert [r.size_bytes for r in transport.records] == [20, 30]
-        # Aggregates keep counting every message ever sent.
-        assert transport.total_bytes() == 60
-        assert transport.count() == 3
+_OPS = st.one_of(
+    st.tuples(
+        st.just("send"),
+        st.sampled_from(LINKS),
+        st.sampled_from((FakeMessage, OtherMessage)),
+        st.integers(min_value=0, max_value=5_000),
+    ),
+    st.tuples(
+        st.sampled_from(("drop", "duplicate", "delay")),
+        st.sampled_from(LINKS),
+        st.integers(min_value=1, max_value=3),
+    ),
+    st.tuples(st.sampled_from(("cut", "restore")), st.sampled_from(LINKS)),
+)
 
 
 class TestMetricsMirroring:
-    """Per-link transfer counters mirror the record log exactly.
+    """Per-link transfer counters agree with the per-kind totals.
 
-    ``_record`` is the single accounting funnel, so whatever lands in
-    ``records`` — ordinary sends, wire-level duplicates, reorder
-    flushes — must land in the attached registry too, and dropped sends
-    (never on the wire) must not.
+    Whatever is counted — ordinary sends, wire-level duplicates — lands
+    in the attached registry too; dropped and cut-link sends (never on
+    the wire) land nowhere.
     """
 
-    def _expected_by_link(self, transport):
-        counts: dict[str, int] = {}
-        sizes: dict[str, int] = {}
-        for record in transport.records:
-            link = f"{record.sender}->{record.receiver}"
-            counts[link] = counts.get(link, 0) + 1
-            sizes[link] = sizes.get(link, 0) + record.size_bytes
-        return counts, sizes
-
-    def _assert_mirrored(self, transport, metrics):
-        counts, sizes = self._expected_by_link(transport)
-        snap = metrics.snapshot()["counters"]
-        for link, count in counts.items():
-            assert snap[f"transport_records_total{{link={link}}}"] == count
-            assert snap[f"transport_bytes_total{{link={link}}}"] == sizes[link]
-        # No phantom links: every series corresponds to observed records.
-        recorded = {
-            key for key in snap if key.startswith("transport_records_total")
-        }
-        assert recorded == {
-            f"transport_records_total{{link={link}}}" for link in counts
+    @staticmethod
+    def _counters(metrics, family):
+        prefix = f"{family}{{link="
+        return {
+            key[len(prefix):-1]: value
+            for key, value in metrics.snapshot()["counters"].items()
+            if key.startswith(prefix)
         }
 
-    def test_counters_match_records_per_link(self):
-        from repro.net.transport import MultiplexedTransport
-        from repro.telemetry import MetricsRegistry
-
-        transport = MultiplexedTransport()
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=40))
+    def test_counters_sum_to_totals_under_faults(self, ops):
+        transport = InMemoryTransport()
         metrics = MetricsRegistry()
         transport.attach_metrics(metrics)
-        transport.send(FakeMessage(100), "su-0", "sdc")
-        transport.send(FakeMessage(40), "sdc", "stp")
-        transport.send(FakeMessage(60), "su-0", "sdc")
-        self._assert_mirrored(transport, metrics)
-        snap = metrics.snapshot()["counters"]
-        assert snap["transport_records_total{link=su-0->sdc}"] == 2
-        assert snap["transport_bytes_total{link=su-0->sdc}"] == 160
+        cut: set[tuple[str, str]] = set()
+        by_link: dict[str, list[int]] = {}
+        by_kind: dict[str, tuple[int, int]] = {}
+        for op in ops:
+            action, link = op[0], op[1]
+            if action == "cut":
+                transport.fail_link(*link)
+                cut.add(link)
+            elif action == "restore":
+                transport.restore_link(*link)
+                cut.discard(link)
+            elif action == "drop":
+                transport.inject_faults(*link, drop=op[2])
+            elif action == "duplicate":
+                transport.inject_faults(*link, duplicate=op[2])
+            elif action == "delay":
+                transport.inject_faults(*link, delay_s=0.01, delay_count=op[2])
+            else:
+                message = op[2](op[3])
+                dropped = transport.fault_stats["dropped"]
+                duplicated = transport.fault_stats["duplicated"]
+                before = (transport.count(), transport.total_bytes())
+                try:
+                    transport.send(message, *link)
+                except (LinkDownError, MessageDroppedError) as exc:
+                    assert isinstance(exc, LinkDownError) == (link in cut)
+                    assert transport.fault_stats["dropped"] == dropped + (
+                        link not in cut
+                    )
+                    assert (transport.count(), transport.total_bytes()) == before
+                    continue
+                assert link not in cut
+                copies = 1 + transport.fault_stats["duplicated"] - duplicated
+                label = "->".join(link)
+                link_totals = by_link.setdefault(label, [0, 0])
+                link_totals[0] += copies
+                link_totals[1] += copies * message.size
+                kind = type(message).__name__
+                count, size = by_kind.get(kind, (0, 0))
+                by_kind[kind] = (count + copies, size + copies * message.size)
+        records = self._counters(metrics, "transport_records_total")
+        sizes = self._counters(metrics, "transport_bytes_total")
+        assert records == {label: count for label, (count, _) in by_link.items()}
+        assert sizes == {label: size for label, (_, size) in by_link.items()}
+        assert transport.by_kind() == by_kind
+        assert sum(records.values()) == transport.count()
+        assert sum(sizes.values()) == transport.total_bytes()
 
     def test_duplicates_counted_and_drops_not(self):
-        from repro.errors import MessageDroppedError
-        from repro.net.transport import MultiplexedTransport
-        from repro.telemetry import MetricsRegistry
-
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         metrics = MetricsRegistry()
         transport.attach_metrics(metrics)
         transport.inject_faults("a", "b", drop=1, duplicate=1)
@@ -302,30 +207,11 @@ class TestMetricsMirroring:
         transport.send(FakeMessage(10), "a", "b")  # duplicated on the wire
         transport.send(FakeMessage(5), "a", "b")
         assert transport.count() == 3  # 2 copies + 1 plain, drop absent
-        self._assert_mirrored(transport, metrics)
-
-    def test_reorder_flush_is_mirrored(self):
-        from repro.net.transport import MultiplexedTransport
-        from repro.telemetry import MetricsRegistry
-
-        transport = MultiplexedTransport()
-        metrics = MetricsRegistry()
-        transport.attach_metrics(metrics)
-        transport.inject_faults("a", "b", reorder_window=3)
-        transport.send(FakeMessage(1), "a", "b")
-        transport.send(FakeMessage(2), "a", "b")
-        # Held back — nothing recorded, nothing counted yet.
-        assert transport.count() == 0
-        assert metrics.snapshot()["counters"] == {}
-        transport.clear_faults()  # flushes the held window
-        assert transport.count() == 2
-        self._assert_mirrored(transport, metrics)
+        assert self._counters(metrics, "transport_records_total") == {"a->b": 3}
+        assert self._counters(metrics, "transport_bytes_total") == {"a->b": 25}
 
     def test_aggregate_totals_match(self):
-        from repro.net.transport import MultiplexedTransport
-        from repro.telemetry import MetricsRegistry
-
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         metrics = MetricsRegistry()
         transport.attach_metrics(metrics)
         for size, link in ((10, ("a", "b")), (20, ("b", "c")), (30, ("a", "b"))):

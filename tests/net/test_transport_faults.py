@@ -1,16 +1,11 @@
-"""Injected transport faults: deterministic budgets on the wire log."""
+"""Injected transport faults: deterministic budgets per directed link."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import LinkDownError, MessageDroppedError
-from repro.net.latency import ConstantLatency
-from repro.net.transport import (
-    InMemoryTransport,
-    MultiplexedTransport,
-    resolve_multiplexed,
-)
+from repro.net.transport import InMemoryTransport, resolve_transport
 
 
 @dataclass
@@ -21,7 +16,7 @@ class Msg:
 
 class TestDropFaults:
     def test_drop_budget_consumed_one_send_at_a_time(self):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         transport.inject_faults("a", "b", drop=2)
         for _ in range(2):
             with pytest.raises(MessageDroppedError):
@@ -30,21 +25,21 @@ class TestDropFaults:
         assert transport.fault_stats["dropped"] == 2
 
     def test_dropped_send_records_nothing(self):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         transport.inject_faults("a", "b", drop=1)
         with pytest.raises(MessageDroppedError):
             transport.send(Msg(), "a", "b")
         assert transport.count() == 0  # never hit the wire accounting
 
     def test_drop_is_per_directed_link(self):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         transport.inject_faults("a", "b", drop=1)
         transport.send(Msg(), "b", "a")  # reverse direction unaffected
         with pytest.raises(MessageDroppedError):
             transport.send(Msg(), "a", "b")
 
     def test_budgets_are_additive(self):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         transport.inject_faults("a", "b", drop=1)
         transport.inject_faults("a", "b", drop=1)
         for _ in range(2):
@@ -52,7 +47,7 @@ class TestDropFaults:
                 transport.send(Msg(), "a", "b")
 
     def test_drop_differs_from_link_down(self):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         transport.fail_link("a", "b")
         with pytest.raises(LinkDownError):
             transport.send(Msg(), "a", "b")
@@ -60,20 +55,32 @@ class TestDropFaults:
 
 class TestDelayAndDuplicate:
     def test_delay_stretches_next_n_sends(self):
-        transport = MultiplexedTransport(latency=ConstantLatency(0.001))
+        transport = InMemoryTransport()
         transport.inject_faults("a", "b", delay_s=0.5, delay_count=2)
+        delays = []
         for _ in range(3):
+            delays.append(transport.pending_delay_seconds("a", "b"))
             transport.send(Msg(), "a", "b")
-        delays = [r.delay_seconds for r in transport.records]
-        # The first two sends carry the injected 0.5 s on top of the
-        # base model; the third is back to the base delay alone.
-        assert delays[0] == pytest.approx(delays[2] + 0.5)
-        assert delays[1] == pytest.approx(delays[2] + 0.5)
-        assert delays[2] < 0.01
+        delays.append(transport.pending_delay_seconds("a", "b"))
+        # The first two sends carry the injected 0.5 s; then the budget
+        # is spent and the link is back to no delay at all.
+        assert delays == [0.5, 0.5, 0.0, 0.0]
+        assert transport.pending_delay_seconds("b", "a") == 0.0
         assert transport.fault_stats["delayed"] == 2
+        assert transport.count() == 3
+
+    def test_unbounded_delay_lasts_until_cleared(self):
+        transport = InMemoryTransport()
+        transport.inject_faults("a", "b", delay_s=0.4)
+        for _ in range(5):
+            transport.send(Msg(), "a", "b")
+        assert transport.pending_delay_seconds("a", "b") == 0.4
+        transport.clear_faults()
+        assert transport.pending_delay_seconds("a", "b") == 0.0
+        assert transport.fault_stats["delayed"] == 5
 
     def test_duplicate_doubles_the_wire_log_entry(self):
-        transport = MultiplexedTransport()
+        transport = InMemoryTransport()
         transport.inject_faults("a", "b", duplicate=1)
         transport.send(Msg(), "a", "b")
         transport.send(Msg(), "a", "b")
@@ -81,50 +88,22 @@ class TestDelayAndDuplicate:
         assert transport.fault_stats["duplicated"] == 1
 
 
-class TestReorder:
-    def test_window_flushes_reversed(self):
-        @dataclass
-        class First:
-            def wire_size(self) -> int:
-                return 1
-
-        @dataclass
-        class Second:
-            def wire_size(self) -> int:
-                return 1
-
-        transport = MultiplexedTransport()
-        transport.inject_faults("a", "b", reorder_window=2)
-        transport.send(First(), "a", "b")
-        assert transport.count() == 0  # held back
-        transport.send(Second(), "a", "b")
-        assert [r.kind for r in transport.records] == ["Second", "First"]
-        assert transport.fault_stats["reordered"] == 2
-
-    def test_clear_faults_flushes_held_records(self):
-        transport = MultiplexedTransport()
-        transport.inject_faults("a", "b", reorder_window=3)
-        transport.send(Msg(), "a", "b")
-        assert transport.count() == 0
-        transport.clear_faults()
-        assert transport.count() == 1  # held record flushed to the log
-        transport.send(Msg(), "a", "b")  # faults fully disarmed
-        assert transport.count() == 2
-
-
-class TestResolveMultiplexed:
+class TestResolveTransport:
     def test_identity(self):
-        transport = MultiplexedTransport()
-        assert resolve_multiplexed(transport) is transport
+        transport = InMemoryTransport()
+        assert resolve_transport(transport) is transport
 
     def test_unwraps_inner_chain(self):
         class Wrapper:
             def __init__(self, inner):
                 self.inner = inner
 
-        mux = MultiplexedTransport()
-        assert resolve_multiplexed(Wrapper(Wrapper(mux))) is mux
+        transport = InMemoryTransport()
+        assert resolve_transport(Wrapper(Wrapper(transport))) is transport
 
-    def test_none_when_no_multiplexed_layer(self):
-        assert resolve_multiplexed(InMemoryTransport()) is None
-        assert resolve_multiplexed(None) is None
+    def test_none_when_no_transport_in_the_stack(self):
+        class Wrapper:
+            inner = None
+
+        assert resolve_transport(Wrapper()) is None
+        assert resolve_transport(None) is None

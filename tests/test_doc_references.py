@@ -7,6 +7,9 @@ cites must be a file in the checkout.  The six pre-spine benches PR 17
 retired — and the ``BENCH_*.json`` histories they wrote — may not be
 cited at all, with or without a path; nor may the ``cluster-up``
 launcher PR 20 retired, its spec file or its ``ClusterSpec``.
+Neither may the transport options, classes and fault plan that went
+when the in-memory transport became one class keeping only per-kind
+totals and link faults.
 
 History files (``CHANGES.md``, ``ROADMAP.md``) and
 ``benchmarks/spine/README.md`` are deliberately out of scope.
@@ -27,6 +30,9 @@ RETIRED = re.compile(
     r"|cluster-up|cluster_spec\.json|ClusterSpec"
     r"|handle_partial_extraction|start_request_with_partials"
     r"|_indicator_cell"
+    r"|MultiplexedTransport|BoundChannel|resolve_multiplexed|max_records"
+    r"|total_delay_seconds|configure_link|DistanceLatency|SeededJitterLatency"
+    r"|reorder-links|reorder_window"
 )
 
 

@@ -3,8 +3,9 @@
 Examples are documentation that executes; breaking one silently is how
 repos rot.  Each test imports the script as a module and runs its
 ``main()`` with captured output, asserting on a signature line.
-``city_scale`` is excluded here purely for suite runtime (it is
-exercised manually and by CI-style full runs).
+``city_scale`` is excluded here purely for suite runtime; CI's
+``paper-benches`` job runs it and checks its oracle agreement and its
+``communication totals`` line.
 """
 
 import importlib.util
