@@ -300,13 +300,27 @@ class ProcessSupervisor:
     # -- fault injection / teardown --------------------------------------------------
 
     def kill(self, name: str, sig: int = signal.SIGKILL) -> None:
-        """Deliver a signal to a worker (the process-chaos fault)."""
+        """Deliver a signal to a worker (the process-chaos fault).
+
+        A SIGSTOP returns only once the whole worker is frozen: ``kill``
+        itself returns when the signal is queued, and until the group
+        stop completes a worker thread already woken by incoming data
+        can still answer it.  ``waitid(WSTOPPED)`` reports the child
+        only after its last thread stopped; ``WNOWAIT`` leaves that
+        report, and any exit status, for :class:`subprocess.Popen`.
+        """
         handle = self._handles.get(name)
         if handle is None or handle.process is None:
             return
         try:
             handle.process.send_signal(sig)
-        except ProcessLookupError:  # pragma: no cover - already gone
+            if sig == signal.SIGSTOP:
+                os.waitid(
+                    os.P_PID,
+                    handle.process.pid,
+                    os.WSTOPPED | os.WEXITED | os.WNOWAIT,
+                )
+        except (ProcessLookupError, ChildProcessError):  # pragma: no cover - already gone
             pass
 
     def wait_exit(self, name: str, timeout_s: float = 10.0) -> int | None:
