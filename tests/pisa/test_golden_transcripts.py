@@ -10,7 +10,7 @@ responses, the switch's PU update — must equal a constant recorded
 before the SDC implementations were unified.
 
 A pin only ever changes together with a deliberate, documented change
-of the wire transcript.  Three so far, each re-recorded in a commit that
+of the wire transcript.  Four so far, each re-recorded in a commit that
 shifted the draws and nothing else:
 
 * the STP draws each SU's *next* request's re-encryption nonces while
@@ -27,7 +27,12 @@ shifted the draws and nothing else:
   converter with another way to open a ciphertext, so they too draw one
   request ahead — ``PACKED_DIGEST`` and ``TWO_SERVER_DIGEST``; the
   baseline's stream did not change, and ``DECISIONS`` held because a
-  re-encryption nonce decides nothing: it only re-randomises ``X̃``.
+  re-encryption nonce decides nothing: it only re-randomises ``X̃``;
+* the blinding bound is taken against the smaller prime, not ``n``
+  (docs/security.md, "The STP opens with one CRT half"), which clamps α
+  to 59 bits at the 256-bit keys pinned here — ``BASIC_DIGEST``,
+  ``REPEAT_DIGEST``, ``JOURNAL_DIGEST`` and ``TWO_SERVER_DIGEST``; the
+  512-bit ``PACKED_DIGEST`` and ``DECISIONS`` did not move.
 """
 
 import hashlib
@@ -49,16 +54,16 @@ SEED = "golden"
 
 #: The single SDC and every cluster shape draw the same stream, so one
 #: constant pins all four deployments.
-BASIC_DIGEST = "f1f67faa937346563990e26ddb05aef7c05119ce69e825fe86e9ab2f21d969a0"
-TWO_SERVER_DIGEST = "bbc8141d05c8bae7cb30acf57e197b205b3517932ab0801392a43e05390a138e"
+BASIC_DIGEST = "fc8d397a57c0b484d0f04378b15ba013410c9cb2d60288a257b89205fde1155f"
+TWO_SERVER_DIGEST = "895ab179a3776071333d53133da2d6ebf90b3fa2d5692d38e303d540fb7baf4e"
 PACKED_DIGEST = "3298daadc5b34eeed57d3105d641515fe90e76a33fcd9695e3a8a15d9be9d80c"
-JOURNAL_DIGEST = "4c8901bb5c799bfe14626f1d2410523298d5fb6d257856ce78449821fb116fec"
+JOURNAL_DIGEST = "841c376b22653c96590fb8b6ea77b76e87bd5068289a888893d43553c523a081"
 #: Seed-4 scenario, SUs 0..2: a deny followed by two grants.
 DECISIONS = (False, True, True)
 #: The same session with every SU asking twice: the second pass is served
 #: from the nonces the STP drew during the first.  Re-pinned whenever
 #: BASIC_DIGEST is.
-REPEAT_DIGEST = "65790a7e765cf675b0942d258dd1ecef2d92f147a8777edb0ba2e45f24c6c5c8"
+REPEAT_DIGEST = "a840e0fe01424fddaa7319340c93daf139d7f8bd8c791f1576cb037ac5b61549"
 
 
 def frozen_clock() -> float:

@@ -49,7 +49,7 @@ def build_instance(pus_spec, su_spec, seed):
     su = SUTransmitter("su", block_index=su_spec[0], tx_power_dbm=su_spec[1])
     oracle = PlaintextSDC(environment)
     coordinator = PisaCoordinator(
-        environment, key_bits=192, rng=DeterministicRandomSource(seed)
+        environment, key_bits=256, rng=DeterministicRandomSource(seed)
     )
     for pu in pus:
         oracle.pu_update(pu)

@@ -41,7 +41,7 @@ class TestParser:
 
 class TestExecution:
     def test_demo(self, capsys):
-        assert main(["demo", "--seed", "3", "--key-bits", "128"]) == 0
+        assert main(["demo", "--seed", "3", "--key-bits", "256"]) == 0
         out = capsys.readouterr().out
         assert "decision for" in out
         assert "GRANTED" in out or "DENIED" in out
@@ -50,7 +50,7 @@ class TestExecution:
         assert main(["demo", "--packed", "--two-server"]) == 2
 
     def test_demo_two_server(self, capsys):
-        assert main(["demo", "--seed", "3", "--key-bits", "128",
+        assert main(["demo", "--seed", "3", "--key-bits", "256",
                      "--two-server"]) == 0
         assert "two-server" in capsys.readouterr().out
 

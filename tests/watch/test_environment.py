@@ -179,7 +179,7 @@ class TestTerrainAwareCoverage:
         )
         oracle = PlaintextSDC(env)
         coord = PisaCoordinator(
-            env, key_bits=192, rng=DeterministicRandomSource("terrain-e2e")
+            env, key_bits=256, rng=DeterministicRandomSource("terrain-e2e")
         )
         for pu in base.pus:
             signal = received_tv_signal_mw(env, pu.block_index, pu.channel_slot)
