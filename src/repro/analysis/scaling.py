@@ -166,7 +166,8 @@ def estimate_full_scale(
     * SDC phase 2: one multiplication per cell into ``Π₊X`` or ``Π₋X``,
       then per request one inverse, one plain addition (``g^{−k}``), the
       SG̃ encryption and one full-width η-scale;
-    * STP: decryption + encryption per cell;
+    * STP: one CRT half (half a decryption: ``c^{p−1} mod p²``) and one
+      encryption per cell — the blinding keeps ``|V|`` below ``p/2``;
     * PU update: one encryption per channel client-side; SDC folds it in
       with one addition per channel (plus one subtraction when
       replacing).
@@ -199,7 +200,7 @@ def estimate_full_scale(
         request_refresh_s=cells * profile.hom_add_s,
         sdc_processing_s=sdc_phase1 + sdc_phase2,
         sdc_phase2_s=sdc_phase2,
-        stp_conversion_s=cells * (profile.decryption_s + profile.encryption_s),
+        stp_conversion_s=cells * (profile.decryption_s / 2 + profile.encryption_s),
         pu_update_prepare_s=num_channels * profile.encryption_s,
         sdc_pu_update_s=num_channels * (profile.hom_add_s + profile.hom_sub_s),
         su_request_bytes=cells * ct_bytes,

@@ -17,7 +17,9 @@ Implementation notes
   single modular multiplication (``(1 + m·n) · r**n mod n²``) instead of a
   full exponentiation of ``g``.
 * Decryption uses the standard CRT speed-up: exponentiate separately
-  modulo ``p²`` and ``q²`` and recombine, roughly a 4x saving.
+  modulo ``p²`` and ``q²`` and recombine, roughly a 4x saving.  A caller
+  that knows ``|m| < p/2`` needs only the ``p`` half
+  (:meth:`PaillierPrivateKey.half_decrypt_job`).
 * Scalar multiplication by a *negative* constant inverts the ciphertext
   modulo ``n²`` first, so small negative scalars (PISA uses ``ε ∈ {−1,1}``)
   cost one inverse plus a small exponentiation rather than a 2048-bit one.
@@ -220,6 +222,22 @@ class PaillierPrivateKey:
         mp = (self._l_function(pow_p, self.p) * self._hp) % self.p
         mq = (self._l_function(pow_q, self.q) * self._hq) % self.q
         return self._crt.combine(mp, mq)
+
+    def half_decrypt_job(self, ciphertext: int) -> tuple[int, int, int]:
+        """The ``p`` half of :meth:`decrypt_pow_jobs`: ``c^{p−1} mod p²``.
+
+        Enough to open a ciphertext whose signed plaintext ``m`` is known
+        to satisfy ``|m| < p/2``: then ``m mod p`` read in ``(−p/2, p/2)``
+        *is* ``m``.  Finish with :meth:`signed_from_half`.
+        """
+        return self.decrypt_pow_jobs(ciphertext)[0]
+
+    def signed_from_half(self, pow_p: int) -> int:
+        """The plaintext mod ``p`` as a signed residue in ``(−p/2, p/2)``,
+        from a :meth:`half_decrypt_job` result."""
+        from repro.crypto.encoding import decode_signed
+
+        return decode_signed((self._l_function(pow_p, self.p) * self._hp) % self.p, self.p)
 
     def raw_decrypt_textbook(self, ciphertext: int) -> int:
         """Decrypt using the textbook ``(λ, μ)`` formula (no CRT).

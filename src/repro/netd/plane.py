@@ -41,6 +41,7 @@ from repro.netd.remote import AuthorityServer, RemoteShardSet, RemoteStp
 from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import PeerClient, SocketTransport, TlsSpec
 from repro.netd.wire import decode_control, encode_control
+from repro.pisa.blinding import indicator_bound_for
 from repro.service import loadtest as loadtest_module
 from repro.service.loadtest import LoadtestConfig, LoadtestReport, ServiceFixture
 from repro.telemetry import MetricsRegistry, Tracer
@@ -100,7 +101,13 @@ class SocketClusterCoordinator(ClusterCoordinator):
 
     def _build_stp(self, key_bits: int, stp_executor) -> RemoteStp:
         keypair = generate_keypair(key_bits, rng=self._rng)
-        stp = RemoteStp(self.netd.transport, STP_ENDPOINT, keypair, key_bits)
+        stp = RemoteStp(
+            self.netd.transport,
+            STP_ENDPOINT,
+            keypair,
+            key_bits,
+            indicator_bound_for(self.environment.params),
+        )
         self.netd.authority.register_bootstrap(
             STP_ENDPOINT, stp.bootstrap_payload
         )

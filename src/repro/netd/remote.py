@@ -229,11 +229,14 @@ class RemoteStp:
         endpoint: str,
         keypair: PaillierKeypair,
         key_bits: int,
+        indicator_bound: int,
     ) -> None:
         self._transport = transport
         self._endpoint = endpoint
         self._keypair = keypair
         self.key_bits = key_bits
+        #: What the worker's ``StpServer`` checks opened values against.
+        self._indicator_bound = indicator_bound
         self.directory = KeyDirectory(keypair.public_key)
         #: su_id → public key, in registration order (dicts preserve it);
         #: the bootstrap provider serialises this.
@@ -265,7 +268,12 @@ class RemoteStp:
             encode_public_key(self._su_registry[su_id]) for su_id in su_ids
         )
         return encode_control(
-            {"role": "stp", "key_bits": self.key_bits, "sus": su_ids},
+            {
+                "role": "stp",
+                "key_bits": self.key_bits,
+                "indicator_bound": self._indicator_bound,
+                "sus": su_ids,
+            },
             *attachments,
         )
 

@@ -184,7 +184,9 @@ class StpState:
             public_key=private_key.public_key, private_key=private_key
         )
         self.stp = StpServer(
-            group_keypair=keypair, rng=RemoteRandomSource(authority_peer)
+            group_keypair=keypair,
+            rng=RemoteRandomSource(authority_peer),
+            indicator_bound=int(obj["indicator_bound"]),
         )
         for su_id, raw in zip(su_ids, attachments[1:]):
             self.stp.register_su(su_id, decode_public_key(raw))

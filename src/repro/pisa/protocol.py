@@ -19,6 +19,7 @@ from repro.crypto.signatures import RsaFdhSigner, generate_rsa_keypair
 from repro.errors import ProtocolError
 from repro.geo.region import PrivacyRegion
 from repro.net.transport import InMemoryTransport
+from repro.pisa.blinding import indicator_bound_for
 from repro.pisa.pu_client import PUClient
 from repro.pisa.sdc_server import SdcServer
 from repro.pisa.stp_server import StpServer
@@ -137,7 +138,12 @@ class PisaCoordinator:
 
     def _build_stp(self, key_bits: int, executor):
         """The conversion server; draws the group keypair."""
-        return StpServer(key_bits=key_bits, rng=self._rng, executor=executor)
+        return StpServer(
+            key_bits=key_bits,
+            rng=self._rng,
+            executor=executor,
+            indicator_bound=indicator_bound_for(self.environment.params),
+        )
 
     def _build_sdc(self, signer: RsaFdhSigner, executor):
         return SdcServer(

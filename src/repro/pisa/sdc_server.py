@@ -35,7 +35,12 @@ from repro.crypto.parallel import Executor, default_executor
 from repro.crypto.rand import RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
-from repro.pisa.blinding import BlindingFactory, BlindingParameters, CellBlinding
+from repro.pisa.blinding import (
+    BlindingFactory,
+    BlindingParameters,
+    CellBlinding,
+    indicator_bound_for,
+)
 from repro.pisa.kernel import BlockKernel, partial_q_sum, require_key, require_units
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
@@ -104,15 +109,11 @@ class SdcFront:
         return self.directory.group_public_key
 
     def blinding_parameters(self) -> BlindingParameters:
-        """Safe α/β widths for this deployment's value range.
-
-        The indicator magnitude is bounded by
-        ``max(N, R) ≤ 2**value_bits · (X + 1)`` with ``X`` the integer
-        SINR factor of eq. (11).
-        """
-        params = self.environment.params
-        bound = (1 << params.value_bits) * (params.sinr_plus_redn_int + 1)
-        return BlindingParameters.for_key(self.group_public_key, bound)
+        """Safe α/β widths for this deployment's value range
+        (:func:`~repro.pisa.blinding.indicator_bound_for`)."""
+        return BlindingParameters.for_key(
+            self.group_public_key, indicator_bound_for(self.environment.params)
+        )
 
     # -- the arithmetic seam ---------------------------------------------------------
 

@@ -19,11 +19,20 @@ Steps 6-8 are written once, in :class:`SignConverter`; the packed STP
 (:mod:`repro.pisa.two_server`) are the same converter with another way
 to open a ciphertext.
 
+:class:`StpServer` opens a cell with one CRT half: the blinding keeps
+``|V|`` below half the smaller prime (:mod:`repro.pisa.blinding`), so
+``V mod p`` read in ``(−p/2, p/2)`` is ``V`` — one ``c^{p−1} mod p²``
+per cell, no CRT combine.  A ``V`` the SDC cannot have produced would
+make those signs an oracle on ``p``, so any opened ``|V|`` above the
+blinding's largest is refused (docs/security.md, "The STP opens with
+one CRT half").
+
 The re-encryption nonces depend on nothing a request carries, so the
 converter draws them one request ahead, per SU, and can spend idle time
 on their ``r**n mod n_j²`` (:meth:`SignConverter.fill_stock`) — §VI-A's
 obfuscator precomputation, on the STP side.  The stock holds nothing
-the converter would not draw anyway.
+the converter would not draw anyway.  A request is opened before its
+nonces are drawn, so one the opening refuses draws nothing.
 
 The STP also operates the public :class:`~repro.pisa.keys.KeyDirectory`.
 """
@@ -34,7 +43,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.crypto.encoding import decode_signed
 from repro.crypto.paillier import (
     EncryptedNumber,
     PaillierKeypair,
@@ -43,7 +51,9 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.parallel import Executor, default_executor
 from repro.crypto.rand import RandomSource, default_rng
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
+from repro.pisa.blinding import BlindingParameters
+from repro.pisa.kernel import require_units
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 
@@ -84,10 +94,11 @@ class SignConverter:
 
     Owns everything about a conversion that does not depend on how a
     ``Ṽ`` ciphertext is opened: the SU-key check, whole-request
-    validation, the one-ahead nonce draw and the per-SU stock, the single
-    ``pow_many`` batch, the ``> 0`` of eq. (15), the re-encryption under
-    ``pk_j``, :class:`StpStats` and :meth:`fill_stock`.  A subclass says
-    how to open, in two hooks: :meth:`_open_jobs` and :meth:`_open`.
+    validation, the one-ahead nonce draw and the per-SU stock, the
+    ``pow_many`` batch (one in steady state), the ``> 0`` of eq. (15), the
+    re-encryption under ``pk_j``, :class:`StpStats` and :meth:`fill_stock`.
+    A subclass says how to open, in two hooks: :meth:`_open_jobs` and
+    :meth:`_open`.
     """
 
     def __init__(
@@ -128,7 +139,8 @@ class SignConverter:
         """Per ciphertext, in request order, the signed values it holds.
 
         ``powers`` are the results of every :meth:`_open_jobs` job, in
-        the order submitted.
+        the order submitted.  Runs before the request's nonces are
+        drawn: raising here refuses the request with nothing drawn.
         """
         raise NotImplementedError
 
@@ -159,46 +171,54 @@ class SignConverter:
             raise ProtocolError(f"SU {request.su_id!r} has not registered a key")
         su_key = self.directory.su_key(request.su_id)
         # Validate every cell before the first draw (a rejected request
-        # consumes none and leaves the stock alone).
+        # consumes none and leaves the stock alone): under pk_G, a unit,
+        # inside (0, n²).
         pk = self.group_public_key
-        for ct in cells:
-            if ct.public_key != pk:
-                raise ProtocolError("Ṽ entry not under the group key")
-            if not 0 < ct.ciphertext < pk.n_sq:
-                raise ProtocolError("Ṽ entry outside (0, n²)")
+        require_units(cells, pk, "Ṽ entry")
+        if not all(0 < ct.ciphertext < pk.n_sq for ct in cells):
+            raise ProtocolError("Ṽ entry outside (0, n²)")
         with self._serving, self._stock_lock:
+            stock = self._stock.get(request.su_id, _Stock())
+            ready = stock.obfuscators[: len(cells)]
+            # Open first — the opening may still refuse the request
+            # (_open raises) — in one batch with the r**n of every stocked
+            # nonce this request uses that fill_stock() has not reached.
+            jobs = [job for ct in cells for job in self._open_jobs(ct.ciphertext)]
+            opening = len(jobs)
+            jobs.extend(
+                su_key.obfuscator_job(r) for r in stock.nonces[len(ready) : len(cells)]
+            )
+            powers = self._executor.pow_many(jobs)
+            opened = self._open(request, powers[:opening])
             # The nonces are the ones drawn for this SU while serving its
             # previous request; one call draws whatever this request
             # still lacks and then the SU's next request's worth, so in
             # steady state nothing a request needs waits on a draw.
-            stock = self._stock.pop(request.su_id, _Stock())
+            self._stock.pop(request.su_id, None)  # re-stocked below, as the newest
             surplus = stock.nonces[len(cells):]
             shortfall = max(0, len(cells) - len(stock.nonces))
-            drawn = self._rng.random_units(
+            # Drawn after the opening batch, never inside one: every
+            # executor leaves the stream at the same position.
+            drawn = self._rng.random_units(  # audit-ok: ORD001 — see above
                 su_key.n, shortfall + max(0, len(cells) - len(surplus))
             )
-            nonces = stock.nonces[: len(cells)] + drawn[:shortfall]
-            ready = stock.obfuscators[: len(cells)]
             self._stock[request.su_id] = _Stock(
                 surplus + drawn[shortfall:], stock.obfuscators[len(cells):]
             )
             if len(self._stock) > MAX_STOCKED_SUS:
                 del self._stock[next(iter(self._stock))]
-            # Batch the expensive exponentiations through the executor:
-            # the opening of every cell, plus the r**n of every nonce
-            # fill_stock() has not reached.  One path whether it reached
-            # all, some or none of them, and the same bytes.
-            jobs = [job for ct in cells for job in self._open_jobs(ct.ciphertext)]
-            opening = len(jobs)
-            jobs.extend(su_key.obfuscator_job(r) for r in nonces[len(ready):])
-            powers = self._executor.pow_many(jobs)
-            opened = self._open(request, powers[:opening])
+            # Only an SU's first request, or one wider than its stock,
+            # computes r**n for nonces drawn just now.
+            inline = [su_key.obfuscator_job(r) for r in drawn[:shortfall]]
+            obfuscators = ready + powers[opening:] + (
+                self._executor.pow_many(inline) if inline else []
+            )
             converted = [
                 su_key.encrypt_with_obfuscator(
                     self._encode([1 if value > 0 else -1 for value in values]),
                     obfuscator,
                 )
-                for values, obfuscator in zip(opened, ready + powers[opening:])
+                for values, obfuscator in zip(opened, obfuscators)
             ]
             self.stats.conversions += 1
             self.stats.cells_decrypted += len(cells)
@@ -252,7 +272,10 @@ class SignConverter:
 class StpServer(SignConverter):
     """Key authority + sign-extraction/key-conversion service.
 
-    Opens a ciphertext with the whole group secret key: two CRT halves.
+    Opens a ciphertext with one CRT half of the group secret key, and
+    refuses a request in which any opened ``|V|`` exceeds what the
+    blinding for ``indicator_bound`` can produce
+    (:attr:`~repro.pisa.blinding.BlindingParameters.max_blinded`).
     """
 
     def __init__(
@@ -261,24 +284,28 @@ class StpServer(SignConverter):
         key_bits: int = 2048,
         rng: RandomSource | None = None,
         executor: Executor | None = None,
+        *,
+        indicator_bound: int,
     ) -> None:
         rng = default_rng(rng)
         self._keypair = group_keypair or generate_keypair(key_bits, rng=rng)
-        super().__init__(
-            KeyDirectory(self._keypair.public_key), rng=rng, executor=executor
-        )
+        pk, sk = self._keypair.public_key, self._keypair.private_key
+        if min(sk.p, sk.q).bit_length() < pk.key_bits // 2:
+            raise ConfigurationError(
+                "one CRT half opens Ṽ only if both primes have ⌊n_bits/2⌋ bits"
+            )
+        #: The largest ``|V|`` the SDC's blinding produces; below ``p/2``.
+        self._max_blinded = BlindingParameters.for_key(pk, indicator_bound).max_blinded
+        super().__init__(KeyDirectory(pk), rng=rng, executor=executor)
 
     def _open_jobs(self, ciphertext: int):
-        return self._keypair.private_key.decrypt_pow_jobs(ciphertext)
-
-    def _plaintexts(self, powers: list[int]) -> list[int]:
-        """The raw plaintexts behind ``powers``, two CRT halves each."""
-        sk = self._keypair.private_key
-        halves = iter(powers)
-        return [
-            sk.raw_decrypt_from_pows(pow_p, pow_q) for pow_p, pow_q in zip(halves, halves)
-        ]
+        return (self._keypair.private_key.half_decrypt_job(ciphertext),)
 
     def _open(self, request, powers: list[int]):
-        n = self.group_public_key.n
-        return [(decode_signed(raw, n),) for raw in self._plaintexts(powers)]
+        sk = self._keypair.private_key
+        values = [sk.signed_from_half(power) for power in powers]
+        # V mod p answered for a V the SDC cannot have built would be a
+        # sign of p: refuse the request instead.
+        if any(abs(value) > self._max_blinded for value in values):
+            raise ProtocolError("opened Ṽ outside the blinding range")
+        return [(value,) for value in values]

@@ -56,7 +56,8 @@ class ServiceCostModel:
     ``packing_factor`` models the packed-mode extension: phases that are
     per-cell (preparation, STP conversion) divide by ``k``; phases with
     per-cell *and* per-chunk parts use the same factor as a first-order
-    model.
+    model.  A packed chunk's slots span ``n``, so its STP opening is a
+    full decryption, where the baseline opens a cell with one CRT half.
     """
 
     def __init__(
@@ -76,6 +77,10 @@ class ServiceCostModel:
             profile, num_channels=num_channels, num_blocks=num_blocks
         )
         k = packing_factor
+        stp_convert_s = estimate.stp_conversion_s
+        if k > 1:
+            cells = num_channels * num_blocks
+            stp_convert_s = cells * (profile.decryption_s + profile.encryption_s) / k
         # Phase 2 is the cheap ΣQ̃ accumulation (one multiplication per
         # cell, one inverse per request) plus the license.
         phase2 = estimate.sdc_phase2_s
@@ -83,7 +88,7 @@ class ServiceCostModel:
             su_prepare_s=estimate.request_preparation_s / k,
             su_refresh_s=estimate.request_refresh_s / k,
             sdc_phase1_s=(estimate.sdc_processing_s - phase2) / k,
-            stp_convert_s=estimate.stp_conversion_s / k,
+            stp_convert_s=stp_convert_s,
             sdc_phase2_s=phase2 / k,
             su_decrypt_s=profile.decryption_s,
             pu_prepare_s=estimate.pu_update_prepare_s,

@@ -74,7 +74,7 @@ class TestBreachComparison:
         for seed in range(trials):
             coordinator = PisaCoordinator(
                 attack_scenario.environment,
-                key_bits=192,
+                key_bits=256,
                 rng=DeterministicRandomSource(f"breach-{seed}"),
             )
             for pu in attack_scenario.pus:

@@ -40,7 +40,12 @@ def authority(keypair):
     )
     server.register_bootstrap("shard-t", lambda: payload)
     stp_payload = encode_control(
-        {"role": "stp", "key_bits": keypair.public_key.key_bits, "sus": []},
+        {
+            "role": "stp",
+            "key_bits": keypair.public_key.key_bits,
+            "indicator_bound": 1 << 66,
+            "sus": [],
+        },
         encode_private_key(keypair.private_key),
     )
     server.register_bootstrap("stp-t", lambda: stp_payload)

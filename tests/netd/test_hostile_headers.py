@@ -176,7 +176,7 @@ def test_live_stp_worker_refuses_without_a_draw(keypair, second_keypair, rows, c
     authority = _CountingAuthority()
     worker = StpState(
         encode_control(
-            {"role": "stp", "key_bits": 256, "sus": ["su-1"]},
+            {"role": "stp", "key_bits": 256, "indicator_bound": 1 << 66, "sus": ["su-1"]},
             encode_private_key(keypair.private_key),
             encode_public_key(second_keypair.public_key),
         ),

@@ -1,5 +1,6 @@
 """Unit tests for the STP (sign extraction + key conversion)."""
 
+import dataclasses
 import functools
 import itertools
 import threading
@@ -11,24 +12,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.paillier import EncryptedNumber, generate_keypair
+from repro.crypto.backend import powmod
+from repro.crypto.encoding import decode_signed
+from repro.crypto.numtheory import generate_prime
+from repro.crypto.paillier import (
+    EncryptedNumber,
+    PaillierKeypair,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    generate_keypair,
+)
 from repro.crypto.parallel import SerialExecutor
 from repro.crypto.rand import DeterministicRandomSource
-from repro.errors import DecryptionError, ProtocolError, ReproError
+from repro.errors import ConfigurationError, DecryptionError, ProtocolError, ReproError
 from repro.pisa.messages import SignExtractionRequest
 from repro.pisa.packed import PackedSignExtractionRequest, PackedStpServer
 from repro.pisa import stp_server
+from repro.pisa.blinding import BlindingParameters, indicator_bound_for
 from repro.pisa.stp_server import StpServer, StpStats
 from repro.pisa.two_server import (
     BackendServer,
     PartialSignExtractionRequest,
     deal_two_server_keys,
 )
+from repro.watch.params import WatchParameters
+
+
+#: The indicator bound of every default-parameter scenario.
+BOUND = indicator_bound_for(WatchParameters())
 
 
 @pytest.fixture()
 def stp(fresh_rng):
-    return StpServer(key_bits=256, rng=fresh_rng)
+    return StpServer(key_bits=256, rng=fresh_rng, indicator_bound=BOUND)
 
 
 @pytest.fixture()
@@ -50,8 +66,22 @@ class TestKeyAuthority:
 
     def test_accepts_external_keypair(self, fresh_rng):
         kp = generate_keypair(256, rng=fresh_rng)
-        stp = StpServer(group_keypair=kp)
+        stp = StpServer(group_keypair=kp, indicator_bound=BOUND)
         assert stp.group_public_key == kp.public_key
+
+    def test_unbalanced_keypair_refused(self):
+        """One CRT half opens Ṽ only below half the smaller prime, which the
+        blinding bound assumes has ⌊n_bits/2⌋ bits: a 256-bit modulus of a
+        100-bit and a 156-bit prime is refused."""
+        rng = DeterministicRandomSource("unbalanced")
+        while True:
+            p, q = generate_prime(100, rng=rng), generate_prime(156, rng=rng)
+            if (p * q).bit_length() == 256:
+                break
+        public = PaillierPublicKey(p * q)
+        keypair = PaillierKeypair(public, PaillierPrivateKey(public, p, q))
+        with pytest.raises(ConfigurationError):
+            StpServer(group_keypair=keypair, indicator_bound=BOUND)
 
 
 class TestSignExtraction:
@@ -121,6 +151,8 @@ class Harness:
     #: plaintext its sign comes back in.
     encode: Callable = lambda value: value
     expected: Callable = lambda value: 1 if value > 0 else -1
+    #: A prime factor of the group modulus, where the test holds one.
+    prime: int = 0
 
     def cell(self, value, rng) -> EncryptedNumber:
         return self.server.group_public_key.encrypt(self.encode(value), rng=rng)
@@ -149,12 +181,17 @@ def _su_keypair():
 
 
 def _baseline_stp(rng, environment, executor=None):
-    stp = StpServer(group_keypair=_group_keypair(256), rng=rng, executor=executor)
+    stp = StpServer(
+        group_keypair=_group_keypair(256),
+        rng=rng,
+        executor=executor,
+        indicator_bound=indicator_bound_for(environment.params),
+    )
 
     def make_request(su_id, cells):
         return SignExtractionRequest("r0", su_id, (tuple(cells),))
 
-    return Harness(stp, make_request)
+    return Harness(stp, make_request, prime=_group_keypair(256).private_key.p)
 
 
 def _packed_stp(rng, environment, executor=None):
@@ -171,6 +208,7 @@ def _packed_stp(rng, environment, executor=None):
         make_request,
         encode=lambda value: layout.pack([layout.half_slot + value]),
         expected=lambda value: layout.pack([2 if value > 0 else 0]),
+        prime=_group_keypair(512).private_key.p,
     )
 
 
@@ -228,6 +266,119 @@ def test_rejected_extraction_consumes_no_draws(build, pisa_scenario, su_keys, fr
     assert rng.randbits(64) == untouched.randbits(64)
     assert server.stock_counts() == before
     assert server.stats == StpStats()
+
+
+def assert_refused_without_a_draw(harness, rng, requests, error=ProtocolError):
+    """Every request raises ``error``; no nonce is drawn, the stock and the
+    stats stay as they were, and the SU's next request is still served
+    from its stock."""
+    server = harness.server
+    batches, counts = list(rng.batches), server.stock_counts()
+    stats = dataclasses.replace(server.stats)
+    for request in requests:
+        with pytest.raises(error):
+            server.handle_sign_extraction(request)
+    assert rng.batches == batches
+    assert server.stock_counts() == counts
+    assert server.stats == stats
+    harness.ask("su-1", [harness.cell(5, DeterministicRandomSource("next"))] * 3)
+    assert rng.batches == batches + [3]
+
+
+@BUILDERS
+def test_non_unit_entries_refused_before_any_draw(build, pisa_scenario, su_keys, fresh_rng):
+    """``Ṽ = n``, another multiple of ``n`` or (where the test knows it) a
+    multiple of ``p`` is refused whole: no unit, no opening."""
+    rng = RecordingSource("non-unit-stream")
+    harness = build(rng, pisa_scenario.environment)
+    pk = harness.server.group_public_key
+    harness.server.register_su("su-1", su_keys.public_key)
+    good = harness.cell(5, fresh_rng)
+    harness.ask("su-1", [good] * 3)  # stocks su-1's next request
+    non_units = [pk.n, 3 * pk.n] + ([7 * harness.prime] if harness.prime else [])
+    assert_refused_without_a_draw(
+        harness,
+        rng,
+        [harness.make_request("su-1", [good, EncryptedNumber(pk, c)]) for c in non_units],
+    )
+
+
+# -- the baseline STP opens with one CRT half --------------------------------------
+
+
+class TestOneHalfOpen:
+    """``V mod p`` read in ``(−p/2, p/2)`` is ``V`` for every ``|V|`` the
+    blinding can produce; a larger one is refused, so the signs are no
+    oracle on ``p``."""
+
+    @staticmethod
+    def max_blinded(keypair) -> int:
+        return BlindingParameters.for_key(keypair.public_key, BOUND).max_blinded
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_half_equals_the_full_decryption(self, bits, data):
+        keypair = _group_keypair(bits)
+        pk, sk = keypair.public_key, keypair.private_key
+        bound = self.max_blinded(keypair)
+        value = data.draw(
+            st.one_of(
+                st.sampled_from([bound, -bound, bound - 1, -bound + 1, 1, -1, 0]),
+                st.integers(min_value=-bound, max_value=bound),
+            )
+        )
+        ct = pk.encrypt(value, rng=DeterministicRandomSource(f"half-{value}")).ciphertext
+        opened = sk.signed_from_half(powmod(*sk.half_decrypt_job(ct)))
+        assert opened == decode_signed(sk.raw_decrypt(ct), pk.n) == value
+
+    def test_out_of_range_values_refused_before_any_draw(self, pisa_scenario, su_keys):
+        rng = RecordingSource("range-stream")
+        harness = _baseline_stp(rng, pisa_scenario.environment)
+        harness.server.register_su("su-1", su_keys.public_key)
+        good = harness.cell(5, DeterministicRandomSource("range-cells"))
+        harness.ask("su-1", [good] * 3)
+        bound = self.max_blinded(_group_keypair(256))
+        p = harness.prime
+        assert bound + 1 < p // 2 - 1
+        cells = [
+            harness.cell(value, DeterministicRandomSource(f"range-{value}"))
+            for value in (bound + 1, -(bound + 1), p // 2 - 1)
+        ]
+        assert_refused_without_a_draw(
+            harness, rng, [harness.make_request("su-1", [good, bad]) for bad in cells]
+        )
+
+    def test_extremes_answered(self, pisa_scenario, su_keys):
+        harness = _baseline_stp(
+            DeterministicRandomSource("extremes"), pisa_scenario.environment
+        )
+        harness.server.register_su("su-1", su_keys.public_key)
+        bound = self.max_blinded(_group_keypair(256))
+        values = [bound, -bound, 1, -1]
+        cells = [harness.cell(v, DeterministicRandomSource(f"x-{v}")) for v in values]
+        answers = harness.ask("su-1", cells)
+        assert [su_keys.private_key.decrypt(ct) for ct in answers] == [1, -1, 1, -1]
+
+
+@BUILDERS
+def test_opening_jobs_per_cell(build, pisa_scenario, su_keys):
+    """TestStpJobCount: with the SU's stock filled, a conversion is its
+    opening alone — one job per cell on the baseline STP (one CRT half)
+    and the two-server backend (``Ṽ^{d₂}``), two per chunk on the packed
+    STP (both CRT halves)."""
+    executor = SerialExecutor()
+    harness = build(
+        DeterministicRandomSource("job-count"), pisa_scenario.environment, executor=executor
+    )
+    harness.server.register_su("su-1", su_keys.public_key)
+    cells = [harness.cell(v, DeterministicRandomSource("job-cells")) for v in range(-3, 9)]
+    harness.ask("su-1", cells)
+    harness.server.fill_stock()
+    before = executor.jobs_executed
+    harness.ask("su-1", cells)
+    per_cell = 2 if build is _packed_stp else 1
+    assert executor.jobs_executed - before == per_cell * len(cells)
 
 
 # -- the per-SU nonce stock ------------------------------------------------------
@@ -319,28 +470,25 @@ class TestNonceStockPacked(TestNonceStock):
 class TestNonceStockTwoServer(TestNonceStock):
     build = staticmethod(_two_server_backend)
 
-    def test_partials_that_do_not_combine_burn_that_requests_nonces(
-        self, stocked, su_keys
-    ):
-        """A failure only the opening can see comes after the draw: a
-        ``DecryptionError``, the request's nonces gone for good, the
-        SU's next request still stocked."""
+    def test_partials_that_do_not_combine_burn_no_nonces(self, stocked, su_keys):
+        """A failure only the opening can see comes before the draw too:
+        a ``DecryptionError``, nothing drawn, the SU's stock untouched and
+        its next request served from it."""
         harness, rng, ask = stocked
         pk = su_keys.public_key
         first = ask("su-1", 2)
+        counts = harness.server.stock_counts()
         cell = harness.cell(5, DeterministicRandomSource("stock-cells"))
         bad = harness.make_request("su-1", [cell] * 2, combine=False)
         with pytest.raises(DecryptionError):
             harness.server.handle_sign_extraction(bad)
-        assert rng.batches == [4, 2]
-        assert harness.server.stock_counts()["stocked_nonces"] == 2
+        assert rng.batches == [4]
+        assert harness.server.stock_counts() == counts
         assert harness.server.stats.conversions == 1
         second = ask("su-1", 2)
-        assert rng.batches == [4, 2, 2]
-        stream = rng.drawn
-        # stream[2:4] went with the failed request and is never emitted.
+        assert rng.batches == [4, 2]
         assert first + second == [
-            pk.encrypt(harness.expected(5), r=r) for r in stream[0:2] + stream[4:6]
+            pk.encrypt(harness.expected(5), r=r) for r in rng.drawn[0:4]
         ]
 
 

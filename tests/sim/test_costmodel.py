@@ -45,8 +45,14 @@ class TestServiceCosts:
         assert packed.costs.su_prepare_s == pytest.approx(
             base.costs.su_prepare_s / 12
         )
+        # The baseline opens a cell with one CRT half, a packed chunk with
+        # a full decryption (its slots span n).
+        profile = PAPER_PROFILE
+        assert base.costs.stp_convert_s == pytest.approx(
+            60_000 * (profile.decryption_s / 2 + profile.encryption_s)
+        )
         assert packed.costs.stp_convert_s == pytest.approx(
-            base.costs.stp_convert_s / 12
+            60_000 / 12 * (profile.decryption_s + profile.encryption_s)
         )
         assert packed.request_bytes == base.request_bytes // 12
 
