@@ -129,6 +129,8 @@ def test_zzz_render_figure6(benchmark, deployment, paper_keypair, bench_rng, sys
         ("SU request preparation", "≈221 s", f"{ms('prep')} | {projected.request_preparation_s:.0f} s"),
         ("SU request refresh", "≈11 s", f"{ms('refresh')} | {projected.request_refresh_s:.0f} s"),
         ("SDC request processing", "≈219 s", f"{ms('processing')} | {projected.sdc_processing_s:.0f} s"),
+        # The paper does not cost the STP; one CRT half + one encryption per cell.
+        ("STP sign extraction + conversion", "—", f"n/a | {projected.stp_conversion_s:.0f} s"),
         ("PU update round", "≈2.6 s", f"{ms('pu_update')} | {projected.sdc_pu_update_s + projected.pu_update_prepare_s:.1f} s"),
         ("SU request size", "≈29 MB",
          f"{_SIZES.get('request', 0) / 1e6:.2f} MB | {projected.su_request_bytes / 1e6:.1f} MB"),
