@@ -18,12 +18,8 @@ from repro.errors import AuditError
 
 __all__ = ["Baseline", "diff_against_baseline"]
 
-#: Current on-disk version.  Version 1 (engine v1) files load
-#: transparently — fingerprints are unchanged across the engine-v2
-#: migration, so prior waivers survive byte-for-byte — and are rewritten
-#: as version 2 on the next ``--update-baseline``.
+#: The on-disk version; a file of any other version is refused.
 _VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -41,7 +37,7 @@ class Baseline:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise AuditError(f"cannot read baseline {path}: {exc}") from exc
-        if payload.get("version") not in _READABLE_VERSIONS:
+        if payload.get("version") != _VERSION:
             raise AuditError(
                 f"unsupported baseline version in {path}: {payload.get('version')!r}"
             )

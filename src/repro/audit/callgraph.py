@@ -242,13 +242,6 @@ def _dotted_text(expr: ast.AST) -> str:
     return ""
 
 
-def _receiver_text(expr: ast.AST) -> str:
-    """Dotted text of a call's receiver ('' for bare names)."""
-    if isinstance(expr, ast.Attribute):
-        return _dotted_text(expr.value)
-    return ""
-
-
 def _is_wallclock(callee: str) -> bool:
     head, _, tail = callee.rpartition(".")
     if not head:
@@ -894,29 +887,6 @@ class Project:
                     return (found,)
                 return ()
         return ()
-
-    # -- reachability ------------------------------------------------------
-
-    def callees_of(self, ident: str) -> tuple[str, ...]:
-        info = self.functions.get(ident)
-        if info is None:
-            return ()
-        out: list[str] = []
-        for call in info.calls:
-            out.extend(self.resolve(info.module, info.qualname, call.callee))
-        return tuple(dict.fromkeys(out))
-
-    def reachable_from(self, ident: str) -> frozenset[str]:
-        """Transitive closure of :meth:`callees_of` (cycle-safe)."""
-        seen: set[str] = set()
-        frontier = [ident]
-        while frontier:
-            current = frontier.pop()
-            for callee in self.callees_of(current):
-                if callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return frozenset(seen)
 
     def waived(self, module: str, line: int, rule: str) -> bool:
         summary = self.modules.get(module)

@@ -66,8 +66,8 @@ class AuditConfig:
     #: Modules subject to the shared-state race heuristic (SVC001).
     service_modules: frozenset[str] = frozenset(
         {
+            "repro.crypto.parallel",
             "repro.service.broker",
-            "repro.service.workers",
             "repro.cluster.membership",
             "repro.cluster.replica",
             "repro.cluster.router",

@@ -2,9 +2,9 @@
 
 The PISA implementation guarantees byte-identical transcripts whether
 ``pow_many`` runs on the :class:`~repro.crypto.parallel.SerialExecutor`
-or a process pool.  That only holds if *all* randomness for a protocol
-step is drawn in the parent, in protocol order, **before** the first
-executor dispatch.  An ``rng`` draw after ``pow_many`` means the draw's
+or the :class:`~repro.crypto.parallel.ThreadExecutor`.  That only holds
+if *all* randomness for a protocol step is drawn by the caller, in
+protocol order, **before** the first executor dispatch.  An ``rng`` draw after ``pow_many`` means the draw's
 position in the stream depends on batching, and deterministic replays
 diverge between executors.
 

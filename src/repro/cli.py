@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=8,
                        help="requests per epoch before early dispatch")
     serve.add_argument("--workers", type=int, default=0,
-                       help="worker processes for Paillier batches "
+                       help="threads for Paillier batches "
                             "(0 = serial in-process executor)")
     serve.add_argument("--kill-shard", type=int, default=0, metavar="N",
                        help="kill a shard primary once N request events "
@@ -416,12 +416,12 @@ def _cmd_serve_loadtest(args) -> int:
 
     from repro.analysis.reporting import format_table
     from repro.crypto import backend
+    from repro.crypto.parallel import ThreadExecutor
     from repro.service import ServiceConfig, run_loadtest
-    from repro.service.workers import ProcessWorkerPool
 
     if args.plane == "socket" and (args.workers or args.kill_shard):
         print("--plane socket does not take --workers / --kill-shard "
-              "(homomorphic work already runs in the shard processes; "
+              "(homomorphic work there runs in the worker processes; "
               "use `repro chaos --plan proc-kill-shard` for process faults)",
               file=sys.stderr)
         return 2
@@ -462,10 +462,9 @@ def _cmd_serve_loadtest(args) -> int:
         executor_name = "shard-processes"
         plane = f"{shards}-shard socket plane"
     elif args.workers > 0:
-        with ProcessWorkerPool(max_workers=args.workers) as pool:
-            pool.warm_up()  # fork workers before the event loop spins up
-            report = run_loadtest(config, executor=pool)
-        executor_name = f"process-pool[{args.workers}]"
+        with ThreadExecutor(args.workers) as executor:
+            report = run_loadtest(config, executor=executor)
+        executor_name = f"threads[{args.workers}]"
         plane = f"{args.shards}-shard cluster" if args.shards else "single SDC"
     else:
         report = run_loadtest(config)

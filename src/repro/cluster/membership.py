@@ -88,11 +88,6 @@ class ClusterMembership:
             record = self._records.get(shard_id)
             return record is not None and record.status == STATUS_ACTIVE
 
-    def lease_token(self, shard_id: str) -> int:
-        """The last fencing token recorded for ``shard_id`` (0 = none)."""
-        with self._lock:
-            return self._leases.get(shard_id, 0)
-
     def leases(self) -> dict[str, int]:
         """Snapshot of every recorded lease, for operators and audits."""
         with self._lock:

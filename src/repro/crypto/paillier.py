@@ -149,7 +149,7 @@ class PaillierPublicKey:
 
         Byte-identical to ``encrypt(value, r=r)`` when ``obfuscator ==
         pow(r, n, n²)`` — the cheap completion step after the expensive
-        exponentiation ran elsewhere (worker pool, idle-time stock).
+        exponentiation ran elsewhere (another thread, idle-time stock).
         """
         from repro.crypto.encoding import encode_signed
 

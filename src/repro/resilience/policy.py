@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.crypto.rand import DeterministicRandomSource, RandomSource
 from repro.errors import CircuitOpenError, FencedError, RetryExhaustedError
@@ -94,9 +94,6 @@ class RetryPolicy:
     #: means attempts are the only limit.
     budget_s: float | None = None
     retryable: tuple[type[BaseException], ...] = (Exception,)
-
-    def with_attempts(self, max_attempts: int) -> "RetryPolicy":
-        return replace(self, max_attempts=max_attempts)
 
     def retries(self, exc: BaseException) -> bool:
         if isinstance(exc, NEVER_RETRYABLE):

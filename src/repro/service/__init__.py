@@ -7,9 +7,6 @@ this package turns it into a long-running *service*:
   control and per-request deadlines;
 * :mod:`repro.service.batching` — epoch batching of concurrent SU
   requests into single allocation passes;
-* :mod:`repro.service.workers` — a process pool for the Paillier
-  modular-exponentiation batches (the
-  :class:`~repro.crypto.parallel.Executor` seam);
 * :mod:`repro.service.loadtest` — synthetic open-loop workload driver
   (``repro serve-loadtest``).
 
@@ -35,7 +32,6 @@ from repro.service.loadtest import (
     build_packed_service,
     run_loadtest,
 )
-from repro.service.workers import ProcessWorkerPool, SerialExecutor
 from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -58,6 +54,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProcessWorkerPool",
-    "SerialExecutor",
 ]

@@ -195,11 +195,6 @@ class AllocationResult:
     su_id: str
     granted: bool
     outcome: object
-    #: The license response message (byte-exact; lets callers verify
-    #: transcript equality across executors).
-    response: object
-    request_bytes: int
-    response_bytes: int
     batch_size: int
 
 
@@ -338,7 +333,7 @@ class BatchAllocator:
                 batch_response, sender=self._conversion_peer, receiver="sdc"
             )
         results = []
-        for (su_id, request), conversion, span in zip(
+        for (su_id, _), conversion, span in zip(
             epoch.items, conversions, spans
         ):
             response = self._run_phase(
@@ -357,9 +352,6 @@ class BatchAllocator:
                     su_id=su_id,
                     granted=outcome.granted,
                     outcome=outcome,
-                    response=response,
-                    request_bytes=request.wire_size(),
-                    response_bytes=response.wire_size(),
                     batch_size=len(epoch.items),
                 )
             )

@@ -118,10 +118,6 @@ class AdmissionSimulator:
     def num_admitted(self) -> int:
         return len(self.admitted)
 
-    def all_pus_protected(self, required_sinr_db: float) -> bool:
-        """True when every active PU keeps at least ``required_sinr_db``."""
-        return self.worst_sinr_db() >= required_sinr_db
-
     def budget_is_stationary(self) -> bool:
         """The budget N must not change across admissions (§IV-A:
         "the interference budgets stay the same" — Δ_redn absorbs the

@@ -60,12 +60,6 @@ def zeros_matrix(num_channels: int, num_blocks: int) -> np.ndarray:
     return matrix
 
 
-def _check_shape(matrix: np.ndarray, params: WatchParameters, num_blocks: int) -> None:
-    expected = (params.num_channels, num_blocks)
-    if matrix.shape != expected:
-        raise ConfigurationError(f"matrix shape {matrix.shape} != expected {expected}")
-
-
 # -- PU side -------------------------------------------------------------------
 
 

@@ -144,35 +144,10 @@ class TestBaseline:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(AuditError):
-            Baseline.load(path)
-
-    def test_v1_baseline_migrates_transparently(self, tmp_path):
-        """Engine-v2 keeps fingerprints stable, so v1 waivers survive."""
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "findings": [
-                        {
-                            "fingerprint": findings[0].fingerprint,
-                            "rule": findings[0].rule,
-                            "reason": "pre-migration waiver",
-                        }
-                    ],
-                }
-            )
-        )
-        loaded = Baseline.load(path)
-        assert findings[0] in loaded
-        # Saving rewrites as the current version with entries intact.
-        loaded.save(path)
-        refreshed = json.loads(path.read_text())
-        assert refreshed["version"] == 2
-        assert refreshed["findings"][0]["reason"] == "pre-migration waiver"
+        for version in (1, 99):
+            path.write_text(json.dumps({"version": version, "findings": []}))
+            with pytest.raises(AuditError):
+                Baseline.load(path)
 
     def test_diff_splits_new_and_grandfathered(self):
         findings = self._findings()

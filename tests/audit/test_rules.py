@@ -297,7 +297,7 @@ class TestOrd001TranscriptOrder:
                 results = executor.pow_many(jobs)
                 return results, rng.randbits(8)
         """
-        assert not rules_hit(source, module="repro.service.workers", select={"ORD001"})
+        assert not rules_hit(source, module="repro.crypto.parallel", select={"ORD001"})
 
     def test_functions_are_independent(self):
         # A dispatch in one function must not poison draws in another.
@@ -324,17 +324,17 @@ class TestSvc001SharedState:
 
     def test_flags_sync_method_of_worker_class(self):
         source = """
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor
 
             class Pool:
                 def start(self):
-                    self.pool = ProcessPoolExecutor()
+                    self.pool = ThreadPoolExecutor()
 
                 def run(self, jobs):
                     self.jobs += len(jobs)
         """
         assert "SVC001" in rules_hit(
-            source, module="repro.service.workers", select={"SVC001"}
+            source, module="repro.crypto.parallel", select={"SVC001"}
         )
 
     def test_flags_mutable_class_default(self):
@@ -348,17 +348,17 @@ class TestSvc001SharedState:
 
     def test_lock_guard_suppresses(self):
         source = """
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor
 
             class Pool:
                 def start(self):
-                    self.pool = ProcessPoolExecutor()
+                    self.pool = ThreadPoolExecutor()
 
                 def run(self, jobs):
                     with self._stats_lock:
                         self.jobs += len(jobs)
         """
-        assert not rules_hit(source, module="repro.service.workers", select={"SVC001"})
+        assert not rules_hit(source, module="repro.crypto.parallel", select={"SVC001"})
 
     def test_plain_sync_class_untouched(self):
         source = """

@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 from repro.crypto import backend
 from repro.crypto.numtheory import modinv
 from repro.crypto.paillier import EncryptedNumber
-from repro.crypto.parallel import SerialExecutor
+from repro.crypto.parallel import SerialExecutor, ThreadExecutor
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import CryptoError
 from repro.pisa.packed import PackedCoordinator
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.two_server import TwoServerCoordinator
-from repro.service.workers import ProcessWorkerPool
 from tests.pisa import test_golden_transcripts as golden
 
 FLOOR = backend._NATIVE_FLOOR
@@ -212,14 +211,13 @@ class TestFallback:
                 golden.PACKED_DIGEST, golden.DECISIONS)
 
 
-# -- (e) workers forked after the library was loaded ------------------------------
+# -- (e) one batch over more threads than cores ----------------------------------
 
 
-def test_process_pool_matches_serial_on_the_native_sizes():
+def test_threads_match_serial_on_the_native_sizes():
     rnd = random.Random(23)
     modulus = rnd.getrandbits(1024) | (1 << 1023) | 1
     jobs = [(rnd.getrandbits(1024), rnd.getrandbits(512) | 2, modulus) for _ in range(64)]
-    with ProcessWorkerPool(max_workers=2) as pool:
-        pooled = pool.pow_many(jobs)
-        assert pool._pool is not None  # really forked
-    assert pooled == SerialExecutor().pow_many(jobs) == [pow(*job) for job in jobs]
+    with ThreadExecutor(4) as executor:
+        threaded = executor.pow_many(jobs)
+    assert threaded == SerialExecutor().pow_many(jobs) == [pow(*job) for job in jobs]

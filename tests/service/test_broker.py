@@ -40,9 +40,6 @@ class StubAllocator:
                 su_id=su_id,
                 granted=True,
                 outcome=_Grant(),
-                response=None,
-                request_bytes=0,
-                response_bytes=0,
                 batch_size=len(epoch.items),
             )
             for su_id, _ in epoch.items

@@ -1,17 +1,29 @@
-"""Worker-pool executor: correctness, chunking, and protocol equivalence."""
+"""The executors: correctness, chunking, teardown and protocol equivalence."""
 
 import sys
 import threading
 from collections import UserList
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.crypto.parallel import SerialExecutor, default_executor
+from repro.crypto import backend, parallel
+from repro.crypto.parallel import SerialExecutor, ThreadExecutor, default_executor
 from repro.crypto.rand import DeterministicRandomSource
 from repro.pisa.protocol import PisaCoordinator
-from repro.service.workers import ProcessWorkerPool, default_worker_count
 
 TEST_KEY_BITS = 256
+FLOOR = backend._NATIVE_FLOOR
+
+
+def outcome(function, *args):
+    """``("ok", value)`` or ``("raised", type, message)``."""
+    try:
+        return "ok", function(*args)
+    except Exception as exc:  # the contract is about *which* exception
+        return "raised", type(exc), str(exc)
 
 
 class TestSerialExecutor:
@@ -28,17 +40,23 @@ class TestSerialExecutor:
         executor = SerialExecutor()
         assert default_executor(executor) is executor
 
-    def test_job_count_is_exact_under_threads(self):
+    @pytest.mark.parametrize(
+        "make, batch, calls",
+        [(SerialExecutor, 1, 10_000), (lambda: ThreadExecutor(2), 2, 1_000)],
+        ids=["serial", "threads"],
+    )
+    def test_job_count_is_exact_under_threads(self, make, batch, calls):
         """The process-wide instance is shared by scatter threads and the
         broker's idle fill; a lost update would move the per-cell job
-        pins of ``tests/pisa/test_kernel.py``.
+        pins of ``tests/pisa/test_kernel.py``.  A thread executor's
+        two-job batches go through its pool.
 
         The batch is a ``UserList`` because its ``len()`` runs Python
         code: CPython 3.11 inlines ``len(list)`` without a thread-switch
         check, which hides the race there and nowhere else.
         """
-        executor = SerialExecutor()
-        threads, calls, jobs = 16, 10_000, UserList([(3, 5, 7)])
+        executor = make()
+        threads, jobs = 16, UserList([(3, 5, 7)] * batch)
         barrier = threading.Barrier(threads)
 
         def work():
@@ -56,51 +74,86 @@ class TestSerialExecutor:
                 worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+            if isinstance(executor, ThreadExecutor):
+                executor.close()
         assert not any(worker.is_alive() for worker in workers)
-        assert executor.jobs_executed == threads * calls
+        assert executor.jobs_executed == threads * calls * batch
 
 
-class TestProcessWorkerPool:
-    def test_results_match_serial_in_order(self):
-        jobs = [(base, 65537, 10**9 + 7) for base in range(2, 40)]
-        with ProcessWorkerPool(max_workers=2, min_parallel_jobs=1) as pool:
-            assert pool.pow_many(jobs) == SerialExecutor().pow_many(jobs)
+_exponents = st.one_of(
+    st.sampled_from([-2, -1, 0, 1]),
+    st.integers(min_value=2, max_value=1 << 64),
+    st.integers(min_value=1 << 255, max_value=1 << 1024),
+)
+_moduli = st.one_of(
+    st.integers(min_value=1, max_value=FLOOR - 1),
+    st.integers(min_value=FLOOR, max_value=FLOOR << 256),
+)
+_jobs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=1 << 1100), _exponents, _moduli),
+    max_size=40,
+)
 
-    def test_small_batches_run_inline(self):
-        with ProcessWorkerPool(max_workers=2, min_parallel_jobs=8) as pool:
-            assert pool.pow_many([(3, 4, 5)]) == [pow(3, 4, 5)]
-            assert pool._pool is None  # never forked
 
-    def test_counts_jobs_and_batches(self):
-        with ProcessWorkerPool(max_workers=1) as pool:
-            pool.pow_many([(2, 2, 9), (3, 3, 11)])
-            pool.pow_many([(5, 5, 13)])
-        assert pool.jobs_executed == 3
-        assert pool.batches_executed == 2
+class TestThreadExecutor:
+    @settings(max_examples=150, deadline=None)
+    @given(threads=st.integers(min_value=1, max_value=4), jobs=_jobs)
+    def test_differential_against_pow(self, threads, jobs):
+        with ThreadExecutor(threads) as executor:
+            assert outcome(executor.pow_many, jobs) == outcome(
+                lambda: [pow(*job) for job in jobs]
+            )
+            assert executor.jobs_executed == len(jobs)
 
-    def test_empty_batch(self):
-        with ProcessWorkerPool(max_workers=2) as pool:
-            assert pool.pow_many([]) == []
+    def test_first_failing_job_raises_as_in_serial(self):
+        """Chunk 1 holds a non-invertible base, chunk 2 a zero modulus:
+        the serial loop stops at the first, and so must the threads."""
+        good = (3, FLOOR - 1, FLOOR + 1)
+        jobs = [good] * 4 + [(6, -1, FLOOR * 3)] + [good] * 2 + [(5, 3, 0), good]
+        with pytest.raises(ValueError) as serial:
+            SerialExecutor().pow_many(jobs)
+        with ThreadExecutor(3) as executor, pytest.raises(ValueError) as threaded:
+            executor.pow_many(jobs)
+        assert str(threaded.value) == str(serial.value) != str(
+            outcome(pow, 5, 3, 0)[2]
+        )
 
-    def test_invalid_worker_count(self):
+    def test_single_job_runs_inline(self):
+        ran_on = []
+
+        def record(*job):
+            ran_on.append(threading.current_thread())
+            return pow(*job)
+
+        with ThreadExecutor(4) as executor, mock.patch.object(
+            parallel, "powmod", side_effect=record
+        ):
+            assert executor.pow_many([(3, 4, 5)]) == [pow(3, 4, 5)]
+            assert executor.pow_many([]) == []
+            assert ran_on == [threading.current_thread()]
+            executor.pow_many([(3, 4, 5)] * 8)
+        assert len(ran_on) == 9
+        assert threading.current_thread() not in ran_on[1:]
+
+    def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
-            ProcessWorkerPool(max_workers=0)
+            ThreadExecutor(0)
 
-    def test_default_worker_count_floor(self):
-        assert default_worker_count() >= 2
-
-    def test_warm_up_starts_pool(self):
-        with ProcessWorkerPool(max_workers=2, min_parallel_jobs=1) as pool:
-            pool.warm_up()
-            assert pool._pool is not None
+    def test_close_joins_every_thread(self):
+        before = set(threading.enumerate())
+        executor = ThreadExecutor(4)
+        executor.pow_many([(3, 4, 5)] * 16)
+        assert set(threading.enumerate()) - before  # the pool really ran
+        executor.close()
+        assert not [t for t in set(threading.enumerate()) - before if t.is_alive()]
 
 
 class TestSignExtractionEquivalence:
-    """The satellite claim: swapping executors never changes protocol bytes.
+    """Swapping executors never changes protocol bytes.
 
-    All randomness is drawn in the parent process in protocol order
-    before any batch dispatches, so the serial executor and the process
-    pool must produce byte-identical sign-extraction transcripts.
+    All randomness is drawn in protocol order before any batch
+    dispatches, so the serial executor and the thread executor must
+    produce byte-identical sign-extraction transcripts.
     """
 
     @staticmethod
@@ -119,11 +172,11 @@ class TestSignExtractionEquivalence:
         conversion = coordinator.stp.handle_sign_extraction(extraction)
         return request.to_bytes(), extraction.to_bytes(), conversion.to_bytes()
 
-    def test_pool_and_serial_transcripts_identical(self, scenario):
+    def test_threads_and_serial_transcripts_identical(self, scenario):
         serial = self._transcript(scenario, SerialExecutor())
-        with ProcessWorkerPool(max_workers=2, min_parallel_jobs=1) as pool:
-            pooled = self._transcript(scenario, pool)
-        assert serial[0] == pooled[0]  # SU request
-        assert serial[1] == pooled[1]  # SDC blinding (eq. 14)
-        assert serial[2] == pooled[2]  # STP sign extraction (eq. 15)
-        assert pool.jobs_executed > 0  # the pool really ran the batches
+        with ThreadExecutor(2) as executor:
+            threaded = self._transcript(scenario, executor)
+        assert serial[0] == threaded[0]  # SU request
+        assert serial[1] == threaded[1]  # SDC blinding (eq. 14)
+        assert serial[2] == threaded[2]  # STP sign extraction (eq. 15)
+        assert executor.jobs_executed > 0  # the threads really ran the batches

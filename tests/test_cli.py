@@ -150,6 +150,20 @@ class TestServeLoadtest:
         # No fill thread outlives the run.
         assert set(threading.enumerate()) <= threads_before
 
+    def test_workers_are_threads(self, capsys):
+        import threading
+
+        threads_before = set(threading.enumerate())
+        assert main([
+            "serve-loadtest", "--seed", "3", "--requests", "3", "--rate", "200",
+            "--sus", "2", "--window-ms", "20", "--max-batch", "2", "--workers", "2",
+        ]) == 0
+        assert "executor threads[2], crypto " in capsys.readouterr().out
+        # The executor's threads are joined when the run ends.
+        assert set(threading.enumerate()) <= threads_before
+        assert main(["serve-loadtest", "--plane", "socket", "--workers", "2"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [["--host", "127.0.0.1"], ["--tls-cert", "c.pem", "--tls-key", "k.pem"],
