@@ -2,9 +2,9 @@
 
 All retry behaviour in the runtime layers is supposed to flow through
 :func:`repro.resilience.policy.run_with_policy`, which provides jittered
-backoff, budgets, idempotency keys, and circuit breaking.  A hand-rolled
+backoff, bounded attempts, and circuit breaking.  A hand-rolled
 ``while: ... sleep(...)`` loop or a bare ``except:`` handler bypasses all
-of that: the loop retries forever with no budget, and the bare handler
+of that: the loop retries forever with no bound, and the bare handler
 swallows ``KeyboardInterrupt``/``SystemExit`` along with the error it
 meant to catch.  The rule flags:
 

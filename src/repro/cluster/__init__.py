@@ -26,7 +26,7 @@ from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.ring import ConsistentHashRing
-from repro.cluster.router import ShardRouter, SuspectPolicy
+from repro.cluster.router import ShardRouter
 from repro.cluster.shard import SdcShard
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SdcShard",
     "ShardReplicaSet",
     "ShardRouter",
-    "SuspectPolicy",
     "execute_handoff",
     "plan_handoff",
 ]

@@ -59,7 +59,6 @@ from repro.cluster.fencing import LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
-from repro.cluster.ring import DEFAULT_VIRTUAL_NODES
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import (
     SdcShard,
@@ -207,14 +206,11 @@ class ClusterCoordinator(PisaCoordinator):
         environment: SpectrumEnvironment,
         num_shards: int = 2,
         key_bits: int = 2048,
-        signature_bits: int | None = None,
         rng: RandomSource | None = None,
         transport: InMemoryTransport | None = None,
         stp_executor=None,
         shard_executor_factory=None,
-        heartbeat_timeout_s: float = 1.0,
         max_attempts: int = 2,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         scatter_threads: int | None = None,
         journal=None,
         clock=time.time,
@@ -237,9 +233,7 @@ class ClusterCoordinator(PisaCoordinator):
         self._num_shards = num_shards
         self._shard_executor_factory = shard_executor_factory
         self._shard_executors: list = []
-        self._heartbeat_timeout_s = heartbeat_timeout_s
         self._max_attempts = max_attempts
-        self._virtual_nodes = virtual_nodes
         self._scatter_threads = scatter_threads
         self._metrics = metrics
         #: The deployment's :class:`~repro.store.base.StateStore` (in
@@ -250,7 +244,6 @@ class ClusterCoordinator(PisaCoordinator):
         super().__init__(
             environment,
             key_bits=key_bits,
-            signature_bits=signature_bits,
             rng=rng,
             transport=transport if transport is not None else InMemoryTransport(),
             executor=stp_executor,
@@ -264,9 +257,7 @@ class ClusterCoordinator(PisaCoordinator):
         """
         environment, store, metrics = self.environment, self.store, self._metrics
         shard_ids = tuple(f"shard-{i}" for i in range(self._num_shards))
-        self.membership = ClusterMembership(
-            shard_ids, virtual_nodes=self._virtual_nodes
-        )
+        self.membership = ClusterMembership(shard_ids)
         self.replica_sets: dict[str, ShardReplicaSet] = {
             shard_id: self._build_replica_set(shard_id) for shard_id in shard_ids
         }
@@ -299,7 +290,6 @@ class ClusterCoordinator(PisaCoordinator):
             token = self.fencing.token(shard_id)
             if token:
                 self.replica_sets[shard_id].install_fence(token)
-                self.membership.record_lease(shard_id, token)
         if metrics is not None:
             self.transport.attach_metrics(metrics)
         return ClusterSdc(
@@ -333,7 +323,6 @@ class ClusterCoordinator(PisaCoordinator):
             shard_id,
             shard_factory=factory,
             store=self.store,
-            heartbeat_timeout_s=self._heartbeat_timeout_s,
             journal=self.journal,
         )
 
@@ -401,7 +390,6 @@ class ClusterCoordinator(PisaCoordinator):
         self.fencing.register(shard_id)
         lease = self.fencing.bump(shard_id, "cold-start")
         replica_set.install_fence(lease.token)
-        self.membership.record_lease(shard_id, lease.token)
         self.replica_sets[shard_id] = replica_set
         self.router.add_replica_set(shard_id, replica_set)
         replica_set.record_heartbeat()

@@ -65,14 +65,14 @@ class LeaseAuthority:
     """Issues strictly increasing fencing tokens, durably.
 
     One instance per deployment — the single point that decides who the
-    legitimate writer for a shard is.  ``store`` (optional) makes
-    tokens survive kill9-and-coldstart; ``journal`` (optional) leaves a
-    barriered provenance trail; ``metrics`` (optional) pre-registers the
-    fencing families at zero so a scrape before the first promotion
-    still shows them.
+    legitimate writer for a shard is.  ``store`` makes tokens survive
+    kill9-and-coldstart; ``journal`` (optional) leaves a barriered
+    provenance trail; ``metrics`` (optional) pre-registers the fencing
+    families at zero so a scrape before the first promotion still shows
+    them.
     """
 
-    def __init__(self, store=None, journal=None, metrics=None) -> None:
+    def __init__(self, store, journal=None, metrics=None) -> None:
         self._store = store
         self._journal = journal
         self._metrics = metrics
@@ -119,10 +119,7 @@ class LeaseAuthority:
         """
         with self._lock:
             token = max(self._tokens.get(shard_id, 0), self._load(shard_id)) + 1
-            if self._store is not None:
-                self._store.put_checkpoint(
-                    fence_scope(shard_id), token.to_bytes(8, "big")
-                )
+            self._store.put_checkpoint(fence_scope(shard_id), token.to_bytes(8, "big"))
             if self._journal is not None:
                 self._journal.fence(shard_id, token, reason)
             self._tokens[shard_id] = token
@@ -144,8 +141,6 @@ class LeaseAuthority:
     # -- internals ---------------------------------------------------------------
 
     def _load(self, shard_id: str) -> int:
-        if self._store is None:
-            return 0
         blob = self._store.get_checkpoint(fence_scope(shard_id))
         return int.from_bytes(blob, "big") if blob else 0
 

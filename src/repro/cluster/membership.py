@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, ConsistentHashRing
+from repro.cluster.ring import ConsistentHashRing
 from repro.errors import MembershipError
 
 __all__ = ["MemberRecord", "ClusterMembership", "STATUS_ACTIVE", "STATUS_LEFT"]
@@ -41,20 +41,11 @@ class MemberRecord:
 class ClusterMembership:
     """Versioned member table + the ring derived from it."""
 
-    def __init__(
-        self,
-        members: tuple[str, ...] = (),
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-    ) -> None:
+    def __init__(self, members: tuple[str, ...] = ()) -> None:
         self._lock = threading.Lock()
-        self._virtual_nodes = virtual_nodes
         self._records: dict[str, MemberRecord] = {}
-        #: shard_id → last fencing token observed by the control plane.
-        #: Advisory (the shards enforce; the store persists) — this is
-        #: the operator-visible record of who holds which lease.
-        self._leases: dict[str, int] = {}
         self.version = 0
-        self._ring = ConsistentHashRing(virtual_nodes=virtual_nodes)
+        self._ring = ConsistentHashRing()
         for shard_id in members:
             self.join(shard_id)
 
@@ -88,11 +79,6 @@ class ClusterMembership:
             record = self._records.get(shard_id)
             return record is not None and record.status == STATUS_ACTIVE
 
-    def leases(self) -> dict[str, int]:
-        """Snapshot of every recorded lease, for operators and audits."""
-        with self._lock:
-            return dict(self._leases)
-
     def __len__(self) -> int:
         return len(self.active_members())
 
@@ -124,14 +110,6 @@ class ClusterMembership:
             new_ring.add_node(shard_id)
             self._ring = new_ring
             return new_ring
-
-    def record_lease(self, shard_id: str, token: int) -> None:
-        """Note a lease handover; tokens only ratchet forward."""
-        if token < 0:
-            raise MembershipError("fencing tokens are non-negative")
-        with self._lock:
-            if token > self._leases.get(shard_id, 0):
-                self._leases[shard_id] = token
 
     def leave(self, shard_id: str) -> ConsistentHashRing:
         """Retire a shard; returns the new ring. The last member cannot leave."""

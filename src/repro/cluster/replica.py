@@ -11,7 +11,7 @@ a handoff moves the PU away) and the epoch snapshot written at commit.
 Failure detection is heartbeat-based and clock-injectable: the router
 records a heartbeat on every successful sub-query, and
 :meth:`ReplicaSetBase.is_alive` treats a primary as dead once its
-heartbeat is older than ``heartbeat_timeout_s`` (or once a sub-query
+heartbeat is older than ``DEFAULT_HEARTBEAT_TIMEOUT_S`` (or once a sub-query
 raised :class:`~repro.errors.ShardDownError` outright).  Promotion swaps
 the standby in as primary and rebuilds a fresh standby behind it with
 :func:`repro.store.coldstart.rebuild_shard` — the same rule, fed from
@@ -28,7 +28,6 @@ from repro.errors import ClusterError
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.storage import serialize_shard_state
 from repro.store.coldstart import rebuild_shard
-from repro.store.memory import MemoryStateStore
 
 from repro.cluster.shard import SdcShard
 
@@ -39,6 +38,8 @@ __all__ = [
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
 ]
 
+#: How old a live primary's last heartbeat may be before the router's
+#: liveness sweep treats it as stale.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 1.0
 
 
@@ -50,7 +51,7 @@ class FailoverEvent:
     at: float
     resumed_epoch: int
     from_snapshot: bool
-    #: Lease the successor serves under (0 when fencing is not in force).
+    #: Lease the successor serves under (0 for a shard never fenced).
     fence_token: int = 0
 
 
@@ -63,18 +64,15 @@ class ReplicaSetBase:
     Subclasses provide ``primary`` (anything with an ``alive`` flag).
     """
 
-    def __init__(self, shard_id: str, heartbeat_timeout_s: float, clock) -> None:
-        if heartbeat_timeout_s <= 0:
-            raise ClusterError("heartbeat_timeout_s must be positive")
+    def __init__(self, shard_id: str, clock) -> None:
         self.shard_id = shard_id
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self._clock = clock
         # Promotion and heartbeat bookkeeping race with the router's
         # scatter threads; all mutations hold the lock.
         self._lock = threading.Lock()
         self._last_heartbeat = clock()
         self.failovers: list[FailoverEvent] = []
-        #: Current lease for this shard (0 = fencing not in force).
+        #: Current lease for this shard (0 = never fenced).
         self.fence_token = 0
         #: Gray-failure flag: primary is alive but degraded; the router
         #: routes around it instead of promoting.
@@ -96,7 +94,7 @@ class ReplicaSetBase:
         """Primary liveness: not crashed and heartbeat within timeout."""
         return (
             self.primary.alive
-            and self.heartbeat_age(now) <= self.heartbeat_timeout_s
+            and self.heartbeat_age(now) <= DEFAULT_HEARTBEAT_TIMEOUT_S
         )
 
     def _ratchet_fence(self, token: int) -> None:
@@ -134,19 +132,17 @@ class ShardReplicaSet(ReplicaSetBase):
         self,
         shard_id: str,
         shard_factory,
-        store=None,
-        heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
+        store,
         clock=time.monotonic,
         journal=None,
     ) -> None:
-        super().__init__(shard_id, heartbeat_timeout_s, clock)
+        super().__init__(shard_id, clock)
         #: ``shard_factory(role: str) -> SdcShard`` — builds an empty
         #: shard (the replica layer assigns blocks and replays state).
         self._factory = shard_factory
-        #: The deployment's :class:`~repro.store.base.StateStore` (a
-        #: private in-memory one when none was given).  This set is the
-        #: only writer of its shard's PU rows and snapshots.
-        self.store = store if store is not None else MemoryStateStore()
+        #: The deployment's :class:`~repro.store.base.StateStore`.  This
+        #: set is the only writer of its shard's PU rows and snapshots.
+        self.store = store
         #: Optional :class:`repro.resilience.journal.EpochJournal`; when
         #: set, epoch commits and promotions are write-ahead logged.
         self.journal = journal

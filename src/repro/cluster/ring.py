@@ -47,14 +47,7 @@ class ConsistentHashRing:
     read-only between changes; lookups are ``O(log(N · vnodes))``.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[str] = (),
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-    ) -> None:
-        if virtual_nodes < 1:
-            raise ClusterError("virtual_nodes must be positive")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._nodes: set[str] = set()
         self._points: list[int] = []
         self._owners: list[str] = []
@@ -88,7 +81,7 @@ class ConsistentHashRing:
     def _rebuild(self) -> None:
         pairs: list[tuple[int, str]] = []
         for node in self._nodes:
-            for vnode in range(self.virtual_nodes):
+            for vnode in range(DEFAULT_VIRTUAL_NODES):
                 pairs.append((_point(f"{node}#{vnode}"), node))
         pairs.sort()
         self._points = [point for point, _ in pairs]
@@ -122,10 +115,10 @@ class ConsistentHashRing:
         )
 
     def clone(self) -> "ConsistentHashRing":
-        return ConsistentHashRing(self._nodes, virtual_nodes=self.virtual_nodes)
+        return ConsistentHashRing(self._nodes)
 
     def __repr__(self) -> str:
         return (
             f"ConsistentHashRing(shards={len(self._nodes)}, "
-            f"vnodes={self.virtual_nodes})"
+            f"vnodes={DEFAULT_VIRTUAL_NODES})"
         )

@@ -17,10 +17,11 @@ between epochs) proactively promotes any shard whose primary is dead
 and whose heartbeat has aged past the replica set's timeout — so a
 crashed shard is recovered even when no request happens to land on it.
 
-When a :class:`~repro.net.transport.InMemoryTransport` is attached,
-every sub-query and response is accounted on its own directed
-router↔shard link, and failure injection at the transport layer
-(``fail_endpoint``) is honoured exactly like a shard crash.
+Every sub-query and response is accounted on its own directed
+router↔shard link of the deployment's
+:class:`~repro.net.transport.InMemoryTransport`, and failure injection
+at the transport layer (``fail_endpoint``) is honoured exactly like a
+shard crash.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.cluster.fencing import LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.replica import ShardReplicaSet
 from repro.crypto.rand import DeterministicRandomSource
@@ -42,33 +44,27 @@ from repro.errors import (
     RetryExhaustedError,
     ShardDownError,
 )
-from repro.net.transport import InMemoryTransport, resolve_transport
+from repro.net.transport import InMemoryTransport
 from repro.pisa.messages import PUUpdateMessage
 from repro.resilience.policy import CircuitBreaker, RetryPolicy, run_with_policy
 from repro.telemetry import child
 from repro.telemetry.metrics import Histogram
 
-__all__ = ["RouterStats", "ShardRouter", "SuspectPolicy", "DEFAULT_SUSPECT_POLICY"]
+__all__ = ["RouterStats", "ShardRouter"]
 
+#: The router's endpoint name on the transport.
+ROUTER_ENDPOINT = "router"
 
-@dataclass(frozen=True)
-class SuspectPolicy:
-    """When is a slow-but-alive shard *suspect* (gray failure)?
-
-    A sub-query RTT at or above the fleet histogram's ``quantile`` — but
-    never below the absolute ``floor_s`` — marks the shard suspect: the
-    router serves it from the standby without burning a promotion.  A
-    later RTT back under the floor clears the suspicion.  ``min_samples``
-    observations must exist before any verdict, so the first request of
-    a cold deployment cannot condemn a shard.
-    """
-
-    quantile: float = 99.0
-    floor_s: float = 0.25
-    min_samples: int = 4
-
-
-DEFAULT_SUSPECT_POLICY = SuspectPolicy()
+# When is a slow-but-alive shard *suspect* (gray failure)?  A sub-query
+# RTT at or above the fleet histogram's SUSPECT_QUANTILE — but never
+# below the absolute SUSPECT_FLOOR_S — marks the shard suspect: the
+# router serves it from the standby without burning a promotion.  A
+# later RTT back under the floor clears the suspicion.
+# SUSPECT_MIN_SAMPLES observations must exist before any verdict, so the
+# first request of a cold deployment cannot condemn a shard.
+SUSPECT_QUANTILE = 99.0
+SUSPECT_FLOOR_S = 0.25
+SUSPECT_MIN_SAMPLES = 4
 
 
 @dataclass
@@ -92,27 +88,20 @@ class ShardRouter:
         self,
         membership: ClusterMembership,
         replica_sets: dict[str, ShardReplicaSet],
-        transport: InMemoryTransport | None = None,
-        endpoint: str = "router",
+        transport: InMemoryTransport,
+        fencing: LeaseAuthority,
         max_attempts: int = 2,
         scatter_threads: int | None = None,
         metrics=None,
-        fencing=None,
-        suspect_policy: SuspectPolicy | None = DEFAULT_SUSPECT_POLICY,
-        rtt_clock=time.perf_counter,
     ) -> None:
         if max_attempts < 1:
             raise ClusterError("max_attempts must be positive")
         self.membership = membership
-        self.endpoint = endpoint
         self.max_attempts = max_attempts
         self.stats = RouterStats()
-        #: Optional :class:`repro.cluster.fencing.LeaseAuthority`; when
-        #: set, every sub-query is stamped with the shard's current
-        #: token and recovery is fence-then-promote.
+        #: The deployment's lease issuer: every sub-query is stamped with
+        #: the shard's current token and recovery is fence-then-promote.
         self._fencing = fencing
-        self._suspect_policy = suspect_policy
-        self._rtt_clock = rtt_clock
         # Fleet-wide RTT history backing the suspect quantile.  Kept
         # internal (not registry-owned) so suspicion works without a
         # metrics registry attached.
@@ -148,10 +137,8 @@ class ShardRouter:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="shard-router"
         )
-        self._wire = resolve_transport(transport)
-        if fencing is not None:
-            for shard_id in replica_sets:
-                fencing.register(shard_id)
+        for shard_id in replica_sets:
+            fencing.register(shard_id)
         if metrics is not None:
             for shard_id in replica_sets:
                 # Scrape-before-first-event: the family exists at zero.
@@ -166,8 +153,6 @@ class ShardRouter:
 
     def fence_token(self, shard_id: str) -> int:
         """The token sub-queries to ``shard_id`` are stamped with now."""
-        if self._fencing is None:
-            return 0
         return self._fencing.token(shard_id)
 
     def attach_metrics(self, metrics) -> None:
@@ -230,15 +215,10 @@ class ShardRouter:
         so nothing the deposed primary does afterwards can commit.
         """
         replica_set = self.replica_set(shard_id)
-        if self._fencing is not None:
-            lease = self._fencing.bump(shard_id, reason)
-            replica_set.install_fence(lease.token)
-            self.membership.record_lease(shard_id, lease.token)
-        else:
-            self._count("promotions_total", reason=reason)
+        lease = self._fencing.bump(shard_id, reason)
+        replica_set.install_fence(lease.token)
         replica_set.promote()
-        if self._transport is not None:
-            self._transport.restore_endpoint(shard_id)
+        self._transport.restore_endpoint(shard_id)
         with self._lock:
             self.stats.failovers += 1
         self._count("cluster_failovers_total", shard=shard_id)
@@ -279,27 +259,22 @@ class ShardRouter:
         never see it; folding the armed one-way delays in makes
         gray-failure detection observable on both planes.
         """
-        if self._wire is None:
-            return 0.0
-        return self._wire.pending_delay_seconds(
-            self.endpoint, shard_id
-        ) + self._wire.pending_delay_seconds(shard_id, self.endpoint)
+        return self._transport.pending_delay_seconds(
+            ROUTER_ENDPOINT, shard_id
+        ) + self._transport.pending_delay_seconds(shard_id, ROUTER_ENDPOINT)
 
     def _note_rtt(self, shard_id: str, rtt_s: float) -> None:
         if self._metrics is not None:
             self._metrics.histogram(
                 "heartbeat_rtt_seconds", shard=shard_id
             ).observe(rtt_s)
-        policy = self._suspect_policy
-        if policy is None:
-            return
         with self._lock:
             self._rtt_fleet.observe(rtt_s)
-            enough = self._rtt_fleet.count >= policy.min_samples
-            threshold = policy.floor_s
+            enough = self._rtt_fleet.count >= SUSPECT_MIN_SAMPLES
+            threshold = SUSPECT_FLOOR_S
             if enough:
                 threshold = max(
-                    threshold, self._rtt_fleet.percentile(policy.quantile)
+                    threshold, self._rtt_fleet.percentile(SUSPECT_QUANTILE)
                 )
         replica_set = self.replica_set(shard_id)
         if enough and rtt_s >= threshold:
@@ -308,7 +283,7 @@ class ShardRouter:
                 with self._lock:
                     self.stats.suspects += 1
                 self._count("cluster_suspects_total", shard=shard_id)
-        elif replica_set.suspect and rtt_s < policy.floor_s:
+        elif replica_set.suspect and rtt_s < SUSPECT_FLOOR_S:
             replica_set.mark_suspect(False)
 
     def breaker_for(self, shard_id: str) -> CircuitBreaker:
@@ -346,16 +321,14 @@ class ShardRouter:
             if token and getattr(request, "fence_token", None) is not None:
                 if request.fence_token != token:
                     stamped = dataclasses.replace(request, fence_token=token)
-            started = self._rtt_clock()
-            if self._transport is not None:
-                self._transport.send(stamped, self.endpoint, shard_id)
+            started = time.perf_counter()
+            self._transport.send(stamped, ROUTER_ENDPOINT, shard_id)
             result = invoke(replica_set.serving_replica(), stamped)
             replica_set.record_heartbeat()
-            if self._transport is not None:
-                self._transport.send(result, shard_id, self.endpoint)
+            self._transport.send(result, shard_id, ROUTER_ENDPOINT)
             self._note_rtt(
                 shard_id,
-                (self._rtt_clock() - started) + self._modelled_rtt(shard_id),
+                (time.perf_counter() - started) + self._modelled_rtt(shard_id),
             )
             with self._lock:
                 self.stats.subqueries += 1

@@ -76,7 +76,7 @@ class ShardPhase1Request:
     blocks: tuple[int, ...]
     matrix: tuple[tuple[EncryptedNumber, ...], ...]
     blindings: tuple[tuple[CellBlinding, ...], ...]
-    #: Router's current lease for this shard; 0 = fencing not in force.
+    #: Router's current lease for this shard; 0 = never fenced.
     fence_token: int = 0
 
     def wire_size(self) -> int:
@@ -123,7 +123,7 @@ class ShardPhase2Request:
     columns: tuple[int, ...]
     matrix: tuple[tuple[EncryptedNumber, ...], ...]
     epsilons: tuple[tuple[int, ...], ...]
-    #: Router's current lease for this shard; 0 = fencing not in force.
+    #: Router's current lease for this shard; 0 = never fenced.
     fence_token: int = 0
 
     def wire_size(self) -> int:
@@ -219,8 +219,8 @@ class SdcShard:
         Tokens only move forward — a request stamped below the highest
         token this replica has *ever* seen comes from a deposed writer
         and raises :class:`~repro.errors.FencedError` before any state
-        is touched.  Token 0 means fencing is not in force (legacy
-        callers and unfenced deployments) and always passes.
+        is touched.  Token 0 means the shard was never fenced and
+        always passes.
         """
         if token == 0:
             return

@@ -121,7 +121,6 @@ class SocketClusterCoordinator(ClusterCoordinator):
             self.netd.authority,
             self._scenario_config,
             self.stp.group_public_key,
-            heartbeat_timeout_s=self._heartbeat_timeout_s,
         )
 
     def close(self) -> None:

@@ -360,12 +360,11 @@ class RemoteShardSet(ReplicaSetBase):
         authority: AuthorityServer,
         scenario_config,
         group_public_key: PaillierPublicKey,
-        heartbeat_timeout_s: float = 1.0,
         clock=time.monotonic,
     ) -> None:
         # The base's ``fence_token`` travels in the bootstrap, so a
         # restarted worker resumes already fenced.
-        super().__init__(shard_id, heartbeat_timeout_s, clock)
+        super().__init__(shard_id, clock)
         self._transport = transport
         self.supervisor = supervisor
         self._scenario_spec = dataclasses.asdict(scenario_config)

@@ -51,6 +51,13 @@ DEFAULT_RESTART_POLICY = RetryPolicy(
 )
 
 _READY_POLL_S = 0.02
+#: How long a spawned worker may take to report its address.
+READY_TIMEOUT_S = 30.0
+#: The monitor thread's tick between liveness sweeps.
+MONITOR_INTERVAL_S = 0.05
+#: How long :meth:`ProcessSupervisor.stop_all` waits after SIGTERM
+#: before it SIGKILLs a straggler.
+STOP_GRACE_S = 3.0
 
 
 class WorkerHandle:
@@ -73,11 +80,8 @@ class ProcessSupervisor:
         self,
         host: str = "127.0.0.1",
         workdir: str | pathlib.Path | None = None,
-        restart_policy: RetryPolicy = DEFAULT_RESTART_POLICY,
-        ready_timeout_s: float = 30.0,
         metrics=None,
         monitor: bool = True,
-        monitor_interval_s: float = 0.05,
     ) -> None:
         self.host = host
         if workdir is None:
@@ -94,8 +98,6 @@ class ProcessSupervisor:
             # them so this incarnation starts from a clean slate.
             for stale in self.workdir.glob("*.ready.json"):
                 stale.unlink(missing_ok=True)
-        self._policy = restart_policy
-        self._ready_timeout_s = ready_timeout_s
         self._metrics = metrics
         self._retry_rng = DeterministicRandomSource(0)
         self._handles: dict[str, WorkerHandle] = {}
@@ -104,7 +106,6 @@ class ProcessSupervisor:
         if monitor:
             self._monitor_thread = threading.Thread(
                 target=self._monitor,
-                args=(monitor_interval_s,),
                 name="netd-supervisor",
                 daemon=True,
             )
@@ -191,7 +192,7 @@ class ProcessSupervisor:
         """Block until every named worker has reported an address."""
         names = list(self._handles) if names is None else names
         deadline = time.monotonic() + (
-            timeout_s if timeout_s is not None else self._ready_timeout_s
+            timeout_s if timeout_s is not None else READY_TIMEOUT_S
         )
         addresses: dict[str, tuple[str, int]] = {}
         for name in names:
@@ -280,9 +281,11 @@ class ProcessSupervisor:
                         ).inc()
                 return self.wait_ready([name], timeout_s=timeout_s)[name]
 
-            return run_with_policy(attempt, self._policy, rng=self._retry_rng)
+            return run_with_policy(
+                attempt, DEFAULT_RESTART_POLICY, rng=self._retry_rng
+            )
 
-    def _monitor(self, interval_s: float) -> None:
+    def _monitor(self) -> None:
         while not self._stopping:
             for handle in list(self._handles.values()):
                 if self._stopping:
@@ -295,7 +298,7 @@ class ProcessSupervisor:
                         # Exhausted the restart budget; the data path
                         # will surface ShardDownError on next contact.
                         pass
-            time.sleep(interval_s)  # audit-ok: RES001 — watchdog tick, not a retry
+            time.sleep(MONITOR_INTERVAL_S)  # audit-ok: RES001 — watchdog tick, not a retry
 
     # -- fault injection / teardown --------------------------------------------------
 
@@ -338,7 +341,7 @@ class ProcessSupervisor:
         except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL always lands
             return None
 
-    def stop_all(self, grace_s: float = 3.0) -> None:
+    def stop_all(self) -> None:
         """Graceful shutdown: SIGTERM every worker, SIGKILL stragglers."""
         self._stopping = True
         if self._monitor_thread is not None:
@@ -353,7 +356,7 @@ class ProcessSupervisor:
                 except ProcessLookupError:  # pragma: no cover
                     continue
                 procs.append(process)
-        deadline = time.monotonic() + grace_s
+        deadline = time.monotonic() + STOP_GRACE_S
         for process in procs:
             remaining = max(0.0, deadline - time.monotonic())
             try:

@@ -56,7 +56,7 @@ from repro.crypto.paillier import (
 from repro.crypto.parallel import Executor, default_executor
 from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import encode_bytes, encode_ciphertext, encode_int
-from repro.errors import BlindingError, ProtocolError
+from repro.errors import ProtocolError
 from repro.pisa.blinding import indicator_bound_for
 from repro.pisa.kernel import BlockKernel, require_key
 from repro.pisa.keys import KeyDirectory
@@ -69,7 +69,7 @@ from repro.pisa.su_client import SUClient
 from repro.watch.environment import SpectrumEnvironment
 
 __all__ = [
-    "PackedProtocolConfig",
+    "slot_layout",
     "PackedRequestMessage",
     "PackedSignExtractionRequest",
     "PackedSignExtractionResponse",
@@ -79,36 +79,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PackedProtocolConfig:
-    """Shared packed-mode parameters (part of the public protocol spec).
+# Packed-mode parameters, part of the public protocol spec.  ALPHA_BITS
+# is deliberately smaller than the baseline's 100 — slot width is
+# ``indicator_bits + ALPHA_BITS + HEADROOM_BITS`` and every bit of α
+# costs slot capacity.  DUMMY_FRACTION is the ratio of dummy chunks
+# injected per request for count dilution.
+ALPHA_BITS = 64
+HEADROOM_BITS = 4
+DUMMY_FRACTION = 0.25
 
-    ``alpha_bits`` is deliberately smaller than the baseline's 100 —
-    slot width is ``indicator_bits + alpha_bits + headroom`` and every
-    bit of α costs slot capacity.  ``dummy_fraction`` is the ratio of
-    dummy chunks injected per request for count dilution.
-    """
 
-    alpha_bits: int = 64
-    headroom_bits: int = 4
-    dummy_fraction: float = 0.25
-
-    def indicator_bits(self, environment: SpectrumEnvironment) -> int:
-        return indicator_bound_for(environment.params).bit_length() + 1
-
-    def layout(
-        self, public_key: PaillierPublicKey, environment: SpectrumEnvironment
-    ) -> SlotLayout:
-        """The slot geometry every party derives identically."""
-        layout = SlotLayout.for_key(
-            public_key,
-            value_bits=self.indicator_bits(environment),
-            scale_bits=self.alpha_bits,
-            headroom_bits=self.headroom_bits,
-        )
-        if self.alpha_bits < 16:
-            raise BlindingError("packed alpha_bits too small to blind magnitudes")
-        return layout
+def slot_layout(
+    public_key: PaillierPublicKey, environment: SpectrumEnvironment
+) -> SlotLayout:
+    """The slot geometry every party derives identically."""
+    return SlotLayout.for_key(
+        public_key,
+        value_bits=indicator_bound_for(environment.params).bit_length() + 1,
+        scale_bits=ALPHA_BITS,
+        headroom_bits=HEADROOM_BITS,
+    )
 
 
 # -- messages ---------------------------------------------------------------
@@ -197,15 +187,13 @@ class PackedSuClient(SUClient):
         environment: SpectrumEnvironment,
         group_public_key: PaillierPublicKey,
         keypair,
-        config: PackedProtocolConfig | None = None,
         region=None,
         rng: RandomSource | None = None,
     ) -> None:
         super().__init__(
             su, environment, group_public_key, keypair, region=region, rng=rng
         )
-        self.config = config or PackedProtocolConfig()
-        self.layout = self.config.layout(group_public_key, environment)
+        self.layout = slot_layout(group_public_key, environment)
 
     def prepare_request(self) -> PackedRequestMessage:
         """Eq. (5), packed: one encryption per k-cell chunk."""
@@ -290,7 +278,6 @@ class PackedSdcServer(SdcFront):
         environment: SpectrumEnvironment,
         directory: KeyDirectory,
         signer,
-        config: PackedProtocolConfig | None = None,
         issuer_id: str = "sdc",
         rng: RandomSource | None = None,
         clock=None,
@@ -302,9 +289,8 @@ class PackedSdcServer(SdcFront):
             environment, directory, signer, issuer_id=issuer_id, rng=rng,
             clock=clock or time.time,
         )
-        self.config = config or PackedProtocolConfig()
         self._executor = default_executor(executor)
-        self.layout = self.config.layout(directory.group_public_key, environment)
+        self.layout = slot_layout(directory.group_public_key, environment)
         self.kernel = BlockKernel(environment, directory.group_public_key)
         self.chunks_processed = 0
 
@@ -320,10 +306,9 @@ class PackedSdcServer(SdcFront):
         final slot non-negative.
         """
         layout = self.layout
-        alpha = self._rng.randrange(1 << (self.config.alpha_bits - 1),
-                                    1 << self.config.alpha_bits)
+        alpha = self._rng.randrange(1 << (ALPHA_BITS - 1), 1 << ALPHA_BITS)
         bias_terms = [
-            layout.half_slot - self._rng.randrange(1, 1 << (self.config.alpha_bits - 1))
+            layout.half_slot - self._rng.randrange(1, 1 << (ALPHA_BITS - 1))
             for _ in blocks
         ]
         return alpha, layout.pack(bias_terms)
@@ -369,7 +354,7 @@ class PackedSdcServer(SdcFront):
                 finishes.append((len(pu_jobs), alpha * e_packed + packed_bias))
                 used_slots.append(len(blocks))
         self.chunks_processed += len(finishes)
-        num_dummies = max(1, int(len(finishes) * self.config.dummy_fraction))
+        num_dummies = max(1, int(len(finishes) * DUMMY_FRACTION))
         dummy_draws = [self._draw_dummy_chunk() for _ in range(num_dummies)]
         # Pass 2: one batch with the dummy obfuscators.
         jobs.extend(pk.obfuscator_job(r) for _, r in dummy_draws)
@@ -445,7 +430,6 @@ class PackedStpServer(StpServer):
         self,
         group_keypair,
         environment: SpectrumEnvironment,
-        config: PackedProtocolConfig | None = None,
         rng: RandomSource | None = None,
         executor: Executor | None = None,
     ) -> None:
@@ -455,8 +439,7 @@ class PackedStpServer(StpServer):
             executor=executor,
             indicator_bound=indicator_bound_for(environment.params),
         )
-        self.config = config or PackedProtocolConfig()
-        self.layout = self.config.layout(group_keypair.public_key, environment)
+        self.layout = slot_layout(group_keypair.public_key, environment)
 
     def handle_sign_extraction(
         self, request: PackedSignExtractionRequest, span=None
@@ -501,19 +484,15 @@ class PackedCoordinator(PisaCoordinator):
         self,
         environment: SpectrumEnvironment,
         key_bits: int = 2048,
-        signature_bits: int | None = None,
-        config: PackedProtocolConfig | None = None,
         rng: RandomSource | None = None,
         transport=None,
         executor: Executor | None = None,
         clock=None,
     ) -> None:
-        self.config = config or PackedProtocolConfig()
         self._clock = clock
         super().__init__(
             environment,
             key_bits=key_bits,
-            signature_bits=signature_bits,
             rng=rng,
             transport=transport,
             executor=executor,
@@ -523,7 +502,6 @@ class PackedCoordinator(PisaCoordinator):
         return PackedStpServer(
             generate_keypair(key_bits, rng=self._rng),
             self.environment,
-            config=self.config,
             rng=self._rng,
             executor=executor,
         )
@@ -533,7 +511,6 @@ class PackedCoordinator(PisaCoordinator):
             self.environment,
             directory=self.stp.directory,
             signer=signer,
-            config=self.config,
             rng=self._rng,
             clock=self._clock,
             executor=executor,
@@ -545,7 +522,6 @@ class PackedCoordinator(PisaCoordinator):
             self.environment,
             self.stp.group_public_key,
             keypair,
-            config=self.config,
             region=region,
             rng=self._rng,
         )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.crypto.paillier import PaillierKeypair, generate_keypair
 from repro.crypto.rand import DeterministicRandomSource, RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner, generate_rsa_keypair
-from repro.errors import ProtocolError
 from repro.geo.region import PrivacyRegion
 from repro.net.transport import InMemoryTransport
 from repro.pisa.blinding import indicator_bound_for
@@ -95,10 +94,9 @@ class PisaCoordinator:
         The shared public substrate.
     key_bits:
         Paillier modulus size for the group key and every SU key.  The
-        paper uses 2048; tests use small keys for speed.
-    signature_bits:
-        RSA modulus size for license signing; must stay below
-        ``key_bits`` so signatures fit SU plaintext spaces.
+        paper uses 2048; tests use small keys for speed.  The license
+        signing key is an RSA modulus of ``max(32, key_bits // 2)`` bits,
+        so signatures fit SU plaintext spaces.
     rng:
         Randomness source (pass a DRBG for reproducible runs).
     """
@@ -111,17 +109,10 @@ class PisaCoordinator:
         self,
         environment: SpectrumEnvironment,
         key_bits: int = 2048,
-        signature_bits: int | None = None,
         rng: RandomSource | None = None,
         transport: InMemoryTransport | None = None,
         executor=None,
     ) -> None:
-        if signature_bits is None:
-            signature_bits = max(32, key_bits // 2)
-        if signature_bits >= key_bits:
-            raise ProtocolError(
-                "signature modulus must be smaller than the Paillier modulus"
-            )
         self.environment = environment
         self.key_bits = key_bits
         self._rng = default_rng(rng)
@@ -129,7 +120,9 @@ class PisaCoordinator:
         # Draw order is part of the transcript contract: the group key
         # first, then the signing key; nothing after that draws.
         self.stp = self._build_stp(key_bits, executor)
-        _, signing_private = generate_rsa_keypair(signature_bits, rng=self._rng)
+        _, signing_private = generate_rsa_keypair(
+            max(32, key_bits // 2), rng=self._rng
+        )
         self.sdc = self._build_sdc(RsaFdhSigner(signing_private), executor)
         self._pu_clients: dict[str, PUClient] = {}
         self._su_clients: dict = {}

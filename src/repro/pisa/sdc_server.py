@@ -240,6 +240,13 @@ class SdcFront:
         self.last_q_sum = q_sum
         return self._issue_license(pending, su_key, q_sum, sig_r, eta, issued_at)
 
+    def discard_round(self, round_id: str) -> None:
+        """Forget a round phase 2 will never finish, and its blinding.
+
+        A no-op for a round already finished or discarded.
+        """
+        self._pending.pop(round_id, None)
+
     @property
     def pending_rounds(self) -> int:
         return len(self._pending)

@@ -10,8 +10,8 @@ Three sub-systems, each usable alone:
   journaled draw/clock streams reproduces the exact bytes the
   uninterrupted run would have produced.
 * :mod:`repro.resilience.policy` — the **unified retry/timeout/backoff
-  engine**: decorrelated-jitter backoff, per-operation wall budgets,
-  idempotency keys, and a per-link circuit breaker.  The service broker
+  engine**: decorrelated-jitter backoff, bounded attempts and a
+  per-link circuit breaker.  The service broker
   and the cluster router both route their retries through it; the
   ``RES001`` audit rule flags hand-rolled retry loops elsewhere.
 * :mod:`repro.resilience.chaos` — a **deterministic chaos harness**:
@@ -39,7 +39,6 @@ from repro.resilience.journal import (
 )
 from repro.resilience.policy import (
     CircuitBreaker,
-    IdempotencyCache,
     RetryPolicy,
     decorrelated_jitter,
     run_with_policy,
@@ -57,7 +56,6 @@ __all__ = [
     "ReplayClock",
     "RetryPolicy",
     "CircuitBreaker",
-    "IdempotencyCache",
     "decorrelated_jitter",
     "run_with_policy",
 ]

@@ -457,7 +457,6 @@ class _SplitBrainPromote(FaultPlan):
         successor = coordinator.fencing.bump(victim, "failover")
         replica_set.install_fence(successor.token)
         replica_set.promote()
-        coordinator.membership.record_lease(victim, successor.token)
         ctx.note(
             f"{self.PROMOTED.format(victim=victim)} "
             f"(lease {incumbent.token}->{successor.token})"

@@ -4,13 +4,13 @@ Before this module, every layer hand-rolled its own failure handling:
 the service broker retried a rejected cluster epoch once, the cluster
 router looped ``max_attempts`` times around a shard call, the replica
 set promoted on the first transport error.  Each loop had its own
-(sometimes missing) backoff, no wall-clock budget, and no memory of a
-link that had been failing for the last hundred calls.
+(sometimes missing) backoff and no memory of a link that had been
+failing for the last hundred calls.
 
 This module centralises those decisions:
 
-* :class:`RetryPolicy` — how many attempts, how much wall-clock budget,
-  and which exception types are retryable, with **decorrelated-jitter**
+* :class:`RetryPolicy` — how many attempts and which exception types
+  are retryable, with **decorrelated-jitter**
   backoff (``sleep = min(cap, uniform(base, prev * 3))``) so a thundering
   herd of retries de-synchronises itself.
 * :class:`CircuitBreaker` — per shard / per STP link.  After
@@ -18,23 +18,19 @@ This module centralises those decisions:
   calls fail fast with :class:`~repro.errors.CircuitOpenError` until
   ``reset_timeout_s`` passes; the first probe in *half-open* state
   decides whether it closes again.
-* :class:`IdempotencyCache` — a bounded LRU keyed by caller-chosen
-  idempotency keys, so a retried operation that actually succeeded the
-  first time is served its original result instead of re-executing.
 * :func:`run_with_policy` — the one retry loop.  Everything else in the
   tree should call this (the ``RES001`` audit rule flags hand-rolled
   sleep-loop retries outside this module).
 
 Determinism: backoff jitter is drawn from a caller-supplied
-:class:`~repro.crypto.rand.RandomSource`, and time/sleep are injectable,
-so tests and the chaos harness run the full policy machinery with zero
+:class:`~repro.crypto.rand.RandomSource`, and sleep is injectable, so
+tests and the chaos harness run the full policy machinery with zero
 real waiting and reproducible schedules.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.crypto.rand import DeterministicRandomSource, RandomSource
@@ -45,7 +41,6 @@ __all__ = [
     "NEVER_RETRYABLE",
     "decorrelated_jitter",
     "CircuitBreaker",
-    "IdempotencyCache",
     "run_with_policy",
 ]
 
@@ -90,9 +85,6 @@ class RetryPolicy:
     max_attempts: int = 3
     base_backoff_s: float = 0.02
     backoff_cap_s: float = 1.0
-    #: Total wall-clock budget across all attempts and sleeps; ``None``
-    #: means attempts are the only limit.
-    budget_s: float | None = None
     retryable: tuple[type[BaseException], ...] = (Exception,)
 
     def retries(self, exc: BaseException) -> bool:
@@ -201,88 +193,38 @@ class CircuitBreaker:
         self._publish_state()
 
 
-class IdempotencyCache:
-    """Bounded LRU of completed results keyed by idempotency key.
-
-    ``get``/``put`` only — the *caller* decides what a key means (the
-    broker uses request ids, so a request resolved once is never
-    double-counted by a retried resolution).
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str, default=None):
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            return default
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: str, value=None) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def run_with_policy(
     operation,
     policy: RetryPolicy,
     *,
     breaker: CircuitBreaker | None = None,
     rng=None,
-    clock=time.monotonic,
     sleep=time.sleep,
     on_retry=None,
-    idempotency_key: str | None = None,
-    cache: IdempotencyCache | None = None,
     metrics=None,
     op: str = "operation",
 ):
     """Run ``operation()`` under ``policy`` — the canonical retry loop.
 
-    * Checks the idempotency ``cache`` first (if given a key): a cached
-      result short-circuits the call entirely.
     * Gates every attempt through ``breaker`` (if given); breaker trips
       raise :class:`~repro.errors.CircuitOpenError` immediately — an
       open circuit is not a retryable condition.
     * On a retryable failure sleeps a decorrelated-jitter backoff, then
-      tries again, until attempts or the wall budget run out, then
+      tries again, until the attempts run out, then
       raises :class:`~repro.errors.RetryExhaustedError` chained to the
       last failure.
     * ``on_retry(attempt, exc, sleep_s)`` is called before each backoff
       — the chaos harness uses it to drive fault-plan countdowns.
     * ``metrics`` (a :class:`repro.telemetry.MetricsRegistry`) records
       ``retry_attempts_total{op=...}`` per retry and
-      ``retry_exhausted_total{op=...}`` when the budget runs out.
+      ``retry_exhausted_total{op=...}`` when the attempts run out.
     """
-    if cache is not None and idempotency_key is not None:
-        sentinel = object()
-        cached = cache.get(idempotency_key, sentinel)
-        if cached is not sentinel:
-            return cached
     if rng is None:
         rng = DeterministicRandomSource(0)
     if metrics is not None:
         # Materialise the family at zero so a clean run still exposes
         # it — dashboards and the CI exposition grep rely on presence.
         metrics.counter("retry_attempts_total", op=op)
-    started = clock()
     previous_sleep = 0.0
     last_exc: BaseException | None = None
     for attempt in range(1, policy.max_attempts + 1):
@@ -301,11 +243,6 @@ def run_with_policy(
             sleep_s = decorrelated_jitter(
                 previous_sleep, policy.base_backoff_s, policy.backoff_cap_s, rng
             )
-            if policy.budget_s is not None:
-                remaining = policy.budget_s - (clock() - started)
-                if remaining <= 0:
-                    break
-                sleep_s = min(sleep_s, remaining)
             previous_sleep = sleep_s
             if metrics is not None:
                 metrics.counter("retry_attempts_total", op=op).inc()
@@ -316,8 +253,6 @@ def run_with_policy(
             continue
         if breaker is not None:
             breaker.record_success()
-        if cache is not None and idempotency_key is not None:
-            cache.put(idempotency_key, result)
         return result
     if metrics is not None:
         metrics.counter("retry_exhausted_total", op=op).inc()

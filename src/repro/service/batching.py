@@ -51,6 +51,9 @@ __all__ = [
 
 T = TypeVar("T")
 
+#: The conversion server's endpoint name on the wire.
+CONVERSION_PEER = "stp"
+
 
 @dataclass
 class Epoch(Generic[T]):
@@ -216,17 +219,20 @@ class BatchAllocator:
         phase2: Callable,
         process_response: Callable,
         transport=None,
-        conversion_peer: str = "stp",
         commit_epoch: Callable | None = None,
         idle_work: Callable | None = None,
+        discard_round: Callable | None = None,
     ) -> None:
         self._phase1 = phase1
         self._convert = convert
         self._phase2 = phase2
         self._process_response = process_response
         self._transport = transport
-        self._conversion_peer = conversion_peer
         self._commit_epoch = commit_epoch
+        #: ``discard_round(round_id)``: forget a round phase 1 opened and
+        #: phase 2 never finished.  Called for every round of a failed
+        #: pass, so the rounds' secret blinding does not outlive it.
+        self._discard_round = discard_round
         #: ``idle_work(stop)``: request-independent work of the wired
         #: deployment that whoever drives the allocator may run while no
         #: pass is — never during :meth:`allocate` — and that returns
@@ -257,6 +263,9 @@ class BatchAllocator:
         it becomes the allocator's idle work, which the broker runs
         between epochs.  The socket plane's STP proxy has none: the STP
         worker triggers its own fill, and nothing is filled twice.
+
+        The SDC front's ``discard_round`` drops the rounds of a pass
+        that fails after phase 1 (a retried epoch draws them afresh).
         """
         return cls(
             phase1=coordinator.sdc.start_request,
@@ -266,9 +275,9 @@ class BatchAllocator:
                 su_id
             ).process_response(response, coordinator.stp.directory),
             transport=coordinator.transport,
-            conversion_peer=coordinator.stp_endpoint,
             commit_epoch=getattr(coordinator.sdc, "commit_epoch", None),
             idle_work=getattr(coordinator.stp, "fill_stock", None),
+            discard_round=coordinator.sdc.discard_round,
         )
 
     def _run_phase(self, fn, supports_span, message, parent, name):
@@ -306,55 +315,63 @@ class BatchAllocator:
         if spans is None or len(spans) != len(epoch.items):
             spans = [None] * len(epoch.items)
         extractions = []
-        for (su_id, request), span in zip(epoch.items, spans):
-            if self._transport is not None:
-                self._transport.send(request, sender=su_id, receiver="sdc")
-            extractions.append(
-                self._run_phase(
-                    self._phase1, self._phase1_span, request, span, "phase1"
+        try:
+            for (su_id, request), span in zip(epoch.items, spans):
+                if self._transport is not None:
+                    self._transport.send(request, sender=su_id, receiver="sdc")
+                extractions.append(
+                    self._run_phase(
+                        self._phase1, self._phase1_span, request, span, "phase1"
+                    )
                 )
-            )
-        batch_request = BatchSignExtractionRequest(
-            epoch_id=epoch.epoch_id, requests=tuple(extractions)
-        )
-        if self._transport is not None:
-            self._transport.send(
-                batch_request, sender="sdc", receiver=self._conversion_peer
-            )
-        conversions = tuple(
-            self._run_phase(self._convert, self._convert_span, ext, span, "stp")
-            for ext, span in zip(extractions, spans)
-        )
-        batch_response = BatchSignExtractionResponse(
-            epoch_id=epoch.epoch_id, responses=conversions
-        )
-        if self._transport is not None:
-            self._transport.send(
-                batch_response, sender=self._conversion_peer, receiver="sdc"
-            )
-        results = []
-        for (su_id, _), conversion, span in zip(
-            epoch.items, conversions, spans
-        ):
-            response = self._run_phase(
-                self._phase2, self._phase2_span, conversion, span, "phase2"
+            batch_request = BatchSignExtractionRequest(
+                epoch_id=epoch.epoch_id, requests=tuple(extractions)
             )
             if self._transport is not None:
-                self._transport.send(response, sender="sdc", receiver=su_id)
-            with_license = child(span, "license")
-            try:
-                outcome = self._process_response(su_id, response)
-            finally:
-                if with_license is not None:
-                    with_license.end()
-            results.append(
-                AllocationResult(
-                    su_id=su_id,
-                    granted=outcome.granted,
-                    outcome=outcome,
-                    batch_size=len(epoch.items),
+                self._transport.send(
+                    batch_request, sender="sdc", receiver=CONVERSION_PEER
                 )
+            conversions = tuple(
+                self._run_phase(self._convert, self._convert_span, ext, span, "stp")
+                for ext, span in zip(extractions, spans)
             )
+            batch_response = BatchSignExtractionResponse(
+                epoch_id=epoch.epoch_id, responses=conversions
+            )
+            if self._transport is not None:
+                self._transport.send(
+                    batch_response, sender=CONVERSION_PEER, receiver="sdc"
+                )
+            results = []
+            for (su_id, _), conversion, span in zip(
+                epoch.items, conversions, spans
+            ):
+                response = self._run_phase(
+                    self._phase2, self._phase2_span, conversion, span, "phase2"
+                )
+                if self._transport is not None:
+                    self._transport.send(response, sender="sdc", receiver=su_id)
+                with_license = child(span, "license")
+                try:
+                    outcome = self._process_response(su_id, response)
+                finally:
+                    if with_license is not None:
+                        with_license.end()
+                results.append(
+                    AllocationResult(
+                        su_id=su_id,
+                        granted=outcome.granted,
+                        outcome=outcome,
+                        batch_size=len(epoch.items),
+                    )
+                )
+        except BaseException:
+            # Each opened round holds its cells' (α, β, ε) until phase 2
+            # finishes it; a failed pass finishes none of the rest.
+            if self._discard_round is not None:
+                for extraction in extractions:
+                    self._discard_round(extraction.round_id)
+            raise
         if self._commit_epoch is not None:
             self._commit_epoch(epoch.epoch_id)
         return results

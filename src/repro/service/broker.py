@@ -41,11 +41,7 @@ from dataclasses import dataclass
 
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ClusterError, ProtocolError
-from repro.resilience.policy import (
-    IdempotencyCache,
-    RetryPolicy,
-    run_with_policy,
-)
+from repro.resilience.policy import RetryPolicy, run_with_policy
 from repro.service.batching import BatchAllocator, Epoch, EpochBatcher
 from repro.telemetry import MetricsRegistry, Tracer, child
 
@@ -115,8 +111,7 @@ class ServiceDecision:
 
 @dataclass
 class _Ticket:
-    #: Unique per submission — the idempotency key every resolution path
-    #: dedupes on, so no ticket can be double-counted in the metrics.
+    #: Unique per submission; journaled with the epoch that carries it.
     request_id: str
     su_id: str
     request: object
@@ -127,6 +122,11 @@ class _Ticket:
     span: object | None = None
     #: Open ``batch`` child covering queue-to-dispatch residence.
     batch_span: object | None = None
+    #: Set by the first resolution (granted/denied/rejected).  Every
+    #: resolution path checks it first: a ticket that an expired
+    #: deadline and a failed epoch retry both try to reject is counted
+    #: exactly once in the metrics.
+    resolved: bool = False
 
 
 class _PuUpdate:
@@ -208,12 +208,6 @@ class SpectrumAccessBroker:
         #: loop-task assert after the first's await window (ASY004).
         self._lifecycle_lock = asyncio.Lock()
         self._request_ids = itertools.count()
-        #: Request ids already resolved (granted/denied/rejected), as a
-        #: bounded LRU so a long-running broker stays flat.  Every
-        #: resolution path checks this first: a ticket that an expired
-        #: deadline and a failed epoch retry both try to reject is
-        #: counted exactly once in the metrics.
-        self._resolved = IdempotencyCache(capacity=4096)
         # Epoch retries run through the unified policy engine: at most
         # one retry after a ClusterError (the router has already promoted
         # standbys on the failed links), no backoff — the recovered
@@ -401,17 +395,17 @@ class SpectrumAccessBroker:
                     self._resolve_rejection(item, REASON_SHUTTING_DOWN)
 
     def _mark_resolved(self, ticket: _Ticket) -> bool:
-        """First resolution of this ticket?  Dedupe by request id.
+        """First resolution of this ticket?  Dedupe on its flag.
 
         Before this guard, a ticket could be rejected twice — once by a
         deadline check and again when a failed (retried) epoch pass
         rejected everything it carried — decrementing ``_pending`` and
         bumping ``requests_rejected`` both times.
         """
-        if ticket.request_id in self._resolved:
+        if ticket.resolved:
             self.metrics.counter("requests_deduped").inc()
             return False
-        self._resolved.put(ticket.request_id, True)
+        ticket.resolved = True
         self._pending -= 1
         self.metrics.gauge("queue_depth").set(self._pending)
         return True

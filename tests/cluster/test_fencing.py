@@ -42,7 +42,7 @@ def store(request, tmp_path):
 
 class TestLeaseAuthority:
     def test_tokens_start_at_zero_and_increase(self):
-        authority = LeaseAuthority()
+        authority = LeaseAuthority(store=MemoryStateStore())
         assert authority.register("shard-0") == 0
         assert authority.token("shard-0") == 0
         first = authority.bump("shard-0", "failover")
@@ -51,7 +51,7 @@ class TestLeaseAuthority:
         assert authority.token("shard-0") == 2
 
     def test_shards_are_fenced_independently(self):
-        authority = LeaseAuthority()
+        authority = LeaseAuthority(store=MemoryStateStore())
         authority.bump("shard-0", "manual")
         authority.bump("shard-0", "manual")
         assert authority.token("shard-1") == 0
@@ -133,7 +133,7 @@ class TestMonotonicityAcrossColdStarts:
 class TestMetricsFamilies:
     def test_families_exist_before_any_promotion(self):
         registry = MetricsRegistry()
-        authority = LeaseAuthority(metrics=registry)
+        authority = LeaseAuthority(store=MemoryStateStore(), metrics=registry)
         authority.register("shard-0")
         text = registry.to_prometheus()
         assert "fencing_tokens_current" in text
@@ -142,7 +142,7 @@ class TestMetricsFamilies:
 
     def test_bump_and_rejection_move_the_counters(self):
         registry = MetricsRegistry()
-        authority = LeaseAuthority(metrics=registry)
+        authority = LeaseAuthority(store=MemoryStateStore(), metrics=registry)
         authority.bump("shard-0", "manual")
         authority.note_rejection("shard-0")
         lines = registry.to_prometheus().splitlines()

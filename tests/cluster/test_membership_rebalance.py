@@ -104,6 +104,7 @@ class TestHandoffExecution:
                 shard_factory=lambda role: SdcShard(
                     shard_id, small_scenario.environment, keypair.public_key
                 ),
+                store=MemoryStateStore(),
             )
 
         replica_sets = {sid: make_set(sid) for sid in ("a", "b")}
@@ -129,6 +130,7 @@ class TestHandoffExecution:
             shard_factory=lambda role: SdcShard(
                 "c", small_scenario.environment, keypair.public_key
             ),
+            store=MemoryStateStore(),
         )
         new_ring = membership.join("c")
         plan = plan_handoff(old_ring, new_ring, num_blocks)

@@ -7,6 +7,7 @@ from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError
 from repro.pisa.pu_client import PUClient
 from repro.pisa.storage import serialize_shard_state
+from repro.store import MemoryStateStore
 
 
 class FakeClock:
@@ -30,7 +31,7 @@ def replica_set(small_scenario, keypair):
     rs = ShardReplicaSet(
         "shard-0",
         shard_factory=factory,
-        heartbeat_timeout_s=1.0,
+        store=MemoryStateStore(),
         clock=clock,
     )
     rs.clock = clock  # test handle

@@ -7,12 +7,14 @@ constructions where the scenario-free surface suffices.
 
 import pytest
 
+from repro.cluster.fencing import LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError, ShardDownError
 from repro.net.transport import InMemoryTransport
+from repro.store import MemoryStateStore
 from repro.telemetry import MetricsRegistry
 
 from tests.cluster.conftest import build_cluster
@@ -27,6 +29,7 @@ def cluster():
 
 def make_router(small_scenario, keypair, shard_ids=("a", "b"), **kwargs):
     membership = ClusterMembership(tuple(shard_ids))
+    store = MemoryStateStore()
     replica_sets = {}
     for shard_id in shard_ids:
         replica_sets[shard_id] = ShardReplicaSet(
@@ -34,12 +37,15 @@ def make_router(small_scenario, keypair, shard_ids=("a", "b"), **kwargs):
             shard_factory=lambda role, sid=shard_id: SdcShard(
                 sid, small_scenario.environment, keypair.public_key
             ),
+            store=store,
         )
     assignment = membership.ring.assignment(
         tuple(range(small_scenario.environment.num_blocks))
     )
     for shard_id, blocks in assignment.items():
         replica_sets[shard_id].assign_blocks(blocks)
+    kwargs.setdefault("transport", InMemoryTransport())
+    kwargs.setdefault("fencing", LeaseAuthority(store=store))
     return ShardRouter(membership, replica_sets, **kwargs)
 
 
@@ -101,7 +107,7 @@ class TestFailover:
         finally:
             router.close()
 
-    def test_retries_are_bounded(self, small_scenario, keypair):
+    def test_retries_are_bounded(self, small_scenario, keypair, pu_updates):
         router = make_router(small_scenario, keypair, max_attempts=2)
         try:
 
@@ -109,7 +115,7 @@ class TestFailover:
                 raise ShardDownError("injected")
 
             with pytest.raises(ShardDownError, match="failed 2 attempts"):
-                router._call_shard("a", object(), always_down)
+                router._call_shard("a", pu_updates[0], always_down)
             # Promotion happened between the two attempts.
             assert router.stats.subquery_failures == 2
             assert router.stats.failovers == 1

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.crypto.rand import DeterministicRandomSource
-from repro.errors import BlindingError, ProtocolError
+from repro.errors import ProtocolError
 from repro.pisa.packed import (
     PackedCoordinator,
-    PackedProtocolConfig,
     PackedSignExtractionResponse,
 )
 from repro.watch.sdc import PlaintextSDC
@@ -46,14 +45,6 @@ def packed_oracle(packed_scenario):
 class TestConfig:
     def test_layout_has_multiple_slots(self, deployment):
         assert deployment.layout.num_slots >= 2
-
-    def test_unsafe_alpha_rejected(self, packed_scenario, fresh_rng):
-        from repro.crypto.paillier import generate_keypair
-
-        kp = generate_keypair(512, rng=fresh_rng)
-        config = PackedProtocolConfig(alpha_bits=8)
-        with pytest.raises(BlindingError):
-            config.layout(kp.public_key, packed_scenario.environment)
 
 
 class TestDecisionEquivalence:

@@ -1,4 +1,4 @@
-"""Retry policy engine: jitter, budgets, breakers, idempotency."""
+"""Retry policy engine: jitter, bounded attempts, breakers."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import CircuitOpenError, RetryExhaustedError
 from repro.resilience.policy import (
     CircuitBreaker,
-    IdempotencyCache,
     RetryPolicy,
     decorrelated_jitter,
     run_with_policy,
@@ -109,27 +108,6 @@ class TestRunWithPolicy:
             )
         assert op.calls == 1
 
-    def test_budget_stops_before_attempts_run_out(self):
-        clock = FakeClock()
-
-        def sleep(seconds: float) -> None:
-            clock.advance(seconds)
-
-        op = Flaky(failures=100)
-        with pytest.raises(RetryExhaustedError):
-            run_with_policy(
-                op,
-                RetryPolicy(
-                    max_attempts=1000,
-                    base_backoff_s=0.1,
-                    backoff_cap_s=0.1,
-                    budget_s=0.35,
-                ),
-                clock=clock,
-                sleep=sleep,
-            )
-        assert op.calls < 10  # the wall budget cut it off, not attempts
-
     def test_zero_backoff_never_calls_sleep(self):
         sleeps = []
         op = Flaky(failures=2)
@@ -198,52 +176,3 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.CLOSED
 
-
-class TestIdempotencyCache:
-    def test_lru_eviction(self):
-        cache = IdempotencyCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert "b" not in cache
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_hit_and_miss_counters(self):
-        cache = IdempotencyCache()
-        cache.put("k", "v")
-        cache.get("k")
-        cache.get("absent")
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            IdempotencyCache(capacity=0)
-
-    def test_policy_short_circuits_on_cached_result(self):
-        cache = IdempotencyCache()
-        op = Flaky(failures=0, value="first")
-        policy = RetryPolicy(max_attempts=1)
-        first = run_with_policy(
-            op, policy, idempotency_key="req-1", cache=cache
-        )
-        again = run_with_policy(
-            op, policy, idempotency_key="req-1", cache=cache
-        )
-        assert first == again == "first"
-        assert op.calls == 1  # second call never re-executed
-
-    def test_cached_none_result_still_short_circuits(self):
-        cache = IdempotencyCache()
-        calls = []
-
-        def op():
-            calls.append(1)
-            return None
-
-        policy = RetryPolicy(max_attempts=1)
-        run_with_policy(op, policy, idempotency_key="k", cache=cache)
-        run_with_policy(op, policy, idempotency_key="k", cache=cache)
-        assert len(calls) == 1

@@ -4,8 +4,9 @@ import asyncio
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.crypto.rand import DeterministicRandomSource
-from repro.errors import ProtocolError, ShardDownError
+from repro.errors import ClusterError, ProtocolError, ShardDownError
 from repro.pisa.protocol import PisaCoordinator
 from repro.service.batching import AllocationResult, BatchAllocator
 from repro.service.broker import (
@@ -385,6 +386,59 @@ class TestIntegration:
         assert decision.ran
         assert (decision.status == "granted") == direct_report.granted
         assert decision.outcome.granted == direct_report.granted
+
+
+class TestFailedPassDiscardsItsRounds:
+    """A pass that fails after phase 1 leaves no round, and no (α, β, ε),
+    pending at the SDC — whether the broker's retry then succeeds or the
+    epoch fails twice and is rejected."""
+
+    @pytest.mark.parametrize("failures, status", [(1, "ran"), (2, "rejected")])
+    def test_no_pending_round_survives(self, scenario, failures, status):
+        coordinator = ClusterCoordinator(
+            scenario.environment,
+            num_shards=2,
+            key_bits=TEST_KEY_BITS,
+            rng=DeterministicRandomSource("failed-pass"),
+        )
+        try:
+            for pu in scenario.pus:
+                coordinator.enroll_pu(pu)
+            su_id = scenario.sus[0].su_id
+            coordinator.enroll_su(scenario.sus[0])
+            request = coordinator.su_client(su_id).prepare_request()
+            convert = coordinator.stp.handle_sign_extraction
+            calls = []
+
+            def flaky_convert(extraction, span=None):
+                calls.append(extraction.round_id)
+                if len(calls) <= failures:
+                    raise ClusterError("conversion leg lost mid-epoch")
+                return convert(extraction, span=span)
+
+            coordinator.stp.handle_sign_extraction = flaky_convert
+
+            async def run_service():
+                broker = SpectrumAccessBroker(
+                    allocator=BatchAllocator.for_coordinator(coordinator),
+                    pu_update_handler=coordinator.sdc.handle_pu_update,
+                    config=ServiceConfig(batch_window_s=0, max_batch=1),
+                )
+                async with broker:
+                    return await broker.submit_request(su_id, request)
+
+            decision = asyncio.run(run_service())
+        finally:
+            coordinator.close()
+        assert len(calls) == 2  # the epoch ran phase 1 twice
+        if status == "ran":
+            assert decision.ran
+        else:
+            assert (decision.status, decision.reason) == (
+                "rejected",
+                REASON_INTERNAL_ERROR,
+            )
+        assert coordinator.sdc.pending_rounds == 0
 
 
 class TestResolutionDedupe:
