@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.net.transport import InMemoryTransport
 
-__all__ = ["CommunicationSummary", "summarize_transport"]
+__all__ = ["CommunicationSummary", "leg_bytes", "summarize_transport"]
+
+#: The message kinds booked on each §VI-A leg.  A round's conversion
+#: legs cross the wire inside the epoch envelopes
+#: (:mod:`repro.service.batching`), one per direction per pass, whatever
+#: the variant's sign-extraction messages inside them.
+_LEG_KINDS = {
+    "request_bytes": ("SURequestMessage", "PackedRequestMessage"),
+    "pu_update_bytes": ("PUUpdateMessage",),
+    "sign_extraction_bytes": ("BatchSignExtractionRequest",),
+    "conversion_bytes": ("BatchSignExtractionResponse",),
+    "response_bytes": ("LicenseResponse",),
+}
 
 
 @dataclass(frozen=True)
@@ -41,19 +54,29 @@ class CommunicationSummary:
         ]
 
 
+def leg_bytes(
+    by_kind: Mapping[str, tuple[int, int]],
+    since: Mapping[str, tuple[int, int]] | None = None,
+) -> dict[str, int]:
+    """Bytes per §VI-A leg of a transport's ``by_kind()`` table.
+
+    With ``since`` (an earlier ``by_kind()`` of the same transport) only
+    what was sent after it counts.
+    """
+    since = since or {}
+
+    def sent(kind: str) -> int:
+        return by_kind.get(kind, (0, 0))[1] - since.get(kind, (0, 0))[1]
+
+    return {
+        leg: sum(sent(kind) for kind in kinds) for leg, kinds in _LEG_KINDS.items()
+    }
+
+
 def summarize_transport(transport: InMemoryTransport) -> CommunicationSummary:
-    """Aggregate an accounted transport into a per-kind summary."""
-    by_kind = transport.by_kind()
-
-    def total(kind: str) -> int:
-        return by_kind.get(kind, (0, 0))[1]
-
+    """Aggregate an accounted transport into a per-leg summary."""
     return CommunicationSummary(
-        request_bytes=total("SURequestMessage"),
-        pu_update_bytes=total("PUUpdateMessage"),
-        sign_extraction_bytes=total("SignExtractionRequest"),
-        conversion_bytes=total("SignExtractionResponse"),
-        response_bytes=total("LicenseResponse"),
+        **leg_bytes(transport.by_kind()),
         total_bytes=transport.total_bytes(),
         message_count=transport.count(),
     )

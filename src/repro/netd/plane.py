@@ -43,6 +43,7 @@ from repro.netd.transport import PeerClient, SocketTransport, TlsSpec
 from repro.netd.wire import decode_control, encode_control
 from repro.pisa.blinding import indicator_bound_for
 from repro.service import loadtest as loadtest_module
+from repro.service.batching import STP_ENDPOINT
 from repro.service.loadtest import LoadtestConfig, LoadtestReport, ServiceFixture
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
@@ -55,7 +56,6 @@ __all__ = [
     "run_socket_loadtest",
 ]
 
-STP_ENDPOINT = "stp"
 #: How long :func:`health_check` waits for one worker's ``ping``.
 HEALTH_TIMEOUT_S = 5.0
 

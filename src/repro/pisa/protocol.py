@@ -10,9 +10,11 @@ so every byte is accounted exactly as it would appear on the wire.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
+from repro.analysis.overhead import leg_bytes
 from repro.crypto.paillier import PaillierKeypair, generate_keypair
 from repro.crypto.rand import DeterministicRandomSource, RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner, generate_rsa_keypair
@@ -23,6 +25,8 @@ from repro.pisa.pu_client import PUClient
 from repro.pisa.sdc_server import SdcServer
 from repro.pisa.stp_server import StpServer
 from repro.pisa.su_client import RequestOutcome, SUClient
+from repro.service.batching import SDC_ENDPOINT, BatchAllocator, Epoch
+from repro.telemetry import Tracer
 from repro.watch.entities import PUReceiver, SUTransmitter
 from repro.watch.environment import SpectrumEnvironment
 
@@ -86,7 +90,10 @@ class PisaCoordinator:
     (:meth:`_build_stp`, :meth:`_build_sdc`, :meth:`_build_su_client`).
     Whatever they build answers ``start_request`` / ``finish_request``
     at the SDC and ``handle_sign_extraction`` at the conversion server,
-    so enrolment and the Figure 5 round driver are defined here once.
+    so enrolment is defined here once, and a Figure 5 round is the
+    broker's own pass: :meth:`run_request_round` runs the
+    :class:`~repro.service.batching.BatchAllocator` wired by
+    ``for_coordinator`` over a one-request epoch.
 
     Parameters
     ----------
@@ -100,10 +107,6 @@ class PisaCoordinator:
     rng:
         Randomness source (pass a DRBG for reproducible runs).
     """
-
-    #: Transport endpoint names of the SDC and of its conversion peer.
-    sdc_endpoint = "sdc"
-    stp_endpoint = "stp"
 
     def __init__(
         self,
@@ -126,6 +129,8 @@ class PisaCoordinator:
         self.sdc = self._build_sdc(RsaFdhSigner(signing_private), executor)
         self._pu_clients: dict[str, PUClient] = {}
         self._su_clients: dict = {}
+        self._allocator = BatchAllocator.for_coordinator(self)
+        self._epoch_ids = itertools.count()
 
     # -- build hooks -----------------------------------------------------------------
 
@@ -166,7 +171,7 @@ class PisaCoordinator:
         )
         self._pu_clients[pu.receiver_id] = client
         update = client.build_update()
-        self.transport.send(update, sender=pu.receiver_id, receiver=self.sdc_endpoint)
+        self.transport.send(update, sender=pu.receiver_id, receiver=SDC_ENDPOINT)
         self.sdc.handle_pu_update(update)
         return client
 
@@ -199,7 +204,7 @@ class PisaCoordinator:
         update = client.switch_channel(channel_slot, signal_strength_mw)
         if update is None:
             return False
-        self.transport.send(update, sender=pu_id, receiver=self.sdc_endpoint)
+        self.transport.send(update, sender=pu_id, receiver=SDC_ENDPOINT)
         self.sdc.handle_pu_update(update)
         return True
 
@@ -210,48 +215,40 @@ class PisaCoordinator:
 
         ``reuse_cached_request=True`` exercises the §VI-A fast path: the
         cached encrypted request is re-randomised instead of rebuilt.
+        The round is one epoch of the broker's allocator, so a failed
+        round leaves no pending round and a cluster commits its epoch.
+        Phase timings are read off the allocator's spans (a local
+        tracer with its own RNG), bytes off the transport.
         """
         client = self._su_clients[su_id]
-        sdc_name, stp_name = self.sdc_endpoint, self.stp_endpoint
-
         t0 = time.perf_counter()
         if reuse_cached_request:
             request = client.refresh_request()
         else:
             request = client.prepare_request()
-        t1 = time.perf_counter()
-        self.transport.send(request, sender=su_id, receiver=sdc_name)
+        preparation = time.perf_counter() - t0
 
-        sign_request = self.sdc.start_request(request)
-        t2 = time.perf_counter()
-        self.transport.send(sign_request, sender=sdc_name, receiver=stp_name)
-
-        sign_response = self.stp.handle_sign_extraction(sign_request)
-        t3 = time.perf_counter()
-        self.transport.send(sign_response, sender=stp_name, receiver=sdc_name)
-
-        response = self.sdc.finish_request(sign_response)
-        t4 = time.perf_counter()
-        self.transport.send(response, sender=sdc_name, receiver=su_id)
-
-        outcome = client.process_response(response, self.stp.directory)
-        t5 = time.perf_counter()
-
+        before = self.transport.by_kind()
+        root = Tracer().start_span("round")
+        epoch = Epoch(next(self._epoch_ids), t0, t0, [(su_id, request)])
+        [result] = self._allocator.allocate(epoch, spans=[root])
+        phase = {span.name: span.duration_s for span in root.children}
+        legs = leg_bytes(self.transport.by_kind(), since=before)
         return RoundReport(
             su_id=su_id,
-            granted=outcome.granted,
-            outcome=outcome,
+            granted=result.granted,
+            outcome=result.outcome,
             timings=RoundTimings(
-                request_preparation=t1 - t0,
-                sdc_phase1=t2 - t1,
-                stp_conversion=t3 - t2,
-                sdc_phase2=t4 - t3,
-                su_decryption=t5 - t4,
+                request_preparation=preparation,
+                sdc_phase1=phase["phase1"],
+                stp_conversion=phase["stp"],
+                sdc_phase2=phase["phase2"],
+                su_decryption=phase["license"],
             ),
-            request_bytes=request.wire_size(),
-            sign_extraction_bytes=sign_request.wire_size(),
-            conversion_bytes=sign_response.wire_size(),
-            response_bytes=response.wire_size(),
+            request_bytes=legs["request_bytes"],
+            sign_extraction_bytes=legs["sign_extraction_bytes"],
+            conversion_bytes=legs["conversion_bytes"],
+            response_bytes=legs["response_bytes"],
         )
 
 

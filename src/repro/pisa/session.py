@@ -126,10 +126,9 @@ class SuSession:
         """
         now = self._clock()
         if self._needs_renewal(now):
-            reuse = self._requested_once
             report = self.coordinator.run_request_round(
-                self.su_id, reuse_cached_request=reuse
-            ) if reuse else self.coordinator.run_request_round(self.su_id)
+                self.su_id, reuse_cached_request=self._requested_once
+            )
             self._requested_once = True
             if report.granted:
                 self._license = report.outcome.license

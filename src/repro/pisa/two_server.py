@@ -179,12 +179,10 @@ class TwoServerCoordinator(PisaCoordinator):
     """Deploys and drives the STP-free variant end to end.
 
     A :class:`repro.pisa.protocol.PisaCoordinator` — same clients, same
-    message flow, same round driver — whose build hooks put the
-    front/backend threshold pair where the SDC and the STP sit.
+    message flow, same round driver, same endpoint names — whose build
+    hooks put the front/backend threshold pair where the SDC and the STP
+    sit.
     """
-
-    sdc_endpoint = "sdc-front"
-    stp_endpoint = "sdc-back"
 
     def _build_stp(self, key_bits: int, executor) -> BackendServer:
         keypair, directory = deal_two_server_keys(key_bits, rng=self._rng)

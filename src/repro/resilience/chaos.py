@@ -61,6 +61,7 @@ import os
 import shutil
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.cluster.coordinator import ClusterCoordinator
@@ -80,6 +81,7 @@ from repro.resilience.recovery import (
     replay_sources,
     summarize,
 )
+from repro.service.batching import SDC_ENDPOINT, STP_ENDPOINT, BatchAllocator, Epoch
 from repro.sim.traffic import (
     KIND_PU_SWITCH,
     KIND_SU_REQUEST,
@@ -87,7 +89,6 @@ from repro.sim.traffic import (
     resolve_workload,
 )
 from repro.store import Checkpointer, SqliteStateStore, recover
-from repro.telemetry import child
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
 __all__ = [
@@ -232,17 +233,17 @@ class _StpOutage(FaultPlan):
 
     def before_round(self, ctx, round_index):
         if round_index == min(1, ctx.rounds - 1):
-            ctx.transport.fail_link("sdc", "stp")
+            ctx.transport.fail_link(SDC_ENDPOINT, STP_ENDPOINT)
             ctx.stp_outage_remaining = self.OUTAGE_RETRIES
             ctx.note(f"cut sdc->stp before round {round_index}")
 
     def on_send_retry(self, ctx, exc, link):
-        if link != ("sdc", "stp") or not isinstance(exc, LinkDownError):
+        if link != (SDC_ENDPOINT, STP_ENDPOINT) or not isinstance(exc, LinkDownError):
             return
         ctx.stp_outage_remaining -= 1
         ctx.stp_drained_sends += 1
         if ctx.stp_outage_remaining <= 0:
-            ctx.transport.restore_link("sdc", "stp")
+            ctx.transport.restore_link(SDC_ENDPOINT, STP_ENDPOINT)
             ctx.note("stp outage drained; link restored")
 
 
@@ -466,9 +467,9 @@ class _SplitBrainPromote(FaultPlan):
             rejected=self.REJECTED,
             landed=self.LANDED.format(victim=victim),
         )
-        # The successor commits under its own lease; the audit must see
-        # writer tokens that never regress behind the fence.
-        coordinator.sdc.commit_epoch(round_index)
+        # The successor commits under its own lease when the round's epoch
+        # ends; the audit must see writer tokens that never regress behind
+        # the fence.
 
 
 class _ClockSkew(FaultPlan):
@@ -716,6 +717,30 @@ class _RunRecord:
     licenses: tuple
 
 
+class _RetryingSend:
+    """The run's transport as the allocator sees it: every send retried
+    under :data:`SEND_POLICY` (queue-and-drain), each retry shown to the
+    plans' ``on_send_retry`` first."""
+
+    def __init__(self, ctx: _RunContext, plans) -> None:
+        self._ctx = ctx
+        self._plans = plans
+
+    def send(self, message, sender: str, receiver: str):
+        ctx = self._ctx
+
+        def on_retry(_attempt, exc, _sleep_s):
+            for plan in self._plans:
+                plan.on_send_retry(ctx, exc, (sender, receiver))
+
+        return run_with_policy(
+            lambda: ctx.transport.send(message, sender, receiver),
+            SEND_POLICY,
+            rng=DeterministicRandomSource(0),
+            on_retry=on_retry,
+        )
+
+
 @dataclass(frozen=True)
 class ChaosResult:
     """The verdict of one composed chaos schedule."""
@@ -913,11 +938,11 @@ class ChaosHarness:
         # Churn after the final request never precedes a round: dropped.
         return tuple(script)
 
-    def _apply_churn(self, ctx: _RunContext, plans, churn) -> None:
+    def _apply_churn(self, ctx: _RunContext, wire, churn) -> None:
         """Scripted PU switches, sent through the (possibly faulted) transport.
 
-        Updates ride the same retry policy as protocol sends, so a
-        churn storm composed with a partition exercises the failover
+        Updates ride the same retrying ``wire`` as protocol messages, so
+        a churn storm composed with a partition exercises the failover
         path; §VI-A virtual switches (same physical channel) produce no
         update, identically in every run.
         """
@@ -928,91 +953,20 @@ class ChaosHarness:
             )
             if update is None:
                 continue
-
-            def on_retry(_attempt, exc, _sleep_s, pu_id=pu_id):
-                for plan in plans:
-                    plan.on_send_retry(ctx, exc, (pu_id, "sdc"))
-
-            run_with_policy(
-                lambda u=update, p=pu_id: ctx.transport.send(u, p, "sdc"),
-                SEND_POLICY,
-                rng=DeterministicRandomSource(0),
-                on_retry=on_retry,
-            )
+            wire.send(update, pu_id, SDC_ENDPOINT)
             coordinator.sdc.handle_pu_update(update)
 
-    def _run_round(self, ctx: _RunContext, plans, su_id: str):
-        """One Figure 5 round with retried (queue-and-drain) sends."""
-        coordinator = ctx.coordinator
-
-        def send(message, sender, receiver):
-            def on_retry(_attempt, exc, _sleep_s):
-                for plan in plans:
-                    plan.on_send_retry(ctx, exc, (sender, receiver))
-
-            run_with_policy(
-                lambda: ctx.transport.send(message, sender, receiver),
-                SEND_POLICY,
-                rng=DeterministicRandomSource(0),
-                on_retry=on_retry,
-            )
-
-        root = (
-            ctx.tracer.start_span("round", su=su_id)
-            if ctx.tracer is not None
-            else None
-        )
-        try:
-            client = coordinator.su_client(su_id)
-            request = client.prepare_request()
-            send(request, su_id, "sdc")
-            sign_request = self._phase(
-                root, "phase1", coordinator.sdc.start_request, request
-            )
-            send(sign_request, "sdc", "stp")
-            sign_response = self._phase(
-                root, "stp", coordinator.stp.handle_sign_extraction, sign_request
-            )
-            send(sign_response, "stp", "sdc")
-            response = self._phase(
-                root, "phase2", coordinator.sdc.finish_request, sign_response
-            )
-            send(response, "sdc", su_id)
-            outcome = self._phase(
-                root,
-                "license",
-                lambda message, span=None: client.process_response(
-                    message, coordinator.stp.directory
-                ),
-                response,
-            )
-            return outcome
-        except BaseException as exc:
-            if root is not None:
-                root.record_error(exc)
-            raise
-        finally:
-            if root is not None:
-                root.end()
-
-    @staticmethod
-    def _phase(root, name, fn, message):
-        """Run one protocol phase under a child span of ``root``."""
-        span = child(root, name)
-        try:
-            return fn(message, span=span)
-        except BaseException as exc:
-            if span is not None:
-                span.record_error(exc)
-            raise
-        finally:
-            if span is not None:
-                span.end()
-
     def _execute(self, ctx: _RunContext, plans, su_ids) -> _RunRecord:
-        """Enrolment already ran in ``_build``; mark it and run rounds."""
+        """Enrolment already ran in ``_build``; mark it and run rounds.
+
+        Round ``i`` is epoch ``i`` of the broker's allocator, sending
+        through a retrying (queue-and-drain) transport, so every plan
+        also runs the allocator's round discard and epoch commit.
+        """
         for plan in plans:
             plan.arm(ctx)
+        wire = _RetryingSend(ctx, plans)
+        allocator = BatchAllocator.for_coordinator(ctx.coordinator, transport=wire)
         ctx.transport.mark()
         outcomes = []
         for round_index in range(ctx.rounds):
@@ -1020,10 +974,19 @@ class ChaosHarness:
                 plan.before_round(ctx, round_index)
             if self._script:
                 su_id, churn = self._script[round_index % len(self._script)]
-                self._apply_churn(ctx, plans, churn)
+                self._apply_churn(ctx, wire, churn)
             else:
                 su_id = su_ids[round_index % len(su_ids)]
-            outcomes.append(self._run_round(ctx, plans, su_id))
+            root = (
+                ctx.tracer.start_span("round", su=su_id)
+                if ctx.tracer is not None
+                else None
+            )
+            with root or nullcontext():
+                request = ctx.coordinator.su_client(su_id).prepare_request()
+                epoch = Epoch(round_index, 0.0, 0.0, [(su_id, request)])
+                [result] = allocator.allocate(epoch, spans=[root])
+            outcomes.append(result.outcome)
             ctx.transport.mark()
         for plan in plans:
             plan.finish(ctx)

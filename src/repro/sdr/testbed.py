@@ -31,6 +31,7 @@ from repro.geo.grid import BlockGrid
 from repro.pisa.protocol import PisaCoordinator, RoundReport
 from repro.radio.antenna import Antenna
 from repro.sdr.devices import USRP_N210, USRP_X310, RadioMedium, SimulatedUSRP
+from repro.service.batching import SDC_ENDPOINT
 from repro.watch.entities import PUReceiver, SUTransmitter
 from repro.watch.environment import SpectrumEnvironment
 from repro.watch.params import WatchParameters
@@ -138,7 +139,7 @@ class SdrTestbed:
         events = []
         for su_id in ("su1", "su2"):
             request = self.coordinator.su_client(su_id).prepare_request()
-            self.coordinator.transport.send(request, sender=su_id, receiver="sdc")
+            self.coordinator.transport.send(request, sender=su_id, receiver=SDC_ENDPOINT)
             events.append(
                 f"{su_id} sent encrypted request ({request.wire_size()} bytes); "
                 "sdc acknowledged"

@@ -33,7 +33,6 @@ runs it.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
@@ -47,12 +46,16 @@ __all__ = [
     "BatchSignExtractionRequest",
     "BatchSignExtractionResponse",
     "BatchAllocator",
+    "SDC_ENDPOINT",
+    "STP_ENDPOINT",
 ]
 
 T = TypeVar("T")
 
-#: The conversion server's endpoint name on the wire.
-CONVERSION_PEER = "stp"
+#: Transport endpoint names of the SDC and of its conversion server (the
+#: STP, or the two-server variant's backend) in every deployment.
+SDC_ENDPOINT = "sdc"
+STP_ENDPOINT = "stp"
 
 
 @dataclass
@@ -170,27 +173,6 @@ class BatchSignExtractionResponse:
 # -- running an epoch through a coordinator -----------------------------------------
 
 
-def _accepts_span(fn: Callable) -> bool:
-    """Whether ``fn`` can be called with a ``span=`` keyword."""
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if (
-            parameter.name == "span"
-            and parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class AllocationResult:
     """One request's outcome from a batched allocation pass."""
@@ -204,12 +186,19 @@ class AllocationResult:
 class BatchAllocator:
     """Runs a closed epoch through the three protocol phases.
 
-    Variant-agnostic: the three phases are injected as callables, so the
-    same allocator drives baseline PISA, the packed extension, and the
-    two-server split.  Use :meth:`for_coordinator` to wire one from any
-    coordinator: every variant's SDC answers ``start_request`` /
-    ``finish_request`` and its conversion server
-    ``handle_sign_extraction``.
+    The one driver of Figure 5's round: the broker, the spine,
+    :meth:`repro.pisa.protocol.PisaCoordinator.run_request_round` (a
+    one-request epoch) and the chaos harness all send a round's messages
+    and call its phases through :meth:`allocate`.  Variant-agnostic: the
+    three phases are injected as callables taking the message and a
+    ``span=`` keyword, so the same allocator drives baseline PISA, the
+    packed extension, and the two-server split.  Use
+    :meth:`for_coordinator` to wire one from any coordinator: every
+    variant's SDC answers ``start_request`` / ``finish_request`` and its
+    conversion server ``handle_sign_extraction``.
+
+    ``transport`` accounts every message of a pass: anything with the
+    :class:`~repro.net.transport.InMemoryTransport` ``send``.
     """
 
     def __init__(
@@ -218,7 +207,7 @@ class BatchAllocator:
         convert: Callable,
         phase2: Callable,
         process_response: Callable,
-        transport=None,
+        transport,
         commit_epoch: Callable | None = None,
         idle_work: Callable | None = None,
         discard_round: Callable | None = None,
@@ -238,17 +227,13 @@ class BatchAllocator:
         #: pass is — never during :meth:`allocate` — and that returns
         #: soon after ``stop()`` turns true.  ``None`` when there is none.
         self.idle_work = idle_work
-        # Span support is detected once, here, rather than try/except per
-        # call: phase callables may be plain lambdas (tests) that don't
-        # take a ``span`` kwarg, and a per-call TypeError probe could
-        # mask a genuine TypeError from inside the phase.
-        self._phase1_span = _accepts_span(phase1)
-        self._convert_span = _accepts_span(convert)
-        self._phase2_span = _accepts_span(phase2)
 
     @classmethod
-    def for_coordinator(cls, coordinator) -> "BatchAllocator":
+    def for_coordinator(cls, coordinator, transport=None) -> "BatchAllocator":
         """Build the phase wiring from any coordinator — one wiring.
+
+        Messages go through ``transport``, the coordinator's own unless
+        another is given (the chaos harness passes one that retries).
 
         A cluster coordinator's SDC facade exposes ``commit_epoch``; when
         present it is wired as the end-of-epoch hook, so each completed
@@ -274,19 +259,18 @@ class BatchAllocator:
             process_response=lambda su_id, response: coordinator.su_client(
                 su_id
             ).process_response(response, coordinator.stp.directory),
-            transport=coordinator.transport,
+            transport=transport if transport is not None else coordinator.transport,
             commit_epoch=getattr(coordinator.sdc, "commit_epoch", None),
             idle_work=getattr(coordinator.stp, "fill_stock", None),
             discard_round=coordinator.sdc.discard_round,
         )
 
-    def _run_phase(self, fn, supports_span, message, parent, name):
-        """One phase call under a child span (threaded in when supported)."""
+    @staticmethod
+    def _run_phase(fn, message, parent, name):
+        """One phase call under a child span of ``parent``."""
         phase_span = child(parent, name)
         try:
-            if supports_span and phase_span is not None:
-                return fn(message, span=phase_span)
-            return fn(message)
+            return fn(message, span=phase_span)
         except BaseException as exc:
             if phase_span is not None:
                 phase_span.record_error(exc)
@@ -306,51 +290,44 @@ class BatchAllocator:
         ``spans`` is an optional per-item parallel sequence of
         :class:`repro.telemetry.Span` parents (the broker's per-request
         root spans); each item's ``phase1`` / ``stp`` / ``phase2`` /
-        ``license`` children hang off its own parent.  Phase callables
-        that accept a ``span`` kwarg (the real coordinators) receive the
-        phase child, so per-shard scatter spans nest beneath it.
+        ``license`` children hang off its own parent, and each phase
+        receives its child as ``span=``, so per-shard scatter spans nest
+        beneath it.
         """
         if not epoch.items:
             return []
         if spans is None or len(spans) != len(epoch.items):
             spans = [None] * len(epoch.items)
+        send = self._transport.send
         extractions = []
         try:
             for (su_id, request), span in zip(epoch.items, spans):
-                if self._transport is not None:
-                    self._transport.send(request, sender=su_id, receiver="sdc")
-                extractions.append(
-                    self._run_phase(
-                        self._phase1, self._phase1_span, request, span, "phase1"
-                    )
-                )
-            batch_request = BatchSignExtractionRequest(
-                epoch_id=epoch.epoch_id, requests=tuple(extractions)
+                send(request, sender=su_id, receiver=SDC_ENDPOINT)
+                extractions.append(self._run_phase(self._phase1, request, span, "phase1"))
+            send(
+                BatchSignExtractionRequest(
+                    epoch_id=epoch.epoch_id, requests=tuple(extractions)
+                ),
+                sender=SDC_ENDPOINT,
+                receiver=STP_ENDPOINT,
             )
-            if self._transport is not None:
-                self._transport.send(
-                    batch_request, sender="sdc", receiver=CONVERSION_PEER
-                )
             conversions = tuple(
-                self._run_phase(self._convert, self._convert_span, ext, span, "stp")
-                for ext, span in zip(extractions, spans)
+                self._run_phase(self._convert, extraction, span, "stp")
+                for extraction, span in zip(extractions, spans)
             )
-            batch_response = BatchSignExtractionResponse(
-                epoch_id=epoch.epoch_id, responses=conversions
+            send(
+                BatchSignExtractionResponse(
+                    epoch_id=epoch.epoch_id, responses=conversions
+                ),
+                sender=STP_ENDPOINT,
+                receiver=SDC_ENDPOINT,
             )
-            if self._transport is not None:
-                self._transport.send(
-                    batch_response, sender=CONVERSION_PEER, receiver="sdc"
-                )
             results = []
             for (su_id, _), conversion, span in zip(
                 epoch.items, conversions, spans
             ):
-                response = self._run_phase(
-                    self._phase2, self._phase2_span, conversion, span, "phase2"
-                )
-                if self._transport is not None:
-                    self._transport.send(response, sender="sdc", receiver=su_id)
+                response = self._run_phase(self._phase2, conversion, span, "phase2")
+                send(response, sender=SDC_ENDPOINT, receiver=su_id)
                 with_license = child(span, "license")
                 try:
                     outcome = self._process_response(su_id, response)

@@ -82,6 +82,32 @@ class TestComposedSchedules:
         assert result.fallback_draws == 0
 
 
+class TestRoundsAreTheBrokersPass:
+    """Each round is one epoch of the broker's allocator: it commits every
+    shard and leaves no round — and none of its secret blinding —
+    pending at the SDC."""
+
+    def test_control_run_commits_and_strands_nothing(self, monkeypatch):
+        harness = ChaosHarness(seed=7, shards=2, rounds=2, key_bits=256)
+        built = []
+        build = harness._build
+
+        def keep(*args, **kwargs):
+            coordinator, su_ids = build(*args, **kwargs)
+            built.append(coordinator)
+            return coordinator, su_ids
+
+        monkeypatch.setattr(harness, "_build", keep)
+        record = harness.control()
+        [coordinator] = built
+        assert coordinator.sdc.pending_rounds == 0
+        for replica_set in coordinator.replica_sets.values():
+            assert replica_set.primary.last_committed_epoch == harness.rounds - 1
+            assert replica_set.standby.last_committed_epoch == harness.rounds - 1
+        # request, the two epoch envelopes, the license response
+        assert [len(segment) for segment in record.segments[1:]] == [4, 4]
+
+
 class TestScheduleValidation:
     def test_unknown_plan_rejected(self, harness):
         with pytest.raises(ChaosPlanError):
@@ -132,6 +158,9 @@ class TestTracedChaos:
         assert traced.granted == untraced.granted
         assert len(tracer.roots) == harness.rounds
         assert all(root.name == "round" for root in tracer.roots)
+        assert [span.name for span in tracer.roots[0].children] == [
+            "phase1", "stp", "phase2", "license"
+        ]
 
     @pytest.mark.parametrize(
         "plan, fired",

@@ -9,7 +9,9 @@ cited at all, with or without a path; nor may the ``cluster-up``
 launcher PR 20 retired, its spec file or its ``ClusterSpec``.
 Neither may the transport options, classes and fault plan that went
 when the in-memory transport became one class keeping only per-kind
-totals and link faults.
+totals and link faults, nor the round drivers, span probe and endpoint
+names that went when ``BatchAllocator.allocate`` became the one driver
+of a request round.
 
 History files (``CHANGES.md``, ``ROADMAP.md``) and
 ``benchmarks/spine/README.md`` are deliberately out of scope.
@@ -33,6 +35,8 @@ RETIRED = re.compile(
     r"|MultiplexedTransport|BoundChannel|resolve_multiplexed|max_records"
     r"|total_delay_seconds|configure_link|DistanceLatency|SeededJitterLatency"
     r"|reorder-links|reorder_window"
+    r"|_run_round|_accepts_span|CONVERSION_PEER|sdc_endpoint|stp_endpoint"
+    r"|sdc-front|sdc-back"
 )
 
 
