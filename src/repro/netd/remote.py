@@ -5,8 +5,8 @@ protocol draw happens against the broker's RNG stream**.  Local draws
 (blinding triples, client nonces, keys) already do; the one remote
 consumer — the STP worker's per-cell re-encryption nonces — reaches
 back over the wire instead of drawing locally.  :class:`AuthorityServer`
-is that reach-back point: it serves ``rand_units`` (a whole request's
-nonces in one frame) and ``rand`` frames straight from the
+is that reach-back point: it serves ``rand_exponents`` (a whole
+request's nonces in one frame) and ``rand`` frames straight from the
 coordinator's (possibly journaling) source, so the
 unified draw stream — and therefore the epoch journal — covers the
 whole deployment, and a socket-plane run replays the exact in-memory
@@ -48,19 +48,19 @@ from repro.errors import ProtocolError, SerializationError, TransportError
 from repro.netd.framing import FrameStream
 from repro.netd.transport import FrameServer, PeerClient, SocketTransport
 from repro.netd.wire import (
-    MAX_UNITS_MODULUS_BITS,
-    MAX_UNITS_PER_FRAME,
+    MAX_EXPONENTS_PER_FRAME,
+    MAX_RAND_BITS,
     decode_control,
+    decode_exponents_request,
+    decode_exponents_response,
     decode_phase1_response,
     decode_phase2_response,
-    decode_units_request,
-    decode_units_response,
     encode_control,
     encode_error,
+    encode_exponents_request,
+    encode_exponents_response,
     encode_phase1_request,
     encode_phase2_request,
-    encode_units_request,
-    encode_units_response,
 )
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
@@ -143,19 +143,18 @@ class AuthorityServer:
         if kind == "ping":
             return "ok", encode_control({"ok": True})
         if kind == "rand":
-            # Bounded before any draw happens, like ``rand_units``: a
+            # Bounded before any draw happens, like ``rand_exponents``: a
             # peer cannot hold the dispatch lock for an unbounded width.
             obj, _ = decode_control(payload)
             bits = obj.get("bits")
-            if type(bits) is not int or not 1 <= bits <= MAX_UNITS_MODULUS_BITS:
+            if type(bits) is not int or not 1 <= bits <= MAX_RAND_BITS:
                 raise SerializationError(f"rand width {bits!r} is out of range")
             return "ok", encode_int(self._rng.randbits(bits))
-        if kind == "rand_units":
-            # The base-class loop, run where the stream lives: rejection
-            # sampling and gcd retries consume the broker's source exactly
-            # as an in-process STP's draws would.
-            modulus, count = decode_units_request(payload)
-            return "ok", encode_units_response(self._rng.random_units(modulus, count))
+        if kind == "rand_exponents":
+            # The base-class loop, run where the stream lives: it consumes
+            # the broker's source exactly as an in-process STP's draw would.
+            count = decode_exponents_request(payload)
+            return "ok", encode_exponents_response(self._rng.random_exponents(count))
         if kind == "bootstrap":
             obj, _ = decode_control(payload)
             name = obj.get("name")
@@ -179,8 +178,8 @@ class AuthorityServer:
 class RemoteRandomSource(RandomSource):
     """A worker's view of the broker's draw stream.
 
-    :meth:`random_units` — the STP's per-request nonce batch — is one
-    ``rand_units`` frame: the authority runs the base-class sampling
+    :meth:`random_exponents` — the STP's per-request nonce batch — is
+    one ``rand_exponents`` frame: the authority runs the base-class
     loop against the broker's source.  Every other draw reduces to
     :meth:`randbits`, one ``rand`` frame each, with ``randbelow``'s
     rejection sampling running locally on top.  Either way the *number
@@ -192,15 +191,13 @@ class RemoteRandomSource(RandomSource):
     def __init__(self, peer: PeerClient) -> None:
         self._peer = peer
 
-    def random_units(self, modulus: int, count: int) -> list[int]:
-        units: list[int] = []
-        while len(units) < count:
-            take = min(count - len(units), MAX_UNITS_PER_FRAME)
-            frame = self._peer.transact(
-                "rand_units", encode_units_request(modulus, take)
-            )
-            units.extend(decode_units_response(frame.payload, take))
-        return units
+    def random_exponents(self, count: int) -> list[int]:
+        exponents: list[int] = []
+        while len(exponents) < count:
+            take = min(count - len(exponents), MAX_EXPONENTS_PER_FRAME)
+            frame = self._peer.transact("rand_exponents", encode_exponents_request(take))
+            exponents.extend(decode_exponents_response(frame.payload, take))
+        return exponents
 
     def randbits(self, bits: int) -> int:
         if bits < 0:

@@ -13,8 +13,8 @@ Three payload families cross process boundaries:
 * **Control frames** (hello, config, bootstrap, rand, errors)
   are small JSON objects — sorted keys, UTF-8 — optionally followed by
   binary attachments via ``encode_bytes``.  The one binary control
-  frame is ``rand_units`` (a modulus and a count out, that many
-  integers back): its fields are big integers, not JSON's.
+  frame is ``rand_exponents`` (a count out, that many Paillier nonces
+  back): its fields are big integers, not JSON's.
 
 Error propagation is typed end to end: a worker catches a
 :class:`~repro.errors.ReproError`, ships ``{"error": <class name>,
@@ -35,6 +35,7 @@ from repro.cluster.shard import (
     ShardPhase2Response,
 )
 from repro.crypto.paillier import PaillierPublicKey
+from repro.crypto.rand import NONCE_EXPONENT_BITS
 from repro.crypto.serialization import (
     check_matrix_shape,
     decode_bytes,
@@ -57,25 +58,25 @@ from repro.pisa.messages import (
 )
 
 __all__ = [
-    "MAX_UNITS_MODULUS_BITS",
-    "MAX_UNITS_PER_FRAME",
+    "MAX_EXPONENTS_PER_FRAME",
+    "MAX_RAND_BITS",
     "PROTOCOL_KINDS",
     "decode_control",
     "decode_error",
+    "decode_exponents_request",
+    "decode_exponents_response",
     "decode_phase1_request",
     "decode_phase1_response",
     "decode_phase2_request",
     "decode_phase2_response",
-    "decode_units_request",
-    "decode_units_response",
     "encode_control",
     "encode_error",
+    "encode_exponents_request",
+    "encode_exponents_response",
     "encode_phase1_request",
     "encode_phase1_response",
     "encode_phase2_request",
     "encode_phase2_response",
-    "encode_units_request",
-    "encode_units_response",
     "raise_remote_error",
 ]
 
@@ -337,51 +338,45 @@ def decode_control(
     return obj, attachments
 
 
-# -- batched unit draws -----------------------------------------------------------
+# -- batched nonce draws ----------------------------------------------------------
 #
-# One ``rand_units`` frame asks the authority for ``count`` uniform units
-# of ``Z_modulus^*``.  The request is bounded before any draw happens: a
-# peer cannot make the broker sample against a giant modulus or hold the
-# dispatch lock for an unbounded batch.
+# One ``rand_exponents`` frame asks the authority for ``count`` Paillier
+# nonces of ``NONCE_EXPONENT_BITS`` each.  The count is bounded before any
+# draw happens: a peer cannot hold the dispatch lock for an unbounded batch.
 
-#: Most units one frame may ask for; larger batches take several frames.
-MAX_UNITS_PER_FRAME = 1 << 16
-#: Widest modulus the authority samples against (4x a paper-strength key).
-MAX_UNITS_MODULUS_BITS = 8192
-#: Narrowest modulus: ``PaillierPublicKey``'s own floor.
-_MIN_UNITS_MODULUS = 15
+#: Most nonces one frame may ask for; larger batches take several frames.
+MAX_EXPONENTS_PER_FRAME = 1 << 16
+#: Widest single ``rand`` draw the authority serves (4x a paper-strength key).
+MAX_RAND_BITS = 8192
 
 
-def encode_units_request(modulus: int, count: int) -> bytes:
-    return encode_int(modulus) + encode_int(count)
+def encode_exponents_request(count: int) -> bytes:
+    return encode_int(count)
 
 
-def decode_units_request(payload: bytes) -> tuple[int, int]:
-    """``(modulus, count)`` of a ``rand_units`` request, range-checked."""
-    modulus, offset = decode_int(payload, 0)
-    count, offset = decode_int(payload, offset)
-    _check_consumed(payload, offset, "rand_units request")
-    if modulus < _MIN_UNITS_MODULUS or modulus.bit_length() > MAX_UNITS_MODULUS_BITS:
+def decode_exponents_request(payload: bytes) -> int:
+    """The ``count`` of a ``rand_exponents`` request, range-checked."""
+    count, offset = decode_int(payload, 0)
+    _check_consumed(payload, offset, "rand_exponents request")
+    if not 1 <= count <= MAX_EXPONENTS_PER_FRAME:
+        raise SerializationError(f"rand_exponents count {count} is out of range")
+    return count
+
+
+def encode_exponents_response(exponents: list[int]) -> bytes:
+    return _encode_ints(exponents)
+
+
+def decode_exponents_response(payload: bytes, count: int) -> tuple[int, ...]:
+    exponents, offset = _decode_ints(payload, 0)
+    _check_consumed(payload, offset, "rand_exponents response")
+    if len(exponents) != count:
         raise SerializationError(
-            f"rand_units modulus of {modulus.bit_length()} bits is out of range"
+            f"rand_exponents response carries {len(exponents)} nonces, asked for {count}"
         )
-    if not 1 <= count <= MAX_UNITS_PER_FRAME:
-        raise SerializationError(f"rand_units count {count} is out of range")
-    return modulus, count
-
-
-def encode_units_response(units: list[int]) -> bytes:
-    return _encode_ints(units)
-
-
-def decode_units_response(payload: bytes, count: int) -> tuple[int, ...]:
-    units, offset = _decode_ints(payload, 0)
-    _check_consumed(payload, offset, "rand_units response")
-    if len(units) != count:
-        raise SerializationError(
-            f"rand_units response carries {len(units)} units, asked for {count}"
-        )
-    return units
+    if any(s.bit_length() > NONCE_EXPONENT_BITS for s in exponents):
+        raise SerializationError("rand_exponents response carries an over-wide nonce")
+    return exponents
 
 
 # -- typed remote errors ----------------------------------------------------------

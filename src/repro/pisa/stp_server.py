@@ -29,7 +29,7 @@ one CRT half").
 
 The re-encryption nonces depend on nothing a request carries, so the
 converter draws them one request ahead, per SU, and can spend idle time
-on their ``r**n mod n_j²`` (:meth:`SignConverter.fill_stock`) — §VI-A's
+on their ``h_n^s mod n_j²`` (:meth:`SignConverter.fill_stock`) — §VI-A's
 obfuscator precomputation, on the STP side.  The stock holds nothing
 the converter would not draw anyway.  A request is opened before its
 nonces are drawn, so one the opening refuses draws nothing.
@@ -74,7 +74,7 @@ class StpStats:
     conversions: int = 0
     cells_decrypted: int = 0
     cells_encrypted: int = 0
-    #: Re-encryptions whose ``r**n`` :meth:`SignConverter.fill_stock` had
+    #: Re-encryptions whose obfuscator :meth:`SignConverter.fill_stock` had
     #: ready when the request arrived / that the request computed itself.
     obfuscators_stocked: int = 0
     obfuscators_inline: int = 0
@@ -82,10 +82,10 @@ class StpStats:
 
 @dataclass
 class _Stock:
-    """One SU's pre-drawn re-encryption nonces, in draw order."""
+    """One SU's pre-drawn re-encryption nonces ``s``, in draw order."""
 
     nonces: list[int] = field(default_factory=list)
-    #: ``r**n mod n²`` for ``nonces[:len(obfuscators)]``.
+    #: ``h_n^s mod n²`` for ``nonces[:len(obfuscators)]``.
     obfuscators: list[int] = field(default_factory=list)
 
 
@@ -181,12 +181,12 @@ class SignConverter:
             stock = self._stock.get(request.su_id, _Stock())
             ready = stock.obfuscators[: len(cells)]
             # Open first — the opening may still refuse the request
-            # (_open raises) — in one batch with the r**n of every stocked
+            # (_open raises) — in one batch with the h_n^s of every stocked
             # nonce this request uses that fill_stock() has not reached.
             jobs = [job for ct in cells for job in self._open_jobs(ct.ciphertext)]
             opening = len(jobs)
             jobs.extend(
-                su_key.obfuscator_job(r) for r in stock.nonces[len(ready) : len(cells)]
+                su_key.obfuscator_job(s) for s in stock.nonces[len(ready) : len(cells)]
             )
             powers = self._executor.pow_many(jobs)
             opened = self._open(request, powers[:opening])
@@ -199,8 +199,8 @@ class SignConverter:
             shortfall = max(0, len(cells) - len(stock.nonces))
             # Drawn after the opening batch, never inside one: every
             # executor leaves the stream at the same position.
-            drawn = self._rng.random_units(  # audit-ok: ORD001 — see above
-                su_key.n, shortfall + max(0, len(cells) - len(surplus))
+            drawn = self._rng.random_exponents(  # audit-ok: ORD001 — see above
+                shortfall + max(0, len(cells) - len(surplus))
             )
             self._stock[request.su_id] = _Stock(
                 surplus + drawn[shortfall:], stock.obfuscators[len(cells):]
@@ -208,8 +208,8 @@ class SignConverter:
             if len(self._stock) > MAX_STOCKED_SUS:
                 del self._stock[next(iter(self._stock))]
             # Only an SU's first request, or one wider than its stock,
-            # computes r**n for nonces drawn just now.
-            inline = [su_key.obfuscator_job(r) for r in drawn[:shortfall]]
+            # computes h_n^s for nonces drawn just now.
+            inline = [su_key.obfuscator_job(s) for s in drawn[:shortfall]]
             obfuscators = ready + powers[opening:] + (
                 self._executor.pow_many(inline) if inline else []
             )
@@ -230,7 +230,7 @@ class SignConverter:
     # -- idle-time work ----------------------------------------------------------
 
     def fill_stock(self, stop: Callable[[], bool] = lambda: False) -> None:
-        """Compute ``r**n mod n_j²`` for stocked nonces until none is left.
+        """Compute ``h_n^s mod n_j²`` for stocked nonces until none is left.
 
         Meant for time in which no request is being served: it works in
         chunks of :data:`_FILL_CHUNK`, SUs in the order they are due to
@@ -250,7 +250,7 @@ class SignConverter:
                 su_key = self.directory.su_key(su_id)
                 chunk = stock.nonces[done : done + _FILL_CHUNK]
                 stock.obfuscators.extend(
-                    self._executor.pow_many([su_key.obfuscator_job(r) for r in chunk])
+                    self._executor.pow_many([su_key.obfuscator_job(s) for s in chunk])
                 )
 
     def stock_counts(self) -> dict[str, int]:

@@ -10,7 +10,7 @@ responses, the switch's PU update — must equal a constant recorded
 before the SDC implementations were unified.
 
 A pin only ever changes together with a deliberate, documented change
-of the wire transcript.  Four so far, each re-recorded in a commit that
+of the wire transcript.  Five so far, each re-recorded in a commit that
 shifted the draws and nothing else:
 
 * the STP draws each SU's *next* request's re-encryption nonces while
@@ -32,7 +32,13 @@ shifted the draws and nothing else:
   (docs/security.md, "The STP opens with one CRT half"), which clamps α
   to 59 bits at the 256-bit keys pinned here — ``BASIC_DIGEST``,
   ``REPEAT_DIGEST``, ``JOURNAL_DIGEST`` and ``TWO_SERVER_DIGEST``; the
-  512-bit ``PACKED_DIGEST`` and ``DECISIONS`` did not move.
+  512-bit ``PACKED_DIGEST`` and ``DECISIONS`` did not move;
+* every Paillier nonce is a 256-bit exponent ``s`` of a fixed per-key
+  base, the obfuscator ``h_n^s mod n²`` in place of ``r**n``
+  (docs/security.md, "Short fixed-base randomness"): each nonce is one
+  256-bit draw instead of an ``n``-bit one, so every pin moved —
+  ``BASIC_DIGEST``, ``TWO_SERVER_DIGEST``, ``PACKED_DIGEST``,
+  ``JOURNAL_DIGEST`` and ``REPEAT_DIGEST``; ``DECISIONS`` did not.
 """
 
 import hashlib
@@ -54,16 +60,16 @@ SEED = "golden"
 
 #: The single SDC and every cluster shape draw the same stream, so one
 #: constant pins all four deployments.
-BASIC_DIGEST = "fc8d397a57c0b484d0f04378b15ba013410c9cb2d60288a257b89205fde1155f"
-TWO_SERVER_DIGEST = "895ab179a3776071333d53133da2d6ebf90b3fa2d5692d38e303d540fb7baf4e"
-PACKED_DIGEST = "3298daadc5b34eeed57d3105d641515fe90e76a33fcd9695e3a8a15d9be9d80c"
-JOURNAL_DIGEST = "841c376b22653c96590fb8b6ea77b76e87bd5068289a888893d43553c523a081"
+BASIC_DIGEST = "befbc22d640539d106cc95fef9a37cc7accc563519fbae88ad3442fea4a46170"
+TWO_SERVER_DIGEST = "8b7e773129010cd8b6a9954053859e2557123f58a8b1022e52fecb5aaf38e740"
+PACKED_DIGEST = "647f0c7fd0932ef4bb8138a23a35be4e9be774d4da0bdd11c9f6412842482746"
+JOURNAL_DIGEST = "142baf3a9d16522adabb415e4195bcf785f6b595bde1cf3090f2073dabd3cf23"
 #: Seed-4 scenario, SUs 0..2: a deny followed by two grants.
 DECISIONS = (False, True, True)
 #: The same session with every SU asking twice: the second pass is served
 #: from the nonces the STP drew during the first.  Re-pinned whenever
 #: BASIC_DIGEST is.
-REPEAT_DIGEST = "a840e0fe01424fddaa7319340c93daf139d7f8bd8c791f1576cb037ac5b61549"
+REPEAT_DIGEST = "957dd95bba1c7a4de697a64591499c2ec4f2879c6d9a765f841e44d84a398e28"
 
 
 def frozen_clock() -> float:

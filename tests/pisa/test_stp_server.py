@@ -385,18 +385,18 @@ def test_opening_jobs_per_cell(build, pisa_scenario, su_keys):
 
 
 class RecordingSource(DeterministicRandomSource):
-    """Notes the size and the output of every ``random_units`` batch."""
+    """Notes the size and the output of every ``random_exponents`` batch."""
 
     def __init__(self, seed) -> None:
         super().__init__(seed)
         self.batches: list[int] = []
         self.drawn: list[int] = []
 
-    def random_units(self, modulus, count):
+    def random_exponents(self, count):
         self.batches.append(count)
-        units = super().random_units(modulus, count)
-        self.drawn.extend(units)
-        return units
+        exponents = super().random_exponents(count)
+        self.drawn.extend(exponents)
+        return exponents
 
 
 class TestNonceStock:
@@ -424,13 +424,13 @@ class TestNonceStock:
         nonces are used in the order they were drawn."""
         harness, rng, ask = stocked
         pk = su_keys.public_key
-        stream = DeterministicRandomSource("stock-stream").random_units(pk.n, 16)
+        stream = DeterministicRandomSource("stock-stream").random_exponents(16)
         answers = [ct for width in (4, 2, 5) for ct in ask("su-1", width)]
         # 4 + the next 4; nothing (2 of the 4 stocked are left, which is
         # a request's worth); the 3 missing + the next 5.
         assert rng.batches == [8, 0, 8]
         used = stream[0:4] + stream[4:6] + stream[6:11]
-        assert answers == [pk.encrypt(harness.expected(5), r=r) for r in used]
+        assert answers == [pk.encrypt(harness.expected(5), s=s) for s in used]
 
     def test_rejected_request_leaves_the_stock_alone(self, stocked, su_keys, fresh_rng):
         harness, rng, ask = stocked
@@ -488,7 +488,7 @@ class TestNonceStockTwoServer(TestNonceStock):
         second = ask("su-1", 2)
         assert rng.batches == [4, 2]
         assert first + second == [
-            pk.encrypt(harness.expected(5), r=r) for r in rng.drawn[0:4]
+            pk.encrypt(harness.expected(5), s=s) for s in rng.drawn[0:4]
         ]
 
 
@@ -657,12 +657,12 @@ def test_every_nonce_is_used_once_in_draw_order(build, session, pisa_scenario):
         nonces = mine[start : start + width]
         used[su_id] = start + width
         assert answers == [
-            pk.encrypt(harness.expected(v), r=r) for v, r in zip(values, nonces)
+            pk.encrypt(harness.expected(v), s=s) for v, s in zip(values, nonces)
         ]
         consumed.extend(nonces)
         fill(server)
     assert len(set(consumed)) == len(consumed) == sum(w for _, w, _ in session)
     replay = DeterministicRandomSource("property-stream")
-    assert rng.drawn == replay.random_units(pk.n, len(rng.drawn))
+    assert rng.drawn == replay.random_exponents(len(rng.drawn))
     stats = server.stats
     assert stats.obfuscators_stocked + stats.obfuscators_inline == len(consumed)
