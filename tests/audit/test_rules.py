@@ -282,6 +282,33 @@ class TestOrd001TranscriptOrder:
             source, module="repro.pisa.packed", select={"ORD001"}
         )
 
+    def test_flags_nonce_draw_between_two_pow_many_batches(self):
+        """The sign converter's shape: an opening batch, the batched nonce
+        draw, then a batch over the nonces just drawn.  The draw sits
+        inside the request's ``pow_many`` work, after the first dispatch."""
+        source = """
+            def convert(self, su_key, cells):
+                powers = self._executor.pow_many([self._open_job(ct) for ct in cells])
+                drawn = self._rng.random_exponents(len(cells))
+                inline = [su_key.obfuscator_job(s) for s in drawn]
+                return powers, self._executor.pow_many(inline)
+        """
+        findings = run_rules(source, module="repro.pisa.stp_server", select={"ORD001"})
+        assert [(f.rule, f.line) for f in findings] == [("ORD001", 4)]
+
+    def test_sees_the_converters_nonce_draw_behind_its_waiver(self):
+        """With its waivers stripped, the real converter's one draw after
+        a dispatch is the batched nonce draw: the rule is not blind to it."""
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parents[2] / "src/repro/pisa/stp_server.py"
+        source = path.read_text(encoding="utf-8").replace("# audit-ok: ORD001", "#")
+        findings = run_rules(source, module="repro.pisa.stp_server", select={"ORD001"})
+        lines = source.splitlines()
+        assert [
+            ("ORD001", "random_exponents(" in lines[f.line - 1]) for f in findings
+        ] == [("ORD001", True)]
+
     def test_allows_draws_before_dispatch(self):
         source = """
             def round_trip(rng, executor, cells):

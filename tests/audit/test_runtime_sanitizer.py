@@ -86,15 +86,16 @@ class TestWellFormedness:
         with pytest.raises(SanitizerViolation, match="shares a factor"):
             sanitizer.send(message, "pu-0", "sdc")
 
-    def test_unknown_key_type_fails_closed(self, sanitizer, fresh_rng):
-        from repro.crypto.damgard_jurik import generate_dj_keypair
+    def test_unknown_key_type_fails_closed(self, sanitizer, keypair, fresh_rng):
+        # A ciphertext whose key is no Paillier key — a forged object with
+        # a modulus ``n`` and nothing else — has no modulus the sanitizer
+        # knows, so it refuses rather than skipping the check.
+        class ForeignKey:
+            n = keypair.public_key.n
 
-        # A Damgård–Jurik ciphertext never crosses a wire: no modulus the
-        # sanitizer knows, so it refuses rather than skipping the check.
-        pk = generate_dj_keypair(128, s=2, rng=fresh_rng).public_key
-        message = PUUpdateMessage(
-            pu_id="pu-0", block_index=0, ciphertexts=(pk.encrypt(1, rng=fresh_rng),)
-        )
+        ciphertext = keypair.public_key.encrypt(1, rng=fresh_rng)
+        ciphertext.public_key = ForeignKey()
+        message = PUUpdateMessage(pu_id="pu-0", block_index=0, ciphertexts=(ciphertext,))
         with pytest.raises(SanitizerViolation, match="exposes no modulus"):
             sanitizer.send(message, "pu-0", "sdc")
 
