@@ -74,7 +74,7 @@ def main() -> None:
     print("\nround 2: refreshed (unlinkable) requests after churn")
     for su in scenario.sus:
         client = coordinator.su_client(su.su_id)
-        client.precompute_refresh_material()  # offline r^n stock
+        client.precompute_refresh_material()  # offline obfuscator stock
         report = coordinator.run_request_round(su.su_id, reuse_cached_request=True)
         plain = oracle.process_request(su)
         agrees = "==" if report.granted == plain.granted else "!= ORACLE MISMATCH"

@@ -102,12 +102,37 @@ class TestRefreshRequest:
 
 
 class TestRefreshPrecompute:
-    def test_precompute_requires_cached_request(self, client):
-        from repro.errors import ProtocolError
-        import pytest as _pytest
+    @pytest.mark.parametrize("packed", [False, True], ids=["baseline", "packed"])
+    def test_precompute_before_the_first_preparation(self, scenario, su_keys, packed):
+        """A pool stocked before any request holds exactly one request's
+        obfuscators (channels × blocks, or × chunks when packed); the
+        first preparation then runs no exponentiation, and its bytes are
+        those of an unstocked client on the same stream."""
+        from repro.crypto.parallel import default_executor
+        from repro.pisa.packed import PackedSuClient
 
-        with _pytest.raises(ProtocolError):
-            client.precompute_refresh_material()
+        cls, bits = (PackedSuClient, 512) if packed else (SUClient, 256)
+        group = generate_keypair(bits, rng=DeterministicRandomSource("group"))
+        stocked, inline = (
+            cls(
+                scenario.sus[0],
+                scenario.environment,
+                group.public_key,
+                su_keys,
+                rng=DeterministicRandomSource("first-preparation"),
+            )
+            for _ in range(2)
+        )
+        stocked.precompute_refresh_material(rounds=1)  # nothing cached yet
+        stocked_pool = len(stocked._obfuscators)
+        serial = default_executor()
+        before = serial.jobs_executed
+        request = stocked.prepare_request()
+        assert serial.jobs_executed == before
+        assert len(stocked._obfuscators) == 0
+        rows = request.rows if packed else request.matrix
+        assert stocked_pool == sum(len(row) for row in rows)
+        assert request.to_bytes() == inline.prepare_request().to_bytes()
 
     def test_stocked_refresh_uses_no_exponentiation(self, client, group_keys):
         """After stocking, a refresh drains the pool one per ciphertext."""
@@ -123,7 +148,7 @@ class TestRefreshPrecompute:
     def test_stocked_preparation_emits_the_inline_bytes_without_a_modexp(
         self, scenario, group_keys, su_keys
     ):
-        """``prepare_request`` takes each cell's ``r**n`` from the pool:
+        """``prepare_request`` takes each cell's obfuscator from the pool:
         over a stocked pool it submits no ``pow_many`` job at all, over
         an empty one it computes one per cell inline — same bytes."""
         from repro.crypto.parallel import default_executor
