@@ -196,7 +196,7 @@ def estimate_full_scale(
         request_preparation_s=cells * profile.encryption_s,
         # Refresh with PRECOMPUTED obfuscators is one multiplication per
         # ciphertext — the same cost class as homomorphic addition
-        # (§VI-A); the r**n exponentiations happen offline.
+        # (§VI-A); the h_n^s exponentiations happen offline.
         request_refresh_s=cells * profile.hom_add_s,
         sdc_processing_s=sdc_phase1 + sdc_phase2,
         sdc_phase2_s=sdc_phase2,

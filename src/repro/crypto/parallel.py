@@ -1,7 +1,7 @@
 """The executor seam for parallelisable modular exponentiations.
 
 Every hot loop in the protocol — eq. (14) blinding, STP sign
-extraction, threshold partial decryptions, ``r**n`` obfuscator
+extraction, threshold partial decryptions, ``h_n^s`` obfuscator
 precomputation — reduces to *batches of independent modular
 exponentiations* whose exponents and bases are fixed before any result
 is needed.  This module defines the minimal seam that lets a runtime

@@ -244,7 +244,7 @@ class BatchAllocator:
         automatically batched shard-by-shard.
 
         A conversion server in this process exposes ``fill_stock`` (the
-        ``r**n`` of re-encryption nonces it has already drawn, §VI-A);
+        ``h_n^s`` of re-encryption nonces it has already drawn, §VI-A);
         it becomes the allocator's idle work, which the broker runs
         between epochs.  The socket plane's STP proxy has none: the STP
         worker triggers its own fill, and nothing is filled twice.

@@ -189,7 +189,7 @@ class LoadtestReport:
         return self.metrics["histograms"].get("batch_size", {"count": 0, "mean": 0.0})
 
     def stp_obfuscator_counts(self) -> dict[str, int]:
-        """Re-encryptions whose ``r**n`` the idle fill had ready / that
+        """Re-encryptions whose obfuscator the idle fill had ready / that
         the request computed itself (the same two counters on every plane)."""
         counters = self.metrics["counters"]
         return {
