@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.crypto.backend import powmod
+from repro.crypto.backend import FixedBase, powmod
 from repro.crypto.hashing import sha256
 from repro.crypto.numtheory import CrtContext, generate_distinct_primes, lcm, modinv
 from repro.crypto.rand import RandomSource, default_rng
@@ -110,7 +110,7 @@ class PaillierPublicKey:
         self.g = n + 1 if g is None else g
         self.n_sq = n * n
         self._half_n = n // 2
-        self._h_n: int | None = None
+        self._h_n: FixedBase | None = None
         if not 1 < self.g < self.n_sq:
             raise ConfigurationError("generator g out of range")
 
@@ -140,10 +140,15 @@ class PaillierPublicKey:
         return self._half_n
 
     @property
-    def h_n(self) -> int:
-        """The fixed obfuscator base ``h_n = (−x²)^n mod n²``, ``x`` hashed from ``n``."""
+    def h_n(self) -> FixedBase:
+        """The fixed obfuscator base ``h_n = (−x²)^n mod n²``, ``x`` hashed from ``n``.
+
+        A :class:`~repro.crypto.backend.FixedBase` of ``n²``: once a key
+        has computed enough obfuscators, ``powmod`` serves ``h_n^s`` from
+        a precomputed table.
+        """
         if self._h_n is None:
-            self._h_n = _fixed_base(self.n, self.n_sq)
+            self._h_n = FixedBase(_fixed_base(self.n, self.n_sq), self.n_sq)
         return self._h_n
 
     # -- encryption -------------------------------------------------------

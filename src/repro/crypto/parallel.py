@@ -14,10 +14,11 @@ call graphs:
 * :class:`SerialExecutor` is the default — plain in-process evaluation,
   so library users who never pass an executor see identical behaviour
   (and identical bytes) to a build without the seam;
-* :class:`ThreadExecutor` splits a batch over threads.  The libgmp call
-  behind :func:`~repro.crypto.backend.powmod` releases the GIL, so the
-  chunks overlap on separate cores; on the builtin-``pow`` fallback
-  they do not.
+* :class:`ThreadExecutor` splits a batch over threads.  The
+  ``mpz_powm`` call behind :func:`~repro.crypto.backend.powmod`
+  releases the GIL, so those chunks overlap on separate cores; a
+  fixed-base comb evaluation (every obfuscator ``h_n^s`` of a key with
+  a table) and the builtin-``pow`` fallback keep it, and do not.
 
 Because all randomness is drawn *before* jobs are dispatched, results
 are byte-identical whichever executor runs the batch — a property the
@@ -87,8 +88,10 @@ class ThreadExecutor(SerialExecutor):
     fewer than two jobs runs in the caller's thread.  When jobs raise,
     the first failing job in job order raises, as in the serial loop.
     A chunk only calls ``powmod`` and never waits on the pool, so any
-    number of callers may share one instance.  Use as a context
-    manager, or call :meth:`close`, to join the threads.
+    number of callers may share one instance.  Chunks overlap only
+    inside ``mpz_powm``: obfuscator batches, served from a GIL-holding
+    comb table once their key has one, do not scale over threads.  Use
+    as a context manager, or call :meth:`close`, to join the threads.
     """
 
     def __init__(self, threads: int) -> None:

@@ -210,6 +210,7 @@ class PackedSuClient(SUClient):
             region=self.region,
         )
         blocks = tuple(self.region.sorted_indices())
+        self._obfuscators.ensure(self._ciphertexts_per_request())
         rows = []
         for c in range(env.num_channels):
             values = [int(f_matrix[c, b]) for b in blocks]
@@ -237,6 +238,7 @@ class PackedSuClient(SUClient):
         """
         if self._cached_request is None:
             raise ProtocolError("no cached request; call prepare_request first")
+        self._obfuscators.ensure(self._ciphertexts_per_request())
         refreshed = tuple(
             tuple(ct.rerandomize_with(self._obfuscators.take()) for ct in row)
             for row in self._cached_request.rows

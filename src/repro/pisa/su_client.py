@@ -104,8 +104,9 @@ class SUClient:
         cached so later rounds can re-randomise instead of re-encrypting.
         Each cell's obfuscator comes from the pool, so a
         preparation over a stocked pool costs one multiplication per
-        cell; an empty pool computes the factor inline from the same
-        draw, and the bytes are the same either way.
+        cell; otherwise the pool is first topped up to one request's
+        worth in one batch, from the same draws, and the bytes are the
+        same either way.
         """
         env = self.environment
         f_matrix = su_request_matrix(
@@ -118,6 +119,7 @@ class SUClient:
             channels=channels,
         )
         blocks = tuple(self.region.sorted_indices())
+        self._obfuscators.ensure(self._ciphertexts_per_request())
         matrix = tuple(
             tuple(
                 self.group_public_key.encrypt_with_obfuscator(
@@ -149,17 +151,20 @@ class SUClient:
         return self.environment.num_channels * len(self.region)
 
     def refresh_request(self) -> SURequestMessage:
-        """Re-randomise the cached request (§VI-A fast path, ≈20x cheaper).
+        """Re-randomise the cached request (§VI-A fast path).
 
         Each ciphertext is multiplied by a pooled ``h_n^s``: the
         plaintext operation parameters are unchanged but the request is
-        cryptographically unlinkable to previous submissions.  If the
-        obfuscator pool was not stocked via
-        :meth:`precompute_refresh_material`, the factors are computed
-        inline (correct, but as slow as fresh encryption).
+        cryptographically unlinkable to previous submissions.  Over a
+        pool stocked via :meth:`precompute_refresh_material` that is one
+        multiplication per ciphertext, ≈20x cheaper than fresh
+        encryption; otherwise the pool computes the request's factors
+        first, in one batch, and the refresh costs about as much as
+        encrypting anew.
         """
         if self._cached_request is None:
             raise ProtocolError("no cached request; call prepare_request first")
+        self._obfuscators.ensure(self._ciphertexts_per_request())
         refreshed = tuple(
             tuple(ct.rerandomize_with(self._obfuscators.take()) for ct in row)
             for row in self._cached_request.matrix

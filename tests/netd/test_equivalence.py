@@ -153,7 +153,7 @@ class TestCrossPlaneEquivalence:
 
 
 class TestRepeatedSusWithIdleFill:
-    """The converter precomputes ``r**n`` between requests on both
+    """The converter precomputes ``h_n^s`` between requests on both
     planes: over sockets the STP worker triggers it, in memory the
     broker does — never both."""
 
@@ -166,7 +166,7 @@ class TestRepeatedSusWithIdleFill:
     def test_ping_shows_the_stock_being_hit(self, paired_runs):
         ping = paired_runs[1].stp_ping
         assert ping["reachable"]
-        # A repeated SU's request found r**n waiting (the fill starts
+        # A repeated SU's request found h_n^s waiting (the fill starts
         # the moment a reply is written; the next sign_req is a whole
         # client refresh and phase 1 away).
         assert ping["obfuscators_stocked"] > 0
@@ -179,14 +179,16 @@ class TestRepeatedSusWithIdleFill:
 
     def test_both_planes_report_the_stock_being_hit(self, paired_runs):
         cells = paired_runs[1].stp_ping["stocked_nonces"] // 2
-        for run in paired_runs:
-            counters = run.report.metrics["counters"]
-            assert counters["stp_obfuscators_stocked_total"] > 0
-            assert (
-                counters["stp_obfuscators_stocked_total"]
-                + counters["stp_obfuscators_inline_total"]
-                == 5 * cells
-            )
+        counts = {
+            plane: {
+                kind: run.report.metrics["counters"][f"stp_obfuscators_{kind}_total"]
+                for kind in ("stocked", "inline")
+            }
+            for plane, run in zip(("memory", "socket"), paired_runs)
+        }
+        for plane_counts in counts.values():
+            assert plane_counts["stocked"] > 0, counts
+            assert plane_counts["stocked"] + plane_counts["inline"] == 5 * cells, counts
         ping = paired_runs[1].stp_ping
         counters = paired_runs[1].report.metrics["counters"]
         assert counters["stp_obfuscators_stocked_total"] == ping["obfuscators_stocked"]

@@ -89,6 +89,10 @@ class TestStpWorkerSigterm:
     on that loop it stalled shutdown for its full 5 s timeout, so every
     socket-plane teardown SIGKILLed the STP after the 3 s grace."""
 
+    #: Cells of the request the ``filling`` fixture sends: as many
+    #: obfuscators to fill, enough that the drain arrives mid-fill.
+    CELLS = 4096
+
     @pytest.fixture()
     def stp_worker(self, authority, tmp_path):
         host, port = authority
@@ -115,10 +119,11 @@ class TestStpWorkerSigterm:
 
     @pytest.fixture()
     def filling(self, stp_worker, keypair):
-        """The worker just answered a sign extraction and is about a
-        second of ``r**n`` (1024-bit SU key) into filling its stock."""
+        """The worker just answered a sign extraction and is at the start
+        of over a second of ``h_n^s`` (4,096 obfuscators under a
+        2048-bit SU key, from its comb table) filling its stock."""
         su_key = generate_keypair(
-            1024, rng=DeterministicRandomSource("slow-su")
+            2048, rng=DeterministicRandomSource("slow-su")
         ).public_key
         cell = keypair.public_key.encrypt(1, rng=DeterministicRandomSource(3))
         peer = PeerClient("stp-t", lambda: stp_worker.address("stp-t"))
@@ -127,11 +132,11 @@ class TestStpWorkerSigterm:
                 "register_su",
                 encode_control({"su_id": "su-1"}, encode_public_key(su_key)),
             )
-            request = SignExtractionRequest("r0", "su-1", ((cell,) * 64,))
+            request = SignExtractionRequest("r0", "su-1", ((cell,) * self.CELLS,))
             peer.transact("sign_req", request.to_bytes(), timeout=60.0)
             ping, _ = decode_control(peer.transact("ping", encode_control({})).payload)
-            assert ping["stocked_nonces"] == 64
-            assert ping["stocked_obfuscators"] < 64  # still at it
+            assert ping["stocked_nonces"] == self.CELLS
+            assert ping["stocked_obfuscators"] < self.CELLS  # still at it
             yield stp_worker
         finally:
             peer.close()

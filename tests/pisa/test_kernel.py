@@ -78,13 +78,27 @@ def chain_packed_chunk(sdc, f_chunk, channel, blocks, alpha, packed_bias):
 
 @contextmanager
 def native_calls():
-    """Every call that reaches libgmp, as ``mock`` call records (``None``
-    on a host without the library: there is nothing to count)."""
-    if backend._gmp is None:
+    """Every exponentiation that reaches libgmp — ``mpz_powm`` / ``mpz_invert``
+    or a fixed-base comb — as ``mock.call(base or table, exponent, ...)``
+    records in call order (``None`` on a host without the library: there
+    is nothing to count)."""
+    gmp = backend._gmp
+    if gmp is None:
         yield None
         return
-    with mock.patch.object(backend._gmp, "powmod", wraps=backend._gmp.powmod) as native:
-        yield native.call_args_list
+    calls = []
+
+    def recorded(function):
+        def wrapper(*args):
+            calls.append(mock.call(*args))
+            return function(*args)
+
+        return wrapper
+
+    with mock.patch.object(gmp, "powmod", recorded(gmp.powmod)), mock.patch.object(
+        gmp, "comb_powmod", recorded(gmp.comb_powmod)
+    ):
+        yield calls
 
 
 # -- fixtures -----------------------------------------------------------------------
@@ -337,3 +351,15 @@ class TestKernelRefusals:
         bad = EncryptedNumber(pk, value)
         with pytest.raises(ProtocolError):
             sdc.kernel.phase1_cells((0, 1), [[good, bad]])
+
+
+@needs_native
+def test_the_census_counts_a_comb_exponentiation():
+    """An obfuscator of a key past the table threshold skips ``mpz_powm``;
+    :func:`native_calls` still counts it, once."""
+    pk = generate_keypair(512, rng=DeterministicRandomSource("census-comb")).public_key
+    for s in range(backend._BUILD_AFTER):
+        backend.powmod(*pk.obfuscator_job(s + 2))
+    with native_calls() as calls:
+        pk.encrypt(1, rng=DeterministicRandomSource("census-comb-nonce"))
+    assert len(calls) == 1

@@ -194,3 +194,75 @@ class TestRefreshPrecompute:
         stocked.precompute_refresh_material(rounds=2)
         for _ in range(2):
             assert stocked.refresh_request().to_bytes() == inline.refresh_request().to_bytes()
+
+
+class RecordingSource(DeterministicRandomSource):
+    """Every raw draw, in order, as ``(bits, value)``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randbits(self, bits):
+        value = super().randbits(bits)
+        self.draws.append((bits, value))
+        return value
+
+
+class CountingSerial:
+    """The process-wide executor, counting ``pow_many`` calls."""
+
+    def __init__(self):
+        self.batches = []
+
+    def pow_many(self, jobs):
+        self.batches.append(len(jobs))
+        return [pow(*job) for job in jobs]
+
+
+class TestOneBatchPerRequest:
+    """An unstocked pool is topped up once per request, not per cell."""
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["baseline", "packed"])
+    def test_draws_and_bytes_match_the_per_cell_path(self, scenario, su_keys, packed):
+        from unittest import mock
+
+        from repro.crypto.paillier import ObfuscatorPool
+        from repro.pisa.packed import PackedSuClient
+
+        cls, bits = (PackedSuClient, 512) if packed else (SUClient, 256)
+        group = generate_keypair(bits, rng=DeterministicRandomSource("group"))
+
+        def session(source):
+            client = cls(scenario.sus[0], scenario.environment, group.public_key, su_keys,
+                         rng=source)
+            return [client.prepare_request().to_bytes(), client.refresh_request().to_bytes()]
+
+        batched = RecordingSource("per-request")
+        batched_bytes = session(batched)
+        per_cell = RecordingSource("per-request")
+        # Without ``ensure`` every ``take()`` refills one: the per-cell path.
+        with mock.patch.object(ObfuscatorPool, "ensure", lambda self, count, executor=None: None):
+            per_cell_bytes = session(per_cell)
+        assert len(batched.draws) > 2
+        assert batched.draws == per_cell.draws
+        assert batched_bytes == per_cell_bytes
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["baseline", "packed"])
+    def test_a_refresh_is_one_pow_many_batch(self, scenario, su_keys, packed):
+        from unittest import mock
+
+        from repro.crypto import parallel
+        from repro.pisa.packed import PackedSuClient
+
+        cls, bits = (PackedSuClient, 512) if packed else (SUClient, 256)
+        group = generate_keypair(bits, rng=DeterministicRandomSource("group"))
+        client = cls(scenario.sus[0], scenario.environment, group.public_key, su_keys,
+                     rng=DeterministicRandomSource("one-batch"))
+        counting = CountingSerial()
+        with mock.patch.object(parallel, "_SERIAL", counting):
+            request = client.prepare_request()
+            cells = sum(len(row) for row in (request.rows if packed else request.matrix))
+            assert counting.batches == [cells]
+            client.refresh_request()
+            assert counting.batches == [cells, cells]
