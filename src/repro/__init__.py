@@ -10,6 +10,14 @@ Privacy-Preserving Fine-Grained Spectrum Access".  The package contains:
 * :mod:`repro.pisa` — the PISA privacy-preserving protocol (the paper's
   contribution);
 * :mod:`repro.net` — in-memory transport with byte accounting;
+* :mod:`repro.cluster` — the sharded SDC: ring, shards, router, failover;
+* :mod:`repro.netd` — the socket plane: shard and STP worker processes;
+* :mod:`repro.service` — the broker: admission, epoch batching, loadtest;
+* :mod:`repro.store` — durable state behind ``StateStore`` (SQLite, memory);
+* :mod:`repro.resilience` — epoch journal, retry policy, chaos harness;
+* :mod:`repro.telemetry` — spans, metrics and their exporters;
+* :mod:`repro.audit` — the static audit (``repro audit``);
+* :mod:`repro.sim` — deployment and capacity simulation;
 * :mod:`repro.sdr` — simulated USRP testbed for §VI-B;
 * :mod:`repro.baselines` — secure-comparison and FHE cost baselines;
 * :mod:`repro.analysis` — overhead accounting, scaling, reporting.

@@ -450,7 +450,8 @@ def _cmd_serve_loadtest(args) -> int:
         ),
     )
     if args.plane == "socket":
-        from repro.netd import TlsSpec, run_socket_loadtest
+        from repro.netd.plane import run_socket_loadtest
+        from repro.netd.transport import TlsSpec
 
         tls = TlsSpec(args.tls_cert, args.tls_key, args.tls_ca) if tls_given else None
         report, _ = run_socket_loadtest(

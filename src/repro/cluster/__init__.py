@@ -17,29 +17,21 @@ Layering (all trust-domain-internal to the SDC):
 * :mod:`repro.cluster.coordinator` — the drop-in SDC facade and the
   deployment builder.
 
+Nothing is imported eagerly: a shard worker imports
+:mod:`repro.cluster.shard` without the broker-side router, replicas
+and coordinator.  :class:`ClusterCoordinator` and :class:`ClusterSdc`
+stay importable from the package (callers outside the library use
+that spelling) and resolve on first access.
+
 See ``docs/cluster.md`` for the architecture and failure model.
 """
 
-from repro.cluster.coordinator import ClusterCoordinator, ClusterSdc
-from repro.cluster.fencing import FenceLease, LeaseAuthority
-from repro.cluster.membership import ClusterMembership
-from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
-from repro.cluster.replica import ShardReplicaSet
-from repro.cluster.ring import ConsistentHashRing
-from repro.cluster.router import ShardRouter
-from repro.cluster.shard import SdcShard
+__all__ = ["ClusterCoordinator", "ClusterSdc"]
 
-__all__ = [
-    "ClusterCoordinator",
-    "ClusterSdc",
-    "ClusterMembership",
-    "ConsistentHashRing",
-    "FenceLease",
-    "HandoffPlan",
-    "LeaseAuthority",
-    "SdcShard",
-    "ShardReplicaSet",
-    "ShardRouter",
-    "execute_handoff",
-    "plan_handoff",
-]
+
+def __getattr__(name: str):
+    if name in __all__:
+        from repro.cluster import coordinator
+
+        return getattr(coordinator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

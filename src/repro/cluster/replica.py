@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from repro.errors import ClusterError
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.storage import serialize_shard_state
-from repro.store.coldstart import rebuild_shard
 
 from repro.cluster.shard import SdcShard
 
@@ -251,6 +250,10 @@ class ShardReplicaSet(ReplicaSetBase):
         snapshot if there is one, then everything the promoted primary
         holds.  Both replicas agree before the next sub-query is served.
         """
+        # Imported here: the STP worker's nonce link (netd.remote) builds
+        # on this module and must not load the store's SQLite backend.
+        from repro.store.coldstart import rebuild_shard
+
         with self._lock:
             if not self.standby.alive:
                 raise ClusterError(

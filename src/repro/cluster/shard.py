@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.parallel import Executor
@@ -43,7 +44,9 @@ from repro.errors import FencedError, ProtocolError, ShardDownError
 from repro.pisa.blinding import CellBlinding
 from repro.pisa.kernel import BlockKernel, partial_q_sum
 from repro.pisa.messages import PUUpdateMessage
-from repro.watch.environment import SpectrumEnvironment
+
+if TYPE_CHECKING:  # an annotation only; the map's module loads numpy
+    from repro.watch.environment import SpectrumEnvironment
 
 __all__ = [
     "ShardPhase1Request",

@@ -25,6 +25,11 @@ guarantees it:
   full bootstrap state from the authority, so a retried sub-query sees
   the same state and re-sends the same bytes.
 
+The package re-exports only framing and transport, which every
+worker loads anyway: the broker-side modules (:mod:`repro.netd.plane`,
+:mod:`repro.netd.supervisor`) are imported from where they are defined,
+so ``python -m repro.netd.worker`` starts without the broker's stack.
+
 See ``docs/networking.md`` for the frame format, process topology, and
 TLS setup.
 """
@@ -36,13 +41,6 @@ from repro.netd.framing import (
     decode_frame,
     encode_frame,
 )
-from repro.netd.plane import (
-    SocketClusterCoordinator,
-    build_socket_coordinator,
-    build_socket_service,
-    run_socket_loadtest,
-)
-from repro.netd.supervisor import ProcessSupervisor, WorkerHandle
 from repro.netd.transport import (
     FrameServer,
     PeerClient,
@@ -57,15 +55,9 @@ __all__ = [
     "FrameServer",
     "FrameStream",
     "PeerClient",
-    "ProcessSupervisor",
-    "SocketClusterCoordinator",
     "SocketTransport",
     "TlsSpec",
-    "WorkerHandle",
-    "build_socket_coordinator",
-    "build_socket_service",
     "classify_network_error",
     "decode_frame",
     "encode_frame",
-    "run_socket_loadtest",
 ]

@@ -20,6 +20,10 @@ background monitor thread notices exits and restarts autonomously, and
 the router's failover path calls :meth:`ensure_running` synchronously
 when a sub-query hits a dead link.  Either way the worker re-pulls its
 full state at startup, so the caller only needs the new address.
+
+Each spawn's time from ``Popen`` to the supervisor first seeing the
+worker ready goes into the ``netd_worker_ready_s{role=…}`` histogram of
+the registry it was given — deployment and restarts alike.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ class WorkerHandle:
         self.process: subprocess.Popen | None = None
         self.address: tuple[str, int] | None = None
         self.restarts = 0
+        #: ``time.monotonic()`` at the latest ``Popen`` until its worker
+        #: is first seen ready, then ``None``.
+        self.spawned_at: float | None = None
         self.lock = threading.RLock()
 
 
@@ -156,6 +163,7 @@ class ProcessSupervisor:
         # would otherwise capture the reparented ppid and never notice.
         env["REPRO_NETD_PARENT_PID"] = str(os.getpid())
         log = open(self.log_file(handle.name), "ab")
+        handle.spawned_at = time.monotonic()
         try:
             handle.process = subprocess.Popen(
                 cmd, stdout=log, stderr=subprocess.STDOUT, env=env
@@ -179,6 +187,20 @@ class ProcessSupervisor:
             return None
         return (self.host, port)
 
+    def _adopt(self, handle: WorkerHandle, address: tuple[str, int]) -> None:
+        """Cache a live worker's address (caller holds ``handle.lock``).
+
+        The first adoption after a spawn observes the time since
+        ``Popen`` into ``netd_worker_ready_s{role=…}``: deployment and
+        every restart alike, names and durations only.
+        """
+        handle.address = address
+        if handle.spawned_at is not None and self._metrics is not None:
+            self._metrics.histogram("netd_worker_ready_s", role=handle.role).observe(
+                time.monotonic() - handle.spawned_at
+            )
+        handle.spawned_at = None
+
     def _stderr_tail(self, name: str, lines: int = 12) -> str:
         try:
             text = self.log_file(name).read_text("utf-8", errors="replace")
@@ -201,7 +223,7 @@ class ProcessSupervisor:
                 address = self._read_ready(handle)
                 if address is not None:
                     with handle.lock:
-                        handle.address = address
+                        self._adopt(handle, address)
                     addresses[name] = address
                     break
                 process = handle.process
@@ -243,7 +265,7 @@ class ProcessSupervisor:
             if address is None:
                 address = self._read_ready(handle)
                 if address is not None:
-                    handle.address = address
+                    self._adopt(handle, address)
         if address is None or not self.is_running(name):
             raise TransportError(f"worker {name!r} has no live address")
         return address

@@ -34,8 +34,8 @@ import signal
 import sys
 import threading
 import time
+from typing import TYPE_CHECKING
 
-from repro.cluster.shard import SdcShard
 from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.serialization import (
@@ -52,7 +52,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.netd.framing import FrameStream
-from repro.netd.remote import RemoteRandomSource
 from repro.netd.transport import CONNECT_TIMEOUT_S, FrameServer, PeerClient, TlsSpec
 from repro.netd.wire import (
     decode_control,
@@ -65,9 +64,9 @@ from repro.netd.wire import (
 )
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
 from repro.pisa.storage import decode_shard_state, serialize_shard_state
-from repro.pisa.stp_server import StpServer
-from repro.store import MemoryStateStore, SqliteStateStore, StateStore, rebuild_shard
-from repro.watch.scenario import ScenarioConfig, build_scenario
+
+if TYPE_CHECKING:
+    from repro.store.base import StateStore
 
 _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
@@ -101,6 +100,12 @@ class ShardState:
     role = "shard"
 
     def __init__(self, payload: bytes, store: StateStore | None = None) -> None:
+        # The shard role's own imports: the map (numpy) and the store.
+        from repro.cluster.shard import SdcShard
+        from repro.store.coldstart import rebuild_shard
+        from repro.store.memory import MemoryStateStore
+        from repro.watch.scenario import ScenarioConfig, build_scenario
+
         obj, (key_raw, live) = decode_control(payload, num_attachments=2)
         self.group_public_key = decode_public_key(key_raw)
         #: ``--store``'s SQLite file, or memory when the worker has none.
@@ -175,6 +180,10 @@ class StpState:
     role = "stp"
 
     def __init__(self, payload: bytes, authority_peer: PeerClient) -> None:
+        # The STP role's own imports: no map, no store.
+        from repro.netd.remote import RemoteRandomSource
+        from repro.pisa.stp_server import StpServer
+
         obj, attachments = decode_control(payload, num_attachments=None)
         su_ids = [str(s) for s in obj["sus"]]
         if len(attachments) != 1 + len(su_ids):
@@ -257,6 +266,8 @@ def _serve(args, tls: TlsSpec | None) -> int:
         return 0
 
     if args.role == "shard":
+        from repro.store.sqlite import SqliteStateStore
+
         # The store opens *before* the readiness file is written: a shard
         # that cannot reach its durable state must not advertise itself.
         state = ShardState(

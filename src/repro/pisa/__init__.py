@@ -14,37 +14,24 @@ Four parties (Figure 3):
 
 :class:`~repro.pisa.protocol.PisaCoordinator` wires them together over an
 accounted transport and runs complete protocol rounds.
+
+The package re-exports only what a socket worker loads anyway (keys,
+blinding, licences, the STP); the clients, the SDC front and every
+coordinator (:mod:`~repro.pisa.protocol`, :mod:`~repro.pisa.packed`,
+:mod:`~repro.pisa.two_server`, :mod:`~repro.pisa.negotiation`,
+:mod:`~repro.pisa.session`) are imported from their own modules, so an
+STP worker never loads the plaintext map or numpy.
 """
 
 from repro.pisa.blinding import BlindingFactory, BlindingParameters
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
-from repro.pisa.negotiation import NegotiationResult, PowerNegotiator
-from repro.pisa.packed import PackedCoordinator
-from repro.pisa.protocol import PisaCoordinator, RoundReport, small_demo
-from repro.pisa.pu_client import PUClient
-from repro.pisa.sdc_server import SdcServer
-from repro.pisa.session import SessionState, SuSession
 from repro.pisa.stp_server import StpServer
-from repro.pisa.su_client import SUClient
-from repro.pisa.two_server import TwoServerCoordinator
 
 __all__ = [
     "BlindingFactory",
     "BlindingParameters",
     "KeyDirectory",
     "TransmissionLicense",
-    "NegotiationResult",
-    "PowerNegotiator",
-    "PackedCoordinator",
-    "PisaCoordinator",
-    "RoundReport",
-    "small_demo",
-    "PUClient",
-    "SdcServer",
-    "SessionState",
-    "SuSession",
     "StpServer",
-    "SUClient",
-    "TwoServerCoordinator",
 ]

@@ -33,7 +33,7 @@ and :func:`partial_q_sum`).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.crypto.numtheory import modinv
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
@@ -41,7 +41,9 @@ from repro.crypto.parallel import Executor, default_executor
 from repro.errors import ProtocolError
 from repro.pisa.blinding import CellBlinding
 from repro.pisa.messages import PUUpdateMessage
-from repro.watch.environment import SpectrumEnvironment
+
+if TYPE_CHECKING:  # an annotation only; the map's module loads numpy
+    from repro.watch.environment import SpectrumEnvironment
 
 __all__ = ["BlockKernel", "partial_q_sum", "require_key", "require_units"]
 

@@ -7,35 +7,3 @@ Longley–Rice irregular terrain model used for mean TV signal strength),
 terrain data, antenna/EIRP arithmetic, and UHF/WiFi channel maps.  This
 subpackage implements all of it from scratch.
 """
-
-from repro.radio.antenna import Antenna, eirp_dbm
-from repro.radio.channel import ChannelPlan, TvChannel, WifiChannel
-from repro.radio.pathloss import (
-    ExtendedHataModel,
-    FreeSpaceModel,
-    HataModel,
-    LogDistanceModel,
-    PathLossModel,
-    TwoRayGroundModel,
-)
-from repro.radio.terrain import SyntheticTerrain
-from repro.radio.units import db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm
-
-__all__ = [
-    "Antenna",
-    "eirp_dbm",
-    "ChannelPlan",
-    "TvChannel",
-    "WifiChannel",
-    "PathLossModel",
-    "FreeSpaceModel",
-    "LogDistanceModel",
-    "HataModel",
-    "ExtendedHataModel",
-    "TwoRayGroundModel",
-    "SyntheticTerrain",
-    "db_to_linear",
-    "dbm_to_mw",
-    "linear_to_db",
-    "mw_to_dbm",
-]

@@ -12,34 +12,3 @@ This plaintext implementation serves two roles:
 2. the *correctness oracle* for PISA — the encrypted protocol must reach
    exactly the same grant/deny decisions.
 """
-
-from repro.watch.entities import PUReceiver, SUTransmitter, TVTransmitter
-from repro.watch.environment import SpectrumEnvironment
-from repro.watch.exclusion import exclusion_distance_m
-from repro.watch.feedback import AdmissionSimulator, FeedbackController
-from repro.watch.params import PaperSettings, WatchParameters
-from repro.watch.scenario import Scenario, ScenarioConfig, build_scenario
-from repro.watch.sdc import Decision, PlaintextSDC
-from repro.watch.system import WatchSystem
-from repro.watch.zones import ChannelZones, compute_zones, render_zone_map
-
-__all__ = [
-    "PUReceiver",
-    "SUTransmitter",
-    "TVTransmitter",
-    "SpectrumEnvironment",
-    "exclusion_distance_m",
-    "AdmissionSimulator",
-    "FeedbackController",
-    "PaperSettings",
-    "WatchParameters",
-    "Scenario",
-    "ScenarioConfig",
-    "build_scenario",
-    "Decision",
-    "PlaintextSDC",
-    "WatchSystem",
-    "ChannelZones",
-    "compute_zones",
-    "render_zone_map",
-]

@@ -9,8 +9,12 @@ import json
 
 import pytest
 
+from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import TransportError
+from repro.netd.plane import build_socket_coordinator
 from repro.netd.supervisor import ProcessSupervisor
+from repro.telemetry import MetricsRegistry
+from repro.watch.scenario import ScenarioConfig
 
 
 @pytest.fixture()
@@ -64,3 +68,35 @@ class TestAddressing:
         supervisor.start("a", "shard", extra_args=())
         assert supervisor.worker_names() == ("a", "b")
         assert supervisor.restarts("a") == 0
+
+
+class TestReadyHistogram:
+    def test_every_spawn_and_restart_is_observed_once(self):
+        """``netd_worker_ready_s{role=…}``: one observation per spawn,
+        from ``Popen`` to the worker first seen ready — three for a
+        two-shard deployment with its STP, one more for a restart."""
+        metrics = MetricsRegistry()
+        coordinator, _ = build_socket_coordinator(
+            2, 256, DeterministicRandomSource(seed=6), ScenarioConfig(seed=6, num_sus=1),
+            metrics=metrics,
+        )
+        try:
+            supervisor = coordinator.netd.supervisor
+
+            def counts() -> dict[str, int]:
+                return {
+                    role: metrics.histogram("netd_worker_ready_s", role=role).count
+                    for role in ("shard", "stp")
+                }
+
+            supervisor.wait_ready()
+            assert counts() == {"shard": 2, "stp": 1}
+            supervisor.kill("shard-0")
+            supervisor.wait_exit("shard-0")
+            supervisor.ensure_running("shard-0")
+            assert counts() == {"shard": 3, "stp": 1}
+            assert supervisor.restarts("shard-0") == 1
+            ready = metrics.histogram("netd_worker_ready_s", role="shard")
+            assert 0 < ready.min <= ready.max < 30.0
+        finally:
+            coordinator.close()
