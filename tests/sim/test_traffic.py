@@ -129,6 +129,22 @@ class TestScheduleDeterminism:
         assert a.events == b.events
         assert a.digest() == b.digest()
 
+    #: ``build(11, workload).digest()``: the loadtest, the chaos plans and
+    #: the golden transcripts consume these draws, so a pin moves only in
+    #: a commit that moves nothing else.
+    DIGESTS = {
+        "steady": "6a5ce319d27333e51f974ccda701b66e452c6c7db38aa5eda762e772cc9bb445",
+        "diurnal": "26952257b55581c856b3570f77c130663737710057652fa044ebdad2e348b793",
+        "flash-crowd": "91b7c972d29cd53a75a42df412056518f3f1170db2e5eebb2be49ab62b7c4cd6",
+        "pu-churn-storm":
+            "6cd39986db8be98073c3ec02abca31ce14081a73a4a1e4504a978f4f0f3191c9",
+        "mobility": "e5f647a78a3e6803193e7bd7135a534373dbf60a472c64d9d220bfe05e14fcc1",
+    }
+
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_digest_pinned(self, workload):
+        assert self.build(11, workload).digest() == self.DIGESTS[workload]
+
     def test_different_seeds_differ(self):
         assert self.build(11).digest() != self.build(12).digest()
 
