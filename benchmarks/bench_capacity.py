@@ -17,15 +17,8 @@ import pytest
 from conftest import emit
 
 from repro.analysis.reporting import format_table
-from repro.analysis.scaling import PaillierCostProfile
-from repro.sim import DeploymentSimulator, ServiceCostModel, WorkloadConfig
+from repro.sim import DeploymentSimulator, ServiceCostModel, paper_profile
 from repro.watch.scenario import ScenarioConfig, build_scenario
-
-PAPER_PROFILE = PaillierCostProfile(
-    key_bits=2048, encryption_s=0.030378, decryption_s=0.021170,
-    hom_add_s=4e-6, hom_sub_s=7.3e-5, hom_scale_small_s=1.564e-3,
-    hom_scale_full_s=0.018867, rerandomize_s=0.030,
-)
 
 _ROWS = []
 
@@ -38,12 +31,9 @@ def sim_scenario():
 @pytest.mark.parametrize("packing,rate", [(1, 0.5), (1, 2.5), (12, 5.0), (12, 20.0)])
 def test_capacity_point(benchmark, sim_scenario, packing, rate):
     model = ServiceCostModel(
-        PAPER_PROFILE, num_channels=100, num_blocks=600, packing_factor=packing
+        paper_profile(), num_channels=100, num_blocks=600, packing_factor=packing
     )
-    sim = DeploymentSimulator(
-        sim_scenario, model,
-        WorkloadConfig(su_requests_per_hour=rate, seed=9),
-    )
+    sim = DeploymentSimulator(sim_scenario, model, rate, seed=9)
     report = benchmark.pedantic(lambda: sim.run(12 * 3600), rounds=1, iterations=1)
     _ROWS.append((packing, rate, model, report))
 
@@ -54,7 +44,7 @@ def test_zzz_render(benchmark):
     for packing, rate, model, report in sorted(_ROWS, key=lambda r: (r[0], r[1])):
         rows.append((
             f"k={packing:2d}, λ={rate:4.1f}/h "
-            f"(saturation ≈{3600 / model.costs.stp_convert_s:.1f}/h)",
+            f"(saturation ≈{model.saturation_rate_per_hour():.1f}/h)",
             f"p95 {report.latency_percentile_s(95) / 60:6.1f} min | "
             f"STP util {report.stp_utilization:4.0%} | "
             f"served {report.num_requests}",

@@ -13,7 +13,7 @@ from conftest import emit
 
 from repro.analysis.reporting import format_table
 from repro.crypto.rand import DeterministicRandomSource
-from repro.sim.workload import VIRTUAL_SWITCHES_PER_HOUR, PuSwitchProcess
+from repro.sim.traffic import VIRTUAL_SWITCHES_PER_HOUR, PuChurnModel
 
 NUM_PUS = 100
 HOURS = 24.0
@@ -26,24 +26,11 @@ _RESULTS = {}
 
 def test_switch_traffic(benchmark):
     def simulate():
-        rng = DeterministicRandomSource(7)
-        physical = 0
-        virtual_only = 0
-        for _ in range(NUM_PUS):
-            process = PuSwitchProcess(
-                VIRTUAL_SWITCHES_PER_HOUR, PHYSICAL_FRACTION, rng
-            )
-            elapsed = 0.0
-            while True:
-                gap, needs_update = process.next_switch()
-                elapsed += gap
-                if elapsed > HOURS * 3600:
-                    break
-                if needs_update:
-                    physical += 1
-                else:
-                    virtual_only += 1
-        return physical, virtual_only
+        switches = PuChurnModel(physical_fraction=PHYSICAL_FRACTION).switches(
+            DeterministicRandomSource(7), NUM_PUS, HOURS * 3600, num_channels=0
+        )
+        physical = sum(switch.physical for switch in switches)
+        return physical, len(switches) - physical
 
     _RESULTS["traffic"] = benchmark.pedantic(simulate, rounds=1, iterations=1)
 

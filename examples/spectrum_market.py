@@ -15,16 +15,8 @@ Run:  python examples/spectrum_market.py
 """
 
 from repro.analysis.reporting import format_table
-from repro.analysis.scaling import PaillierCostProfile
-from repro.sim import DeploymentSimulator, ServiceCostModel, WorkloadConfig
+from repro.sim import DeploymentSimulator, ServiceCostModel, paper_profile
 from repro.watch.scenario import ScenarioConfig, build_scenario
-
-#: Table II of the paper (GMP prototype on an i5-2400).
-PAPER_HARDWARE = PaillierCostProfile(
-    key_bits=2048, encryption_s=0.030378, decryption_s=0.021170,
-    hom_add_s=4e-6, hom_sub_s=7.3e-5, hom_scale_small_s=1.564e-3,
-    hom_scale_full_s=0.018867, rerandomize_s=0.030,
-)
 
 
 def main() -> None:
@@ -35,17 +27,16 @@ def main() -> None:
         (1, 3.0, "baseline protocol, overload (3 requests/h)"),
         (12, 12.0, "packed extension k=12 (12 requests/h)"),
     ):
+        # Table II of the paper (GMP prototype on an i5-2400).
         model = ServiceCostModel(
-            PAPER_HARDWARE, num_channels=100, num_blocks=600,
+            paper_profile(), num_channels=100, num_blocks=600,
             packing_factor=packing,
         )
         print(f"\n=== {label} ===")
         print(f"  modelled SDC time/request: {model.costs.sdc_per_request_s:.0f} s "
-              f"(paper: ≈219 s)  |  STP: {model.costs.stp_convert_s:.0f} s")
-        simulator = DeploymentSimulator(
-            scenario, model,
-            WorkloadConfig(su_requests_per_hour=rate, seed=42),
-        )
+              f"(paper: ≈219 s)  |  STP: {model.costs.stp_convert_s:.0f} s  |  "
+              f"saturation ≈{model.saturation_rate_per_hour():.1f} requests/h")
+        simulator = DeploymentSimulator(scenario, model, rate, seed=42)
         report = simulator.run(24 * 3600)
         print(format_table("24 h simulation", report.as_table_rows()))
 

@@ -12,7 +12,7 @@
 
 from repro.analysis.overhead import CommunicationSummary, summarize_transport
 from repro.analysis.reporting import format_table
-from repro.analysis.stats import LinearFit, bootstrap_mean_ci, linear_fit, proportion_within
+from repro.analysis.stats import LinearFit, linear_fit
 from repro.analysis.scaling import (
     PaillierCostProfile,
     ScaledSystemEstimate,
@@ -25,9 +25,7 @@ __all__ = [
     "summarize_transport",
     "format_table",
     "LinearFit",
-    "bootstrap_mean_ci",
     "linear_fit",
-    "proportion_within",
     "PaillierCostProfile",
     "ScaledSystemEstimate",
     "estimate_full_scale",

@@ -1,14 +1,11 @@
 """Small statistics helpers for the evaluation harness.
 
-Benchmarks assert *shapes* — linearity of the privacy trade-off,
-latency blow-up under overload — and need a couple of classical tools:
-least-squares fits with goodness, bootstrap confidence intervals, and a
-two-proportion check used by the blinding-bias tests.
+Benchmarks assert *shapes* — linearity of the privacy trade-off — and
+need one classical tool: a least-squares fit with its goodness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["LinearFit", "linear_fit", "bootstrap_mean_ci", "proportion_within"]
+__all__ = ["LinearFit", "linear_fit"]
 
 
 @dataclass(frozen=True)
@@ -53,38 +50,3 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     return LinearFit(slope=float(slope), intercept=float(intercept),
                      r_squared=r_squared)
 
-
-def bootstrap_mean_ci(
-    samples: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile-bootstrap confidence interval for the mean."""
-    if len(samples) == 0:
-        raise ConfigurationError("no samples")
-    if not 0 < confidence < 1:
-        raise ConfigurationError("confidence must be in (0, 1)")
-    data = np.asarray(samples, dtype=float)
-    rng = np.random.default_rng(seed)
-    means = rng.choice(data, size=(resamples, len(data)), replace=True).mean(axis=1)
-    tail = (1.0 - confidence) / 2.0
-    low, high = np.quantile(means, [tail, 1.0 - tail])
-    return float(low), float(high)
-
-
-def proportion_within(
-    successes: int, trials: int, expected: float, z: float = 4.0
-) -> bool:
-    """Is an observed proportion within ``z`` binomial standard errors?
-
-    Used by the statistical blinding tests: with ``z = 4`` a correct
-    implementation fails spuriously ~1 in 16 000 runs.
-    """
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
-    if not 0 <= expected <= 1:
-        raise ConfigurationError("expected proportion must be in [0, 1]")
-    observed = successes / trials
-    stderr = math.sqrt(max(expected * (1 - expected), 1e-12) / trials)
-    return abs(observed - expected) <= z * stderr

@@ -48,15 +48,6 @@ class FheCostEstimate:
 class FheCostModel:
     """Scale the cited per-block constants to a PISA-sized workload."""
 
-    def __init__(
-        self,
-        seconds_per_block: float = GHS_SECONDS_PER_BLOCK,
-        mb_per_block: float = GHS_MB_PER_BLOCK,
-    ) -> None:
-        if seconds_per_block <= 0 or mb_per_block <= 0:
-            raise ConfigurationError("cost constants must be positive")
-        self.seconds_per_block = seconds_per_block
-        self.mb_per_block = mb_per_block
 
     def blocks_for_matrix(self, num_channels: int, num_blocks: int, value_bits: int) -> int:
         """128-bit blocks needed to carry a C × B matrix of ℓ-bit values."""
@@ -77,6 +68,6 @@ class FheCostModel:
         blocks = self.blocks_for_matrix(num_channels, num_blocks, value_bits)
         return FheCostEstimate(
             input_blocks=blocks,
-            time_seconds=blocks * self.seconds_per_block,
-            memory_mb=blocks * self.mb_per_block,
+            time_seconds=blocks * GHS_SECONDS_PER_BLOCK,
+            memory_mb=blocks * GHS_MB_PER_BLOCK,
         )

@@ -122,7 +122,6 @@ def sdc_breach_view(
     environment: SpectrumEnvironment,
     pus: list[PUReceiver],
     coordinator=None,
-    guesses: int = 1,
 ) -> dict[str, float]:
     """Compare what a breached SDC learns under WATCH vs under PISA.
 

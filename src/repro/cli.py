@@ -66,9 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--packing", type=int, default=1,
                           help="packed-mode slots per ciphertext (1 = baseline)")
     simulate.add_argument("--seed", type=int, default=42)
-    simulate.add_argument("--workload", type=str, default="",
-                          help="named traffic shape (repro.sim.traffic; "
-                               "default: legacy homogeneous Poisson)")
+    simulate.add_argument("--workload", type=str, default="steady",
+                          help="named traffic shape (repro.sim.traffic)")
 
     profile = sub.add_parser("profile", help="Table II micro-benchmarks")
     profile.add_argument("--key-bits", type=int, default=1024)
@@ -319,12 +318,7 @@ def _cmd_tradeoff(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from repro.analysis.reporting import format_table
-    from repro.sim import (
-        DeploymentSimulator,
-        ServiceCostModel,
-        WorkloadConfig,
-        paper_profile,
-    )
+    from repro.sim import DeploymentSimulator, ServiceCostModel, paper_profile
     from repro.watch.scenario import ScenarioConfig, build_scenario
 
     model = ServiceCostModel(
@@ -333,15 +327,13 @@ def _cmd_simulate(args) -> int:
     )
     scenario = build_scenario(ScenarioConfig(seed=4, num_sus=3))
     simulator = DeploymentSimulator(
-        scenario, model,
-        WorkloadConfig(su_requests_per_hour=args.rate, seed=args.seed),
-        traffic=args.workload or None,
+        scenario, model, args.rate, seed=args.seed,
+        traffic=args.workload,
     )
     report = simulator.run(args.hours * 3600)
-    shape = f", workload {args.workload}" if args.workload else ""
     print(format_table(
         f"{args.hours:.0f} h @ {args.rate:g} req/h, "
-        f"packing k={args.packing}{shape}",
+        f"packing k={args.packing}, workload {args.workload}",
         report.as_table_rows(),
     ))
     print("phase costs: paper Table II constants")

@@ -33,24 +33,17 @@ class Block:
 class BlockGrid:
     """A row-major grid of square blocks covering the service area.
 
+    The grid's lower-left corner is the metric origin ``(0, 0)``.
+
     Parameters
     ----------
     rows, cols:
         Grid dimensions; ``B = rows * cols``.
     block_size_m:
         Side of each square block (paper: 10 m).
-    origin_x_m, origin_y_m:
-        Metric coordinates of the grid's lower-left corner.
     """
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        block_size_m: float = 10.0,
-        origin_x_m: float = 0.0,
-        origin_y_m: float = 0.0,
-    ) -> None:
+    def __init__(self, rows: int, cols: int, block_size_m: float = 10.0) -> None:
         if rows < 1 or cols < 1:
             raise GridError("grid dimensions must be positive")
         if block_size_m <= 0:
@@ -58,8 +51,6 @@ class BlockGrid:
         self.rows = rows
         self.cols = cols
         self.block_size_m = float(block_size_m)
-        self.origin_x_m = float(origin_x_m)
-        self.origin_y_m = float(origin_y_m)
 
     # -- basic queries ------------------------------------------------------
 
@@ -88,8 +79,8 @@ class BlockGrid:
             index=index,
             row=row,
             col=col,
-            center_x_m=self.origin_x_m + (col + 0.5) * self.block_size_m,
-            center_y_m=self.origin_y_m + (row + 0.5) * self.block_size_m,
+            center_x_m=(col + 0.5) * self.block_size_m,
+            center_y_m=(row + 0.5) * self.block_size_m,
         )
 
     def index_of(self, row: int, col: int) -> int:
@@ -100,8 +91,8 @@ class BlockGrid:
 
     def block_at(self, x_m: float, y_m: float) -> Block:
         """The block containing metric point ``(x, y)``."""
-        col = math.floor((x_m - self.origin_x_m) / self.block_size_m)
-        row = math.floor((y_m - self.origin_y_m) / self.block_size_m)
+        col = math.floor(x_m / self.block_size_m)
+        row = math.floor(y_m / self.block_size_m)
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise GridError(f"point ({x_m}, {y_m}) outside the service area")
         return self.block(self.index_of(row, col))

@@ -49,13 +49,6 @@ class WifiChannel:
 WIFI_CHANNEL_6 = WifiChannel(number=6, center_frequency_hz=2.437e9)
 
 
-def us_wifi_channel(number: int) -> WifiChannel:
-    """US 2.4 GHz plan: channels 1-11, 5 MHz spacing from 2.412 GHz."""
-    if not 1 <= number <= 11:
-        raise RadioError("US 2.4 GHz WiFi channels are 1-11")
-    return WifiChannel(number=number, center_frequency_hz=2.412e9 + (number - 1) * 5e6)
-
-
 class ChannelPlan:
     """The UHF TV channel plan the SDC allocates over.
 

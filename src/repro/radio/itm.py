@@ -32,6 +32,11 @@ __all__ = ["IrregularTerrainModel"]
 
 _SPEED_OF_LIGHT = 299_792_458.0
 
+#: Extra median loss for the radio climate.  The model adds none: 0 dB
+#: stands for the continental-temperate climate (ITM climate code 5,
+#: Longley & Rice 1968) that the distance and terrain terms describe.
+CLIMATE_LOSS_DB = 0.0
+
 
 class IrregularTerrainModel(PathLossModel):
     """Terrain-aware point-to-point path loss.
@@ -48,7 +53,6 @@ class IrregularTerrainModel(PathLossModel):
         terrain: SyntheticTerrain,
         tx_height_m: float = 100.0,
         rx_height_m: float = 10.0,
-        climate_loss_db: float = 0.0,
     ) -> None:
         if tx_height_m <= 0 or rx_height_m <= 0:
             raise RadioError("antenna heights must be positive")
@@ -56,7 +60,6 @@ class IrregularTerrainModel(PathLossModel):
         self.terrain = terrain
         self.tx_height_m = tx_height_m
         self.rx_height_m = rx_height_m
-        self.climate_loss_db = climate_loss_db
         self._free_space = FreeSpaceModel(frequency_hz)
         self._wavelength_m = _SPEED_OF_LIGHT / frequency_hz
 
@@ -68,7 +71,7 @@ class IrregularTerrainModel(PathLossModel):
         return (
             self._free_space.loss_db(d)
             + self._irregularity_loss_db(self.terrain.terrain_irregularity(), d)
-            + self.climate_loss_db
+            + CLIMATE_LOSS_DB
         )
 
     # -- point-to-point interface -------------------------------------------
@@ -85,7 +88,7 @@ class IrregularTerrainModel(PathLossModel):
             self._free_space.loss_db(d)
             + self._irregularity_loss_db(delta_h, d)
             + self._diffraction_loss_db(profile, d)
-            + self.climate_loss_db
+            + CLIMATE_LOSS_DB
         )
         return loss
 

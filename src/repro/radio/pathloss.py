@@ -108,27 +108,30 @@ class FreeSpaceModel(PathLossModel):
         return 20.0 * math.log10(4.0 * math.pi * d / self._wavelength_m)
 
 
+#: The log-distance model's reference distance ``d0``: free space up to
+#: 1 m, the anchor Rappaport uses for short-range and indoor links
+#: (*Wireless Communications*, 2nd ed., §4.9.1).
+REFERENCE_DISTANCE_M = 1.0
+
+
 class LogDistanceModel(PathLossModel):
     """Log-distance model: free-space up to ``d0`` then exponent ``gamma``.
 
-    ``L(d) = L_fs(d0) + 10·γ·log10(d/d0)``.
+    ``L(d) = L_fs(d0) + 10·γ·log10(d/d0)`` with ``d0 = REFERENCE_DISTANCE_M``.
     """
 
-    def __init__(self, frequency_hz: float, exponent: float = 3.0, d0_m: float = 1.0) -> None:
+    def __init__(self, frequency_hz: float, exponent: float = 3.0) -> None:
         if exponent < 1.0:
             raise RadioError("path-loss exponent below 1 is unphysical")
-        if d0_m <= 0:
-            raise RadioError("reference distance must be positive")
         self.exponent = exponent
-        self.d0_m = d0_m
         self._free_space = FreeSpaceModel(frequency_hz)
-        self._l0_db = self._free_space.loss_db(d0_m)
+        self._l0_db = self._free_space.loss_db(REFERENCE_DISTANCE_M)
 
     def loss_db(self, distance_m: float) -> float:
         d = self._clamp(distance_m)
-        if d <= self.d0_m:
+        if d <= REFERENCE_DISTANCE_M:
             return self._free_space.loss_db(d)
-        return self._l0_db + 10.0 * self.exponent * math.log10(d / self.d0_m)
+        return self._l0_db + 10.0 * self.exponent * math.log10(d / REFERENCE_DISTANCE_M)
 
 
 class TwoRayGroundModel(PathLossModel):

@@ -6,7 +6,6 @@ so they live in one audited module:
 
 * dBm ↔ mW:      ``P_dBm = 10·log10(P_mW)``
 * dB  ↔ linear:  ``X_dB  = 10·log10(x)``
-* watts helpers for transmitter-level quantities.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ __all__ = [
     "mw_to_dbm",
     "db_to_linear",
     "linear_to_db",
-    "dbm_to_watts",
-    "watts_to_dbm",
-    "NOISE_FLOOR_DBM_PER_HZ",
-    "thermal_noise_dbm",
 ]
-
-#: Thermal noise density at 290 K: −174 dBm/Hz.
-NOISE_FLOOR_DBM_PER_HZ = -174.0
 
 
 def dbm_to_mw(power_dbm: float) -> float:
@@ -51,19 +43,3 @@ def linear_to_db(value: float) -> float:
         raise ValueError("ratio must be positive to express in dB")
     return 10.0 * math.log10(value)
 
-
-def dbm_to_watts(power_dbm: float) -> float:
-    """Convert dBm to watts."""
-    return dbm_to_mw(power_dbm) / 1000.0
-
-
-def watts_to_dbm(power_w: float) -> float:
-    """Convert watts to dBm."""
-    return mw_to_dbm(power_w * 1000.0)
-
-
-def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
-    """Thermal noise power over ``bandwidth_hz`` with a receiver noise figure."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    return NOISE_FLOOR_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db

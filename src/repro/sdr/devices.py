@@ -11,12 +11,12 @@ two SUs from PU is not equal").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import RadioError
-from repro.radio.channel import WIFI_CHANNEL_6, WifiChannel
+from repro.radio.channel import WIFI_CHANNEL_6
 from repro.radio.pathloss import FreeSpaceModel
 from repro.sdr.waveform import PacketBurst, received_trace
 
@@ -46,9 +46,8 @@ class RadioMedium:
     free-space amplitude scaling by the transmitter→receiver distance.
     """
 
-    def __init__(self, channel: WifiChannel = WIFI_CHANNEL_6) -> None:
-        self.channel = channel
-        self._pathloss = FreeSpaceModel(channel.center_frequency_hz)
+    def __init__(self) -> None:
+        self._pathloss = FreeSpaceModel(WIFI_CHANNEL_6.center_frequency_hz)
         self.devices: dict[str, "SimulatedUSRP"] = {}
         #: Per-receiver burst logs: device_id → list of bursts heard.
         self.heard: dict[str, list[PacketBurst]] = {}

@@ -38,6 +38,10 @@ from repro.watch.params import WatchParameters
 
 __all__ = ["SdrTestbed", "ScenarioResult"]
 
+#: Paillier modulus of the lab's SDC/STP pair: the scenarios check
+#: decisions and air-time, not key strength, so 256 bits keeps them fast.
+TESTBED_KEY_BITS = 256
+
 
 @dataclass
 class ScenarioResult:
@@ -62,7 +66,7 @@ class SdrTestbed:
     #: Channel slot playing the role of "WiFi channel 6" in the plan.
     CHANNEL = 0
 
-    def __init__(self, seed: int = 0, key_bits: int = 256) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         grid = BlockGrid(rows=10, cols=10, block_size_m=10.0)
         params = WatchParameters(num_channels=2)
@@ -79,7 +83,7 @@ class SdrTestbed:
             self.medium.register(device)
 
         rng = DeterministicRandomSource(seed)
-        self.coordinator = PisaCoordinator(self.environment, key_bits=key_bits, rng=rng)
+        self.coordinator = PisaCoordinator(self.environment, key_bits=TESTBED_KEY_BITS, rng=rng)
         #: The PU's measured mean signal strength on the channel (mW);
         #: ≈ −50 dBm, a strong near-field reception.
         self.pu_signal_mw = 1e-5

@@ -18,6 +18,9 @@ from repro.errors import RadioError
 
 __all__ = ["PacketBurst", "packet_waveform", "received_trace"]
 
+#: Share of a packet's samples in each raised-cosine edge ramp.
+RAMP_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class PacketBurst:
@@ -47,9 +50,7 @@ class PacketBurst:
             raise RadioError("amplitude cannot be negative")
 
 
-def packet_waveform(
-    num_samples: int, rng: np.random.Generator, ramp_fraction: float = 0.05
-) -> np.ndarray:
+def packet_waveform(num_samples: int, rng: np.random.Generator) -> np.ndarray:
     """A unit-amplitude packet envelope of ``num_samples`` samples.
 
     Band-limited Gaussian payload with raised-cosine ramps at both ends
@@ -64,7 +65,7 @@ def packet_waveform(
     peak = np.max(np.abs(payload))
     if peak > 0:
         payload /= peak
-    ramp_len = max(2, int(num_samples * ramp_fraction))
+    ramp_len = max(2, int(num_samples * RAMP_FRACTION))
     ramp = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, ramp_len)))
     envelope = np.ones(num_samples)
     envelope[:ramp_len] = ramp

@@ -6,24 +6,24 @@ channels (§VI-A cites 2.3-2.7 virtual switches/hour per viewer), and a
 single crypto-bound server queueing it all.  This subpackage couples
 
 * the measured per-phase costs (:mod:`repro.analysis.scaling`),
-* the wire sizes and latency models (:mod:`repro.net`), and
+* the wire sizes of each message over one WAN link, and
 * the actual WATCH decision logic (grant/deny comes from the real
   plaintext oracle on the scenario's geometry)
 
 into an event-driven simulator answering capacity questions: request
 latency distribution, server utilisation, and the arrival rate at which
-the SDC saturates.
+the deployment saturates (at the STP, under Table II's costs).
 
-Since PR 10 it is also the system's **workload engine**: named traffic
-models (:mod:`repro.sim.traffic`), the tiered CBRS regulatory scenario
-(:mod:`repro.sim.cbrs`), and the scenario registry
-(:mod:`repro.sim.registry`) that ``serve-loadtest --scenario/--workload``
-and the chaos harness drive.
+It is also the system's one **workload engine**: named traffic models
+(:mod:`repro.sim.traffic`) that drive the simulator,
+``serve-loadtest --workload`` and the chaos harness alike, the tiered
+CBRS regulatory scenario (:mod:`repro.sim.cbrs`), and the scenario
+registry (:mod:`repro.sim.registry`).
 """
 
 from repro.sim.cbrs import CbrsConfig, TieredAdmission, build_cbrs_scenario
 from repro.sim.costmodel import PhaseCosts, ServiceCostModel, paper_profile
-from repro.sim.events import EventQueue, ScheduledEvent, SimClock
+from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.registry import BuiltScenario, build_named_scenario, scenario_names
 from repro.sim.simulator import DeploymentSimulator, SimulationReport
 from repro.sim.traffic import (
@@ -39,7 +39,6 @@ from repro.sim.traffic import (
     resolve_workload,
     workload_names,
 )
-from repro.sim.workload import PoissonArrivals, PuSwitchProcess, WorkloadConfig
 
 __all__ = [
     "PhaseCosts",
@@ -47,12 +46,8 @@ __all__ = [
     "paper_profile",
     "EventQueue",
     "ScheduledEvent",
-    "SimClock",
     "DeploymentSimulator",
     "SimulationReport",
-    "PoissonArrivals",
-    "PuSwitchProcess",
-    "WorkloadConfig",
     "ArrivalEvent",
     "ArrivalSchedule",
     "PoissonTraffic",

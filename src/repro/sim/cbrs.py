@@ -58,25 +58,24 @@ TIER_GAA = "gaa"
 #: the budget.
 REQUESTING_TIERS = (TIER_PAL, TIER_GAA)
 
+#: Every Nth SU (by index) holds a PAL licence, mirroring the FCC's cap
+#: of a minority of PAL licences per census tract; the rest are GAA.
+PAL_EVERY = 3
+
 
 @dataclass(frozen=True)
 class CbrsConfig:
     """Knobs for the CBRS mapping on top of a base ScenarioConfig.
 
-    ``pal_every`` assigns every Nth SU (by index) to the PAL tier,
-    mirroring the FCC's cap of a minority of PAL licences per census
-    tract; the rest are GAA.  ``gaa_capacity`` fixes the concurrent
-    authorization budget, or 0 to derive it from the WATCH
-    interference-budget geometry (:func:`derive_gaa_capacity`).
+    ``gaa_capacity`` fixes the concurrent authorization budget, or 0 to
+    derive it from the WATCH interference-budget geometry
+    (:func:`derive_gaa_capacity`).
     """
 
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
-    pal_every: int = 3
     gaa_capacity: int = 0
 
     def __post_init__(self) -> None:
-        if self.pal_every < 1:
-            raise ConfigurationError("pal_every must be >= 1")
         if self.gaa_capacity < 0:
             raise ConfigurationError("gaa_capacity must be >= 0")
 
@@ -92,14 +91,14 @@ class CbrsScenario:
     capacity: int
 
 
-def assign_tiers(num_sus: int, pal_every: int = 3) -> dict[str, str]:
+def assign_tiers(num_sus: int) -> dict[str, str]:
     """Deterministic tier assignment by SU index.
 
     SU ids follow the ``su-<index>`` convention used by every service
-    builder; index 0, ``pal_every``, 2·``pal_every``… hold PAL licences.
+    builder; index 0, ``PAL_EVERY``, 2·``PAL_EVERY``… hold PAL licences.
     """
     return {
-        f"su-{index}": TIER_PAL if index % pal_every == 0 else TIER_GAA
+        f"su-{index}": TIER_PAL if index % PAL_EVERY == 0 else TIER_GAA
         for index in range(num_sus)
     }
 
@@ -137,7 +136,7 @@ def build_cbrs_scenario(config: CbrsConfig | None = None) -> CbrsScenario:
     """
     cfg = config or CbrsConfig()
     scenario = build_scenario(cfg.base)
-    tier_of = assign_tiers(len(scenario.sus), cfg.pal_every)
+    tier_of = assign_tiers(len(scenario.sus))
     capacity = cfg.gaa_capacity or derive_gaa_capacity(scenario)
     return CbrsScenario(scenario=scenario, tier_of=tier_of, capacity=capacity)
 

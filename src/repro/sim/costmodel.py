@@ -96,18 +96,12 @@ class ServiceCostModel:
         )
         self._estimate = estimate
 
-    # -- wire sizes (for the latency model) ---------------------------------
+    # -- wire sizes (for the simulator's link) -------------------------------
 
     @property
     def request_bytes(self) -> int:
-        return self._estimate.su_request_bytes // self.packing_factor
-
-    @property
-    def extraction_bytes(self) -> int:
-        return self._estimate.su_request_bytes // self.packing_factor
-
-    @property
-    def conversion_bytes(self) -> int:
+        """One request's ciphertext matrix: what the SU sends the SDC and
+        each of the SDC ↔ STP legs carries."""
         return self._estimate.su_request_bytes // self.packing_factor
 
     @property
@@ -119,5 +113,10 @@ class ServiceCostModel:
         return self._estimate.response_bytes
 
     def saturation_rate_per_hour(self) -> float:
-        """Arrival rate at which the SDC's utilisation reaches 1."""
-        return 3600.0 / self.costs.sdc_per_request_s
+        """Arrival rate at which the busier server's utilisation reaches 1.
+
+        Each request occupies the SDC for both of its phases and the STP
+        for one conversion; the deployment saturates at whichever is
+        slower (the STP at Table II, unpacked and packed alike).
+        """
+        return 3600.0 / max(self.costs.sdc_per_request_s, self.costs.stp_convert_s)

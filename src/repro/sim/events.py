@@ -4,12 +4,8 @@ Events are ``(time, sequence, payload)`` triples in a binary heap; the
 sequence number breaks ties deterministically (FIFO among simultaneous
 events), which keeps whole simulations reproducible.
 
-The queue *is* the simulation clock — ``now`` only advances when an
-event is popped — and its origin is injected (``start_s``) rather than
-assumed, so simulations can be anchored to any epoch without ambient
-time.  :class:`SimClock` exposes the queue's time behind the same
-zero-argument callable signature the service layer uses for its
-injected clocks.
+The queue *is* the simulation clock: ``now`` starts at 0 and only
+advances when an event is popped, so no simulation reads ambient time.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["ScheduledEvent", "EventQueue", "SimClock"]
+__all__ = ["ScheduledEvent", "EventQueue"]
 
 
 @dataclass(frozen=True, order=True)
@@ -33,13 +29,12 @@ class ScheduledEvent:
 
 
 class EventQueue:
-    """Deterministic min-heap event queue with an injected time origin."""
+    """Deterministic min-heap event queue; time starts at 0."""
 
-    def __init__(self, start_s: float = 0.0) -> None:
+    def __init__(self) -> None:
         self._heap: list[ScheduledEvent] = []
         self._counter = itertools.count()
-        self.start_s = start_s
-        self.now = start_s
+        self.now = 0.0
 
     def schedule(self, delay: float, kind: str, payload: Any = None) -> ScheduledEvent:
         """Schedule an event ``delay`` seconds from the current time."""
@@ -70,22 +65,9 @@ class EventQueue:
         self.now = event.time
         return event
 
-    def clock(self) -> "SimClock":
-        """A zero-argument callable view of this queue's clock."""
-        return SimClock(self)
-
     def __len__(self) -> int:
         return len(self._heap)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-
-class SimClock:
-    """Simulated time behind the service layer's ``clock()`` signature."""
-
-    def __init__(self, queue: EventQueue) -> None:
-        self._queue = queue
-
-    def __call__(self) -> float:
-        return self._queue.now

@@ -2,74 +2,81 @@
 
 Each protocol phase is a service demand on a single-threaded server
 (the SDC or the STP), scheduled through the event queue; message
-transfers add latency-model delays.  Grant/deny outcomes are *not*
+transfers add link delays.  Grant/deny outcomes are *not*
 sampled — each simulated request belongs to a scenario SU and is
 decided once by the real plaintext WATCH oracle, so grant ratios track
 the actual geometry.
 
-All randomness flows through an injected
+All randomness flows through one seeded
 :class:`~repro.crypto.rand.RandomSource` (forked per stream, so event
 interleaving never perturbs draws) and all time through the
-:class:`~repro.sim.events.EventQueue`'s injected origin — no ambient
-clocks or generators, which is what lets the DET/ASY audit rules cover
-this package.  A named :class:`~repro.sim.traffic.WorkloadSpec` shapes
-the arrival process (diurnal, flash-crowd, churn-storm, mobility);
-without one the workload is the homogeneous paper model.
+:class:`~repro.sim.events.EventQueue` — no ambient clocks or
+generators, which is what lets the DET/ASY audit rules cover this
+package.  A named :class:`~repro.sim.traffic.WorkloadSpec` ("steady",
+the paper's homogeneous Poisson model, unless told otherwise) shapes
+the arrivals, the PU churn and the SU mobility, drawn by the same
+models :func:`~repro.sim.traffic.build_schedule` composes for the
+loadtest and the chaos harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.crypto.rand import DeterministicRandomSource, RandomSource
+from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ConfigurationError
-from repro.net.latency import ConstantLatency
 from repro.sim.costmodel import ServiceCostModel
 from repro.sim.events import EventQueue
 from repro.sim.traffic import (
+    PHYSICAL_SWITCH_FRACTION,
+    VIRTUAL_SWITCHES_PER_HOUR,
+    PuChurnModel,
     RandomWaypointMobility,
-    WorkloadSpec,
     resolve_workload,
     unit_float,
 )
-from repro.sim.workload import PoissonArrivals, PuSwitchProcess, WorkloadConfig
 from repro.watch.scenario import Scenario
 from repro.watch.sdc import PlaintextSDC
 
 __all__ = ["RequestRecord", "SimulationReport", "DeploymentSimulator"]
 
+#: The link every message crosses: a broadband WAN hop of 20 ms RTT at
+#: 100 Mbit/s.  A transfer takes ``LINK_RTT_S / 2 + bytes /
+#: LINK_BYTES_PER_S`` (propagation plus serialisation, the first-order
+#: model).  The protocol's round trips (SU → SDC → STP → SDC → SU) make
+#: these rounds a cost of their own; the paper's future work targets "a
+#: protocol that requires less communication rounds and latency".
+LINK_RTT_S = 0.020
+LINK_BYTES_PER_S = 100e6 / 8
+
+#: Fraction of SU requests that reuse a cached (refreshable) request.
+CACHED_REQUEST_FRACTION = 0.5
+
+
+def _transfer_s(size_bytes: int) -> float:
+    return LINK_RTT_S / 2.0 + size_bytes / LINK_BYTES_PER_S
+
 
 @dataclass
 class _Server:
-    """A service station with ``workers`` parallel lanes.
+    """A single-threaded FIFO service station."""
 
-    Jobs go to the earliest-free lane (a c-server FIFO queue);
-    utilisation is busy time divided by total lane-seconds.
-    """
-
-    name: str
-    workers: int = 1
-    busy_until: list[float] = field(default_factory=list)
+    busy_until: float = 0.0
     busy_time: float = 0.0
-    jobs: int = 0
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError("a server needs at least one worker")
-        if not self.busy_until:
-            self.busy_until = [0.0] * self.workers
 
     def serve(self, arrival: float, service_s: float) -> float:
         """Queue a job arriving at ``arrival``; returns completion time."""
-        lane = min(range(self.workers), key=lambda i: self.busy_until[i])
-        start = max(arrival, self.busy_until[lane])
-        done = start + service_s
-        self.busy_until[lane] = done
+        self.busy_until = max(arrival, self.busy_until) + service_s
         self.busy_time += service_s
-        self.jobs += 1
-        return done
+        return self.busy_until
+
+    def utilization(self, duration_s: float) -> float:
+        # An overloaded server drains past the horizon; dividing its busy
+        # time by the span it was actually active over keeps the figure a
+        # faithful fraction instead of clipping at 1.
+        return min(1.0, self.busy_time / max(duration_s, self.busy_until))
 
 
 @dataclass(frozen=True)
@@ -135,42 +142,29 @@ class SimulationReport:
 
 
 class DeploymentSimulator:
-    """Event-driven simulation of one SDC service area."""
+    """Event-driven simulation of one SDC service area.
+
+    ``rate_per_hour`` is the SU population's mean request rate;
+    ``traffic`` names the workload shape (:func:`~repro.sim.traffic.workload_names`).
+    """
 
     def __init__(
         self,
         scenario: Scenario,
         cost_model: ServiceCostModel,
-        workload: WorkloadConfig | None = None,
-        latency: ConstantLatency | None = None,
-        sdc_workers: int = 1,
-        stp_workers: int = 1,
-        rng: RandomSource | None = None,
-        start_s: float = 0.0,
-        traffic: WorkloadSpec | str | None = None,
+        rate_per_hour: float,
+        seed: int = 0,
+        traffic: str = "steady",
     ) -> None:
-        if sdc_workers < 1 or stp_workers < 1:
-            raise ConfigurationError("worker counts must be positive")
+        if rate_per_hour <= 0:
+            raise ConfigurationError("need a positive SU arrival rate")
         self.scenario = scenario
         self.cost_model = cost_model
-        self.workload = workload or WorkloadConfig()
-        self.latency = latency or ConstantLatency()
-        self.sdc_workers = sdc_workers
-        self.stp_workers = stp_workers
-        self.start_s = start_s
-        if traffic is None:
-            self.traffic: WorkloadSpec | None = None
-        elif isinstance(traffic, str):
-            self.traffic = resolve_workload(traffic)
-        else:
-            self.traffic = traffic
-        # The injected source is forked per draw stream, so the order in
-        # which event kinds interleave can never shift another stream's
-        # draws.  Default derives from the workload seed for
-        # backwards-compatible determinism.
-        self._rng = rng if rng is not None else DeterministicRandomSource(
-            self.workload.seed
-        )
+        self.rate_per_hour = rate_per_hour
+        self.traffic = resolve_workload(traffic)
+        # The source is forked per draw stream, so the order in which
+        # event kinds interleave can never shift another stream's draws.
+        self._rng = DeterministicRandomSource(seed)
         # Decide every scenario SU once with the real oracle (moved SUs
         # are re-decided against the same oracle).
         self._oracle = PlaintextSDC(scenario.environment)
@@ -185,62 +179,44 @@ class DeploymentSimulator:
         }
         self._su_ids = [su.su_id for su in scenario.sus]
 
-    def _delay(self, size_bytes: int, sender: str, receiver: str) -> float:
-        return self.latency.delay_seconds(size_bytes, sender, receiver)
-
     def run(self, duration_s: float) -> SimulationReport:
         """Simulate ``duration_s`` seconds of deployment time."""
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        queue = EventQueue(start_s=self.start_s)
-        horizon = self.start_s + duration_s
-        sdc = _Server("sdc", workers=self.sdc_workers)
-        stp = _Server("stp", workers=self.stp_workers)
+        queue = EventQueue()
+        sdc, stp = _Server(), _Server()
         costs = self.cost_model.costs
+        payload_s = _transfer_s(self.cost_model.request_bytes)
         records: list[RequestRecord] = []
         pu_updates = 0
         suppressed = 0
         su_moves = 0
 
-        arrival_rng = self._rng.fork("arrivals")
         subject_rng = self._rng.fork("subjects")
-        rate_per_s = self.workload.su_requests_per_hour / 3600.0
-        if self.traffic is not None:
-            expected = max(1, round(rate_per_s * duration_s))
-            arrival_stream = self.traffic.arrival_model(
-                rate_per_s, expected
-            ).arrivals(arrival_rng)
-            next_arrival = lambda: self.start_s + next(arrival_stream)  # noqa: E731
-            churn_multiplier = self.traffic.pu_churn_multiplier
-        else:
-            arrivals = PoissonArrivals(
-                self.workload.su_requests_per_hour, arrival_rng
-            )
-            clock = queue.clock()
-            next_arrival = lambda: clock() + arrivals.next_gap_s()  # noqa: E731
-            churn_multiplier = 1.0
-        queue.schedule_at(next_arrival(), "su-arrival")
+        rate_per_s = self.rate_per_hour / 3600.0
+        expected = max(1, round(rate_per_s * duration_s))
+        arrivals = self.traffic.arrival_model(rate_per_s, expected).arrivals(
+            self._rng.fork("arrivals")
+        )
+        queue.schedule_at(next(arrivals), "su-arrival")
 
-        switchers = []
-        for index, pu in enumerate(self.scenario.pus):
-            process = PuSwitchProcess(
-                self.workload.pu_virtual_switches_per_hour * churn_multiplier,
-                self.workload.physical_switch_fraction,
-                self._rng.fork(f"pu-{index}"),
-            )
-            switchers.append((pu.receiver_id, process))
-            gap, physical = process.next_switch()
-            queue.schedule(gap, "pu-switch", payload=(index, physical))
+        churn = PuChurnModel(
+            VIRTUAL_SWITCHES_PER_HOUR * self.traffic.pu_churn_multiplier,
+            PHYSICAL_SWITCH_FRACTION,
+        )
+        for switch in churn.switches(
+            self._rng.fork("churn"), len(self.scenario.pus), duration_s, 0
+        ):
+            queue.schedule_at(switch.time_s, "pu-switch", payload=switch.physical)
 
-        if self.traffic is not None and self.traffic.mobility:
+        if self.traffic.mobility:
             mobility = RandomWaypointMobility(self.scenario.grid)
             _, moves = mobility.waypoints(
                 self._rng.fork("mobility"), len(self._su_ids), duration_s
             )
             for move in moves:
                 queue.schedule_at(
-                    self.start_s + move.time_s, "su-move",
-                    payload=(move.index, move.block),
+                    move.time_s, "su-move", payload=(move.index, move.block)
                 )
 
         # Stage transitions are events so each server's jobs are served
@@ -249,40 +225,29 @@ class DeploymentSimulator:
         # later request's phase 1.
         while queue:
             event = queue.pop()
-            if event.kind in ("su-arrival", "pu-switch") and event.time > horizon:
-                continue  # stop generating load; drain in-flight work
             if event.kind == "su-arrival":
-                queue.schedule_at(next_arrival(), "su-arrival")
+                if event.time > duration_s:
+                    continue  # stop generating load; drain in-flight work
+                queue.schedule_at(next(arrivals), "su-arrival")
                 su_id = self._su_ids[subject_rng.randbelow(len(self._su_ids))]
-                cached = (
-                    unit_float(subject_rng)
-                    < self.workload.cached_request_fraction
-                )
+                cached = unit_float(subject_rng) < CACHED_REQUEST_FRACTION
                 prep = costs.su_refresh_s if cached else costs.su_prepare_s
-                at_sdc = event.time + prep + self._delay(
-                    self.cost_model.request_bytes, su_id, "sdc"
-                )
-                queue.schedule_at(at_sdc, "sdc-phase1",
+                queue.schedule_at(event.time + prep + payload_s, "sdc-phase1",
                                   payload=(su_id, event.time, cached))
             elif event.kind == "sdc-phase1":
-                su_id, arrival_s, cached = event.payload
                 done = sdc.serve(event.time, costs.sdc_phase1_s)
-                at_stp = done + self._delay(
-                    self.cost_model.extraction_bytes, "sdc", "stp"
-                )
-                queue.schedule_at(at_stp, "stp-convert", payload=event.payload)
+                queue.schedule_at(done + payload_s, "stp-convert",
+                                  payload=event.payload)
             elif event.kind == "stp-convert":
                 done = stp.serve(event.time, costs.stp_convert_s)
-                back = done + self._delay(
-                    self.cost_model.conversion_bytes, "stp", "sdc"
-                )
-                queue.schedule_at(back, "sdc-phase2", payload=event.payload)
+                queue.schedule_at(done + payload_s, "sdc-phase2",
+                                  payload=event.payload)
             elif event.kind == "sdc-phase2":
                 su_id, arrival_s, cached = event.payload
                 done = sdc.serve(event.time, costs.sdc_phase2_s)
                 finished = (
                     done
-                    + self._delay(self.cost_model.response_bytes, "sdc", su_id)
+                    + _transfer_s(self.cost_model.response_bytes)
                     + costs.su_decrypt_s
                 )
                 records.append(RequestRecord(
@@ -293,13 +258,11 @@ class DeploymentSimulator:
                     cached=cached,
                 ))
             elif event.kind == "pu-switch":
-                index, physical = event.payload
-                pu_id, process = switchers[index]
-                gap, next_physical = process.next_switch()
-                queue.schedule(gap, "pu-switch", payload=(index, next_physical))
-                if physical:
-                    at_sdc = event.time + costs.pu_prepare_s + self._delay(
-                        self.cost_model.pu_update_bytes, pu_id, "sdc"
+                # Virtual-only switches (same physical channel) do not
+                # notify the SDC — the §VI-A optimisation.
+                if event.payload:
+                    at_sdc = event.time + costs.pu_prepare_s + _transfer_s(
+                        self.cost_model.pu_update_bytes
                     )
                     queue.schedule_at(at_sdc, "sdc-pu-update")
                     pu_updates += 1
@@ -317,17 +280,12 @@ class DeploymentSimulator:
                 ).granted
                 su_moves += 1
 
-        # Overloaded servers drain past the horizon; divide each server's
-        # busy time by the span it was actually active over so reported
-        # utilisation stays a faithful fraction instead of clipping at 1.
-        sdc_span = max(duration_s, max(sdc.busy_until) - self.start_s)
-        stp_span = max(duration_s, max(stp.busy_until) - self.start_s)
         return SimulationReport(
             duration_s=duration_s,
             requests=tuple(records),
             pu_updates=pu_updates,
             virtual_switches_suppressed=suppressed,
-            sdc_utilization=min(1.0, sdc.busy_time / (sdc_span * sdc.workers)),
-            stp_utilization=min(1.0, stp.busy_time / (stp_span * stp.workers)),
+            sdc_utilization=sdc.utilization(duration_s),
+            stp_utilization=stp.utilization(duration_s),
             su_moves=su_moves,
         )

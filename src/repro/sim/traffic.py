@@ -17,15 +17,15 @@ Models
 * :class:`FlashCrowdTraffic` — a piecewise-constant burst (breaking
   news sends everyone to the spectrum database at once);
 * :class:`PuChurnModel` — per-PU channel switching at the §VI-A rate
-  (2.3–2.7 virtual switches/viewer-hour, a configurable fraction
-  physical);
+  (2.3–2.7 virtual switches/viewer-hour, a given fraction physical);
 * :class:`RandomWaypointMobility` — SU movement over the
   :class:`~repro.geo.grid.BlockGrid` (pick a waypoint, travel at a
   drawn speed, pause, repeat).
 
 :func:`build_schedule` composes a named :class:`WorkloadSpec` into one
-time-ordered :class:`ArrivalSchedule` that the loadtest driver, the
-deployment simulator, and the chaos harness all consume.
+time-ordered :class:`ArrivalSchedule` that the loadtest driver and the
+chaos harness consume; the deployment simulator draws its arrivals,
+churn and moves from the same models.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from repro.errors import ConfigurationError
 from repro.geo.grid import BlockGrid
 
 __all__ = [
+    "VIRTUAL_SWITCHES_PER_HOUR",
+    "PHYSICAL_SWITCH_FRACTION",
     "unit_float",
     "exponential_gap",
     "ArrivalEvent",
@@ -60,6 +62,22 @@ __all__ = [
 
 #: §VI-A (citing [16]): mean virtual channel switches per viewer-hour.
 VIRTUAL_SWITCHES_PER_HOUR = 2.5
+
+#: §VI-A: the share of virtual switches that cross a physical channel
+#: ("much lower" than the virtual rate) and so reach the SDC.
+PHYSICAL_SWITCH_FRACTION = 0.2
+
+#: Relative swing of :class:`DiurnalTraffic` around its mean rate.
+DIURNAL_AMPLITUDE = 0.8
+
+#: Rate multiplier inside a :class:`FlashCrowdTraffic` burst.
+FLASH_CROWD_MULTIPLIER = 6.0
+
+#: :class:`RandomWaypointMobility`'s walking-speed range, m/s.
+WAYPOINT_SPEED_MPS = (0.5, 1.5)
+
+#: :class:`RandomWaypointMobility`'s pause range at a waypoint, s.
+WAYPOINT_PAUSE_S = (0.0, 60.0)
 
 #: Event kinds an :class:`ArrivalSchedule` may carry.
 KIND_SU_REQUEST = "su-request"
@@ -204,87 +222,70 @@ class PoissonTraffic(ArrivalModel):
 class DiurnalTraffic(ArrivalModel):
     """A sinusoidal day/night curve around a mean rate.
 
-    ``λ(t) = mean · (1 + amplitude · sin(2π (t - phase)/period))``.
-    Over any whole number of periods the integral is exactly
-    ``mean · horizon`` — the "integrates to its configured total"
-    property the tests check.  ``period_s`` defaults to one day; the
-    loadtest registry compresses it so a short run still sweeps a full
-    cycle.
+    ``λ(t) = mean · (1 + a · sin(2π t/period))`` with
+    ``a = DIURNAL_AMPLITUDE``.  Over any whole number of periods the
+    integral is exactly ``mean · horizon`` — the "integrates to its
+    configured total" property the tests check.  ``period_s`` defaults
+    to one day; the loadtest registry compresses it so a short run still
+    sweeps a full cycle.
     """
 
     def __init__(
-        self,
-        mean_rate_per_second: float,
-        amplitude: float = 0.8,
-        period_s: float = 86_400.0,
-        phase_s: float = 0.0,
+        self, mean_rate_per_second: float, period_s: float = 86_400.0
     ) -> None:
         if mean_rate_per_second <= 0:
             raise ConfigurationError("mean rate must be positive")
-        if not 0.0 <= amplitude < 1.0:
-            raise ConfigurationError("amplitude must be in [0, 1)")
         if period_s <= 0:
             raise ConfigurationError("period must be positive")
         self._mean = mean_rate_per_second
-        self._amplitude = amplitude
         self._period = period_s
-        self._phase = phase_s
 
     def rate_per_s(self, t_s: float) -> float:
         omega = 2.0 * math.pi / self._period
-        return self._mean * (
-            1.0 + self._amplitude * math.sin(omega * (t_s - self._phase))
-        )
+        return self._mean * (1.0 + DIURNAL_AMPLITUDE * math.sin(omega * t_s))
 
     @property
     def peak_rate_per_s(self) -> float:
-        return self._mean * (1.0 + self._amplitude)
+        return self._mean * (1.0 + DIURNAL_AMPLITUDE)
 
     def expected_count(self, horizon_s: float) -> float:
         omega = 2.0 * math.pi / self._period
-        # ∫ mean·(1 + a·sin(ω(t-φ))) dt, closed form.
-        sinus = (
-            math.cos(omega * (0.0 - self._phase))
-            - math.cos(omega * (horizon_s - self._phase))
-        ) / omega
-        return self._mean * (horizon_s + self._amplitude * sinus)
+        # ∫ mean·(1 + a·sin(ωt)) dt, closed form.
+        sinus = (1.0 - math.cos(omega * horizon_s)) / omega
+        return self._mean * (horizon_s + DIURNAL_AMPLITUDE * sinus)
 
 
 class FlashCrowdTraffic(ArrivalModel):
-    """A baseline rate with one multiplied burst window."""
+    """A baseline rate, ``FLASH_CROWD_MULTIPLIER`` times it in one burst window."""
 
     def __init__(
         self,
         base_rate_per_second: float,
         burst_start_s: float,
         burst_duration_s: float,
-        multiplier: float = 6.0,
     ) -> None:
         if base_rate_per_second <= 0:
             raise ConfigurationError("base rate must be positive")
         if burst_duration_s < 0 or burst_start_s < 0:
             raise ConfigurationError("burst window must be non-negative")
-        if multiplier < 1.0:
-            raise ConfigurationError("a flash crowd multiplies, never shrinks")
         self._base = base_rate_per_second
         self._start = burst_start_s
         self._duration = burst_duration_s
-        self._multiplier = multiplier
 
     def rate_per_s(self, t_s: float) -> float:
         if self._start <= t_s < self._start + self._duration:
-            return self._base * self._multiplier
+            return self._base * FLASH_CROWD_MULTIPLIER
         return self._base
 
     @property
     def peak_rate_per_s(self) -> float:
-        return self._base * self._multiplier
+        return self._base * FLASH_CROWD_MULTIPLIER
 
     def expected_count(self, horizon_s: float) -> float:
         overlap = max(
             0.0, min(horizon_s, self._start + self._duration) - self._start
         )
-        return self._base * (horizon_s + (self._multiplier - 1.0) * overlap)
+        return self._base * (horizon_s + (FLASH_CROWD_MULTIPLIER - 1.0) * overlap)
 
 
 # --------------------------------------------------------------------------- #
@@ -303,7 +304,7 @@ class PuChurnModel:
     def __init__(
         self,
         virtual_rate_per_hour: float = VIRTUAL_SWITCHES_PER_HOUR,
-        physical_fraction: float = 0.2,
+        physical_fraction: float = PHYSICAL_SWITCH_FRACTION,
     ) -> None:
         if virtual_rate_per_hour <= 0:
             raise ConfigurationError("switch rate must be positive")
@@ -346,25 +347,15 @@ class RandomWaypointMobility:
     """Random-waypoint SU movement over the block grid.
 
     Each SU starts in a uniformly drawn block, picks a destination
-    block, travels in a straight line at a drawn speed, pauses, and
-    repeats.  The emitted ``su-move`` events carry the destination block
-    index; the deployment simulator re-decides a moved SU against the
-    WATCH oracle at its new block.
+    block, travels in a straight line at a speed drawn from
+    ``WAYPOINT_SPEED_MPS``, pauses for a time drawn from
+    ``WAYPOINT_PAUSE_S``, and repeats.  The emitted ``su-move`` events
+    carry the destination block index; the deployment simulator
+    re-decides a moved SU against the WATCH oracle at its new block.
     """
 
-    def __init__(
-        self,
-        grid: BlockGrid,
-        speed_mps: tuple[float, float] = (0.5, 1.5),
-        pause_s: tuple[float, float] = (0.0, 60.0),
-    ) -> None:
-        if speed_mps[0] <= 0 or speed_mps[1] < speed_mps[0]:
-            raise ConfigurationError("speed range must be positive and ordered")
-        if pause_s[0] < 0 or pause_s[1] < pause_s[0]:
-            raise ConfigurationError("pause range must be non-negative and ordered")
+    def __init__(self, grid: BlockGrid) -> None:
         self.grid = grid
-        self.speed_mps = speed_mps
-        self.pause_s = pause_s
 
     def _uniform(self, rng: RandomSource, low: float, high: float) -> float:
         return low + unit_float(rng) * (high - low)
@@ -385,7 +376,7 @@ class RandomWaypointMobility:
             t = 0.0
             while True:
                 destination = rng.randbelow(self.grid.num_blocks)
-                speed = self._uniform(rng, *self.speed_mps)
+                speed = self._uniform(rng, *WAYPOINT_SPEED_MPS)
                 distance = self.grid.distance_m(block, destination)
                 t += max(distance / speed, 1e-9)
                 if t > horizon_s:
@@ -395,7 +386,7 @@ class RandomWaypointMobility:
                     block=destination,
                 ))
                 block = destination
-                t += self._uniform(rng, *self.pause_s)
+                t += self._uniform(rng, *WAYPOINT_PAUSE_S)
         return starts, events
 
 
@@ -436,16 +427,13 @@ def _steady(rate: float, span_s: float) -> ArrivalModel:
 def _diurnal(rate: float, span_s: float) -> ArrivalModel:
     # One full "day" compressed into the run's expected span: the run
     # always sweeps trough and peak, whatever its request budget.
-    return DiurnalTraffic(rate, amplitude=0.8, period_s=span_s)
+    return DiurnalTraffic(rate, period_s=span_s)
 
 
 def _flash_crowd(rate: float, span_s: float) -> ArrivalModel:
-    # The burst covers the middle fifth of the expected span at 6x.
+    # The burst covers the middle fifth of the expected span.
     return FlashCrowdTraffic(
-        rate,
-        burst_start_s=0.4 * span_s,
-        burst_duration_s=0.2 * span_s,
-        multiplier=6.0,
+        rate, burst_start_s=0.4 * span_s, burst_duration_s=0.2 * span_s
     )
 
 
@@ -511,7 +499,6 @@ def build_schedule(
     max_pu_switches: int | None = None,
     grid: BlockGrid | None = None,
     pu_churn_per_hour: float = VIRTUAL_SWITCHES_PER_HOUR,
-    physical_fraction: float = 1.0,
 ) -> ArrivalSchedule:
     """Materialise one deterministic schedule for a workload.
 
@@ -519,9 +506,9 @@ def build_schedule(
     arrival), then PU churn, then mobility — so the same seed always
     produces the same byte-replayable event tuple.  ``max_pu_switches``
     caps *physical* switches (the ones that reach the SDC), mirroring
-    the loadtest's ``num_pu_switches`` budget; ``physical_fraction``
-    defaults to 1.0 because service-driving schedules only care about
-    SDC-visible churn (the simulator passes the paper's fraction).
+    the loadtest's ``num_pu_switches`` budget.  Every switch is physical:
+    a service-driving schedule only carries SDC-visible churn (the
+    deployment simulator draws the paper's fraction itself).
     """
     spec = resolve_workload(workload) if isinstance(workload, str) else workload
     if num_requests < 1:
@@ -541,7 +528,7 @@ def build_schedule(
     if num_pus > 0 and spec.pu_churn_multiplier > 0:
         churn = PuChurnModel(
             virtual_rate_per_hour=pu_churn_per_hour * spec.pu_churn_multiplier,
-            physical_fraction=physical_fraction,
+            physical_fraction=1.0,
         )
         switches = churn.switches(rng, num_pus, horizon, num_channels)
         if max_pu_switches is not None:

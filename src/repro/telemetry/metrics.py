@@ -154,8 +154,8 @@ class Gauge:
 class Histogram:
     """Sample distribution with exact totals, buckets, and percentiles.
 
-    ``count``/``sum``/``min``/``max`` and the cumulative fixed-boundary
-    ``buckets`` are exact over every observation.  Percentiles are
+    ``count``/``sum``/``min``/``max`` and the cumulative
+    ``DEFAULT_BUCKETS`` counts are exact over every observation.  Percentiles are
     computed over the most recent ``reservoir`` samples — a sliding
     window, which for a service runtime is usually *more* useful than
     all-time percentiles (it reflects current behaviour), and is what
@@ -164,20 +164,14 @@ class Histogram:
 
     __slots__ = ("count", "total", "min", "max", "bounds", "bucket_counts", "_samples")
 
-    def __init__(
-        self,
-        reservoir: int = 4096,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, reservoir: int = 4096) -> None:
         if reservoir < 1:
             raise ValueError("reservoir must be positive")
-        if tuple(sorted(buckets)) != tuple(buckets):
-            raise ValueError("bucket boundaries must be sorted ascending")
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.bounds: tuple[float, ...] = tuple(buckets)
+        self.bounds: tuple[float, ...] = DEFAULT_BUCKETS
         #: Per-boundary counts; index ``len(bounds)`` is the +Inf bucket.
         self.bucket_counts: list[int] = [0] * (len(self.bounds) + 1)
         self._samples: deque[float] = deque(maxlen=reservoir)
@@ -285,18 +279,12 @@ class MetricsRegistry:
             metric = self._gauges[key] = Gauge()
             return metric
 
-    def histogram(
-        self,
-        name: str,
-        reservoir: int = 4096,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: str,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: str) -> Histogram:
         key = labelled(name, **labels)
         try:
             return self._histograms[key]
         except KeyError:
-            metric = self._histograms[key] = Histogram(reservoir, buckets)
+            metric = self._histograms[key] = Histogram()
             return metric
 
     @contextmanager

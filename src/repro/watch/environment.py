@@ -11,7 +11,6 @@ decision-equivalent by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +25,23 @@ from repro.watch.params import WatchParameters
 
 __all__ = ["SpectrumEnvironment"]
 
+#: Path-loss exponent of the secondary-signal model ``h(·)``
+#: (log-distance; 3.0 models suburban clutter).
+SU_PATHLOSS_EXPONENT = 3.0
+
+#: Extended-Hata environment for tower coverage: §IV-A1 computes TV
+#: signal strength with the sub-urban Extended Hata model.
+TV_ENVIRONMENT = "suburban"
+
+#: TV tower height: 200 m, the top of the 30–200 m base-station range
+#: Hata's formula is fitted over.
+TOWER_HEIGHT_M = 200.0
+
+#: Height of a TV receiving antenna, the victim of SU interference:
+#: 10 m, the rooftop reference height of broadcast-coverage planning
+#: (ITU-R P.1546).
+TV_RECEIVER_HEIGHT_M = 10.0
+
 
 class SpectrumEnvironment:
     """Public state shared by every party of the protocol.
@@ -38,12 +54,6 @@ class SpectrumEnvironment:
         Physical-layer parameters (``C`` channels, thresholds, encoder).
     transmitters:
         Public TV tower registry used for the ``E`` precompute.
-    su_pathloss_exponent:
-        Path-loss exponent of the secondary-signal model ``h(·)``
-        (log-distance; 3.0 models suburban clutter).
-    tv_environment:
-        Extended-Hata environment for tower coverage ("suburban" per the
-        paper's §IV-A1 citation).
     terrain:
         Optional :class:`~repro.radio.terrain.SyntheticTerrain` tile.
         When given, tower coverage (and therefore the ``E`` precompute
@@ -57,8 +67,6 @@ class SpectrumEnvironment:
         grid: BlockGrid,
         params: WatchParameters,
         transmitters: Sequence[TVTransmitter] = (),
-        su_pathloss_exponent: float = 3.0,
-        tv_environment: str = "suburban",
         height_aware_su_model: bool = False,
         terrain=None,
     ) -> None:
@@ -66,8 +74,6 @@ class SpectrumEnvironment:
         self.params = params
         self.transmitters = list(transmitters)
         self.plan = ChannelPlan(num_slots=params.num_channels)
-        self._su_exponent = su_pathloss_exponent
-        self._tv_environment = tv_environment
         self.height_aware_su_model = height_aware_su_model
         self.terrain = terrain
         self._su_models: dict[int, PathLossModel] = {}
@@ -83,7 +89,7 @@ class SpectrumEnvironment:
         """``h(·)``: expected path loss of secondary signals on a slot."""
         if channel_slot not in self._su_models:
             self._su_models[channel_slot] = LogDistanceModel(
-                self.plan.frequency_for_slot(channel_slot), exponent=self._su_exponent
+                self.plan.frequency_for_slot(channel_slot), exponent=SU_PATHLOSS_EXPONENT
             )
         return self._su_models[channel_slot]
 
@@ -95,7 +101,7 @@ class SpectrumEnvironment:
         antenna clears ground clutter and carries interference further.
         With ``height_aware_su_model=True`` the secondary-signal model
         becomes two-ray ground reflection parameterised by the SU's
-        antenna height (a 10 m victim antenna); the default keeps the
+        antenna height (a TV receiving antenna as the victim); the default keeps the
         height-independent log-distance model.
 
         Only the SU itself evaluates this — the height never leaves the
@@ -110,7 +116,7 @@ class SpectrumEnvironment:
             self._su_height_models[key] = TwoRayGroundModel(
                 self.plan.frequency_for_slot(channel_slot),
                 tx_height_m=su.antenna.height_m,
-                rx_height_m=10.0,
+                rx_height_m=TV_RECEIVER_HEIGHT_M,
             )
         return self._su_height_models[key]
 
@@ -127,14 +133,14 @@ class SpectrumEnvironment:
 
                 self._tv_models[channel_slot] = IrregularTerrainModel(
                     frequency, self.terrain,
-                    tx_height_m=200.0, rx_height_m=10.0,
+                    tx_height_m=TOWER_HEIGHT_M, rx_height_m=TV_RECEIVER_HEIGHT_M,
                 )
             else:
                 self._tv_models[channel_slot] = ExtendedHataModel(
                     frequency,
-                    base_height_m=200.0,
-                    mobile_height_m=10.0,
-                    environment=self._tv_environment,
+                    base_height_m=TOWER_HEIGHT_M,
+                    mobile_height_m=TV_RECEIVER_HEIGHT_M,
+                    environment=TV_ENVIRONMENT,
                 )
         return self._tv_models[channel_slot]
 

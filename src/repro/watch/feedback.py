@@ -23,7 +23,7 @@ SINRs against the protection threshold.  The experiment behind
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.radio.units import linear_to_db
 from repro.watch.entities import PUReceiver, SUTransmitter
@@ -137,6 +137,13 @@ class AdmissionSimulator:
         )
 
 
+#: Δ_redn widening per feedback round, dB.
+FEEDBACK_STEP_DB = 3.0
+
+#: Rounds the controller runs before it reports the PUs unprotected.
+FEEDBACK_MAX_ITERATIONS = 12
+
+
 @dataclass(frozen=True)
 class FeedbackReport:
     """Outcome of the adaptive Δ_redn loop."""
@@ -170,8 +177,6 @@ class FeedbackController:
         towers,
         pus: list[PUReceiver],
         base_params,
-        step_db: float = 3.0,
-        max_iterations: int = 12,
     ) -> None:
         from dataclasses import replace
 
@@ -179,8 +184,6 @@ class FeedbackController:
         self.towers = towers
         self.pus = pus
         self.base_params = base_params
-        self.step_db = step_db
-        self.max_iterations = max_iterations
         self._replace = replace
 
     def _simulator(self, redn_db: float) -> AdmissionSimulator:
@@ -197,7 +200,7 @@ class FeedbackController:
         previous_budget = None
         budget_stable = False
         simulator = None
-        for iteration in range(1, self.max_iterations + 1):
+        for iteration in range(1, FEEDBACK_MAX_ITERATIONS + 1):
             simulator = self._simulator(redn_db)
             simulator.run(sus)
             worst = simulator.worst_sinr_db()
@@ -221,10 +224,10 @@ class FeedbackController:
                     budget_stable=budget_stable or iteration == 1,
                     trajectory=tuple(trajectory),
                 )
-            redn_db += self.step_db
+            redn_db += FEEDBACK_STEP_DB
         return FeedbackReport(
-            iterations=self.max_iterations,
-            final_redn_db=redn_db - self.step_db,
+            iterations=FEEDBACK_MAX_ITERATIONS,
+            final_redn_db=redn_db - FEEDBACK_STEP_DB,
             num_admitted=simulator.num_admitted if simulator else 0,
             worst_sinr_db=trajectory[-1][2],
             protected=False,

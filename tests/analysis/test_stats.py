@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    bootstrap_mean_ci,
-    linear_fit,
-    proportion_within,
-)
+from repro.analysis.stats import linear_fit
 from repro.errors import ConfigurationError
 
 
@@ -48,42 +44,3 @@ class TestLinearFit:
         with pytest.raises(ConfigurationError):
             linear_fit([4, 4, 4], [1, 2, 3])
 
-
-class TestBootstrapCi:
-    def test_contains_true_mean(self):
-        rng = np.random.default_rng(2)
-        samples = rng.normal(10.0, 2.0, size=200)
-        low, high = bootstrap_mean_ci(samples, seed=3)
-        assert low < 10.0 < high
-        assert high - low < 1.5
-
-    def test_narrows_with_more_data(self):
-        rng = np.random.default_rng(4)
-        small = rng.normal(0, 1, size=20)
-        large = rng.normal(0, 1, size=2000)
-        w_small = np.diff(bootstrap_mean_ci(small, seed=5))[0]
-        w_large = np.diff(bootstrap_mean_ci(large, seed=5))[0]
-        assert w_large < w_small
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_mean_ci([])
-        with pytest.raises(ConfigurationError):
-            bootstrap_mean_ci([1.0], confidence=1.5)
-
-
-class TestProportionCheck:
-    def test_fair_coin_accepted(self):
-        assert proportion_within(498, 1000, 0.5)
-
-    def test_biased_coin_rejected(self):
-        assert not proportion_within(700, 1000, 0.5)
-
-    def test_small_sample_tolerant(self):
-        assert proportion_within(7, 10, 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            proportion_within(1, 0, 0.5)
-        with pytest.raises(ConfigurationError):
-            proportion_within(1, 10, 1.5)

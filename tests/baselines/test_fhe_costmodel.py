@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import fhe_costmodel
 from repro.baselines.fhe_costmodel import (
     GHS_MB_PER_BLOCK,
     GHS_SECONDS_PER_BLOCK,
@@ -44,13 +45,9 @@ class TestEstimates:
         assert est.time_seconds == pytest.approx(GHS_SECONDS_PER_BLOCK)
         assert est.memory_mb == pytest.approx(GHS_MB_PER_BLOCK)
 
-    def test_custom_constants(self):
-        est = FheCostModel(seconds_per_block=1.0, mb_per_block=2.0).estimate_request(
-            1, 1, 128
-        )
+    def test_custom_constants(self, monkeypatch):
+        monkeypatch.setattr(fhe_costmodel, "GHS_SECONDS_PER_BLOCK", 1.0)
+        monkeypatch.setattr(fhe_costmodel, "GHS_MB_PER_BLOCK", 2.0)
+        est = FheCostModel().estimate_request(1, 1, 128)
         assert est.time_seconds == 1.0
         assert est.memory_mb == 2.0
-
-    def test_constant_validation(self):
-        with pytest.raises(ConfigurationError):
-            FheCostModel(seconds_per_block=0.0)

@@ -51,10 +51,11 @@ class TestBasics:
         assert len(blocks) == 24
         assert [b.index for b in blocks] == list(range(24))
 
-    def test_origin_offset(self):
-        grid = BlockGrid(rows=2, cols=2, block_size_m=10.0, origin_x_m=100.0, origin_y_m=50.0)
-        assert grid.block(0).center_x_m == pytest.approx(105.0)
-        assert grid.block(0).center_y_m == pytest.approx(55.0)
+    def test_lower_left_corner_is_origin(self):
+        grid = BlockGrid(rows=2, cols=2, block_size_m=10.0)
+        assert grid.block(0).center_x_m == 5.0
+        assert grid.block(0).center_y_m == 5.0
+        assert grid.block_at(0.0, 0.0).index == 0
 
 
 class TestBlockAt:

@@ -7,7 +7,6 @@ from repro.radio.channel import (
     WIFI_CHANNEL_6,
     ChannelPlan,
     TvChannel,
-    us_wifi_channel,
 )
 
 
@@ -17,15 +16,6 @@ class TestWifiChannels:
         assert WIFI_CHANNEL_6.number == 6
         assert WIFI_CHANNEL_6.center_frequency_hz == pytest.approx(2.437e9)
         assert WIFI_CHANNEL_6.bandwidth_hz == pytest.approx(22e6)
-
-    def test_us_plan_spacing(self):
-        assert us_wifi_channel(1).center_frequency_hz == pytest.approx(2.412e9)
-        assert us_wifi_channel(11).center_frequency_hz == pytest.approx(2.462e9)
-        assert us_wifi_channel(6) == WIFI_CHANNEL_6
-
-    def test_out_of_plan_rejected(self):
-        with pytest.raises(RadioError):
-            us_wifi_channel(12)
 
 
 class TestTvChannel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RadioError
+from repro.radio import itm
 from repro.radio.itm import IrregularTerrainModel
 from repro.radio.pathloss import FreeSpaceModel
 from repro.radio.terrain import SyntheticTerrain
@@ -31,10 +32,11 @@ class TestDistanceInterface:
         losses = [model.loss_db(d) for d in (100.0, 1e3, 5e3, 9e3)]
         assert losses == sorted(losses)
 
-    def test_climate_loss_adds(self, terrain):
-        base = IrregularTerrainModel(UHF, terrain)
-        wet = IrregularTerrainModel(UHF, terrain, climate_loss_db=3.0)
-        assert wet.loss_db(1000.0) == pytest.approx(base.loss_db(1000.0) + 3.0)
+    def test_climate_loss_adds(self, terrain, monkeypatch):
+        model = IrregularTerrainModel(UHF, terrain)
+        base = model.loss_db(1000.0)
+        monkeypatch.setattr(itm, "CLIMATE_LOSS_DB", 3.0)
+        assert model.loss_db(1000.0) == pytest.approx(base + 3.0)
 
     def test_rejects_bad_heights(self, terrain):
         with pytest.raises(RadioError):

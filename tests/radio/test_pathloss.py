@@ -71,12 +71,13 @@ class TestSolveDistanceForGain:
 
 class TestLogDistance:
     def test_matches_free_space_at_reference(self):
-        model = LogDistanceModel(UHF, exponent=3.5, d0_m=10.0)
+        model = LogDistanceModel(UHF, exponent=3.5)
         fs = FreeSpaceModel(UHF)
-        assert model.loss_db(10.0) == pytest.approx(fs.loss_db(10.0))
+        assert model.loss_db(1.0) == pytest.approx(fs.loss_db(1.0))
+        assert model.loss_db(10.0) == pytest.approx(fs.loss_db(1.0) + 35.0)
 
     def test_exponent_slope(self):
-        model = LogDistanceModel(UHF, exponent=3.0, d0_m=1.0)
+        model = LogDistanceModel(UHF, exponent=3.0)
         assert model.loss_db(1000.0) - model.loss_db(100.0) == pytest.approx(30.0)
 
     def test_higher_exponent_more_loss(self):
@@ -87,10 +88,6 @@ class TestLogDistance:
     def test_rejects_unphysical_exponent(self):
         with pytest.raises(RadioError):
             LogDistanceModel(UHF, exponent=0.5)
-
-    def test_rejects_bad_reference(self):
-        with pytest.raises(RadioError):
-            LogDistanceModel(UHF, d0_m=0.0)
 
 
 class TestTwoRay:

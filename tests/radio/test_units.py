@@ -1,7 +1,5 @@
 """Unit tests for power/ratio conversions."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +7,8 @@ from hypothesis import strategies as st
 from repro.radio.units import (
     db_to_linear,
     dbm_to_mw,
-    dbm_to_watts,
     linear_to_db,
     mw_to_dbm,
-    thermal_noise_dbm,
-    watts_to_dbm,
 )
 
 
@@ -32,10 +27,6 @@ class TestDbmConversions:
             mw_to_dbm(0.0)
         with pytest.raises(ValueError):
             mw_to_dbm(-1.0)
-
-    def test_watts(self):
-        assert dbm_to_watts(30.0) == pytest.approx(1.0)
-        assert watts_to_dbm(4.0) == pytest.approx(36.02, abs=0.01)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-150, max_value=90))
@@ -57,20 +48,3 @@ class TestDbConversions:
         with pytest.raises(ValueError):
             linear_to_db(0.0)
 
-
-class TestThermalNoise:
-    def test_one_hz(self):
-        assert thermal_noise_dbm(1.0) == pytest.approx(-174.0)
-
-    def test_tv_channel_bandwidth(self):
-        # 6 MHz channel: −174 + 10·log10(6e6) ≈ −106.2 dBm.
-        assert thermal_noise_dbm(6e6) == pytest.approx(-106.2, abs=0.1)
-
-    def test_noise_figure_adds(self):
-        assert thermal_noise_dbm(1e6, noise_figure_db=7.0) == pytest.approx(
-            thermal_noise_dbm(1e6) + 7.0
-        )
-
-    def test_rejects_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            thermal_noise_dbm(0.0)

@@ -23,7 +23,7 @@ class TestPacketWaveform:
 
     def test_ramps_attenuate_edges(self):
         rng = np.random.default_rng(0)
-        wf = packet_waveform(1000, rng, ramp_fraction=0.1)
+        wf = packet_waveform(1000, rng)
         assert abs(wf[0]) < 0.05
         assert abs(wf[-1]) < 0.05
 

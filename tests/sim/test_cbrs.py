@@ -23,7 +23,7 @@ from repro.watch.scenario import ScenarioConfig
 
 class TestTierAssignment:
     def test_every_nth_is_pal(self):
-        tiers = assign_tiers(7, pal_every=3)
+        tiers = assign_tiers(7)
         assert tiers["su-0"] == TIER_PAL
         assert tiers["su-3"] == TIER_PAL
         assert tiers["su-6"] == TIER_PAL
@@ -31,8 +31,6 @@ class TestTierAssignment:
         assert tiers["su-5"] == TIER_GAA
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            CbrsConfig(pal_every=0)
         with pytest.raises(ConfigurationError):
             CbrsConfig(gaa_capacity=-1)
 
@@ -85,7 +83,7 @@ class TestBuiltScenario:
 
 def make_admission(capacity=2, num_sus=6, metrics=None):
     return TieredAdmission(
-        assign_tiers(num_sus, pal_every=3), capacity, metrics
+        assign_tiers(num_sus), capacity, metrics
     )
 
 

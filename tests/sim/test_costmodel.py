@@ -57,10 +57,22 @@ class TestServiceCosts:
         assert packed.request_bytes == base.request_bytes // 12
 
     def test_saturation_rate(self):
+        """The deployment saturates at its busier server."""
         model = ServiceCostModel(PAPER_PROFILE, 100, 600)
+        costs = model.costs
         assert model.saturation_rate_per_hour() == pytest.approx(
-            3600.0 / model.costs.sdc_per_request_s
+            3600.0 / max(costs.sdc_per_request_s, costs.stp_convert_s)
         )
+        assert model.saturation_rate_per_hour() < 3600.0 / costs.sdc_per_request_s
+
+    @pytest.mark.parametrize("packing", [1, 12])
+    def test_saturation_is_the_stp_at_table_ii(self, packing):
+        """EXPERIMENTS A6: the STP, not the SDC, bounds the request rate."""
+        model = ServiceCostModel(paper_profile(), 100, 600, packing_factor=packing)
+        stp_rate = 3600.0 / model.costs.stp_convert_s
+        assert model.saturation_rate_per_hour() == pytest.approx(stp_rate)
+        if packing == 1:
+            assert model.saturation_rate_per_hour() == pytest.approx(1.4647, abs=1e-4)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.costmodel import ServiceCostModel
 from repro.sim.simulator import DeploymentSimulator
-from repro.sim.workload import WorkloadConfig
+from repro.sim.traffic import PHYSICAL_SWITCH_FRACTION, VIRTUAL_SWITCHES_PER_HOUR
 from tests.sim.test_costmodel import PAPER_PROFILE
 
 
@@ -24,7 +24,7 @@ def packed_model():
 class TestBasicRun:
     def test_produces_requests(self, scenario, model):
         sim = DeploymentSimulator(
-            scenario, model, WorkloadConfig(su_requests_per_hour=2, seed=0)
+            scenario, model, 2, seed=0
         )
         report = sim.run(4 * 3600)
         assert report.num_requests > 0
@@ -34,7 +34,7 @@ class TestBasicRun:
     def test_deterministic_per_seed(self, scenario, model):
         def run(seed):
             sim = DeploymentSimulator(
-                scenario, model, WorkloadConfig(su_requests_per_hour=2, seed=seed)
+                scenario, model, 2, seed=seed
             )
             return sim.run(2 * 3600)
 
@@ -46,7 +46,7 @@ class TestBasicRun:
         )
 
     def test_duration_validation(self, scenario, model):
-        sim = DeploymentSimulator(scenario, model)
+        sim = DeploymentSimulator(scenario, model, 1)
         with pytest.raises(ConfigurationError):
             sim.run(0)
 
@@ -55,7 +55,7 @@ class TestBasicRun:
 
         empty = build_scenario(ScenarioConfig(seed=0, num_sus=0))
         with pytest.raises(ConfigurationError):
-            DeploymentSimulator(empty, model)
+            DeploymentSimulator(empty, model, 1)
 
 
 class TestQueueingBehaviour:
@@ -64,7 +64,7 @@ class TestQueueingBehaviour:
 
         def mean_latency(rate):
             sim = DeploymentSimulator(
-                scenario, model, WorkloadConfig(su_requests_per_hour=rate, seed=3)
+                scenario, model, rate, seed=3
             )
             return sim.run(6 * 3600).mean_latency_s
 
@@ -75,7 +75,7 @@ class TestQueueingBehaviour:
         decrypt+encrypt pairs exceed the SDC's homomorphic work."""
         assert model.costs.stp_convert_s > 2 * model.costs.sdc_per_request_s
         sim = DeploymentSimulator(
-            scenario, model, WorkloadConfig(su_requests_per_hour=4, seed=1)
+            scenario, model, 4, seed=1
         )
         report = sim.run(4 * 3600)
         assert report.stp_utilization >= report.sdc_utilization
@@ -83,7 +83,7 @@ class TestQueueingBehaviour:
     def test_packing_raises_capacity(self, scenario, model, packed_model):
         def p95(m):
             sim = DeploymentSimulator(
-                scenario, m, WorkloadConfig(su_requests_per_hour=4, seed=5)
+                scenario, m, 4, seed=5
             )
             return sim.run(4 * 3600).latency_percentile_s(95)
 
@@ -92,48 +92,45 @@ class TestQueueingBehaviour:
 
 class TestPuChurn:
     def test_virtual_switches_suppressed(self, scenario, model):
-        sim = DeploymentSimulator(
-            scenario, model,
-            WorkloadConfig(su_requests_per_hour=1, physical_switch_fraction=0.2,
-                           seed=2),
-        )
+        sim = DeploymentSimulator(scenario, model, 1, seed=2)
         report = sim.run(8 * 3600)
         total = report.pu_updates + report.virtual_switches_suppressed
         assert total > 0
-        # Roughly the configured 20% reach the SDC.
+        # Roughly the paper's 20% reach the SDC.
         assert report.pu_updates < total * 0.5
 
-    def test_report_rows_render(self, scenario, model):
-        sim = DeploymentSimulator(
-            scenario, model, WorkloadConfig(su_requests_per_hour=1, seed=0)
+    def test_switch_rate_and_physical_share(self, model):
+        """§VI-A's rate per PU-hour, a fifth of the switches physical."""
+        from repro.watch.scenario import ScenarioConfig, build_scenario
+
+        many_pus = build_scenario(ScenarioConfig(seed=0, num_pus=20))
+        report = DeploymentSimulator(many_pus, model, 1, seed=3).run(8 * 3600)
+        total = report.pu_updates + report.virtual_switches_suppressed
+        assert total == pytest.approx(VIRTUAL_SWITCHES_PER_HOUR * 20 * 8, rel=0.12)
+        assert report.pu_updates / total == pytest.approx(
+            PHYSICAL_SWITCH_FRACTION, abs=0.06
         )
+
+    def test_report_rows_render(self, scenario, model):
+        sim = DeploymentSimulator(scenario, model, 1, seed=0)
         rows = sim.run(3600).as_table_rows()
         assert len(rows) == 9
 
 
-class TestHorizontalScaling:
-    def test_more_stp_workers_cut_latency(self, scenario, model):
-        """The STP bottleneck parallelises: c-server queues drain faster."""
+class TestTraffic:
+    def test_default_is_the_steady_workload(self, scenario, model):
+        """One arrival path: no ``traffic`` is the named steady workload."""
+        default = DeploymentSimulator(scenario, model, 2.5, seed=9).run(6 * 3600)
+        steady = DeploymentSimulator(
+            scenario, model, 2.5, seed=9, traffic="steady"
+        ).run(6 * 3600)
+        assert default.requests
+        assert default.requests == steady.requests
 
-        def p95(workers):
-            sim = DeploymentSimulator(
-                scenario, model,
-                WorkloadConfig(su_requests_per_hour=4, seed=6),
-                stp_workers=workers,
-            )
-            return sim.run(6 * 3600).latency_percentile_s(95)
-
-        assert p95(8) < p95(1) / 2
-
-    def test_worker_validation(self, scenario, model):
+    def test_rate_validation(self, scenario, model):
         with pytest.raises(ConfigurationError):
-            DeploymentSimulator(scenario, model, sdc_workers=0)
+            DeploymentSimulator(scenario, model, 0)
 
-    def test_utilization_normalised_per_worker(self, scenario, model):
-        sim = DeploymentSimulator(
-            scenario, model,
-            WorkloadConfig(su_requests_per_hour=1, seed=7),
-            stp_workers=16,
-        )
-        report = sim.run(4 * 3600)
-        assert report.stp_utilization <= 1.0
+    def test_unknown_workload_rejected(self, scenario, model):
+        with pytest.raises(ConfigurationError):
+            DeploymentSimulator(scenario, model, 1, traffic="tsunami")

@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError
 from repro.geo.grid import BlockGrid
 from repro.sim.events import EventQueue
 from repro.sim.traffic import (
+    PHYSICAL_SWITCH_FRACTION,
+    VIRTUAL_SWITCHES_PER_HOUR,
     KIND_PU_SWITCH,
     KIND_SU_MOVE,
     KIND_SU_REQUEST,
@@ -59,27 +61,25 @@ class TestExpectedCounts:
 
     @pytest.mark.parametrize("horizon", [250.0, 1000.0, 1234.5])
     def test_diurnal_closed_form_matches_integral(self, horizon):
-        model = DiurnalTraffic(2.0, amplitude=0.8, period_s=1000.0, phase_s=50.0)
+        model = DiurnalTraffic(2.0, period_s=1000.0)
         assert model.expected_count(horizon) == pytest.approx(
             numerical_integral(model, horizon), rel=1e-3
         )
 
     def test_diurnal_whole_period_integrates_to_mean(self):
-        model = DiurnalTraffic(2.0, amplitude=0.8, period_s=600.0)
+        model = DiurnalTraffic(2.0, period_s=600.0)
         assert model.expected_count(600.0) == pytest.approx(1200.0, rel=1e-9)
 
     @pytest.mark.parametrize("horizon", [50.0, 120.0, 400.0])
     def test_flash_crowd_closed_form_matches_integral(self, horizon):
-        model = FlashCrowdTraffic(
-            1.5, burst_start_s=100.0, burst_duration_s=60.0, multiplier=6.0
-        )
+        model = FlashCrowdTraffic(1.5, burst_start_s=100.0, burst_duration_s=60.0)
         assert model.expected_count(horizon) == pytest.approx(
             numerical_integral(model, horizon), rel=1e-3
         )
 
     def test_empirical_arrivals_match_expected(self):
         """Thinning must deliver the configured total, not just a shape."""
-        model = DiurnalTraffic(5.0, amplitude=0.8, period_s=200.0)
+        model = DiurnalTraffic(5.0, period_s=200.0)
         rng = DeterministicRandomSource(3)
         horizon = 1000.0
         stream = model.arrivals(rng)
@@ -92,9 +92,7 @@ class TestExpectedCounts:
         assert count == pytest.approx(expected, rel=0.05)
 
     def test_flash_crowd_burst_density(self):
-        model = FlashCrowdTraffic(
-            1.0, burst_start_s=400.0, burst_duration_s=200.0, multiplier=6.0
-        )
+        model = FlashCrowdTraffic(1.0, burst_start_s=400.0, burst_duration_s=200.0)
         rng = DeterministicRandomSource(4)
         inside = outside = 0
         for t in model.arrivals(rng):
@@ -106,6 +104,59 @@ class TestExpectedCounts:
                 outside += 1
         # 200 s at 6x vs 800 s at 1x: the burst should hold ~60% of mass.
         assert inside / (inside + outside) == pytest.approx(0.6, abs=0.08)
+
+
+class TestHomogeneousModels:
+    """The paper's load model: Poisson SU arrivals, §VI-A PU churn."""
+
+    def test_poisson_count_matches_rate(self):
+        rate, horizon = 1 / 60.0, 180_000.0
+        stream = PoissonTraffic(rate).arrivals(DeterministicRandomSource(0))
+        count = sum(1 for _ in iter(lambda: next(stream) <= horizon, False))
+        assert count == pytest.approx(rate * horizon, rel=0.1)
+
+    def test_poisson_arrivals_increase(self):
+        stream = PoissonTraffic(10 / 3600.0).arrivals(DeterministicRandomSource(1))
+        times = [next(stream) for _ in range(100)]
+        assert times[0] > 0
+        assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_poisson_same_seed_same_arrivals(self):
+        a = PoissonTraffic(30 / 3600.0).arrivals(DeterministicRandomSource(9))
+        b = PoissonTraffic(30 / 3600.0).arrivals(DeterministicRandomSource(9))
+        assert [next(a) for _ in range(50)] == [next(b) for _ in range(50)]
+
+    def test_poisson_validation(self):
+        with pytest.raises(ConfigurationError):
+            PoissonTraffic(0.0)
+
+    def test_switch_rate_follows_paper(self):
+        assert 2.3 <= VIRTUAL_SWITCHES_PER_HOUR <= 2.7
+
+    def test_churn_mean_switch_gap(self):
+        """One PU's renewal stream: a switch every 3600/2.5 s on average."""
+        events = PuChurnModel().switches(
+            DeterministicRandomSource(3), num_pus=1, horizon_s=4_320_000.0,
+            num_channels=0,
+        )
+        times = [e.time_s for e in events]
+        gaps = [b - a for a, b in zip([0.0] + times, times)]
+        assert sum(gaps) / len(gaps) == pytest.approx(3600.0 / 2.5, rel=0.1)
+
+    def test_churn_default_physical_fraction(self):
+        assert PHYSICAL_SWITCH_FRACTION == 0.2
+        events = PuChurnModel().switches(
+            DeterministicRandomSource(2), num_pus=10, horizon_s=576_000.0,
+            num_channels=0,
+        )
+        frac = sum(e.physical for e in events) / len(events)
+        assert frac == pytest.approx(0.2, abs=0.03)
+
+    def test_churn_validation(self):
+        with pytest.raises(ConfigurationError):
+            PuChurnModel(0.0)
+        with pytest.raises(ConfigurationError):
+            PuChurnModel(physical_fraction=1.5)
 
 
 class TestScheduleDeterminism:
@@ -242,20 +293,6 @@ class TestEventQueueDeterminism:
             for label in ("a", "b", "c", "d"):
                 queue.schedule_at(1.0, label)
             assert [queue.pop().kind for _ in range(4)] == ["a", "b", "c", "d"]
-
-    def test_start_offset(self):
-        queue = EventQueue(start_s=100.0)
-        assert queue.now == 100.0
-        queue.schedule(5.0, "x")
-        assert queue.pop().time == 105.0
-
-    def test_clock_tracks_queue(self):
-        queue = EventQueue()
-        clock = queue.clock()
-        queue.schedule(2.0, "x")
-        assert clock() == 0.0
-        queue.pop()
-        assert clock() == 2.0
 
     def test_interleaved_sources_stable(self):
         """Merging two event streams is insensitive to push order when

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import TelemetryError
+from repro.telemetry import metrics
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -95,8 +96,9 @@ class TestHistogram:
         assert snap["count"] == 0
         assert snap["p99"] == 0.0
 
-    def test_cumulative_buckets_are_monotone_and_exact(self):
-        histogram = Histogram(buckets=(0.1, 1.0, 10.0))
+    def test_cumulative_buckets_are_monotone_and_exact(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (0.1, 1.0, 10.0))
+        histogram = Histogram()
         for value in (0.05, 0.5, 5.0, 50.0):
             histogram.observe(value)
         buckets = histogram.cumulative_buckets()
@@ -149,9 +151,10 @@ class TestPrometheusExposition:
         assert "# TYPE depth gauge" in text
         assert "depth 2" in text
 
-    def test_histogram_renders_cumulative_buckets(self):
+    def test_histogram_renders_cumulative_buckets(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (0.1, 1.0))
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(0.1, 1.0))
+        histogram = registry.histogram("lat")
         for value in (0.05, 0.5, 5.0):
             histogram.observe(value)
         lines = registry.to_prometheus().splitlines()
@@ -162,9 +165,10 @@ class TestPrometheusExposition:
         assert any(line.startswith("lat_sum ") for line in lines)
         assert "lat_count 3" in lines
 
-    def test_bucket_order_is_ascending_le(self):
+    def test_bucket_order_is_ascending_le(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_BUCKETS", (0.5, 2.5, 10.0))
         registry = MetricsRegistry()
-        histogram = registry.histogram("t", buckets=(0.5, 2.5, 10.0))
+        histogram = registry.histogram("t")
         histogram.observe(1.0)
         lines = [
             line for line in registry.to_prometheus().splitlines()

@@ -11,7 +11,9 @@ Neither may the transport options, classes and fault plan that went
 when the in-memory transport became one class keeping only per-kind
 totals and link faults, nor the round drivers, span probe and endpoint
 names that went when ``BatchAllocator.allocate`` became the one driver
-of a request round.
+of a request round, nor the second arrival path, clock and link model
+that went when the deployment simulator moved onto the named workloads
+of ``repro.sim.traffic``.
 
 History files (``CHANGES.md``, ``ROADMAP.md``) and
 ``benchmarks/spine/README.md`` are deliberately out of scope.
@@ -37,6 +39,7 @@ RETIRED = re.compile(
     r"|reorder-links|reorder_window"
     r"|_run_round|_accepts_span|CONVERSION_PEER|sdc_endpoint|stp_endpoint"
     r"|sdc-front|sdc-back"
+    r"|WorkloadConfig|PoissonArrivals|PuSwitchProcess|SimClock|ConstantLatency"
 )
 
 

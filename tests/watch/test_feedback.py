@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.watch import feedback
 from repro.watch.entities import SUTransmitter
 from repro.watch.feedback import (
     AdmissionSimulator,
@@ -108,14 +109,15 @@ class TestFeedbackController:
         """Protection must not be achieved by shutting everyone out."""
         assert report.num_admitted > 0
 
-    def test_gives_up_after_max_iterations(self, dense_scenario):
+    def test_gives_up_after_max_iterations(self, dense_scenario, monkeypatch):
+        # far too timid to converge in 2 rounds
+        monkeypatch.setattr(feedback, "FEEDBACK_STEP_DB", 0.1)
+        monkeypatch.setattr(feedback, "FEEDBACK_MAX_ITERATIONS", 2)
         controller = FeedbackController(
             dense_scenario.environment.grid,
             dense_scenario.towers,
             dense_scenario.pus,
             WatchParameters(num_channels=6, redn_db=1.0),
-            step_db=0.1,   # far too timid to converge in 2 rounds
-            max_iterations=2,
         )
         report = controller.converge(
             su_population(40, dense_scenario.grid.num_blocks)
