@@ -130,7 +130,3 @@ class TestTraffic:
     def test_rate_validation(self, scenario, model):
         with pytest.raises(ConfigurationError):
             DeploymentSimulator(scenario, model, 0)
-
-    def test_unknown_workload_rejected(self, scenario, model):
-        with pytest.raises(ConfigurationError):
-            DeploymentSimulator(scenario, model, 1, traffic="tsunami")
