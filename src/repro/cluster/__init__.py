@@ -1,9 +1,9 @@
 """repro.cluster — the sharded SDC plane.
 
 Partitions the spectrum map's blocks across N SDC shards behind a
-consistent-hash ring, scatter-gathers each request's homomorphic work,
-and merges the encrypted partials into a transcript byte-identical to
-one SDC's.  Each shard gets a warm standby with heartbeat-based
+consistent-hash ring and scatter-gathers each request's phase-1
+homomorphic work into a transcript byte-identical to one SDC's; phase 2
+runs on the front.  Each shard gets a warm standby with heartbeat-based
 failover; membership changes hand blocks off between epochs.
 
 Layering (all trust-domain-internal to the SDC):

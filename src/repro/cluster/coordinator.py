@@ -5,10 +5,12 @@
 (:class:`~repro.pisa.sdc_server.SdcFront`: validation, every random
 draw, pending rounds, license issuance), so the STP, the SU clients, the
 epoch batcher, and the broker all drive it unchanged.  Where the single
-SDC hands the per-cell arithmetic to one in-process kernel, this front
-splits each request by block ownership, scatters it to the shards'
-kernels, and merges the encrypted partials back — with one invariant
-the test suite asserts byte-for-byte:
+SDC hands phase 1's per-cell arithmetic to one in-process kernel, this
+front splits each request by block ownership, scatters it to the shards'
+kernels, and reassembles the blinded matrix.  Phase 2 reads no block
+state, so the front computes ``ΣQ̃`` itself from the ε it drew, exactly
+as the single SDC does.  One invariant the test suite asserts
+byte-for-byte:
 
 **Transcript equivalence.**  Seeded identically, the N-shard cluster
 emits the *same bytes* as one SDC — the same ``Ṽ`` matrix to the STP,
@@ -19,11 +21,11 @@ the same license, the same perturbed signature — because:
   scattered;
 * shards perform only deterministic homomorphic arithmetic on that
   handed-down randomness (:mod:`repro.pisa.kernel` behind
-  :mod:`repro.cluster.shard`);
-* the merged ``ΣQ̃`` is a product of partial products mod ``n²``, which
-  is grouping-independent.
+  :mod:`repro.cluster.shard`), and the reassembled ``Ṽ`` is
+  column-for-column the matrix one kernel produces;
+* phase 2 is the single SDC's own code path.
 
-So sharding changes *where* the multiplications run and nothing else —
+So sharding changes *where* phase 1's multiplications run and nothing else —
 the same argument (and the same test pattern) that made the executor
 seam safe in the service runtime.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import time
 
-from repro.crypto.paillier import EncryptedNumber, PaillierKeypair, hom_sum
+from repro.crypto.paillier import EncryptedNumber, PaillierKeypair
 from repro.crypto.rand import RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
@@ -60,11 +62,7 @@ from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.router import ShardRouter
-from repro.cluster.shard import (
-    SdcShard,
-    ShardPhase1Request,
-    ShardPhase2Request,
-)
+from repro.cluster.shard import SdcShard, ShardPhase1Request
 
 __all__ = ["ClusterSdc", "ClusterCoordinator"]
 
@@ -91,8 +89,8 @@ class ClusterSdc(SdcFront):
         #: set, protocol-step markers are write-ahead logged and each
         #: phase's randomness — which the front has fully drawn by the
         #: time it calls :meth:`_blind` / :meth:`_q_sum` — is put behind
-        #: a durability barrier before the scatter, so a crash mid-phase
-        #: replays byte-identically.
+        #: a durability barrier before anything derived from it leaves,
+        #: so a crash mid-phase replays byte-identically.
         self.journal = journal
 
     # -- Figure 4 step 4 ---------------------------------------------------------
@@ -150,39 +148,19 @@ class ClusterSdc(SdcFront):
 
     # -- Figure 5 phase 2 --------------------------------------------------------
 
-    def _q_sum(self, pending, response, span) -> EncryptedNumber:
-        """Scatter the ``Q̃`` work and merge the partial ``ΣQ̃``."""
+    def _q_sum(self, pending, response) -> EncryptedNumber:
+        """``ΣQ̃`` in the front, behind the phase-2 randomness barrier.
+
+        No shard is asked: the product needs only ``X̃`` and the ε the
+        front drew, so a shard lost between the phases costs the round
+        nothing, and no shard ever sees ``X̃``.
+        """
         if self.journal is not None:
             # The signature obfuscator, η and the license clock are
             # drawn; a coordinator killed anywhere past this barrier
             # replays the round byte-identically from the journal alone.
             self.journal.phase2_committed(response.round_id)
-        # Phase 2 is block-state-free (pure X̃/ε arithmetic), so the
-        # *current* ring decides who computes what — a round that spans
-        # a membership change still completes.
-        split = self.router.split_columns(pending.region_blocks)
-        subqueries = {}
-        for shard_id, columns in split.items():
-            subqueries[shard_id] = ShardPhase2Request(
-                round_id=response.round_id,
-                shard_id=shard_id,
-                columns=columns,
-                matrix=tuple(
-                    tuple(row[k] for k in columns) for row in response.matrix
-                ),
-                epsilons=tuple(
-                    tuple(row[k].epsilon for k in columns)
-                    for row in pending.blindings
-                ),
-            )
-        if span is not None:
-            span.set_attribute("shards", len(subqueries))
-        partials = self.router.scatter_phase2(subqueries, parent=span)
-        # Merge order is fixed (sorted shard id) for determinism, though
-        # mod-n² multiplication makes any order produce the same integer.
-        return hom_sum(
-            [partials[shard_id].partial_q for shard_id in sorted(partials)]
-        )
+        return super()._q_sum(pending, response)
 
     # -- epoch control -----------------------------------------------------------
 

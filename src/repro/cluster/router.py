@@ -440,15 +440,6 @@ class ShardRouter:
             parent=parent,
         )
 
-    def scatter_phase2(
-        self, requests: dict[str, object], parent=None
-    ) -> dict[str, object]:
-        return self.scatter(
-            requests,
-            lambda primary, request: primary.process_phase2(request),
-            parent=parent,
-        )
-
     # -- epoch control ---------------------------------------------------------------
 
     def commit_epoch(self, epoch_id: int, snapshot: bool = True) -> None:

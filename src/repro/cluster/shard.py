@@ -15,15 +15,14 @@ The division of labour is chosen so the cluster's transcript is
   single-SDC cell order, and hands them down inside the sub-query;
 * the shard's kernel performs only *deterministic* homomorphic
   arithmetic — the per-cell indicator (eqs. (10)-(12)) and blinding
-  (eq. (14), β a plaintext blind) in phase 1, the ``Q̃`` gadget and a partial ``ΣQ̃``
-  (eq. (16)) in phase 2.  Paillier addition is ciphertext
-  multiplication mod ``n²``, which is commutative and associative, so
-  partial sums merge into exactly the integer one kernel over every
-  block produces.
+  (eq. (14), β a plaintext blind) — so each of its columns is exactly
+  the column one kernel over every block produces.
 
-What a shard learns is strictly a projection of what the single SDC
-learns (its own blocks' ciphertexts and blinding material, never a
-decryption key) — see ``docs/cluster.md`` for the threat-model mapping.
+Phase 2 (eq. (16)) reads no block state and stays on the front: a shard
+never sees the STP's ``X̃``.  What a shard learns is strictly a
+projection of what the single SDC learns (its own blocks' ciphertexts
+and blinding material, never a decryption key) — see
+``docs/cluster.md`` for the threat-model mapping.
 
 Sub-query messages implement ``wire_size()`` arithmetically (via
 :func:`~repro.crypto.serialization.encoded_int_size`) so the modelled
@@ -42,7 +41,7 @@ from repro.crypto.parallel import Executor
 from repro.crypto.serialization import ciphertext_wire_size, encoded_int_size
 from repro.errors import FencedError, ProtocolError, ShardDownError
 from repro.pisa.blinding import CellBlinding
-from repro.pisa.kernel import BlockKernel, partial_q_sum
+from repro.pisa.kernel import BlockKernel
 from repro.pisa.messages import PUUpdateMessage
 
 if TYPE_CHECKING:  # an annotation only; the map's module loads numpy
@@ -51,8 +50,6 @@ if TYPE_CHECKING:  # an annotation only; the map's module loads numpy
 __all__ = [
     "ShardPhase1Request",
     "ShardPhase1Response",
-    "ShardPhase2Request",
-    "ShardPhase2Response",
     "SdcShard",
 ]
 
@@ -115,48 +112,6 @@ class ShardPhase1Response:
             for ct in row:
                 size += ciphertext_wire_size(ct.public_key)
         return size
-
-
-@dataclass(frozen=True)
-class ShardPhase2Request:
-    """Coordinator → shard: converted signs ``X̃`` plus each cell's ε."""
-
-    round_id: str
-    shard_id: str
-    columns: tuple[int, ...]
-    matrix: tuple[tuple[EncryptedNumber, ...], ...]
-    epsilons: tuple[tuple[int, ...], ...]
-    #: Router's current lease for this shard; 0 = never fenced.
-    fence_token: int = 0
-
-    def wire_size(self) -> int:
-        size = _str_size(self.round_id) + _str_size(self.shard_id)
-        size += encoded_int_size(self.fence_token)
-        size += sum(encoded_int_size(c) for c in self.columns)
-        for row in self.matrix:
-            for ct in row:
-                size += ciphertext_wire_size(ct.public_key)
-                # ε sign flag, sized without branching on the sign.
-                size += encoded_int_size(1)
-        return size
-
-
-@dataclass(frozen=True)
-class ShardPhase2Response:
-    """Shard → coordinator: the partial ``ΣQ̃`` over its columns."""
-
-    round_id: str
-    shard_id: str
-    cell_count: int
-    partial_q: EncryptedNumber
-
-    def wire_size(self) -> int:
-        return (
-            _str_size(self.round_id)
-            + _str_size(self.shard_id)
-            + encoded_int_size(self.cell_count)
-            + ciphertext_wire_size(self.partial_q.public_key)
-        )
 
 
 class SdcShard:
@@ -296,24 +251,6 @@ class SdcShard:
             shard_id=self.shard_id,
             columns=request.columns,
             matrix=self._kernel.blind(cells, request.blindings),
-        )
-
-    # -- Figure 5 phase 2, partial aggregation --------------------------------------
-
-    def process_phase2(self, request: ShardPhase2Request) -> ShardPhase2Response:
-        """This shard's partial ``ΣQ̃`` (eq. (16)).
-
-        The coordinator's merge of all partials equals the unsharded
-        ``ΣQ̃`` exactly (mod-``n²`` multiplication is
-        grouping-independent).
-        """
-        self._check_alive()
-        self.observe_fence(request.fence_token)
-        return ShardPhase2Response(
-            round_id=request.round_id,
-            shard_id=self.shard_id,
-            cell_count=sum(len(row) for row in request.matrix),
-            partial_q=partial_q_sum(request.matrix, request.epsilons),
         )
 
     def __repr__(self) -> str:

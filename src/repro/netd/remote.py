@@ -39,7 +39,6 @@ from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import (
     decode_int,
-    encode_bytes,
     encode_int,
     encode_private_key,
     encode_public_key,
@@ -54,13 +53,11 @@ from repro.netd.wire import (
     decode_exponents_request,
     decode_exponents_response,
     decode_phase1_response,
-    decode_phase2_response,
     encode_control,
     encode_error,
     encode_exponents_request,
     encode_exponents_response,
     encode_phase1_request,
-    encode_phase2_request,
 )
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
@@ -305,12 +302,7 @@ class RemoteStp:
 
 
 class RemoteShard:
-    """The ``.primary`` face of a shard worker: sub-queries over frames.
-
-    Phase-2 matrices are under the requesting SU's key, which the worker
-    does not hold — so the frame prepends ``pk_j`` and the worker
-    decodes against it (ciphertext validation needs the right modulus).
-    """
+    """The ``.primary`` face of a shard worker: sub-queries over frames."""
 
     def __init__(self, owner: "RemoteShardSet") -> None:
         self._owner = owner
@@ -321,18 +313,9 @@ class RemoteShard:
         return self._owner.supervisor.is_running(self.shard_id)
 
     def process_phase1(self, request):
-        self._owner.fire_subquery_hook("phase1", request)
+        self._owner.fire_subquery_hook(request)
         frame = self._owner.transact("phase1", encode_phase1_request(request))
         return decode_phase1_response(frame.payload, self._owner.group_public_key)
-
-    def process_phase2(self, request):
-        self._owner.fire_subquery_hook("phase2", request)
-        su_key = request.matrix[0][0].public_key
-        payload = encode_bytes(encode_public_key(su_key)) + encode_phase2_request(
-            request
-        )
-        frame = self._owner.transact("phase2", payload)
-        return decode_phase2_response(frame.payload, su_key)
 
 
 class RemoteShardSet(ReplicaSetBase):
@@ -398,13 +381,13 @@ class RemoteShardSet(ReplicaSetBase):
         return self._transport.transact(self.shard_id, kind, payload)
 
     def set_subquery_hook(self, hook) -> None:
-        """Chaos seam: ``hook(phase, request)`` fires before each transact."""
+        """Chaos seam: ``hook(request)`` fires before each phase-1 transact."""
         self._hook = hook
 
-    def fire_subquery_hook(self, phase: str, request) -> None:
+    def fire_subquery_hook(self, request) -> None:
         hook = self._hook
         if hook is not None:
-            hook(phase, request)
+            hook(request)
 
     # -- state fan-out (mirrors ShardReplicaSet) -----------------------------------
 

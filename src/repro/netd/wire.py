@@ -28,12 +28,7 @@ from __future__ import annotations
 import json
 
 import repro.errors as errors_module
-from repro.cluster.shard import (
-    ShardPhase1Request,
-    ShardPhase1Response,
-    ShardPhase2Request,
-    ShardPhase2Response,
-)
+from repro.cluster.shard import ShardPhase1Request, ShardPhase1Response
 from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.rand import NONCE_EXPONENT_BITS
 from repro.crypto.serialization import (
@@ -67,16 +62,12 @@ __all__ = [
     "decode_exponents_response",
     "decode_phase1_request",
     "decode_phase1_response",
-    "decode_phase2_request",
-    "decode_phase2_response",
     "encode_control",
     "encode_error",
     "encode_exponents_request",
     "encode_exponents_response",
     "encode_phase1_request",
     "encode_phase1_response",
-    "encode_phase2_request",
-    "encode_phase2_response",
     "raise_remote_error",
 ]
 
@@ -226,80 +217,6 @@ def decode_phase1_response(
     _check_consumed(buffer, offset, "shard phase-1 response")
     return ShardPhase1Response(
         round_id=round_id, shard_id=shard_id, columns=columns, matrix=tuple(matrix)
-    )
-
-
-def encode_phase2_request(request: ShardPhase2Request) -> bytes:
-    parts = [
-        encode_str(request.round_id),
-        encode_str(request.shard_id),
-        encode_int(request.fence_token),
-        _encode_ints(request.columns),
-        encode_int(len(request.matrix)),
-        encode_int(len(request.matrix[0]) if request.matrix else 0),
-    ]
-    for row, eps_row in zip(request.matrix, request.epsilons):
-        for ct, epsilon in zip(row, eps_row):
-            parts.append(encode_ciphertext(ct))
-            parts.append(encode_int(1 if epsilon == 1 else 0))
-    return b"".join(parts)
-
-
-def decode_phase2_request(
-    buffer: bytes, su_public_key: PaillierPublicKey
-) -> ShardPhase2Request:
-    round_id, offset = decode_str(buffer, 0)
-    shard_id, offset = decode_str(buffer, offset)
-    fence_token, offset = decode_int(buffer, offset)
-    columns, offset = _decode_ints(buffer, offset)
-    n_rows, n_cols, offset = _decode_shape(
-        buffer, offset, columns, "shard phase-2 request"
-    )
-    matrix, epsilons = [], []
-    for _ in range(n_rows):
-        ct_row, eps_row = [], []
-        for _ in range(n_cols):
-            ct, offset = decode_ciphertext(buffer, su_public_key, offset)
-            eps_flag, offset = decode_int(buffer, offset)
-            ct_row.append(ct)
-            eps_row.append(1 if eps_flag else -1)
-        matrix.append(tuple(ct_row))
-        epsilons.append(tuple(eps_row))
-    _check_consumed(buffer, offset, "shard phase-2 request")
-    return ShardPhase2Request(
-        round_id=round_id,
-        shard_id=shard_id,
-        columns=columns,
-        matrix=tuple(matrix),
-        epsilons=tuple(epsilons),
-        fence_token=fence_token,
-    )
-
-
-def encode_phase2_response(response: ShardPhase2Response) -> bytes:
-    return b"".join(
-        [
-            encode_str(response.round_id),
-            encode_str(response.shard_id),
-            encode_int(response.cell_count),
-            encode_ciphertext(response.partial_q),
-        ]
-    )
-
-
-def decode_phase2_response(
-    buffer: bytes, su_public_key: PaillierPublicKey
-) -> ShardPhase2Response:
-    round_id, offset = decode_str(buffer, 0)
-    shard_id, offset = decode_str(buffer, offset)
-    cell_count, offset = decode_int(buffer, offset)
-    partial_q, offset = decode_ciphertext(buffer, su_public_key, offset)
-    _check_consumed(buffer, offset, "shard phase-2 response")
-    return ShardPhase2Response(
-        round_id=round_id,
-        shard_id=shard_id,
-        cell_count=cell_count,
-        partial_q=partial_q,
     )
 
 

@@ -3,7 +3,7 @@
 One executable, two roles:
 
 * ``shard`` — hosts one :class:`~repro.cluster.shard.SdcShard` and
-  serves phase-1/phase-2 sub-queries plus state fan-out frames;
+  serves phase-1 sub-queries plus state fan-out frames;
 * ``stp`` — hosts an :class:`~repro.pisa.stp_server.StpServer` whose
   re-encryption nonces come from the broker's authority, one frame per
   request, via :class:`~repro.netd.remote.RemoteRandomSource`, keeping
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.serialization import (
-    decode_bytes,
     decode_int,
     decode_private_key,
     decode_public_key,
@@ -56,11 +55,9 @@ from repro.netd.transport import CONNECT_TIMEOUT_S, FrameServer, PeerClient, Tls
 from repro.netd.wire import (
     decode_control,
     decode_phase1_request,
-    decode_phase2_request,
     encode_control,
     encode_error,
     encode_phase1_response,
-    encode_phase2_response,
 )
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
 from repro.pisa.storage import decode_shard_state, serialize_shard_state
@@ -133,13 +130,6 @@ class ShardState:
                 time.sleep(self.delay_s)
             request = decode_phase1_request(payload, self.group_public_key)
             return "ok", encode_phase1_response(self.shard.process_phase1(request))
-        if kind == "phase2":
-            if self.delay_s > 0:
-                time.sleep(self.delay_s)
-            pk_raw, offset = decode_bytes(payload, 0)
-            su_key = decode_public_key(pk_raw)
-            request = decode_phase2_request(payload[offset:], su_key)
-            return "ok", encode_phase2_response(self.shard.process_phase2(request))
         if kind == "pu_update":
             # Frame layout: fence token prefix, then the raw message —
             # the token never contaminates the transcript bytes.

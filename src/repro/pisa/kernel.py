@@ -9,7 +9,8 @@ cell lives here, once:
   the new one added — plus each PU's latest update.
 * **Phase 1** (Figure 5, steps 3-5): ``Ṽ = ε ⊗ ((α ⊗ Ĩ) ⊖ β)``
   (eq. (14), β a plaintext blind) of ``Ĩ = Ẽ ⊖ (Δ ⊗ F̃) ⊕ W̃'`` (eqs. (10)-(12)).
-* **Phase 2** (steps 9-10): a partial ``ΣQ̃`` of ``Q̃ = (ε ⊗ X̃) ⊖ 1̃`` (eq. (16)).
+* **Phase 2** (steps 9-10): ``ΣQ̃`` of ``Q̃ = (ε ⊗ X̃) ⊖ 1̃`` (eq. (16)) —
+  block-state-free, so the request front calls it on every deployment.
 
 Both run in closed form — the residue of ``Z*_{n²}`` each operator chain
 computes (``g = n + 1`` has order ``n``), so the bytes are the chain's.
@@ -20,10 +21,7 @@ what makes the transcript independent of how blocks are spread over
 kernels.  A single :class:`~repro.pisa.sdc_server.SdcServer` runs one
 kernel owning every block; a cluster shard
 (:class:`repro.cluster.shard.SdcShard`) wraps one kernel with ownership,
-liveness, fencing and locking.  Paillier addition is ciphertext
-multiplication mod ``n²`` — commutative and associative — so partial
-sums over any partition of the cells merge into exactly the integer one
-loop over all of them produces.
+liveness, fencing and locking, and serves phase 1 for its blocks.
 
 The kernel is not thread-safe; a caller that shares one across threads
 serialises the state-touching calls (everything except :meth:`blind`

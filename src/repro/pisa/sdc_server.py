@@ -62,7 +62,6 @@ class PendingRound:
 
     round_id: str
     su_id: str
-    region_blocks: tuple[int, ...]
     blindings: tuple[tuple[CellBlinding, ...], ...]
     request_digest: bytes
     channels: tuple[int, ...]
@@ -73,13 +72,13 @@ class SdcFront:
 
     Owns what is *cross-block*: message validation, every random draw
     (centrally, in cell order), the pending rounds, and license
-    issuance.  The per-cell arithmetic sits behind three hooks —
-    :meth:`handle_pu_update`, :meth:`_blind`, :meth:`_q_sum` — that a
-    subclass points at one in-process
-    :class:`~repro.pisa.kernel.BlockKernel` (:class:`SdcServer`) or at a
-    shard fleet (:class:`repro.cluster.coordinator.ClusterSdc`).  The
-    hooks draw nothing, so every deployment seeded alike emits the same
-    bytes.
+    issuance.  The block-state arithmetic sits behind two hooks —
+    :meth:`handle_pu_update` and :meth:`_blind` — that a subclass points
+    at one in-process :class:`~repro.pisa.kernel.BlockKernel`
+    (:class:`SdcServer`) or at a shard fleet
+    (:class:`repro.cluster.coordinator.ClusterSdc`).  Phase 2 reads no
+    block state, so :meth:`_q_sum` runs here for every deployment.  No
+    hook draws, so every deployment seeded alike emits the same bytes.
     """
 
     def __init__(
@@ -125,9 +124,14 @@ class SdcFront:
         """The blinded ``Ṽ`` matrix (eqs. (10)-(14)) for ``request``."""
         raise NotImplementedError
 
-    def _q_sum(self, pending, response, span) -> EncryptedNumber:
-        """``ΣQ̃`` (eq. (16)) over every cell of ``response``."""
-        raise NotImplementedError
+    def _q_sum(self, pending, response) -> EncryptedNumber:
+        """``ΣQ̃`` (eq. (16)) over every cell of ``response``.
+
+        Needs only ``X̃`` and the ε the front drew itself, so it runs in
+        the front on every deployment.
+        """
+        epsilons = [[cell.epsilon for cell in row] for row in pending.blindings]
+        return partial_q_sum(response.matrix, epsilons)
 
     # -- Figure 5 steps 3-5: request phase 1 ---------------------------------------------
 
@@ -168,7 +172,6 @@ class SdcFront:
         self._pending[round_id] = PendingRound(
             round_id=round_id,
             su_id=request.su_id,
-            region_blocks=request.region_blocks,
             blindings=blindings,
             request_digest=TransmissionLicense.digest_of(request.digest_bytes()),
             channels=tuple(range(self.environment.num_channels)),
@@ -232,11 +235,11 @@ class SdcFront:
         del self._pending[response.round_id]
         # Every phase-2 random input — signature obfuscator, then η, then
         # the license clock — is drawn before the arithmetic starts, so a
-        # journaling subclass can make them durable ahead of its scatter.
+        # journaling subclass can make them durable before the license leaves.
         sig_s = su_key.random_nonce(self._rng)
         eta = BlindingFactory(self.blinding_parameters(), rng=self._rng).draw_eta()
         issued_at = int(self._clock())
-        q_sum = self._q_sum(pending, response, span)
+        q_sum = self._q_sum(pending, response)
         self.last_q_sum = q_sum
         return self._issue_license(pending, su_key, q_sum, sig_s, eta, issued_at)
 
@@ -283,10 +286,6 @@ class SdcServer(SdcFront):
     def _blind(self, round_id, request, blindings, span):
         cells = self.kernel.phase1_cells(request.region_blocks, request.matrix)
         return self.kernel.blind(cells, blindings)
-
-    def _q_sum(self, pending, response, span) -> EncryptedNumber:
-        epsilons = [[cell.epsilon for cell in row] for row in pending.blindings]
-        return partial_q_sum(response.matrix, epsilons)
 
     @property
     def num_tracked_pus(self) -> int:

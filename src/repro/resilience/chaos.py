@@ -39,7 +39,7 @@ verdict are the same code on both planes.
 Two plans exercise the write-ahead journal end to end:
 
 * ``coordinator-crash`` — SIGKILL-equivalent mid-phase-2 (after the
-  phase-2 randomness barrier, during the scatter).  The journal's
+  phase-2 randomness barrier, before the license leaves).  The journal's
   unfsynced tail is discarded, then the deployment is **rebuilt and
   replayed** from the journal with a *differently seeded* fallback RNG;
   the replay must match the control transcript byte for byte with zero
@@ -250,9 +250,9 @@ class _StpOutage(FaultPlan):
 class _CoordinatorCrash(FaultPlan):
     """SIGKILL the coordinator mid-phase-2 of the last round.
 
-    The crash fires *inside* the phase-2 scatter — after the phase-2
-    randomness barrier, before any partial product returns — exactly the
-    window the write-ahead discipline exists for.
+    The crash fires *inside* the front's phase 2 — after the phase-2
+    randomness barrier and the ``ΣQ̃`` product, before the license
+    leaves — exactly the window the write-ahead discipline exists for.
     """
 
     name = "coordinator-crash"
@@ -262,17 +262,17 @@ class _CoordinatorCrash(FaultPlan):
     def before_round(self, ctx, round_index):
         if round_index != ctx.rounds - 1:
             return
-        router = ctx.coordinator.router
-        real_scatter = router.scatter_phase2
+        sdc = ctx.coordinator.sdc
+        real_q_sum = sdc._q_sum
 
-        def scatter_then_die(requests, parent=None):
-            # partials computed, then the kill lands
-            real_scatter(requests, parent=parent)
+        def q_sum_then_die(pending, response):
+            # ΣQ̃ computed, then the kill lands
+            real_q_sum(pending, response)
             raise _InjectedCrash(
                 f"coordinator killed mid-phase-2 of round {round_index}"
             )
 
-        router.scatter_phase2 = scatter_then_die
+        sdc._q_sum = q_sum_then_die
         ctx.note(f"armed coordinator kill in round {round_index} phase 2")
 
 
@@ -551,8 +551,8 @@ class _ProcKillShard(FaultPlan):
         # workload sends between here and the kill.
         ctx.coordinator.sdc.commit_epoch(0)
 
-        def kill_once(phase: str, request) -> None:
-            if not ctx.fault_missed or phase != "phase1":
+        def kill_once(request) -> None:
+            if not ctx.fault_missed:
                 return
             ctx.fault_missed = False
             replica_set.kill_primary()

@@ -99,7 +99,7 @@ class TestClusterShape:
         _, coordinators = paired_transcripts
         cluster = coordinators["cluster"]
         assert len(cluster.router.shard_ids) == 4
-        # 3 rounds × 2 phases × up-to-4 shards; at minimum each shard
+        # 3 rounds × up-to-4 shards, phase 1 only; at minimum each shard
         # that owns disclosed blocks was hit every round.
         assert cluster.router.stats.subqueries >= 2 * NUM_ROUNDS
 

@@ -35,7 +35,8 @@ class TestMidEpochFailover:
         expected = run_round(single, su_id)
 
         # Round 1 on the cluster: the primary dies *between* phase 1 and
-        # phase 2 — the in-flight round must complete via the standby.
+        # phase 2.  Phase 2 runs on the front, so the in-flight round
+        # completes without asking any shard — no failover yet.
         client = cluster.su_client(su_id)
         request = client.prepare_request()
         sign_request = cluster.sdc.start_request(request)
@@ -49,7 +50,13 @@ class TestMidEpochFailover:
         assert sign_request.to_bytes() == expected["sign_request"]
         assert response.to_bytes() == expected["response"]
         assert outcome.granted == expected["granted"]
-        assert cluster.router.stats.failovers >= 1
+        assert cluster.router.stats.failovers == 0
+
+        # Round 2 scatters phase 1 to the dead primary: it fails over and
+        # still matches the single SDC.
+        expected = run_round(single, su_id)
+        assert run_round(cluster, su_id)["response"] == expected["response"]
+        assert cluster.router.stats.failovers == 1
 
     def test_failover_event_recovers_committed_epoch(self, pair):
         scenario, _, cluster = pair

@@ -13,7 +13,7 @@ from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError, ShardDownError
-from repro.net.transport import InMemoryTransport
+from repro.net.transport import InMemoryTransport, resolve_transport
 from repro.store import MemoryStateStore
 from repro.telemetry import MetricsRegistry
 
@@ -185,6 +185,22 @@ class TestTransportAccounting:
                 assert counters[f"transport_bytes_total{{link={link}}}"] == update.wire_size()
         finally:
             router.close()
+
+    def test_no_router_message_after_phase1(self):
+        # Phase 2 is the front's own arithmetic: once phase 1 has
+        # gathered, the round sends no sub-query of any kind.
+        scenario, cluster = build_cluster(num_shards=2, num_sus=1)
+        try:
+            transport = resolve_transport(cluster.transport)
+            client = cluster.su_client(scenario.sus[0].su_id)
+            sign_request = cluster.sdc.start_request(client.prepare_request())
+            after_phase1 = transport.by_kind()
+            assert after_phase1["ShardPhase1Request"][0] >= 1
+            sign_response = cluster.stp.handle_sign_extraction(sign_request)
+            cluster.sdc.finish_request(sign_response)
+            assert transport.by_kind() == after_phase1
+        finally:
+            cluster.close()
 
 
 class TestAdministration:

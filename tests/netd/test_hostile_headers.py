@@ -12,24 +12,26 @@ or changed any state.
 import dataclasses
 import struct
 import time
+from unittest import mock
 
 import pytest
 
 from repro.crypto.serialization import (
     encode_bytes,
+    encode_ciphertext,
     encode_int,
     encode_private_key,
     encode_public_key,
     encode_str,
 )
-from repro.errors import SerializationError
+from repro.errors import SerializationError, TransportError
 from repro.netd.wire import (
     decode_phase1_request,
     decode_phase1_response,
-    decode_phase2_request,
     encode_control,
 )
 from repro.netd.worker import ShardState, StpState
+from repro.pisa import kernel
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 from repro.pisa.storage import encode_shard_state, serialize_shard_state
 from repro.watch.scenario import ScenarioConfig
@@ -66,19 +68,11 @@ def _phase1_response_header(rows, cols, listed=0) -> bytes:
     )
 
 
-def _phase2_request_header(rows, cols, listed=0) -> bytes:
-    return b"".join(
-        [encode_str("r-1"), encode_str("shard-0"), encode_int(0),
-         _ints(range(listed)), encode_int(rows), encode_int(cols)]
-    )
-
-
 DECODERS = [
     pytest.param(SignExtractionRequest.from_bytes, _message_header, id="sign_req"),
     pytest.param(SignExtractionResponse.from_bytes, _message_header, id="sign_resp"),
     pytest.param(decode_phase1_request, _phase1_request_header, id="phase1_req"),
     pytest.param(decode_phase1_response, _phase1_response_header, id="phase1_resp"),
-    pytest.param(decode_phase2_request, _phase2_request_header, id="phase2_req"),
 ]
 
 
@@ -106,7 +100,6 @@ def test_hostile_shape_refused_before_any_work(decode, header, rows, cols, keypa
     [
         pytest.param(decode_phase1_request, _phase1_request_header, id="phase1_req"),
         pytest.param(decode_phase1_response, _phase1_response_header, id="phase1_resp"),
-        pytest.param(decode_phase2_request, _phase2_request_header, id="phase2_req"),
     ],
 )
 def test_width_must_match_the_column_list(decode, header, keypair):
@@ -144,19 +137,37 @@ def shard_worker(keypair):
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)
-@pytest.mark.parametrize(
-    "kind, header",
-    [("phase1", _phase1_request_header), ("phase2", _phase2_request_header)],
-)
+@pytest.mark.parametrize("kind, header", [("phase1", _phase1_request_header)])
 def test_live_shard_worker_refuses_without_state_change(
-    shard_worker, keypair, kind, header, rows, cols
+    shard_worker, kind, header, rows, cols
 ):
     payload = header(rows, cols)
-    if kind == "phase2":
-        payload = encode_bytes(encode_public_key(keypair.public_key)) + payload
     shard = shard_worker.shard
     before = (serialize_shard_state(shard), shard.fence_token)
     _refused_quickly(lambda: shard_worker.handle(kind, payload))
+    assert (serialize_shard_state(shard), shard.fence_token) == before
+
+
+def test_retired_phase2_frame_is_refused_typed(shard_worker, second_keypair, fresh_rng):
+    # Phase 2 runs on the front; a shard serves no ``phase2`` kind.  The
+    # frame below is well formed in the layout shards used to serve —
+    # the SU's key, then round, shard, a fresh fence token, the columns,
+    # the shape and each converted sign with its ε flag — so only the
+    # kind itself can refuse it: no ΣQ̃ inverse, no fence ratchet.
+    su_pk = second_keypair.public_key
+    cells = [encode_ciphertext(su_pk.encrypt(1, rng=fresh_rng)) + encode_int(flag)
+             for flag in (1, 0)]
+    payload = b"".join(
+        [encode_bytes(encode_public_key(su_pk)), encode_str("r-1"),
+         encode_str("shard-0"), encode_int(9), _ints([0, 1]), encode_int(1),
+         encode_int(2), *cells]
+    )
+    shard = shard_worker.shard
+    before = (serialize_shard_state(shard), shard.fence_token)
+    with mock.patch.object(kernel, "modinv", wraps=kernel.modinv) as inverse:
+        with pytest.raises(TransportError, match="phase2"):
+            shard_worker.handle("phase2", payload)
+    assert inverse.call_count == 0
     assert (serialize_shard_state(shard), shard.fence_token) == before
 
 

@@ -12,21 +12,15 @@ from repro.netd.wire import (
     decode_error,
     decode_phase1_request,
     decode_phase1_response,
-    decode_phase2_request,
-    decode_phase2_response,
     encode_control,
     encode_error,
     encode_phase1_request,
     encode_phase1_response,
-    encode_phase2_request,
-    encode_phase2_response,
     raise_remote_error,
 )
 from repro.cluster.shard import (
     ShardPhase1Request,
     ShardPhase1Response,
-    ShardPhase2Request,
-    ShardPhase2Response,
 )
 from repro.pisa.blinding import CellBlinding
 
@@ -142,44 +136,6 @@ class TestShardCodecs:
         decoded = decode_phase1_request(encode_phase1_request(unfenced), pk)
         assert decoded.fence_token == 0
 
-    def test_phase2_request_roundtrip(self, second_keypair, fresh_rng):
-        su_pk = second_keypair.public_key  # phase 2 runs under the SU's key
-        request = ShardPhase2Request(
-            round_id="r-2",
-            shard_id="shard-0",
-            columns=(2, 5),
-            matrix=ct_matrix(su_pk, fresh_rng, 1, 2),
-            epsilons=((1, -1),),
-        )
-        decoded = decode_phase2_request(encode_phase2_request(request), su_pk)
-        assert decoded.epsilons == ((1, -1),)
-        assert decoded.fence_token == 0
-
-    def test_phase2_fence_token_roundtrips(self, second_keypair, fresh_rng):
-        su_pk = second_keypair.public_key
-        request = ShardPhase2Request(
-            round_id="r-2",
-            shard_id="shard-0",
-            columns=(2, 5),
-            matrix=ct_matrix(su_pk, fresh_rng, 1, 2),
-            epsilons=((1, -1),),
-            fence_token=7,
-        )
-        decoded = decode_phase2_request(encode_phase2_request(request), su_pk)
-        assert decoded.fence_token == 7
-
-    def test_phase2_response_roundtrip(self, second_keypair, fresh_rng):
-        su_pk, su_sk = second_keypair.public_key, second_keypair.private_key
-        response = ShardPhase2Response(
-            round_id="r-2",
-            shard_id="shard-0",
-            cell_count=6,
-            partial_q=su_pk.encrypt(-4, rng=fresh_rng),
-        )
-        decoded = decode_phase2_response(encode_phase2_response(response), su_pk)
-        assert decoded.cell_count == 6
-        assert su_sk.decrypt(decoded.partial_q) == -4
-
     def test_trailing_bytes_rejected(self, keypair, fresh_rng):
         pk = keypair.public_key
         response = ShardPhase1Response(
@@ -193,8 +149,6 @@ class TestShardCodecs:
         [
             decode_phase1_request,
             decode_phase1_response,
-            decode_phase2_request,
-            decode_phase2_response,
         ],
     )
     def test_invalid_utf8_id_rejected_typed(self, decode, keypair):

@@ -40,6 +40,8 @@ RETIRED = re.compile(
     r"|_run_round|_accepts_span|CONVERSION_PEER|sdc_endpoint|stp_endpoint"
     r"|sdc-front|sdc-back"
     r"|WorkloadConfig|PoissonArrivals|PuSwitchProcess|SimClock|ConstantLatency"
+    r"|ShardPhase2Request|ShardPhase2Response|scatter_phase2|process_phase2"
+    r"|encode_phase2_request|decode_phase2_response"
 )
 
 
