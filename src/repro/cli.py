@@ -178,11 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--plan", type=str, default="kill-shard",
                        help="comma-separated fault plans composed into one "
-                            "schedule, or 'all' to run every plan singly; "
-                            "'proc-kill-shard' SIGKILLs a real shard "
-                            "subprocess on the socket plane, and "
-                            "'proc-split-brain' / 'proc-gray-slow' run the "
-                            "partition drills there (each runs alone)")
+                            "schedule, or 'all' to run every plan the "
+                            "plane takes, singly")
+    chaos.add_argument("--plane", choices=("memory", "socket"), default="memory",
+                       help="where the faulted run stands: in-process, or "
+                            "SDC shards + STP as subprocesses over TCP, "
+                            "where kill-shard is a real SIGKILL (the "
+                            "control run is in memory either way; the "
+                            "journal plans run in memory only)")
     chaos.add_argument("--shards", type=int, default=2)
     chaos.add_argument("--rounds", type=int, default=2,
                        help="protocol rounds per run")
@@ -414,7 +417,8 @@ def _cmd_serve_loadtest(args) -> int:
     if args.plane == "socket" and (args.workers or args.kill_shard):
         print("--plane socket does not take --workers / --kill-shard "
               "(homomorphic work there runs in the worker processes; "
-              "use `repro chaos --plan proc-kill-shard` for process faults)",
+              "use `repro chaos --plane socket --plan kill-shard` for "
+              "process faults)",
               file=sys.stderr)
         return 2
     if args.store and not args.shards and args.plane != "socket":
@@ -537,7 +541,7 @@ def _cmd_metrics_dump(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.resilience.chaos import PLAN_NAMES, ChaosHarness
+    from repro.resilience.chaos import ChaosHarness, plans_for
 
     metrics = None
     if args.metrics_dump is not None:
@@ -551,11 +555,10 @@ def _cmd_chaos(args) -> int:
         key_bits=args.key_bits,
         metrics=metrics,
         workload=args.workload,
+        plane=args.plane,
     )
     if args.plan == "all":
-        # Simulated-transport plans only; the process plans cost real
-        # subprocess spawns and are asked for by name.
-        schedules = [[name] for name in PLAN_NAMES]
+        schedules = [[name] for name in plans_for(args.plane)]
     else:
         schedules = [[p.strip() for p in args.plan.split(",") if p.strip()]]
     results = []
@@ -565,6 +568,8 @@ def _cmd_chaos(args) -> int:
         results.append(result)
         verdict = "OK" if result.ok else "FAIL"
         shape = f" workload={args.workload}" if args.workload else ""
+        if args.plane != "memory":
+            shape += f" plane={args.plane}"
         print(
             f"chaos [{'+'.join(result.plans)}]{shape} seed={result.seed} "
             f"shards={result.shards}: {verdict} "

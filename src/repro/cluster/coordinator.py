@@ -32,8 +32,9 @@ seam safe in the service runtime.
 :class:`ClusterCoordinator` is a :class:`~repro.pisa.protocol.PisaCoordinator`
 (same construction-time RNG draw order, same enrolment flows, the same
 round driver) whose SDC build hook stands up the shard fleet, and adds
-the cluster operations: ``kill_shard``, ``join_shard`` / ``leave_shard``
-with block handoff, and epoch commit with per-shard snapshots.
+the cluster operations: ``kill_shard`` / ``slow_shard`` (the chaos
+harness's fault surface), ``join_shard`` / ``leave_shard`` with block
+handoff, and epoch commit with per-shard snapshots.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from repro.cluster.fencing import LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
-from repro.cluster.router import ShardRouter
+from repro.cluster.router import ROUTER_ENDPOINT, ShardRouter
 from repro.cluster.shard import SdcShard, ShardPhase1Request
 
 __all__ = ["ClusterSdc", "ClusterCoordinator"]
@@ -336,6 +337,15 @@ class ClusterCoordinator(PisaCoordinator):
         wire = resolve_transport(self.transport)
         if wire is not None:
             wire.fail_endpoint(shard_id)
+
+    def slow_shard(self, shard_id: str, delay_s: float) -> None:
+        """Delay every router→shard send by ``delay_s`` (gray-failure
+        drill: the shard is slow, never dead)."""
+        wire = resolve_transport(self.transport)
+        if wire is not None:
+            wire.inject_faults(
+                ROUTER_ENDPOINT, shard_id, delay_s=delay_s, delay_count=-1
+            )
 
     def cold_start_shard(self, shard_id: str, tail=None) -> int:
         """Rebuild a shard replica set from the store alone.

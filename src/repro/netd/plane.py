@@ -24,6 +24,10 @@ poll ``bootstrap``, then the coordinator is built — registering the
 bootstrap providers mid-``__init__`` at the moment the group key
 exists — and the first ``transact`` of the build (block assignment)
 politely waits for the target worker's readiness file.
+
+It is also the chaos harness's socket plane (``repro chaos --plane
+socket``), where ``kill_shard`` and ``slow_shard`` are real process
+faults.
 """
 
 from __future__ import annotations
@@ -80,14 +84,15 @@ class NetdContext:
 class SocketClusterCoordinator(ClusterCoordinator):
     """A :class:`ClusterCoordinator` whose STP and shards are processes.
 
-    Only the two build hooks change: :meth:`_build_stp` draws the group
-    keypair *at the exact position* the in-process ``StpServer.__init__``
-    would (first draw of construction, before the signing key), then
-    hands it to a :class:`~repro.netd.remote.RemoteStp`; and
-    :meth:`_build_replica_set` yields
-    :class:`~repro.netd.remote.RemoteShardSet` proxies.  Everything else
-    — router, allocator, clients, license signing — is inherited
-    unchanged, which is the point.
+    Only the two build hooks and the fault surface change:
+    :meth:`_build_stp` draws the group keypair *at the exact position*
+    the in-process ``StpServer.__init__`` would (first draw of
+    construction, before the signing key), then hands it to a
+    :class:`~repro.netd.remote.RemoteStp`; :meth:`_build_replica_set`
+    yields :class:`~repro.netd.remote.RemoteShardSet` proxies; and
+    :meth:`kill_shard` / :meth:`slow_shard` act on the worker process.
+    Everything else — router, allocator, clients, license signing — is
+    inherited unchanged, which is the point.
     """
 
     def __init__(self, environment, netd: NetdContext, scenario_config, **kwargs):
@@ -123,6 +128,18 @@ class SocketClusterCoordinator(ClusterCoordinator):
             self.stp.group_public_key,
         )
 
+    def kill_shard(self, shard_id: str) -> None:
+        """SIGKILL the shard's worker; no wire is cut, so the next
+        sub-query meets a real dead socket and the router fails over."""
+        self.netd.supervisor.kill(shard_id)
+        self.netd.supervisor.wait_exit(shard_id)
+
+    def slow_shard(self, shard_id: str, delay_s: float) -> None:
+        """The worker itself answers every phase-1 sub-query ``delay_s`` late."""
+        self.replica_sets[shard_id].transact(
+            "chaos_delay", encode_control({"delay_s": delay_s})
+        )
+
     def close(self) -> None:
         super().close()
         self.netd.close()
@@ -147,8 +164,8 @@ def build_socket_coordinator(
 
     Returns ``(coordinator, scenario)``; nothing is enrolled yet.  The
     lower-level seam shared by :func:`build_socket_service` and the
-    chaos harness's ``proc-*`` plans (which drive Figure-5 rounds
-    directly, no broker).
+    chaos harness's ``--plane socket`` runs (which drive Figure-5
+    rounds directly, no broker).
     """
     if num_shards < 1:
         raise ConfigurationError("the socket plane needs at least one shard")

@@ -30,7 +30,6 @@ unmodified over real sockets.
 from __future__ import annotations
 
 import dataclasses
-import signal
 import threading
 import time
 
@@ -313,9 +312,13 @@ class RemoteShard:
         return self._owner.supervisor.is_running(self.shard_id)
 
     def process_phase1(self, request):
-        self._owner.fire_subquery_hook(request)
         frame = self._owner.transact("phase1", encode_phase1_request(request))
         return decode_phase1_response(frame.payload, self._owner.group_public_key)
+
+    def commit_epoch(self, epoch_id: int, fence_token: int) -> None:
+        """The worker's own commit; a stale ``fence_token`` comes back as
+        a wire-typed :class:`~repro.errors.FencedError`."""
+        self._owner.commit_epoch(epoch_id, fence_token=fence_token)
 
 
 class RemoteShardSet(ReplicaSetBase):
@@ -352,7 +355,6 @@ class RemoteShardSet(ReplicaSetBase):
         self._blocks: set[int] = set()
         self._pu_updates: dict[str, bytes] = {}
         self._last_epoch = -1
-        self._hook = None
         self.primary = RemoteShard(self)
         authority.register_bootstrap(shard_id, self.bootstrap_payload)
 
@@ -379,15 +381,6 @@ class RemoteShardSet(ReplicaSetBase):
 
     def transact(self, kind: str, payload: bytes):
         return self._transport.transact(self.shard_id, kind, payload)
-
-    def set_subquery_hook(self, hook) -> None:
-        """Chaos seam: ``hook(request)`` fires before each phase-1 transact."""
-        self._hook = hook
-
-    def fire_subquery_hook(self, request) -> None:
-        hook = self._hook
-        if hook is not None:
-            hook(request)
 
     # -- state fan-out (mirrors ShardReplicaSet) -----------------------------------
 
@@ -428,12 +421,6 @@ class RemoteShardSet(ReplicaSetBase):
         # from: a fenced or failed commit leaves the bootstrap unchanged.
         with self._lock:
             self._last_epoch = max(self._last_epoch, epoch_id)
-
-    # -- liveness ------------------------------------------------------------------
-
-    def kill_primary(self) -> None:
-        """Real fault injection: SIGKILL the worker process."""
-        self.supervisor.kill(self.shard_id, signal.SIGKILL)
 
     # -- fencing / gray failure ----------------------------------------------------
 

@@ -26,15 +26,15 @@ faults transparent: a dropped message was never delivered (not
 recorded), a retried one is recorded once — the logical
 delivered-exactly-once transcript.
 
-Plans declare what they need (``wants_journal`` / ``wants_store`` /
-``wants_processes``) and the harness builds the faulted deployment to
-match.  The ``proc-*`` plans need *real worker processes*: their faulted
-run is the socket plane (:func:`repro.netd.plane.build_socket_coordinator`
-— shards and STP as subprocesses over TCP) while the control stays the
-cached in-memory run, so passing proves cross-plane determinism and
-recovery from a real ``SIGKILL`` / wire-typed ``FencedError`` / slow
-worker in one schedule.  Rounds, spans, the workload script and the
-verdict are the same code on both planes.
+Plans declare what they need (``wants_journal`` / ``wants_store``) and
+the harness builds the faulted deployment to match.  Each plan is
+written once against one fault surface (the coordinator's
+``kill_shard`` / ``slow_shard``, fence/promote/commit, the transport's
+link faults); ``plane="socket"`` runs it on worker processes over TCP
+(:func:`repro.netd.plane.build_socket_coordinator`), where a kill is a
+real ``SIGKILL`` and a stale commit a wire-typed ``FencedError``.  The
+control is always the cached in-memory run, so a socket pass proves
+cross-plane determinism too.  Journal plans run in memory only.
 
 Two plans exercise the write-ahead journal end to end:
 
@@ -94,9 +94,10 @@ from repro.watch.scenario import ScenarioConfig, build_scenario
 __all__ = [
     "ChaosResult",
     "ChaosHarness",
+    "PLANES",
     "PLAN_NAMES",
-    "SOCKET_PLAN_NAMES",
     "fingerprint_message",
+    "plans_for",
 ]
 
 #: License clock both runs freeze to, so ``issued_at`` is deterministic.
@@ -151,15 +152,15 @@ class FaultPlan:
     """One named, composable fault. Subclasses override the hooks."""
 
     name = "noop"
-    #: Plans that need the write-ahead journal active in the faulted run.
+    #: Plans whose fault needs the write-ahead journal (a crash replay
+    #: or a checkpoint).  The socket plane takes no journal, so these
+    #: run in memory only.
     wants_journal = False
-    #: Plans that need real disk: a path-backed journal plus a SQLite
-    #: :class:`~repro.store.sqlite.SqliteStateStore` in a temp dir.
+    #: Plans that run on real disk in memory: a path-backed journal plus
+    #: a SQLite :class:`~repro.store.sqlite.SqliteStateStore` in a temp
+    #: dir, which also gives the exactly-one-writer audit a journal to
+    #: read.  On sockets every worker has its own SQLite file instead.
     wants_store = False
-    #: Plans that need real worker processes: the faulted deployment is
-    #: the socket plane (shards + STP as subprocesses over TCP), judged
-    #: against the same in-memory control as every other plan.
-    wants_processes = False
     #: Plans whose faulted run ends in a crash + journal replay.
     crashes = False
 
@@ -176,16 +177,48 @@ class FaultPlan:
         """Called once after the last round, while the deployment is up."""
 
 
+def _inside_next_scatter(router, fault) -> None:
+    """Run ``fault(requests)`` once, inside the next phase-1 scatter,
+    after the round's phase-1 randomness is drawn."""
+    real_scatter = router.scatter_phase1
+
+    def fault_then_scatter(requests, parent=None):
+        router.scatter_phase1 = real_scatter
+        fault(requests)
+        return real_scatter(requests, parent=parent)
+
+    router.scatter_phase1 = fault_then_scatter
+
+
 class _KillShard(FaultPlan):
-    """Crash one shard's primary (and cut its wire) before round 1."""
+    """Kill the first shard round 1's phase-1 scatter addresses.
+
+    The router must fail over (on sockets: restart and re-bootstrap the
+    SIGKILLed worker) and re-send the identical sub-query bytes, since
+    phase randomness was drawn before the scatter.
+    """
 
     name = "kill-shard"
 
     def before_round(self, ctx, round_index):
-        if round_index == min(1, ctx.rounds - 1):
-            victim = ctx.coordinator.router.shard_ids[0]
-            ctx.coordinator.kill_shard(victim)
-            ctx.note(f"killed {victim} before round {round_index}")
+        if round_index != min(1, ctx.rounds - 1):
+            return
+        ctx.fault_missed = True
+
+        def kill(requests):
+            self.victim = next(iter(requests))
+            ctx.coordinator.kill_shard(self.victim)
+            ctx.fault_missed = False
+            ctx.note(f"killed {self.victim} in round {round_index}'s phase-1 scatter")
+
+        _inside_next_scatter(ctx.coordinator.router, kill)
+
+    def finish(self, ctx):
+        if ctx.fault_missed:
+            ctx.note("fault never fired: no phase-1 scatter ran after arming")
+        elif ctx.plane == "socket":
+            restarts = ctx.coordinator.netd.supervisor.restarts(self.victim)
+            ctx.note(f"restarts({self.victim})={restarts}")
 
 
 class _DropLinks(FaultPlan):
@@ -285,7 +318,7 @@ class _JournalDiskFull(FaultPlan):
     HEADROOM_BYTES = 2048
 
     def before_round(self, ctx, round_index):
-        if round_index == ctx.rounds - 1 and ctx.journal_device is not None:
+        if round_index == ctx.rounds - 1:
             ctx.journal_device.limit = (
                 ctx.journal_device.tell() + self.HEADROOM_BYTES
             )
@@ -328,10 +361,8 @@ class _Kill9ColdStart(FaultPlan):
             f"{stats.journal_bytes_before}→{stats.journal_bytes_after} B"
         )
         router = coordinator.router
-        real_scatter = router.scatter_phase1
 
-        def coldstart_then_scatter(requests, parent=None):
-            router.scatter_phase1 = real_scatter
+        def kill9_then_coldstart(_requests):
             victim = router.shard_ids[0]
             replica_set = coordinator.replica_sets[victim]
             # SIGKILL semantics: nothing in memory survives — no flush,
@@ -345,9 +376,8 @@ class _Kill9ColdStart(FaultPlan):
                 f"store + {len(recovered.tail.records)}-record tail "
                 f"({applied} applied)"
             )
-            return real_scatter(requests, parent=parent)
 
-        router.scatter_phase1 = coldstart_then_scatter
+        _inside_next_scatter(router, kill9_then_coldstart)
         ctx.note(f"armed kill9+coldstart in round {round_index} phase 1")
 
 
@@ -358,7 +388,9 @@ def _stale_commit(ctx, victim, writer, epoch, stale_token, rejected, landed):
     except FencedError as exc:
         ctx.fenced_rejections += 1
         ctx.coordinator.fencing.note_rejection(victim)
-        ctx.note(f"{rejected}: {exc}")
+        # On sockets the worker raised it and the error frame carried it.
+        origin = " over the wire" if ctx.plane == "socket" else ""
+        ctx.note(f"{rejected}{origin}: {exc}")
     else:
         ctx.note(f"SPLIT BRAIN: {landed}")
 
@@ -376,9 +408,8 @@ class _AsymmetricPartition(FaultPlan):
     """
 
     name = "asymmetric-partition"
-    # Journal + store so the exactly-one-writer audit runs over the
+    # Real disk so the exactly-one-writer audit runs over the
     # fence/writer provenance this drill produces.
-    wants_journal = True
     wants_store = True
 
     def before_round(self, ctx, round_index):
@@ -428,17 +459,7 @@ class _SplitBrainPromote(FaultPlan):
     """
 
     name = "split-brain-promote"
-    wants_journal = True
     wants_store = True
-    #: Note wording; the socket drill words its own (CI greps them).
-    PROMOTED = "promoted {victim} while old primary alive"
-    REJECTED = "old primary's post-fence write rejected"
-    LANDED = "old primary of {victim} committed"
-
-    @staticmethod
-    def deposed_writer(replica_set):
-        """The incarnation that keeps writing after it is deposed."""
-        return replica_set.primary
 
     def before_round(self, ctx, round_index):
         if round_index != ctx.rounds - 1:
@@ -452,20 +473,20 @@ class _SplitBrainPromote(FaultPlan):
         incumbent = coordinator.fencing.bump(victim, "manual")
         replica_set.install_fence(incumbent.token)
         coordinator.sdc.commit_epoch(round_index)
-        zombie = self.deposed_writer(replica_set)
+        zombie = replica_set.primary
         # Depose it while it is alive and serving: bump, persist, install
         # on every replica (the zombie included), only then promote.
         successor = coordinator.fencing.bump(victim, "failover")
         replica_set.install_fence(successor.token)
         replica_set.promote()
         ctx.note(
-            f"{self.PROMOTED.format(victim=victim)} "
+            f"promoted {victim} while old primary alive "
             f"(lease {incumbent.token}->{successor.token})"
         )
         _stale_commit(
             ctx, victim, zombie, round_index + 1, incumbent.token,
-            rejected=self.REJECTED,
-            landed=self.LANDED.format(victim=victim),
+            rejected="old primary's post-fence write rejected",
+            landed=f"old primary of {victim} committed",
         )
         # The successor commits under its own lease when the round's epoch
         # ends; the audit must see writer tokens that never regress behind
@@ -483,7 +504,6 @@ class _ClockSkew(FaultPlan):
     """
 
     name = "clock-skew"
-    wants_journal = True
     wants_store = True
     SKEW_S = 60.0
 
@@ -512,115 +532,23 @@ class _GraySlowShard(FaultPlan):
     """
 
     name = "gray-slow-shard"
-    wants_journal = True
     wants_store = True
     DELAY_S = 0.4
 
     def arm(self, ctx):
         victim = ctx.coordinator.router.shard_ids[0]
-        ctx.transport.inject_faults(
-            "router", victim, delay_s=self.DELAY_S, delay_count=-1
-        )
+        ctx.coordinator.slow_shard(victim, self.DELAY_S)
         ctx.note(
             f"armed {self.DELAY_S * 1000:.0f} ms gray slowdown on {victim}"
         )
 
-
-class _ProcKillShard(FaultPlan):
-    """SIGKILL a real shard worker mid-phase-1; recovery must be invisible.
-
-    The fault fires from the sub-query hook *just before* the router's
-    first phase-1 transact to the victim, and waits for the process to
-    actually exit — so the transact deterministically hits a dead
-    worker, fails with ``LinkDownError``, and exercises the full
-    promote → restart → re-bootstrap → re-send path.  The router's
-    retry re-sends the *identical* sub-query bytes (phase randomness was
-    drawn centrally before the scatter), so matching the in-memory
-    control proves cross-plane determinism and crash recovery at once.
-    """
-
-    name = "proc-kill-shard"
-    wants_processes = True
-
-    def arm(self, ctx):
-        victim = ctx.coordinator.router.shard_ids[0]
-        replica_set = ctx.coordinator.router.replica_set(victim)
-        ctx.fault_missed = True
-        # Every worker snapshots to its own disk first, so the restart
-        # rebuilds from a snapshot older than whatever PU churn the
-        # workload sends between here and the kill.
-        ctx.coordinator.sdc.commit_epoch(0)
-
-        def kill_once(request) -> None:
-            if not ctx.fault_missed:
-                return
-            ctx.fault_missed = False
-            replica_set.kill_primary()
-            code = ctx.coordinator.netd.supervisor.wait_exit(victim)
-            ctx.note(f"SIGKILL {victim} before phase-1 transact (exit {code})")
-
-        replica_set.set_subquery_hook(kill_once)
-
     def finish(self, ctx):
-        victim = ctx.coordinator.router.shard_ids[0]
-        supervisor = ctx.coordinator.netd.supervisor
-        if ctx.fault_missed:
-            ctx.note(f"fault never fired: no phase-1 sub-query hit {victim}")
-        ctx.note(f"restarts({victim})={supervisor.restarts(victim)}")
-
-
-class _ProcSplitBrain(_SplitBrainPromote):
-    """Split-brain promote with the deposed writer a live worker process.
-
-    The authority fences and promotes shard-0 **while its worker is
-    alive and serving**; the deposed incarnation's stale-token
-    ``commit_epoch`` frame must come back as a typed
-    :class:`~repro.errors.FencedError` over the wire.
-    """
-
-    name = "proc-split-brain"
-    wants_journal = False
-    wants_store = False
-    wants_processes = True
-    PROMOTED = "fenced+promoted {victim} while its worker serves"
-    REJECTED = "stale-token commit rejected over the wire"
-    LANDED = "stale-token commit on {victim} landed"
-
-    @staticmethod
-    def deposed_writer(replica_set):
-        # No standby process to swap in: the worker that was serving is
-        # the one deposed, and the set's own commit frame reaches it.
-        return replica_set
-
-
-class _ProcGraySlow(FaultPlan):
-    """Gray slowness on real sockets: the worker itself answers late.
-
-    Shard-0's worker serves every sub-query ~400 ms slow (below the
-    heartbeat-death threshold).  The router's RTT quantile must flag it
-    *suspect* with **zero** promotions — never restarted, never fenced.
-    """
-
-    name = "proc-gray-slow"
-    wants_processes = True
-    DELAY_S = _GraySlowShard.DELAY_S
-
-    def arm(self, ctx):
-        from repro.netd.wire import encode_control
-
-        victim = ctx.coordinator.router.shard_ids[0]
-        ctx.coordinator.router.replica_set(victim).transact(
-            "chaos_delay", encode_control({"delay_s": self.DELAY_S})
-        )
-        ctx.note(
-            f"armed {self.DELAY_S * 1000:.0f} ms gray slowdown "
-            f"on {victim}'s worker"
-        )
-
-    def finish(self, ctx):
-        suspects = ctx.coordinator.router.stats.suspects
-        if suspects:
-            ctx.note(f"router flagged {suspects} suspect(s), promoted none")
+        stats = ctx.coordinator.router.stats
+        if stats.suspects:
+            ctx.note(
+                f"router flagged {stats.suspects} suspect(s), "
+                f"promoted {stats.failovers or 'none'}"
+            )
 
 
 _PLAN_TYPES = (
@@ -638,15 +566,23 @@ _PLAN_TYPES = (
     _GraySlowShard,
 )
 
-#: The simulated-transport plans (what ``--plan all`` runs).
+#: Every plan, in the order ``--plan all`` runs them.
 PLAN_NAMES: tuple[str, ...] = tuple(plan.name for plan in _PLAN_TYPES)
-#: Plans that spawn real worker processes; resolved by name, run alone.
-_SOCKET_PLAN_TYPES = (_ProcKillShard, _ProcSplitBrain, _ProcGraySlow)
-SOCKET_PLAN_NAMES: tuple[str, ...] = tuple(p.name for p in _SOCKET_PLAN_TYPES)
-_PLANS = {plan.name: plan for plan in _PLAN_TYPES + _SOCKET_PLAN_TYPES}
+_PLANS = {plan.name: plan for plan in _PLAN_TYPES}
+#: Where a faulted run can stand: in-process, or worker processes on TCP.
+PLANES = ("memory", "socket")
 
 
-def _resolve_plans(names) -> list[FaultPlan]:
+def plans_for(plane: str) -> tuple[str, ...]:
+    """The plans that run on ``plane`` (``--plan all``'s schedule)."""
+    return tuple(
+        plan.name
+        for plan in _PLAN_TYPES
+        if plane == "memory" or not plan.wants_journal
+    )
+
+
+def _resolve_plans(names, plane: str) -> list[FaultPlan]:
     plans = []
     for name in names:
         plan_type = _PLANS.get(name)
@@ -657,10 +593,21 @@ def _resolve_plans(names) -> list[FaultPlan]:
         plans.append(plan_type())
     if not plans:
         raise ChaosPlanError("a chaos schedule needs at least one fault plan")
-    if len(plans) > 1 and any(p.wants_processes for p in plans):
+    journaled = [p.name for p in plans if p.wants_journal]
+    if plane == "socket" and journaled:
         raise ChaosPlanError(
-            "socket-plane plans (proc-*) run alone (composed schedules run "
-            "on the simulated transport only)"
+            f"the socket plane takes no write-ahead journal yet "
+            f"(build_socket_coordinator has no journal), and "
+            f"{', '.join(journaled)} cannot run without one; use --plane memory"
+        )
+    if any(isinstance(p, _JournalDiskFull) for p in plans) and any(
+        p.wants_store for p in plans
+    ):
+        # A store plan swaps the in-memory journal device for a file,
+        # and a file cannot be filled on cue: the fault would never fire.
+        raise ChaosPlanError(
+            "journal-disk-full fills the in-memory journal device; it does "
+            "not compose with a plan that runs on the store's journal file"
         )
     if sum(1 for p in plans if p.crashes) > 1:
         raise ChaosPlanError(
@@ -679,6 +626,8 @@ def _resolve_plans(names) -> list[FaultPlan]:
 class _RunContext:
     coordinator: ClusterCoordinator
     rounds: int
+    #: ``"memory"`` or ``"socket"``; plans word their notes by it.
+    plane: str = "memory"
     journal_device: _DiskFullFile | None = None
     #: Disk-backed plumbing (``wants_store`` plans only).
     journal_path: str | None = None
@@ -812,7 +761,8 @@ class ChaosHarness:
 
     The control run is built once per harness and reused across
     schedules — every faulted run is compared against the same clean
-    transcript.
+    transcript.  ``plane="socket"`` puts every faulted run on worker
+    processes over TCP; the control stays in memory.
     """
 
     def __init__(
@@ -824,9 +774,15 @@ class ChaosHarness:
         scenario_seed: int = 5,
         metrics=None,
         workload: str = "",
+        plane: str = "memory",
     ) -> None:
         if rounds < 1:
             raise ChaosPlanError("rounds must be positive")
+        if plane not in PLANES:
+            raise ChaosPlanError(
+                f"unknown plane {plane!r} (known: {', '.join(PLANES)})"
+            )
+        self.plane = plane
         self.seed = seed
         self.shards = shards
         self.rounds = rounds
@@ -1020,7 +976,7 @@ class ChaosHarness:
 
     def run(self, plan_names, tracer=None) -> ChaosResult:
         """Run one composed fault schedule and judge it against control."""
-        plans = _resolve_plans(plan_names)
+        plans = _resolve_plans(plan_names, self.plane)
         control = self.control()
         if self.metrics is not None:
             self.metrics.counter(
@@ -1028,7 +984,7 @@ class ChaosHarness:
             ).inc()
         wants_journal = any(p.wants_journal for p in plans)
         wants_store = any(p.wants_store for p in plans)
-        wants_processes = any(p.wants_processes for p in plans)
+        on_sockets = self.plane == "socket"
 
         device: _DiskFullFile | None = None
         writer: JournalWriter | None = None
@@ -1037,7 +993,12 @@ class ChaosHarness:
         checkpointer: Checkpointer | None = None
         journal_path: str | None = None
         store_dir: str | None = None
-        if wants_store:
+        if on_sockets:
+            # Per-shard SQLite files: a killed worker restarts from its
+            # own disk plus the broker's bootstrap, not bootstrap alone.
+            # No journal, so no writer audit (writer_violations = -1).
+            store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
+        elif wants_store:
             # Real disk: a path-backed journal (checkpoint compaction
             # renames files) and a SQLite store in a throwaway dir.
             store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
@@ -1046,10 +1007,6 @@ class ChaosHarness:
             journal = EpochJournal(writer)
             store = SqliteStateStore(os.path.join(store_dir, "store.sqlite"))
             checkpointer = Checkpointer(store, metrics=self.metrics)
-        elif wants_processes:
-            # Per-shard SQLite files: a killed worker restarts from its
-            # own disk plus the broker's bootstrap, not bootstrap alone.
-            store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
         elif wants_journal:
             device = _DiskFullFile()
             writer = JournalWriter(fileobj=device, fsync_every=8)
@@ -1060,11 +1017,12 @@ class ChaosHarness:
                 DeterministicRandomSource(self.seed),
                 journal=journal,
                 store=store,
-                worker_store_dir=store_dir if wants_processes else None,
+                worker_store_dir=store_dir if on_sockets else None,
             )
             ctx = _RunContext(
                 coordinator=coordinator,
                 rounds=self.rounds,
+                plane=self.plane,
                 journal_device=device,
                 journal_path=journal_path,
                 journal_writer=writer,

@@ -1,22 +1,61 @@
 """Chaos property: byte-identical transcripts + valid licenses under faults.
 
-Every named fault plan (and two composed schedules) must preserve the
-paper's externally visible protocol bytes.  One harness is shared per
-module so the control transcript is built once.
+Every named fault plan (and the composed schedules) must preserve the
+paper's externally visible protocol bytes, on either plane: in memory,
+and with the shards and the STP as worker processes over TCP.  One
+harness per plane is shared per module, and both judge against the same
+in-memory control transcript.
 """
+
+import re
 
 import pytest
 
+from repro.cluster.router import ShardRouter
 from repro.errors import ChaosPlanError
 from repro.resilience.chaos import (
     PLAN_NAMES,
+    PLANES,
     ChaosHarness,
     fingerprint_message,
+    plans_for,
 )
+from repro.telemetry import MetricsRegistry
+
+
+def _noted(result, text: str) -> bool:
+    return any(text in note for note in result.notes)
+
+
+#: What each plan's fault leaves in the verdict, on either plane.
+FIRED = {
+    "kill-shard": lambda r: r.failovers >= 1,
+    "drop-links": lambda r: (
+        r.drops_retried == r.fault_stats["dropped"] > 0 and r.failovers == 0
+    ),
+    "delay-links": lambda r: r.fault_stats["delayed"] > 0,
+    "duplicate-links": lambda r: r.fault_stats["duplicated"] > 0,
+    "stp-outage": lambda r: _noted(r, "stp outage drained"),
+    "coordinator-crash": lambda r: r.replayed_draws > 0,
+    "journal-disk-full": lambda r: r.fallback_draws > 0,
+    "kill9-then-coldstart": lambda r: _noted(r, "cold-started from"),
+    "asymmetric-partition": lambda r: r.failovers == 1 and r.fenced_rejections == 1,
+    "split-brain-promote": lambda r: r.failovers == 0 and r.fenced_rejections == 1,
+    "clock-skew": lambda r: r.suspects >= 1 and r.failovers == 0,
+    "gray-slow-shard": lambda r: (
+        r.suspects >= 1 and r.failovers == 0 and _noted(r, "promoted none")
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def harness():
     return ChaosHarness(seed=7, shards=2, rounds=2, key_bits=256)
+
+
+@pytest.fixture(scope="module")
+def socket_harness():
+    return ChaosHarness(seed=7, shards=2, rounds=2, key_bits=256, plane="socket")
 
 
 class TestEveryPlan:
@@ -26,6 +65,29 @@ class TestEveryPlan:
         assert result.transcript_equal, result.notes
         assert result.licenses_valid, result.notes
         assert result.ok
+        assert FIRED[plan](result), result.to_dict()
+
+    @pytest.mark.parametrize("plan", plans_for("socket"))
+    def test_plan_on_sockets(self, socket_harness, plan):
+        result = socket_harness.run([plan])
+        assert result.transcript_equal, result.notes
+        assert result.licenses_valid, result.notes
+        assert result.exact_segments == socket_harness.rounds + 1
+        assert result.ok
+        assert FIRED[plan](result), result.to_dict()
+        # No journal on sockets, so no writer audit and no replay.
+        assert result.writer_violations == -1
+        assert result.replayed_draws == -1
+        if plan == "kill-shard":
+            # A real SIGKILL, and exactly one restart of the victim.
+            assert any(
+                re.fullmatch(r"restarts\(shard-\d+\)=1", note)
+                for note in result.notes
+            ), result.notes
+        if result.fenced_rejections:
+            # The worker raised it; the error frame carried its type.
+            assert _noted(result, "rejected over the wire"), result.notes
+            assert not _noted(result, "SPLIT BRAIN")
 
     def test_coordinator_crash_replays_from_journal_only(self, harness):
         result = harness.run(["coordinator-crash"])
@@ -76,6 +138,12 @@ class TestComposedSchedules:
         assert result.failovers >= 1
         assert result.fault_stats["dropped"] > 0
 
+    def test_kill_plus_drop_on_sockets(self, socket_harness):
+        result = socket_harness.run(["kill-shard", "drop-links"])
+        assert result.ok, result.notes
+        assert result.failovers >= 1
+        assert result.fault_stats["dropped"] > 0
+
     def test_crash_plus_outage(self, harness):
         result = harness.run(["coordinator-crash", "stp-outage"])
         assert result.ok
@@ -108,6 +176,53 @@ class TestRoundsAreTheBrokersPass:
         assert [len(segment) for segment in record.segments[1:]] == [4, 4]
 
 
+class TestFaultGuard:
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_unfired_fault_is_not_transcript_equal(self, monkeypatch, plane):
+        # The router keeps its own scatter: kill-shard's wrapper is
+        # never installed, so nothing is killed on either plane.
+        scatter = ShardRouter.scatter_phase1
+        monkeypatch.setattr(
+            ShardRouter,
+            "scatter_phase1",
+            property(lambda router: scatter.__get__(router), lambda router, _: None),
+        )
+        result = ChaosHarness(plane=plane).run(["kill-shard"])
+        # Every byte matches the control — but the run proved nothing
+        # about recovery and must not read as a pass.
+        assert result.licenses_valid
+        assert not result.transcript_equal
+        assert result.failovers == 0
+        assert _noted(result, "fault never fired")
+
+
+class TestSocketPlane:
+    def test_split_brain_scrapes_the_fencing_families(self):
+        registry = MetricsRegistry()
+        result = ChaosHarness(metrics=registry, plane="socket").run(
+            ["split-brain-promote"]
+        )
+        assert result.ok, result.notes
+        text = registry.to_prometheus()
+        assert 'fencing_tokens_current{shard="shard-0"} 2' in text
+        assert 'fenced_requests_total{shard="shard-0"} 1' in text
+        assert 'promotions_total{reason="failover"} 1' in text
+        assert 'promotions_total{reason="manual"} 1' in text
+        assert "heartbeat_rtt_seconds" in text
+
+    @pytest.mark.parametrize(
+        "plan", ["coordinator-crash", "journal-disk-full", "kill9-then-coldstart"]
+    )
+    def test_journal_plans_stay_in_memory(self, socket_harness, plan):
+        assert plan not in plans_for("socket")
+        with pytest.raises(ChaosPlanError, match="no write-ahead journal"):
+            socket_harness.run([plan])
+
+    def test_unknown_plane_rejected(self):
+        with pytest.raises(ChaosPlanError, match="unknown plane"):
+            ChaosHarness(plane="carrier-pigeon")
+
+
 class TestScheduleValidation:
     def test_unknown_plan_rejected(self, harness):
         with pytest.raises(ChaosPlanError):
@@ -120,6 +235,13 @@ class TestScheduleValidation:
     def test_two_crashing_plans_rejected(self, harness):
         with pytest.raises(ChaosPlanError):
             harness.run(["coordinator-crash", "journal-disk-full"])
+
+    @pytest.mark.parametrize("store_plan", ["clock-skew", "split-brain-promote"])
+    def test_disk_full_refuses_a_store_journal(self, harness, store_plan):
+        # A store plan journals to a file, which the plan cannot fill:
+        # run anyway, the disk-full fault would never fire.
+        with pytest.raises(ChaosPlanError, match="journal-disk-full"):
+            harness.run(["journal-disk-full", store_plan])
 
     def test_nonpositive_rounds_rejected(self):
         with pytest.raises(ChaosPlanError):
@@ -163,18 +285,22 @@ class TestTracedChaos:
         ]
 
     @pytest.mark.parametrize(
-        "plan, fired",
+        "plane, plan, fired",
         [
-            ("drop-links", lambda result: result.fault_stats["dropped"] > 0),
+            ("memory", "drop-links", lambda result: result.fault_stats["dropped"] > 0),
             # Real worker processes: the SIGKILL + restart happens inside
             # one sub-query span, so the tree still matches the control's.
-            ("proc-kill-shard", lambda result: result.failovers >= 1),
+            ("socket", "kill-shard", lambda result: result.failovers >= 1),
         ],
-        ids=["drop", "proc"],
+        ids=["drop", "socket"],
     )
-    def test_span_signatures_identical_clean_vs_faulted(self, harness, plan, fired):
+    def test_span_signatures_identical_clean_vs_faulted(
+        self, harness, socket_harness, plane, plan, fired
+    ):
         from repro.telemetry import Tracer
 
+        if plane == "socket":
+            harness = socket_harness
         clean = Tracer()
         harness.control(tracer=clean)
         faulted = Tracer()
@@ -206,6 +332,13 @@ class TestWorkloadComposition:
             workload="pu-churn-storm",
         )
 
+    @pytest.fixture(scope="class")
+    def socket_storm_harness(self):
+        return ChaosHarness(
+            seed=7, shards=2, rounds=2, key_bits=256,
+            workload="pu-churn-storm", plane="socket",
+        )
+
     def test_flash_crowd_plus_kill_shard(self):
         harness = ChaosHarness(
             seed=7, shards=2, rounds=2, key_bits=256, workload="flash-crowd"
@@ -216,11 +349,20 @@ class TestWorkloadComposition:
         assert result.workload == "flash-crowd"
         assert result.failovers >= 1
 
-    @pytest.mark.parametrize("plan", ["asymmetric-partition", "proc-kill-shard"])
+    @pytest.mark.parametrize("plan", ["asymmetric-partition", "kill-shard"])
     def test_churn_storm_under(self, storm_harness, plan):
         result = storm_harness.run([plan])
         assert result.transcript_equal, result.notes
         assert result.licenses_valid, result.notes
+        assert result.to_dict()["workload"] == "pu-churn-storm"
+
+    @pytest.mark.parametrize(
+        "schedule", ["asymmetric-partition", "kill-shard,drop-links"]
+    )
+    def test_churn_storm_on_sockets(self, socket_storm_harness, schedule):
+        result = socket_storm_harness.run(schedule.split(","))
+        assert result.ok, result.notes
+        assert result.failovers >= 1
         assert result.to_dict()["workload"] == "pu-churn-storm"
 
     def test_churn_storm_script_carries_updates(self, storm_harness):

@@ -42,6 +42,8 @@ RETIRED = re.compile(
     r"|WorkloadConfig|PoissonArrivals|PuSwitchProcess|SimClock|ConstantLatency"
     r"|ShardPhase2Request|ShardPhase2Response|scatter_phase2|process_phase2"
     r"|encode_phase2_request|decode_phase2_response"
+    r"|proc-kill-shard|proc-split-brain|proc-gray-slow|SOCKET_PLAN_NAMES"
+    r"|wants_processes|set_subquery_hook|fire_subquery_hook"
 )
 
 
