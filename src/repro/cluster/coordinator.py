@@ -47,6 +47,7 @@ from repro.crypto.signatures import RsaFdhSigner
 from repro.errors import ProtocolError
 from repro.geo.region import PrivacyRegion
 from repro.net.transport import InMemoryTransport, resolve_transport
+from repro.pisa.kernel import CellTable
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcFront
@@ -235,6 +236,9 @@ class ClusterCoordinator(PisaCoordinator):
         Control plane only — deterministic, no RNG draws.
         """
         environment, store, metrics = self.environment, self.store, self._metrics
+        #: What every shard's kernel reads of the map, in memory or shipped
+        #: in a worker's bootstrap.
+        self.cells = CellTable.of(environment)
         shard_ids = tuple(f"shard-{i}" for i in range(self._num_shards))
         self.membership = ClusterMembership(shard_ids)
         self.replica_sets: dict[str, ShardReplicaSet] = {
@@ -293,7 +297,7 @@ class ClusterCoordinator(PisaCoordinator):
         def factory(role: str) -> SdcShard:
             return SdcShard(
                 shard_id,
-                self.environment,
+                self.cells,
                 self.stp.group_public_key,
                 executor=executor,
             )

@@ -34,18 +34,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.crypto.paillier import EncryptedNumber, PaillierPublicKey
 from repro.crypto.parallel import Executor
 from repro.crypto.serialization import ciphertext_wire_size, encoded_int_size
 from repro.errors import FencedError, ProtocolError, ShardDownError
 from repro.pisa.blinding import CellBlinding
-from repro.pisa.kernel import BlockKernel
+from repro.pisa.kernel import BlockKernel, CellTable
 from repro.pisa.messages import PUUpdateMessage
-
-if TYPE_CHECKING:  # an annotation only; the map's module loads numpy
-    from repro.watch.environment import SpectrumEnvironment
 
 __all__ = [
     "ShardPhase1Request",
@@ -120,15 +116,14 @@ class SdcShard:
     def __init__(
         self,
         shard_id: str,
-        environment: SpectrumEnvironment,
+        cells: CellTable,
         group_public_key: PaillierPublicKey,
         blocks: tuple[int, ...] = (),
         executor: Executor | None = None,
     ) -> None:
         self.shard_id = shard_id
-        self.environment = environment
         self.group_public_key = group_public_key
-        self._kernel = BlockKernel(environment, group_public_key, executor=executor)
+        self._kernel = BlockKernel(cells, group_public_key, executor=executor)
         self.alive = True
         self.last_committed_epoch = -1
         #: Highest fencing token ever observed; lower-token writes die.

@@ -89,19 +89,19 @@ class SocketClusterCoordinator(ClusterCoordinator):
     the in-process ``StpServer.__init__`` would (first draw of
     construction, before the signing key), then hands it to a
     :class:`~repro.netd.remote.RemoteStp`; :meth:`_build_replica_set`
-    yields :class:`~repro.netd.remote.RemoteShardSet` proxies; and
+    yields :class:`~repro.netd.remote.RemoteShardSet` proxies, each
+    shipping the coordinator's :attr:`cells` to its worker; and
     :meth:`kill_shard` / :meth:`slow_shard` act on the worker process.
     Everything else — router, allocator, clients, license signing — is
     inherited unchanged, which is the point.
     """
 
-    def __init__(self, environment, netd: NetdContext, scenario_config, **kwargs):
+    def __init__(self, environment, netd: NetdContext, **kwargs):
         # The build hooks run inside super().__init__; stash their
         # dependencies first.
         #: The :class:`NetdContext` — authority, supervisor, socket
         #: transport — for health checks and process-level fault drills.
         self.netd = netd
-        self._scenario_config = scenario_config
         super().__init__(environment, **kwargs)
 
     def _build_stp(self, key_bits: int, stp_executor) -> RemoteStp:
@@ -124,7 +124,7 @@ class SocketClusterCoordinator(ClusterCoordinator):
             self.netd.transport,
             self.netd.supervisor,
             self.netd.authority,
-            self._scenario_config,
+            self.cells,
             self.stp.group_public_key,
         )
 
@@ -216,7 +216,6 @@ def build_socket_coordinator(
         coordinator = SocketClusterCoordinator(
             scenario.environment,
             netd=netd,
-            scenario_config=scenario_config,
             num_shards=num_shards,
             key_bits=key_bits,
             rng=rng,

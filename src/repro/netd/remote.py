@@ -52,12 +52,14 @@ from repro.netd.wire import (
     decode_exponents_request,
     decode_exponents_response,
     decode_phase1_response,
+    encode_cells,
     encode_control,
     encode_error,
     encode_exponents_request,
     encode_exponents_response,
     encode_phase1_request,
 )
+from repro.pisa.kernel import CellTable
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 from repro.pisa.storage import encode_shard_state
@@ -327,7 +329,8 @@ class RemoteShardSet(ReplicaSetBase):
     There is no warm standby process; the "promote" of the socket plane
     is *restart and re-bootstrap* — :meth:`promote` asks the supervisor
     for a live worker, and the worker pulls its full current state
-    (blocks, latest update per PU, committed epoch — one
+    (the map's :class:`~repro.pisa.kernel.CellTable`, the fence token,
+    blocks, latest update per PU, committed epoch — one
     ``PISA-SHARD-STATE-v1`` blob) from the bootstrap provider, which
     this object keeps serving from its caches.  Since ``⊕`` is
     commutative and the shard keeps only the latest update per PU,
@@ -341,7 +344,7 @@ class RemoteShardSet(ReplicaSetBase):
         transport: SocketTransport,
         supervisor,
         authority: AuthorityServer,
-        scenario_config,
+        cells: CellTable,
         group_public_key: PaillierPublicKey,
         clock=time.monotonic,
     ) -> None:
@@ -350,7 +353,8 @@ class RemoteShardSet(ReplicaSetBase):
         super().__init__(shard_id, clock)
         self._transport = transport
         self.supervisor = supervisor
-        self._scenario_spec = dataclasses.asdict(scenario_config)
+        #: The worker's whole view of the map, shipped as its kernel reads it.
+        self._cells = encode_cells(cells)
         self.group_public_key = group_public_key
         self._blocks: set[int] = set()
         self._pu_updates: dict[str, bytes] = {}
@@ -365,7 +369,7 @@ class RemoteShardSet(ReplicaSetBase):
             return encode_control(
                 {
                     "role": "shard",
-                    "scenario": self._scenario_spec,
+                    "cells": self._cells,
                     "fence_token": self.fence_token,
                 },
                 encode_public_key(self.group_public_key),

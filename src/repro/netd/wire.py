@@ -12,7 +12,10 @@ Three payload families cross process boundaries:
   one-byte-magnitude sign flag).
 * **Control frames** (hello, config, bootstrap, rand, errors)
   are small JSON objects — sorted keys, UTF-8 — optionally followed by
-  binary attachments via ``encode_bytes``.  The one binary control
+  binary attachments via ``encode_bytes``.  A shard's bootstrap header
+  carries its kernel's :class:`~repro.pisa.kernel.CellTable` as
+  ``cells`` (:func:`encode_cells`); JSON keeps every ``E`` entry an
+  exact int, however wide.  The one binary control
   frame is ``rand_exponents`` (a count out, that many Paillier nonces
   back): its fields are big integers, not JSON's.
 
@@ -44,6 +47,7 @@ from repro.crypto.serialization import (
 )
 from repro.errors import ReproError, SerializationError, TransportError
 from repro.pisa.blinding import CellBlinding
+from repro.pisa.kernel import CellTable
 from repro.pisa.messages import (
     LicenseResponse,
     PUUpdateMessage,
@@ -56,12 +60,14 @@ __all__ = [
     "MAX_EXPONENTS_PER_FRAME",
     "MAX_RAND_BITS",
     "PROTOCOL_KINDS",
+    "decode_cells",
     "decode_control",
     "decode_error",
     "decode_exponents_request",
     "decode_exponents_response",
     "decode_phase1_request",
     "decode_phase1_response",
+    "encode_cells",
     "encode_control",
     "encode_error",
     "encode_exponents_request",
@@ -253,6 +259,43 @@ def decode_control(
         attachments.append(blob)
     _check_consumed(payload, offset, "control frame")
     return obj, attachments
+
+
+# -- a shard's cell table ----------------------------------------------------------
+
+
+def encode_cells(table: CellTable) -> dict:
+    """The bootstrap header's ``cells`` value: the table's fields, ``e`` as rows."""
+    return {
+        "num_channels": table.num_channels,
+        "num_blocks": table.num_blocks,
+        "delta": table.delta,
+        "e": [list(row) for row in table.e],
+    }
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON's true/false decode to bool, a subclass
+
+
+def decode_cells(obj) -> CellTable:
+    """:func:`encode_cells` back, refusing any shape the kernel could misread:
+    sizes and ``Δ`` positive ints, ``num_channels`` rows of ``num_blocks`` ints."""
+    if not isinstance(obj, dict):
+        raise SerializationError("cell table must be a JSON object")
+    sizes = [obj.get(name) for name in ("num_channels", "num_blocks", "delta")]
+    if not all(_is_int(size) and size > 0 for size in sizes):
+        raise SerializationError(f"cell table sizes and Δ must be positive ints, got {sizes}")
+    num_channels, num_blocks, delta = sizes
+    rows = obj.get("e")
+    if not isinstance(rows, list) or len(rows) != num_channels:
+        raise SerializationError(f"cell table needs {num_channels} rows of E")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != num_blocks:
+            raise SerializationError(f"cell table rows must be {num_blocks} cells wide")
+        if not all(_is_int(value) for value in row):
+            raise SerializationError("cell table entries must be ints")
+    return CellTable(num_channels, num_blocks, delta, tuple(tuple(row) for row in rows))
 
 
 # -- batched nonce draws ----------------------------------------------------------

@@ -15,7 +15,11 @@ Startup is a *pull*: dial the authority, poll ``bootstrap`` until the
 coordinator registers this worker's provider, apply the config, bind an
 ephemeral port, atomically write the readiness file.  A crash restart
 re-runs exactly the same pull — the provider serves current state — so
-the supervisor never pushes anything.
+the supervisor never pushes anything.  A shard's config carries all
+that its kernel reads of the map, the
+:class:`~repro.pisa.kernel.CellTable` (``cells``), so a shard worker
+never builds the map and never loads numpy; a malformed table is
+refused before the readiness file exists.
 
 Every accepted connection has a thread of its own that reads a frame,
 runs the handler and writes the reply, so pings on one connection stay
@@ -53,6 +57,7 @@ from repro.errors import (
 from repro.netd.framing import FrameStream
 from repro.netd.transport import CONNECT_TIMEOUT_S, FrameServer, PeerClient, TlsSpec
 from repro.netd.wire import (
+    decode_cells,
     decode_control,
     decode_phase1_request,
     encode_control,
@@ -97,23 +102,21 @@ class ShardState:
     role = "shard"
 
     def __init__(self, payload: bytes, store: StateStore | None = None) -> None:
-        # The shard role's own imports: the map (numpy) and the store.
+        # The shard role's own imports: the store, and no map — the
+        # bootstrap's cell table is everything the kernel reads of it.
         from repro.cluster.shard import SdcShard
         from repro.store.coldstart import rebuild_shard
         from repro.store.memory import MemoryStateStore
-        from repro.watch.scenario import ScenarioConfig, build_scenario
 
         obj, (key_raw, live) = decode_control(payload, num_attachments=2)
+        cells = decode_cells(obj.get("cells"))
         self.group_public_key = decode_public_key(key_raw)
         #: ``--store``'s SQLite file, or memory when the worker has none.
         self.store = store if store is not None else MemoryStateStore()
         #: Chaos seam: artificial per-sub-query service delay (seconds),
         #: armed by a ``chaos_delay`` frame for gray-failure drills.
         self.delay_s = 0.0
-        scenario = build_scenario(ScenarioConfig(**obj["scenario"]))
-        self.shard = SdcShard(
-            decode_shard_state(live)[0], scenario.environment, self.group_public_key
-        )
+        self.shard = SdcShard(decode_shard_state(live)[0], cells, self.group_public_key)
         # The one rebuild rule: the durable snapshot (if the store
         # survived the crash) as a head start, then every update the
         # broker's bootstrap blob holds — ⊕ commutes and state is

@@ -15,6 +15,11 @@ cell lives here, once:
 Both run in closed form — the residue of ``Z*_{n²}`` each operator chain
 computes (``g = n + 1`` has order ``n``), so the bytes are the chain's.
 
+The kernel reads one thing of the map, a :class:`CellTable`: the shape,
+the threshold ``Δ`` and the public matrix ``E`` as plain ints.  That is
+what lets a shard worker boot from its bootstrap without building the
+map (towers, terrain, numpy) the table was computed from.
+
 The kernel draws **no randomness**: every ``(α, β, ε)`` is handed in by
 the request front (:class:`~repro.pisa.sdc_server.SdcFront`), which is
 what makes the transcript independent of how blocks are spread over
@@ -31,6 +36,7 @@ and :func:`partial_q_sum`).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.crypto.numtheory import modinv
@@ -43,7 +49,32 @@ from repro.pisa.messages import PUUpdateMessage
 if TYPE_CHECKING:  # an annotation only; the map's module loads numpy
     from repro.watch.environment import SpectrumEnvironment
 
-__all__ = ["BlockKernel", "partial_q_sum", "require_key", "require_units"]
+__all__ = ["BlockKernel", "CellTable", "partial_q_sum", "require_key", "require_units"]
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """Everything phase 1 reads of the map: ``C × B``, ``Δ`` and ``E``.
+
+    ``e[c][b]`` is ``E(c, b)`` (§IV-A1) as a Python int and ``delta`` is
+    ``X = SINR + REDN`` in the integer form the scalar multiplications
+    use (eq. (11)).  Both are public; nothing here is drawn.
+    """
+
+    num_channels: int
+    num_blocks: int
+    delta: int
+    e: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, environment: SpectrumEnvironment) -> CellTable:
+        """The table of one map (builds its ``E`` if nothing has yet)."""
+        return cls(
+            num_channels=environment.num_channels,
+            num_blocks=environment.num_blocks,
+            delta=environment.params.sinr_plus_redn_int,
+            e=tuple(tuple(int(v) for v in row) for row in environment.e_matrix.tolist()),
+        )
 
 
 def require_key(
@@ -80,11 +111,11 @@ class BlockKernel:
 
     def __init__(
         self,
-        environment: SpectrumEnvironment,
+        cells: CellTable,
         group_public_key: PaillierPublicKey,
         executor: Executor | None = None,
     ) -> None:
-        self.environment = environment
+        self.cells = cells
         self.group_public_key = group_public_key
         self._executor = default_executor(executor)
         #: pu_id → (block, per-channel cts) — latest update per PU.
@@ -102,10 +133,9 @@ class BlockKernel:
         ``⊕_{i∈PUs} W̃_i`` over each PU's *latest* state.  A malformed
         update (a non-unit ciphertext included) is rejected before any state changes.
         """
-        env = self.environment
-        if len(message.ciphertexts) != env.num_channels:
+        if len(message.ciphertexts) != self.cells.num_channels:
             raise ProtocolError("PU update must carry one ciphertext per channel")
-        if not 0 <= message.block_index < env.num_blocks:
+        if not 0 <= message.block_index < self.cells.num_blocks:
             raise ProtocolError(f"PU block {message.block_index} outside the area")
         require_units(message.ciphertexts, self.group_public_key, "PU update")
         self.remove_pu(message.pu_id)  # ⊖ old
@@ -166,10 +196,10 @@ class BlockKernel:
         unit check run here as well as at the front.
         """
         require_units((ct for row in matrix for ct in row), self.group_public_key, "request entry")
-        e_matrix = self.environment.e_matrix
+        e = self.cells.e
         return [
             [
-                (f_ct, self._w_sum.get((c, blocks[k])), int(e_matrix[c, blocks[k]]))
+                (f_ct, self._w_sum.get((c, blocks[k])), e[c][blocks[k]])
                 for k, f_ct in enumerate(row)
             ]
             for c, row in enumerate(matrix)
@@ -186,7 +216,7 @@ class BlockKernel:
         so the output does not depend on which executor ran them."""
         _require_signs(cell.epsilon for row in blindings for cell in row)
         pk = self.group_public_key
-        delta = self.environment.params.sinr_plus_redn_int
+        delta = self.cells.delta
         jobs = []
         for cell_row, blinding_row in zip(cells, blindings):
             for (f_ct, w_ct, _), cell in zip(cell_row, blinding_row):

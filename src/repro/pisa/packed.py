@@ -58,7 +58,7 @@ from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import encode_bytes, encode_ciphertext, encode_int
 from repro.errors import ProtocolError
 from repro.pisa.blinding import indicator_bound_for
-from repro.pisa.kernel import BlockKernel, require_key
+from repro.pisa.kernel import BlockKernel, CellTable, require_key
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
 from repro.pisa.messages import LicenseResponse, PUUpdateMessage
@@ -293,7 +293,7 @@ class PackedSdcServer(SdcFront):
         )
         self._executor = default_executor(executor)
         self.layout = slot_layout(directory.group_public_key, environment)
-        self.kernel = BlockKernel(environment, directory.group_public_key)
+        self.kernel = BlockKernel(CellTable.of(environment), directory.group_public_key)
         self.chunks_processed = 0
 
     def handle_pu_update(self, message: PUUpdateMessage) -> None:
@@ -326,7 +326,7 @@ class PackedSdcServer(SdcFront):
     def start_request(
         self, request: PackedRequestMessage, span=None
     ) -> PackedSignExtractionRequest:
-        env = self.environment
+        cells = self.kernel.cells
         if span is not None:
             span.set_attribute("blocks", len(request.region_blocks))
         self._check_request(request.su_id, request.region_blocks, request.rows)
@@ -336,7 +336,7 @@ class PackedSdcServer(SdcFront):
             if len(row) != len(block_chunks):
                 raise ProtocolError("row chunk count does not match the region")
         pk = self.group_public_key
-        delta = env.params.sinr_plus_redn_int
+        delta = cells.delta
         # Pass 1: all randomness in chunk order (so results are
         # byte-identical whichever executor runs pass 2), and each chunk's
         # eqs. (10)-(14) in closed form, F^{−Δα} · Π W^{2^{iW}·α} ·
@@ -352,7 +352,7 @@ class PackedSdcServer(SdcFront):
                     if (w_ct := self.kernel.cell(c, block)) is not None
                 ]
                 jobs += [(f_chunk.ciphertext, -delta * alpha, pk.n_sq), *pu_jobs]
-                e_packed = layout.pack([int(env.e_matrix[c, b]) for b in blocks])
+                e_packed = layout.pack([cells.e[c][b] for b in blocks])
                 finishes.append((len(pu_jobs), alpha * e_packed + packed_bias))
                 used_slots.append(len(blocks))
         self.chunks_processed += len(finishes)
@@ -388,7 +388,7 @@ class PackedSdcServer(SdcFront):
             real_positions=tuple(real_positions),
             used_slots=tuple(used_slots),
             request_digest=TransmissionLicense.digest_of(request.digest_bytes()),
-            channels=tuple(range(env.num_channels)),
+            channels=tuple(range(cells.num_channels)),
         )
         return PackedSignExtractionRequest(
             round_id=round_id, su_id=request.su_id, chunks=tuple(shuffled)

@@ -41,7 +41,13 @@ from repro.pisa.blinding import (
     CellBlinding,
     indicator_bound_for,
 )
-from repro.pisa.kernel import BlockKernel, partial_q_sum, require_key, require_units
+from repro.pisa.kernel import (
+    BlockKernel,
+    CellTable,
+    partial_q_sum,
+    require_key,
+    require_units,
+)
 from repro.pisa.keys import KeyDirectory
 from repro.pisa.license import TransmissionLicense
 from repro.pisa.messages import (
@@ -277,7 +283,7 @@ class SdcServer(SdcFront):
         )
         self._executor = default_executor(executor)
         self.kernel = BlockKernel(
-            environment, directory.group_public_key, executor=self._executor
+            CellTable.of(environment), directory.group_public_key, executor=self._executor
         )
 
     def handle_pu_update(self, message: PUUpdateMessage) -> None:

@@ -20,6 +20,7 @@ from repro.cluster.fencing import (
 )
 from repro.cluster.shard import SdcShard
 from repro.errors import FencedError, RetryExhaustedError
+from repro.pisa.kernel import CellTable
 from repro.resilience.policy import (
     NEVER_RETRYABLE,
     RetryPolicy,
@@ -155,7 +156,7 @@ class TestShardRatchet:
     def make_shard(self, small_scenario, keypair):
         return SdcShard(
             "shard-0",
-            small_scenario.environment,
+            CellTable.of(small_scenario.environment),
             keypair.public_key,
             blocks=(),
         )

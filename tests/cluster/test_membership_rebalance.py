@@ -11,6 +11,7 @@ from repro.cluster.rebalance import execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError, MembershipError
+from repro.pisa.kernel import CellTable
 from repro.pisa.storage import serialize_shard_state
 from repro.store import MemoryStateStore
 
@@ -102,7 +103,7 @@ class TestHandoffExecution:
             return ShardReplicaSet(
                 shard_id,
                 shard_factory=lambda role: SdcShard(
-                    shard_id, small_scenario.environment, keypair.public_key
+                    shard_id, CellTable.of(small_scenario.environment), keypair.public_key
                 ),
                 store=MemoryStateStore(),
             )
@@ -128,7 +129,7 @@ class TestHandoffExecution:
         replica_sets["c"] = ShardReplicaSet(
             "c",
             shard_factory=lambda role: SdcShard(
-                "c", small_scenario.environment, keypair.public_key
+                "c", CellTable.of(small_scenario.environment), keypair.public_key
             ),
             store=MemoryStateStore(),
         )

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError
+from repro.pisa.kernel import CellTable
 from repro.pisa.pu_client import PUClient
 from repro.pisa.storage import serialize_shard_state
 from repro.store import MemoryStateStore
@@ -26,7 +27,7 @@ def replica_set(small_scenario, keypair):
     clock = FakeClock()
 
     def factory(role: str) -> SdcShard:
-        return SdcShard("shard-0", small_scenario.environment, keypair.public_key)
+        return SdcShard("shard-0", CellTable.of(small_scenario.environment), keypair.public_key)
 
     rs = ShardReplicaSet(
         "shard-0",

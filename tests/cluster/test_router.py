@@ -14,6 +14,7 @@ from repro.cluster.router import ShardRouter
 from repro.cluster.shard import SdcShard
 from repro.errors import ClusterError, ShardDownError
 from repro.net.transport import InMemoryTransport, resolve_transport
+from repro.pisa.kernel import CellTable
 from repro.store import MemoryStateStore
 from repro.telemetry import MetricsRegistry
 
@@ -35,7 +36,7 @@ def make_router(small_scenario, keypair, shard_ids=("a", "b"), **kwargs):
         replica_sets[shard_id] = ShardReplicaSet(
             shard_id,
             shard_factory=lambda role, sid=shard_id: SdcShard(
-                sid, small_scenario.environment, keypair.public_key
+                sid, CellTable.of(small_scenario.environment), keypair.public_key
             ),
             store=store,
         )

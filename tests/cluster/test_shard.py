@@ -4,13 +4,14 @@ import pytest
 
 from repro.cluster.shard import SdcShard
 from repro.errors import ProtocolError, SerializationError, ShardDownError
+from repro.pisa.kernel import CellTable
 from repro.pisa.storage import restore_shard_state, serialize_shard_state
 
 
 def make_shard(small_scenario, keypair, blocks=(), shard_id="shard-0"):
     return SdcShard(
         shard_id,
-        small_scenario.environment,
+        CellTable.of(small_scenario.environment),
         keypair.public_key,
         blocks=tuple(blocks),
     )

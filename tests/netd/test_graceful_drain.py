@@ -19,7 +19,8 @@ from repro.crypto.serialization import encode_private_key, encode_public_key
 from repro.netd.remote import AuthorityServer
 from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import PeerClient
-from repro.netd.wire import decode_control, encode_control
+from repro.netd.wire import decode_control, encode_cells, encode_control
+from repro.pisa.kernel import CellTable
 from repro.pisa.messages import SignExtractionRequest
 from repro.pisa.storage import encode_shard_state
 
@@ -29,16 +30,41 @@ def _plane_threads() -> list[str]:
     return [t.name for t in threading.enumerate() if t.name.startswith("netd-")]
 
 
+#: A well-formed two-channel, two-block table, and the ways a bootstrap's
+#: ``cells`` header can be malformed, by the name of the worker handed it.
+CELLS = encode_cells(CellTable(2, 2, 3, ((1, 2), (3, 4))))
+MALFORMED_CELLS = {
+    "ragged-row": {**CELLS, "e": [[1, 2], [3]]},
+    "too-few-rows": {**CELLS, "e": [[1, 2]]},
+    "too-wide": {**CELLS, "e": [[1, 2, 5], [3, 4, 6]]},
+    "bool-entry": {**CELLS, "e": [[1, True], [3, 4]]},
+    "float-entry": {**CELLS, "e": [[1, 2.0], [3, 4]]},
+    "zero-channels": {**CELLS, "num_channels": 0, "e": []},
+    "negative-blocks": {**CELLS, "num_blocks": -2},
+    "no-table": None,
+}
+
+
+def _shard_bootstrap(name: str, cells, keypair) -> bytes:
+    header = {"role": "shard", "fence_token": 3}
+    if cells is not None:
+        header["cells"] = cells
+    return encode_control(
+        header,
+        encode_public_key(keypair.public_key),
+        encode_shard_state(name, -1, (), ()),
+    )
+
+
 @pytest.fixture()
 def authority(keypair):
     server = AuthorityServer(DeterministicRandomSource(seed=7))
     address = server.start()
-    payload = encode_control(
-        {"role": "shard", "scenario": {"seed": 5}, "fence_token": 3},
-        encode_public_key(keypair.public_key),
-        encode_shard_state("shard-t", -1, (), ()),
-    )
+    payload = _shard_bootstrap("shard-t", CELLS, keypair)
     server.register_bootstrap("shard-t", lambda: payload)
+    for name, cells in MALFORMED_CELLS.items():
+        bad = _shard_bootstrap(name, cells, keypair)
+        server.register_bootstrap(name, lambda bad=bad: bad)
     stp_payload = encode_control(
         {
             "role": "stp",
@@ -79,6 +105,23 @@ class TestGracefulDrain:
             # own terms — and took its readiness claim with it.
             assert code == 0
             assert not ready.exists()
+        finally:
+            supervisor.stop_all()
+
+
+class TestMalformedCellTable:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))
+    def test_refused_before_readiness(self, authority, tmp_path, name):
+        host, port = authority
+        supervisor = ProcessSupervisor(workdir=tmp_path / "run", monitor=False)
+        try:
+            supervisor.start(
+                name, "shard", extra_args=("--authority", f"{host}:{port}")
+            )
+            assert supervisor.wait_exit(name, timeout_s=30.0) == 1
+            assert not supervisor._ready_file(name).exists()
+            log = supervisor.log_file(name).read_text("utf-8")
+            assert f"{name}: SerializationError: cell table" in log
         finally:
             supervisor.stop_all()
 

@@ -9,7 +9,6 @@ first allocation — and a worker handed one must not have drawn anything
 or changed any state.
 """
 
-import dataclasses
 import struct
 import time
 from unittest import mock
@@ -28,13 +27,15 @@ from repro.errors import SerializationError, TransportError
 from repro.netd.wire import (
     decode_phase1_request,
     decode_phase1_response,
+    encode_cells,
     encode_control,
 )
 from repro.netd.worker import ShardState, StpState
 from repro.pisa import kernel
+from repro.pisa.kernel import CellTable
 from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
 from repro.pisa.storage import encode_shard_state, serialize_shard_state
-from repro.watch.scenario import ScenarioConfig
+from repro.watch.scenario import ScenarioConfig, build_scenario
 
 #: ``(rows, cols)``: rows of nothing, and more cells than the buffer
 #: could hold.
@@ -124,12 +125,9 @@ def test_phase1_request_needs_one_block_per_column(keypair):
 
 @pytest.fixture()
 def shard_worker(keypair):
+    cells = CellTable.of(build_scenario(ScenarioConfig(seed=5)).environment)
     payload = encode_control(
-        {
-            "role": "shard",
-            "scenario": dataclasses.asdict(ScenarioConfig(seed=5)),
-            "fence_token": 3,
-        },
+        {"role": "shard", "cells": encode_cells(cells), "fence_token": 3},
         encode_public_key(keypair.public_key),
         encode_shard_state("shard-0", -1, [0, 1, 2], ()),
     )

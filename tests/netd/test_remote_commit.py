@@ -13,8 +13,8 @@ import pytest
 from repro.errors import FencedError, LinkDownError
 from repro.netd.remote import RemoteShardSet
 from repro.netd.wire import decode_control
+from repro.pisa.kernel import CellTable
 from repro.pisa.storage import decode_shard_state
-from repro.watch.scenario import ScenarioConfig
 
 
 class _Worker:
@@ -35,7 +35,7 @@ def _remote(keypair, worker):
         worker,
         supervisor=SimpleNamespace(ensure_running=lambda shard_id: None),
         authority=SimpleNamespace(register_bootstrap=lambda name, provider: None),
-        scenario_config=ScenarioConfig(seed=5),
+        cells=CellTable(1, 1, 3, ((7,),)),
         group_public_key=keypair.public_key,
     )
 

@@ -1,6 +1,11 @@
-"""Wire codecs for shard sub-queries, control frames, and typed errors."""
+"""Wire codecs for shard sub-queries, control frames, cell tables and typed errors."""
+
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ProtocolError,
@@ -8,10 +13,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.netd.wire import (
+    decode_cells,
     decode_control,
     decode_error,
     decode_phase1_request,
     decode_phase1_response,
+    encode_cells,
     encode_control,
     encode_error,
     encode_phase1_request,
@@ -23,6 +30,7 @@ from repro.cluster.shard import (
     ShardPhase1Response,
 )
 from repro.pisa.blinding import CellBlinding
+from repro.pisa.kernel import CellTable
 
 
 def ct_matrix(pk, rng, rows, cols, base=0):
@@ -183,6 +191,74 @@ class TestControlFrames:
 
         with pytest.raises(SerializationError, match="malformed"):
             decode_control(encode_bytes(b"\xff\xfe not json"))
+
+
+class TestCellTable:
+    """A shard's whole view of the map crosses the bootstrap as JSON."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (100, 600)])
+        | st.tuples(st.integers(1, 6), st.integers(1, 12)),
+        delta=st.integers(1, 2**64),
+        first=st.integers(0, 2**80),
+        bits=st.sampled_from([1, 53, 54, 64, 100]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(shape=(1, 1), delta=1, first=3_981_071_705_534_974, bits=1, seed=0)
+    @example(shape=(100, 600), delta=40, first=2**53 + 1, bits=54, seed=1)
+    def test_bootstrap_header_round_trip_is_exact(self, shape, delta, first, bits, seed):
+        # Entries beyond 2^53 must survive: JSON carries them as exact ints.
+        rows, cols = shape
+        rng = random.Random(seed)
+        e = [[rng.getrandbits(bits) for _ in range(cols)] for _ in range(rows)]
+        e[0][0] = first
+        table = CellTable(rows, cols, delta, tuple(tuple(row) for row in e))
+        obj, _ = decode_control(encode_control({"role": "shard", "cells": encode_cells(table)}))
+        assert decode_cells(obj["cells"]) == table
+
+    def test_of_reads_the_maps_ints(self, scenario):
+        env = scenario.environment
+        table = CellTable.of(env)
+        assert (table.num_channels, table.num_blocks) == env.e_matrix.shape
+        assert table.delta == env.params.sinr_plus_redn_int
+        assert all(type(v) is int for row in table.e for v in row)
+        assert [list(row) for row in table.e] == env.e_matrix.tolist()
+
+    def test_the_socket_coordinator_ships_its_maps_table(self):
+        """What every shard worker is bootstrapped with is the table of the
+        broker's own map: the equivalence scenario's, cell for cell."""
+        from repro.crypto.rand import DeterministicRandomSource
+        from repro.netd.plane import NetdContext, SocketClusterCoordinator
+        from repro.netd.worker import ShardState
+        from repro.watch.scenario import build_scenario
+        from tests.netd.test_equivalence import SCENARIO_CONFIG
+
+        providers = {}
+        netd = NetdContext(
+            authority=SimpleNamespace(register_bootstrap=providers.__setitem__),
+            supervisor=None,
+            transport=SimpleNamespace(
+                transact=lambda endpoint, kind, payload: SimpleNamespace(payload=b"")
+            ),
+        )
+        scenario = build_scenario(SCENARIO_CONFIG)
+        coordinator = SocketClusterCoordinator(
+            scenario.environment,
+            netd=netd,
+            num_shards=2,
+            key_bits=256,
+            rng=DeterministicRandomSource(seed=7),
+        )
+        try:
+            expected = CellTable.of(scenario.environment)
+            for shard_id in ("shard-0", "shard-1"):
+                payload = providers[shard_id]()
+                obj, _ = decode_control(payload, num_attachments=2)
+                assert decode_cells(obj["cells"]) == expected
+                assert ShardState(payload).shard._kernel.cells == expected
+        finally:
+            coordinator.router.close()
 
 
 class TestTypedRemoteErrors:

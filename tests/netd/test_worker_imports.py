@@ -44,6 +44,30 @@ def test_the_stp_role_loads_neither_numpy_nor_sqlite():
     assert loaded_after(statement, ("numpy", "sqlite3")) == []
 
 
+#: The shard role's modules, and a worker built the way ``_serve`` builds
+#: one: ``ShardState`` from a bootstrap (the map used to load right here).
+SHARD_ROLE = """
+import repro.netd.worker, repro.cluster.shard, repro.store.coldstart
+import repro.store.memory, repro.store.sqlite
+from repro.crypto.paillier import generate_keypair
+from repro.crypto.rand import DeterministicRandomSource
+from repro.crypto.serialization import encode_public_key
+from repro.netd.wire import encode_cells, encode_control
+from repro.pisa.kernel import CellTable
+from repro.pisa.storage import encode_shard_state
+key = generate_keypair(256, rng=DeterministicRandomSource(seed=1)).public_key
+repro.netd.worker.ShardState(encode_control(
+    {"role": "shard", "cells": encode_cells(CellTable(1, 1, 3, ((7,),))), "fence_token": 0},
+    encode_public_key(key), encode_shard_state("shard-0", -1, (0,), ()),
+))
+"""
+
+
+def test_the_shard_role_loads_no_map():
+    watched = ("numpy", "repro.watch.scenario", "repro.watch.environment", "repro.watch.matrices")
+    assert loaded_after(SHARD_ROLE, watched) == []
+
+
 @pytest.mark.parametrize(
     "statement",
     [

@@ -35,7 +35,6 @@ from repro.store import (
     recover,
     tail_epoch_commits,
 )
-from repro.watch.scenario import ScenarioConfig
 
 from tests.cluster.conftest import build_cluster, run_round
 
@@ -250,7 +249,7 @@ def _by_worker_restart(tmp_path, with_store):
         transport,
         supervisor=None,
         authority=SimpleNamespace(register_bootstrap=lambda name, provider: None),
-        scenario_config=ScenarioConfig(seed=5),
+        cells=coordinator.cells,
         group_public_key=coordinator.stp.group_public_key,
     )
 
