@@ -12,11 +12,9 @@ Gives downstream users one entry point into the reproduction:
 ``profile``    Table II Paillier micro-benchmarks at any key size
 ``serve-loadtest``  drive the async service broker with synthetic
                open-loop load and report throughput/latency
-               (``--plane socket`` runs shards + STP as subprocesses)
-``trace``      run a traced loadtest and print the span tree plus
-               a per-phase latency breakdown
-``metrics-dump``  run a loadtest and dump the unified metrics
-               registry (Prometheus text or JSON)
+               (``--plane socket`` runs shards + STP as subprocesses;
+               ``--trace`` adds the span tree and per-phase latency,
+               ``--metrics-dump`` the Prometheus exposition)
 ``store``      inspect a durable SQLite state store (row counts,
                snapshot epochs, checkpoint metadata)
 ``audit``      crypto-hygiene static analyzer (CRY/SEC/ORD/SVC/TEL
@@ -87,30 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--seed", type=int, default=5)
     capacity.add_argument("--probe-dbm", type=float, default=16.0)
 
-    def add_loadtest_args(p, requests_default: int) -> None:
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--requests", type=int, default=requests_default,
-                       help="SU request arrivals to fire")
-        p.add_argument("--rate", type=float, default=50.0,
-                       help="mean arrivals per second (open loop)")
-        p.add_argument("--sus", type=int, default=3,
-                       help="distinct SUs cycling through arrivals")
-        p.add_argument("--key-bits", type=int, default=512,
-                       help="Paillier modulus (packed mode needs >= 512)")
-        p.add_argument("--shards", type=int, default=0,
-                       help="SDC shards behind the cluster facade "
-                            "(0 = single packed SDC)")
-        p.add_argument("--scenario", type=str, default="uhf",
-                       help="named scenario from the registry (uhf, "
-                            "cbrs-tiered)")
-        p.add_argument("--workload", type=str, default="steady",
-                       help="named traffic shape driving the open-loop "
-                            "schedule (steady, diurnal, flash-crowd, "
-                            "pu-churn-storm, mobility)")
-        p.add_argument("--tier-capacity", type=int, default=0,
-                       help="GAA channel budget for cbrs-tiered "
-                            "(0 = derive from WATCH capacity)")
-
     serve = sub.add_parser(
         "serve-loadtest",
         help="drive the async service broker with synthetic open-loop load",
@@ -118,7 +92,28 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--plane", choices=("memory", "socket"), default="memory",
                        help="deployment plane: in-process transport, or SDC "
                             "shards + STP as subprocesses over TCP frames")
-    add_loadtest_args(serve, requests_default=12)
+    serve.add_argument("--seed", type=int, default=7)
+    serve.add_argument("--requests", type=int, default=12,
+                       help="SU request arrivals to fire")
+    serve.add_argument("--rate", type=float, default=50.0,
+                       help="mean arrivals per second (open loop)")
+    serve.add_argument("--sus", type=int, default=3,
+                       help="distinct SUs cycling through arrivals")
+    serve.add_argument("--key-bits", type=int, default=512,
+                       help="Paillier modulus (packed mode needs >= 512)")
+    serve.add_argument("--shards", type=int, default=0,
+                       help="SDC shards behind the cluster facade "
+                            "(0 = single packed SDC)")
+    serve.add_argument("--scenario", type=str, default="uhf",
+                       help="named scenario from the registry (uhf, "
+                            "cbrs-tiered)")
+    serve.add_argument("--workload", type=str, default="steady",
+                       help="named traffic shape driving the open-loop "
+                            "schedule (steady, diurnal, flash-crowd, "
+                            "pu-churn-storm, mobility)")
+    serve.add_argument("--tier-capacity", type=int, default=0,
+                       help="GAA channel budget for cbrs-tiered "
+                            "(0 = derive from WATCH capacity)")
     serve.add_argument("--pu-switches", type=int, default=2,
                        help="physical PU channel switches to interleave "
                             "with the arrivals")
@@ -127,18 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=8,
                        help="requests per epoch before early dispatch")
     serve.add_argument("--workers", type=int, default=0,
-                       help="threads for Paillier batches "
-                            "(0 = serial in-process executor)")
-    serve.add_argument("--kill-shard", type=int, default=0, metavar="N",
-                       help="kill a shard primary once N request events "
-                            "have fired (failover chaos probe; needs "
-                            "--shards)")
+                       help="threads for the shards' and the STP's Paillier "
+                            "batches (0 = serial in-process executor)")
     serve.add_argument("--store", type=str, default=None, metavar="PATH",
                        help="durable SQLite state store (needs --shards; "
                             "memory plane: one DB file; socket plane: a "
                             "directory holding one DB per shard worker)")
+    serve.add_argument("--trace", action="store_true",
+                       help="print the span tree and the per-phase latency "
+                            "table after the report (and add the spans to "
+                            "--json)")
     serve.add_argument("--json", type=str, default=None, metavar="PATH",
                        help="also write the full report as JSON")
+    serve.add_argument("--metrics-dump", type=str, default=None,
+                       metavar="PATH",
+                       help="write the run's unified metrics registry as "
+                            "Prometheus text to PATH")
     serve.add_argument("--host", type=str, default=None,
                        help="socket plane: address the authority and the "
                             "workers bind (default 127.0.0.1)")
@@ -150,26 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tls-ca", type=str, default=None, metavar="PATH",
                        help="socket plane: CA bundle; when given, both "
                             "sides require a certificate it signed")
-
-    trace = sub.add_parser(
-        "trace",
-        help="run a traced loadtest and print the span tree",
-    )
-    add_loadtest_args(trace, requests_default=4)
-    trace.add_argument("--json", type=str, default=None, metavar="PATH",
-                       help="also write the span trees as JSON")
-
-    metrics_dump = sub.add_parser(
-        "metrics-dump",
-        help="run a loadtest and dump the unified metrics registry",
-    )
-    add_loadtest_args(metrics_dump, requests_default=8)
-    metrics_dump.add_argument("--format", choices=("prom", "json"),
-                              default="prom",
-                              help="exposition format (default: prom)")
-    metrics_dump.add_argument("--output", type=str, default=None,
-                              metavar="PATH",
-                              help="write the dump to PATH instead of stdout")
 
     chaos = sub.add_parser(
         "chaos",
@@ -406,20 +385,17 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_serve_loadtest(args) -> int:
-    import dataclasses
     import json
 
     from repro.analysis.reporting import format_table
     from repro.crypto import backend
     from repro.crypto.parallel import ThreadExecutor
-    from repro.service import ServiceConfig, run_loadtest
+    from repro.service import LoadtestConfig, ServiceConfig, run_loadtest
+    from repro.telemetry import MetricsRegistry, Tracer
 
-    if args.plane == "socket" and (args.workers or args.kill_shard):
-        print("--plane socket does not take --workers / --kill-shard "
-              "(homomorphic work there runs in the worker processes; "
-              "use `repro chaos --plane socket --plan kill-shard` for "
-              "process faults)",
-              file=sys.stderr)
+    if args.plane == "socket" and args.workers:
+        print("--plane socket does not take --workers (homomorphic work "
+              "there runs in the worker processes)", file=sys.stderr)
         return 2
     if args.store and not args.shards and args.plane != "socket":
         print("--store requires a sharded run (--shards N)", file=sys.stderr)
@@ -434,37 +410,50 @@ def _cmd_serve_loadtest(args) -> int:
               file=sys.stderr)
         return 2
     shards = max(args.shards, 1) if args.plane == "socket" else args.shards
-    config = dataclasses.replace(
-        _loadtest_config(args),
+    config = LoadtestConfig(
+        seed=args.seed,
+        num_requests=args.requests,
+        arrivals_per_second=args.rate,
+        num_sus=args.sus,
         num_pu_switches=args.pu_switches,
-        shards=shards,
-        kill_shard_after=args.kill_shard,
-        store_path=args.store if args.plane == "memory" and args.store else "",
+        key_bits=args.key_bits,
         service=ServiceConfig(
             batch_window_s=args.window_ms / 1000.0,
             max_batch=args.max_batch,
         ),
+        shards=shards,
+        store_path=args.store if args.plane == "memory" and args.store else "",
+        scenario=args.scenario,
+        workload=args.workload,
+        tier_capacity=args.tier_capacity,
     )
+    metrics = MetricsRegistry()
+    tracer = Tracer() if args.trace else None
     if args.plane == "socket":
-        from repro.netd.plane import run_socket_loadtest
+        from repro.netd.plane import build_socket_service
         from repro.netd.transport import TlsSpec
 
         tls = TlsSpec(args.tls_cert, args.tls_key, args.tls_ca) if tls_given else None
-        report, _ = run_socket_loadtest(
+        with build_socket_service(
             config,
+            metrics=metrics,
+            tracer=tracer,
             tls=tls,
             host=args.host or "127.0.0.1",
             store_dir=args.store or None,
-        )
+        ) as fixture:
+            report = fixture.run()
         executor_name = "shard-processes"
         plane = f"{shards}-shard socket plane"
     elif args.workers > 0:
         with ThreadExecutor(args.workers) as executor:
-            report = run_loadtest(config, executor=executor)
+            report = run_loadtest(
+                config, executor=executor, metrics=metrics, tracer=tracer
+            )
         executor_name = f"threads[{args.workers}]"
         plane = f"{args.shards}-shard cluster" if args.shards else "single SDC"
     else:
-        report = run_loadtest(config)
+        report = run_loadtest(config, metrics=metrics, tracer=tracer)
         executor_name = "serial"
         plane = f"{args.shards}-shard cluster" if args.shards else "single SDC"
     print(format_table(
@@ -474,68 +463,31 @@ def _cmd_serve_loadtest(args) -> int:
         f"{plane}, {args.scenario}/{args.workload}",
         report.as_table_rows(),
     ))
+    if tracer is not None:
+        print()
+        print(tracer.render(), end="")
+        print()
+        print(f"{'phase':<12} {'count':>5} {'mean ms':>9} {'max ms':>9}")
+        for name, stats in sorted(tracer.phase_latency().items()):
+            print(f"{name:<12} {stats['count']:>5} "
+                  f"{stats['mean_s'] * 1e3:>9.2f} {stats['max_s'] * 1e3:>9.2f}")
     if args.json:
+        payload = report.to_json_dict()
+        if tracer is not None:
+            payload["spans"] = [span.to_dict() for span in tracer.roots]
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
+    if args.metrics_dump is not None:
+        _write_prometheus(args.metrics_dump, metrics)
     return 0
 
 
-def _loadtest_config(args):
-    from repro.service import LoadtestConfig
-
-    return LoadtestConfig(
-        seed=args.seed,
-        num_requests=args.requests,
-        arrivals_per_second=args.rate,
-        num_sus=args.sus,
-        key_bits=args.key_bits,
-        shards=args.shards,
-        scenario=args.scenario,
-        workload=args.workload,
-        tier_capacity=args.tier_capacity,
-    )
-
-
-def _cmd_trace(args) -> int:
-    import json
-
-    from repro.service import run_loadtest
-    from repro.telemetry import MetricsRegistry, Tracer
-
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    report = run_loadtest(_loadtest_config(args), metrics=metrics, tracer=tracer)
-    print(tracer.render(), end="")
-    print()
-    print(f"{'phase':<12} {'count':>5} {'mean ms':>9} {'max ms':>9}")
-    for name, stats in sorted(tracer.phase_latency().items()):
-        print(f"{name:<12} {stats['count']:>5} "
-              f"{stats['mean_s'] * 1e3:>9.2f} {stats['max_s'] * 1e3:>9.2f}")
-    print(f"requests: {len(report.decisions)} "
-          f"(granted {report.granted}, rejected {report.rejected})")
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([span.to_dict() for span in tracer.roots], fh,
-                      indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_metrics_dump(args) -> int:
-    from repro.service import run_loadtest
-    from repro.telemetry import MetricsRegistry
-
-    metrics = MetricsRegistry()
-    run_loadtest(_loadtest_config(args), metrics=metrics)
-    dump = metrics.to_json() if args.format == "json" else metrics.to_prometheus()
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dump if dump.endswith("\n") else dump + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(dump, end="" if dump.endswith("\n") else "\n")
-    return 0
+def _write_prometheus(path: str, metrics) -> None:
+    """``--metrics-dump PATH``: the registry as Prometheus text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(metrics.to_prometheus())
+    print(f"wrote {path}")
 
 
 def _cmd_chaos(args) -> int:
@@ -590,9 +542,7 @@ def _cmd_chaos(args) -> int:
                       sort_keys=True)
         print(f"wrote {args.json}")
     if metrics is not None:
-        with open(args.metrics_dump, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_prometheus())
-        print(f"wrote {args.metrics_dump}")
+        _write_prometheus(args.metrics_dump, metrics)
     return 1 if failed else 0
 
 
@@ -669,8 +619,6 @@ _COMMANDS = {
     "chaos": _cmd_chaos,
     "serve-loadtest": _cmd_serve_loadtest,
     "store": _cmd_store,
-    "trace": _cmd_trace,
-    "metrics-dump": _cmd_metrics_dump,
     "negotiate": _cmd_negotiate,
     "capacity": _cmd_capacity,
     "testbed": _cmd_testbed,

@@ -212,7 +212,6 @@ class ClusterCoordinator(PisaCoordinator):
         self._clock = clock
         self._num_shards = num_shards
         self._shard_executor_factory = shard_executor_factory
-        self._shard_executors: list = []
         self._max_attempts = max_attempts
         self._scatter_threads = scatter_threads
         self._metrics = metrics
@@ -291,8 +290,6 @@ class ClusterCoordinator(PisaCoordinator):
             if self._shard_executor_factory is not None
             else None
         )
-        if executor is not None:
-            self._shard_executors.append(executor)
 
         def factory(role: str) -> SdcShard:
             return SdcShard(
@@ -310,12 +307,8 @@ class ClusterCoordinator(PisaCoordinator):
         )
 
     def close(self) -> None:
-        """Release the scatter threads and any shard worker processes."""
+        """Release the scatter threads (executors stay the caller's)."""
         self.router.close()
-        for executor in self._shard_executors:
-            closer = getattr(executor, "close", None)
-            if closer is not None:
-                closer()
 
     # -- enrolment -------------------------------------------------------------------
 

@@ -237,7 +237,8 @@ class ShardReplicaSet(ReplicaSetBase):
         return self.primary
 
     def kill_primary(self) -> None:
-        """Inject a primary crash (the loadtest's ``--kill-shard``)."""
+        """Inject a primary crash (``ClusterCoordinator.kill_shard``; the
+        chaos harness's ``kill-shard`` plan is the drill under load)."""
         self.primary.kill()
 
     # -- failover ------------------------------------------------------------------

@@ -32,7 +32,6 @@ faults.
 
 from __future__ import annotations
 
-import asyncio
 import pathlib
 import time
 from dataclasses import dataclass
@@ -46,9 +45,8 @@ from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import PeerClient, SocketTransport, TlsSpec
 from repro.netd.wire import decode_control, encode_control
 from repro.pisa.blinding import indicator_bound_for
-from repro.service import loadtest as loadtest_module
 from repro.service.batching import STP_ENDPOINT
-from repro.service.loadtest import LoadtestConfig, LoadtestReport, ServiceFixture
+from repro.service.loadtest import LoadtestConfig, ServiceFixture
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
@@ -57,7 +55,6 @@ __all__ = [
     "build_socket_coordinator",
     "build_socket_service",
     "health_check",
-    "run_socket_loadtest",
 ]
 
 #: How long :func:`health_check` waits for one worker's ``ping``.
@@ -246,8 +243,10 @@ def build_socket_service(
     """Stand up a socket-plane deployment wrapped in a service broker.
 
     Same fixture surface as ``build_cluster_service`` — the loadtest
-    driver, broker, and report code run on it unmodified.  Call
-    ``fixture.close()``; it tears down the worker processes too.
+    driver, broker, and report code run on it unmodified: ``run()`` it,
+    and close it (or use it as a context manager) to tear down the
+    worker processes too.  With ``record_transcript=True`` the protocol
+    fingerprints are ``fixture.coordinator.transport.fingerprints``.
     """
     if scenario_config is None:
         # The registry build and this plain config produce the identical
@@ -269,47 +268,7 @@ def build_socket_service(
         workdir=workdir,
         store_dir=store_dir,
     )
-    return loadtest_module._service_fixture(
-        config, coordinator, scenario, metrics, tracer
-    )
-
-
-def run_socket_loadtest(
-    config: LoadtestConfig,
-    scenario_config: ScenarioConfig | None = None,
-    metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    clock=None,
-    record_transcript: bool = False,
-    tls: TlsSpec | None = None,
-    host: str = "127.0.0.1",
-    workdir=None,
-    store_dir=None,
-) -> tuple[LoadtestReport, tuple[str, ...]]:
-    """Drive the standard loadtest over real sockets.
-
-    Returns the report plus the captured protocol transcript
-    (fingerprints; empty unless ``record_transcript=True``) so callers
-    can compare planes without keeping the deployment alive.
-    """
-    fixture = build_socket_service(
-        config,
-        scenario_config=scenario_config,
-        metrics=metrics,
-        tracer=tracer,
-        clock=clock,
-        record_transcript=record_transcript,
-        tls=tls,
-        host=host,
-        workdir=workdir,
-        store_dir=store_dir,
-    )
-    try:
-        report = asyncio.run(loadtest_module._run_fixture(fixture, config))
-        fingerprints = tuple(fixture.coordinator.transport.fingerprints)
-    finally:
-        fixture.close()
-    return report, fingerprints
+    return ServiceFixture.enroll(config, coordinator, scenario, metrics, tracer)
 
 
 def health_check(fixture: ServiceFixture) -> dict:

@@ -72,9 +72,6 @@ class LoadtestConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Number of SDC shards; 0 runs the single-SDC packed deployment.
     shards: int = 0
-    #: When > 0 (and ``shards`` > 0), kill shard-0's primary once this
-    #: many request events have fired, to exercise failover under load.
-    kill_shard_after: int = 0
     #: When set (sharded runs only), the coordinator opens a SQLite
     #: :class:`~repro.store.SqliteStateStore` at this path and persists
     #: PU ciphertexts, epoch snapshots, and the key directory through it.
@@ -113,10 +110,6 @@ class LoadtestConfig:
             raise ConfigurationError("need at least one SU")
         if self.shards < 0:
             raise ConfigurationError("shards must be non-negative")
-        if self.kill_shard_after < 0:
-            raise ConfigurationError("kill_shard_after must be non-negative")
-        if self.kill_shard_after and not self.shards:
-            raise ConfigurationError("kill_shard_after requires a sharded run")
         if self.store_path and not self.shards:
             raise ConfigurationError("store_path requires a sharded run")
 
@@ -234,8 +227,15 @@ class LoadtestReport:
 
 @dataclass
 class ServiceFixture:
-    """A deployment stood up for service traffic (broker not yet started)."""
+    """A deployment stood up for service traffic, and the run it is for.
 
+    Every ``build_*_service`` returns one; :meth:`run` drives
+    ``config``'s schedule through it.  Use it as a context manager (or
+    call :meth:`close`) so worker processes, scatter threads and the
+    store are released.
+    """
+
+    config: LoadtestConfig
     broker: SpectrumAccessBroker
     coordinator: object
     scenario: object
@@ -247,9 +247,75 @@ class ServiceFixture:
     #: ``broker.admission``).
     admission: object = None
 
+    @classmethod
+    def enroll(
+        cls, config: LoadtestConfig, coordinator, scenario, metrics, tracer,
+        store=None,
+    ) -> "ServiceFixture":
+        """The tail every ``build_*_service`` shares: enrol, wrap in a broker.
+
+        Enrolment order is PUs, then the first ``config.num_sus`` SUs — the
+        golden transcripts and ``benchmarks/spine`` depend on it.  The
+        coordinator may already own worker processes and the store an open
+        database, so a failed enrolment tears both down before re-raising.
+        """
+        try:
+            pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
+            su_ids = []
+            for su in scenario.sus[: config.num_sus]:
+                coordinator.enroll_su(su)
+                su_ids.append(su.su_id)
+            # Tier policy is broker-side only — shards and workers never see
+            # it, which is why the wire format stays unchanged across scenarios.
+            admission = _admission_for(config, scenario, metrics)
+            broker = SpectrumAccessBroker(
+                allocator=BatchAllocator.for_coordinator(coordinator),
+                pu_update_handler=coordinator.sdc.handle_pu_update,
+                config=config.service,
+                metrics=metrics,
+                tracer=tracer,
+                admission=admission,
+            )
+        except BaseException:
+            _close_deployment(coordinator, store)
+            raise
+        return cls(
+            config=config,
+            broker=broker,
+            coordinator=coordinator,
+            scenario=scenario,
+            pu_clients=pu_clients,
+            su_ids=su_ids,
+            store=store,
+            admission=admission,
+        )
+
+    def run(self) -> LoadtestReport:
+        """Drive ``config``'s schedule through the broker to a report."""
+        return asyncio.run(self._run())
+
+    async def _run(self) -> LoadtestReport:
+        start = time.perf_counter()
+        async with self.broker:
+            decisions = await _drive(self)
+        wall = time.perf_counter() - start
+        # Off-loop: on the socket plane reading the counts is a round trip.
+        await asyncio.to_thread(_publish_stp_counts, self)
+        return LoadtestReport(
+            decisions=tuple(decisions),
+            wall_seconds=wall,
+            metrics=self.broker.metrics.snapshot(),
+        )
+
     def close(self) -> None:
         """Tear down deployment-owned resources (scatter threads, workers)."""
         _close_deployment(self.coordinator, self.store)
+
+    def __enter__(self) -> "ServiceFixture":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _close_deployment(coordinator, store) -> None:
@@ -259,47 +325,6 @@ def _close_deployment(coordinator, store) -> None:
         closer()
     if store is not None:
         store.close()
-
-
-def _service_fixture(
-    config: LoadtestConfig, coordinator, scenario, metrics, tracer, store=None
-) -> ServiceFixture:
-    """The tail every ``build_*_service`` shares: enrol, wrap in a broker.
-
-    Enrolment order is PUs, then the first ``config.num_sus`` SUs — the
-    golden transcripts and ``benchmarks/spine`` depend on it.  The
-    coordinator may already own worker processes and the store an open
-    database, so a failed enrolment tears both down before re-raising.
-    """
-    try:
-        pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
-        su_ids = []
-        for su in scenario.sus[: config.num_sus]:
-            coordinator.enroll_su(su)
-            su_ids.append(su.su_id)
-        # Tier policy is broker-side only — shards and workers never see
-        # it, which is why the wire format stays unchanged across scenarios.
-        admission = _admission_for(config, scenario, metrics)
-        broker = SpectrumAccessBroker(
-            allocator=BatchAllocator.for_coordinator(coordinator),
-            pu_update_handler=coordinator.sdc.handle_pu_update,
-            config=config.service,
-            metrics=metrics,
-            tracer=tracer,
-            admission=admission,
-        )
-    except BaseException:
-        _close_deployment(coordinator, store)
-        raise
-    return ServiceFixture(
-        broker=broker,
-        coordinator=coordinator,
-        scenario=scenario,
-        pu_clients=pu_clients,
-        su_ids=su_ids,
-        store=store,
-        admission=admission,
-    )
 
 
 def build_packed_service(
@@ -334,7 +359,7 @@ def build_packed_service(
         clock=clock,
     )
     coordinator.transport.attach_metrics(metrics)
-    return _service_fixture(config, coordinator, scenario, metrics, tracer)
+    return ServiceFixture.enroll(config, coordinator, scenario, metrics, tracer)
 
 
 def build_cluster_service(
@@ -342,7 +367,6 @@ def build_cluster_service(
     executor: Executor | None = None,
     metrics: MetricsRegistry | None = None,
     scenario=None,
-    shard_executor_factory=None,
     tracer: Tracer | None = None,
     transport=None,
     clock=None,
@@ -352,11 +376,10 @@ def build_cluster_service(
     ``config.shards`` SDC shards sit behind the cluster facade; the
     broker and driver code are identical to the single-SDC path because
     :class:`~repro.cluster.ClusterCoordinator` presents the same
-    coordinator surface.  ``executor`` feeds the STP's conversion leg
-    (the serial section of every epoch); ``shard_executor_factory``
-    gives each shard its own compute backend (shards as real processes
-    are :func:`repro.netd.plane.build_socket_service`'s job).  Call
-    ``fixture.close()`` after the run.
+    coordinator surface.  ``executor`` runs the Paillier batches of
+    every shard and of the STP's conversion leg (shards as real
+    processes are :func:`repro.netd.plane.build_socket_service`'s job);
+    the caller owns it.  Close the fixture after the run.
     """
     from repro.cluster import ClusterCoordinator
 
@@ -382,16 +405,18 @@ def build_cluster_service(
         rng=rng,
         transport=transport,
         stp_executor=executor,
-        shard_executor_factory=shard_executor_factory,
+        shard_executor_factory=lambda _shard: executor,
         metrics=metrics,
         clock=clock if clock is not None else time.time,
         store=store,
     )
-    return _service_fixture(config, coordinator, scenario, metrics, tracer, store)
+    return ServiceFixture.enroll(
+        config, coordinator, scenario, metrics, tracer, store
+    )
 
 
-async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
-    """Drive the pre-materialised schedule of ``config.workload``.
+async def _drive(fixture: ServiceFixture):
+    """Drive the pre-materialised schedule of the fixture's workload.
 
     The whole schedule — arrival instants, SU subjects, PU switch slots
     — is built up front from a forked deterministic source, so the same
@@ -410,7 +435,7 @@ async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
     runs.  Open-loop pacing is preserved for every throughput-shaped
     configuration.
     """
-    broker = fixture.broker
+    broker, config = fixture.broker, fixture.config
     clients = {
         su_id: fixture.coordinator.su_client(su_id) for su_id in fixture.su_ids
     }
@@ -463,11 +488,6 @@ async def _drive(fixture: ServiceFixture, config: LoadtestConfig):
                 one_request(fixture.su_ids[event.index], due)
             )
             tasks.append(task)
-            if len(tasks) == config.kill_shard_after:
-                # Chaos probe: take down a shard's primary mid-run; the
-                # router must promote its standby and later epochs complete.
-                victim = fixture.coordinator.router.shard_ids[0]
-                fixture.coordinator.kill_shard(victim)
             if closed_loop:
                 await task
         elif event.kind == KIND_PU_SWITCH and event.physical and num_pus:
@@ -493,23 +513,6 @@ def _publish_stp_counts(fixture: ServiceFixture) -> None:
     metrics.counter("stp_obfuscators_inline_total").inc(stats.obfuscators_inline)
 
 
-async def _run_fixture(
-    fixture: ServiceFixture, config: LoadtestConfig
-) -> LoadtestReport:
-    """Drive one built fixture to a report; the caller closes it."""
-    start = time.perf_counter()
-    async with fixture.broker:
-        decisions = await _drive(fixture, config)
-    wall = time.perf_counter() - start
-    # Off-loop: on the socket plane reading the counts is a round trip.
-    await asyncio.to_thread(_publish_stp_counts, fixture)
-    return LoadtestReport(
-        decisions=tuple(decisions),
-        wall_seconds=wall,
-        metrics=fixture.broker.metrics.snapshot(),
-    )
-
-
 def run_loadtest(
     config: LoadtestConfig,
     executor: Executor | None = None,
@@ -528,11 +531,8 @@ def run_loadtest(
     and untraced transcripts on a frozen clock.
     """
     build = build_cluster_service if config.shards else build_packed_service
-    fixture = build(
+    with build(
         config, executor, metrics, scenario=scenario,
         tracer=tracer, transport=transport, clock=clock,
-    )
-    try:
-        return asyncio.run(_run_fixture(fixture, config))
-    finally:
-        fixture.close()
+    ) as fixture:
+        return fixture.run()

@@ -233,7 +233,7 @@ class Tracer:
         """Per-phase latency breakdown across every span in the trace.
 
         Returns ``{span_name: {count, total_s, mean_s, max_s}}`` —
-        the summary the ``repro trace`` CLI prints under the tree.
+        the table ``serve-loadtest --trace`` prints under the tree.
         """
         out: dict[str, dict[str, float]] = {}
         stack = list(self.roots)

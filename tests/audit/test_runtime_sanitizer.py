@@ -1,7 +1,5 @@
 """Runtime protocol sanitizer: end-to-end and injected-fault coverage."""
 
-import asyncio
-
 import pytest
 
 from repro.audit.runtime import SanitizingTransport, iter_ciphertexts
@@ -148,12 +146,9 @@ class TestBatchEnvelope:
         )
         sanitizer = SanitizingTransport(InMemoryTransport())
         build = loadtest.build_cluster_service if shards else loadtest.build_packed_service
-        fixture = build(config, transport=sanitizer)
-        try:
+        with build(config, transport=sanitizer) as fixture:
             sanitizer.bind_group_key(fixture.coordinator.stp.group_public_key)
-            report = asyncio.run(loadtest._run_fixture(fixture, config))
-        finally:
-            fixture.close()
+            report = fixture.run()
         assert [d.reason for d in report.decisions] == [None, None]
         assert report.completed == 2
         assert fixture.coordinator.transport.count("BatchSignExtractionRequest") >= 1

@@ -9,7 +9,6 @@ single broker-side draw stream, remote nonce round-trips, canonical
 byte codecs.
 """
 
-import asyncio
 import shutil
 import subprocess
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from repro.netd.plane import build_socket_service, health_check
 from repro.netd.transport import TlsSpec
 from repro.resilience.chaos import FROZEN_CLOCK
 from repro.service.batching import BatchAllocator
-from repro.service.loadtest import LoadtestConfig, _run_fixture, run_loadtest
+from repro.service.loadtest import LoadtestConfig, run_loadtest
 from repro.service.broker import ServiceConfig
 from repro.telemetry import Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
@@ -74,21 +73,18 @@ def _memory_run() -> Run:
 
 def _socket_run(tls=None) -> Run:
     tracer = Tracer()
-    fixture = build_socket_service(
+    with build_socket_service(
         CONFIG,
         scenario_config=SCENARIO_CONFIG,
         tracer=tracer,
         clock=_clock,
         record_transcript=True,
         tls=tls,
-    )
-    try:
-        report = asyncio.run(_run_fixture(fixture, CONFIG))
+    ) as fixture:
+        report = fixture.run()
         fingerprints = tuple(fixture.coordinator.transport.fingerprints)
         stp_ping = health_check(fixture)["stp"]
         idle_work = BatchAllocator.for_coordinator(fixture.coordinator).idle_work
-    finally:
-        fixture.close()
     return Run(report, fingerprints, tracer, stp_ping, idle_work)
 
 

@@ -10,7 +10,7 @@ is exactly why the transcripts can stay paired.
 import pytest
 
 from repro.net.recording import TranscriptTransport
-from repro.netd.plane import run_socket_loadtest
+from repro.netd.plane import build_socket_service
 from repro.resilience.chaos import FROZEN_CLOCK
 from repro.service.broker import REASON_TIER_BUDGET, ServiceConfig
 from repro.service.loadtest import LoadtestConfig, run_loadtest
@@ -44,12 +44,14 @@ def paired_runs():
         scenario=build_scenario(SCENARIO_CONFIG),
     )
 
-    socket_report, socket_fingerprints = run_socket_loadtest(
+    with build_socket_service(
         CONFIG,
         scenario_config=SCENARIO_CONFIG,
         clock=clock,
         record_transcript=True,
-    )
+    ) as fixture:
+        socket_report = fixture.run()
+        socket_fingerprints = tuple(fixture.coordinator.transport.fingerprints)
     return (
         memory_report,
         tuple(memory_transport.fingerprints),

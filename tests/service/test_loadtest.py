@@ -109,21 +109,13 @@ class TestClusterConfigValidation:
         with pytest.raises(ConfigurationError):
             LoadtestConfig(shards=-1)
 
-    def test_kill_shard_requires_sharded_run(self):
-        with pytest.raises(ConfigurationError):
-            LoadtestConfig(kill_shard_after=2)
-
-    def test_kill_shard_with_shards_accepted(self):
-        config = LoadtestConfig(shards=2, kill_shard_after=2)
-        assert config.shards == 2
-
 
 class TestClusterLoadtest:
     def test_two_shard_run_with_mid_run_kill_completes(self):
-        """The §VI-style smoke: a 2-shard service survives losing a
-        primary mid-run and still decides every request — whatever
-        shape the arrivals have."""
-        from repro.service.loadtest import run_loadtest
+        """The §VI-style smoke: a 2-shard service that has lost a primary
+        fails over on the first scatter and still decides every request
+        — whatever shape the arrivals have."""
+        from repro.service.loadtest import build_cluster_service
 
         for workload in ("steady", "flash-crowd"):
             config = LoadtestConfig(
@@ -133,10 +125,11 @@ class TestClusterLoadtest:
                 num_pu_switches=1,
                 key_bits=256,
                 shards=2,
-                kill_shard_after=2,
                 workload=workload,
             )
-            report = run_loadtest(config)
+            with build_cluster_service(config) as fixture:
+                fixture.coordinator.kill_shard("shard-0")
+                report = fixture.run()
             assert report.completed == 4
             assert report.rejected == 0
             counters = report.metrics["counters"]
@@ -145,3 +138,43 @@ class TestClusterLoadtest:
             lag = report.arrival_lag_stats()
             assert lag["count"] == 4
             assert 0.0 <= lag["p50"] <= lag["max"]
+
+    def test_the_executor_runs_the_shards_phase_1(self):
+        """``run_loadtest(executor=…)`` feeds the shards' kernels, not only
+        the STP: every phase-1 exponentiation (eqs. (10)-(14), one per
+        cell plus one per PU-occupied cell, mod the group key's n²) is
+        counted by the executor handed in."""
+        from unittest import mock
+
+        from repro.crypto.parallel import SerialExecutor
+        from repro.pisa.kernel import BlockKernel
+        from repro.service.loadtest import run_loadtest
+
+        class Recording(SerialExecutor):
+            def __init__(self):
+                super().__init__()
+                self.moduli = []
+
+            def pow_many(self, jobs):
+                self.moduli += [modulus for _, _, modulus in jobs]
+                return super().pow_many(jobs)
+
+        phase1 = []  # (n², jobs) per shard sub-query
+        blind = BlockKernel.blind
+
+        def counted_blind(kernel, cells, blindings):
+            jobs = sum(1 + (w_ct is not None) for row in cells for _, w_ct, _ in row)
+            phase1.append((kernel.group_public_key.n_sq, jobs))
+            return blind(kernel, cells, blindings)
+
+        config = LoadtestConfig(
+            seed=3, num_requests=2, num_sus=2, num_pu_switches=0,
+            key_bits=256, shards=2,
+        )
+        executor = Recording()
+        with mock.patch.object(BlockKernel, "blind", counted_blind):
+            report = run_loadtest(config, executor=executor)
+        assert report.completed == 2
+        assert len(phase1) >= 2  # both shards hold some of each region
+        (n_sq,) = {n_sq for n_sq, _ in phase1}
+        assert executor.moduli.count(n_sq) == sum(jobs for _, jobs in phase1) > 0

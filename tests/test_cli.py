@@ -188,53 +188,81 @@ class TestServeLoadtest:
 
 
 class TestTelemetryCommands:
+    """``serve-loadtest --trace / --metrics-dump``: the span tree and the
+    Prometheus exposition of a run, on either plane."""
+
+    ARGS = ["--seed", "3", "--requests", "2", "--rate", "200", "--sus", "2",
+            "--key-bits", "256", "--shards", "2"]
+
     def test_trace_parses_with_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.command == "trace"
-        assert args.requests == 4
+        args = build_parser().parse_args(["serve-loadtest"])
+        assert args.trace is False
         assert args.json is None
 
     def test_metrics_dump_parses_with_defaults(self):
-        args = build_parser().parse_args(["metrics-dump"])
-        assert args.command == "metrics-dump"
-        assert args.requests == 8
-        assert args.format == "prom"
+        args = build_parser().parse_args(["serve-loadtest"])
+        assert args.metrics_dump is None
+        args = build_parser().parse_args(
+            ["serve-loadtest", "--metrics-dump", "m.prom"]
+        )
+        assert args.metrics_dump == "m.prom"
 
     def test_trace_prints_span_tree_and_writes_json(self, capsys, tmp_path):
-        out = tmp_path / "spans.json"
-        assert main([
-            "trace", "--seed", "3", "--requests", "2", "--rate", "200",
-            "--sus", "2", "--key-bits", "256", "--shards", "2",
-            "--json", str(out),
-        ]) == 0
+        out = tmp_path / "report.json"
+        assert main(["serve-loadtest", *self.ARGS, "--trace", "--json", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "request" in printed
-        assert "phase1" in printed and "phase2" in printed
+        # The report first, then the tree and the phase table.
+        assert printed.index("throughput") < printed.index("phase1")
+        assert "phase2" in printed and "mean ms" in printed
         import json
 
-        spans = json.loads(out.read_text())
+        spans = json.loads(out.read_text())["spans"]
         assert len(spans) == 2  # one root span per request
         assert all(span["name"] == "request" for span in spans)
 
     def test_metrics_dump_prometheus_to_file(self, capsys, tmp_path):
         out = tmp_path / "metrics.prom"
-        assert main([
-            "metrics-dump", "--seed", "3", "--requests", "2", "--rate", "200",
-            "--sus", "2", "--key-bits", "256", "--output", str(out),
-        ]) == 0
+        assert main(["serve-loadtest", *self.ARGS, "--metrics-dump", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
         text = out.read_text()
         assert "# TYPE requests_submitted counter" in text
         assert "# TYPE request_latency_s histogram" in text
 
-    def test_metrics_dump_json_to_stdout(self, capsys):
-        assert main([
-            "metrics-dump", "--seed", "3", "--requests", "2", "--rate", "200",
-            "--sus", "2", "--key-bits", "256", "--format", "json",
-        ]) == 0
+    def test_metrics_json_rides_the_report(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["serve-loadtest", *self.ARGS, "--json", str(out)]) == 0
         import json
 
-        parsed = json.loads(capsys.readouterr().out)
-        assert parsed["counters"]["requests_submitted"] == 2
+        payload = json.loads(out.read_text())
+        assert payload["metrics"]["counters"]["requests_submitted"] == 2
+        assert "spans" not in payload  # untraced
+
+    def test_socket_plane_trace_and_metrics_dump(self, capsys, tmp_path):
+        import json
+
+        children = {}
+        for plane in ("memory", "socket"):
+            report, prom = tmp_path / f"{plane}.json", tmp_path / f"{plane}.prom"
+            assert main([
+                "serve-loadtest", "--plane", plane, *self.ARGS, "--trace",
+                "--json", str(report), "--metrics-dump", str(prom),
+            ]) == 0
+            capsys.readouterr()
+            spans = json.loads(report.read_text())["spans"]
+            assert [span["name"] for span in spans] == ["request", "request"]
+            children[plane] = [
+                [child["name"] for child in span["children"]] for span in spans
+            ]
+        assert children["socket"] == children["memory"]
+        assert all(children["socket"])
+        text = (tmp_path / "socket.prom").read_text()
+        for family, kind in (
+            ("requests_submitted", "counter"),
+            ("request_latency_s", "histogram"),
+            ("transport_bytes_total", "counter"),
+            ("netd_worker_ready_s", "histogram"),
+        ):
+            assert f"# TYPE {family} {kind}" in text
 
 
 class TestChaos:

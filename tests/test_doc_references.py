@@ -13,7 +13,10 @@ totals and link faults, nor the round drivers, span probe and endpoint
 names that went when ``BatchAllocator.allocate`` became the one driver
 of a request round, nor the second arrival path, clock and link model
 that went when the deployment simulator moved onto the named workloads
-of ``repro.sim.traffic``.
+of ``repro.sim.traffic``, nor the ``trace`` / ``metrics-dump`` commands,
+the socket runner and the loadtest's shard-kill trigger that went when
+``serve-loadtest --trace / --metrics-dump`` became the one loadtest
+front door on both planes (the ``--metrics-dump`` flag stays).
 
 History files (``CHANGES.md``, ``ROADMAP.md``) and
 ``benchmarks/spine/README.md`` are deliberately out of scope.
@@ -44,6 +47,8 @@ RETIRED = re.compile(
     r"|encode_phase2_request|decode_phase2_response"
     r"|proc-kill-shard|proc-split-brain|proc-gray-slow|SOCKET_PLAN_NAMES"
     r"|wants_processes|set_subquery_hook|fire_subquery_hook"
+    r"|run_socket_loadtest|kill_shard_after|--kill-shard|_cmd_trace|_cmd_metrics_dump"
+    r"|repro (?:trace|metrics-dump)\b"
 )
 
 
