@@ -430,7 +430,7 @@ def _cmd_serve_loadtest(args) -> int:
     metrics = MetricsRegistry()
     tracer = Tracer() if args.trace else None
     if args.plane == "socket":
-        from repro.netd.plane import build_socket_service
+        from repro.netd.plane import build_socket_service, health_check
         from repro.netd.transport import TlsSpec
 
         tls = TlsSpec(args.tls_cert, args.tls_key, args.tls_ca) if tls_given else None
@@ -443,7 +443,8 @@ def _cmd_serve_loadtest(args) -> int:
             store_dir=args.store or None,
         ) as fixture:
             report = fixture.run()
-        executor_name = "shard-processes"
+            stp_threads = health_check(fixture)["stp"].get("executor_threads")
+        executor_name = f"shard-processes, stp threads[{stp_threads}]"
         plane = f"{shards}-shard socket plane"
     elif args.workers > 0:
         with ThreadExecutor(args.workers) as executor:

@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.crypto.backend import FixedBase, powmod
+from repro.crypto.backend import FixedBase, powmod, powmod_many
 from repro.crypto.hashing import sha256
 from repro.crypto.numtheory import CrtContext, generate_distinct_primes, lcm, modinv
 from repro.crypto.rand import RandomSource, default_rng
@@ -218,7 +218,10 @@ class PaillierPublicKey:
 class PaillierPrivateKey:
     """Private key holding ``(λ, μ)`` plus CRT acceleration state."""
 
-    __slots__ = ("public_key", "p", "q", "lam", "mu", "_crt", "_hp", "_hq", "_p_sq", "_q_sq")
+    __slots__ = (
+        "public_key", "p", "q", "lam", "mu", "_crt", "_hp", "_hq", "_p_sq", "_q_sq",
+        "_p_1", "_q_1",
+    )
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int) -> None:
         if p * q != public_key.n:
@@ -232,9 +235,13 @@ class PaillierPrivateKey:
         self._crt = CrtContext.create(p, q)
         self._p_sq = p * p
         self._q_sq = q * q
+        # The CRT exponents: one object each, shared by every job a batch
+        # opens with, so the batch entry imports it once.
+        self._p_1 = p - 1
+        self._q_1 = q - 1
         # Standard CRT decryption constants:  h_p = L_p(g^{p-1} mod p²)^{-1}.
-        self._hp = modinv(self._l_function(powmod(public_key.g, p - 1, self._p_sq), p), p)
-        self._hq = modinv(self._l_function(powmod(public_key.g, q - 1, self._q_sq), q), q)
+        self._hp = modinv(self._l_function(powmod(public_key.g, self._p_1, self._p_sq), p), p)
+        self._hq = modinv(self._l_function(powmod(public_key.g, self._q_1, self._q_sq), q), q)
         # The textbook μ = L(g^λ mod n²)^{-1} mod n, kept for completeness
         # and for the non-CRT decryption path used in tests.
         n = public_key.n
@@ -247,15 +254,7 @@ class PaillierPrivateKey:
 
     def raw_decrypt(self, ciphertext: int) -> int:
         """Decrypt a raw ciphertext integer to its plaintext in ``Z_n``."""
-        if not 0 < ciphertext < self.public_key.n_sq:
-            raise DecryptionError("ciphertext out of range")
-        mp = (
-            self._l_function(powmod(ciphertext, self.p - 1, self._p_sq), self.p) * self._hp
-        ) % self.p
-        mq = (
-            self._l_function(powmod(ciphertext, self.q - 1, self._q_sq), self.q) * self._hq
-        ) % self.q
-        return self._crt.combine(mp, mq)
+        return self.raw_decrypt_from_pows(*powmod_many(self.decrypt_pow_jobs(ciphertext)))
 
     def decrypt_pow_jobs(self, ciphertext: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """The two CRT exponentiations of :meth:`raw_decrypt` as pow jobs.
@@ -264,12 +263,7 @@ class PaillierPrivateKey:
         decryptions to an executor; finish each with
         :meth:`raw_decrypt_from_pows`.
         """
-        if not 0 < ciphertext < self.public_key.n_sq:
-            raise DecryptionError("ciphertext out of range")
-        return (
-            (ciphertext, self.p - 1, self._p_sq),
-            (ciphertext, self.q - 1, self._q_sq),
-        )
+        return self.half_decrypt_job(ciphertext), (ciphertext, self._q_1, self._q_sq)
 
     def raw_decrypt_from_pows(self, pow_p: int, pow_q: int) -> int:
         """Complete a CRT decryption from the :meth:`decrypt_pow_jobs` results."""
@@ -284,7 +278,9 @@ class PaillierPrivateKey:
         to satisfy ``|m| < p/2``: then ``m mod p`` read in ``(−p/2, p/2)``
         *is* ``m``.  Finish with :meth:`signed_from_half`.
         """
-        return self.decrypt_pow_jobs(ciphertext)[0]
+        if not 0 < ciphertext < self.public_key.n_sq:
+            raise DecryptionError("ciphertext out of range")
+        return (ciphertext, self._p_1, self._p_sq)
 
     def signed_from_half(self, pow_p: int) -> int:
         """The plaintext mod ``p`` as a signed residue in ``(−p/2, p/2)``,

@@ -100,6 +100,7 @@ class ShardState:
     """A shard worker's handler table over its local :class:`SdcShard`."""
 
     role = "shard"
+    executor_threads = 1
 
     def __init__(self, payload: bytes, store: StateStore | None = None) -> None:
         # The shard role's own imports: the store, and no map — the
@@ -168,12 +169,20 @@ class ShardState:
 
 
 class StpState:
-    """An STP worker: group keypair from bootstrap, nonces from the broker."""
+    """An STP worker: group keypair from bootstrap, nonces from the broker.
+
+    Its batches run on a :class:`~repro.crypto.parallel.ThreadExecutor`
+    with a thread per CPU this process may run on (serial on one): a
+    request's opening batch is the deployment's longest stretch of work
+    on one core, and both shards and the broker wait on it.  A shard's
+    phase 1 overlaps the other shard's, which fills the cores already.
+    """
 
     role = "stp"
 
     def __init__(self, payload: bytes, authority_peer: PeerClient) -> None:
         # The STP role's own imports: no map, no store.
+        from repro.crypto.parallel import ThreadExecutor
         from repro.netd.remote import RemoteRandomSource
         from repro.pisa.stp_server import StpServer
 
@@ -185,9 +194,11 @@ class StpState:
         keypair = PaillierKeypair(
             public_key=private_key.public_key, private_key=private_key
         )
+        self.executor = ThreadExecutor(len(os.sched_getaffinity(0)))
         self.stp = StpServer(
             group_keypair=keypair,
             rng=RemoteRandomSource(authority_peer),
+            executor=self.executor,
             indicator_bound=int(obj["indicator_bound"]),
         )
         for su_id, raw in zip(su_ids, attachments[1:]):
@@ -204,6 +215,10 @@ class StpState:
             self.stp.register_su(str(obj["su_id"]), decode_public_key(attachments[0]))
             return "ok", encode_control({})
         raise TransportError(f"stp worker cannot serve frame kind {kind!r}")
+
+    @property
+    def executor_threads(self) -> int:
+        return self.executor.threads
 
     def ping_counts(self) -> dict:
         """Stock hit/miss and fill counts for the ``ping`` reply — no values."""
@@ -269,7 +284,12 @@ def _serve(args, tls: TlsSpec | None) -> int:
     else:
         state = StpState(payload, authority)
 
-    ping_info = {"name": args.name, "role": state.role, "crypto_backend": backend.describe()}
+    ping_info = {
+        "name": args.name,
+        "role": state.role,
+        "crypto_backend": backend.describe(),
+        "executor_threads": state.executor_threads,
+    }
 
     # Graceful-drain accounting: frames between their arrival and the
     # end of their reply, over all connection threads.
@@ -354,6 +374,7 @@ def _serve(args, tls: TlsSpec | None) -> int:
         # A fill sees ``stop`` within one chunk; its stock dies with the process.
         reply_sent.set()
         filler.join()
+        state.executor.close()
         authority.close()
     if args.role == "shard":
         state.store.close()

@@ -115,7 +115,9 @@ def test_never_worse_than_pow_at_failing(args):
 @needs_native
 def test_native_path_is_taken_inside_its_domain():
     """The differential would pass vacuously if everything fell through."""
-    with mock.patch.object(backend._gmp, "powmod", wraps=backend._gmp.powmod) as native:
+    with mock.patch.object(
+        backend._gmp, "powmod_many", wraps=backend._gmp.powmod_many
+    ) as native:
         assert backend.powmod(3, FLOOR, FLOOR + 1) == pow(3, FLOOR, FLOOR + 1)
         assert backend.powmod(2, -1, FLOOR + 1) == pow(2, -1, FLOOR + 1)
         assert backend.powmod(2, -(1 << 100), FLOOR + 1) == pow(2, -(1 << 100), FLOOR + 1)
@@ -365,16 +367,17 @@ def test_a_comb_evaluation_never_lets_go_of_the_gil(tables):
     """A thread that drops the GIL of its own accord takes it straight back,
     so one that drops it once an evaluation starves a thread waiting for it:
     an STP connection thread with a ``ping`` in hand waited out over a
-    thousand fill obfuscators.  Every call of an evaluation is a ``PyDLL``'s;
-    the ``CDLL``'s, which release the GIL, are not called at all."""
+    thousand fill obfuscators.  Every call of an evaluation is a ``PyDLL``'s,
+    and the result is read from its limbs; the ``CDLL``'s, which release the
+    GIL, are not called at all."""
     gmp = backend._gmp
     if not gmp.fixed_base:
         pytest.skip("the comb's calls did not bind on this host")
     base = fresh_base(seed=4)
     comb = gmp.build_comb(base)
-    for function in (gmp.mul, gmp.tdiv_r, gmp.set, gmp.held_export):
+    for function in (gmp.mul, gmp.tdiv_r, gmp.set):
         assert function._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-    released = {name: mock.DEFAULT for name in ("import_", "export", "powm", "invert")}
+    released = {name: mock.DEFAULT for name in ("powm", "invert", "init", "clear")}
     with mock.patch.multiple(gmp, **released) as cdll:
         e = COMB_LIMIT - 3
         assert gmp.comb_powmod(comb, e) == pow(int(base), e, base.modulus)
@@ -388,3 +391,128 @@ def test_the_marker_is_the_int_it_holds():
     for clone in (copy.deepcopy(base), pickle.loads(pickle.dumps(base))):
         assert type(clone) is backend.FixedBase
         assert (clone, clone.modulus) == (base, base.modulus)
+
+
+# -- (g) the batch entry: powmod_many --------------------------------------------
+
+_P2, _Q2 = ((random.Random(seed).getrandbits(256) | 1 << 255 | 1) ** 2 for seed in (41, 43))
+_batch_moduli = st.sampled_from(
+    [_P2, _Q2, _P2, _Q2, FLOOR + 1, (FLOOR + 1) << 1, FLOOR - 1, 97, 1, 0, -(FLOOR + 1)]
+)
+_batch_exponents = st.one_of(
+    st.integers(min_value=-2, max_value=1),
+    st.integers(min_value=2, max_value=1 << 64),
+    st.integers(min_value=1 << 255, max_value=1 << 600),
+)
+_batch_bases = st.one_of(
+    st.integers(min_value=0, max_value=1 << 1100), st.integers(min_value=-(1 << 600), max_value=-1)
+)
+_batches = st.lists(st.tuples(_batch_bases, _batch_exponents, _batch_moduli), max_size=30)
+
+
+def _in_native_domain(job):
+    base, exponent, modulus = job
+    return (
+        all(type(x) is int for x in job)
+        and base >= 0
+        and modulus >= FLOOR
+        and not 0 <= exponent <= 1
+    )
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "fallback"])
+def test_batch_differential(native):
+    """``powmod_many`` is ``[pow(*job) for job in jobs]``: values, or the
+    first failing job's exception; and libgmp sees only jobs in its domain."""
+    seen = []
+
+    @settings(max_examples=300 if native else 100, deadline=None)
+    @given(jobs=_batches)
+    def check(jobs):
+        assert outcome(backend.powmod_many, jobs) == outcome(
+            lambda: [pow(*job) for job in jobs]
+        )
+
+    if not native:
+        with fallback():
+            check()
+        return
+    if backend._gmp is None:
+        pytest.skip("libgmp not found on this host")
+    batch = backend._gmp.powmod_many
+
+    def recorded(jobs):
+        seen.extend(jobs)
+        return batch(jobs)
+
+    with mock.patch.object(backend._gmp, "powmod_many", recorded):
+        check()
+        assert backend.powmod_many([]) == []
+    assert seen and all(_in_native_domain(job) for job in seen)
+
+
+@needs_native
+def test_an_opening_batch_sets_each_modulus_and_exponent_once():
+    """The packed opening alternates ``p²`` and ``q²`` with ``p − 1`` and
+    ``q − 1``; the baseline's shares one ``p − 1``.  Every job is still
+    the right answer."""
+    rnd = random.Random(47)
+    p, q = (rnd.getrandbits(256) | 1 << 255 | 1 for _ in range(2))
+    cts = [rnd.getrandbits(1024) % (p * p * q * q) for _ in range(12)]
+    packed = [job for c in cts for job in ((c, p - 1, p * p), (c, q - 1, q * q))]
+    baseline = [(c, p - 1, p * p) for c in cts]
+    operand = backend._Operand
+    with mock.patch.object(backend, "_Operand", wraps=operand) as made, mock.patch.object(
+        operand, "set", autospec=True, side_effect=operand.set
+    ) as sets, mock.patch.object(backend._gmp, "_local", threading.local()):  # fresh scratch
+        assert backend.powmod_many(packed) == [pow(*job) for job in packed]
+        # Two moduli, and the exponent each time it changes, besides the bases.
+        assert sets.call_count == len(packed) + 2 + len(packed)
+        sets.reset_mock()
+        assert backend.powmod_many(baseline) == [pow(*job) for job in baseline]
+        assert sets.call_count == len(baseline) + 1 + 1
+    assert made.call_count == 4  # base, exponent, and a modulus each for p², q²
+
+
+@needs_native
+def test_comb_and_plain_jobs_interleave_on_one_modulus(tables, builds):
+    """The comb writes the thread's result ``mpz_t``, and a plain job's
+    operands are set afresh in the run after it: a comb job, a marked base
+    still under its threshold and plain jobs on the same modulus take
+    turns in one batch."""
+    m = (1 << 1279) - 1  # prime: every base below it is invertible
+    with_table, without = (backend.FixedBase(int(fresh_base(seed=s)) % m, m) for s in (5, 6))
+    with mock.patch.object(backend, "_BUILD_AFTER", 1):
+        backend.powmod(with_table, 3, m)  # builds its table
+    assert builds.call_count == 1
+    rnd = random.Random(53)
+    exponent = rnd.getrandbits(256)
+    jobs = []
+    for _ in range(6):
+        jobs += [
+            (with_table, rnd.getrandbits(256), m),
+            (rnd.getrandbits(1000), exponent, m),
+            (without, rnd.getrandbits(256), m),
+            (rnd.getrandbits(1000), exponent, m),
+            (rnd.getrandbits(1000), -1, m),
+        ]
+    with mock.patch.object(
+        backend._gmp, "comb_powmod", wraps=backend._gmp.comb_powmod
+    ) as comb:
+        assert backend.powmod_many(jobs) == [pow(int(b), e, mod) for b, e, mod in jobs]
+    assert comb.call_count == 6 and builds.call_count == 1
+
+
+@needs_native
+def test_a_failing_job_mid_batch_raises_first():
+    """A non-invertible base under a negative exponent in the middle of a
+    native run raises its ``ValueError`` before the zero modulus after it,
+    and the jobs before it ran (the interpreter is alive to say so)."""
+    good = (3, FLOOR - 1, FLOOR + 1)
+    jobs = [good] * 3 + [(6, -1, FLOOR * 3)] + [good, (5, 3, 0), good]
+    with mock.patch.object(
+        backend._gmp, "powmod_many", wraps=backend._gmp.powmod_many
+    ) as native, pytest.raises(ValueError, match="not invertible"):
+        backend.powmod_many(jobs)
+    assert native.call_args_list == [mock.call(jobs[:5])]
+    assert outcome(backend.powmod_many, jobs) == outcome(lambda: [pow(*j) for j in jobs])

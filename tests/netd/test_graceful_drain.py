@@ -276,6 +276,22 @@ class TestHealthCheck:
         assert _plane_threads() == []
         assert [w.returncode for w in workers] == [0, 0, 0]
 
+    def test_the_stp_threads_on_every_core_and_a_shard_does_not(self):
+        """The STP's batches run on a thread per CPU it may use, and
+        ``ping`` says how many (a count, nothing else); shard workers
+        evaluate serially and say 1."""
+        import os
+
+        from repro.netd import plane
+        from repro.service.loadtest import LoadtestConfig
+
+        with plane.build_socket_service(
+            LoadtestConfig(shards=1, num_sus=1, key_bits=256)
+        ) as fixture:
+            health = plane.health_check(fixture)
+        assert health["stp"]["executor_threads"] == len(os.sched_getaffinity(0))
+        assert health["shard-0"]["executor_threads"] == 1
+
     def test_stopped_worker_reads_unreachable_not_an_exception(self, monkeypatch):
         """A SIGSTOPped worker accepts (the kernel does) and never
         answers: the ping times out as a dead link — typed, and its

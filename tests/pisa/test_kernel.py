@@ -78,25 +78,27 @@ def chain_packed_chunk(sdc, f_chunk, channel, blocks, alpha, packed_bias):
 
 @contextmanager
 def native_calls():
-    """Every exponentiation that reaches libgmp — ``mpz_powm`` / ``mpz_invert``
-    or a fixed-base comb — as ``mock.call(base or table, exponent, ...)``
-    records in call order (``None`` on a host without the library: there
-    is nothing to count)."""
+    """Every exponentiation that reaches libgmp — a job of a native batch
+    (``mpz_powm`` / ``mpz_invert``) or a fixed-base comb — as
+    ``mock.call(base or table, exponent, ...)`` records in call order
+    (``None`` on a host without the library: there is nothing to count)."""
     gmp = backend._gmp
     if gmp is None:
         yield None
         return
     calls = []
 
-    def recorded(function):
-        def wrapper(*args):
-            calls.append(mock.call(*args))
-            return function(*args)
+    def batch(jobs):
+        calls.extend(mock.call(*job) for job in jobs)
+        return native(jobs)
 
-        return wrapper
+    def comb(*args):
+        calls.append(mock.call(*args))
+        return comb_powmod(*args)
 
-    with mock.patch.object(gmp, "powmod", recorded(gmp.powmod)), mock.patch.object(
-        gmp, "comb_powmod", recorded(gmp.comb_powmod)
+    native, comb_powmod = gmp.powmod_many, gmp.comb_powmod
+    with mock.patch.object(gmp, "powmod_many", batch), mock.patch.object(
+        gmp, "comb_powmod", comb
     ):
         yield calls
 

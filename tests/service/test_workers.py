@@ -1,8 +1,9 @@
 """The executors: correctness, chunking, teardown and protocol equivalence."""
 
+import random
 import sys
 import threading
-from collections import UserList
+from collections import OrderedDict, UserList
 from unittest import mock
 
 import pytest
@@ -121,12 +122,12 @@ class TestThreadExecutor:
     def test_single_job_runs_inline(self):
         ran_on = []
 
-        def record(*job):
-            ran_on.append(threading.current_thread())
-            return pow(*job)
+        def record(jobs):
+            ran_on.extend(threading.current_thread() for _ in jobs)
+            return [pow(*job) for job in jobs]
 
         with ThreadExecutor(4) as executor, mock.patch.object(
-            parallel, "powmod", side_effect=record
+            parallel, "powmod_many", side_effect=record
         ):
             assert executor.pow_many([(3, 4, 5)]) == [pow(3, 4, 5)]
             assert executor.pow_many([]) == []
@@ -134,6 +135,43 @@ class TestThreadExecutor:
             executor.pow_many([(3, 4, 5)] * 8)
         assert len(ran_on) == 9
         assert threading.current_thread() not in ran_on[1:]
+
+    @pytest.mark.skipif(backend.describe() == "python", reason="libgmp not found on this host")
+    def test_comb_jobs_run_on_the_callers_thread(self):
+        """A comb evaluation holds the GIL, so splitting comb jobs over
+        threads only makes them wait for each other: the caller evaluates
+        them while the pool takes the rest."""
+        rnd = random.Random(31)
+        modulus = rnd.getrandbits(1024) | (1 << 1023) | 1
+        base = backend.FixedBase(rnd.getrandbits(1023), modulus)
+        nonces = [rnd.getrandbits(256) | 2 for _ in range(8)]
+        plain = [(rnd.getrandbits(1023), rnd.getrandbits(512), modulus) for _ in range(8)]
+        gmp, ran_on = backend._gmp, []
+
+        def comb(*args):
+            ran_on.append(threading.current_thread())
+            return comb_powmod(*args)
+
+        comb_powmod = gmp.comb_powmod
+        with mock.patch.object(backend, "_tables", OrderedDict()), mock.patch.object(
+            backend, "_BUILD_AFTER", 1
+        ), mock.patch.object(gmp, "comb_powmod", comb), ThreadExecutor(2) as executor:
+            obfuscators = [(base, s, modulus) for s in nonces]
+            assert executor.pow_many(obfuscators) == [pow(*j) for j in obfuscators]
+            mixed = [job for pair in zip(plain, obfuscators) for job in pair]
+            assert executor.pow_many(mixed) == [pow(*job) for job in mixed]
+        if not gmp.fixed_base:
+            pytest.skip("the comb's calls did not bind on this host")
+        assert len(ran_on) == 2 * len(nonces)
+        assert set(ran_on) == {threading.current_thread()}
+
+    def test_one_thread_is_serial(self):
+        jobs = [(3, FLOOR - 1, FLOOR + 1)] * 4 + [(backend.FixedBase(3, FLOOR + 1), 5, FLOOR + 1)]
+        with ThreadExecutor(1) as executor, mock.patch.object(
+            parallel, "powmod_many", wraps=parallel.powmod_many
+        ) as evaluate:
+            assert executor.pow_many(jobs) == [pow(*job) for job in jobs]
+        assert evaluate.call_args_list == [mock.call(jobs)]
 
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
