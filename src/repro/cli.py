@@ -125,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threads for the shards' and the STP's Paillier "
                             "batches (0 = serial in-process executor)")
     serve.add_argument("--store", type=str, default=None, metavar="PATH",
-                       help="durable SQLite state store (needs --shards; "
-                            "memory plane: one DB file; socket plane: a "
-                            "directory holding one DB per shard worker)")
+                       help="the deployment's durable SQLite state store "
+                            "(needs --shards; memory plane: the DB file; "
+                            "socket plane: a directory, DB state.sqlite)")
     serve.add_argument("--trace", action="store_true",
                        help="print the span tree and the per-phase latency "
                             "table after the report (and add the spans to "

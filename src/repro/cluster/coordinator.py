@@ -44,14 +44,14 @@ import time
 from repro.crypto.paillier import EncryptedNumber, PaillierKeypair
 from repro.crypto.rand import RandomSource, default_rng
 from repro.crypto.signatures import RsaFdhSigner
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.geo.region import PrivacyRegion
 from repro.net.transport import InMemoryTransport, resolve_transport
 from repro.pisa.kernel import CellTable
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcFront
-from repro.pisa.storage import encode_shard_state, serialize_directory
+from repro.pisa.storage import encode_shard_state, restore_directory, serialize_directory
 from repro.pisa.su_client import SUClient
 from repro.resilience.journal import JournaledClock, JournalingRandomSource
 from repro.store.coldstart import rebuild_shard
@@ -166,9 +166,9 @@ class ClusterSdc(SdcFront):
 
     # -- epoch control -----------------------------------------------------------
 
-    def commit_epoch(self, epoch_id: int, snapshot: bool = True) -> None:
+    def commit_epoch(self, epoch_id: int) -> None:
         """Commit on every shard; snapshot each primary at the new epoch."""
-        self.router.commit_epoch(epoch_id, snapshot=snapshot)
+        self.router.commit_epoch(epoch_id)
 
 
 class ClusterCoordinator(PisaCoordinator):
@@ -235,6 +235,11 @@ class ClusterCoordinator(PisaCoordinator):
         Control plane only — deterministic, no RNG draws.
         """
         environment, store, metrics = self.environment, self.store, self._metrics
+        # A reopened store must be this deployment's: its snapshots and
+        # PU rows are ciphertexts under the group key it persisted.
+        stored = store.get_directory()
+        if stored and restore_directory(stored).group_public_key != self.stp.group_public_key:
+            raise ConfigurationError("the state store belongs to another deployment")
         #: What every shard's kernel reads of the map, in memory or shipped
         #: in a worker's bootstrap.
         self.cells = CellTable.of(environment)

@@ -7,6 +7,7 @@ holds the same encrypted aggregate, and the set keeps the shard's rows
 of the deployment's :class:`~repro.store.base.StateStore` current: one
 ``pu_updates`` row per tracked PU (written on every update, deleted when
 a handoff moves the PU away) and the epoch snapshot written at commit.
+Those writes are :class:`ReplicaSetBase`'s, the same code on both planes.
 
 Failure detection is heartbeat-based and clock-injectable: the router
 records a heartbeat on every successful sub-query, and
@@ -57,15 +58,26 @@ class FailoverEvent:
 class ReplicaSetBase:
     """What the broker tracks about one shard, wherever its replicas run.
 
-    Heartbeats, gray-failure suspicion, the fence ratchet and the
-    failover log — shared by the in-process :class:`ShardReplicaSet` and
-    the socket plane's :class:`~repro.netd.remote.RemoteShardSet`.
-    Subclasses provide ``primary`` (anything with an ``alive`` flag).
+    Heartbeats, gray-failure suspicion, the fence ratchet, the failover
+    log and the shard's rows of the deployment's store — shared by the
+    in-process :class:`ShardReplicaSet` and the socket plane's
+    :class:`~repro.netd.remote.RemoteShardSet`.  Subclasses provide
+    ``primary`` (anything with an ``alive`` flag) and move the replicas'
+    state: ``_apply`` an update, ``_commit`` an epoch (returning the
+    committed epoch and its ``PISA-SHARD-STATE-v1`` snapshot) and, for a
+    handoff, ``_detach`` a block.
     """
 
-    def __init__(self, shard_id: str, clock) -> None:
+    #: Optional :class:`repro.resilience.journal.EpochJournal`; when
+    #: set, epoch commits and promotions are write-ahead logged.
+    journal = None
+
+    def __init__(self, shard_id: str, clock, store) -> None:
         self.shard_id = shard_id
         self._clock = clock
+        #: The deployment's :class:`~repro.store.base.StateStore`.  This
+        #: set is the only writer of its shard's PU rows and snapshots.
+        self.store = store
         # Promotion and heartbeat bookkeeping race with the router's
         # scatter threads; all mutations hold the lock.
         self._lock = threading.Lock()
@@ -95,6 +107,41 @@ class ReplicaSetBase:
             self.primary.alive
             and self.heartbeat_age(now) <= DEFAULT_HEARTBEAT_TIMEOUT_S
         )
+
+    # -- the shard's store rows ----------------------------------------------------
+
+    def apply_pu_update(self, message: PUUpdateMessage, fence_token: int = 0) -> None:
+        """Apply one PU update on the replicas, then write its store row.
+
+        The row is written *after* the replicas accepted the update
+        (ownership and fence checked), under this shard's id, so a cold
+        start restores one shard without scanning the fleet's.
+        """
+        raw = message.to_bytes()
+        self._apply(message, raw, fence_token or self.fence_token)
+        self.store.put_pu_update(self.shard_id, message.pu_id, raw)
+
+    def detach_block(self, block: int) -> tuple[PUUpdateMessage, ...]:
+        """Handoff, source side: give up ``block`` and the PUs on it.
+
+        The replicas drop each PU's contribution (``⊖`` from the
+        aggregate) and the store forgets its row; the returned updates
+        are for the new owner's :meth:`apply_pu_update`.
+        """
+        moved = self._detach(block)
+        for message in moved:
+            self.store.delete_pu_update(self.shard_id, message.pu_id)
+        return moved
+
+    def commit_epoch(self, epoch_id: int, fence_token: int = 0) -> None:
+        """Commit the epoch on the replicas, then store its snapshot."""
+        token = fence_token or self.fence_token
+        epoch, snapshot = self._commit(epoch_id, token)
+        self.store.put_snapshot(self.shard_id, epoch, snapshot)
+        if self.journal is not None:
+            self.journal.epoch_commit(self.shard_id, epoch_id)
+            if token:
+                self.journal.writer_commit(self.shard_id, epoch_id, token)
 
     def _ratchet_fence(self, token: int) -> None:
         """Leases only move forward."""
@@ -135,15 +182,10 @@ class ShardReplicaSet(ReplicaSetBase):
         clock=time.monotonic,
         journal=None,
     ) -> None:
-        super().__init__(shard_id, clock)
+        super().__init__(shard_id, clock, store)
         #: ``shard_factory(role: str) -> SdcShard`` — builds an empty
         #: shard (the replica layer assigns blocks and replays state).
         self._factory = shard_factory
-        #: The deployment's :class:`~repro.store.base.StateStore`.  This
-        #: set is the only writer of its shard's PU rows and snapshots.
-        self.store = store
-        #: Optional :class:`repro.resilience.journal.EpochJournal`; when
-        #: set, epoch commits and promotions are write-ahead logged.
         self.journal = journal
         self.primary: SdcShard = self._factory("a")
         self.standby: SdcShard = self._factory("b")
@@ -162,52 +204,24 @@ class ShardReplicaSet(ReplicaSetBase):
     def blocks(self) -> tuple[int, ...]:
         return self.primary.blocks
 
-    def apply_pu_update(
-        self, message: PUUpdateMessage, fence_token: int = 0
-    ) -> None:
-        """Warm mirroring: every PU update lands on primary *and* standby.
-
-        The store row is written *after* both replicas accepted the
-        update (ownership and fence checked), under this shard's id, so
-        a cold start restores one shard without scanning the fleet's.
-        """
-        token = fence_token or self.fence_token
+    def _apply(self, message: PUUpdateMessage, raw: bytes, token: int) -> None:
+        """Warm mirroring: every PU update lands on primary *and* standby."""
         self.primary.handle_pu_update(message, fence_token=token)
         self.standby.handle_pu_update(message, fence_token=token)
-        self.store.put_pu_update(self.shard_id, message.pu_id, message.to_bytes())
 
-    def detach_block(self, block: int) -> tuple[PUUpdateMessage, ...]:
-        """Handoff, source side: give up ``block`` and the PUs on it.
-
-        Both replicas drop each PU's contribution (``⊖`` from the
-        aggregate) and the store forgets its row; the returned updates
-        are for the new owner's :meth:`apply_pu_update`.
-        """
+    def _detach(self, block: int) -> tuple[PUUpdateMessage, ...]:
         moved = []
         for pu_id in self.primary.pus_on_blocks((block,)):
             moved.append(self.primary.remove_pu(pu_id))
             self.standby.remove_pu(pu_id)
-            self.store.delete_pu_update(self.shard_id, pu_id)
         self.release_blocks((block,))
         return tuple(moved)
 
-    def commit_epoch(
-        self, epoch_id: int, snapshot: bool = True, fence_token: int = 0
-    ) -> None:
+    def _commit(self, epoch_id: int, token: int) -> tuple[int, bytes]:
         """Mark the epoch committed on both replicas; snapshot the primary."""
-        token = fence_token or self.fence_token
         self.primary.commit_epoch(epoch_id, fence_token=token)
         self.standby.commit_epoch(epoch_id, fence_token=token)
-        if snapshot:
-            self.store.put_snapshot(
-                self.shard_id,
-                self.primary.last_committed_epoch,
-                serialize_shard_state(self.primary),
-            )
-        if self.journal is not None:
-            self.journal.epoch_commit(self.shard_id, epoch_id)
-            if token:
-                self.journal.writer_commit(self.shard_id, epoch_id, token)
+        return self.primary.last_committed_epoch, serialize_shard_state(self.primary)
 
     # -- fencing -------------------------------------------------------------------
 

@@ -442,11 +442,9 @@ class ShardRouter:
 
     # -- epoch control ---------------------------------------------------------------
 
-    def commit_epoch(self, epoch_id: int, snapshot: bool = True) -> None:
+    def commit_epoch(self, epoch_id: int) -> None:
         """Commit the epoch on every shard (and snapshot each primary)."""
         for shard_id in self.shard_ids:
             self.replica_set(shard_id).commit_epoch(
-                epoch_id,
-                snapshot=snapshot,
-                fence_token=self.fence_token(shard_id),
+                epoch_id, fence_token=self.fence_token(shard_id)
             )

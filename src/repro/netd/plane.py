@@ -47,6 +47,7 @@ from repro.netd.wire import decode_control, encode_control
 from repro.pisa.blinding import indicator_bound_for
 from repro.service.batching import STP_ENDPOINT
 from repro.service.loadtest import LoadtestConfig, ServiceFixture
+from repro.store import SqliteStateStore
 from repro.telemetry import MetricsRegistry, Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
@@ -123,6 +124,7 @@ class SocketClusterCoordinator(ClusterCoordinator):
             self.netd.authority,
             self.cells,
             self.stp.group_public_key,
+            self.store,
         )
 
     def kill_shard(self, shard_id: str) -> None:
@@ -155,14 +157,15 @@ def build_socket_coordinator(
     workdir=None,
     max_attempts: int = 2,
     scatter_threads: int | None = None,
-    store_dir=None,
+    store=None,
 ):
     """Stand up the process topology and the coordinator over it.
 
     Returns ``(coordinator, scenario)``; nothing is enrolled yet.  The
     lower-level seam shared by :func:`build_socket_service` and the
     chaos harness's ``--plane socket`` runs (which drive Figure-5
-    rounds directly, no broker).
+    rounds directly, no broker).  ``store`` is the deployment's one
+    store, as on the memory plane; the workers keep no disk.
     """
     if num_shards < 1:
         raise ConfigurationError("the socket plane needs at least one shard")
@@ -185,18 +188,9 @@ def build_socket_coordinator(
             worker_args += ["--tls-cert", tls.certfile, "--tls-key", tls.keyfile]
             if tls.cafile:
                 worker_args += ["--tls-ca", tls.cafile]
-        store_root = None
-        if store_dir:
-            store_root = pathlib.Path(store_dir)
-            store_root.mkdir(parents=True, exist_ok=True)
         names = [f"shard-{i}" for i in range(num_shards)] + [STP_ENDPOINT]
         for i in range(num_shards):
-            shard_args = list(worker_args)
-            if store_root is not None:
-                # Per-shard database: restarts of the same worker name
-                # find the same file; shards never share a connection.
-                shard_args += ["--store", str(store_root / f"shard-{i}.sqlite")]
-            supervisor.start(f"shard-{i}", "shard", tuple(shard_args))
+            supervisor.start(f"shard-{i}", "shard", tuple(worker_args))
         supervisor.start(STP_ENDPOINT, "stp", tuple(worker_args))
         for name in names:
             transport.register_peer(
@@ -221,6 +215,7 @@ def build_socket_coordinator(
             clock=clock,
             max_attempts=max_attempts,
             scatter_threads=scatter_threads,
+            store=store,
         )
     except BaseException:
         netd.close()
@@ -247,6 +242,8 @@ def build_socket_service(
     and close it (or use it as a context manager) to tear down the
     worker processes too.  With ``record_transcript=True`` the protocol
     fingerprints are ``fixture.coordinator.transport.fingerprints``.
+    With ``store_dir`` the deployment's store is the SQLite file
+    ``store_dir/state.sqlite``, which the fixture owns.
     """
     if scenario_config is None:
         # The registry build and this plain config produce the identical
@@ -255,6 +252,11 @@ def build_socket_service(
             seed=config.seed, num_sus=max(config.num_sus, 1)
         )
     metrics = metrics if metrics is not None else MetricsRegistry()
+    store = None
+    if store_dir:
+        pathlib.Path(store_dir).mkdir(parents=True, exist_ok=True)
+        store = SqliteStateStore(pathlib.Path(store_dir, "state.sqlite"))
+        store.attach_metrics(metrics)
     coordinator, scenario = build_socket_coordinator(
         config.shards,
         max(config.key_bits, 512),
@@ -266,9 +268,9 @@ def build_socket_service(
         tls=tls,
         host=host,
         workdir=workdir,
-        store_dir=store_dir,
+        store=store,
     )
-    return ServiceFixture.enroll(config, coordinator, scenario, metrics, tracer)
+    return ServiceFixture.enroll(config, coordinator, scenario, metrics, tracer, store)
 
 
 def health_check(fixture: ServiceFixture) -> dict:

@@ -320,7 +320,8 @@ class RemoteShard:
     def commit_epoch(self, epoch_id: int, fence_token: int) -> None:
         """The worker's own commit; a stale ``fence_token`` comes back as
         a wire-typed :class:`~repro.errors.FencedError`."""
-        self._owner.commit_epoch(epoch_id, fence_token=fence_token)
+        frame = encode_control({"epoch": epoch_id, "fence_token": fence_token})
+        self._owner.transact("commit_epoch", frame)
 
 
 class RemoteShardSet(ReplicaSetBase):
@@ -335,7 +336,8 @@ class RemoteShardSet(ReplicaSetBase):
     this object keeps serving from its caches.  Since ``⊕`` is
     commutative and the shard keeps only the latest update per PU,
     folding those latest updates onto a fresh shard reproduces the exact
-    pre-crash aggregate ``W̃`` state.
+    pre-crash aggregate ``W̃`` state.  The worker keeps no disk: the base
+    writes the shard's rows into ``store``, that blob being its snapshot.
     """
 
     def __init__(
@@ -346,11 +348,12 @@ class RemoteShardSet(ReplicaSetBase):
         authority: AuthorityServer,
         cells: CellTable,
         group_public_key: PaillierPublicKey,
+        store,
         clock=time.monotonic,
     ) -> None:
         # The base's ``fence_token`` travels in the bootstrap, so a
         # restarted worker resumes already fenced.
-        super().__init__(shard_id, clock)
+        super().__init__(shard_id, clock, store)
         self._transport = transport
         self.supervisor = supervisor
         #: The worker's whole view of the map, shipped as its kernel reads it.
@@ -373,13 +376,17 @@ class RemoteShardSet(ReplicaSetBase):
                     "fence_token": self.fence_token,
                 },
                 encode_public_key(self.group_public_key),
-                encode_shard_state(
-                    self.shard_id,
-                    self._last_epoch,
-                    sorted(self._blocks),
-                    (raw for _, raw in sorted(self._pu_updates.items())),
-                ),
+                self._shard_state(),
             )
+
+    def _shard_state(self) -> bytes:
+        """The worker's state as one blob; the caller holds ``self._lock``."""
+        return encode_shard_state(
+            self.shard_id,
+            self._last_epoch,
+            sorted(self._blocks),
+            (raw for _, raw in sorted(self._pu_updates.items())),
+        )
 
     # -- wiring --------------------------------------------------------------------
 
@@ -398,33 +405,20 @@ class RemoteShardSet(ReplicaSetBase):
         with self._lock:
             return tuple(sorted(self._blocks))
 
-    def apply_pu_update(self, message, fence_token: int = 0) -> None:
-        raw = message.to_bytes()
-        token = fence_token or self.fence_token
+    def _apply(self, message, raw: bytes, token: int) -> None:
         with self._lock:
             self._pu_updates[message.pu_id] = raw
         # The token is a frame prefix, never part of the message bytes —
         # a PUUpdateMessage's bytes are protocol transcript.
         self.transact("pu_update", encode_int(token) + raw)
 
-    def commit_epoch(
-        self, epoch_id: int, snapshot: bool = True, fence_token: int = 0
-    ) -> None:
-        token = fence_token or self.fence_token
-        self.transact(
-            "commit_epoch",
-            encode_control(
-                {
-                    "epoch": epoch_id,
-                    "snapshot": bool(snapshot),
-                    "fence_token": token,
-                }
-            ),
-        )
+    def _commit(self, epoch_id: int, token: int) -> tuple[int, bytes]:
+        self.primary.commit_epoch(epoch_id, token)
         # Only an epoch the worker accepted is one a restart may resume
         # from: a fenced or failed commit leaves the bootstrap unchanged.
         with self._lock:
             self._last_epoch = max(self._last_epoch, epoch_id)
+            return self._last_epoch, self._shard_state()
 
     # -- fencing / gray failure ----------------------------------------------------
 

@@ -19,7 +19,9 @@ the supervisor never pushes anything.  A shard's config carries all
 that its kernel reads of the map, the
 :class:`~repro.pisa.kernel.CellTable` (``cells``), so a shard worker
 never builds the map and never loads numpy; a malformed table is
-refused before the readiness file exists.
+refused before the readiness file exists.  Nor does it keep a disk: the
+bootstrap's ``PISA-SHARD-STATE-v1`` blob is its whole state, and the
+broker writes the shard's durable rows into the deployment's one store.
 
 Every accepted connection has a thread of its own that reads a frame,
 runs the handler and writes the reply, so pings on one connection stay
@@ -38,7 +40,6 @@ import signal
 import sys
 import threading
 import time
-from typing import TYPE_CHECKING
 
 from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
@@ -65,10 +66,7 @@ from repro.netd.wire import (
     encode_phase1_response,
 )
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
-from repro.pisa.storage import decode_shard_state, serialize_shard_state
-
-if TYPE_CHECKING:
-    from repro.store.base import StateStore
+from repro.pisa.storage import decode_shard_state, restore_shard_state
 
 _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
@@ -102,27 +100,22 @@ class ShardState:
     role = "shard"
     executor_threads = 1
 
-    def __init__(self, payload: bytes, store: StateStore | None = None) -> None:
-        # The shard role's own imports: the store, and no map — the
+    def __init__(self, payload: bytes) -> None:
+        # The shard role's own import: the shard, and no map — the
         # bootstrap's cell table is everything the kernel reads of it.
         from repro.cluster.shard import SdcShard
-        from repro.store.coldstart import rebuild_shard
-        from repro.store.memory import MemoryStateStore
 
         obj, (key_raw, live) = decode_control(payload, num_attachments=2)
         cells = decode_cells(obj.get("cells"))
         self.group_public_key = decode_public_key(key_raw)
-        #: ``--store``'s SQLite file, or memory when the worker has none.
-        self.store = store if store is not None else MemoryStateStore()
         #: Chaos seam: artificial per-sub-query service delay (seconds),
         #: armed by a ``chaos_delay`` frame for gray-failure drills.
         self.delay_s = 0.0
         self.shard = SdcShard(decode_shard_state(live)[0], cells, self.group_public_key)
-        # The one rebuild rule: the durable snapshot (if the store
-        # survived the crash) as a head start, then every update the
-        # broker's bootstrap blob holds — ⊕ commutes and state is
-        # latest-per-PU, so this reproduces the pre-crash aggregate.
-        rebuild_shard(self.shard, live, self.store)
+        # A (re)start folds every update the broker's bootstrap blob
+        # holds — ⊕ commutes and state is latest-per-PU, so this
+        # reproduces the pre-crash aggregate.
+        restore_shard_state(self.shard, live)
         # Learn the current lease *before* serving: a restarted worker
         # must reject the deposed incarnation's stale-token requests from
         # its very first frame.
@@ -141,7 +134,6 @@ class ShardState:
             raw = payload[offset:]
             message = PUUpdateMessage.from_bytes(raw, self.group_public_key)
             self.shard.handle_pu_update(message, fence_token=fence_token)
-            self.store.put_pu_update(self.shard.shard_id, message.pu_id, raw)
             return "ok", encode_control({})
         if kind == "fence":
             obj, _ = decode_control(payload)
@@ -157,12 +149,8 @@ class ShardState:
             return "ok", encode_control({})
         if kind == "commit_epoch":
             obj, _ = decode_control(payload)
-            epoch = int(obj["epoch"])
             self.shard.commit_epoch(
-                epoch, fence_token=int(obj.get("fence_token", 0))
-            )
-            self.store.put_snapshot(
-                self.shard.shard_id, epoch, serialize_shard_state(self.shard)
+                int(obj["epoch"]), fence_token=int(obj.get("fence_token", 0))
             )
             return "ok", encode_control({})
         raise TransportError(f"shard worker cannot serve frame kind {kind!r}")
@@ -274,13 +262,7 @@ def _serve(args, tls: TlsSpec | None) -> int:
         return 0
 
     if args.role == "shard":
-        from repro.store.sqlite import SqliteStateStore
-
-        # The store opens *before* the readiness file is written: a shard
-        # that cannot reach its durable state must not advertise itself.
-        state = ShardState(
-            payload, store=SqliteStateStore(args.store) if args.store else None
-        )
+        state = ShardState(payload)
     else:
         state = StpState(payload, authority)
 
@@ -363,9 +345,7 @@ def _serve(args, tls: TlsSpec | None) -> int:
         pass
     server.stop_accepting()
     # Graceful drain (SIGTERM path): finish the frames the connection
-    # threads are already serving, flush durable state, and only then
-    # revoke the readiness file — a supervisor that reads it mid-shutdown
-    # must never see "ready" after the store has closed.
+    # threads are already serving, then revoke the readiness file.
     drain_deadline = time.monotonic() + 5.0
     while in_flight[0] > 0 and time.monotonic() < drain_deadline:
         time.sleep(0.01)  # audit-ok: RES001 — shutdown drain tick
@@ -376,8 +356,6 @@ def _serve(args, tls: TlsSpec | None) -> int:
         filler.join()
         state.executor.close()
         authority.close()
-    if args.role == "shard":
-        state.store.close()
     if args.ready_file:
         pathlib.Path(args.ready_file).unlink(missing_ok=True)
     return 0
@@ -394,11 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tls-cert", default="")
     parser.add_argument("--tls-key", default="")
     parser.add_argument("--tls-ca", default="")
-    parser.add_argument(
-        "--store",
-        default="",
-        help="shard role: SQLite state-store path, opened before readiness",
-    )
     args = parser.parse_args(argv)
 
     try:

@@ -156,10 +156,10 @@ class FaultPlan:
     #: or a checkpoint).  The socket plane takes no journal, so these
     #: run in memory only.
     wants_journal = False
-    #: Plans that run on real disk in memory: a path-backed journal plus
-    #: a SQLite :class:`~repro.store.sqlite.SqliteStateStore` in a temp
-    #: dir, which also gives the exactly-one-writer audit a journal to
-    #: read.  On sockets every worker has its own SQLite file instead.
+    #: Plans that run on real disk: the deployment's store is a SQLite
+    #: :class:`~repro.store.sqlite.SqliteStateStore` in a temp dir, on
+    #: either plane.  In memory a path-backed journal comes with it,
+    #: which gives the exactly-one-writer audit a journal to read.
     wants_store = False
     #: Plans whose faulted run ends in a crash + journal replay.
     crashes = False
@@ -806,9 +806,9 @@ class ChaosHarness:
 
     # -- deployment plumbing ----------------------------------------------------
 
-    def _build(self, rng, journal=None, clock=None, store=None, worker_store_dir=None):
-        """One enrolled deployment; ``worker_store_dir`` puts it on real
-        sockets, each shard worker with its own SQLite file in there."""
+    def _build(self, rng, journal=None, clock=None, store=None, plane="memory"):
+        """One enrolled deployment on ``plane`` (``"socket"``: worker
+        processes on TCP), over ``store`` if one is given."""
         scenario_config = ScenarioConfig(seed=self.scenario_seed)
         # Composed schedules can burn several attempts on one sub-query
         # (a failover *and* an injected drop); give the router a
@@ -821,15 +821,15 @@ class ChaosHarness:
             max_attempts=4,
             clock=clock if clock is not None else (lambda: FROZEN_CLOCK),
             metrics=self.metrics,
+            store=store,
         )
-        if worker_store_dir is not None:
+        if plane == "socket":
             from repro.netd.plane import build_socket_coordinator
 
             coordinator, scenario = build_socket_coordinator(
                 self.shards,
                 scenario_config=scenario_config,
                 record_transcript=True,
-                store_dir=worker_store_dir,
                 **shared,
             )
         else:
@@ -839,7 +839,6 @@ class ChaosHarness:
                 num_shards=self.shards,
                 transport=TranscriptTransport(),
                 journal=journal,
-                store=store,
                 **shared,
             )
         try:
@@ -984,7 +983,6 @@ class ChaosHarness:
             ).inc()
         wants_journal = any(p.wants_journal for p in plans)
         wants_store = any(p.wants_store for p in plans)
-        on_sockets = self.plane == "socket"
 
         device: _DiskFullFile | None = None
         writer: JournalWriter | None = None
@@ -993,20 +991,18 @@ class ChaosHarness:
         checkpointer: Checkpointer | None = None
         journal_path: str | None = None
         store_dir: str | None = None
-        if on_sockets:
-            # Per-shard SQLite files: a killed worker restarts from its
-            # own disk plus the broker's bootstrap, not bootstrap alone.
-            # No journal, so no writer audit (writer_violations = -1).
+        if wants_store:
+            # Real disk: a SQLite store in a throwaway dir and, in
+            # memory, a path-backed journal (checkpoint compaction renames
+            # files).  The socket plane takes no journal, so no writer
+            # audit runs there (writer_violations = -1).
             store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
-        elif wants_store:
-            # Real disk: a path-backed journal (checkpoint compaction
-            # renames files) and a SQLite store in a throwaway dir.
-            store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
-            journal_path = os.path.join(store_dir, "journal.wal")
-            writer = JournalWriter(journal_path, fsync_every=8)
-            journal = EpochJournal(writer)
             store = SqliteStateStore(os.path.join(store_dir, "store.sqlite"))
-            checkpointer = Checkpointer(store, metrics=self.metrics)
+            if self.plane == "memory":
+                journal_path = os.path.join(store_dir, "journal.wal")
+                writer = JournalWriter(journal_path, fsync_every=8)
+                journal = EpochJournal(writer)
+                checkpointer = Checkpointer(store, metrics=self.metrics)
         elif wants_journal:
             device = _DiskFullFile()
             writer = JournalWriter(fileobj=device, fsync_every=8)
@@ -1017,7 +1013,7 @@ class ChaosHarness:
                 DeterministicRandomSource(self.seed),
                 journal=journal,
                 store=store,
-                worker_store_dir=store_dir if on_sockets else None,
+                plane=self.plane,
             )
             ctx = _RunContext(
                 coordinator=coordinator,

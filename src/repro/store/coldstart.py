@@ -1,15 +1,14 @@
 """The one rule by which a shard gets its state back.
 
-``ShardReplicaSet.promote`` (the fresh standby), ``netd.worker.ShardState``
-(a restarted worker) and ``ClusterCoordinator.cold_start_shard`` all
-rebuild a fresh, empty shard the same way:
+``ShardReplicaSet.promote`` (the fresh standby) and
+``ClusterCoordinator.cold_start_shard`` both rebuild a fresh, empty
+shard the same way:
 
 1. start from the newest stored snapshot, if the store has one;
 2. fold the caller's *live view* — a ``PISA-SHARD-STATE-v1`` blob built
-   from the promoted primary, the bootstrap provider's caches, or the
-   store's PU rows.  Its blocks are the shard's ownership (blocks the
-   snapshot lists but a handoff has since moved away are dropped) and
-   every update in it is folded;
+   from the promoted primary or the store's PU rows.  Its blocks are
+   the shard's ownership (blocks the snapshot lists but a handoff has
+   since moved away are dropped) and every update in it is folded;
 3. replay the journal tail's PU updates for owned blocks;
 4. commit the highest epoch any of the three named.
 
@@ -18,6 +17,10 @@ do not order a snapshot against the PU updates that followed it.  PU
 state is latest-per-PU, so folding an update the snapshot already
 absorbed is the eq. (9) no-op ``⊖ old ⊕ new`` with ``old == new``, and
 everything goes through the ``handle_pu_update`` path a live shard uses.
+
+A restarted socket-plane worker needs no rule of its own: it has no
+store and no tail, so its rebuild is
+:func:`~repro.pisa.storage.restore_shard_state` of its bootstrap blob.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """SQLite :class:`StateStore` engine.
 
-One file per shard-or-deployment, WAL-journaled, with every value
+One file per deployment, WAL-journaled, with every value
 CRC-framed *inside* its BLOB column: SQLite guards page integrity, the
 frame guards row integrity end-to-end (a byte flipped between the
 serializer and the disk — or by an operator poking the file — fails the
@@ -15,8 +15,8 @@ directory      the singleton key-directory snapshot
 checkpoints    one meta row per journal checkpoint scope
 =============  =================================================
 
-Connections allow cross-thread use (the netd worker serves requests
-from handler threads); a single mutex serialises statements, matching
+Connections allow cross-thread use (the router writes shard rows from
+its scatter threads); a single mutex serialises statements, matching
 the journal writer's locking discipline.
 """
 

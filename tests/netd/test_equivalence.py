@@ -9,6 +9,7 @@ single broker-side draw stream, remote nonce round-trips, canonical
 byte codecs.
 """
 
+import dataclasses
 import shutil
 import subprocess
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from repro.resilience.chaos import FROZEN_CLOCK
 from repro.service.batching import BatchAllocator
 from repro.service.loadtest import LoadtestConfig, run_loadtest
 from repro.service.broker import ServiceConfig
+from repro.store import SqliteStateStore
 from repro.telemetry import Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
 
@@ -192,3 +194,41 @@ class TestRepeatedSusWithIdleFill:
     def test_the_socket_broker_is_handed_no_fill(self, paired_runs):
         """The STP worker keeps its own trigger; nothing is filled twice."""
         assert paired_runs[1].idle_work is None
+
+
+def _store_rows(path) -> tuple:
+    """A store's PU rows and each shard's latest snapshot, as stored."""
+    with SqliteStateStore(path) as store:
+        snapshots = tuple(
+            (shard_id, store.latest_snapshot(shard_id))
+            for shard_id in store.snapshot_shards()
+        )
+        return store.pu_updates(), snapshots
+
+
+class TestStoreEquivalence:
+    """The transcript contract, on disk: one deployment's store holds the
+    same rows whichever plane its shards ran on."""
+
+    def test_pu_rows_and_snapshots_are_byte_identical(self, tmp_path):
+        # Two PU switches on top of enrolment, so rows change mid-run.
+        config = dataclasses.replace(CONFIG, num_pu_switches=2)
+        memory_path = tmp_path / "memory.sqlite"
+        run_loadtest(
+            dataclasses.replace(config, store_path=str(memory_path)),
+            clock=_clock,
+            scenario=build_scenario(SCENARIO_CONFIG),
+        )
+        with build_socket_service(
+            config,
+            scenario_config=SCENARIO_CONFIG,
+            clock=_clock,
+            store_dir=tmp_path / "socket",
+        ) as fixture:
+            fixture.run()
+        memory_rows, memory_snapshots = _store_rows(memory_path)
+        socket_rows, socket_snapshots = _store_rows(tmp_path / "socket" / "state.sqlite")
+        assert len(memory_rows) > 0
+        assert [shard_id for shard_id, _ in memory_snapshots] == ["shard-0", "shard-1"]
+        assert socket_rows == memory_rows
+        assert socket_snapshots == memory_snapshots

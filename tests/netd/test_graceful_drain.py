@@ -89,12 +89,7 @@ class TestGracefulDrain:
             supervisor.start(
                 "shard-t",
                 "shard",
-                extra_args=(
-                    "--authority",
-                    f"{host}:{port}",
-                    "--store",
-                    str(tmp_path / "shard-t.sqlite3"),
-                ),
+                extra_args=("--authority", f"{host}:{port}"),
             )
             supervisor.wait_ready(["shard-t"], timeout_s=60.0)
             ready = supervisor._ready_file("shard-t")

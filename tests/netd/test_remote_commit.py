@@ -1,9 +1,9 @@
 """The socket plane's epoch commit: only an accepted commit moves the epoch.
 
-A restarted shard worker resumes from :meth:`RemoteShardSet.bootstrap_payload`
-and a promotion reports :attr:`FailoverEvent.resumed_epoch`; both must
-name the last epoch a worker *accepted*, never one whose frame was
-fenced or lost.
+A restarted shard worker resumes from :meth:`RemoteShardSet.bootstrap_payload`,
+a promotion reports :attr:`FailoverEvent.resumed_epoch` and the store
+keeps the shard's snapshot; all three must name the last epoch a worker
+*accepted*, never one whose frame was fenced or lost.
 """
 
 from types import SimpleNamespace
@@ -15,6 +15,7 @@ from repro.netd.remote import RemoteShardSet
 from repro.netd.wire import decode_control
 from repro.pisa.kernel import CellTable
 from repro.pisa.storage import decode_shard_state
+from repro.store import MemoryStateStore
 
 
 class _Worker:
@@ -37,6 +38,7 @@ def _remote(keypair, worker):
         authority=SimpleNamespace(register_bootstrap=lambda name, provider: None),
         cells=CellTable(1, 1, 3, ((7,),)),
         group_public_key=keypair.public_key,
+        store=MemoryStateStore(),
     )
 
 
@@ -60,6 +62,7 @@ def test_refused_commit_leaves_the_epoch(keypair, failure):
     with pytest.raises(type(failure)):
         remote.commit_epoch(1)
     assert _bootstrap_epoch(remote) == 0
+    assert remote.store.latest_snapshot("shard-0")[0] == 0
     assert remote.promote().resumed_epoch == 0
 
     worker.refuse = None

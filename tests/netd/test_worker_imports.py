@@ -44,11 +44,10 @@ def test_the_stp_role_loads_neither_numpy_nor_sqlite():
     assert loaded_after(statement, ("numpy", "sqlite3")) == []
 
 
-#: The shard role's modules, and a worker built the way ``_serve`` builds
-#: one: ``ShardState`` from a bootstrap (the map used to load right here).
+#: A worker built the way ``_serve`` builds one: ``ShardState`` from a
+#: bootstrap, with nothing imported ahead of it that the role might load.
 SHARD_ROLE = """
-import repro.netd.worker, repro.cluster.shard, repro.store.coldstart
-import repro.store.memory, repro.store.sqlite
+import repro.netd.worker
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rand import DeterministicRandomSource
 from repro.crypto.serialization import encode_public_key
@@ -65,6 +64,12 @@ repro.netd.worker.ShardState(encode_control(
 
 def test_the_shard_role_loads_no_map():
     watched = ("numpy", "repro.watch.scenario", "repro.watch.environment", "repro.watch.matrices")
+    assert loaded_after(SHARD_ROLE, watched) == []
+
+
+def test_the_shard_role_keeps_no_disk():
+    """The bootstrap blob is a shard worker's whole state: no store, no journal."""
+    watched = ("sqlite3", "repro.store", "repro.resilience")
     assert loaded_after(SHARD_ROLE, watched) == []
 
 

@@ -8,8 +8,9 @@ equality for every later round, since phase-1/phase-2 arithmetic is a
 pure function of that state and centrally drawn randomness.
 
 The same rule (:func:`repro.store.rebuild_shard`) also rebuilds a
-promoted set's fresh standby and a restarted shard worker, so
-``TestOneRebuildRule`` holds all three callers to the same bar.
+promoted set's fresh standby, and a restarted shard worker folds its
+bootstrap blob, so ``TestOneRebuildRule`` holds all three paths to the
+same bar.
 """
 
 import io
@@ -18,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.crypto.rand import DeterministicRandomSource
+from repro.errors import ConfigurationError
 from repro.netd.remote import RemoteShardSet
 from repro.netd.worker import ShardState
 from repro.pisa.pu_client import PUClient
@@ -177,7 +179,7 @@ class TestJournalTailReplay:
         assert serialize_shard_state(fresh) == before
 
 
-# -- the one rebuild rule, through each of its three callers ----------------------
+# -- the one rebuild rule, through each of its three paths ------------------------
 #
 # Every case runs *commit epoch 0 → one PU switches → rebuild* and returns
 # ``(live bytes, rebuilt bytes)``.  The switch lands after the snapshot,
@@ -235,7 +237,7 @@ class _LoopbackTransport:
         return SimpleNamespace(kind=kind, payload=payload)
 
 
-def _by_worker_restart(tmp_path, with_store):
+def _by_worker_restart(tmp_path):
     # Feed one shard's blocks and PU updates through the socket plane's
     # broker-side proxy into a worker, then restart the worker the way
     # the supervisor would: a fresh ShardState on the current bootstrap.
@@ -251,11 +253,11 @@ def _by_worker_restart(tmp_path, with_store):
         authority=SimpleNamespace(register_bootstrap=lambda name, provider: None),
         cells=coordinator.cells,
         group_public_key=coordinator.stp.group_public_key,
+        store=MemoryStateStore(),
     )
 
     def boot():
-        store = SqliteStateStore(tmp_path / "shard.sqlite") if with_store else None
-        return ShardState(remote.bootstrap_payload(), store=store)
+        return ShardState(remote.bootstrap_payload())
 
     transport.state = boot()
     remote.assign_blocks(seed.blocks)
@@ -264,8 +266,6 @@ def _by_worker_restart(tmp_path, with_store):
     remote.commit_epoch(0)
     remote.apply_pu_update(coordinator.pu_client(pu.receiver_id).switch_channel(None))
     live = serialize_shard_state(transport.state.shard)
-    if with_store:
-        transport.state.store.close()
     return live, serialize_shard_state(boot().shard)
 
 
@@ -274,14 +274,7 @@ class TestOneRebuildRule:
         "rebuild",
         [
             pytest.param(_by_promote, id="promote"),
-            pytest.param(
-                lambda tmp: _by_worker_restart(tmp, with_store=True),
-                id="worker-restart-from-store",
-            ),
-            pytest.param(
-                lambda tmp: _by_worker_restart(tmp, with_store=False),
-                id="worker-restart-no-store",
-            ),
+            pytest.param(_by_worker_restart, id="worker-restart-no-store"),
             pytest.param(_by_cold_start, id="checkpoint-cold-start"),
         ],
     )
@@ -313,3 +306,33 @@ class TestOneRebuildRule:
         from_snapshot, _ = rebuild_shard(fresh, live, store)
         assert from_snapshot
         assert serialize_shard_state(fresh) == live
+
+
+class TestStoreIdentity:
+    """A store belongs to the deployment whose group key it persisted."""
+
+    def _commit_epochs(self, path, seed, epochs):
+        store = SqliteStateStore(path)
+        _, coordinator = build_cluster(seed=seed, num_shards=2, store=store)
+        for epoch in range(epochs):
+            coordinator.sdc.commit_epoch(epoch)
+        coordinator.close()
+        store.close()
+
+    def test_another_deployments_store_is_refused(self, tmp_path):
+        # Reused, its snapshots would resume the new deployment at the old
+        # one's epoch, with ciphertexts under the old group key.
+        path = tmp_path / "a.sqlite"
+        self._commit_epochs(path, seed=1, epochs=10)
+        with SqliteStateStore(path) as store:
+            with pytest.raises(ConfigurationError, match="another deployment"):
+                build_cluster(seed=2, num_shards=2, store=store)
+            assert store.latest_snapshot("shard-0")[0] == 9
+
+    def test_the_same_deployment_reopens_its_store(self, tmp_path):
+        # Fencing relies on this: a restart re-adopts its persisted leases.
+        path = tmp_path / "a.sqlite"
+        self._commit_epochs(path, seed=1, epochs=2)
+        with SqliteStateStore(path) as store:
+            _, coordinator = build_cluster(seed=1, num_shards=2, store=store)
+            coordinator.close()
