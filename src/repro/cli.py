@@ -494,7 +494,7 @@ def _write_prometheus(path: str, metrics) -> None:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.resilience.chaos import ChaosHarness, plans_for
+    from repro.resilience.chaos import PLAN_NAMES, ChaosHarness
 
     metrics = None
     if args.metrics_dump is not None:
@@ -511,7 +511,7 @@ def _cmd_chaos(args) -> int:
         plane=args.plane,
     )
     if args.plan == "all":
-        schedules = [[name] for name in plans_for(args.plane)]
+        schedules = [[name] for name in PLAN_NAMES]
     else:
         schedules = [[p.strip() for p in args.plan.split(",") if p.strip()]]
     results = []

@@ -54,7 +54,6 @@ from repro.pisa.sdc_server import SdcFront
 from repro.pisa.storage import encode_shard_state, restore_directory, serialize_directory
 from repro.pisa.su_client import SUClient
 from repro.resilience.journal import JournaledClock, JournalingRandomSource
-from repro.store.coldstart import rebuild_shard
 from repro.store.memory import MemoryStateStore
 from repro.watch.entities import SUTransmitter
 from repro.watch.environment import SpectrumEnvironment
@@ -352,15 +351,15 @@ class ClusterCoordinator(PisaCoordinator):
     def cold_start_shard(self, shard_id: str, tail=None) -> int:
         """Rebuild a shard replica set from the store alone.
 
-        The disaster path ``kill9-then-coldstart`` drills: both replicas
-        of ``shard_id`` are gone (SIGKILL — nothing in memory survives),
-        so a fresh set is built and both replicas are rebuilt by the one
-        rule (:func:`~repro.store.coldstart.rebuild_shard`) from the
-        store's latest snapshot, its PU rows on the ring's blocks, and
-        the unconsumed journal ``tail`` (a
+        The disaster path ``kill9-then-coldstart`` drills: the shard was
+        SIGKILLed and nothing of the dead set is read.  A fresh set is
+        rebuilt by the one rule (its ``rebuild``, through
+        :func:`~repro.store.coldstart.rebuild_shard`) from the store's
+        latest snapshot, its PU rows on the ring's blocks, and the
+        unconsumed journal ``tail`` (a
         :class:`~repro.resilience.journal.JournalReadResult` from
         :func:`repro.store.checkpoint.recover`).  Returns the number of
-        tail records applied to the new primary.
+        tail records applied.
         """
         replica_set = self._build_replica_set(shard_id)
         assignment = self.membership.ring.assignment(
@@ -372,8 +371,9 @@ class ClusterCoordinator(PisaCoordinator):
             assignment.get(shard_id, ()),
             (raw for _, _, raw in self.store.pu_updates(shard_id)),
         )
-        _, applied = rebuild_shard(replica_set.primary, live, self.store, tail)
-        rebuild_shard(replica_set.standby, live, self.store, tail)
+        applied = replica_set.rebuild(live, tail)
+        # The new set is reachable again, as after a failover.
+        resolve_transport(self.transport).restore_endpoint(shard_id)
         # A cold start is a new writer generation: re-adopt the persisted
         # lease (which survived the kill) and bump past it, so anything
         # the dead incarnation still has in flight is fenced out.

@@ -64,17 +64,17 @@ class ReplicaSetBase:
     :class:`~repro.netd.remote.RemoteShardSet`.  Subclasses provide
     ``primary`` (anything with an ``alive`` flag) and move the replicas'
     state: ``_apply`` an update, ``_commit`` an epoch (returning the
-    committed epoch and its ``PISA-SHARD-STATE-v1`` snapshot) and, for a
-    handoff, ``_detach`` a block.
+    committed epoch and its ``PISA-SHARD-STATE-v1`` snapshot), for a
+    handoff ``_detach`` a block, and, for a cold start, ``rebuild`` the
+    fresh set by the one rule.
     """
 
-    #: Optional :class:`repro.resilience.journal.EpochJournal`; when
-    #: set, epoch commits and promotions are write-ahead logged.
-    journal = None
-
-    def __init__(self, shard_id: str, clock, store) -> None:
+    def __init__(self, shard_id: str, clock, store, journal=None) -> None:
         self.shard_id = shard_id
         self._clock = clock
+        #: Optional :class:`repro.resilience.journal.EpochJournal`; when
+        #: set, epoch commits and promotions are write-ahead logged.
+        self.journal = journal
         #: The deployment's :class:`~repro.store.base.StateStore`.  This
         #: set is the only writer of its shard's PU rows and snapshots.
         self.store = store
@@ -150,7 +150,7 @@ class ReplicaSetBase:
                 self.fence_token = token
 
     def _log_failover(self, resumed_epoch: int, from_snapshot: bool) -> FailoverEvent:
-        """Record one promotion; the caller holds ``self._lock``."""
+        """Record (and journal) one promotion; the caller holds ``self._lock``."""
         self.suspect = False
         self._last_heartbeat = self._clock()
         event = FailoverEvent(
@@ -161,6 +161,8 @@ class ReplicaSetBase:
             fence_token=self.fence_token,
         )
         self.failovers.append(event)
+        if self.journal is not None:
+            self.journal.promote(self.shard_id, resumed_epoch)
         return event
 
     def __repr__(self) -> str:
@@ -182,11 +184,10 @@ class ShardReplicaSet(ReplicaSetBase):
         clock=time.monotonic,
         journal=None,
     ) -> None:
-        super().__init__(shard_id, clock, store)
+        super().__init__(shard_id, clock, store, journal)
         #: ``shard_factory(role: str) -> SdcShard`` — builds an empty
         #: shard (the replica layer assigns blocks and replays state).
         self._factory = shard_factory
-        self.journal = journal
         self.primary: SdcShard = self._factory("a")
         self.standby: SdcShard = self._factory("b")
 
@@ -285,9 +286,12 @@ class ShardReplicaSet(ReplicaSetBase):
             fresh.observe_fence(self.fence_token)
             self.primary = promoted
             self.standby = fresh
-            event = self._log_failover(
-                promoted.last_committed_epoch, from_snapshot
-            )
-        if self.journal is not None:
-            self.journal.promote(self.shard_id, event.resumed_epoch)
-        return event
+            return self._log_failover(promoted.last_committed_epoch, from_snapshot)
+
+    def rebuild(self, live: bytes, tail=None) -> int:
+        """Cold start both fresh replicas; the tail records applied."""
+        from repro.store.coldstart import rebuild_shard
+
+        _, applied = rebuild_shard(self.primary, live, self.store, tail)
+        rebuild_shard(self.standby, live, self.store, tail)
+        return applied

@@ -18,10 +18,12 @@ identical span signatures to an in-memory run with the same seeds.
 That is asserted by ``tests/netd/test_equivalence.py`` and is the
 contract documented in ``docs/networking.md``.
 
-Construction order matters and is worth spelling out: the authority
-starts first (bound to the run's rng), workers are spawned and
-poll ``bootstrap``, then the coordinator is built — registering the
-bootstrap providers mid-``__init__`` at the moment the group key
+Construction order matters and is worth spelling out, all of it inside
+:class:`SocketClusterCoordinator`'s ``__init__``: the authority starts
+first (serving no draws yet), workers are spawned and poll
+``bootstrap``, then the coordinator proper is built — binding the
+authority to its own draw stream (the journaling one when a journal is
+on) and registering the bootstrap providers at the moment the group key
 exists — and the first ``transact`` of the build (block assignment)
 politely waits for the target worker's readiness file.
 
@@ -32,6 +34,7 @@ faults.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import time
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rand import DeterministicRandomSource
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import TransportError
 from repro.netd.remote import AuthorityServer, RemoteShardSet, RemoteStp
 from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import PeerClient, SocketTransport, TlsSpec
@@ -53,7 +56,6 @@ from repro.watch.scenario import ScenarioConfig, build_scenario
 
 __all__ = [
     "SocketClusterCoordinator",
-    "build_socket_coordinator",
     "build_socket_service",
     "health_check",
 ]
@@ -69,7 +71,6 @@ class NetdContext:
     authority: AuthorityServer
     supervisor: ProcessSupervisor
     transport: SocketTransport
-    client_ssl: object = None
 
     def close(self) -> None:
         # SIGTERM first (workers shut down gracefully and the monitor
@@ -82,28 +83,84 @@ class NetdContext:
 class SocketClusterCoordinator(ClusterCoordinator):
     """A :class:`ClusterCoordinator` whose STP and shards are processes.
 
-    Only the two build hooks and the fault surface change:
-    :meth:`_build_stp` draws the group keypair *at the exact position*
-    the in-process ``StpServer.__init__`` would (first draw of
-    construction, before the signing key), then hands it to a
-    :class:`~repro.netd.remote.RemoteStp`; :meth:`_build_replica_set`
-    yields :class:`~repro.netd.remote.RemoteShardSet` proxies, each
-    shipping the coordinator's :attr:`cells` to its worker; and
+    It stands up its own workers and takes every ``ClusterCoordinator``
+    argument (``journal=`` and ``store=`` included) plus the topology's:
+    ``tls`` for every link, the ``host`` the workers bind, their
+    ``workdir`` and ``record_transcript``.  Only the two build hooks and
+    the fault surface change: :meth:`_build_stp` draws the group keypair
+    *at the exact position* the in-process ``StpServer.__init__`` would,
+    binds the authority to the coordinator's own draw stream and hands
+    the keypair to a :class:`~repro.netd.remote.RemoteStp`;
+    :meth:`_build_replica_set` yields
+    :class:`~repro.netd.remote.RemoteShardSet` proxies; and
     :meth:`kill_shard` / :meth:`slow_shard` act on the worker process.
-    Everything else — router, allocator, clients, license signing — is
-    inherited unchanged, which is the point.
+    Everything else — router, allocator, clients, license signing,
+    journal, store — is inherited unchanged, which is the point.
     """
 
-    def __init__(self, environment, netd: NetdContext, **kwargs):
-        # The build hooks run inside super().__init__; stash their
-        # dependencies first.
+    def __init__(
+        self,
+        environment,
+        *,
+        num_shards: int = 2,
+        tls: TlsSpec | None = None,
+        host: str = "127.0.0.1",
+        workdir=None,
+        record_transcript: bool = False,
+        **kwargs,
+    ):
+        metrics = kwargs.get("metrics")
+        server_ssl = tls.server_context() if tls is not None else None
         #: The :class:`NetdContext` — authority, supervisor, socket
         #: transport — for health checks and process-level fault drills.
-        self.netd = netd
-        super().__init__(environment, **kwargs)
+        self.netd = NetdContext(
+            AuthorityServer(host=host, ssl_context=server_ssl, metrics=metrics),
+            ProcessSupervisor(host=host, workdir=workdir, metrics=metrics),
+            SocketTransport(record_transcript=record_transcript),
+        )
+        try:
+            self._spawn_workers(num_shards, tls, metrics)
+            # The workers poll ``bootstrap`` until the build hooks, run
+            # inside super().__init__, register their providers.
+            super().__init__(
+                environment,
+                num_shards=num_shards,
+                transport=self.netd.transport,
+                **kwargs,
+            )
+        except BaseException:
+            self.netd.close()  # no worker outlives a failed construction
+            raise
+
+    def _spawn_workers(self, num_shards: int, tls: TlsSpec | None, metrics) -> None:
+        supervisor = self.netd.supervisor
+        authority_host, authority_port = self.netd.authority.start()
+        worker_args = ["--authority", f"{authority_host}:{authority_port}"]
+        if tls is not None:
+            worker_args += ["--tls-cert", tls.certfile, "--tls-key", tls.keyfile]
+            if tls.cafile:
+                worker_args += ["--tls-ca", tls.cafile]
+        client_ssl = tls.client_context() if tls is not None else None
+        for name in [f"shard-{i}" for i in range(num_shards)] + [STP_ENDPOINT]:
+            role = "stp" if name == STP_ENDPOINT else "shard"
+            supervisor.start(name, role, tuple(worker_args))
+            # The address is late-bound: the supervisor re-reads the
+            # readiness file, so restarts re-resolve transparently.
+            self.netd.transport.register_peer(
+                name,
+                PeerClient(
+                    name,
+                    functools.partial(supervisor.address, name),
+                    ssl_context=client_ssl,
+                    metrics=metrics,
+                ),
+            )
 
     def _build_stp(self, key_bits: int, stp_executor) -> RemoteStp:
         keypair = generate_keypair(key_bits, rng=self._rng)
+        # ``self._rng`` is final here — the journaling wrapper when a
+        # journal is on — so the STP's nonces join the one draw stream.
+        self.netd.authority.bind_rng(self._rng)
         stp = RemoteStp(
             self.netd.transport,
             STP_ENDPOINT,
@@ -125,6 +182,7 @@ class SocketClusterCoordinator(ClusterCoordinator):
             self.cells,
             self.stp.group_public_key,
             self.store,
+            self.journal,
         )
 
     def kill_shard(self, shard_id: str) -> None:
@@ -142,85 +200,6 @@ class SocketClusterCoordinator(ClusterCoordinator):
     def close(self) -> None:
         super().close()
         self.netd.close()
-
-
-def build_socket_coordinator(
-    num_shards: int,
-    key_bits: int,
-    rng,
-    scenario_config: ScenarioConfig,
-    metrics: MetricsRegistry | None = None,
-    clock=None,
-    record_transcript: bool = False,
-    tls: TlsSpec | None = None,
-    host: str = "127.0.0.1",
-    workdir=None,
-    max_attempts: int = 2,
-    scatter_threads: int | None = None,
-    store=None,
-):
-    """Stand up the process topology and the coordinator over it.
-
-    Returns ``(coordinator, scenario)``; nothing is enrolled yet.  The
-    lower-level seam shared by :func:`build_socket_service` and the
-    chaos harness's ``--plane socket`` runs (which drive Figure-5
-    rounds directly, no broker).  ``store`` is the deployment's one
-    store, as on the memory plane; the workers keep no disk.
-    """
-    if num_shards < 1:
-        raise ConfigurationError("the socket plane needs at least one shard")
-    scenario = build_scenario(scenario_config)
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    clock = clock if clock is not None else time.time
-
-    client_ssl = tls.client_context() if tls is not None else None
-    server_ssl = tls.server_context() if tls is not None else None
-    # The authority serves the same rng object the coordinator will
-    # draw from — one stream for the whole deployment.
-    authority = AuthorityServer(rng, host=host, ssl_context=server_ssl, metrics=metrics)
-    supervisor = ProcessSupervisor(host=host, workdir=workdir, metrics=metrics)
-    transport = SocketTransport(record_transcript=record_transcript)
-    netd = NetdContext(authority, supervisor, transport, client_ssl)
-    try:
-        authority_host, authority_port = authority.start()
-        worker_args = ["--authority", f"{authority_host}:{authority_port}"]
-        if tls is not None:
-            worker_args += ["--tls-cert", tls.certfile, "--tls-key", tls.keyfile]
-            if tls.cafile:
-                worker_args += ["--tls-ca", tls.cafile]
-        names = [f"shard-{i}" for i in range(num_shards)] + [STP_ENDPOINT]
-        for i in range(num_shards):
-            supervisor.start(f"shard-{i}", "shard", tuple(worker_args))
-        supervisor.start(STP_ENDPOINT, "stp", tuple(worker_args))
-        for name in names:
-            transport.register_peer(
-                name,
-                PeerClient(
-                    name,
-                    # late-bound per peer; the provider re-reads the
-                    # readiness file, so restarts re-resolve transparently
-                    (lambda n: (lambda: supervisor.address(n)))(name),
-                    ssl_context=client_ssl,
-                    metrics=metrics,
-                ),
-            )
-        coordinator = SocketClusterCoordinator(
-            scenario.environment,
-            netd=netd,
-            num_shards=num_shards,
-            key_bits=key_bits,
-            rng=rng,
-            transport=transport,
-            metrics=metrics,
-            clock=clock,
-            max_attempts=max_attempts,
-            scatter_threads=scatter_threads,
-            store=store,
-        )
-    except BaseException:
-        netd.close()
-        raise
-    return coordinator, scenario
 
 
 def build_socket_service(
@@ -257,13 +236,14 @@ def build_socket_service(
         pathlib.Path(store_dir).mkdir(parents=True, exist_ok=True)
         store = SqliteStateStore(pathlib.Path(store_dir, "state.sqlite"))
         store.attach_metrics(metrics)
-    coordinator, scenario = build_socket_coordinator(
-        config.shards,
-        max(config.key_bits, 512),
-        DeterministicRandomSource(config.seed),
-        scenario_config,
+    scenario = build_scenario(scenario_config)
+    coordinator = SocketClusterCoordinator(
+        scenario.environment,
+        num_shards=config.shards,
+        key_bits=max(config.key_bits, 512),
+        rng=DeterministicRandomSource(config.seed),
         metrics=metrics,
-        clock=clock,
+        clock=clock if clock is not None else time.time,
         record_transcript=record_transcript,
         tls=tls,
         host=host,

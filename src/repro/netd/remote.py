@@ -34,6 +34,7 @@ import threading
 import time
 
 from repro.cluster.replica import FailoverEvent, ReplicaSetBase
+from repro.cluster.shard import SdcShard
 from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import (
@@ -85,14 +86,9 @@ class AuthorityServer:
     one order — exactly like concurrent local ones.
     """
 
-    def __init__(
-        self,
-        rng: RandomSource,
-        host: str = "127.0.0.1",
-        ssl_context=None,
-        metrics=None,
-    ) -> None:
-        self._rng = rng
+    def __init__(self, host: str = "127.0.0.1", ssl_context=None, metrics=None) -> None:
+        #: What ``rand`` / ``rand_exponents`` draw from (:meth:`bind_rng`).
+        self._rng: RandomSource | None = None
         self._host = host
         self._ssl = ssl_context
         self._metrics = metrics
@@ -104,6 +100,10 @@ class AuthorityServer:
         self._dispatch_lock = threading.Lock()
         self._server: FrameServer | None = None
         self.address: tuple[str, int] | None = None
+
+    def bind_rng(self, rng: RandomSource) -> None:
+        """Serve the workers' draws from ``rng``, the coordinator's own."""
+        self._rng = rng
 
     def register_bootstrap(self, name: str, provider) -> None:
         """Register ``provider() -> bytes`` as worker ``name``'s config."""
@@ -124,12 +124,14 @@ class AuthorityServer:
                 kind, payload = self._dispatch(frame.kind, frame.payload)
             except Exception as exc:  # ship, don't drop the connection
                 kind, payload = "err", encode_error(exc)
-            conn.send(kind, frame.seq, payload)
+            # Counted before the reply leaves, or the peer's whole round
+            # can end before the count lands.
             if self._metrics is not None:
                 with self._lock:
                     self._metrics.counter(
                         "netd_frames_total", peer="authority"
                     ).inc(2)
+            conn.send(kind, frame.seq, payload)
 
     def _dispatch(self, kind: str, payload: bytes) -> tuple[str, bytes]:
         with self._dispatch_lock:
@@ -140,6 +142,8 @@ class AuthorityServer:
             return "hello", encode_control({})
         if kind == "ping":
             return "ok", encode_control({"ok": True})
+        if kind in ("rand", "rand_exponents") and self._rng is None:
+            raise ProtocolError("the authority has no draw stream bound yet")
         if kind == "rand":
             # Bounded before any draw happens, like ``rand_exponents``: a
             # peer cannot hold the dispatch lock for an unbounded width.
@@ -349,15 +353,16 @@ class RemoteShardSet(ReplicaSetBase):
         cells: CellTable,
         group_public_key: PaillierPublicKey,
         store,
+        journal=None,
         clock=time.monotonic,
     ) -> None:
         # The base's ``fence_token`` travels in the bootstrap, so a
         # restarted worker resumes already fenced.
-        super().__init__(shard_id, clock, store)
+        super().__init__(shard_id, clock, store, journal)
         self._transport = transport
         self.supervisor = supervisor
         #: The worker's whole view of the map, shipped as its kernel reads it.
-        self._cells = encode_cells(cells)
+        self._cells = cells
         self.group_public_key = group_public_key
         self._blocks: set[int] = set()
         self._pu_updates: dict[str, bytes] = {}
@@ -372,7 +377,7 @@ class RemoteShardSet(ReplicaSetBase):
             return encode_control(
                 {
                     "role": "shard",
-                    "cells": self._cells,
+                    "cells": encode_cells(self._cells),
                     "fence_token": self.fence_token,
                 },
                 encode_public_key(self.group_public_key),
@@ -451,3 +456,28 @@ class RemoteShardSet(ReplicaSetBase):
         with self._lock:
             return self._log_failover(self._last_epoch, from_snapshot=False)
 
+    def rebuild(self, live: bytes, tail=None) -> int:
+        """Cold start: rebuild the shard by the one rule into the blob
+        this set serves, then boot the worker from it.
+
+        The monitor restarts a killed worker on its own, maybe from the
+        dead set's blob, so whatever process runs now is replaced.
+        Returns the tail records applied.
+        """
+        # Imported here: the STP worker loads this module, and must not
+        # load the store's SQLite backend.
+        from repro.store.coldstart import rebuild_shard
+
+        shard = SdcShard(self.shard_id, self._cells, self.group_public_key)
+        _, applied = rebuild_shard(shard, live, self.store, tail)
+        with self._lock:
+            self._blocks = set(shard.blocks)
+            self._pu_updates = {
+                message.pu_id: message.to_bytes()
+                for message in shard.pu_update_messages()
+            }
+            self._last_epoch = shard.last_committed_epoch
+        self.supervisor.restart(self.shard_id)
+        # Pooled connections lead to the replaced process.
+        self._transport.peer(self.shard_id).discard_idle()
+        return applied

@@ -307,6 +307,16 @@ class ProcessSupervisor:
                 attempt, DEFAULT_RESTART_POLICY, rng=self._retry_rng
             )
 
+    def restart(self, name: str) -> tuple[str, int]:
+        """Replace ``name``'s process, live or not, with a fresh one; under
+        the worker's lock, so the monitor cannot spawn in between."""
+        handle = self._handles[name]
+        with handle.lock:
+            if self.is_running(name):
+                handle.process.kill()
+                handle.process.wait()
+            return self.ensure_running(name)
+
     def _monitor(self) -> None:
         while not self._stopping:
             for handle in list(self._handles.values()):

@@ -267,12 +267,17 @@ class PeerClient:
             raise_remote_error(response.payload, self.name)
         return response
 
-    def close(self) -> None:
+    def discard_idle(self) -> None:
+        """Close every pooled connection (their worker was replaced)."""
         with self._lock:
-            self._closed = True
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+        self.discard_idle()
 
 
 class FrameServer:

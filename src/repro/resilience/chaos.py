@@ -31,10 +31,11 @@ the harness builds the faulted deployment to match.  Each plan is
 written once against one fault surface (the coordinator's
 ``kill_shard`` / ``slow_shard``, fence/promote/commit, the transport's
 link faults); ``plane="socket"`` runs it on worker processes over TCP
-(:func:`repro.netd.plane.build_socket_coordinator`), where a kill is a
-real ``SIGKILL`` and a stale commit a wire-typed ``FencedError``.  The
-control is always the cached in-memory run, so a socket pass proves
-cross-plane determinism too.  Journal plans run in memory only.
+(:class:`repro.netd.plane.SocketClusterCoordinator`, which takes the
+journal and the store as the in-memory coordinator does), where a kill
+is a real ``SIGKILL`` and a stale commit a wire-typed ``FencedError``.
+The control is always the cached in-memory run, so a socket pass proves
+cross-plane determinism too.
 
 Two plans exercise the write-ahead journal end to end:
 
@@ -97,7 +98,6 @@ __all__ = [
     "PLANES",
     "PLAN_NAMES",
     "fingerprint_message",
-    "plans_for",
 ]
 
 #: License clock both runs freeze to, so ``issued_at`` is deterministic.
@@ -153,13 +153,12 @@ class FaultPlan:
 
     name = "noop"
     #: Plans whose fault needs the write-ahead journal (a crash replay
-    #: or a checkpoint).  The socket plane takes no journal, so these
-    #: run in memory only.
+    #: or a checkpoint).
     wants_journal = False
     #: Plans that run on real disk: the deployment's store is a SQLite
-    #: :class:`~repro.store.sqlite.SqliteStateStore` in a temp dir, on
-    #: either plane.  In memory a path-backed journal comes with it,
-    #: which gives the exactly-one-writer audit a journal to read.
+    #: :class:`~repro.store.sqlite.SqliteStateStore` in a temp dir, and
+    #: a path-backed journal comes with it, which gives the
+    #: exactly-one-writer audit a journal to read.
     wants_store = False
     #: Plans whose faulted run ends in a crash + journal replay.
     crashes = False
@@ -326,18 +325,19 @@ class _JournalDiskFull(FaultPlan):
 
 
 class _Kill9ColdStart(FaultPlan):
-    """SIGKILL both replicas of a shard mid-epoch; cold-start from disk.
+    """SIGKILL a shard mid-epoch; cold-start it from disk.
 
     The disaster drill for the durable store: before the last round the
     epoch is committed (snapshots land in SQLite) and the journal is
     checkpointed (compacted to a marker).  Then, *inside* the last
     round's phase-1 scatter — after the phase-1 randomness barrier, with
-    the round's draws sitting only in the journal tail — both replicas
-    of one shard are killed, a fresh replica set is rebuilt purely from
+    the round's draws sitting only in the journal tail — one shard is
+    killed through the coordinator's fault surface (on sockets a real
+    SIGKILL of its worker), a fresh replica set is rebuilt purely from
     the SQLite store plus the journal tail
     (:func:`repro.store.checkpoint.recover` →
-    :meth:`ClusterCoordinator.cold_start_shard`), and the scatter
-    proceeds against it.  Because the restored state must be
+    :meth:`ClusterCoordinator.cold_start_shard`), reading nothing of the
+    dead one, and the scatter proceeds against it.  Because the restored state must be
     byte-identical for the round to produce the control run's exact
     ``Ṽ`` matrix, transcript equality over *every* segment is the
     proof that disk state is byte-exact.
@@ -364,15 +364,13 @@ class _Kill9ColdStart(FaultPlan):
 
         def kill9_then_coldstart(_requests):
             victim = router.shard_ids[0]
-            replica_set = coordinator.replica_sets[victim]
-            # SIGKILL semantics: nothing in memory survives — no flush,
-            # no goodbye snapshot.  Recovery sees only the disk.
-            replica_set.primary.kill()
-            replica_set.standby.kill()
+            # SIGKILL semantics: no flush, no goodbye snapshot.  Recovery
+            # sees only the disk.
+            coordinator.kill_shard(victim)
             recovered = recover(ctx.store, ctx.journal_path)
             applied = coordinator.cold_start_shard(victim, recovered.tail)
             ctx.note(
-                f"killed both replicas of {victim}; cold-started from "
+                f"killed {victim}; cold-started from "
                 f"store + {len(recovered.tail.records)}-record tail "
                 f"({applied} applied)"
             )
@@ -573,16 +571,7 @@ _PLANS = {plan.name: plan for plan in _PLAN_TYPES}
 PLANES = ("memory", "socket")
 
 
-def plans_for(plane: str) -> tuple[str, ...]:
-    """The plans that run on ``plane`` (``--plan all``'s schedule)."""
-    return tuple(
-        plan.name
-        for plan in _PLAN_TYPES
-        if plane == "memory" or not plan.wants_journal
-    )
-
-
-def _resolve_plans(names, plane: str) -> list[FaultPlan]:
+def _resolve_plans(names) -> list[FaultPlan]:
     plans = []
     for name in names:
         plan_type = _PLANS.get(name)
@@ -593,13 +582,6 @@ def _resolve_plans(names, plane: str) -> list[FaultPlan]:
         plans.append(plan_type())
     if not plans:
         raise ChaosPlanError("a chaos schedule needs at least one fault plan")
-    journaled = [p.name for p in plans if p.wants_journal]
-    if plane == "socket" and journaled:
-        raise ChaosPlanError(
-            f"the socket plane takes no write-ahead journal yet "
-            f"(build_socket_coordinator has no journal), and "
-            f"{', '.join(journaled)} cannot run without one; use --plane memory"
-        )
     if any(isinstance(p, _JournalDiskFull) for p in plans) and any(
         p.wants_store for p in plans
     ):
@@ -809,38 +791,30 @@ class ChaosHarness:
     def _build(self, rng, journal=None, clock=None, store=None, plane="memory"):
         """One enrolled deployment on ``plane`` (``"socket"``: worker
         processes on TCP), over ``store`` if one is given."""
-        scenario_config = ScenarioConfig(seed=self.scenario_seed)
-        # Composed schedules can burn several attempts on one sub-query
-        # (a failover *and* an injected drop); give the router a
-        # chaos-sized budget.  Attempts don't affect the transcript, so
-        # control and faulted runs stay paired.
-        shared = dict(
+        scenario = build_scenario(ScenarioConfig(seed=self.scenario_seed))
+        if plane == "socket":
+            from repro.netd.plane import SocketClusterCoordinator as deployment
+
+            wire = {"record_transcript": True}
+        else:
+            deployment, wire = ClusterCoordinator, {"transport": TranscriptTransport()}
+        coordinator = deployment(
+            scenario.environment,
+            num_shards=self.shards,
             key_bits=self.key_bits,
             rng=rng,
+            # Composed schedules can burn several attempts on one
+            # sub-query (a failover *and* an injected drop); give the
+            # router a chaos-sized budget.  Attempts don't affect the
+            # transcript, so control and faulted runs stay paired.
             scatter_threads=1,
             max_attempts=4,
+            journal=journal,
             clock=clock if clock is not None else (lambda: FROZEN_CLOCK),
             metrics=self.metrics,
             store=store,
+            **wire,
         )
-        if plane == "socket":
-            from repro.netd.plane import build_socket_coordinator
-
-            coordinator, scenario = build_socket_coordinator(
-                self.shards,
-                scenario_config=scenario_config,
-                record_transcript=True,
-                **shared,
-            )
-        else:
-            scenario = build_scenario(scenario_config)
-            coordinator = ClusterCoordinator(
-                scenario.environment,
-                num_shards=self.shards,
-                transport=TranscriptTransport(),
-                journal=journal,
-                **shared,
-            )
         try:
             for pu in scenario.pus:
                 coordinator.enroll_pu(pu)
@@ -975,7 +949,7 @@ class ChaosHarness:
 
     def run(self, plan_names, tracer=None) -> ChaosResult:
         """Run one composed fault schedule and judge it against control."""
-        plans = _resolve_plans(plan_names, self.plane)
+        plans = _resolve_plans(plan_names)
         control = self.control()
         if self.metrics is not None:
             self.metrics.counter(
@@ -992,17 +966,14 @@ class ChaosHarness:
         journal_path: str | None = None
         store_dir: str | None = None
         if wants_store:
-            # Real disk: a SQLite store in a throwaway dir and, in
-            # memory, a path-backed journal (checkpoint compaction renames
-            # files).  The socket plane takes no journal, so no writer
-            # audit runs there (writer_violations = -1).
+            # Real disk: a SQLite store in a throwaway dir and a
+            # path-backed journal (checkpoint compaction renames files).
             store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
             store = SqliteStateStore(os.path.join(store_dir, "store.sqlite"))
-            if self.plane == "memory":
-                journal_path = os.path.join(store_dir, "journal.wal")
-                writer = JournalWriter(journal_path, fsync_every=8)
-                journal = EpochJournal(writer)
-                checkpointer = Checkpointer(store, metrics=self.metrics)
+            journal_path = os.path.join(store_dir, "journal.wal")
+            writer = JournalWriter(journal_path, fsync_every=8)
+            journal = EpochJournal(writer)
+            checkpointer = Checkpointer(store, metrics=self.metrics)
         elif wants_journal:
             device = _DiskFullFile()
             writer = JournalWriter(fileobj=device, fsync_every=8)
@@ -1068,7 +1039,7 @@ class ChaosHarness:
                 # deployment.  The fallback RNG is seeded differently, so
                 # a byte-equal transcript proves the bytes came from disk.
                 record, replayed_draws, fallback_draws = self._replay(
-                    device, ctx, su_ids
+                    journal_result, ctx, su_ids
                 )
                 exact_segments = (
                     len(control.segments)
@@ -1118,12 +1089,8 @@ class ChaosHarness:
             if store_dir is not None:
                 shutil.rmtree(store_dir, ignore_errors=True)
 
-    def _replay(self, device: _DiskFullFile | None, ctx: _RunContext, su_ids):
-        """Rebuild from the journal and re-run the whole script, clean."""
-        journal_source = (
-            device.getvalue() if device is not None else ctx.journal_path
-        )
-        result = read_journal(journal_source)
+    def _replay(self, result, ctx: _RunContext, su_ids):
+        """Rebuild from the read journal and re-run the whole script, clean."""
         summary = summarize(result)
         ctx.note(
             f"journal: {summary.draws} draws, "
@@ -1133,7 +1100,7 @@ class ChaosHarness:
         rng, clock = replay_sources(
             result, self.seed, fallback_clock=lambda: FROZEN_CLOCK
         )
-        coordinator, _ = self._build(rng, clock=clock)
+        coordinator, _ = self._build(rng, clock=clock, plane=self.plane)
         replay_ctx = _RunContext(
             coordinator=coordinator, rounds=self.rounds, notes=ctx.notes
         )

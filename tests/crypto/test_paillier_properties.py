@@ -174,6 +174,13 @@ def test_a_decoded_key_pays_for_h_n_only_when_it_encrypts():
 # -- the authority's bound on a batched nonce request -------------------------------
 
 
+def _authority(rng) -> AuthorityServer:
+    """An authority serving ``rng``'s draws."""
+    server = AuthorityServer()
+    server.bind_rng(rng)
+    return server
+
+
 @relaxed
 @given(
     count=st.one_of(
@@ -186,7 +193,7 @@ def test_authority_refuses_an_out_of_range_count_before_drawing(count):
     refused, and the broker's stream has not moved."""
     rng = DeterministicRandomSource("hostile")
     with pytest.raises(SerializationError):
-        AuthorityServer(rng)._dispatch("rand_exponents", encode_int(count))
+        _authority(rng)._dispatch("rand_exponents", encode_int(count))
     assert rng.randbits(64) == DeterministicRandomSource("hostile").randbits(64)
 
 
@@ -202,7 +209,7 @@ def test_authority_draws_exactly_the_count_it_accepts(payload):
     in-range count answered with that many nonces — the local draw's."""
     rng = DeterministicRandomSource("hostile")
     try:
-        kind, reply = AuthorityServer(rng)._dispatch("rand_exponents", payload)
+        kind, reply = _authority(rng)._dispatch("rand_exponents", payload)
     except SerializationError:
         drawn = []
     else:

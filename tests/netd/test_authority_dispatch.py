@@ -16,12 +16,13 @@ plane.
 
 import pathlib
 import threading
+import time
 
 import pytest
 
 from repro.crypto.rand import NONCE_EXPONENT_BITS, DeterministicRandomSource
 from repro.errors import SerializationError, TransportError
-from repro.netd.plane import build_socket_coordinator
+from repro.netd.plane import SocketClusterCoordinator
 from repro.netd.remote import AuthorityServer, RemoteRandomSource
 from repro.netd.transport import PeerClient
 from repro.netd.wire import (
@@ -31,7 +32,7 @@ from repro.netd.wire import (
     encode_exponents_request,
 )
 from repro.telemetry import MetricsRegistry
-from repro.watch.scenario import ScenarioConfig
+from repro.watch.scenario import ScenarioConfig, build_scenario
 
 
 class RecordingRng(DeterministicRandomSource):
@@ -44,6 +45,13 @@ class RecordingRng(DeterministicRandomSource):
     def randbits(self, bits: int) -> int:
         self.draw_threads.append(threading.get_ident())
         return super().randbits(bits)
+
+
+def _authority(rng, metrics=None) -> AuthorityServer:
+    """An authority serving ``rng``'s draws."""
+    server = AuthorityServer(metrics=metrics)
+    server.bind_rng(rng)
+    return server
 
 
 def _client(address) -> PeerClient:
@@ -60,7 +68,7 @@ class TestOffLoopDispatch:
 
     def test_remote_draws_match_local_stream(self):
         """A thread per connection must not perturb the draw stream itself."""
-        server = AuthorityServer(DeterministicRandomSource(seed=7))
+        server = _authority(DeterministicRandomSource(seed=7))
         address = server.start()
         peer = _client(address)
         try:
@@ -76,7 +84,7 @@ class TestOffLoopDispatch:
     def test_concurrent_clients_see_disjoint_draws(self):
         """The dispatch lock serialises draws into one stream: two racing
         clients never observe the same raw draw twice."""
-        server = AuthorityServer(DeterministicRandomSource(seed=11))
+        server = _authority(DeterministicRandomSource(seed=11))
         address = server.start()
         peers = [_client(address) for _ in range(2)]
         try:
@@ -107,7 +115,7 @@ class TestOffLoopDispatch:
 def authority():
     """A seeded authority plus one client: ``(server rng, peer)``."""
     rng = RecordingRng()
-    server = AuthorityServer(rng)
+    server = _authority(rng)
     peer = _client(server.start())
     yield rng, peer
     peer.close()
@@ -191,15 +199,47 @@ class TestBatchedExponents:
         assert _dials(peer) == 1
 
 
+class _SlowReplies:
+    """An authority connection that holds each reply once it is written."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+
+    def recv(self, *args, **kwargs):
+        return self._conn.recv(*args, **kwargs)
+
+    def send(self, *args, **kwargs):
+        sent = self._conn.send(*args, **kwargs)
+        time.sleep(0.3)
+        return sent
+
+
 class TestSocketPlaneAuthorityTraffic:
+    def test_frames_are_counted_before_the_reply_leaves(self):
+        """A peer holding its reply has it counted already: the counter
+        cannot lag behind a round the STP has finished."""
+        metrics = MetricsRegistry()
+        server = _authority(DeterministicRandomSource(seed=7), metrics)
+        serve = server._serve
+        server._serve = lambda conn: serve(_SlowReplies(conn))
+        peer = _client(server.start())
+        try:
+            RemoteRandomSource(peer).random_exponents(4)
+            frames = metrics.counter("netd_frames_total", peer="authority")
+            assert frames.value == 4  # the hello pair and the nonces' pair
+        finally:
+            peer.close()
+            server.stop()
+
     def test_two_authority_frames_per_sign_extraction(self):
         """One ``rand_exponents`` request and its response — not a pair per cell."""
         metrics = MetricsRegistry()
-        coordinator, scenario = build_socket_coordinator(
-            1,
-            256,
-            DeterministicRandomSource(seed=7),
-            ScenarioConfig(seed=7, num_sus=1),
+        scenario = build_scenario(ScenarioConfig(seed=7, num_sus=1))
+        coordinator = SocketClusterCoordinator(
+            scenario.environment,
+            num_shards=1,
+            key_bits=256,
+            rng=DeterministicRandomSource(seed=7),
             metrics=metrics,
         )
         try:

@@ -10,22 +10,36 @@ byte codecs.
 """
 
 import dataclasses
+import hashlib
+import io
 import shutil
 import subprocess
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
+from repro.crypto.rand import DeterministicRandomSource
 from repro.net.recording import TranscriptTransport
-from repro.netd.plane import build_socket_service, health_check
+from repro.netd.plane import SocketClusterCoordinator, build_socket_service, health_check
 from repro.netd.transport import TlsSpec
 from repro.resilience.chaos import FROZEN_CLOCK
+from repro.resilience.journal import EpochJournal, JournalWriter
 from repro.service.batching import BatchAllocator
 from repro.service.loadtest import LoadtestConfig, run_loadtest
 from repro.service.broker import ServiceConfig
-from repro.store import SqliteStateStore
+from repro.store import MemoryStateStore, SqliteStateStore
 from repro.telemetry import Tracer
 from repro.watch.scenario import ScenarioConfig, build_scenario
+from tests.pisa.test_golden_transcripts import (
+    BASIC_DIGEST,
+    DECISIONS,
+    JOURNAL_DIGEST,
+    SEED,
+    frozen_clock,
+    run_session,
+)
 
 #: The default driver in its byte-identity shape (``max_batch=1``, zero
 #: window: one round at a time, so draw order is schedule order).  Two
@@ -232,3 +246,42 @@ class TestStoreEquivalence:
         assert [shard_id for shard_id, _ in memory_snapshots] == ["shard-0", "shard-1"]
         assert socket_rows == memory_rows
         assert socket_snapshots == memory_snapshots
+
+
+class TestJournalEquivalence:
+    """The journal contract across planes: a journaled socket deployment
+    writes the pinned journal, because the authority serves the STP
+    worker's nonces from the coordinator's journaling source."""
+
+    def test_golden_session_writes_the_pinned_journal(self):
+        scenario = build_scenario(ScenarioConfig(seed=4, num_sus=3))
+        syncs = {}
+        for plane, deployment in (
+            ("memory", ClusterCoordinator),
+            ("socket", SocketClusterCoordinator),
+        ):
+            buffer = io.BytesIO()
+            writer = JournalWriter(fileobj=buffer)
+            journal = EpochJournal(writer)
+            with mock.patch.object(writer, "_sync", wraps=writer._sync) as sync:
+                coordinator = deployment(
+                    scenario.environment,
+                    num_shards=2,
+                    key_bits=256,
+                    rng=DeterministicRandomSource(SEED),
+                    clock=frozen_clock,
+                    journal=journal,
+                    store=MemoryStateStore(),
+                )
+                try:
+                    assert run_session(coordinator, scenario) == (
+                        BASIC_DIGEST,
+                        DECISIONS,
+                    )
+                    journal.barrier()
+                finally:
+                    coordinator.close()
+                syncs[plane] = sync.call_count
+            digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+            assert digest == JOURNAL_DIGEST, plane
+        assert syncs["socket"] == syncs["memory"] > 0

@@ -58,7 +58,8 @@ def _shard_bootstrap(name: str, cells, keypair) -> bytes:
 
 @pytest.fixture()
 def authority(keypair):
-    server = AuthorityServer(DeterministicRandomSource(seed=7))
+    server = AuthorityServer()
+    server.bind_rng(DeterministicRandomSource(seed=7))
     address = server.start()
     payload = _shard_bootstrap("shard-t", CELLS, keypair)
     server.register_bootstrap("shard-t", lambda: payload)
@@ -219,17 +220,11 @@ class TestFailedEnrolmentTeardown:
         from repro.service.loadtest import LoadtestConfig
 
         built = []
-        real_build = plane.build_socket_coordinator
-
-        def recording_build(*args, **kwargs):
-            coordinator, scenario = real_build(*args, **kwargs)
-            built.append(coordinator)
-            return coordinator, scenario
 
         def crashed_worker(self, su, **kwargs):
+            built.append(self)
             raise TransportError("worker crashed mid-enrolment")
 
-        monkeypatch.setattr(plane, "build_socket_coordinator", recording_build)
         monkeypatch.setattr(
             plane.SocketClusterCoordinator, "enroll_su", crashed_worker
         )
@@ -237,6 +232,40 @@ class TestFailedEnrolmentTeardown:
             plane.build_socket_service(LoadtestConfig(shards=2, num_sus=1))
         (coordinator,) = built
         supervisor = coordinator.replica_sets["shard-0"].supervisor
+        assert supervisor.worker_names() == ("shard-0", "shard-1", "stp")
+        assert not any(
+            supervisor.is_running(name) for name in supervisor.worker_names()
+        )
+        assert _plane_threads() == []
+
+    def test_failed_construction_leaves_no_live_worker(self, monkeypatch):
+        """The constructor spawns its workers before the coordinator
+        proper is built; a build hook that raises must not strand them."""
+        from repro.errors import ConfigurationError
+        from repro.netd import plane
+        from repro.watch.scenario import ScenarioConfig, build_scenario
+
+        supervisors = []
+        start = ProcessSupervisor.start
+
+        def recording_start(supervisor, *args, **kwargs):
+            supervisors.append(supervisor)
+            return start(supervisor, *args, **kwargs)
+
+        def broken_hook(self, shard_id):
+            raise ConfigurationError("no replica set today")
+
+        monkeypatch.setattr(ProcessSupervisor, "start", recording_start)
+        monkeypatch.setattr(
+            plane.SocketClusterCoordinator, "_build_replica_set", broken_hook
+        )
+        with pytest.raises(ConfigurationError, match="no replica set today"):
+            plane.SocketClusterCoordinator(
+                build_scenario(ScenarioConfig(seed=7, num_sus=1)).environment,
+                key_bits=256,
+                rng=DeterministicRandomSource(seed=7),
+            )
+        supervisor = supervisors[0]
         assert supervisor.worker_names() == ("shard-0", "shard-1", "stp")
         assert not any(
             supervisor.is_running(name) for name in supervisor.worker_names()

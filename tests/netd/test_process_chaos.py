@@ -8,9 +8,9 @@ because it spends draws and so cannot be byte-equal to the control.
 
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import LinkDownError
-from repro.netd.plane import build_socket_coordinator
+from repro.netd.plane import SocketClusterCoordinator
 from repro.netd.wire import decode_control, encode_control
-from repro.watch.scenario import ScenarioConfig
+from repro.watch.scenario import ScenarioConfig, build_scenario
 from repro.watch.sdc import PlaintextSDC
 
 
@@ -19,11 +19,12 @@ class TestRestartedStpWorker:
         """A SIGKILLed STP worker comes back without the nonces it had
         drawn ahead: from there on the bytes differ from an uninterrupted
         run's (those draws are spent), the decisions and licenses do not."""
-        coordinator, scenario = build_socket_coordinator(
-            1,
-            256,
-            DeterministicRandomSource(seed=4),
-            ScenarioConfig(seed=4, num_sus=3),
+        scenario = build_scenario(ScenarioConfig(seed=4, num_sus=3))
+        coordinator = SocketClusterCoordinator(
+            scenario.environment,
+            num_shards=1,
+            key_bits=256,
+            rng=DeterministicRandomSource(seed=4),
         )
         try:
             oracle = PlaintextSDC(scenario.environment)

@@ -8,9 +8,9 @@ two.  Phase 2 costs no frame — the front computes ``ΣQ̃`` itself.
 """
 
 from repro.crypto.rand import DeterministicRandomSource
-from repro.netd.plane import build_socket_coordinator
+from repro.netd.plane import SocketClusterCoordinator
 from repro.telemetry import MetricsRegistry
-from repro.watch.scenario import ScenarioConfig
+from repro.watch.scenario import ScenarioConfig, build_scenario
 
 
 def _frames(metrics) -> int:
@@ -23,11 +23,12 @@ def _frames(metrics) -> int:
 
 def test_one_request_costs_five_transacts_and_twelve_frames():
     metrics = MetricsRegistry()
-    coordinator, scenario = build_socket_coordinator(
-        2,
-        256,
-        DeterministicRandomSource(seed=7),
-        ScenarioConfig(seed=7, num_sus=1),
+    scenario = build_scenario(ScenarioConfig(seed=7, num_sus=1))
+    coordinator = SocketClusterCoordinator(
+        scenario.environment,
+        num_shards=2,
+        key_bits=256,
+        rng=DeterministicRandomSource(seed=7),
         metrics=metrics,
     )
     try:

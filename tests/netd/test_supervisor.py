@@ -11,10 +11,10 @@ import pytest
 
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import TransportError
-from repro.netd.plane import build_socket_coordinator
+from repro.netd.plane import SocketClusterCoordinator
 from repro.netd.supervisor import ProcessSupervisor
 from repro.telemetry import MetricsRegistry
-from repro.watch.scenario import ScenarioConfig
+from repro.watch.scenario import ScenarioConfig, build_scenario
 
 
 @pytest.fixture()
@@ -76,8 +76,11 @@ class TestReadyHistogram:
         from ``Popen`` to the worker first seen ready — three for a
         two-shard deployment with its STP, one more for a restart."""
         metrics = MetricsRegistry()
-        coordinator, _ = build_socket_coordinator(
-            2, 256, DeterministicRandomSource(seed=6), ScenarioConfig(seed=6, num_sus=1),
+        coordinator = SocketClusterCoordinator(
+            build_scenario(ScenarioConfig(seed=6, num_sus=1)).environment,
+            num_shards=2,
+            key_bits=256,
+            rng=DeterministicRandomSource(seed=6),
             metrics=metrics,
         )
         try:

@@ -1,7 +1,6 @@
 """Wire codecs for shard sub-queries, control frames, cell tables and typed errors."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -229,23 +228,14 @@ class TestCellTable:
         """What every shard worker is bootstrapped with is the table of the
         broker's own map: the equivalence scenario's, cell for cell."""
         from repro.crypto.rand import DeterministicRandomSource
-        from repro.netd.plane import NetdContext, SocketClusterCoordinator
+        from repro.netd.plane import SocketClusterCoordinator
         from repro.netd.worker import ShardState
         from repro.watch.scenario import build_scenario
         from tests.netd.test_equivalence import SCENARIO_CONFIG
 
-        providers = {}
-        netd = NetdContext(
-            authority=SimpleNamespace(register_bootstrap=providers.__setitem__),
-            supervisor=None,
-            transport=SimpleNamespace(
-                transact=lambda endpoint, kind, payload: SimpleNamespace(payload=b"")
-            ),
-        )
         scenario = build_scenario(SCENARIO_CONFIG)
         coordinator = SocketClusterCoordinator(
             scenario.environment,
-            netd=netd,
             num_shards=2,
             key_bits=256,
             rng=DeterministicRandomSource(seed=7),
@@ -253,12 +243,13 @@ class TestCellTable:
         try:
             expected = CellTable.of(scenario.environment)
             for shard_id in ("shard-0", "shard-1"):
-                payload = providers[shard_id]()
+                # What the authority serves the worker's bootstrap pull.
+                payload = coordinator.replica_sets[shard_id].bootstrap_payload()
                 obj, _ = decode_control(payload, num_attachments=2)
                 assert decode_cells(obj["cells"]) == expected
                 assert ShardState(payload).shard._kernel.cells == expected
         finally:
-            coordinator.router.close()
+            coordinator.close()
 
 
 class TestTypedRemoteErrors:

@@ -13,12 +13,14 @@ import pytest
 
 from repro.cluster.router import ShardRouter
 from repro.errors import ChaosPlanError
+from repro.netd.plane import SocketClusterCoordinator
+from repro.netd.remote import RemoteShardSet
+from repro.netd.supervisor import ProcessSupervisor
 from repro.resilience.chaos import (
     PLAN_NAMES,
     PLANES,
     ChaosHarness,
     fingerprint_message,
-    plans_for,
 )
 from repro.telemetry import MetricsRegistry
 
@@ -47,6 +49,15 @@ FIRED = {
     ),
 }
 
+#: Plans that run over a SQLite store and a journal file, on either plane.
+STORE_PLANS = {
+    "kill9-then-coldstart",
+    "asymmetric-partition",
+    "split-brain-promote",
+    "clock-skew",
+    "gray-slow-shard",
+}
+
 
 @pytest.fixture(scope="module")
 def harness():
@@ -67,17 +78,34 @@ class TestEveryPlan:
         assert result.ok
         assert FIRED[plan](result), result.to_dict()
 
-    @pytest.mark.parametrize("plan", plans_for("socket"))
+    @pytest.mark.parametrize("plan", PLAN_NAMES)
     def test_plan_on_sockets(self, socket_harness, plan):
         result = socket_harness.run([plan])
         assert result.transcript_equal, result.notes
         assert result.licenses_valid, result.notes
-        assert result.exact_segments == socket_harness.rounds + 1
+        # Disk-full re-runs its interrupted round on fresh entropy.
+        completed = socket_harness.rounds + (plan != "journal-disk-full")
+        assert result.exact_segments == completed
         assert result.ok
         assert FIRED[plan](result), result.to_dict()
-        # No journal on sockets, so no writer audit and no replay.
-        assert result.writer_violations == -1
-        assert result.replayed_draws == -1
+        # A journal is on exactly where the plan asks for one, and then
+        # the exactly-one-writer audit reads it.
+        journaled = plan in STORE_PLANS | {"coordinator-crash", "journal-disk-full"}
+        assert result.writer_violations == (0 if journaled else -1)
+        if plan == "coordinator-crash":
+            assert result.replayed_draws > 0
+            assert result.fallback_draws == 0  # every byte came from the disk
+        elif plan != "journal-disk-full":
+            assert result.replayed_draws == -1
+        if plan == "kill9-then-coldstart":
+            assert any(
+                re.fullmatch(
+                    r"killed shard-\d+; cold-started from store \+ \d+-record "
+                    r"tail \(\d+ applied\)",
+                    note,
+                )
+                for note in result.notes
+            ), result.notes
         if plan == "kill-shard":
             # A real SIGKILL, and exactly one restart of the victim.
             assert any(
@@ -210,13 +238,71 @@ class TestSocketPlane:
         assert 'promotions_total{reason="manual"} 1' in text
         assert "heartbeat_rtt_seconds" in text
 
-    @pytest.mark.parametrize(
-        "plan", ["coordinator-crash", "journal-disk-full", "kill9-then-coldstart"]
-    )
-    def test_journal_plans_stay_in_memory(self, socket_harness, plan):
-        assert plan not in plans_for("socket")
-        with pytest.raises(ChaosPlanError, match="no write-ahead journal"):
-            socket_harness.run([plan])
+    def test_coldstarted_worker_boots_from_the_rebuilt_blob(
+        self, socket_harness, monkeypatch
+    ):
+        """The monitor restarts a SIGKILLed worker on its own, from the
+        dead set's caches if it is quick; the worker that serves after the
+        cold start pulled its bootstrap from the rebuilt set."""
+        pulls, rebuilt = [], []
+        payload = RemoteShardSet.bootstrap_payload
+        kill = SocketClusterCoordinator.kill_shard
+        cold_start = SocketClusterCoordinator.cold_start_shard
+
+        def recording_payload(replica_set):
+            pulls.append(replica_set)
+            return payload(replica_set)
+
+        def kill_then_resurrect(coordinator, shard_id):
+            kill(coordinator, shard_id)
+            # The monitor wins the race: a worker boots before the cold
+            # start has built the new set.
+            coordinator.netd.supervisor.ensure_running(shard_id)
+
+        def recording_cold_start(coordinator, shard_id, tail=None):
+            applied = cold_start(coordinator, shard_id, tail)
+            rebuilt.append(coordinator.replica_sets[shard_id])
+            return applied
+
+        monkeypatch.setattr(RemoteShardSet, "bootstrap_payload", recording_payload)
+        monkeypatch.setattr(SocketClusterCoordinator, "kill_shard", kill_then_resurrect)
+        monkeypatch.setattr(
+            SocketClusterCoordinator, "cold_start_shard", recording_cold_start
+        )
+        result = socket_harness.run(["kill9-then-coldstart"])
+        assert result.ok, result.notes
+        [fresh] = rebuilt
+        victim_pulls = [s for s in pulls if s.shard_id == fresh.shard_id]
+        assert victim_pulls[-2] is not fresh  # the resurrected worker's
+        assert victim_pulls[-1] is fresh
+
+    def test_a_crashed_front_takes_its_workers_with_it(
+        self, socket_harness, monkeypatch
+    ):
+        """The replay boots fresh workers; none of the crashed
+        deployment's is running by then, so no worker serves two fronts."""
+        deployments, alive_at_boot = [], []
+        start = ProcessSupervisor.start
+
+        def recording_start(supervisor, name, role, extra_args=()):
+            if supervisor not in deployments:
+                alive_at_boot.append(
+                    [
+                        worker
+                        for earlier in deployments
+                        for worker in earlier.worker_names()
+                        if earlier.is_running(worker)
+                    ]
+                )
+                deployments.append(supervisor)
+            return start(supervisor, name, role, extra_args)
+
+        monkeypatch.setattr(ProcessSupervisor, "start", recording_start)
+        result = socket_harness.run(["coordinator-crash"])
+        assert result.ok, result.notes
+        assert result.replayed_draws > 0 and result.fallback_draws == 0
+        # The crashed deployment, then the replay's.
+        assert alive_at_boot == [[], []]
 
     def test_unknown_plane_rejected(self):
         with pytest.raises(ChaosPlanError, match="unknown plane"):

@@ -281,13 +281,14 @@ class TestChaos:
         err = capsys.readouterr().err
         assert "pisa-repro chaos: error: unknown fault plan 'meteor-strike'" in err
 
-    def test_socket_plane_composes_but_refuses_journal_plans(self, capsys):
+    def test_socket_plane_composes_and_runs_journal_plans(self, capsys):
         assert main(
             ["chaos", "--plane", "socket", "--plan", "kill-shard,drop-links"]
         ) == 0
         assert "plane=socket" in capsys.readouterr().out
-        # Rejected while resolving the schedule: no worker is ever spawned.
         assert main(
             ["chaos", "--plane", "socket", "--plan", "coordinator-crash"]
-        ) == 1
-        assert "no write-ahead journal" in capsys.readouterr().err
+        ) == 0
+        out = capsys.readouterr().out
+        assert "chaos [coordinator-crash] plane=socket" in out
+        assert "0 from fallback" in out
