@@ -163,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where the faulted run stands: in-process, or "
                             "SDC shards + STP as subprocesses over TCP, "
                             "where kill-shard is a real SIGKILL (the "
-                            "control run is in memory either way; the "
-                            "journal plans run in memory only)")
+                            "control run is in memory either way)")
     chaos.add_argument("--shards", type=int, default=2)
     chaos.add_argument("--rounds", type=int, default=2,
                        help="protocol rounds per run")

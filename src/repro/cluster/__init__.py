@@ -3,15 +3,17 @@
 Partitions the spectrum map's blocks across N SDC shards behind a
 consistent-hash ring and scatter-gathers each request's phase-1
 homomorphic work into a transcript byte-identical to one SDC's; phase 2
-runs on the front.  Each shard gets a warm standby with heartbeat-based
-failover; membership changes hand blocks off between epochs.
+runs on the front.  Each shard is one replica plus the state blob it
+boots from, with heartbeat-based failover that boots a successor from
+that blob; membership changes hand blocks off between epochs.
 
 Layering (all trust-domain-internal to the SDC):
 
 * :mod:`repro.cluster.ring` — block → shard placement;
 * :mod:`repro.cluster.shard` — the per-partition worker;
 * :mod:`repro.cluster.router` — scatter-gather + bounded-retry failover;
-* :mod:`repro.cluster.replica` — warm standby, snapshots, promotion;
+* :mod:`repro.cluster.replica` — the shard's state blob, snapshots,
+  promotion;
 * :mod:`repro.cluster.membership` / :mod:`repro.cluster.rebalance` —
   join/leave and block handoff;
 * :mod:`repro.cluster.coordinator` — the drop-in SDC facade and the

@@ -51,9 +51,15 @@ from repro.pisa.kernel import CellTable
 from repro.pisa.messages import PUUpdateMessage
 from repro.pisa.protocol import PisaCoordinator
 from repro.pisa.sdc_server import SdcFront
-from repro.pisa.storage import encode_shard_state, restore_directory, serialize_directory
+from repro.pisa.storage import (
+    encode_shard_state,
+    restore_directory,
+    serialize_directory,
+    serialize_shard_state,
+)
 from repro.pisa.su_client import SUClient
 from repro.resilience.journal import JournaledClock, JournalingRandomSource
+from repro.store.coldstart import rebuild_shard
 from repro.store.memory import MemoryStateStore
 from repro.watch.entities import SUTransmitter
 from repro.watch.environment import SpectrumEnvironment
@@ -63,7 +69,7 @@ from repro.cluster.membership import ClusterMembership
 from repro.cluster.rebalance import HandoffPlan, execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.router import ROUTER_ENDPOINT, ShardRouter
-from repro.cluster.shard import SdcShard, ShardPhase1Request
+from repro.cluster.shard import SdcShard, ShardPhase1Request, boot_shard
 
 __all__ = ["ClusterSdc", "ClusterCoordinator"]
 
@@ -288,26 +294,26 @@ class ClusterCoordinator(PisaCoordinator):
             journal=self.journal,
         )
 
-    def _build_replica_set(self, shard_id: str) -> ShardReplicaSet:
+    def _build_replica_set(
+        self, shard_id: str, blob: bytes | None = None
+    ) -> ShardReplicaSet:
+        return ShardReplicaSet(
+            shard_id, self._boot_shard, self.store, journal=self.journal, blob=blob
+        )
+
+    def _boot_shard(self, replica_set: ShardReplicaSet) -> SdcShard:
+        """A replica set's ``boot``: a fresh in-process shard from its blob."""
         executor = (
-            self._shard_executor_factory(shard_id)
+            self._shard_executor_factory(replica_set.shard_id)
             if self._shard_executor_factory is not None
             else None
         )
-
-        def factory(role: str) -> SdcShard:
-            return SdcShard(
-                shard_id,
-                self.cells,
-                self.stp.group_public_key,
-                executor=executor,
-            )
-
-        return ShardReplicaSet(
-            shard_id,
-            shard_factory=factory,
-            store=self.store,
-            journal=self.journal,
+        return boot_shard(
+            replica_set.blob(),
+            self.cells,
+            self.stp.group_public_key,
+            fence_token=replica_set.fence_token,
+            executor=executor,
         )
 
     def close(self) -> None:
@@ -333,8 +339,8 @@ class ClusterCoordinator(PisaCoordinator):
     # -- cluster operations ------------------------------------------------------------
 
     def kill_shard(self, shard_id: str) -> None:
-        """Crash a shard's primary and cut its wire (failover drill)."""
-        self.replica_sets[shard_id].kill_primary()
+        """Crash a shard's replica and cut its wire (failover drill)."""
+        self.replica_sets[shard_id].primary.kill()
         wire = resolve_transport(self.transport)
         if wire is not None:
             wire.fail_endpoint(shard_id)
@@ -352,16 +358,15 @@ class ClusterCoordinator(PisaCoordinator):
         """Rebuild a shard replica set from the store alone.
 
         The disaster path ``kill9-then-coldstart`` drills: the shard was
-        SIGKILLed and nothing of the dead set is read.  A fresh set is
-        rebuilt by the one rule (its ``rebuild``, through
-        :func:`~repro.store.coldstart.rebuild_shard`) from the store's
-        latest snapshot, its PU rows on the ring's blocks, and the
-        unconsumed journal ``tail`` (a
+        SIGKILLed and nothing of the dead set is read.  The one rule
+        (:func:`~repro.store.coldstart.rebuild_shard`) rebuilds the shard
+        from the store's latest snapshot, its PU rows on the ring's
+        blocks, and the unconsumed journal ``tail`` (a
         :class:`~repro.resilience.journal.JournalReadResult` from
-        :func:`repro.store.checkpoint.recover`).  Returns the number of
-        tail records applied.
+        :func:`repro.store.checkpoint.recover`), and a fresh set boots
+        its replica from the result's blob.  Returns the number of tail
+        records applied.
         """
-        replica_set = self._build_replica_set(shard_id)
         assignment = self.membership.ring.assignment(
             tuple(range(self.environment.num_blocks))
         )
@@ -371,7 +376,9 @@ class ClusterCoordinator(PisaCoordinator):
             assignment.get(shard_id, ()),
             (raw for _, _, raw in self.store.pu_updates(shard_id)),
         )
-        applied = replica_set.rebuild(live, tail)
+        shard = SdcShard(shard_id, self.cells, self.stp.group_public_key)
+        _, applied = rebuild_shard(shard, live, self.store, tail)
+        replica_set = self._build_replica_set(shard_id, serialize_shard_state(shard))
         # The new set is reachable again, as after a failover.
         resolve_transport(self.transport).restore_endpoint(shard_id)
         # A cold start is a new writer generation: re-adopt the persisted

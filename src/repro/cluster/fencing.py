@@ -4,7 +4,7 @@ PISA's transcript determinism assumes **exactly one writer per shard
 per epoch**.  Heartbeats alone cannot guarantee that: an asymmetric
 partition (router→shard cut while shard→store stays up) or a merely
 slow primary looks dead to the router but keeps absorbing PU updates —
-and once the standby is promoted, two replicas diverge silently.
+and once a successor is promoted, two replicas diverge silently.
 
 The fix is the classic lease/fence protocol:
 

@@ -77,10 +77,10 @@ def execute_handoff(
 ) -> int:
     """Apply a plan: transfer PU state and ownership; returns PUs moved.
 
-    Each side goes through its replica set, so both replicas of the
-    source release the block, both replicas of the target receive the PU
-    updates, and the store's rows move with them — a failover or cold
-    start during *or after* the handoff finds consistent state.
+    Each side goes through its replica set, so the source's replica
+    releases the block, the target's replica receives the PU updates,
+    and both sets' blobs and store rows move with them — a failover or
+    cold start during *or after* the handoff finds consistent state.
     """
     pus_moved = 0
     for move in plan.moves:

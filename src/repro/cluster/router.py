@@ -8,7 +8,7 @@ so the fan-out is genuinely parallel), and gathers the results.  It
 also owns the *failure* path: a sub-query that hits a dead primary
 (:class:`~repro.errors.ShardDownError`) or a cut wire
 (:class:`~repro.errors.LinkDownError`) triggers replica promotion and a
-bounded retry against the new primary — at most ``max_attempts`` tries
+bounded retry against the successor — at most ``max_attempts`` tries
 per sub-query, after which the failure propagates to the caller.
 
 Liveness has two layers: every successful sub-query records a heartbeat
@@ -57,9 +57,9 @@ ROUTER_ENDPOINT = "router"
 
 # When is a slow-but-alive shard *suspect* (gray failure)?  A sub-query
 # RTT at or above the fleet histogram's SUSPECT_QUANTILE — but never
-# below the absolute SUSPECT_FLOOR_S — marks the shard suspect: the
-# router serves it from the standby without burning a promotion.  A
-# later RTT back under the floor clears the suspicion.
+# below the absolute SUSPECT_FLOOR_S — marks the shard suspect: it is
+# flagged and counted, keeps serving, and burns no promotion.  A later
+# RTT back under the floor clears the suspicion.
 # SUSPECT_MIN_SAMPLES observations must exist before any verdict, so the
 # first request of a cold deployment cannot condemn a shard.
 SUSPECT_QUANTILE = 99.0
@@ -77,7 +77,7 @@ class RouterStats:
     pu_updates_routed: int = 0
     #: Injected drops retried in place (no failover — the link was up).
     drops_retried: int = 0
-    #: Shards flagged as gray failures (routed around, not promoted).
+    #: Shards flagged as gray failures (detected, not promoted).
     suspects: int = 0
 
 
@@ -210,9 +210,9 @@ class ShardRouter:
         """Fence, then promote, then restore the transport endpoint.
 
         Order is the split-brain defence: the successor's token is
-        durable and installed on every reachable replica — *including*
-        the zombie primary — before the standby takes a single request,
-        so nothing the deposed primary does afterwards can commit.
+        durable and installed on the reachable replica — the zombie
+        primary — before the successor boots under it, so nothing the
+        deposed primary does afterwards can commit.
         """
         replica_set = self.replica_set(shard_id)
         lease = self._fencing.bump(shard_id, reason)
@@ -302,8 +302,8 @@ class ShardRouter:
         Retries run through the unified policy engine: an injected drop
         (:class:`~repro.errors.MessageDroppedError`) is retried against
         the *same* primary (the link is up — failing over would discard
-        a healthy shard), while a dead shard or cut wire promotes the
-        standby before the next attempt.  Budget and message shape match
+        a healthy shard), while a dead shard or cut wire promotes a
+        successor before the next attempt.  Budget and message shape match
         the pre-policy behaviour exactly: at most ``max_attempts`` tries,
         then ``ShardDownError`` naming the attempt count.
 
@@ -323,7 +323,7 @@ class ShardRouter:
                     stamped = dataclasses.replace(request, fence_token=token)
             started = time.perf_counter()
             self._transport.send(stamped, ROUTER_ENDPOINT, shard_id)
-            result = invoke(replica_set.serving_replica(), stamped)
+            result = invoke(replica_set.primary, stamped)
             replica_set.record_heartbeat()
             self._transport.send(result, shard_id, ROUTER_ENDPOINT)
             self._note_rtt(
@@ -382,11 +382,11 @@ class ShardRouter:
     # -- the data path ----------------------------------------------------------------
 
     def route_pu_update(self, message: PUUpdateMessage) -> str:
-        """Deliver one PU update to the owning shard (both replicas)."""
+        """Deliver one PU update to the owning shard's replica set."""
         shard_id = self.membership.ring.node_for(message.block_index)
 
         def invoke(_primary, msg):
-            # Mirrored application — the warm standby stays warm.  The
+            # Through the set, which records the update in its blob.  The
             # token travels beside the message, not inside it: a
             # PUUpdateMessage's bytes are protocol transcript.
             self.replica_set(shard_id).apply_pu_update(
@@ -443,7 +443,7 @@ class ShardRouter:
     # -- epoch control ---------------------------------------------------------------
 
     def commit_epoch(self, epoch_id: int) -> None:
-        """Commit the epoch on every shard (and snapshot each primary)."""
+        """Commit the epoch on every shard (and snapshot each set's blob)."""
         for shard_id in self.shard_ids:
             self.replica_set(shard_id).commit_epoch(
                 epoch_id, fence_token=self.fence_token(shard_id)

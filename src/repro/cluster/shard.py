@@ -42,11 +42,13 @@ from repro.errors import FencedError, ProtocolError, ShardDownError
 from repro.pisa.blinding import CellBlinding
 from repro.pisa.kernel import BlockKernel, CellTable
 from repro.pisa.messages import PUUpdateMessage
+from repro.pisa.storage import decode_shard_state, restore_shard_state
 
 __all__ = [
     "ShardPhase1Request",
     "ShardPhase1Response",
     "SdcShard",
+    "boot_shard",
 ]
 
 
@@ -212,6 +214,13 @@ class SdcShard:
             self._check_owned((message.block_index,))
             self._kernel.fold_pu_update(message)
 
+    def detach_block(self, block: int) -> tuple[PUUpdateMessage, ...]:
+        """Handoff, source side: drop ``block`` and the PUs on it (``⊖``
+        from the aggregate); returns their latest updates, by PU id."""
+        moved = tuple(self.remove_pu(pu_id) for pu_id in self.pus_on_blocks((block,)))
+        self.release_blocks((block,))
+        return moved
+
     def remove_pu(self, pu_id: str) -> PUUpdateMessage | None:
         """Detach one PU's contribution (block handoff); returns its update."""
         with self._lock:
@@ -223,7 +232,7 @@ class SdcShard:
             return self._kernel.pus_on_blocks(blocks)
 
     def pu_update_messages(self) -> tuple[PUUpdateMessage, ...]:
-        """Every tracked PU's latest update (snapshots and mirroring)."""
+        """Every tracked PU's latest update, by PU id (snapshots)."""
         with self._lock:
             return self._kernel.pu_update_messages()
 
@@ -253,3 +262,25 @@ class SdcShard:
             f"SdcShard({self.shard_id!r}, blocks={len(self._blocks)}, "
             f"alive={self.alive})"
         )
+
+
+def boot_shard(
+    blob: bytes,
+    cells: CellTable,
+    group_public_key: PaillierPublicKey,
+    fence_token: int = 0,
+    executor: Executor | None = None,
+) -> SdcShard:
+    """A fresh shard serving a ``PISA-SHARD-STATE-v1`` blob under a lease.
+
+    The one way a shard comes up, in the broker's process or in a
+    worker's: fold the blob's latest update per PU onto an empty shard
+    (``⊕`` commutes, so this is the aggregate the blob's writer held),
+    then learn the lease before the first request can arrive.
+    """
+    shard = SdcShard(
+        decode_shard_state(blob)[0], cells, group_public_key, executor=executor
+    )
+    restore_shard_state(shard, blob)
+    shard.observe_fence(fence_token)
+    return shard

@@ -43,10 +43,11 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import TransportError
-from repro.netd.remote import AuthorityServer, RemoteShardSet, RemoteStp
+from repro.crypto.serialization import encode_public_key
+from repro.netd.remote import AuthorityServer, RemoteShard, RemoteStp
 from repro.netd.supervisor import ProcessSupervisor
 from repro.netd.transport import PeerClient, SocketTransport, TlsSpec
-from repro.netd.wire import decode_control, encode_control
+from repro.netd.wire import decode_control, encode_cells, encode_control
 from repro.pisa.blinding import indicator_bound_for
 from repro.service.batching import STP_ENDPOINT
 from repro.service.loadtest import LoadtestConfig, ServiceFixture
@@ -86,16 +87,18 @@ class SocketClusterCoordinator(ClusterCoordinator):
     It stands up its own workers and takes every ``ClusterCoordinator``
     argument (``journal=`` and ``store=`` included) plus the topology's:
     ``tls`` for every link, the ``host`` the workers bind, their
-    ``workdir`` and ``record_transcript``.  Only the two build hooks and
-    the fault surface change: :meth:`_build_stp` draws the group keypair
-    *at the exact position* the in-process ``StpServer.__init__`` would,
-    binds the authority to the coordinator's own draw stream and hands
-    the keypair to a :class:`~repro.netd.remote.RemoteStp`;
-    :meth:`_build_replica_set` yields
-    :class:`~repro.netd.remote.RemoteShardSet` proxies; and
-    :meth:`kill_shard` / :meth:`slow_shard` act on the worker process.
-    Everything else — router, allocator, clients, license signing,
-    journal, store — is inherited unchanged, which is the point.
+    ``workdir`` and ``record_transcript``.  Only the build hooks, the
+    fault surface and the worker lifecycle change: :meth:`_build_stp`
+    draws the group keypair *at the exact position* the in-process
+    ``StpServer.__init__`` would, binds the authority to the
+    coordinator's own draw stream and hands the keypair to a
+    :class:`~repro.netd.remote.RemoteStp`; :meth:`_boot_shard` boots a
+    replica set's :class:`~repro.netd.remote.RemoteShard` by (re)starting
+    its worker, which pulls the set's blob; :meth:`join_shard` /
+    :meth:`leave_shard` spawn and retire workers; and :meth:`kill_shard`
+    / :meth:`slow_shard` act on the worker process.  Everything else —
+    replica sets, router, allocator, clients, license signing, journal,
+    store — is inherited unchanged, which is the point.
     """
 
     def __init__(
@@ -133,28 +136,39 @@ class SocketClusterCoordinator(ClusterCoordinator):
             raise
 
     def _spawn_workers(self, num_shards: int, tls: TlsSpec | None, metrics) -> None:
-        supervisor = self.netd.supervisor
         authority_host, authority_port = self.netd.authority.start()
         worker_args = ["--authority", f"{authority_host}:{authority_port}"]
         if tls is not None:
             worker_args += ["--tls-cert", tls.certfile, "--tls-key", tls.keyfile]
             if tls.cafile:
                 worker_args += ["--tls-ca", tls.cafile]
-        client_ssl = tls.client_context() if tls is not None else None
+        #: What every worker of this deployment starts with: its command
+        #: line's tail, the client side's TLS context, the registry.
+        self._worker_spec = (
+            tuple(worker_args),
+            tls.client_context() if tls is not None else None,
+            metrics,
+        )
         for name in [f"shard-{i}" for i in range(num_shards)] + [STP_ENDPOINT]:
-            role = "stp" if name == STP_ENDPOINT else "shard"
-            supervisor.start(name, role, tuple(worker_args))
-            # The address is late-bound: the supervisor re-reads the
-            # readiness file, so restarts re-resolve transparently.
-            self.netd.transport.register_peer(
+            self._spawn_worker(name, "stp" if name == STP_ENDPOINT else "shard")
+
+    def _spawn_worker(self, name: str, role: str) -> None:
+        """Launch one worker and register its peer: the deployment's
+        workers, and a joining shard's."""
+        worker_args, client_ssl, metrics = self._worker_spec
+        supervisor = self.netd.supervisor
+        supervisor.start(name, role, worker_args)
+        # The address is late-bound: the supervisor re-reads the
+        # readiness file, so restarts re-resolve transparently.
+        self.netd.transport.register_peer(
+            name,
+            PeerClient(
                 name,
-                PeerClient(
-                    name,
-                    functools.partial(supervisor.address, name),
-                    ssl_context=client_ssl,
-                    metrics=metrics,
-                ),
-            )
+                functools.partial(supervisor.address, name),
+                ssl_context=client_ssl,
+                metrics=metrics,
+            ),
+        )
 
     def _build_stp(self, key_bits: int, stp_executor) -> RemoteStp:
         keypair = generate_keypair(key_bits, rng=self._rng)
@@ -173,17 +187,58 @@ class SocketClusterCoordinator(ClusterCoordinator):
         )
         return stp
 
-    def _build_replica_set(self, shard_id: str) -> RemoteShardSet:
-        return RemoteShardSet(
-            shard_id,
-            self.netd.transport,
-            self.netd.supervisor,
-            self.netd.authority,
-            self.cells,
-            self.stp.group_public_key,
-            self.store,
-            self.journal,
+    def _boot_shard(self, replica_set) -> RemoteShard:
+        """A replica set's ``boot``: a worker that pulled the set's blob.
+
+        The set is the worker's bootstrap provider from now on, and a
+        worker pulls its provider when it starts.  So a worker spawned
+        for this name and still polling needs nothing; after a promotion
+        (the set was the provider already) the worker running now, or
+        the one the supervisor starts, pulled this set's blob; and a
+        worker that may hold another set's — a cold start replaces a
+        dead set — is restarted.
+        """
+        name = replica_set.shard_id
+        provider = functools.partial(self._shard_bootstrap, replica_set)
+        previous = self.netd.authority.register_bootstrap(name, provider)
+        if previous is None:
+            pass  # the spawned worker pulls from the set when it next polls
+        elif previous.args[0] is replica_set:  # a promotion
+            self.netd.supervisor.ensure_running(name)
+        else:  # a cold start
+            self.netd.supervisor.restart(name)
+            # Pooled connections lead to the replaced process.
+            self.netd.transport.peer(name).discard_idle()
+        return RemoteShard(
+            name, self.netd.transport, self.netd.supervisor, self.stp.group_public_key
         )
+
+    def _shard_bootstrap(self, replica_set) -> bytes:
+        """A shard worker's config: the map's cell table, the lease, the
+        group key and the set's current blob."""
+        return encode_control(
+            {
+                "role": "shard",
+                "cells": encode_cells(self.cells),
+                "fence_token": replica_set.fence_token,
+            },
+            encode_public_key(self.stp.group_public_key),
+            replica_set.blob(),
+        )
+
+    def join_shard(self, shard_id: str):
+        """Spawn the joining shard's worker, then admit it as in memory."""
+        self._spawn_worker(shard_id, "shard")
+        return super().join_shard(shard_id)
+
+    def leave_shard(self, shard_id: str):
+        """Hand the leaver's blocks off as in memory, then retire its
+        worker: no monitor restarts it, and no peer or config names it."""
+        plan = super().leave_shard(shard_id)
+        self.netd.supervisor.retire(shard_id)
+        self.netd.transport.unregister_peer(shard_id)
+        self.netd.authority.unregister_bootstrap(shard_id)
+        return plan
 
     def kill_shard(self, shard_id: str) -> None:
         """SIGKILL the shard's worker; no wire is cut, so the next
@@ -193,8 +248,8 @@ class SocketClusterCoordinator(ClusterCoordinator):
 
     def slow_shard(self, shard_id: str, delay_s: float) -> None:
         """The worker itself answers every phase-1 sub-query ``delay_s`` late."""
-        self.replica_sets[shard_id].transact(
-            "chaos_delay", encode_control({"delay_s": delay_s})
+        self.netd.transport.transact(
+            shard_id, "chaos_delay", encode_control({"delay_s": delay_s})
         )
 
     def close(self) -> None:

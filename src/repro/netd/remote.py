@@ -15,26 +15,24 @@ draw order.
 The same server doubles as the bootstrap registry.  Workers *pull*
 their configuration: dial the authority, poll ``bootstrap`` until the
 coordinator has registered a provider, apply it, bind, report ready.
-Because providers serve the *current* state (blocks, cached PU updates,
-registered SU keys), a crash restart re-runs the identical pull and
-needs no push-style resync from the broker.
+Because providers serve the *current* state (a shard's replica-set
+blob, registered SU keys), a crash restart re-runs the identical pull
+and needs no push-style resync from the broker.
 
-The proxies — :class:`RemoteStp`, :class:`RemoteShardSet` /
-:class:`RemoteShard` — present the exact duck interfaces of
-:class:`~repro.pisa.stp_server.StpServer` and
-:class:`~repro.cluster.replica.ShardReplicaSet`, so the router, batch
-allocator, and :class:`~repro.cluster.coordinator.ClusterSdc` run
-unmodified over real sockets.
+The proxies — :class:`RemoteStp` and :class:`RemoteShard` — present
+the exact duck interfaces of :class:`~repro.pisa.stp_server.StpServer`
+and of the :class:`~repro.cluster.shard.SdcShard` verbs a
+:class:`~repro.cluster.replica.ShardReplicaSet` drives, so the router,
+batch allocator, replica sets and
+:class:`~repro.cluster.coordinator.ClusterSdc` run unmodified over real
+sockets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 
-from repro.cluster.replica import FailoverEvent, ReplicaSetBase
-from repro.cluster.shard import SdcShard
 from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rand import RandomSource
 from repro.crypto.serialization import (
@@ -53,24 +51,24 @@ from repro.netd.wire import (
     decode_exponents_request,
     decode_exponents_response,
     decode_phase1_response,
-    encode_cells,
     encode_control,
     encode_error,
     encode_exponents_request,
     encode_exponents_response,
     encode_phase1_request,
 )
-from repro.pisa.kernel import CellTable
 from repro.pisa.keys import KeyDirectory
-from repro.pisa.messages import SignExtractionRequest, SignExtractionResponse
-from repro.pisa.storage import encode_shard_state
+from repro.pisa.messages import (
+    PUUpdateMessage,
+    SignExtractionRequest,
+    SignExtractionResponse,
+)
 from repro.pisa.stp_server import StpStats
 
 __all__ = [
     "AuthorityServer",
     "RemoteRandomSource",
     "RemoteShard",
-    "RemoteShardSet",
     "RemoteStp",
 ]
 
@@ -105,10 +103,18 @@ class AuthorityServer:
         """Serve the workers' draws from ``rng``, the coordinator's own."""
         self._rng = rng
 
-    def register_bootstrap(self, name: str, provider) -> None:
-        """Register ``provider() -> bytes`` as worker ``name``'s config."""
+    def register_bootstrap(self, name: str, provider):
+        """Register ``provider() -> bytes`` as worker ``name``'s config;
+        returns the provider it replaces (``None`` for the first)."""
         with self._lock:
+            previous = self._providers.get(name)
             self._providers[name] = provider
+        return previous
+
+    def unregister_bootstrap(self, name: str) -> None:
+        """Serve worker ``name`` no config any more (it was retired)."""
+        with self._lock:
+            self._providers.pop(name, None)
 
     def start(self) -> tuple[str, int]:
         self._server = FrameServer(
@@ -307,41 +313,14 @@ class RemoteStp:
 
 
 class RemoteShard:
-    """The ``.primary`` face of a shard worker: sub-queries over frames."""
+    """A shard worker, seen from the broker: the replica verbs as frames.
 
-    def __init__(self, owner: "RemoteShardSet") -> None:
-        self._owner = owner
-        self.shard_id = owner.shard_id
-
-    @property
-    def alive(self) -> bool:
-        return self._owner.supervisor.is_running(self.shard_id)
-
-    def process_phase1(self, request):
-        frame = self._owner.transact("phase1", encode_phase1_request(request))
-        return decode_phase1_response(frame.payload, self._owner.group_public_key)
-
-    def commit_epoch(self, epoch_id: int, fence_token: int) -> None:
-        """The worker's own commit; a stale ``fence_token`` comes back as
-        a wire-typed :class:`~repro.errors.FencedError`."""
-        frame = encode_control({"epoch": epoch_id, "fence_token": fence_token})
-        self._owner.transact("commit_epoch", frame)
-
-
-class RemoteShardSet(ReplicaSetBase):
-    """Broker-side stand-in for :class:`~repro.cluster.replica.ShardReplicaSet`.
-
-    There is no warm standby process; the "promote" of the socket plane
-    is *restart and re-bootstrap* — :meth:`promote` asks the supervisor
-    for a live worker, and the worker pulls its full current state
-    (the map's :class:`~repro.pisa.kernel.CellTable`, the fence token,
-    blocks, latest update per PU, committed epoch — one
-    ``PISA-SHARD-STATE-v1`` blob) from the bootstrap provider, which
-    this object keeps serving from its caches.  Since ``⊕`` is
-    commutative and the shard keeps only the latest update per PU,
-    folding those latest updates onto a fresh shard reproduces the exact
-    pre-crash aggregate ``W̃`` state.  The worker keeps no disk: the base
-    writes the shard's rows into ``store``, that blob being its snapshot.
+    What :class:`~repro.cluster.replica.ShardReplicaSet` drives on the
+    socket plane in place of an in-process
+    :class:`~repro.cluster.shard.SdcShard`.  It holds no state: the set
+    keeps the shard's blob, and the worker pulls it at startup.  It
+    addresses the worker by name, so it reaches whichever process the
+    supervisor runs under that name now.
     """
 
     def __init__(
@@ -349,135 +328,55 @@ class RemoteShardSet(ReplicaSetBase):
         shard_id: str,
         transport: SocketTransport,
         supervisor,
-        authority: AuthorityServer,
-        cells: CellTable,
         group_public_key: PaillierPublicKey,
-        store,
-        journal=None,
-        clock=time.monotonic,
     ) -> None:
-        # The base's ``fence_token`` travels in the bootstrap, so a
-        # restarted worker resumes already fenced.
-        super().__init__(shard_id, clock, store, journal)
+        self.shard_id = shard_id
         self._transport = transport
-        self.supervisor = supervisor
-        #: The worker's whole view of the map, shipped as its kernel reads it.
-        self._cells = cells
-        self.group_public_key = group_public_key
-        self._blocks: set[int] = set()
-        self._pu_updates: dict[str, bytes] = {}
-        self._last_epoch = -1
-        self.primary = RemoteShard(self)
-        authority.register_bootstrap(shard_id, self.bootstrap_payload)
-
-    # -- bootstrap -----------------------------------------------------------------
-
-    def bootstrap_payload(self) -> bytes:
-        with self._lock:
-            return encode_control(
-                {
-                    "role": "shard",
-                    "cells": encode_cells(self._cells),
-                    "fence_token": self.fence_token,
-                },
-                encode_public_key(self.group_public_key),
-                self._shard_state(),
-            )
-
-    def _shard_state(self) -> bytes:
-        """The worker's state as one blob; the caller holds ``self._lock``."""
-        return encode_shard_state(
-            self.shard_id,
-            self._last_epoch,
-            sorted(self._blocks),
-            (raw for _, raw in sorted(self._pu_updates.items())),
-        )
-
-    # -- wiring --------------------------------------------------------------------
-
-    def transact(self, kind: str, payload: bytes):
-        return self._transport.transact(self.shard_id, kind, payload)
-
-    # -- state fan-out (mirrors ShardReplicaSet) -----------------------------------
-
-    def assign_blocks(self, blocks: tuple[int, ...]) -> None:
-        with self._lock:
-            self._blocks.update(blocks)
-        self.transact("assign_blocks", encode_control({"blocks": sorted(blocks)}))
+        self._supervisor = supervisor
+        self._group_public_key = group_public_key
 
     @property
-    def blocks(self) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(sorted(self._blocks))
+    def alive(self) -> bool:
+        return self._supervisor.is_running(self.shard_id)
 
-    def _apply(self, message, raw: bytes, token: int) -> None:
-        with self._lock:
-            self._pu_updates[message.pu_id] = raw
+    def _transact(self, kind: str, payload: bytes):
+        return self._transport.transact(self.shard_id, kind, payload)
+
+    def process_phase1(self, request):
+        frame = self._transact("phase1", encode_phase1_request(request))
+        return decode_phase1_response(frame.payload, self._group_public_key)
+
+    def handle_pu_update(self, message: PUUpdateMessage, fence_token: int = 0) -> None:
         # The token is a frame prefix, never part of the message bytes —
         # a PUUpdateMessage's bytes are protocol transcript.
-        self.transact("pu_update", encode_int(token) + raw)
+        self._transact("pu_update", encode_int(fence_token) + message.to_bytes())
 
-    def _commit(self, epoch_id: int, token: int) -> tuple[int, bytes]:
-        self.primary.commit_epoch(epoch_id, token)
-        # Only an epoch the worker accepted is one a restart may resume
-        # from: a fenced or failed commit leaves the bootstrap unchanged.
-        with self._lock:
-            self._last_epoch = max(self._last_epoch, epoch_id)
-            return self._last_epoch, self._shard_state()
+    def commit_epoch(self, epoch_id: int, fence_token: int = 0) -> None:
+        """The worker's own commit; a stale ``fence_token`` comes back as
+        a wire-typed :class:`~repro.errors.FencedError`."""
+        frame = encode_control({"epoch": epoch_id, "fence_token": fence_token})
+        self._transact("commit_epoch", frame)
 
-    # -- fencing / gray failure ----------------------------------------------------
-
-    def serving_replica(self):
-        """The socket plane has no warm standby; the primary always serves."""
-        return self.primary
-
-    def install_fence(self, token: int) -> None:
+    def observe_fence(self, token: int) -> None:
         """Push a new lease token at the worker (best-effort if it is dead).
 
-        The broker-side ratchet is what matters for safety: every
-        subsequent frame — including the restarted worker's bootstrap —
-        carries the new token, so a worker that missed the live ``fence``
-        frame (it was the one being deposed) still learns it before it
-        can serve a single request.
+        The set's ratchet is what matters for safety: the bootstrap of
+        any worker started after it carries the new token, so a worker
+        that missed this frame (it was the one being deposed) still
+        learns it before it can serve a single request.
         """
-        self._ratchet_fence(token)
         try:
-            self.transact("fence", encode_control({"token": int(token)}))
+            self._transact("fence", encode_control({"token": int(token)}))
         except TransportError:
-            # Dead or unreachable worker: the bootstrap provider carries
-            # the token; nothing the old incarnation does can commit.
-            pass
+            pass  # nothing the dead incarnation does can commit
 
-    # -- failover ------------------------------------------------------------------
+    def assign_blocks(self, blocks: tuple[int, ...]) -> None:
+        self._transact("assign_blocks", encode_control({"blocks": sorted(blocks)}))
 
-    def promote(self) -> FailoverEvent:
-        """Restart-and-re-bootstrap; the socket plane's failover."""
-        self.supervisor.ensure_running(self.shard_id)
-        with self._lock:
-            return self._log_failover(self._last_epoch, from_snapshot=False)
-
-    def rebuild(self, live: bytes, tail=None) -> int:
-        """Cold start: rebuild the shard by the one rule into the blob
-        this set serves, then boot the worker from it.
-
-        The monitor restarts a killed worker on its own, maybe from the
-        dead set's blob, so whatever process runs now is replaced.
-        Returns the tail records applied.
-        """
-        # Imported here: the STP worker loads this module, and must not
-        # load the store's SQLite backend.
-        from repro.store.coldstart import rebuild_shard
-
-        shard = SdcShard(self.shard_id, self._cells, self.group_public_key)
-        _, applied = rebuild_shard(shard, live, self.store, tail)
-        with self._lock:
-            self._blocks = set(shard.blocks)
-            self._pu_updates = {
-                message.pu_id: message.to_bytes()
-                for message in shard.pu_update_messages()
-            }
-            self._last_epoch = shard.last_committed_epoch
-        self.supervisor.restart(self.shard_id)
-        # Pooled connections lead to the replaced process.
-        self._transport.peer(self.shard_id).discard_idle()
-        return applied
+    def detach_block(self, block: int) -> tuple[PUUpdateMessage, ...]:
+        """The worker drops ``block`` and answers with the moved updates."""
+        frame = self._transact("detach_block", encode_control({"block": int(block)}))
+        _, moved = decode_control(frame.payload, num_attachments=None)
+        return tuple(
+            PUUpdateMessage.from_bytes(raw, self._group_public_key) for raw in moved
+        )

@@ -290,6 +290,9 @@ class ProcessSupervisor:
         if handle is None:
             raise TransportError(f"no supervised worker named {name!r}")
         with handle.lock:
+            if self._handles.get(name) is not handle:
+                # Retired while this call waited for the lock.
+                raise TransportError(f"worker {name!r} was retired")
             if self.is_running(name) and handle.address is not None:
                 return handle.address
 
@@ -316,6 +319,22 @@ class ProcessSupervisor:
                 handle.process.kill()
                 handle.process.wait()
             return self.ensure_running(name)
+
+    def retire(self, name: str) -> None:
+        """Stop supervising ``name`` and stop its process for good.
+
+        The handle leaves the table under its lock, so neither the
+        monitor nor a failover's :meth:`ensure_running` can restart the
+        worker afterwards; then the process gets the graceful stop.
+        """
+        handle = self._handles.get(name)
+        if handle is None:
+            return
+        with handle.lock:
+            del self._handles[name]
+            process = handle.process
+        if process is not None:
+            self._stop([process])
 
     def _monitor(self) -> None:
         while not self._stopping:
@@ -381,8 +400,18 @@ class ProcessSupervisor:
         procs = []
         for handle in self._handles.values():
             with handle.lock:
-                process = handle.process
-            if process is not None and process.poll() is None:
+                procs.append(handle.process)
+        self._stop([process for process in procs if process is not None])
+        if self._tmp is not None:
+            self._tmp.cleanup()
+            self._tmp = None
+
+    @staticmethod
+    def _stop(processes) -> None:
+        """SIGTERM each running process; SIGKILL what outlives the grace."""
+        procs = []
+        for process in processes:
+            if process.poll() is None:
                 try:
                     process.terminate()
                 except ProcessLookupError:  # pragma: no cover
@@ -396,6 +425,3 @@ class ProcessSupervisor:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
-        if self._tmp is not None:
-            self._tmp.cleanup()
-            self._tmp = None

@@ -398,6 +398,12 @@ class SocketTransport(TranscriptTransport):
     def register_peer(self, endpoint: str, peer: PeerClient) -> None:
         self._peers[endpoint] = peer
 
+    def unregister_peer(self, endpoint: str) -> None:
+        """Forget ``endpoint`` and close its pooled connections."""
+        peer = self._peers.pop(endpoint, None)
+        if peer is not None:
+            peer.close()
+
     def peer(self, endpoint: str) -> PeerClient:
         peer = self._peers.get(endpoint)
         if peer is None:

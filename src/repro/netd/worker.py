@@ -66,7 +66,6 @@ from repro.netd.wire import (
     encode_phase1_response,
 )
 from repro.pisa.messages import PUUpdateMessage, SignExtractionRequest
-from repro.pisa.storage import decode_shard_state, restore_shard_state
 
 _BOOTSTRAP_POLL_S = 0.05
 _BOOTSTRAP_TIMEOUT_S = 60.0
@@ -103,23 +102,23 @@ class ShardState:
     def __init__(self, payload: bytes) -> None:
         # The shard role's own import: the shard, and no map — the
         # bootstrap's cell table is everything the kernel reads of it.
-        from repro.cluster.shard import SdcShard
+        from repro.cluster.shard import boot_shard
 
         obj, (key_raw, live) = decode_control(payload, num_attachments=2)
-        cells = decode_cells(obj.get("cells"))
         self.group_public_key = decode_public_key(key_raw)
         #: Chaos seam: artificial per-sub-query service delay (seconds),
         #: armed by a ``chaos_delay`` frame for gray-failure drills.
         self.delay_s = 0.0
-        self.shard = SdcShard(decode_shard_state(live)[0], cells, self.group_public_key)
-        # A (re)start folds every update the broker's bootstrap blob
-        # holds — ⊕ commutes and state is latest-per-PU, so this
-        # reproduces the pre-crash aggregate.
-        restore_shard_state(self.shard, live)
-        # Learn the current lease *before* serving: a restarted worker
-        # must reject the deposed incarnation's stale-token requests from
-        # its very first frame.
-        self.shard.observe_fence(int(obj.get("fence_token", 0)))
+        # A (re)start boots from the replica set's blob exactly as an
+        # in-process replica does, and learns the current lease *before*
+        # serving: a restarted worker must reject the deposed
+        # incarnation's stale-token requests from its very first frame.
+        self.shard = boot_shard(
+            live,
+            decode_cells(obj.get("cells")),
+            self.group_public_key,
+            fence_token=int(obj.get("fence_token", 0)),
+        )
 
     def handle(self, kind: str, payload: bytes) -> tuple[str, bytes]:
         if kind == "phase1":
@@ -147,6 +146,10 @@ class ShardState:
             obj, _ = decode_control(payload)
             self.shard.assign_blocks(tuple(int(b) for b in obj["blocks"]))
             return "ok", encode_control({})
+        if kind == "detach_block":
+            obj, _ = decode_control(payload)
+            moved = self.shard.detach_block(int(obj["block"]))
+            return "ok", encode_control({}, *(m.to_bytes() for m in moved))
         if kind == "commit_epoch":
             obj, _ = decode_control(payload)
             self.shard.commit_epoch(

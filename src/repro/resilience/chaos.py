@@ -496,7 +496,7 @@ class _ClockSkew(FaultPlan):
 
     A skewed clock makes a healthy shard's heartbeat *look* ancient.
     Liveness checking must classify alive-primary-with-stale-heartbeat
-    as *suspect* (route around it) rather than promote — promoting on
+    as *suspect* (flag and count it) rather than promote — promoting on
     staleness alone is the spurious failover gray-failure folklore warns
     about.
     """
@@ -525,8 +525,8 @@ class _GraySlowShard(FaultPlan):
 
     The shard answers everything — slowly.  Heartbeats never expire, so
     naive liveness sees a healthy fleet; the RTT quantile must flag the
-    outlier as suspect and serve it from the standby, with zero
-    promotions burned.
+    outlier as suspect — detection only, the shard keeps serving — with
+    zero promotions burned.
     """
 
     name = "gray-slow-shard"

@@ -31,7 +31,8 @@ Record kinds written by the integrated runtime:
 ``phase2``     phase-2 randomness (signature obfuscator, η, the license
                clock) committed for a round, again behind a barrier
 ``epoch-commit``  a shard committed an epoch
-``promote``    a replica-set failover promoted the standby
+``promote``    a replica-set failover booted a successor from the set's
+               blob: ``shard_id:resumed_epoch``
 ``epoch-dispatch``  the broker dispatched one batched epoch
 ``checkpoint`` compaction marker opening a checkpointed journal:
                ``encode_int(checkpoint_id) + encode_int(consumed)``

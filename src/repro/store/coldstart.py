@@ -1,12 +1,12 @@
 """The one rule by which a shard gets its state back.
 
-``ShardReplicaSet.promote`` (the fresh standby) and
-``ClusterCoordinator.cold_start_shard`` both rebuild a fresh, empty
-shard the same way:
+``ClusterCoordinator.cold_start_shard`` rebuilds a fresh, empty shard
+this way, on either plane, and the fresh replica set boots its one
+replica from the result's ``PISA-SHARD-STATE-v1`` blob:
 
 1. start from the newest stored snapshot, if the store has one;
-2. fold the caller's *live view* — a ``PISA-SHARD-STATE-v1`` blob built
-   from the promoted primary or the store's PU rows.  Its blocks are
+2. fold the caller's *live view* — a blob built from the ring's
+   blocks and the store's PU rows.  Its blocks are
    the shard's ownership (blocks the snapshot lists but a handoff has
    since moved away are dropped) and every update in it is folded;
 3. replay the journal tail's PU updates for owned blocks;
@@ -18,9 +18,9 @@ state is latest-per-PU, so folding an update the snapshot already
 absorbed is the eq. (9) no-op ``⊖ old ⊕ new`` with ``old == new``, and
 everything goes through the ``handle_pu_update`` path a live shard uses.
 
-A restarted socket-plane worker needs no rule of its own: it has no
-store and no tail, so its rebuild is
-:func:`~repro.pisa.storage.restore_shard_state` of its bootstrap blob.
+A promotion needs no rule of its own: the replica set's blob is the
+shard's whole state, so a successor — in process, or a restarted
+worker — is :func:`~repro.cluster.shard.boot_shard` of that blob.
 """
 
 from __future__ import annotations

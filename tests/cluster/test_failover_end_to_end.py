@@ -69,7 +69,8 @@ class TestMidEpochFailover:
         events = cluster.replica_sets[victim].failovers
         assert len(events) == 1
         assert events[0].resumed_epoch == 0
-        assert events[0].from_snapshot
+        # The successor booted from the set's blob, which the commit stored.
+        assert cluster.store.latest_snapshot(victim)[0] == 0
 
 
 class TestMembershipChurn:

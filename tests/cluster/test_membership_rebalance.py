@@ -9,13 +9,22 @@ from repro.cluster.membership import (
 )
 from repro.cluster.rebalance import execute_handoff, plan_handoff
 from repro.cluster.replica import ShardReplicaSet
-from repro.cluster.shard import SdcShard
+from repro.cluster.shard import boot_shard
 from repro.errors import ClusterError, MembershipError
 from repro.pisa.kernel import CellTable
 from repro.pisa.storage import serialize_shard_state
 from repro.store import MemoryStateStore
 
 from tests.cluster.conftest import build_cluster
+
+
+def _make_set(shard_id, scenario, keypair) -> ShardReplicaSet:
+    cells = CellTable.of(scenario.environment)
+    return ShardReplicaSet(
+        shard_id,
+        lambda rs: boot_shard(rs.blob(), cells, keypair.public_key, rs.fence_token),
+        store=MemoryStateStore(),
+    )
 
 
 class TestMembership:
@@ -99,16 +108,9 @@ class TestHandoffExecution:
         membership = ClusterMembership(("a", "b"))
         num_blocks = small_scenario.environment.num_blocks
 
-        def make_set(shard_id: str) -> ShardReplicaSet:
-            return ShardReplicaSet(
-                shard_id,
-                shard_factory=lambda role: SdcShard(
-                    shard_id, CellTable.of(small_scenario.environment), keypair.public_key
-                ),
-                store=MemoryStateStore(),
-            )
-
-        replica_sets = {sid: make_set(sid) for sid in ("a", "b")}
+        replica_sets = {
+            sid: _make_set(sid, small_scenario, keypair) for sid in ("a", "b")
+        }
         assignment = membership.ring.assignment(tuple(range(num_blocks)))
         for shard_id, blocks in assignment.items():
             replica_sets[shard_id].assign_blocks(blocks)
@@ -126,31 +128,24 @@ class TestHandoffExecution:
             rs.primary.num_tracked_pus for rs in replica_sets.values()
         )
         old_ring = membership.ring
-        replica_sets["c"] = ShardReplicaSet(
-            "c",
-            shard_factory=lambda role: SdcShard(
-                "c", CellTable.of(small_scenario.environment), keypair.public_key
-            ),
-            store=MemoryStateStore(),
-        )
+        replica_sets["c"] = _make_set("c", small_scenario, keypair)
         new_ring = membership.join("c")
         plan = plan_handoff(old_ring, new_ring, num_blocks)
         execute_handoff(plan, replica_sets)
 
-        # Ownership now matches the new ring exactly, on both replicas.
+        # Ownership now matches the new ring exactly, on each replica.
         for block in range(num_blocks):
             owner = new_ring.node_for(block)
             for shard_id, rs in replica_sets.items():
-                expected = shard_id == owner
-                assert rs.primary.owns(block) == expected
-                assert rs.standby.owns(block) == expected
+                assert rs.primary.owns(block) == (shard_id == owner)
         # No PU contribution was lost or duplicated.
         assert (
             sum(rs.primary.num_tracked_pus for rs in replica_sets.values())
             == total_pus_before
         )
+        # Each set's blob moved with its replica.
         for rs in replica_sets.values():
-            assert rs.primary.num_tracked_pus == rs.standby.num_tracked_pus
+            assert rs.blob() == serialize_shard_state(rs.primary)
 
     def test_leave_pushes_blocks_back_to_survivors(
         self, cluster_state, small_scenario, keypair
@@ -198,11 +193,10 @@ class TestHandoffMovesStoreRows:
             replica_set = coordinator.replica_sets[shard_id]
             live = serialize_shard_state(replica_set.primary)
             replica_set.primary.kill()
-            replica_set.standby.kill()
             coordinator.cold_start_shard(shard_id)
             rebuilt = coordinator.replica_sets[shard_id]
             assert serialize_shard_state(rebuilt.primary) == live
-            assert serialize_shard_state(rebuilt.standby) == live
+            assert rebuilt.blob() == live
 
     def test_join_then_leave_keep_rows_with_their_pus(self):
         scenario, coordinator = build_cluster(

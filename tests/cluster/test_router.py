@@ -11,10 +11,11 @@ from repro.cluster.fencing import LeaseAuthority
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.replica import ShardReplicaSet
 from repro.cluster.router import ShardRouter
-from repro.cluster.shard import SdcShard
+from repro.cluster.shard import boot_shard
 from repro.errors import ClusterError, ShardDownError
 from repro.net.transport import InMemoryTransport, resolve_transport
 from repro.pisa.kernel import CellTable
+from repro.pisa.storage import decode_shard_state
 from repro.store import MemoryStateStore
 from repro.telemetry import MetricsRegistry
 
@@ -28,18 +29,20 @@ def cluster():
     coordinator.close()
 
 
-def make_router(small_scenario, keypair, shard_ids=("a", "b"), **kwargs):
+def make_router(small_scenario, keypair, shard_ids=("a", "b"), boot=None, **kwargs):
     membership = ClusterMembership(tuple(shard_ids))
     store = MemoryStateStore()
-    replica_sets = {}
-    for shard_id in shard_ids:
-        replica_sets[shard_id] = ShardReplicaSet(
-            shard_id,
-            shard_factory=lambda role, sid=shard_id: SdcShard(
-                sid, CellTable.of(small_scenario.environment), keypair.public_key
-            ),
-            store=store,
+    cells = CellTable.of(small_scenario.environment)
+
+    def boot_in_process(replica_set):
+        return boot_shard(
+            replica_set.blob(), cells, keypair.public_key, replica_set.fence_token
         )
+
+    replica_sets = {
+        shard_id: ShardReplicaSet(shard_id, boot or boot_in_process, store=store)
+        for shard_id in shard_ids
+    }
     assignment = membership.ring.assignment(
         tuple(range(small_scenario.environment.num_blocks))
     )
@@ -78,6 +81,8 @@ class TestPuRouting:
     def test_update_lands_on_owning_shard_and_both_replicas(
         self, small_scenario, keypair, pu_updates
     ):
+        """Both copies of the shard's state: the serving replica, and the
+        set's blob a successor boots from."""
         router = make_router(small_scenario, keypair)
         try:
             update = pu_updates[0]
@@ -86,7 +91,7 @@ class TestPuRouting:
             assert routed_to == owner
             replica_set = router.replica_set(owner)
             assert replica_set.primary.num_tracked_pus == 1
-            assert replica_set.standby.num_tracked_pus == 1
+            assert decode_shard_state(replica_set.blob())[3] == (update.to_bytes(),)
             assert router.stats.pu_updates_routed == 1
         finally:
             router.close()
@@ -100,7 +105,7 @@ class TestFailover:
         try:
             update = pu_updates[0]
             owner = router.membership.ring.node_for(update.block_index)
-            router.replica_set(owner).kill_primary()
+            router.replica_set(owner).primary.kill()
             router.route_pu_update(update)
             assert router.stats.failovers == 1
             assert router.stats.subquery_failures == 1
@@ -126,14 +131,21 @@ class TestFailover:
     def test_unrecoverable_shard_fails_loudly(
         self, small_scenario, keypair, pu_updates
     ):
-        router = make_router(small_scenario, keypair, max_attempts=2)
+        booted = []
+        cells = CellTable.of(small_scenario.environment)
+
+        def boot_once(replica_set):
+            # The first boot of each set works; no successor ever does.
+            if replica_set.shard_id in booted:
+                raise ClusterError("no successor boots")
+            booted.append(replica_set.shard_id)
+            return boot_shard(replica_set.blob(), cells, keypair.public_key)
+
+        router = make_router(small_scenario, keypair, boot=boot_once, max_attempts=2)
         try:
             update = pu_updates[0]
             owner = router.membership.ring.node_for(update.block_index)
-            replica_set = router.replica_set(owner)
-            # Both replicas dead: there is nothing left to promote.
-            replica_set.kill_primary()
-            replica_set.standby.kill()
+            router.replica_set(owner).primary.kill()
             with pytest.raises(ShardDownError, match="cannot be recovered"):
                 router.route_pu_update(update)
         finally:
@@ -161,7 +173,7 @@ class TestFailover:
         router = make_router(small_scenario, keypair)
         try:
             replica_set = router.replica_set("a")
-            replica_set.kill_primary()
+            replica_set.primary.kill()
             later = replica_set.heartbeat_age() + 10.0
             promoted = router.check_liveness(now=later)
             assert promoted == ("a",)
@@ -224,8 +236,7 @@ class TestAdministration:
             for shard_id in router.shard_ids:
                 replica_set = router.replica_set(shard_id)
                 assert replica_set.primary.last_committed_epoch == 7
-                assert replica_set.standby.last_committed_epoch == 7
                 latest = replica_set.store.latest_snapshot(shard_id)
-                assert latest is not None and latest[0] == 7
+                assert latest == (7, replica_set.blob())
         finally:
             router.close()

@@ -6,12 +6,13 @@ switches, epoch commits, journal checkpoints, promotions, cold starts,
 joins and leaves.  The model is just the latest update per PU; after
 every step
 
-* both replicas of every set serialize to the same bytes, and
+* a restart boots what serves: a shard booted from any set's blob
+  serializes to the same bytes as the set's serving replica, and
 * the store's PU rows are exactly that latest-per-PU map, each row under
   the shard the ring says owns the PU's block
 
-— the two facts :func:`repro.store.rebuild_shard` needs to give any
-shard its state back, whichever of its three callers asks.
+— the two facts a promotion and :func:`repro.store.rebuild_shard` need
+to give any shard its state back.
 """
 
 import shutil
@@ -26,6 +27,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cluster.shard import boot_shard
 from repro.pisa.storage import serialize_shard_state
 from repro.resilience.journal import EpochJournal, JournalWriter
 from repro.store import Checkpointer, MemoryStateStore, recover
@@ -86,15 +88,13 @@ class ShardLifecycleMachine(RuleBasedStateMachine):
     @rule(index=st.integers(0, MAX_SHARDS))
     def promote(self, index):
         replica_set = self.coordinator.replica_sets[self._pick_shard(index)]
-        replica_set.kill_primary()
+        replica_set.primary.kill()
         replica_set.promote()
 
     @rule(index=st.integers(0, MAX_SHARDS))
     def cold_start(self, index):
         shard_id = self._pick_shard(index)
-        replica_set = self.coordinator.replica_sets[shard_id]
-        replica_set.primary.kill()
-        replica_set.standby.kill()
+        self.coordinator.replica_sets[shard_id].primary.kill()
         self.writer.barrier()
         tail = recover(self.store, self.journal_path).tail
         self.coordinator.cold_start_shard(shard_id, tail)
@@ -114,10 +114,14 @@ class ShardLifecycleMachine(RuleBasedStateMachine):
     # -- invariants ------------------------------------------------------------
 
     @invariant()
-    def replicas_agree(self):
-        for replica_set in self.coordinator.replica_sets.values():
-            assert serialize_shard_state(replica_set.primary) == (
-                serialize_shard_state(replica_set.standby)
+    def a_restart_boots_what_serves(self):
+        coordinator = self.coordinator
+        for replica_set in coordinator.replica_sets.values():
+            booted = boot_shard(
+                replica_set.blob(), coordinator.cells, coordinator.stp.group_public_key
+            )
+            assert serialize_shard_state(booted) == (
+                serialize_shard_state(replica_set.primary)
             )
 
     @invariant()

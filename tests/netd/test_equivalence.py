@@ -285,3 +285,63 @@ class TestJournalEquivalence:
             digest = hashlib.sha256(buffer.getvalue()).hexdigest()
             assert digest == JOURNAL_DIGEST, plane
         assert syncs["socket"] == syncs["memory"] > 0
+
+
+def _membership_session(coordinator, scenario) -> tuple[bool, ...]:
+    """Rounds around a leave and a join, with a PU switch between them;
+    every epoch committed, so each set's snapshot lands in the store."""
+    sdc, stp = coordinator.sdc, coordinator.stp
+    pu_clients = [coordinator.enroll_pu(pu) for pu in scenario.pus]
+    for su in scenario.sus:
+        coordinator.enroll_su(su)
+    decisions = []
+
+    def epoch(epoch_id):
+        for su in scenario.sus:
+            client = coordinator.su_client(su.su_id)
+            sign_request = sdc.start_request(client.prepare_request())
+            response = sdc.finish_request(stp.handle_sign_extraction(sign_request))
+            decisions.append(client.process_response(response, stp.directory).granted)
+        sdc.commit_epoch(epoch_id)
+
+    epoch(0)
+    assert coordinator.leave_shard("shard-1").blocks_moved > 0
+    sdc.handle_pu_update(pu_clients[0].switch_channel(1, signal_strength_mw=2.0))
+    epoch(1)
+    assert coordinator.join_shard("shard-2").blocks_moved > 0
+    epoch(2)
+    return tuple(decisions)
+
+
+class TestMembershipEquivalence:
+    """A shard leaves and another joins mid-run: on sockets the blocks
+    and their PU updates move between worker processes, and the run is
+    the in-memory run, message for message and row for row."""
+
+    def test_leave_then_join_matches_memory(self, tmp_path):
+        scenario = build_scenario(SCENARIO_CONFIG)
+        runs = {}
+        for plane, deployment, recording in (
+            ("memory", ClusterCoordinator, {"transport": TranscriptTransport()}),
+            ("socket", SocketClusterCoordinator, {"record_transcript": True}),
+        ):
+            path = tmp_path / f"{plane}.sqlite"
+            with SqliteStateStore(path) as store:
+                coordinator = deployment(
+                    scenario.environment,
+                    num_shards=2,
+                    key_bits=256,
+                    rng=DeterministicRandomSource(SEED),
+                    clock=frozen_clock,
+                    store=store,
+                    **recording,
+                )
+                try:
+                    decisions = _membership_session(coordinator, scenario)
+                    fingerprints = tuple(coordinator.transport.fingerprints)
+                    shards = coordinator.router.shard_ids
+                finally:
+                    coordinator.close()
+            runs[plane] = (fingerprints, decisions, shards, _store_rows(path))
+        assert runs["memory"][2] == ("shard-0", "shard-2")
+        assert runs["socket"] == runs["memory"]

@@ -231,7 +231,7 @@ class TestFailedEnrolmentTeardown:
         with pytest.raises(TransportError, match="mid-enrolment"):
             plane.build_socket_service(LoadtestConfig(shards=2, num_sus=1))
         (coordinator,) = built
-        supervisor = coordinator.replica_sets["shard-0"].supervisor
+        supervisor = coordinator.netd.supervisor
         assert supervisor.worker_names() == ("shard-0", "shard-1", "stp")
         assert not any(
             supervisor.is_running(name) for name in supervisor.worker_names()

@@ -1,7 +1,7 @@
 """The socket plane's epoch commit: only an accepted commit moves the epoch.
 
-A restarted shard worker resumes from :meth:`RemoteShardSet.bootstrap_payload`,
-a promotion reports :attr:`FailoverEvent.resumed_epoch` and the store
+A restarted shard worker resumes from its replica set's blob, a
+promotion reports :attr:`FailoverEvent.resumed_epoch` and the store
 keeps the shard's snapshot; all three must name the last epoch a worker
 *accepted*, never one whose frame was fenced or lost.
 """
@@ -10,10 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.replica import ShardReplicaSet
 from repro.errors import FencedError, LinkDownError
-from repro.netd.remote import RemoteShardSet
-from repro.netd.wire import decode_control
-from repro.pisa.kernel import CellTable
+from repro.netd.remote import RemoteShard
 from repro.pisa.storage import decode_shard_state
 from repro.store import MemoryStateStore
 
@@ -31,20 +30,15 @@ class _Worker:
 
 
 def _remote(keypair, worker):
-    return RemoteShardSet(
+    return ShardReplicaSet(
         "shard-0",
-        worker,
-        supervisor=SimpleNamespace(ensure_running=lambda shard_id: None),
-        authority=SimpleNamespace(register_bootstrap=lambda name, provider: None),
-        cells=CellTable(1, 1, 3, ((7,),)),
-        group_public_key=keypair.public_key,
+        lambda _set: RemoteShard("shard-0", worker, None, keypair.public_key),
         store=MemoryStateStore(),
     )
 
 
 def _bootstrap_epoch(remote) -> int:
-    _, (_, state) = decode_control(remote.bootstrap_payload(), 2)
-    return decode_shard_state(state)[1]
+    return decode_shard_state(remote.blob())[1]
 
 
 @pytest.mark.parametrize(

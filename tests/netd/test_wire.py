@@ -244,7 +244,9 @@ class TestCellTable:
             expected = CellTable.of(scenario.environment)
             for shard_id in ("shard-0", "shard-1"):
                 # What the authority serves the worker's bootstrap pull.
-                payload = coordinator.replica_sets[shard_id].bootstrap_payload()
+                payload = coordinator._shard_bootstrap(
+                    coordinator.replica_sets[shard_id]
+                )
                 obj, _ = decode_control(payload, num_attachments=2)
                 assert decode_cells(obj["cells"]) == expected
                 assert ShardState(payload).shard._kernel.cells == expected

@@ -14,8 +14,8 @@ import pytest
 from repro.cluster.router import ShardRouter
 from repro.errors import ChaosPlanError
 from repro.netd.plane import SocketClusterCoordinator
-from repro.netd.remote import RemoteShardSet
 from repro.netd.supervisor import ProcessSupervisor
+from repro.pisa.storage import decode_shard_state
 from repro.resilience.chaos import (
     PLAN_NAMES,
     PLANES,
@@ -199,7 +199,7 @@ class TestRoundsAreTheBrokersPass:
         assert coordinator.sdc.pending_rounds == 0
         for replica_set in coordinator.replica_sets.values():
             assert replica_set.primary.last_committed_epoch == harness.rounds - 1
-            assert replica_set.standby.last_committed_epoch == harness.rounds - 1
+            assert decode_shard_state(replica_set.blob())[1] == harness.rounds - 1
         # request, the two epoch envelopes, the license response
         assert [len(segment) for segment in record.segments[1:]] == [4, 4]
 
@@ -242,16 +242,16 @@ class TestSocketPlane:
         self, socket_harness, monkeypatch
     ):
         """The monitor restarts a SIGKILLed worker on its own, from the
-        dead set's caches if it is quick; the worker that serves after the
+        dead set's blob if it is quick; the worker that serves after the
         cold start pulled its bootstrap from the rebuilt set."""
         pulls, rebuilt = [], []
-        payload = RemoteShardSet.bootstrap_payload
+        payload = SocketClusterCoordinator._shard_bootstrap
         kill = SocketClusterCoordinator.kill_shard
         cold_start = SocketClusterCoordinator.cold_start_shard
 
-        def recording_payload(replica_set):
+        def recording_payload(coordinator, replica_set):
             pulls.append(replica_set)
-            return payload(replica_set)
+            return payload(coordinator, replica_set)
 
         def kill_then_resurrect(coordinator, shard_id):
             kill(coordinator, shard_id)
@@ -264,7 +264,9 @@ class TestSocketPlane:
             rebuilt.append(coordinator.replica_sets[shard_id])
             return applied
 
-        monkeypatch.setattr(RemoteShardSet, "bootstrap_payload", recording_payload)
+        monkeypatch.setattr(
+            SocketClusterCoordinator, "_shard_bootstrap", recording_payload
+        )
         monkeypatch.setattr(SocketClusterCoordinator, "kill_shard", kill_then_resurrect)
         monkeypatch.setattr(
             SocketClusterCoordinator, "cold_start_shard", recording_cold_start

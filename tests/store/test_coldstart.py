@@ -7,10 +7,9 @@ died.  Byte equality of ``serialize_shard_state`` implies transcript
 equality for every later round, since phase-1/phase-2 arithmetic is a
 pure function of that state and centrally drawn randomness.
 
-The same rule (:func:`repro.store.rebuild_shard`) also rebuilds a
-promoted set's fresh standby, and a restarted shard worker folds its
-bootstrap blob, so ``TestOneRebuildRule`` holds all three paths to the
-same bar.
+A promotion boots a successor from the replica set's blob, in process
+or as a restarted shard worker, so ``TestOneRebuildRule`` holds those
+two paths and the cold start to the same bar.
 """
 
 import io
@@ -18,9 +17,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.replica import ShardReplicaSet
+from repro.cluster.shard import SdcShard
 from repro.crypto.rand import DeterministicRandomSource
 from repro.errors import ConfigurationError
-from repro.netd.remote import RemoteShardSet
+from repro.netd.plane import SocketClusterCoordinator
+from repro.netd.remote import RemoteShard
 from repro.netd.worker import ShardState
 from repro.pisa.pu_client import PUClient
 from repro.pisa.storage import encode_shard_state, serialize_shard_state
@@ -44,8 +46,11 @@ from tests.cluster.conftest import build_cluster, run_round
 def _kill_replica_set(coordinator, shard_id):
     replica_set = coordinator.replica_sets[shard_id]
     replica_set.primary.kill()
-    replica_set.standby.kill()
     return replica_set
+
+
+def _empty_shard(coordinator, shard_id):
+    return SdcShard(shard_id, coordinator.cells, coordinator.stp.group_public_key)
 
 
 class TestTailEpochCommits:
@@ -82,7 +87,7 @@ class TestColdStartShard:
         replica_set = coordinator.replica_sets[victim]
         assert replica_set.primary.alive
         assert serialize_shard_state(replica_set.primary) == before
-        assert serialize_shard_state(replica_set.standby) == before
+        assert replica_set.blob() == before
         assert applied == 0  # everything was inside the snapshot
 
     def test_pu_row_cold_start_without_snapshot(self):
@@ -169,7 +174,7 @@ class TestJournalTailReplay:
         tail_writer.barrier()
         tail = read_journal(buffer.getvalue())
 
-        fresh = coordinator._build_replica_set(victim).primary
+        fresh = _empty_shard(coordinator, victim)
         live = encode_shard_state(
             victim, -1, primary.blocks, (raw for _, _, raw in rows)
         )
@@ -198,12 +203,10 @@ def _commit_then_switch(**cluster_kwargs):
 def _by_promote(tmp_path):
     coordinator, owner = _commit_then_switch()
     replica_set = coordinator.replica_sets[owner]
-    replica_set.kill_primary()
-    assert replica_set.promote().from_snapshot
-    return (
-        serialize_shard_state(replica_set.primary),
-        serialize_shard_state(replica_set.standby),
-    )
+    live = serialize_shard_state(replica_set.primary)
+    replica_set.primary.kill()
+    replica_set.promote()
+    return live, serialize_shard_state(replica_set.primary)
 
 
 def _by_cold_start(tmp_path):
@@ -227,7 +230,7 @@ def _by_cold_start(tmp_path):
 
 
 class _LoopbackTransport:
-    """A RemoteShardSet's frames, served by an in-process ShardState."""
+    """A RemoteShard's frames, served by an in-process ShardState."""
 
     state = None
 
@@ -239,34 +242,30 @@ class _LoopbackTransport:
 
 def _by_worker_restart(tmp_path):
     # Feed one shard's blocks and PU updates through the socket plane's
-    # broker-side proxy into a worker, then restart the worker the way
-    # the supervisor would: a fresh ShardState on the current bootstrap.
+    # broker-side replica into a worker, then promote: the successor is
+    # a fresh ShardState on the bootstrap the socket plane serves.
     scenario, coordinator = build_cluster(num_shards=2)
     pu = scenario.pus[0]
     owner = coordinator.membership.ring.node_for(pu.block_index)
     seed = coordinator.replica_sets[owner].primary
     transport = _LoopbackTransport()
-    remote = RemoteShardSet(
-        owner,
-        transport,
-        supervisor=None,
-        authority=SimpleNamespace(register_bootstrap=lambda name, provider: None),
-        cells=coordinator.cells,
-        group_public_key=coordinator.stp.group_public_key,
-        store=MemoryStateStore(),
-    )
 
-    def boot():
-        return ShardState(remote.bootstrap_payload())
+    def boot(replica_set):
+        payload = SocketClusterCoordinator._shard_bootstrap(coordinator, replica_set)
+        transport.state = ShardState(payload)
+        return RemoteShard(
+            owner, transport, None, coordinator.stp.group_public_key
+        )
 
-    transport.state = boot()
+    remote = ShardReplicaSet(owner, boot, store=MemoryStateStore())
     remote.assign_blocks(seed.blocks)
     for message in seed.pu_update_messages():
         remote.apply_pu_update(message)
     remote.commit_epoch(0)
     remote.apply_pu_update(coordinator.pu_client(pu.receiver_id).switch_channel(None))
     live = serialize_shard_state(transport.state.shard)
-    return live, serialize_shard_state(boot().shard)
+    remote.promote()
+    return live, serialize_shard_state(transport.state.shard)
 
 
 class TestOneRebuildRule:
@@ -302,7 +301,7 @@ class TestOneRebuildRule:
                 if m.block_index != pu.block_index
             ),
         )
-        fresh = coordinator._build_replica_set(owner).primary
+        fresh = _empty_shard(coordinator, owner)
         from_snapshot, _ = rebuild_shard(fresh, live, store)
         assert from_snapshot
         assert serialize_shard_state(fresh) == live
