@@ -124,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0,
                        help="threads for the shards' and the STP's Paillier "
                             "batches (0 = serial in-process executor)")
-    serve.add_argument("--store", type=str, default=None, metavar="PATH",
-                       help="the deployment's durable SQLite state store "
-                            "(needs --shards; memory plane: the DB file; "
-                            "socket plane: a directory, DB state.sqlite)")
+    serve.add_argument("--store", type=str, default=None, metavar="DIR",
+                       help="the deployment's durable SQLite state store, "
+                            "DIR/state.sqlite on either plane (needs "
+                            "--shards in memory)")
     serve.add_argument("--trace", action="store_true",
                        help="print the span tree and the per-phase latency "
                             "table after the report (and add the spans to "
@@ -152,13 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="run seeded fault plans and check transcript/license survival",
+        help="run seeded fault plans and check transcript/license survival "
+             "and that every plan fired",
     )
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--plan", type=str, default="kill-shard",
                        help="comma-separated fault plans composed into one "
-                            "schedule, or 'all' to run every plan the "
-                            "plane takes, singly")
+                            "schedule, or 'all' to run every plan singly; "
+                            "a schedule whose plans' declared strike points "
+                            "clash (a crash before another plan strikes, a "
+                            "kill on a zombie, ...) is refused before "
+                            "anything is built")
     chaos.add_argument("--plane", choices=("memory", "socket"), default="memory",
                        help="where the faulted run stands: in-process, or "
                             "SDC shards + STP as subprocesses over TCP, "
@@ -385,6 +389,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_serve_loadtest(args) -> int:
     import json
+    import os
 
     from repro.analysis.reporting import format_table
     from repro.crypto import backend
@@ -421,11 +426,13 @@ def _cmd_serve_loadtest(args) -> int:
             max_batch=args.max_batch,
         ),
         shards=shards,
-        store_path=args.store if args.plane == "memory" and args.store else "",
+        store_path=os.path.join(args.store, "state.sqlite") if args.store else "",
         scenario=args.scenario,
         workload=args.workload,
         tier_capacity=args.tier_capacity,
     )
+    if args.store:
+        os.makedirs(args.store, exist_ok=True)
     metrics = MetricsRegistry()
     tracer = Tracer() if args.trace else None
     if args.plane == "socket":
@@ -439,7 +446,6 @@ def _cmd_serve_loadtest(args) -> int:
             tracer=tracer,
             tls=tls,
             host=args.host or "127.0.0.1",
-            store_dir=args.store or None,
         ) as fixture:
             report = fixture.run()
             stp_threads = health_check(fixture)["stp"].get("executor_threads")
@@ -534,6 +540,8 @@ def _cmd_chaos(args) -> int:
         )
         for note in result.notes:
             print(f"  - {note}")
+        for name in result.unfired:
+            print(f"  - {name} never fired")
         if not result.ok:
             failed += 1
     if args.json is not None:

@@ -13,7 +13,7 @@ delay faults can be armed on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.errors import LinkDownError, MessageDroppedError
@@ -33,14 +33,13 @@ class _LinkFaults:
     drop: int = 0
     #: Next N sends are counted twice (wire-level duplicate).
     duplicate: int = 0
-    #: Extra one-way delay carried by affected sends.
-    delay_extra_s: float = 0.0
-    #: How many sends the extra delay applies to; ``-1`` = all of them.
-    delay_remaining: int = 0
+    #: Armed delays, each ``[extra one-way seconds, sends left]`` (``-1``
+    #: sends left = every send); a send carries the sum of them.
+    delays: list[list] = field(default_factory=list)
 
     @property
     def exhausted(self) -> bool:
-        return self.drop == 0 and self.duplicate == 0 and self.delay_remaining == 0
+        return self.drop == 0 and self.duplicate == 0 and not self.delays
 
 
 class InMemoryTransport:
@@ -107,9 +106,11 @@ class InMemoryTransport:
                 raise MessageDroppedError(
                     f"injected drop on link {sender!r} -> {receiver!r}"
                 )
-            if faults.delay_remaining != 0:
-                if faults.delay_remaining > 0:
-                    faults.delay_remaining -= 1
+            if faults.delays:
+                for delay in faults.delays:
+                    if delay[1] > 0:
+                        delay[1] -= 1
+                faults.delays = [delay for delay in faults.delays if delay[1]]
                 self.fault_stats["delayed"] += 1
             if faults.duplicate > 0:
                 faults.duplicate -= 1
@@ -184,15 +185,15 @@ class InMemoryTransport:
 
         ``drop``/``duplicate`` are budgets consumed one send at a time;
         ``delay_s`` is carried by the next ``delay_count`` sends (``-1``
-        = every send).  Budgets are deterministic — the same arm + the
-        same send sequence always yields the same fault schedule.
+        = every send), on top of any delay already armed on the link.
+        Budgets are deterministic — the same arm + the same send
+        sequence always yields the same fault schedule.
         """
         faults = self._faults.setdefault((sender, receiver), _LinkFaults())
         faults.drop += drop
         faults.duplicate += duplicate
-        if delay_s > 0.0:
-            faults.delay_extra_s = delay_s
-            faults.delay_remaining = delay_count
+        if delay_s > 0.0 and delay_count != 0:
+            faults.delays.append([delay_s, delay_count])
 
     def pending_delay_seconds(self, sender: str, receiver: str) -> float:
         """The injected delay the next send on this link would carry.
@@ -202,9 +203,9 @@ class InMemoryTransport:
         so an injected slowdown is invisible to wall-clock timing alone.
         """
         faults = self._faults.get((sender, receiver))
-        if faults is None or faults.delay_remaining == 0:
+        if faults is None:
             return 0.0
-        return faults.delay_extra_s
+        return sum(seconds for seconds, _ in faults.delays)
 
     def clear_faults(self) -> None:
         """Disarm every injected fault (cut links stay cut)."""

@@ -276,8 +276,9 @@ def build_socket_service(
     and close it (or use it as a context manager) to tear down the
     worker processes too.  With ``record_transcript=True`` the protocol
     fingerprints are ``fixture.coordinator.transport.fingerprints``.
-    With ``store_dir`` the deployment's store is the SQLite file
-    ``store_dir/state.sqlite``, which the fixture owns.
+    The deployment's store is the SQLite file ``store_dir/state.sqlite``
+    with ``store_dir``, else ``config.store_path`` if set; the fixture
+    owns it.
     """
     if scenario_config is None:
         # The registry build and this plain config produce the identical
@@ -286,10 +287,12 @@ def build_socket_service(
             seed=config.seed, num_sus=max(config.num_sus, 1)
         )
     metrics = metrics if metrics is not None else MetricsRegistry()
-    store = None
+    store, store_path = None, config.store_path
     if store_dir:
         pathlib.Path(store_dir).mkdir(parents=True, exist_ok=True)
-        store = SqliteStateStore(pathlib.Path(store_dir, "state.sqlite"))
+        store_path = pathlib.Path(store_dir, "state.sqlite")
+    if store_path:
+        store = SqliteStateStore(store_path)
         store.attach_metrics(metrics)
     scenario = build_scenario(scenario_config)
     coordinator = SocketClusterCoordinator(

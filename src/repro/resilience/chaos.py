@@ -9,10 +9,10 @@ asserts the property the paper's protocol depends on:
     which wires dropped/delayed/duplicated messages, or
     where the journal device failed.
 
-Faults are *fault plans*: named, seeded, composable units
-(``kill-shard``, ``drop-links``, ``coordinator-crash``, ...) that arm
-transport faults (:meth:`repro.net.transport.InMemoryTransport.inject_faults`),
-kill processes, cut the SDC↔STP wire, or fill the journal device at a
+Faults are *fault plans*: named, composable units (``kill-shard``,
+``drop-links``, ``coordinator-crash``, ...) that arm transport faults
+(:meth:`repro.net.transport.InMemoryTransport.inject_faults`), kill
+processes, cut the SDC↔STP wire, or fill the journal device at a
 deterministic point.  ``repro chaos --seed 7 --plan kill-shard,drop-links``
 runs one composed schedule from the command line.
 
@@ -26,44 +26,55 @@ faults transparent: a dropped message was never delivered (not
 recorded), a retried one is recorded once — the logical
 delivered-exactly-once transcript.
 
-Plans declare what they need (``wants_journal`` / ``wants_store``) and
-the harness builds the faulted deployment to match.  Each plan is
-written once against one fault surface (the coordinator's
-``kill_shard`` / ``slow_shard``, fence/promote/commit, the transport's
-link faults); ``plane="socket"`` runs it on worker processes over TCP
-(:class:`repro.netd.plane.SocketClusterCoordinator`, which takes the
-journal and the store as the in-memory coordinator does), where a kill
-is a real ``SIGKILL`` and a stale commit a wire-typed ``FencedError``.
-The control is always the cached in-memory run, so a socket pass proves
-cross-plane determinism too.
+Every plan is one declared row of :data:`PLANS`: the rounds it strikes
+in (:data:`ROUNDS`: every round, the second, the last, or at arm), the
+point within the round (:data:`POINTS`), its target, whether it crashes
+the coordinator, compacts the journal or kills its target, and the
+evidence in the verdict that it fired.  The harness owns every seam a
+plan strikes through — before each round, the phase-1 scatter, the
+router's recovery, a retried send, the front's phase-2 ``ΣQ̃`` — and
+calls a row's hooks only in its rounds.  Legality is computed from the
+rows before anything is built (:func:`resolve_plans`), and
+:attr:`ChaosResult.ok` holds only when every armed plan fired.
 
-Two plans exercise the write-ahead journal end to end:
+Every faulted run stands on the deployment layout: a SQLite store and a
+path-backed journal in one temp dir (``DIR/state.sqlite``,
+``DIR/epochs.journal``), so the exactly-one-writer audit reads a journal
+on every run.  ``plane="socket"`` runs the same rows on worker
+processes over TCP (:class:`repro.netd.plane.SocketClusterCoordinator`,
+which takes the journal and the store as the in-memory coordinator
+does), where a kill is a real ``SIGKILL`` and a stale commit a
+wire-typed ``FencedError``.  The control is always the cached in-memory
+run, so a socket pass proves cross-plane determinism too.
+
+Two plans crash the coordinator.  A crash loses what a killed process
+loses: the journal file is cut back to its last fsync
+(:meth:`~repro.resilience.journal.JournalWriter.simulate_crash`), and
+the deployment is **rebuilt and replayed** from what is left, with a
+*differently seeded* fallback RNG:
 
 * ``coordinator-crash`` — SIGKILL-equivalent mid-phase-2 (after the
-  phase-2 randomness barrier, before the license leaves).  The journal's
-  unfsynced tail is discarded, then the deployment is **rebuilt and
-  replayed** from the journal with a *differently seeded* fallback RNG;
-  the replay must match the control transcript byte for byte with zero
-  fallback draws.
+  phase-2 randomness barrier, before the license leaves).  The replay
+  must match the control transcript byte for byte with zero fallback
+  draws.
 * ``journal-disk-full`` — the journal device fills mid-round.  The
-  typed :class:`~repro.errors.JournalDiskFullError` must surface, the
-  written prefix must stay readable, and replaying that prefix must
-  reproduce every *completed* round byte-identically (the interrupted
-  round re-runs on fresh randomness — its draws never left the process,
-  so no external bytes constrain it — and must still yield a verifying
-  license).
+  typed :class:`~repro.errors.JournalDiskFullError` must surface, and
+  replaying the durable prefix must reproduce every *completed* round
+  byte-identically (the interrupted round re-runs on fresh randomness —
+  its draws never left the process, so no external bytes constrain it
+  — and must still yield a verifying license).
 """
 
 from __future__ import annotations
 
 import errno
-import io
 import os
 import shutil
 import tempfile
 import time
+from collections.abc import Callable, Mapping
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.crypto.rand import DeterministicRandomSource
@@ -95,9 +106,14 @@ from repro.watch.scenario import ScenarioConfig, build_scenario
 __all__ = [
     "ChaosResult",
     "ChaosHarness",
+    "FaultPlan",
     "PLANES",
+    "PLANS",
     "PLAN_NAMES",
+    "POINTS",
+    "ROUNDS",
     "fingerprint_message",
+    "resolve_plans",
 ]
 
 #: License clock both runs freeze to, so ``issued_at`` is deterministic.
@@ -113,34 +129,46 @@ SEND_POLICY = RetryPolicy(
     retryable=(LinkDownError, MessageDroppedError),
 )
 
+#: When a plan strikes: the rounds each rule picks out of a run's.
+ROUNDS: dict[str, Callable[[int], tuple[int, ...]]] = {
+    "every": lambda rounds: tuple(range(rounds)),
+    "arm": lambda rounds: (0,),
+    "second": lambda rounds: (min(1, rounds - 1),),
+    "last": lambda rounds: (rounds - 1,),
+}
+
+#: Where in its round a plan strikes, in the order a round passes them:
+#: before the round, among the phase-1 draws, in the phase-1 scatter, in
+#: the router's recovery of a shard, on the STP leg, in phase 2.
+POINTS = ("before", "draws", "scatter", "recovery", "stp", "phase2")
+
 
 class _InjectedCrash(Exception):
     """Stand-in for SIGKILL: unwinds the harness, never handled below it."""
 
 
-class _DiskFullFile(io.BytesIO):
-    """A BytesIO that models a filling disk.
+class _FullDevice:
+    """The journal file's handle on a device with ``room`` bytes left.
 
-    Once ``limit`` is set, a write that would exceed it lands *partially*
-    (like a real short write at the end of a device) and raises
-    ``ENOSPC`` — exercising both the typed error path and the
-    torn-record tolerance of the journal reader.
+    A write past the room lands *partially* (like a real short write at
+    the end of a device) and raises ``ENOSPC``; everything else is the
+    wrapped handle's.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.limit: int | None = None
+    def __init__(self, fh, room: int) -> None:
+        self._fh = fh
+        self._limit = fh.tell() + room
 
     def write(self, data):
-        if self.limit is not None and self.tell() + len(data) > self.limit:
-            room = max(0, self.limit - self.tell())
-            if room:
-                super().write(data[:room])
+        room = self._limit - self._fh.tell()
+        if len(data) > room:
+            if room > 0:
+                self._fh.write(data[:room])
             raise OSError(errno.ENOSPC, "chaos: journal device full")
-        return super().write(data)
+        return self._fh.write(data)
 
-    def close(self) -> None:  # keep the buffer readable post-"crash"
-        pass
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
 # --------------------------------------------------------------------------- #
@@ -148,235 +176,131 @@ class _DiskFullFile(io.BytesIO):
 # --------------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True)
 class FaultPlan:
-    """One named, composable fault. Subclasses override the hooks."""
+    """One fault as a declared row."""
 
-    name = "noop"
-    #: Plans whose fault needs the write-ahead journal (a crash replay
-    #: or a checkpoint).
-    wants_journal = False
-    #: Plans that run on real disk: the deployment's store is a SQLite
-    #: :class:`~repro.store.sqlite.SqliteStateStore` in a temp dir, and
-    #: a path-backed journal comes with it, which gives the
-    #: exactly-one-writer audit a journal to read.
-    wants_store = False
-    #: Plans whose faulted run ends in a crash + journal replay.
-    crashes = False
+    name: str
+    #: Key of :data:`ROUNDS`: the rounds the plan's hooks run in.
+    rounds: str
+    #: Member of :data:`POINTS`: where in the round the fault lands.
+    point: str
+    #: What it hits: the ``first`` / ``last`` shard, the shard the
+    #: scatter ``addressed`` first, every router→shard ``link``, the
+    #: ``sdc->stp`` wire, the ``coordinator`` or the ``journal``.
+    target: str
+    #: Seam → hook: ``before`` (each round), ``scatter`` (the round's
+    #: sub-queries), ``recovery`` (the recovered shard id), ``retry``
+    #: (the error and the link of a send about to be retried),
+    #: ``phase2`` (after ``ΣQ̃``) and ``finish`` (after the last round).
+    #: Every hook takes the run context first.
+    hooks: Mapping[str, Callable]
+    #: The evidence in the verdict that the fault fired.
+    fired: Callable[["ChaosResult"], bool]
+    #: Ends the faulted run; the journal is replayed from its start.
+    crashes: bool = False
+    #: Checkpoints the journal: what it held before is gone from it.
+    compacts: bool = False
+    #: Kills its target's primary.
+    kills: bool = False
+    #: Deposes its target's primary and leaves it alive from before its
+    #: round until its point.
+    zombie: bool = False
 
-    def arm(self, ctx: "_RunContext") -> None:
-        """Called once, after the deployment is built, before round 0."""
-
-    def before_round(self, ctx: "_RunContext", round_index: int) -> None:
-        """Called before each round of the faulted run."""
-
-    def on_send_retry(self, ctx: "_RunContext", exc, link) -> None:
-        """Called when a harness-level send is about to be retried."""
-
-    def finish(self, ctx: "_RunContext") -> None:
-        """Called once after the last round, while the deployment is up."""
-
-
-def _inside_next_scatter(router, fault) -> None:
-    """Run ``fault(requests)`` once, inside the next phase-1 scatter,
-    after the round's phase-1 randomness is drawn."""
-    real_scatter = router.scatter_phase1
-
-    def fault_then_scatter(requests, parent=None):
-        router.scatter_phase1 = real_scatter
-        fault(requests)
-        return real_scatter(requests, parent=parent)
-
-    router.scatter_phase1 = fault_then_scatter
+    def at(self, rounds: int) -> tuple[int, int]:
+        """``(round, point)`` of the plan's first strike in a run."""
+        return ROUNDS[self.rounds](rounds)[0], POINTS.index(self.point)
 
 
-class _KillShard(FaultPlan):
-    """Kill the first shard round 1's phase-1 scatter addresses.
-
-    The router must fail over (on sockets: restart and re-bootstrap the
-    SIGKILLed worker) and re-send the identical sub-query bytes, since
-    phase randomness was drawn before the scatter.
-    """
-
-    name = "kill-shard"
-
-    def before_round(self, ctx, round_index):
-        if round_index != min(1, ctx.rounds - 1):
-            return
-        ctx.fault_missed = True
-
-        def kill(requests):
-            self.victim = next(iter(requests))
-            ctx.coordinator.kill_shard(self.victim)
-            ctx.fault_missed = False
-            ctx.note(f"killed {self.victim} in round {round_index}'s phase-1 scatter")
-
-        _inside_next_scatter(ctx.coordinator.router, kill)
-
-    def finish(self, ctx):
-        if ctx.fault_missed:
-            ctx.note("fault never fired: no phase-1 scatter ran after arming")
-        elif ctx.plane == "socket":
-            restarts = ctx.coordinator.netd.supervisor.restarts(self.victim)
-            ctx.note(f"restarts({self.victim})={restarts}")
+def _noted(text: str) -> Callable[["ChaosResult"], bool]:
+    return lambda result: any(text in note for note in result.notes)
 
 
-class _DropLinks(FaultPlan):
-    """Drop the first send on every router↔shard link, every round."""
+def _kill_addressed(ctx, requests) -> None:
+    victim = ctx.memo["kill-shard"] = next(iter(requests))
+    ctx.coordinator.kill_shard(victim)
+    ctx.note(f"killed {victim} in round {ctx.round}'s phase-1 scatter")
 
-    name = "drop-links"
 
-    def before_round(self, ctx, round_index):
+def _note_restarts(ctx) -> None:
+    victim = ctx.memo.get("kill-shard")
+    if victim is not None and ctx.plane == "socket":
+        restarts = ctx.coordinator.netd.supervisor.restarts(victim)
+        ctx.note(f"restarts({victim})={restarts}")
+
+
+def _on_every_link(**faults) -> Callable:
+    def arm(ctx) -> None:
         for shard_id in ctx.coordinator.router.shard_ids:
-            ctx.transport.inject_faults("router", shard_id, drop=1)
+            ctx.transport.inject_faults("router", shard_id, **faults)
+
+    return arm
 
 
-class _DelayLinks(FaultPlan):
-    """Delay two sends per shard link per round by 5 ms."""
-
-    name = "delay-links"
-
-    def before_round(self, ctx, round_index):
-        for shard_id in ctx.coordinator.router.shard_ids:
-            ctx.transport.inject_faults(
-                "router", shard_id, delay_s=0.005, delay_count=2
-            )
+#: Retries the SDC→STP wire stays cut for (queue-and-drain: the held
+#: bytes are re-sent unchanged, so the transcript is too).
+OUTAGE_RETRIES = 2
 
 
-class _DuplicateLinks(FaultPlan):
-    """Duplicate one send per shard link per round (wire-level)."""
-
-    name = "duplicate-links"
-
-    def before_round(self, ctx, round_index):
-        for shard_id in ctx.coordinator.router.shard_ids:
-            ctx.transport.inject_faults("router", shard_id, duplicate=1)
+def _cut_stp(ctx) -> None:
+    ctx.transport.fail_link(SDC_ENDPOINT, STP_ENDPOINT)
+    ctx.memo["stp-outage"] = OUTAGE_RETRIES
+    ctx.note(f"cut sdc->stp before round {ctx.round}")
 
 
-class _StpOutage(FaultPlan):
-    """Cut the SDC→STP wire before round 1; drain after two retries.
-
-    Models an STP outage with queue-and-drain degradation: the blinded
-    sign-extraction request is *held* (the harness retries the exact
-    same bytes) rather than rebuilt, so the transcript is unchanged.
-    """
-
-    name = "stp-outage"
-    OUTAGE_RETRIES = 2
-
-    def before_round(self, ctx, round_index):
-        if round_index == min(1, ctx.rounds - 1):
-            ctx.transport.fail_link(SDC_ENDPOINT, STP_ENDPOINT)
-            ctx.stp_outage_remaining = self.OUTAGE_RETRIES
-            ctx.note(f"cut sdc->stp before round {round_index}")
-
-    def on_send_retry(self, ctx, exc, link):
-        if link != (SDC_ENDPOINT, STP_ENDPOINT) or not isinstance(exc, LinkDownError):
-            return
-        ctx.stp_outage_remaining -= 1
-        ctx.stp_drained_sends += 1
-        if ctx.stp_outage_remaining <= 0:
-            ctx.transport.restore_link(SDC_ENDPOINT, STP_ENDPOINT)
-            ctx.note("stp outage drained; link restored")
+def _drain_stp(ctx, exc, link) -> None:
+    if link != (SDC_ENDPOINT, STP_ENDPOINT) or not isinstance(exc, LinkDownError):
+        return
+    ctx.memo["stp-outage"] -= 1
+    if ctx.memo["stp-outage"] <= 0:
+        ctx.transport.restore_link(SDC_ENDPOINT, STP_ENDPOINT)
+        ctx.note("stp outage drained; link restored")
 
 
-class _CoordinatorCrash(FaultPlan):
-    """SIGKILL the coordinator mid-phase-2 of the last round.
-
-    The crash fires *inside* the front's phase 2 — after the phase-2
-    randomness barrier and the ``ΣQ̃`` product, before the license
-    leaves — exactly the window the write-ahead discipline exists for.
-    """
-
-    name = "coordinator-crash"
-    wants_journal = True
-    crashes = True
-
-    def before_round(self, ctx, round_index):
-        if round_index != ctx.rounds - 1:
-            return
-        sdc = ctx.coordinator.sdc
-        real_q_sum = sdc._q_sum
-
-        def q_sum_then_die(pending, response):
-            # ΣQ̃ computed, then the kill lands
-            real_q_sum(pending, response)
-            raise _InjectedCrash(
-                f"coordinator killed mid-phase-2 of round {round_index}"
-            )
-
-        sdc._q_sum = q_sum_then_die
-        ctx.note(f"armed coordinator kill in round {round_index} phase 2")
+def _note_crash_armed(ctx) -> None:
+    ctx.note(f"armed coordinator kill in round {ctx.round} phase 2")
 
 
-class _JournalDiskFull(FaultPlan):
-    """Fill the journal device 2 kB into the last round's draws."""
-
-    name = "journal-disk-full"
-    wants_journal = True
-    crashes = True
-    HEADROOM_BYTES = 2048
-
-    def before_round(self, ctx, round_index):
-        if round_index == ctx.rounds - 1:
-            ctx.journal_device.limit = (
-                ctx.journal_device.tell() + self.HEADROOM_BYTES
-            )
-            ctx.note(f"journal device limited before round {round_index}")
+def _crash(ctx) -> None:
+    raise _InjectedCrash(f"coordinator killed mid-phase-2 of round {ctx.round}")
 
 
-class _Kill9ColdStart(FaultPlan):
-    """SIGKILL a shard mid-epoch; cold-start it from disk.
+#: Journal bytes ``journal-disk-full`` leaves room for: the device fills
+#: among the round's phase-1 draws.
+HEADROOM_BYTES = 2048
 
-    The disaster drill for the durable store: before the last round the
-    epoch is committed (snapshots land in SQLite) and the journal is
-    checkpointed (compacted to a marker).  Then, *inside* the last
-    round's phase-1 scatter — after the phase-1 randomness barrier, with
-    the round's draws sitting only in the journal tail — one shard is
-    killed through the coordinator's fault surface (on sockets a real
-    SIGKILL of its worker), a fresh replica set is rebuilt purely from
-    the SQLite store plus the journal tail
-    (:func:`repro.store.checkpoint.recover` →
-    :meth:`ClusterCoordinator.cold_start_shard`), reading nothing of the
-    dead one, and the scatter proceeds against it.  Because the restored state must be
-    byte-identical for the round to produce the control run's exact
-    ``Ṽ`` matrix, transcript equality over *every* segment is the
-    proof that disk state is byte-exact.
-    """
 
-    name = "kill9-then-coldstart"
-    wants_journal = True
-    wants_store = True
+def _fill_journal(ctx) -> None:
+    ctx.writer._fh = _FullDevice(ctx.writer._fh, HEADROOM_BYTES)
+    ctx.note(f"journal device limited before round {ctx.round}")
 
-    def before_round(self, ctx, round_index):
-        if round_index != ctx.rounds - 1:
-            return
-        coordinator = ctx.coordinator
-        # Epoch commit → per-shard snapshots land in the durable store;
-        # checkpoint → the journal forgets everything the store holds.
-        coordinator.sdc.commit_epoch(round_index)
-        stats = ctx.checkpointer.checkpoint(ctx.journal_writer)
-        ctx.note(
-            f"checkpoint {stats.checkpoint_id}: "
-            f"{stats.records_compacted} records compacted, journal "
-            f"{stats.journal_bytes_before}→{stats.journal_bytes_after} B"
-        )
-        router = coordinator.router
 
-        def kill9_then_coldstart(_requests):
-            victim = router.shard_ids[0]
-            # SIGKILL semantics: no flush, no goodbye snapshot.  Recovery
-            # sees only the disk.
-            coordinator.kill_shard(victim)
-            recovered = recover(ctx.store, ctx.journal_path)
-            applied = coordinator.cold_start_shard(victim, recovered.tail)
-            ctx.note(
-                f"killed {victim}; cold-started from "
-                f"store + {len(recovered.tail.records)}-record tail "
-                f"({applied} applied)"
-            )
+def _checkpoint(ctx) -> None:
+    # Epoch commit → per-shard snapshots land in the durable store;
+    # checkpoint → the journal forgets everything the store holds.
+    ctx.coordinator.sdc.commit_epoch(ctx.round)
+    stats = ctx.checkpointer.checkpoint(ctx.writer)
+    ctx.note(
+        f"checkpoint {stats.checkpoint_id}: "
+        f"{stats.records_compacted} records compacted, journal "
+        f"{stats.journal_bytes_before}→{stats.journal_bytes_after} B"
+    )
+    ctx.note(f"armed kill9+coldstart in round {ctx.round} phase 1")
 
-        _inside_next_scatter(router, kill9_then_coldstart)
-        ctx.note(f"armed kill9+coldstart in round {round_index} phase 1")
+
+def _kill9_then_coldstart(ctx, _requests) -> None:
+    coordinator = ctx.coordinator
+    victim = coordinator.router.shard_ids[0]
+    # SIGKILL semantics: no flush, no goodbye snapshot.  Recovery sees
+    # only the disk.
+    coordinator.kill_shard(victim)
+    recovered = recover(ctx.store, ctx.writer.path)
+    applied = coordinator.cold_start_shard(victim, recovered.tail)
+    ctx.note(
+        f"killed {victim}; cold-started from "
+        f"store + {len(recovered.tail.records)}-record tail "
+        f"({applied} applied)"
+    )
 
 
 def _stale_commit(ctx, victim, writer, epoch, stale_token, rejected, landed):
@@ -393,210 +317,252 @@ def _stale_commit(ctx, victim, writer, epoch, stale_token, rejected, landed):
         ctx.note(f"SPLIT BRAIN: {landed}")
 
 
-class _AsymmetricPartition(FaultPlan):
-    """Cut only the router→shard direction; the shard itself stays alive.
-
-    The nasty half of a partition: the router cannot reach the primary,
-    but the primary is healthy and would happily keep writing.  The
-    router's failover path must fence *before* promoting, so when the
-    partition heals (modelled as healing once the failover completes —
-    the classic transient switch brown-out), the isolated old primary's
-    write attempt dies with :class:`~repro.errors.FencedError` instead
-    of forking history.
-    """
-
-    name = "asymmetric-partition"
-    # Real disk so the exactly-one-writer audit runs over the
-    # fence/writer provenance this drill produces.
-    wants_store = True
-
-    def before_round(self, ctx, round_index):
-        if round_index != min(1, ctx.rounds - 1):
-            return
-        router = ctx.coordinator.router
-        victim = router.shard_ids[0]
-        replica_set = router.replica_set(victim)
-        zombie = replica_set.primary
-        # The incumbent holds a real lease before the cut; an unfenced
-        # (token-0) writer is exempt from fencing by design, which would
-        # let the zombie's later attempt slip through unjudged.
-        incumbent = ctx.coordinator.fencing.bump(victim, "manual")
-        replica_set.install_fence(incumbent.token)
-        stale = incumbent.token
-        ctx.transport.fail_link("router", victim)
-        ctx.note(f"cut router->{victim} (shard alive) before round {round_index}")
-        real_recover = router._recover
-
-        def recover_then_heal(shard_id, reason="failover"):
-            real_recover(shard_id, reason=reason)
-            if shard_id != victim:
-                return
-            router._recover = real_recover
-            ctx.transport.restore_link("router", victim)
-            ctx.note(f"partition healed after fence+promote of {victim}")
-            # The old primary comes back from the partition and tries to
-            # finish the write it was holding — with its dead lease.
-            _stale_commit(
-                ctx, victim, zombie, round_index, stale,
-                rejected="zombie write rejected",
-                landed=f"zombie write on {victim} was accepted",
-            )
-
-        router._recover = recover_then_heal
+def _cut_router_link(ctx) -> None:
+    router = ctx.coordinator.router
+    victim = router.shard_ids[0]
+    replica_set = router.replica_set(victim)
+    # The incumbent holds a real lease before the cut; an unfenced
+    # (token-0) writer is exempt from fencing by design, which would
+    # let the zombie's later attempt slip through unjudged.
+    incumbent = ctx.coordinator.fencing.bump(victim, "manual")
+    replica_set.install_fence(incumbent.token)
+    ctx.memo["asymmetric-partition"] = (victim, replica_set.primary, incumbent.token)
+    ctx.transport.fail_link("router", victim)
+    ctx.note(f"cut router->{victim} (shard alive) before round {ctx.round}")
 
 
-class _SplitBrainPromote(FaultPlan):
-    """Fence-then-promote while the old primary is still serving.
+def _heal_then_zombie_write(ctx, shard_id) -> None:
+    partition = ctx.memo.get("asymmetric-partition")
+    if partition is None or partition[0] != shard_id:
+        return
+    victim, zombie, stale = ctx.memo.pop("asymmetric-partition")
+    ctx.transport.restore_link("router", victim)
+    ctx.note(f"partition healed after fence+promote of {victim}")
+    # The old primary comes back from the partition and tries to finish
+    # the write it was holding — with its dead lease.
+    _stale_commit(
+        ctx, victim, zombie, ctx.round, stale,
+        rejected="zombie write rejected",
+        landed=f"zombie write on {victim} was accepted",
+    )
 
-    The direct split-brain drill: the authority deposes a perfectly
-    healthy primary (operator-driven promotion), and the deposed
-    incarnation — never crashed, never partitioned — immediately tries
-    to commit with the lease it still holds.  Exactly one writer per
-    shard must survive the journal/store audit, and the transcript must
-    not move a byte.
-    """
 
-    name = "split-brain-promote"
-    wants_store = True
+def _promote_while_alive(ctx) -> None:
+    coordinator = ctx.coordinator
+    victim = coordinator.router.shard_ids[0]
+    replica_set = coordinator.router.replica_set(victim)
+    # Give the incumbent a real lease and let it commit under it — the
+    # journal now has a writer record to audit against.
+    incumbent = coordinator.fencing.bump(victim, "manual")
+    replica_set.install_fence(incumbent.token)
+    coordinator.sdc.commit_epoch(ctx.round)
+    zombie = replica_set.primary
+    # Depose it while it is alive and serving: bump, persist, install on
+    # every replica (the zombie included), only then promote.
+    successor = coordinator.fencing.bump(victim, "failover")
+    replica_set.install_fence(successor.token)
+    replica_set.promote()
+    ctx.note(
+        f"promoted {victim} while old primary alive "
+        f"(lease {incumbent.token}->{successor.token})"
+    )
+    # The successor commits under its own lease when the round's epoch
+    # ends; the audit must see writer tokens that never regress behind
+    # the fence.
+    _stale_commit(
+        ctx, victim, zombie, ctx.round + 1, incumbent.token,
+        rejected="old primary's post-fence write rejected",
+        landed=f"old primary of {victim} committed",
+    )
 
-    def before_round(self, ctx, round_index):
-        if round_index != ctx.rounds - 1:
-            return
-        coordinator = ctx.coordinator
-        router = coordinator.router
-        victim = router.shard_ids[0]
-        replica_set = router.replica_set(victim)
-        # Give the incumbent a real lease and let it commit under it —
-        # the journal now has a writer record to audit against.
-        incumbent = coordinator.fencing.bump(victim, "manual")
-        replica_set.install_fence(incumbent.token)
-        coordinator.sdc.commit_epoch(round_index)
-        zombie = replica_set.primary
-        # Depose it while it is alive and serving: bump, persist, install
-        # on every replica (the zombie included), only then promote.
-        successor = coordinator.fencing.bump(victim, "failover")
-        replica_set.install_fence(successor.token)
-        replica_set.promote()
+
+#: How far ``clock-skew`` backdates a healthy shard's heartbeat.
+SKEW_S = 60.0
+
+
+def _skew_heartbeat(ctx) -> None:
+    router = ctx.coordinator.router
+    victim = router.shard_ids[-1]
+    replica_set = router.replica_set(victim)
+    replica_set.record_heartbeat(now=time.monotonic() - SKEW_S)
+    promoted = router.check_liveness()
+    ctx.note(
+        f"skewed {victim} heartbeat {SKEW_S:.0f}s into the past; "
+        f"liveness promoted {list(promoted) or 'nothing'}, "
+        f"suspect={replica_set.suspect}"
+    )
+
+
+#: ``gray-slow-shard``'s slowdown: below heartbeat death, above the RTT
+#: quantile.
+SLOW_S = 0.4
+
+
+def _slow_first_shard(ctx) -> None:
+    victim = ctx.coordinator.router.shard_ids[0]
+    ctx.coordinator.slow_shard(victim, SLOW_S)
+    ctx.note(f"armed {SLOW_S * 1000:.0f} ms gray slowdown on {victim}")
+
+
+def _note_suspects(ctx) -> None:
+    stats = ctx.coordinator.router.stats
+    if stats.suspects:
         ctx.note(
-            f"promoted {victim} while old primary alive "
-            f"(lease {incumbent.token}->{successor.token})"
-        )
-        _stale_commit(
-            ctx, victim, zombie, round_index + 1, incumbent.token,
-            rejected="old primary's post-fence write rejected",
-            landed=f"old primary of {victim} committed",
-        )
-        # The successor commits under its own lease when the round's epoch
-        # ends; the audit must see writer tokens that never regress behind
-        # the fence.
-
-
-class _ClockSkew(FaultPlan):
-    """Skew one shard's heartbeat clock a minute into the past.
-
-    A skewed clock makes a healthy shard's heartbeat *look* ancient.
-    Liveness checking must classify alive-primary-with-stale-heartbeat
-    as *suspect* (flag and count it) rather than promote — promoting on
-    staleness alone is the spurious failover gray-failure folklore warns
-    about.
-    """
-
-    name = "clock-skew"
-    wants_store = True
-    SKEW_S = 60.0
-
-    def before_round(self, ctx, round_index):
-        if round_index != min(1, ctx.rounds - 1):
-            return
-        router = ctx.coordinator.router
-        victim = router.shard_ids[-1]
-        replica_set = router.replica_set(victim)
-        replica_set.record_heartbeat(now=time.monotonic() - self.SKEW_S)
-        promoted = router.check_liveness()
-        ctx.note(
-            f"skewed {victim} heartbeat {self.SKEW_S:.0f}s into the past; "
-            f"liveness promoted {list(promoted) or 'nothing'}, "
-            f"suspect={replica_set.suspect}"
+            f"router flagged {stats.suspects} suspect(s), "
+            f"promoted {stats.failovers or 'none'}"
         )
 
 
-class _GraySlowShard(FaultPlan):
-    """Latency injection below the heartbeat-death threshold.
-
-    The shard answers everything — slowly.  Heartbeats never expire, so
-    naive liveness sees a healthy fleet; the RTT quantile must flag the
-    outlier as suspect — detection only, the shard keeps serving — with
-    zero promotions burned.
-    """
-
-    name = "gray-slow-shard"
-    wants_store = True
-    DELAY_S = 0.4
-
-    def arm(self, ctx):
-        victim = ctx.coordinator.router.shard_ids[0]
-        ctx.coordinator.slow_shard(victim, self.DELAY_S)
-        ctx.note(
-            f"armed {self.DELAY_S * 1000:.0f} ms gray slowdown on {victim}"
-        )
-
-    def finish(self, ctx):
-        stats = ctx.coordinator.router.stats
-        if stats.suspects:
-            ctx.note(
-                f"router flagged {stats.suspects} suspect(s), "
-                f"promoted {stats.failovers or 'none'}"
-            )
-
-
-_PLAN_TYPES = (
-    _KillShard,
-    _DropLinks,
-    _DelayLinks,
-    _DuplicateLinks,
-    _StpOutage,
-    _CoordinatorCrash,
-    _JournalDiskFull,
-    _Kill9ColdStart,
-    _AsymmetricPartition,
-    _SplitBrainPromote,
-    _ClockSkew,
-    _GraySlowShard,
+#: The plan table, in the order ``--plan all`` runs it.  See
+#: docs/resilience.md for what each fault models.
+PLANS: tuple[FaultPlan, ...] = (
+    # The router must fail over (on sockets: restart and re-bootstrap the
+    # SIGKILLed worker) and re-send the identical sub-query bytes, since
+    # phase randomness was drawn before the scatter.
+    FaultPlan(
+        "kill-shard", "second", "scatter", "addressed", kills=True,
+        hooks={"scatter": _kill_addressed, "finish": _note_restarts},
+        fired=lambda r: r.failovers >= 1,
+    ),
+    FaultPlan(
+        "drop-links", "every", "scatter", "link",
+        hooks={"before": _on_every_link(drop=1)},
+        fired=lambda r: r.fault_stats["dropped"] > 0,
+    ),
+    FaultPlan(
+        "delay-links", "every", "scatter", "link",
+        hooks={"before": _on_every_link(delay_s=0.005, delay_count=2)},
+        fired=lambda r: r.fault_stats["delayed"] > 0,
+    ),
+    FaultPlan(
+        "duplicate-links", "every", "scatter", "link",
+        hooks={"before": _on_every_link(duplicate=1)},
+        fired=lambda r: r.fault_stats["duplicated"] > 0,
+    ),
+    FaultPlan(
+        "stp-outage", "second", "stp", "sdc->stp",
+        hooks={"before": _cut_stp, "retry": _drain_stp},
+        fired=_noted("stp outage drained"),
+    ),
+    # Inside the front's phase 2 — after the phase-2 randomness barrier
+    # and the ΣQ̃ product, before the license leaves — exactly the
+    # window the write-ahead discipline exists for.
+    FaultPlan(
+        "coordinator-crash", "last", "phase2", "coordinator", crashes=True,
+        hooks={"before": _note_crash_armed, "phase2": _crash},
+        fired=lambda r: r.replayed_draws > 0,
+    ),
+    FaultPlan(
+        "journal-disk-full", "last", "draws", "journal", crashes=True,
+        hooks={"before": _fill_journal},
+        fired=lambda r: r.fallback_draws > 0,
+    ),
+    # The disaster drill for the durable store: the shard is rebuilt
+    # purely from SQLite plus the journal tail, reading nothing of the
+    # dead one, so transcript equality over every segment proves the
+    # disk state byte-exact.
+    FaultPlan(
+        "kill9-then-coldstart", "last", "scatter", "first",
+        kills=True, compacts=True,
+        hooks={"before": _checkpoint, "scatter": _kill9_then_coldstart},
+        fired=_noted("cold-started from"),
+    ),
+    # The router cannot reach a healthy primary; failover must fence
+    # before it promotes, so the zombie's write after the heal dies.
+    FaultPlan(
+        "asymmetric-partition", "second", "recovery", "first", zombie=True,
+        hooks={"before": _cut_router_link, "recovery": _heal_then_zombie_write},
+        fired=_noted("zombie write rejected"),
+    ),
+    # The authority deposes a healthy primary, which at once tries to
+    # commit under the lease it still holds.
+    FaultPlan(
+        "split-brain-promote", "last", "before", "first", zombie=True,
+        hooks={"before": _promote_while_alive},
+        fired=_noted("post-fence write rejected"),
+    ),
+    # A stale heartbeat from a live primary is suspect, never promoted.
+    FaultPlan(
+        "clock-skew", "second", "before", "last",
+        hooks={"before": _skew_heartbeat},
+        fired=lambda r: r.suspects >= 1,
+    ),
+    # The shard answers everything, slowly: the RTT quantile must flag
+    # it as suspect, with zero promotions burned.
+    FaultPlan(
+        "gray-slow-shard", "arm", "scatter", "first",
+        hooks={"before": _slow_first_shard, "finish": _note_suspects},
+        fired=lambda r: r.suspects >= 1,
+    ),
 )
 
 #: Every plan, in the order ``--plan all`` runs them.
-PLAN_NAMES: tuple[str, ...] = tuple(plan.name for plan in _PLAN_TYPES)
-_PLANS = {plan.name: plan for plan in _PLAN_TYPES}
+PLAN_NAMES: tuple[str, ...] = tuple(plan.name for plan in PLANS)
+_PLANS = {plan.name: plan for plan in PLANS}
 #: Where a faulted run can stand: in-process, or worker processes on TCP.
 PLANES = ("memory", "socket")
 
 
-def _resolve_plans(names) -> list[FaultPlan]:
+def resolve_plans(names, rounds: int) -> tuple[FaultPlan, ...]:
+    """The rows of a schedule of ``rounds`` rounds, if it is legal.
+
+    Refused: an unknown or empty schedule; two crashing plans; a crash
+    at or before another plan's point (that plan would never fire); a
+    compaction before a crash (the replay reads the journal from its
+    start); a kill on the shard another plan keeps a live zombie on;
+    two kills of one shard at one point (the second masks the first).
+    """
     plans = []
     for name in names:
-        plan_type = _PLANS.get(name)
-        if plan_type is None:
+        plan = _PLANS.get(name)
+        if plan is None:
             raise ChaosPlanError(
                 f"unknown fault plan {name!r} (known: {', '.join(_PLANS)})"
             )
-        plans.append(plan_type())
+        plans.append(plan)
     if not plans:
         raise ChaosPlanError("a chaos schedule needs at least one fault plan")
-    if any(isinstance(p, _JournalDiskFull) for p in plans) and any(
-        p.wants_store for p in plans
-    ):
-        # A store plan swaps the in-memory journal device for a file,
-        # and a file cannot be filled on cue: the fault would never fire.
+    crashes = [plan for plan in plans if plan.crashes]
+    if len(crashes) > 1:
         raise ChaosPlanError(
-            "journal-disk-full fills the in-memory journal device; it does "
-            "not compose with a plan that runs on the store's journal file"
+            f"at most one crashing plan per schedule, not "
+            f"{' and '.join(plan.name for plan in crashes)}"
         )
-    if sum(1 for p in plans if p.crashes) > 1:
-        raise ChaosPlanError(
-            "at most one crashing plan (coordinator-crash / journal-disk-full) "
-            "per schedule"
-        )
-    return plans
+    for crash in crashes:
+        for other in plans:
+            if other is crash:
+                continue
+            if other.at(rounds) >= crash.at(rounds):
+                raise ChaosPlanError(
+                    f"{crash.name} crashes before {other.name} strikes "
+                    f"in a {rounds}-round run"
+                )
+            if other.compacts:
+                raise ChaosPlanError(
+                    f"{other.name} compacts the journal {crash.name}'s "
+                    f"replay reads from its start"
+                )
+    for kill in plans:
+        for other in plans:
+            # ``addressed`` is known only in the scatter: it may be any shard.
+            same_shard = kill.target == other.target or "addressed" in (
+                kill.target,
+                other.target,
+            )
+            if not kill.kills or other is kill or not same_shard:
+                continue
+            if other.kills and other.at(rounds) == kill.at(rounds):
+                raise ChaosPlanError(
+                    f"{kill.name} and {other.name} kill one shard at one point"
+                )
+            if other.zombie:
+                zombie_round, zombie_point = other.at(rounds)
+                if (zombie_round, 0) <= kill.at(rounds) <= (zombie_round, zombie_point):
+                    raise ChaosPlanError(
+                        f"{kill.name} kills the shard {other.name} keeps a "
+                        f"live zombie on"
+                    )
+    return tuple(plans)
 
 
 # --------------------------------------------------------------------------- #
@@ -608,22 +574,21 @@ def _resolve_plans(names) -> list[FaultPlan]:
 class _RunContext:
     coordinator: ClusterCoordinator
     rounds: int
+    #: The faulted run's rows; empty for the control and a replay.
+    plans: tuple[FaultPlan, ...] = ()
     #: ``"memory"`` or ``"socket"``; plans word their notes by it.
     plane: str = "memory"
-    journal_device: _DiskFullFile | None = None
-    #: Disk-backed plumbing (``wants_store`` plans only).
-    journal_path: str | None = None
-    journal_writer: JournalWriter | None = None
+    #: The deployment's journal writer, store and checkpointer.
+    writer: JournalWriter | None = None
     store: SqliteStateStore | None = None
     checkpointer: Checkpointer | None = None
-    stp_outage_remaining: int = 0
-    stp_drained_sends: int = 0
+    #: The round being run.
+    round: int = 0
     #: Stale-token writes rejected with :class:`FencedError` (counted by
     #: the partition plans when their zombie write attempt dies).
     fenced_rejections: int = 0
-    #: Set by a plan whose fault is armed but has not fired; a run that
-    #: ends with it set proved nothing, so it cannot be transcript-equal.
-    fault_missed: bool = False
+    #: Per-plan state a plan's later hooks read, keyed by plan name.
+    memo: dict = field(default_factory=dict)
     #: Optional :class:`repro.telemetry.Tracer`; one root span per
     #: round.  The tracer draws ids from its own RNG, so traced and
     #: untraced runs keep byte-identical transcripts.
@@ -638,6 +603,41 @@ class _RunContext:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def strike(self, seam: str, *args) -> None:
+        """Run every plan's ``seam`` hook — ``finish`` once, the others
+        in the plan's rounds only."""
+        for plan in self.plans:
+            hook = plan.hooks.get(seam)
+            if hook is not None and (
+                seam == "finish" or self.round in ROUNDS[plan.rounds](self.rounds)
+            ):
+                hook(self, *args)
+
+
+def _install_seams(ctx: _RunContext) -> None:
+    """Route the scatter, the router's recovery and the front's ``ΣQ̃``
+    through the plans' hooks."""
+    router, front = ctx.coordinator.router, ctx.coordinator.sdc
+    scatter, recover_shard, q_sum = router.scatter_phase1, router._recover, front._q_sum
+
+    def strike_then_scatter(requests, parent=None):
+        # The round's phase-1 randomness is drawn and behind its barrier.
+        ctx.strike("scatter", requests)
+        return scatter(requests, parent=parent)
+
+    def recover_then_strike(shard_id, reason="failover"):
+        recover_shard(shard_id, reason=reason)
+        ctx.strike("recovery", shard_id)
+
+    def q_sum_then_strike(pending, response):
+        total = q_sum(pending, response)
+        ctx.strike("phase2")
+        return total
+
+    router.scatter_phase1 = strike_then_scatter
+    router._recover = recover_then_strike
+    front._q_sum = q_sum_then_strike
+
 
 @dataclass
 class _RunRecord:
@@ -651,24 +651,20 @@ class _RunRecord:
 class _RetryingSend:
     """The run's transport as the allocator sees it: every send retried
     under :data:`SEND_POLICY` (queue-and-drain), each retry shown to the
-    plans' ``on_send_retry`` first."""
+    plans' ``retry`` hooks first."""
 
-    def __init__(self, ctx: _RunContext, plans) -> None:
+    def __init__(self, ctx: _RunContext) -> None:
         self._ctx = ctx
-        self._plans = plans
 
     def send(self, message, sender: str, receiver: str):
         ctx = self._ctx
-
-        def on_retry(_attempt, exc, _sleep_s):
-            for plan in self._plans:
-                plan.on_send_retry(ctx, exc, (sender, receiver))
-
         return run_with_policy(
             lambda: ctx.transport.send(message, sender, receiver),
             SEND_POLICY,
             rng=DeterministicRandomSource(0),
-            on_retry=on_retry,
+            on_retry=lambda _attempt, exc, _sleep_s: ctx.strike(
+                "retry", exc, (sender, receiver)
+            ),
         )
 
 
@@ -699,43 +695,29 @@ class ChaosResult:
     fenced_rejections: int = 0
     #: Shards flagged suspect (gray failure) instead of promoted.
     suspects: int = 0
-    #: Exactly-one-writer audit over the journal (+ store when present):
-    #: commits whose fencing token regressed behind the shard's fence.
-    #: ``-1`` means no journal was active, so there was nothing to audit.
-    writer_violations: int = -1
+    #: Exactly-one-writer audit over the journal and the store: commits
+    #: whose fencing token regressed behind the shard's fence.
+    writer_violations: int = 0
     #: Named workload the fault schedule was composed with ("" = the
     #: legacy round-robin driver).
     workload: str = ""
+
+    @property
+    def unfired(self) -> tuple[str, ...]:
+        """Armed plans whose evidence is missing from the verdict."""
+        return tuple(name for name in self.plans if not _PLANS[name].fired(self))
 
     @property
     def ok(self) -> bool:
         return (
             self.transcript_equal
             and self.licenses_valid
-            and self.writer_violations <= 0
+            and self.writer_violations == 0
+            and not self.unfired
         )
 
     def to_dict(self) -> dict:
-        return {
-            "plans": list(self.plans),
-            "seed": self.seed,
-            "shards": self.shards,
-            "rounds": self.rounds,
-            "ok": self.ok,
-            "transcript_equal": self.transcript_equal,
-            "exact_segments": self.exact_segments,
-            "licenses_valid": self.licenses_valid,
-            "replayed_draws": self.replayed_draws,
-            "fallback_draws": self.fallback_draws,
-            "fault_stats": dict(self.fault_stats),
-            "failovers": self.failovers,
-            "drops_retried": self.drops_retried,
-            "fenced_rejections": self.fenced_rejections,
-            "suspects": self.suspects,
-            "writer_violations": self.writer_violations,
-            "workload": self.workload,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "ok": self.ok, "unfired": list(self.unfired)}
 
 
 class ChaosHarness:
@@ -885,22 +867,22 @@ class ChaosHarness:
             wire.send(update, pu_id, SDC_ENDPOINT)
             coordinator.sdc.handle_pu_update(update)
 
-    def _execute(self, ctx: _RunContext, plans, su_ids) -> _RunRecord:
+    def _execute(self, ctx: _RunContext, su_ids) -> _RunRecord:
         """Enrolment already ran in ``_build``; mark it and run rounds.
 
         Round ``i`` is epoch ``i`` of the broker's allocator, sending
         through a retrying (queue-and-drain) transport, so every plan
         also runs the allocator's round discard and epoch commit.
         """
-        for plan in plans:
-            plan.arm(ctx)
-        wire = _RetryingSend(ctx, plans)
+        wire = _RetryingSend(ctx)
         allocator = BatchAllocator.for_coordinator(ctx.coordinator, transport=wire)
+        if ctx.plans:
+            _install_seams(ctx)
         ctx.transport.mark()
         outcomes = []
         for round_index in range(ctx.rounds):
-            for plan in plans:
-                plan.before_round(ctx, round_index)
+            ctx.round = round_index
+            ctx.strike("before")
             if self._script:
                 su_id, churn = self._script[round_index % len(self._script)]
                 self._apply_churn(ctx, wire, churn)
@@ -917,8 +899,7 @@ class ChaosHarness:
                 [result] = allocator.allocate(epoch, spans=[root])
             outcomes.append(result.outcome)
             ctx.transport.mark()
-        for plan in plans:
-            plan.finish(ctx)
+        ctx.strike("finish")
         ctx.transport.clear_faults()
         return _RunRecord(
             segments=ctx.transport.segments(),
@@ -938,7 +919,7 @@ class ChaosHarness:
             coordinator=coordinator, rounds=self.rounds, tracer=tracer
         )
         try:
-            record = self._execute(ctx, [], su_ids)
+            record = self._execute(ctx, su_ids)
         finally:
             coordinator.close()
         if self._control is None:
@@ -949,58 +930,37 @@ class ChaosHarness:
 
     def run(self, plan_names, tracer=None) -> ChaosResult:
         """Run one composed fault schedule and judge it against control."""
-        plans = _resolve_plans(plan_names)
+        plans = resolve_plans(plan_names, self.rounds)
         control = self.control()
         if self.metrics is not None:
             self.metrics.counter(
                 "chaos_runs_total", plan="+".join(sorted(plan_names))
             ).inc()
-        wants_journal = any(p.wants_journal for p in plans)
-        wants_store = any(p.wants_store for p in plans)
-
-        device: _DiskFullFile | None = None
-        writer: JournalWriter | None = None
-        journal: EpochJournal | None = None
-        store: SqliteStateStore | None = None
-        checkpointer: Checkpointer | None = None
-        journal_path: str | None = None
-        store_dir: str | None = None
-        if wants_store:
-            # Real disk: a SQLite store in a throwaway dir and a
-            # path-backed journal (checkpoint compaction renames files).
-            store_dir = tempfile.mkdtemp(prefix="repro-chaos-store-")
-            store = SqliteStateStore(os.path.join(store_dir, "store.sqlite"))
-            journal_path = os.path.join(store_dir, "journal.wal")
-            writer = JournalWriter(journal_path, fsync_every=8)
-            journal = EpochJournal(writer)
-            checkpointer = Checkpointer(store, metrics=self.metrics)
-        elif wants_journal:
-            device = _DiskFullFile()
-            writer = JournalWriter(fileobj=device, fsync_every=8)
-            journal = EpochJournal(writer)
-
+        # The deployment layout: one store and one journal in one dir.
+        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
+        store = SqliteStateStore(os.path.join(workdir, "state.sqlite"))
+        writer = JournalWriter(os.path.join(workdir, "epochs.journal"), fsync_every=8)
         try:
             coordinator, su_ids = self._build(
                 DeterministicRandomSource(self.seed),
-                journal=journal,
+                journal=EpochJournal(writer),
                 store=store,
                 plane=self.plane,
             )
             ctx = _RunContext(
                 coordinator=coordinator,
                 rounds=self.rounds,
+                plans=plans,
                 plane=self.plane,
-                journal_device=device,
-                journal_path=journal_path,
-                journal_writer=writer,
+                writer=writer,
                 store=store,
-                checkpointer=checkpointer,
+                checkpointer=Checkpointer(store, metrics=self.metrics),
                 tracer=tracer,
             )
             crashed: Exception | None = None
             record: _RunRecord | None = None
             try:
-                record = self._execute(ctx, plans, su_ids)
+                record = self._execute(ctx, su_ids)
             except (_InjectedCrash, JournalDiskFullError) as exc:
                 crashed = exc
                 ctx.note(f"crash: {type(exc).__name__}: {exc}")
@@ -1009,51 +969,45 @@ class ChaosHarness:
                         "chaos_crashes_total", kind=type(exc).__name__
                     ).inc()
             finally:
-                failovers = ctx.coordinator.router.stats.failovers
-                drops_retried = ctx.coordinator.router.stats.drops_retried
-                suspects = ctx.coordinator.router.stats.suspects
+                stats = coordinator.router.stats
+                failovers = stats.failovers
+                drops_retried = stats.drops_retried
+                suspects = stats.suspects
                 fault_stats = dict(ctx.transport.fault_stats)
                 coordinator.close()
 
-            writer_violations = -1
-            if writer is not None:
-                # Exactly-one-writer audit: every journaled commit must
-                # carry a token no older than its shard's fence, and the
-                # store's persisted lease must not lag the journal's.
-                try:
-                    writer.barrier()
-                except JournalDiskFullError:
-                    pass  # the full-device plan: audit the written prefix
-                journal_result = read_journal(
-                    journal_path if journal_path is not None else device.getvalue()
-                )
-                violations = check_exactly_one_writer(journal_result, store=store)
-                writer_violations = len(violations)
-                for violation in violations:
-                    ctx.note(f"writer violation: {violation}")
+            # What a restarting process finds on disk: a crash loses
+            # every record since the last fsync.
+            if crashed is None:
+                writer.close()
+            else:
+                writer.simulate_crash()
+            journal = read_journal(writer.path)
+            # Exactly-one-writer audit: every journaled commit must carry
+            # a token no older than its shard's fence, and the store's
+            # persisted lease must not lag the journal's.
+            violations = check_exactly_one_writer(journal, store=store)
+            for violation in violations:
+                ctx.note(f"writer violation: {violation}")
 
-            replayed_draws = -1
-            fallback_draws = -1
+            replayed_draws = fallback_draws = -1
+            exact_segments = len(control.segments)
             if crashed is not None:
-                # Recovery: replay the journal prefix through a fresh
+                # Recovery: replay the journal through a fresh
                 # deployment.  The fallback RNG is seeded differently, so
                 # a byte-equal transcript proves the bytes came from disk.
                 record, replayed_draws, fallback_draws = self._replay(
-                    journal_result, ctx, su_ids
+                    journal, ctx, su_ids
                 )
-                exact_segments = (
-                    len(control.segments)
-                    if isinstance(crashed, _InjectedCrash)
-                    # Disk-full loses the interrupted round's draws (they
-                    # never crossed a barrier): every *completed* segment
-                    # must match, the final round re-runs on fresh entropy.
-                    else len(control.segments) - 1
-                )
-            else:
-                exact_segments = len(control.segments)
+                [crash] = [plan for plan in plans if plan.crashes]
+                # Enrolment and the rounds before the crash must match;
+                # the crashed round too unless it died before its
+                # phase-2 barrier, when its draws never left the process
+                # and it re-runs on fresh entropy.
+                survived = POINTS.index(crash.point) >= POINTS.index("phase2")
+                exact_segments = 1 + ctx.round + survived
 
-            assert record is not None
-            transcript_equal = not ctx.fault_missed and (
+            transcript_equal = (
                 record.segments[:exact_segments]
                 == control.segments[:exact_segments]
             )
@@ -1076,18 +1030,13 @@ class ChaosHarness:
                 notes=tuple(ctx.notes),
                 fenced_rejections=ctx.fenced_rejections,
                 suspects=suspects,
-                writer_violations=writer_violations,
+                writer_violations=len(violations),
                 workload=self.workload,
             )
         finally:
-            # Flush-on-exit, crash or not: an abandoned JournalWriter
-            # strands up to fsync_every-1 buffered records.
-            if writer is not None:
-                writer.close()
-            if store is not None:
-                store.close()
-            if store_dir is not None:
-                shutil.rmtree(store_dir, ignore_errors=True)
+            writer.close()
+            store.close()
+            shutil.rmtree(workdir, ignore_errors=True)
 
     def _replay(self, result, ctx: _RunContext, su_ids):
         """Rebuild from the read journal and re-run the whole script, clean."""
@@ -1105,7 +1054,7 @@ class ChaosHarness:
             coordinator=coordinator, rounds=self.rounds, notes=ctx.notes
         )
         try:
-            record = self._execute(replay_ctx, [], su_ids)
+            record = self._execute(replay_ctx, su_ids)
         finally:
             coordinator.close()
         ctx.note(

@@ -72,9 +72,10 @@ class LoadtestConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Number of SDC shards; 0 runs the single-SDC packed deployment.
     shards: int = 0
-    #: When set (sharded runs only), the coordinator opens a SQLite
-    #: :class:`~repro.store.SqliteStateStore` at this path and persists
-    #: PU ciphertexts, epoch snapshots, and the key directory through it.
+    #: When set (sharded runs only, on either plane), the coordinator
+    #: opens a SQLite :class:`~repro.store.SqliteStateStore` at this path
+    #: and persists PU ciphertexts, epoch snapshots, and the key
+    #: directory through it.
     store_path: str = ""
     #: Named deployment from :mod:`repro.sim.registry` ("uhf" or
     #: "cbrs-tiered"); tiered scenarios attach a broker-side

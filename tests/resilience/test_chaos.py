@@ -7,21 +7,27 @@ harness per plane is shared per module, and both judge against the same
 in-memory control transcript.
 """
 
+import itertools
 import re
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from repro.cluster.router import ShardRouter
-from repro.errors import ChaosPlanError
+from repro.errors import ChaosPlanError, JournalDiskFullError
 from repro.netd.plane import SocketClusterCoordinator
 from repro.netd.supervisor import ProcessSupervisor
 from repro.pisa.storage import decode_shard_state
+from repro.resilience import chaos
 from repro.resilience.chaos import (
     PLAN_NAMES,
     PLANES,
     ChaosHarness,
     fingerprint_message,
 )
+from repro.resilience.journal import JournalWriter
+from repro.sim.traffic import workload_names
 from repro.telemetry import MetricsRegistry
 
 
@@ -49,14 +55,24 @@ FIRED = {
     ),
 }
 
-#: Plans that run over a SQLite store and a journal file, on either plane.
-STORE_PLANS = {
-    "kill9-then-coldstart",
-    "asymmetric-partition",
-    "split-brain-promote",
-    "clock-skew",
-    "gray-slow-shard",
-}
+
+def judge(harness, plans):
+    """The table is the oracle: a schedule is refused before anything is
+    built, or its run is ``ok`` — transcript, licences, writer audit, and
+    the evidence of every plan's row.  Returns the result (``None`` when
+    refused)."""
+    built = []
+    build = harness._build
+    harness._build = lambda *args, **kwargs: built.append(args) or build(*args, **kwargs)
+    try:
+        result = harness.run(plans)
+    except ChaosPlanError:
+        assert built == [], "refused after a deployment was built"
+        return None
+    finally:
+        del harness._build
+    assert result.ok, (result.unfired, result.to_dict())
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +104,9 @@ class TestEveryPlan:
         assert result.exact_segments == completed
         assert result.ok
         assert FIRED[plan](result), result.to_dict()
-        # A journal is on exactly where the plan asks for one, and then
-        # the exactly-one-writer audit reads it.
-        journaled = plan in STORE_PLANS | {"coordinator-crash", "journal-disk-full"}
-        assert result.writer_violations == (0 if journaled else -1)
+        # Every run has the store and the journal, and the
+        # exactly-one-writer audit reads them.
+        assert result.writer_violations == 0
         if plan == "coordinator-crash":
             assert result.replayed_draws > 0
             assert result.fallback_draws == 0  # every byte came from the disk
@@ -130,6 +145,33 @@ class TestEveryPlan:
         # are expected, and one segment is excluded from byte-equality.
         assert result.fallback_draws > 0
         assert result.exact_segments == harness.rounds  # final round re-run
+
+    def test_disk_full_replays_only_what_was_fsynced(self, harness, monkeypatch):
+        """A crash loses the journal's unfsynced tail: the replay reads
+        the file cut back to the last fsync, no record past it."""
+        durable, read = [], []
+        write = JournalWriter._write
+        read_journal = chaos.read_journal
+
+        def write_until_full(writer, data):
+            try:
+                write(writer, data)
+            except JournalDiskFullError:
+                durable.append(writer._synced_offset)
+                raise
+
+        def recording_read(source, strict=False):
+            read.append(read_journal(source, strict))
+            return read[-1]
+
+        monkeypatch.setattr(JournalWriter, "_write", write_until_full)
+        monkeypatch.setattr(chaos, "read_journal", recording_read)
+        result = harness.run(["journal-disk-full"])
+        assert result.ok, result.notes
+        [offset], [journal] = durable, read
+        assert journal.valid_bytes == offset
+        assert not journal.torn
+        assert result.replayed_draws == len(journal.draws())
 
     def test_kill_shard_fails_over_once(self, harness):
         result = harness.run(["kill-shard"])
@@ -177,6 +219,77 @@ class TestComposedSchedules:
         assert result.ok
         assert result.fallback_draws == 0
 
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_delay_links_keep_the_gray_slowdown(self, harness, socket_harness, plane):
+        """A link's 5 ms delay stacks on the gray 400 ms, not over it."""
+        harness = socket_harness if plane == "socket" else harness
+        result = harness.run(["delay-links", "gray-slow-shard"])
+        assert result.ok, result.notes
+        assert result.suspects >= 1
+        assert result.failovers == 0
+
+
+class TestTheTableIsTheOracle:
+    """Every schedule is refused before anything is built, or runs ``ok``
+    with every plan fired — judged by the rows' own evidence, since the
+    ``FIRED`` table pins each plan alone, where it may also demand that
+    nothing failed over."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        list(itertools.combinations(PLAN_NAMES, 2)),
+        ids="+".join,
+    )
+    def test_every_two_plan_schedule(self, harness, pair):
+        judge(harness, list(pair))
+
+    @pytest.mark.parametrize(
+        "pair, reason",
+        [
+            pytest.param(pair, reason, id="+".join(pair))
+            for pair, reason in [
+                # The disk filled before the scatter: the kill never landed.
+                (("kill-shard", "journal-disk-full"), "crashes before kill-shard"),
+                # The crash came first, and the outage never drained.
+                (("stp-outage", "journal-disk-full"), "crashes before stp-outage"),
+                # The checkpoint compacted the journal the replay reads.
+                (("coordinator-crash", "kill9-then-coldstart"), "compacts the journal"),
+                # The kill landed on the partition's zombie.
+                (("kill-shard", "asymmetric-partition"), "live zombie"),
+                (("kill9-then-coldstart", "asymmetric-partition"), "live zombie"),
+            ]
+        ],
+    )
+    def test_refused_before_the_build(self, harness, pair, reason):
+        with pytest.raises(ChaosPlanError, match=reason):
+            chaos.resolve_plans(pair, harness.rounds)
+        assert judge(harness, list(pair)) is None
+
+    def test_a_disk_full_first_round_refuses_the_gray_slowdown(self):
+        # Found by the search: the disk filled before the only round's
+        # scatter, so no sub-query was ever slow.
+        harness = ChaosHarness(seed=14, shards=3, rounds=1, workload="steady")
+        assert judge(harness, ["journal-disk-full", "gray-slow-shard"]) is None
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        plans=st.lists(st.sampled_from(PLAN_NAMES), min_size=1, max_size=3, unique=True),
+        rounds=st.integers(1, 3),
+        shards=st.integers(2, 3),
+        seed=st.integers(0, 2**16),
+        workload=st.sampled_from(("",) + workload_names()),
+    )
+    def test_generated_schedules(self, plans, rounds, shards, seed, workload):
+        note(
+            f"python -m repro chaos --seed {seed} --plan {','.join(plans)} "
+            f"--shards {shards} --rounds {rounds}"
+            + (f" --workload {workload}" if workload else "")
+        )
+        harness = ChaosHarness(
+            seed=seed, shards=shards, rounds=rounds, key_bits=256, workload=workload
+        )
+        judge(harness, plans)
+
 
 class TestRoundsAreTheBrokersPass:
     """Each round is one epoch of the broker's allocator: it commits every
@@ -204,10 +317,10 @@ class TestRoundsAreTheBrokersPass:
         assert [len(segment) for segment in record.segments[1:]] == [4, 4]
 
 
-class TestFaultGuard:
+class TestFiredContract:
     @pytest.mark.parametrize("plane", PLANES)
-    def test_unfired_fault_is_not_transcript_equal(self, monkeypatch, plane):
-        # The router keeps its own scatter: kill-shard's wrapper is
+    def test_an_unfired_plan_fails_the_verdict(self, monkeypatch, plane):
+        # The router keeps its own scatter: the harness's scatter seam is
         # never installed, so nothing is killed on either plane.
         scatter = ShardRouter.scatter_phase1
         monkeypatch.setattr(
@@ -218,10 +331,11 @@ class TestFaultGuard:
         result = ChaosHarness(plane=plane).run(["kill-shard"])
         # Every byte matches the control — but the run proved nothing
         # about recovery and must not read as a pass.
-        assert result.licenses_valid
-        assert not result.transcript_equal
+        assert result.transcript_equal and result.licenses_valid
         assert result.failovers == 0
-        assert _noted(result, "fault never fired")
+        assert result.unfired == ("kill-shard",)
+        assert not result.ok
+        assert result.to_dict()["unfired"] == ["kill-shard"]
 
 
 class TestSocketPlane:
@@ -323,13 +437,6 @@ class TestScheduleValidation:
     def test_two_crashing_plans_rejected(self, harness):
         with pytest.raises(ChaosPlanError):
             harness.run(["coordinator-crash", "journal-disk-full"])
-
-    @pytest.mark.parametrize("store_plan", ["clock-skew", "split-brain-promote"])
-    def test_disk_full_refuses_a_store_journal(self, harness, store_plan):
-        # A store plan journals to a file, which the plan cannot fill:
-        # run anyway, the disk-full fault would never fire.
-        with pytest.raises(ChaosPlanError, match="journal-disk-full"):
-            harness.run(["journal-disk-full", store_plan])
 
     def test_nonpositive_rounds_rejected(self):
         with pytest.raises(ChaosPlanError):

@@ -150,6 +150,20 @@ class TestServeLoadtest:
         # No fill thread outlives the run.
         assert set(threading.enumerate()) <= threads_before
 
+    @pytest.mark.parametrize("plane", ["memory", "socket"])
+    def test_store_is_a_directory_on_either_plane(self, capsys, tmp_path, plane):
+        from repro.store import SqliteStateStore
+
+        store = tmp_path / "deployment"
+        assert main([
+            "serve-loadtest", "--plane", plane, "--shards", "2", "--requests", "2",
+            "--rate", "200", "--sus", "2", "--key-bits", "256",
+            "--store", str(store),
+        ]) == 0
+        capsys.readouterr()
+        with SqliteStateStore(store / "state.sqlite") as opened:
+            assert opened.snapshot_shards() == ("shard-0", "shard-1")
+
     def test_workers_are_threads(self, capsys):
         import threading
 
