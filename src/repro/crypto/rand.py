@@ -15,6 +15,7 @@ of type :class:`RandomSource` and default to the system source.
 from __future__ import annotations
 
 import secrets
+import threading
 from abc import ABC, abstractmethod
 
 from repro.crypto.hashing import sha256
@@ -98,6 +99,9 @@ class DeterministicRandomSource(RandomSource):
     The state is ``(seed, counter)``; each block is
     ``SHA256(seed || counter)`` and blocks are concatenated until enough
     bits are available.
+
+    Safe to share between threads: one lock makes each draw atomic, so
+    concurrent callers receive disjoint slices of the one serial stream.
     """
 
     def __init__(self, seed: int | bytes | str = 0) -> None:
@@ -109,6 +113,7 @@ class DeterministicRandomSource(RandomSource):
         self._counter = 0
         self._buffer = 0
         self._buffer_bits = 0
+        self._lock = threading.Lock()
 
     def _refill(self) -> None:
         block = sha256(self._seed, self._counter.to_bytes(8, "big"))
@@ -121,12 +126,13 @@ class DeterministicRandomSource(RandomSource):
             raise ValueError("bits must be non-negative")
         if bits == 0:
             return 0
-        while self._buffer_bits < bits:
-            self._refill()
-        self._buffer_bits -= bits
-        value = self._buffer >> self._buffer_bits
-        self._buffer &= (1 << self._buffer_bits) - 1
-        return value
+        with self._lock:
+            while self._buffer_bits < bits:
+                self._refill()
+            self._buffer_bits -= bits
+            value = self._buffer >> self._buffer_bits
+            self._buffer &= (1 << self._buffer_bits) - 1
+            return value
 
     def fork(self, label: str) -> "DeterministicRandomSource":
         """Return an independent child stream derived from this seed."""

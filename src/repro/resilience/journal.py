@@ -461,19 +461,22 @@ class JournalingRandomSource(RandomSource):
     Every ``randbits`` call — the single primitive all higher-level
     sampling reduces to — is logged as a ``draw`` record *after* the
     value is produced, so the journal is exactly the stream a replay
-    needs.
+    needs.  A draw and its record happen under one lock, so with several
+    threads drawing, journal order is still draw order.
     """
 
     def __init__(self, inner: RandomSource, journal: EpochJournal) -> None:
         self._inner = inner
         self._journal = journal
         self.draws_journaled = 0
+        self._lock = threading.Lock()
 
     def randbits(self, bits: int) -> int:
-        value = self._inner.randbits(bits)
-        self._journal.record_draw(bits, value)
-        self.draws_journaled += 1
-        return value
+        with self._lock:
+            value = self._inner.randbits(bits)
+            self._journal.record_draw(bits, value)
+            self.draws_journaled += 1
+            return value
 
 
 class ReplayRandomSource(RandomSource):

@@ -1,5 +1,8 @@
 """Unit tests for repro.crypto.rand."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.crypto.paillier import PaillierPublicKey
@@ -48,6 +51,43 @@ class TestDeterministicRandomSource:
         for bits in (1, 8, 63, 257):
             for _ in range(10):
                 assert 0 <= rng.randbits(bits) < (1 << bits)
+
+
+class TestConcurrentDraws:
+    """Threads sharing one source get disjoint slices of its serial stream.
+
+    Every party of a deployment draws from the coordinator's one source,
+    and the broker's dispatcher draws beside the driver's threads.  A
+    draw interrupted between reading the buffer and trimming it hands
+    two callers the same bits, or bits no serial draw returns.
+    """
+
+    THREADS = 4
+    DRAWS = 5000
+
+    @pytest.mark.parametrize("bits", [256, 100])
+    def test_threaded_draws_are_a_permutation_of_the_serial_stream(self, bits):
+        rng = DeterministicRandomSource(1)
+        drawn = [[] for _ in range(self.THREADS)]
+
+        def draw(out):
+            for _ in range(self.DRAWS):
+                out.append(rng.randbits(bits))
+
+        threads = [threading.Thread(target=draw, args=(out,)) for out in drawn]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        serial = DeterministicRandomSource(1)
+        expected = [serial.randbits(bits) for _ in range(self.THREADS * self.DRAWS)]
+        assert sorted(v for out in drawn for v in out) == sorted(expected)
 
 
 class TestRandomSourceHelpers:

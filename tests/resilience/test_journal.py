@@ -2,6 +2,8 @@
 
 import errno
 import io
+import sys
+import threading
 
 import pytest
 
@@ -241,6 +243,37 @@ class TestReplaySources:
         assert [replay.randbits(bits) for bits in (8, 64, 256, 8)] == drawn
         assert replay.replayed_draws == 4
         assert replay.exhausted
+
+    def test_threaded_draws_journal_in_draw_order(self):
+        """Journal order is draw order with several threads drawing: the
+        journal replays as the serial stream of the widths it records."""
+        buffer = io.BytesIO()
+        journal = EpochJournal(JournalWriter(fileobj=buffer))
+        live = JournalingRandomSource(DeterministicRandomSource(1), journal)
+
+        def draw(widths):
+            for bits in widths * 1000:
+                live.randbits(bits)
+
+        threads = [
+            threading.Thread(target=draw, args=(widths,))
+            for widths in ([8, 256, 64], [100, 7, 256], [33, 512, 1], [64, 64, 200])
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        journal.barrier()
+        draws = read_journal(buffer.getvalue()).draws()
+        assert len(draws) == live.draws_journaled == 12000
+        serial = DeterministicRandomSource(1)
+        assert list(draws) == [(bits, serial.randbits(bits)) for bits, _ in draws]
 
     def test_bit_width_divergence_is_typed(self):
         replay = ReplayRandomSource([(8, 42)])
