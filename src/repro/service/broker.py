@@ -1,20 +1,21 @@
-"""Asyncio request broker for the PISA allocation service.
+"""Request broker for the PISA allocation service.
 
 :class:`SpectrumAccessBroker` turns the synchronous protocol stack into
 a long-running service: PU updates and SU license requests arrive
-concurrently, admission control bounds memory, an
+concurrently, from any thread, admission control bounds memory, an
 :class:`~repro.service.batching.EpochBatcher` coalesces concurrent SU
-requests, and each closed epoch runs as one allocation pass on a worker
-thread (``asyncio.to_thread``) so the event loop keeps accepting traffic
-while big-int arithmetic grinds.
+requests, and one dispatcher thread runs each closed epoch as one
+allocation pass and applies each PU update between passes.
+:meth:`~SpectrumAccessBroker.submit` admits a request in the caller's
+thread and returns a :class:`concurrent.futures.Future` of its decision.
 
 Between epochs the broker runs the allocator's *idle work*
 (:attr:`~repro.service.batching.BatchAllocator.idle_work` — with a
 conversion server in this process, its §VI-A obfuscator fill) on one
-more worker thread: from the moment an epoch's decisions are resolved
-until the next epoch is dispatched.  The thread is told to stop and
-joined before the allocation pass starts, and again in :meth:`stop`, so
-it never runs beside a pass and never outlives the broker.
+idle thread: from the moment an epoch's decisions are resolved until
+the next epoch is dispatched.  The dispatcher tells it to stop and
+waits for it before the allocation pass starts, and again when it
+exits, so it never runs beside a pass and never outlives the broker.
 
 Every request resolves to a :class:`ServiceDecision`:
 
@@ -35,8 +36,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import queue
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.crypto.rand import DeterministicRandomSource
@@ -117,7 +120,7 @@ class _Ticket:
     request: object
     submitted_at: float
     deadline_at: float
-    future: asyncio.Future
+    future: Future
     #: Per-request root span (``None`` when the broker is untraced).
     span: object | None = None
     #: Open ``batch`` child covering queue-to-dispatch residence.
@@ -129,11 +132,9 @@ class _Ticket:
     resolved: bool = False
 
 
+@dataclass(frozen=True)
 class _PuUpdate:
-    __slots__ = ("message",)
-
-    def __init__(self, message) -> None:
-        self.message = message
+    message: object
 
 
 _SHUTDOWN = object()
@@ -198,15 +199,22 @@ class SpectrumAccessBroker:
         self._batcher: EpochBatcher[_Ticket] = EpochBatcher(
             self.config.batch_window_s, self.config.max_batch
         )
-        self._queue: asyncio.Queue = asyncio.Queue()
+        self._queue: queue.Queue = queue.Queue()
+        #: Guards what submitting threads share with each other and with
+        #: the dispatcher: whether the broker accepts work, ``_pending``,
+        #: the submitted / resolved counters, ``queue_depth`` and the tier
+        #: ledger.  A ticket is queued under it, so none can follow the
+        #: shutdown marker.
+        self._lock = threading.Lock()
+        self._accepting = False
         self._pending = 0
-        self._running = False
-        self._shutting_down = False
-        self._loop_task: asyncio.Task | None = None
-        #: Serializes start/stop: without it, two concurrent stop()
-        #: calls both pass the running check, and the second trips the
-        #: loop-task assert after the first's await window (ASY004).
-        self._lifecycle_lock = asyncio.Lock()
+        #: Serializes open/close: a second concurrent close() returns only
+        #: once the first has drained the broker.
+        self._lifecycle_lock = threading.Lock()
+        #: The dispatcher, then the idle thread if there is idle work.
+        self._threads: list[threading.Thread] = []
+        #: What ended the dispatcher, re-raised by close().
+        self._failure: BaseException | None = None
         self._request_ids = itertools.count()
         # Epoch retries run through the unified policy engine: at most
         # one retry after a ClusterError (the router has already promoted
@@ -220,44 +228,64 @@ class SpectrumAccessBroker:
         )
         self._retry_rng = DeterministicRandomSource(0)
         #: What the allocator's deployment can do while no epoch runs
-        #: (``None``: nothing), the event that tells it to stop, and the
-        #: thread it is running on right now.
+        #: (``None``: nothing).  The idle thread runs it under
+        #: ``_idle_lock`` once per ``True`` on ``_idle_wake`` (``False``
+        #: ends it); ``_idle_stop`` tells the work to return.
         self._idle_work = getattr(allocator, "idle_work", None)
+        self._idle_wake: queue.SimpleQueue = queue.SimpleQueue()
         self._idle_stop = threading.Event()
-        self._idle: asyncio.Future | None = None
+        self._idle_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------------
 
-    async def start(self) -> None:
-        async with self._lifecycle_lock:
-            if self._running:
+    def open(self) -> None:
+        """Start the dispatcher; requests are admitted until :meth:`close`."""
+        with self._lifecycle_lock:
+            if self._threads:
                 raise ProtocolError("broker already started")
-            self._running = True
-            self._shutting_down = False
-            self._loop_task = asyncio.ensure_future(self._run())
+            with self._lock:
+                self._accepting = True
+            self._threads = [
+                threading.Thread(target=self._run, name="broker-dispatch", daemon=True)
+            ]
+            if self._idle_work is not None:
+                self._threads.append(threading.Thread(
+                    target=self._fill_when_idle, name="broker-idle", daemon=True
+                ))
+            for thread in self._threads:
+                thread.start()
 
-    async def stop(self) -> None:
-        """Graceful shutdown: drain the open epoch, reject the rest."""
-        async with self._lifecycle_lock:
-            if not self._running:
+    def close(self) -> None:
+        """Graceful shutdown: stop admitting, run what is queued, join.
+
+        Returns once the dispatcher and the idle thread have exited, in
+        every thread that calls it; raises what ended the dispatcher if
+        something other than the shutdown did.
+        """
+        with self._lifecycle_lock:
+            if not self._threads:
                 return
-            self._shutting_down = True
-            self._queue.put_nowait(_SHUTDOWN)
-            assert self._loop_task is not None
-            try:
-                await self._loop_task
-            finally:
-                # After the loop: its last flush starts the idle work again.
-                await self._stop_idle_work()
-            self._loop_task = None
-            self._running = False
+            with self._lock:
+                self._accepting = False
+                self._queue.put(_SHUTDOWN)
+            dispatcher, *idle = self._threads
+            dispatcher.join()
+            if idle:
+                # After the dispatcher: its last flush starts the idle work again.
+                self._stop_idle_work()
+                self._idle_wake.put(False)
+                idle[0].join()
+            self._threads = []
+            failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
 
-    async def __aenter__(self) -> "SpectrumAccessBroker":
-        await self.start()
+    def __enter__(self) -> "SpectrumAccessBroker":
+        self.open()
         return self
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- ingress -----------------------------------------------------------------
 
@@ -265,62 +293,66 @@ class SpectrumAccessBroker:
         """Enqueue a PU channel update (never rejected; tiny and urgent)."""
         if self._pu_update_handler is None:
             raise ProtocolError("broker has no PU update handler")
-        self.metrics.counter("pu_updates_submitted").inc()
-        if self.admission is not None:
-            self.admission.on_pu_update()
-        self._queue.put_nowait(_PuUpdate(message))
+        with self._lock:
+            self.metrics.counter("pu_updates_submitted").inc()
+            if self.admission is not None:
+                self.admission.on_pu_update()
+        self._queue.put(_PuUpdate(message))
 
-    async def submit_request(
-        self, su_id: str, request, deadline_s: float | None = None
-    ) -> ServiceDecision:
-        """Submit one SU request and await its decision.
+    def submit(self, su_id: str, request, deadline_s: float | None = None) -> Future:
+        """Submit one SU request; the future resolves to its decision.
 
-        Applies admission control synchronously: a full queue or a
-        shutting-down broker rejects immediately without queueing.
+        Admission runs here, in the caller's thread: a closed broker, a
+        full queue, a refusing tier ledger or a spent deadline resolves
+        the future to a rejection before this returns.
         """
-        now = self._clock()
-        self.metrics.counter("requests_submitted").inc()
-        span = (
-            self.tracer.start_span("request", su=su_id)
-            if self.tracer is not None
-            else None
-        )
-        admission = child(span, "admission")
-        if self._shutting_down or not self._running:
-            return self._reject(su_id, REASON_SHUTTING_DOWN, now, span, admission)
-        if self._pending >= self.config.max_pending:
-            return self._reject(su_id, REASON_QUEUE_FULL, now, span, admission)
-        if self.admission is not None and not self.admission.on_submit(su_id):
-            # Tier policy (e.g. GAA under an exhausted CBRS budget).
-            # Synchronous and order-dependent only, never timing-dependent.
-            return self._reject(su_id, REASON_TIER_BUDGET, now, span, admission)
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        if deadline_s <= 0:
-            # Admission-control boundary: a budget that is already spent
-            # can never be met, so reject before queueing — the protocol
-            # must not run for it even if the epoch would drain instantly.
-            return self._reject(
-                su_id, REASON_DEADLINE_EXPIRED, now, span, admission
+        with self._lock:
+            now = self._clock()
+            self.metrics.counter("requests_submitted").inc()
+            span = (
+                self.tracer.start_span("request", su=su_id)
+                if self.tracer is not None
+                else None
             )
-        ticket = _Ticket(
-            request_id=f"req-{next(self._request_ids)}",
-            su_id=su_id,
-            request=request,
-            submitted_at=now,
-            deadline_at=now + deadline_s,
-            future=asyncio.get_running_loop().create_future(),
-            span=span,
-        )
-        if span is not None:
-            span.set_attribute("request_id", ticket.request_id)
-        if admission is not None:
-            admission.end()
-        ticket.batch_span = child(span, "batch")
-        self._pending += 1
-        self.metrics.gauge("queue_depth").set(self._pending)
-        self._queue.put_nowait(ticket)
-        return await ticket.future
+            admission = child(span, "admission")
+            if not self._accepting:
+                return self._reject(su_id, REASON_SHUTTING_DOWN, now, span, admission)
+            if self._pending >= self.config.max_pending:
+                return self._reject(su_id, REASON_QUEUE_FULL, now, span, admission)
+            if self.admission is not None and not self.admission.on_submit(su_id):
+                # Tier policy (e.g. GAA under an exhausted CBRS budget).
+                # Synchronous and order-dependent only, never timing-dependent.
+                return self._reject(su_id, REASON_TIER_BUDGET, now, span, admission)
+            if deadline_s is None:
+                deadline_s = self.config.default_deadline_s
+            if deadline_s <= 0:
+                # Admission-control boundary: a budget that is already spent
+                # can never be met, so reject before queueing — the protocol
+                # must not run for it even if the epoch would drain instantly.
+                return self._reject(
+                    su_id, REASON_DEADLINE_EXPIRED, now, span, admission
+                )
+            ticket = _Ticket(
+                request_id=f"req-{next(self._request_ids)}",
+                su_id=su_id,
+                request=request,
+                submitted_at=now,
+                deadline_at=now + deadline_s,
+                future=Future(),
+                span=span,
+            )
+            # Running from the start: a waiter that gives up cannot cancel
+            # a decision the dispatcher will still set.
+            ticket.future.set_running_or_notify_cancel()
+            if span is not None:
+                span.set_attribute("request_id", ticket.request_id)
+            if admission is not None:
+                admission.end()
+            ticket.batch_span = child(span, "batch")
+            self._pending += 1
+            self.metrics.gauge("queue_depth").set(self._pending)
+            self._queue.put(ticket)
+        return ticket.future
 
     def _reject(
         self,
@@ -329,7 +361,8 @@ class SpectrumAccessBroker:
         submitted_at: float,
         span=None,
         admission=None,
-    ) -> ServiceDecision:
+    ) -> Future:
+        """An admission-time rejection, decided; the caller holds ``_lock``."""
         self.metrics.counter("requests_rejected", reason=reason).inc()
         if admission is not None:
             admission.end()
@@ -337,80 +370,93 @@ class SpectrumAccessBroker:
             span.set_attribute("status", "rejected")
             span.set_attribute("reason", reason)
             span.end()
-        return ServiceDecision(
-            su_id=su_id,
-            status="rejected",
-            reason=reason,
-            latency_s=self._clock() - submitted_at,
-            batch_size=0,
+        decided: Future = Future()
+        decided.set_result(
+            ServiceDecision(
+                su_id=su_id,
+                status="rejected",
+                reason=reason,
+                latency_s=self._clock() - submitted_at,
+                batch_size=0,
+            )
         )
+        return decided
 
-    # -- the service loop --------------------------------------------------------
+    # -- the awaitable surface -------------------------------------------------
+    # The benchmark spine's driver (benchmarks/spine) awaits these three.
 
-    async def _run(self) -> None:
-        while True:
-            due_at = self._batcher.next_due_at()
-            try:
-                if due_at is None:
-                    item = await self._queue.get()
-                else:
-                    timeout = max(0.0, due_at - self._clock())
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-            except asyncio.TimeoutError:
-                epoch = self._batcher.pop_ready(self._clock())
-                if epoch is not None:
-                    await self._dispatch(epoch)
-                continue
+    async def start(self) -> None:
+        """Awaitable :meth:`open`; goes with re-base strand (ix) (ROADMAP.md)."""
+        self.open()
 
-            if item is _SHUTDOWN:
-                epoch = self._batcher.flush()
-                if epoch is not None:
-                    await self._dispatch(epoch)
-                self._drain_rejecting()
-                return
-            if isinstance(item, _PuUpdate):
-                await asyncio.to_thread(self._pu_update_handler, item.message)
-                self.metrics.counter("pu_updates_applied").inc()
-                continue
-            now = self._clock()
-            if now >= item.deadline_at:
-                # The deadline expired while the ticket sat in the queue;
-                # it must not be dispatched into an epoch.
-                self._resolve_rejection(item, REASON_DEADLINE_EXPIRED)
-                continue
-            epoch = self._batcher.add(item, now)
-            if epoch is not None:
-                await self._dispatch(epoch)
+    async def stop(self) -> None:
+        """Awaitable :meth:`close`; goes with re-base strand (ix) (ROADMAP.md)."""
+        await asyncio.to_thread(self.close)
 
-    def _drain_rejecting(self) -> None:
-        now = self._clock()
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if isinstance(item, _Ticket):
-                # An already-expired ticket reports its own failure mode,
-                # not the shutdown that happened to reveal it.
+    async def submit_request(
+        self, su_id: str, request, deadline_s: float | None = None
+    ) -> ServiceDecision:
+        """Awaitable :meth:`submit`; goes with re-base strand (ix) (ROADMAP.md)."""
+        return await asyncio.wrap_future(self.submit(su_id, request, deadline_s))
+
+    # -- the dispatcher ----------------------------------------------------------
+
+    def _run(self) -> None:
+        """The dispatcher thread, until the shutdown marker; what else
+        ends it is kept for :meth:`close` to raise."""
+        try:
+            while True:
+                due_at = self._batcher.next_due_at()
+                timeout = None if due_at is None else max(0.0, due_at - self._clock())
+                try:
+                    item = self._queue.get(timeout=timeout)
+                except queue.Empty:
+                    epoch = self._batcher.pop_ready(self._clock())
+                    if epoch is not None:
+                        self._dispatch(epoch)
+                    continue
+
+                if item is _SHUTDOWN:
+                    epoch = self._batcher.flush()
+                    if epoch is not None:
+                        self._dispatch(epoch)
+                    return
+                if isinstance(item, _PuUpdate):
+                    self._pu_update_handler(item.message)
+                    self.metrics.counter("pu_updates_applied").inc()
+                    continue
+                now = self._clock()
                 if now >= item.deadline_at:
-                    self._resolve_rejection(item, REASON_DEADLINE_EXPIRED)
-                else:
-                    self._resolve_rejection(item, REASON_SHUTTING_DOWN)
+                    # The deadline expired while the ticket sat in the queue;
+                    # it must not be dispatched into an epoch.
+                    self._resolve(item, "rejected", now, REASON_DEADLINE_EXPIRED)
+                    continue
+                epoch = self._batcher.add(item, now)
+                if epoch is not None:
+                    self._dispatch(epoch)
+        except BaseException as exc:
+            self._failure = exc
 
-    def _mark_resolved(self, ticket: _Ticket) -> bool:
-        """First resolution of this ticket?  Dedupe on its flag.
+    def _resolve(
+        self, ticket: _Ticket, status: str, now: float, reason=None, result=None
+    ) -> None:
+        """Decide ``ticket`` (``result``: its allocation, when it ran) once.
 
-        Before this guard, a ticket could be rejected twice — once by a
-        deadline check and again when a failed (retried) epoch pass
-        rejected everything it carried — decrementing ``_pending`` and
-        bumping ``requests_rejected`` both times.
+        A ticket that an expired deadline and a failed (retried) epoch
+        pass both reject is decided and counted by the first; the second
+        only bumps ``requests_deduped``.
         """
-        if ticket.resolved:
-            self.metrics.counter("requests_deduped").inc()
-            return False
-        ticket.resolved = True
-        self._pending -= 1
-        self.metrics.gauge("queue_depth").set(self._pending)
-        return True
-
-    def _close_ticket_span(self, ticket: _Ticket, status: str, reason=None) -> None:
+        with self._lock:
+            if ticket.resolved:
+                self.metrics.counter("requests_deduped").inc()
+                return
+            ticket.resolved = True
+            self._pending -= 1
+            self.metrics.gauge("queue_depth").set(self._pending)
+            labels = {} if reason is None else {"reason": reason}
+            self.metrics.counter(f"requests_{status}", **labels).inc()
+            if status == "granted" and self.admission is not None:
+                self.admission.on_granted(ticket.su_id)
         if ticket.batch_span is not None:
             ticket.batch_span.end()
             ticket.batch_span = None
@@ -419,50 +465,54 @@ class SpectrumAccessBroker:
             if reason is not None:
                 ticket.span.set_attribute("reason", reason)
             ticket.span.end()
-
-    def _resolve_rejection(self, ticket: _Ticket, reason: str) -> None:
-        if not self._mark_resolved(ticket):
-            return
-        self.metrics.counter("requests_rejected", reason=reason).inc()
-        self._close_ticket_span(ticket, "rejected", reason)
-        if not ticket.future.done():
-            ticket.future.set_result(
-                ServiceDecision(
-                    su_id=ticket.su_id,
-                    status="rejected",
-                    reason=reason,
-                    latency_s=self._clock() - ticket.submitted_at,
-                    batch_size=0,
-                )
+        latency = now - ticket.submitted_at
+        if result is not None:
+            self.metrics.histogram("request_latency_s").observe(latency)
+        ticket.future.set_result(
+            ServiceDecision(
+                su_id=ticket.su_id,
+                status=status,
+                reason=reason,
+                latency_s=latency,
+                batch_size=0 if result is None else result.batch_size,
+                outcome=None if result is None else result.outcome,
             )
+        )
+
+    def _fill_when_idle(self) -> None:
+        """The idle thread: one run of the idle work per wake-up."""
+        while self._idle_wake.get():
+            with self._idle_lock:
+                # Stopped before this wake-up was read: a pass may be
+                # running, so the work must not start.
+                if self._idle_stop.is_set():
+                    continue
+                try:
+                    self._idle_work(self._idle_stop.is_set)
+                except Exception:
+                    # Idle work is optional; requests go on without what
+                    # it prepares.
+                    self.metrics.counter("idle_work_failures").inc()
 
     def _start_idle_work(self) -> None:
         if self._idle_work is None:
             return
         self._idle_stop.clear()
-        self._idle = asyncio.ensure_future(
-            asyncio.to_thread(self._idle_work, self._idle_stop.is_set)
-        )
+        self._idle_wake.put(True)
 
-    async def _stop_idle_work(self) -> None:
-        """Returns once the idle thread has: one unit of its work at most."""
-        if self._idle is None:
-            return
+    def _stop_idle_work(self) -> None:
+        """Returns once the idle work has: one unit of it at most."""
         self._idle_stop.set()
-        idle, self._idle = self._idle, None
-        try:
-            await idle
-        except Exception:
-            # Idle work is optional; requests go on without what it prepares.
-            self.metrics.counter("idle_work_failures").inc()
+        with self._idle_lock:
+            pass
 
-    async def _dispatch(self, epoch: Epoch) -> None:
+    def _dispatch(self, epoch: Epoch) -> None:
         """Run one closed epoch: expire stale tickets, allocate the rest."""
         now = self._clock()
         live: list[_Ticket] = []
         for ticket in epoch.items:
             if now > ticket.deadline_at:
-                self._resolve_rejection(ticket, REASON_DEADLINE_EXPIRED)
+                self._resolve(ticket, "rejected", now, REASON_DEADLINE_EXPIRED)
             else:
                 live.append(ticket)
         if not live:
@@ -495,11 +545,10 @@ class SpectrumAccessBroker:
             # against the recovered plane is cheap and usually succeeds.
             self.metrics.counter("epoch_cluster_retries").inc()
 
-        await self._stop_idle_work()
+        self._stop_idle_work()
         try:
             with self.metrics.timer("epoch_allocation_s"):
-                results = await asyncio.to_thread(
-                    run_with_policy,
+                results = run_with_policy(
                     lambda: self._allocator.allocate(work, spans=spans),
                     self._epoch_policy,
                     rng=self._retry_rng,
@@ -511,29 +560,10 @@ class SpectrumAccessBroker:
             # A failed pass must not strand its callers or kill the loop.
             self.metrics.counter("epoch_failures").inc()
             for ticket in live:
-                self._resolve_rejection(ticket, REASON_INTERNAL_ERROR)
+                self._resolve(ticket, "rejected", self._clock(), REASON_INTERNAL_ERROR)
             return
         done_at = self._clock()
         for ticket, result in zip(live, results):
-            if not self._mark_resolved(ticket):
-                continue
             status = "granted" if result.granted else "denied"
-            self.metrics.counter(f"requests_{status}").inc()
-            if self.admission is not None and result.granted:
-                self.admission.on_granted(ticket.su_id)
-            self._close_ticket_span(ticket, status)
-            latency = done_at - ticket.submitted_at
-            self.metrics.histogram("request_latency_s").observe(latency)
-            if not ticket.future.done():
-                ticket.future.set_result(
-                    ServiceDecision(
-                        su_id=ticket.su_id,
-                        status=status,
-                        reason=None,
-                        latency_s=latency,
-                        batch_size=result.batch_size,
-                        outcome=result.outcome,
-                    )
-                )
-        self.metrics.gauge("queue_depth").set(self._pending)
+            self._resolve(ticket, status, done_at, result=result)
         self._start_idle_work()

@@ -28,8 +28,9 @@ client-side encryption.
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.crypto.parallel import Executor
@@ -293,15 +294,11 @@ class ServiceFixture:
 
     def run(self) -> LoadtestReport:
         """Drive ``config``'s schedule through the broker to a report."""
-        return asyncio.run(self._run())
-
-    async def _run(self) -> LoadtestReport:
         start = time.perf_counter()
-        async with self.broker:
-            decisions = await _drive(self)
+        with self.broker:
+            decisions = _drive(self)
         wall = time.perf_counter() - start
-        # Off-loop: on the socket plane reading the counts is a round trip.
-        await asyncio.to_thread(_publish_stp_counts, self)
+        _publish_stp_counts(self)
         return LoadtestReport(
             decisions=tuple(decisions),
             wall_seconds=wall,
@@ -416,25 +413,28 @@ def build_cluster_service(
     )
 
 
-async def _drive(fixture: ServiceFixture):
+def _drive(fixture: ServiceFixture) -> list[ServiceDecision]:
     """Drive the pre-materialised schedule of the fixture's workload.
 
     The whole schedule — arrival instants, SU subjects, PU switch slots
     — is built up front from a forked deterministic source, so the same
     seed replays byte-identically on the in-memory and socket planes:
     submission *order* is the schedule's order no matter how wall time
-    stretches under load.  Each event is paced against its absolute due
-    time, and every request records how far past it the submission ran
-    (``arrival_lag_s``).
+    stretches under load.  Each event is paced with a timed wait against
+    its absolute due time, and every request records how far past it
+    the submission ran (``arrival_lag_s``).  Decisions come back in
+    schedule order.
 
     In the byte-identity configuration (``max_batch=1`` with a zero
     batching window — the equivalence-test shape) the driver runs the
-    schedule *closed-loop*: each round is awaited before the next event
-    fires.  Concurrent rounds draw from the one broker-side RNG stream,
-    so letting them overlap would let wall-clock crypto timing reorder
-    the draws and change ciphertext bytes between otherwise identical
-    runs.  Open-loop pacing is preserved for every throughput-shaped
-    configuration.
+    schedule *closed-loop*: each request runs inline, and its decision
+    is in before the next event fires.  Concurrent rounds draw from the
+    one broker-side RNG stream, so letting them overlap would let
+    wall-clock crypto timing reorder the draws and change ciphertext
+    bytes between otherwise identical runs.  Every throughput-shaped
+    configuration is paced open-loop: each SU is a thread of its own
+    that takes its arrivals in order, so it refreshes its request only
+    once the previous decision is in.
     """
     broker, config = fixture.broker, fixture.config
     clients = {
@@ -442,7 +442,6 @@ async def _drive(fixture: ServiceFixture):
     }
     for client in clients.values():
         client.prepare_request()
-    su_locks = {su_id: asyncio.Lock() for su_id in fixture.su_ids}
     num_channels = fixture.scenario.environment.num_channels
     horizon_hours = config.num_requests / config.arrivals_per_second / 3600.0
     num_pus = len(fixture.pu_clients)
@@ -466,39 +465,45 @@ async def _drive(fixture: ServiceFixture):
         pu_churn_per_hour=churn_per_hour,
     )
     lag = broker.metrics.histogram("arrival_lag_s")
+    lag_lock = threading.Lock()
 
-    async def one_request(su_id: str, due: float) -> ServiceDecision:
-        # Closed loop per SU: refresh only once the previous round is done.
-        async with su_locks[su_id]:
-            request = clients[su_id].refresh_request()
+    def one_request(su_id: str, due: float) -> ServiceDecision:
+        request = clients[su_id].refresh_request()
+        with lag_lock:
             lag.observe(time.perf_counter() - due)
-            return await broker.submit_request(su_id, request)
+        return broker.submit(su_id, request).result()
 
     closed_loop = (
         config.service.max_batch == 1 and config.service.batch_window_s == 0.0
     )
-    tasks = []
+    # Open loop: each SU is a thread of its own, taking its arrivals in order.
+    devices = {} if closed_loop else {
+        su_id: ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"su-{su_id}")
+        for su_id in fixture.su_ids
+    }
+    decisions = []
     start = time.perf_counter()
-    for event in schedule.events:
-        due = start + event.time_s
-        # Always yields, even when late, so tasks created for earlier
-        # events reach the broker before this one does.
-        await asyncio.sleep(max(0.0, due - time.perf_counter()))  # audit-ok: RES001 — open-loop arrival pacing, not a retry
-        if event.kind == KIND_SU_REQUEST:
-            task = asyncio.ensure_future(
-                one_request(fixture.su_ids[event.index], due)
-            )
-            tasks.append(task)
-            if closed_loop:
-                await task
-        elif event.kind == KIND_PU_SWITCH and event.physical and num_pus:
-            pu = fixture.pu_clients[event.index]
-            update = pu.switch_channel(event.slot, signal_strength_mw=1.0)
-            if update is not None:
-                broker.submit_pu_update(update)
-        # su-move events shape only the simulator; live SUs are enrolled
-        # at fixed blocks, so the driver skips them.
-    return await asyncio.gather(*tasks)
+    try:
+        for event in schedule.events:
+            due = start + event.time_s
+            time.sleep(max(0.0, due - time.perf_counter()))  # audit-ok: RES001 — open-loop arrival pacing, not a retry
+            if event.kind == KIND_SU_REQUEST:
+                su_id = fixture.su_ids[event.index]
+                if closed_loop:
+                    decisions.append(one_request(su_id, due))
+                else:
+                    decisions.append(devices[su_id].submit(one_request, su_id, due))
+            elif event.kind == KIND_PU_SWITCH and event.physical and num_pus:
+                pu = fixture.pu_clients[event.index]
+                update = pu.switch_channel(event.slot, signal_strength_mw=1.0)
+                if update is not None:
+                    broker.submit_pu_update(update)
+            # su-move events shape only the simulator; live SUs are enrolled
+            # at fixed blocks, so the driver skips them.
+    finally:
+        for device in devices.values():
+            device.shutdown()
+    return decisions if closed_loop else [future.result() for future in decisions]
 
 
 def _publish_stp_counts(fixture: ServiceFixture) -> None:

@@ -1,15 +1,16 @@
 """The broker's idle work: the converter's obfuscator fill between epochs.
 
 ``BatchAllocator.for_coordinator`` hands the broker the local conversion
-server's ``fill_stock``; the broker runs it off-loop from the moment an
-epoch's decisions are resolved until the next epoch is dispatched.  The
+server's ``fill_stock``; the broker runs it on its idle thread from the
+moment an epoch's decisions are resolved until the next epoch is
+dispatched.  The
 fill draws nothing, so the only things allowed to differ from a run
 without it are ``StpStats.obfuscators_stocked`` / ``obfuscators_inline``.
 """
 
-import asyncio
 import io
 import threading
+import time
 
 import pytest
 
@@ -97,11 +98,11 @@ def _broker(coordinator, idle: bool = True, journal=None, **config) -> SpectrumA
     )
 
 
-async def _until(condition) -> None:
-    deadline = asyncio.get_running_loop().time() + WAIT_S
+def _until(condition) -> None:
+    deadline = time.monotonic() + WAIT_S
     while not condition():
-        assert asyncio.get_running_loop().time() < deadline, "timed out"
-        await asyncio.sleep(0.002)
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.002)
 
 
 def _filled(stp) -> bool:
@@ -109,7 +110,7 @@ def _filled(stp) -> bool:
     return counts["stocked_obfuscators"] == counts["stocked_nonces"]
 
 
-async def _closed_loop(coordinator, scenario, idle: bool, journal=None):
+def _closed_loop(coordinator, scenario, idle: bool, journal=None):
     """ROUNDS rounds of every SU at once — one full epoch per round.
 
     The window never elapses, so an epoch is its four members in
@@ -125,14 +126,13 @@ async def _closed_loop(coordinator, scenario, idle: bool, journal=None):
         coordinator, idle, journal, batch_window_s=WAIT_S, max_batch=len(su_ids)
     )
     decisions, inline_after_first = [], None
-    async with broker:
+    with broker:
         for _ in range(ROUNDS):
             requests = [clients[su_id].refresh_request() for su_id in su_ids]
-            decisions += await asyncio.gather(
-                *(broker.submit_request(s, r) for s, r in zip(su_ids, requests))
-            )
+            futures = [broker.submit(s, r) for s, r in zip(su_ids, requests)]
+            decisions += [future.result(timeout=WAIT_S) for future in futures]
             if idle:
-                await _until(lambda: _filled(coordinator.stp))
+                _until(lambda: _filled(coordinator.stp))
             if inline_after_first is None:
                 inline_after_first = coordinator.stp.stats.obfuscators_inline
     return [d.status for d in decisions], inline_after_first
@@ -146,8 +146,8 @@ class TestFillBetweenEpochs:
         coordinator, _ = _deploy(kind, scenario, journal=journal)
         threads_before = set(threading.enumerate())
         try:
-            statuses, inline_after_first = asyncio.run(
-                _closed_loop(coordinator, scenario, idle, journal)
+            statuses, inline_after_first = _closed_loop(
+                coordinator, scenario, idle, journal
             )
             if journal is not None:
                 journal.barrier()
@@ -202,9 +202,9 @@ class GatedExecutor(SerialExecutor):
             assert self._gate.acquire(timeout=WAIT_S)
         return super().pow_many(jobs)
 
-    async def held_chunk(self) -> None:
+    def held_chunk(self) -> None:
         """Wait until a fill chunk stands at the gate."""
-        assert await asyncio.to_thread(self.entered.wait, WAIT_S)
+        assert self.entered.wait(WAIT_S)
 
     def pass_one(self) -> None:
         """Let the chunk at the gate through; the next one waits again."""
@@ -234,42 +234,39 @@ class TestStoppingTheFill:
         # Phase 1 batches one job per cell plus one per PU-occupied cell.
         occupied = env.num_channels * len({pu.block_index for pu in idle_scenario.pus})
 
-        async def scenario():
-            executor.hold.set()
-            await broker.start()
-            await broker.submit_request(su_id, client.refresh_request())
-            await executor.held_chunk()
-            # A second request arrives while a chunk is being computed:
-            # its pass does not start beside the fill.
-            logged = len(executor.log)
-            second = asyncio.ensure_future(
-                broker.submit_request(su_id, client.refresh_request())
-            )
-            await asyncio.sleep(0.05)
-            assert not second.done()
-            assert len(executor.log) == logged
-            executor.pass_one()
-            await second
-            # It waited for that one chunk: phase 1's batch is the very
-            # next thing the executor saw.
-            assert executor.log[logged - 1] <= _FILL_CHUNK
-            assert executor.log[logged] == cells + occupied
-            assert coordinator.stp.stats.obfuscators_stocked == _FILL_CHUNK
-            # stop() with a chunk at the gate: waits for it, then the
-            # fill goes no further.
-            await executor.held_chunk()
-            logged = len(executor.log)
-            stopping = asyncio.ensure_future(broker.stop())
-            await asyncio.sleep(0.05)
-            assert not stopping.done()
-            executor.pass_one()
-            await stopping
-            assert len(executor.log) == logged
-            counts = coordinator.stp.stock_counts()
-            assert counts["stocked_obfuscators"] == _FILL_CHUNK < counts["stocked_nonces"]
-
         threads_before = set(threading.enumerate())
-        asyncio.run(scenario())
+        executor.hold.set()
+        broker.open()
+        broker.submit(su_id, client.refresh_request()).result(timeout=WAIT_S)
+        executor.held_chunk()
+        # A second request arrives while a chunk is being computed:
+        # its pass does not start beside the fill.
+        logged = len(executor.log)
+        second = broker.submit(su_id, client.refresh_request())
+        time.sleep(0.05)
+        assert not second.done()
+        assert len(executor.log) == logged
+        executor.pass_one()
+        second.result(timeout=WAIT_S)
+        # It waited for that one chunk: phase 1's batch is the very
+        # next thing the executor saw.
+        assert executor.log[logged - 1] <= _FILL_CHUNK
+        assert executor.log[logged] == cells + occupied
+        assert coordinator.stp.stats.obfuscators_stocked == _FILL_CHUNK
+        # close() with a chunk at the gate: waits for it, then the
+        # fill goes no further.
+        executor.held_chunk()
+        logged = len(executor.log)
+        stopping = threading.Thread(target=broker.close)
+        stopping.start()
+        stopping.join(timeout=0.05)
+        assert stopping.is_alive()
+        executor.pass_one()
+        stopping.join(timeout=WAIT_S)
+        assert not stopping.is_alive()
+        assert len(executor.log) == logged
+        counts = coordinator.stp.stock_counts()
+        assert counts["stocked_obfuscators"] == _FILL_CHUNK < counts["stocked_nonces"]
         assert set(threading.enumerate()) <= threads_before
 
     def test_pu_update_during_a_fill_is_applied(self, idle_scenario):
@@ -280,20 +277,16 @@ class TestStoppingTheFill:
         pus[1] = pus[1].switched_to(None, 0.0)
         expected = _oracle_grants(idle_scenario, pus)[0]
 
-        async def scenario():
-            executor.hold.set()
-            async with broker:
-                first = await broker.submit_request(su_id, client.refresh_request())
-                await executor.held_chunk()
-                broker.submit_pu_update(pu_clients[1].switch_channel(None))
-                applied = broker.metrics.counter("pu_updates_applied")
-                await _until(lambda: applied.snapshot() == 1)
-                assert executor.entered.is_set()  # the fill is still at the gate
-                executor.open()
-                second = await broker.submit_request(su_id, client.refresh_request())
-            return first, second
-
-        first, second = asyncio.run(scenario())
+        executor.hold.set()
+        with broker:
+            first = broker.submit(su_id, client.refresh_request()).result(timeout=WAIT_S)
+            executor.held_chunk()
+            broker.submit_pu_update(pu_clients[1].switch_channel(None))
+            applied = broker.metrics.counter("pu_updates_applied")
+            _until(lambda: applied.snapshot() == 1)
+            assert executor.entered.is_set()  # the fill is still at the gate
+            executor.open()
+            second = broker.submit(su_id, client.refresh_request()).result(timeout=WAIT_S)
         assert first.status == "denied"
         assert expected is True
         assert second.status == "granted"
