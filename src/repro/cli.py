@@ -154,6 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run seeded fault plans and check transcript/license survival "
              "and that every plan fired",
+        description="Run seeded fault plans against a control deployment. "
+                    "Exit status: 0 when every schedule is OK, 1 when one "
+                    "FAILs, 2 when a schedule is refused before anything "
+                    "is built.",
     )
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--plan", type=str, default="kill-shard",
@@ -162,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a schedule whose plans' declared strike points "
                             "clash (a crash before another plan strikes, a "
                             "kill on a zombie, ...) is refused before "
-                            "anything is built")
+                            "anything is built (exit 2)")
     chaos.add_argument("--plane", choices=("memory", "socket"), default="memory",
                        help="where the faulted run stands: in-process, or "
                             "SDC shards + STP as subprocesses over TCP, "
@@ -499,26 +503,34 @@ def _write_prometheus(path: str, metrics) -> None:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.resilience.chaos import PLAN_NAMES, ChaosHarness
+    from repro.errors import ChaosPlanError
+    from repro.resilience.chaos import PLAN_NAMES, ChaosHarness, resolve_plans
 
     metrics = None
     if args.metrics_dump is not None:
         from repro.telemetry.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
-    harness = ChaosHarness(
-        seed=args.seed,
-        shards=args.shards,
-        rounds=args.rounds,
-        key_bits=args.key_bits,
-        metrics=metrics,
-        workload=args.workload,
-        plane=args.plane,
-    )
     if args.plan == "all":
         schedules = [[name] for name in PLAN_NAMES]
     else:
         schedules = [[p.strip() for p in args.plan.split(",") if p.strip()]]
+    try:
+        harness = ChaosHarness(
+            seed=args.seed,
+            shards=args.shards,
+            rounds=args.rounds,
+            key_bits=args.key_bits,
+            metrics=metrics,
+            workload=args.workload,
+            plane=args.plane,
+        )
+        for schedule in schedules:
+            resolve_plans(schedule, args.rounds)
+    except ChaosPlanError as exc:
+        # A refused schedule is a usage error (exit 2), not a FAIL (exit 1).
+        print(f"pisa-repro chaos: error: {exc}", file=sys.stderr)
+        return 2
     results = []
     failed = 0
     for schedule in schedules:

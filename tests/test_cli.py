@@ -291,9 +291,31 @@ class TestChaos:
         assert verdict["transcript_equal"] is True
 
     def test_unknown_plan_is_a_typed_one_liner(self, capsys):
-        assert main(["chaos", "--plan", "meteor-strike"]) == 1
+        assert main(["chaos", "--plan", "meteor-strike"]) == 2
         err = capsys.readouterr().err
         assert "pisa-repro chaos: error: unknown fault plan 'meteor-strike'" in err
+
+    def test_refused_schedule_exits_2_before_any_run(self, capsys):
+        # kill9 compacts the journal the crash's replay reads: the rows
+        # refuse the pair before a build.
+        argv = ["chaos", "--plan", "coordinator-crash,kill9-then-coldstart"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "pisa-repro chaos: error: kill9-then-coldstart compacts" in captured.err
+        assert "chaos [" not in captured.out
+
+    def test_a_failing_schedule_exits_1(self, capsys, monkeypatch):
+        from repro.resilience.chaos import ChaosHarness, ChaosResult
+
+        failed = ChaosResult(
+            plans=("drop-links",), seed=7, shards=2, rounds=2,
+            transcript_equal=False, exact_segments=3, licenses_valid=True,
+            replayed_draws=-1, fallback_draws=0, failovers=0,
+            drops_retried=2, notes=(), fault_stats={"dropped": 2},
+        )
+        monkeypatch.setattr(ChaosHarness, "run", lambda self, names: failed)
+        assert main(["chaos", "--plan", "drop-links"]) == 1
+        assert "chaos [drop-links] seed=7 shards=2: FAIL" in capsys.readouterr().out
 
     def test_socket_plane_composes_and_runs_journal_plans(self, capsys):
         assert main(
