@@ -228,11 +228,11 @@ class SpectrumAccessBroker:
         )
         self._retry_rng = DeterministicRandomSource(0)
         #: What the allocator's deployment can do while no epoch runs
-        #: (``None``: nothing).  The idle thread runs it under
-        #: ``_idle_lock`` once per ``True`` on ``_idle_wake`` (``False``
-        #: ends it); ``_idle_stop`` tells the work to return.
+        #: (``None``: nothing).  The idle thread waits for ``_idle_go``
+        #: and runs it under ``_idle_lock``; ``_idle_stop`` tells the
+        #: work to return.
         self._idle_work = getattr(allocator, "idle_work", None)
-        self._idle_wake: queue.SimpleQueue = queue.SimpleQueue()
+        self._idle_go = threading.Event()
         self._idle_stop = threading.Event()
         self._idle_lock = threading.Lock()
 
@@ -245,6 +245,7 @@ class SpectrumAccessBroker:
                 raise ProtocolError("broker already started")
             with self._lock:
                 self._accepting = True
+            self._idle_go.clear()
             self._threads = [
                 threading.Thread(target=self._run, name="broker-dispatch", daemon=True)
             ]
@@ -271,9 +272,11 @@ class SpectrumAccessBroker:
             dispatcher, *idle = self._threads
             dispatcher.join()
             if idle:
-                # After the dispatcher: its last flush starts the idle work again.
+                # After the dispatcher: its last flush may start the idle
+                # work again.  Woken with the broker closed, the idle
+                # thread ends.
                 self._stop_idle_work()
-                self._idle_wake.put(False)
+                self._idle_go.set()
                 idle[0].join()
             self._threads = []
             failure, self._failure = self._failure, None
@@ -480,10 +483,15 @@ class SpectrumAccessBroker:
         )
 
     def _fill_when_idle(self) -> None:
-        """The idle thread: one run of the idle work per wake-up."""
-        while self._idle_wake.get():
+        """The idle thread: runs the idle work each time the dispatcher
+        wakes it, until the broker stops admitting."""
+        while True:
+            self._idle_go.wait()
+            self._idle_go.clear()
+            if not self._accepting:
+                return
             with self._idle_lock:
-                # Stopped before this wake-up was read: a pass may be
+                # Stopped before this wake-up was seen: a pass may be
                 # running, so the work must not start.
                 if self._idle_stop.is_set():
                     continue
@@ -495,10 +503,8 @@ class SpectrumAccessBroker:
                     self.metrics.counter("idle_work_failures").inc()
 
     def _start_idle_work(self) -> None:
-        if self._idle_work is None:
-            return
         self._idle_stop.clear()
-        self._idle_wake.put(True)
+        self._idle_go.set()
 
     def _stop_idle_work(self) -> None:
         """Returns once the idle work has: one unit of it at most."""

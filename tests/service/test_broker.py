@@ -337,6 +337,18 @@ class TestPuUpdates:
         assert seen == ["update-1"]
         assert snap["counters"]["pu_updates_applied"] == 1
 
+    def test_a_failing_handler_ends_the_dispatcher_and_close_raises_it(self):
+        def explode(_update):
+            raise RuntimeError("handler exploded")
+
+        broker = _broker(pu_handler=explode)
+        broker.open()
+        broker.submit_pu_update("update-1")
+        with pytest.raises(RuntimeError, match="handler exploded"):
+            broker.close()
+        assert _broker_threads() == []
+        broker.close()  # the failure is reported once
+
     def test_update_without_handler_rejected(self):
         broker = _broker()
         with pytest.raises(ProtocolError):
