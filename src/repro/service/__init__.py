@@ -3,8 +3,8 @@
 Everything below :mod:`repro.pisa` is a synchronous protocol library;
 this package turns it into a long-running *service*:
 
-* :mod:`repro.service.broker` — asyncio request broker with admission
-  control and per-request deadlines;
+* :mod:`repro.service.broker` — request broker on one dispatcher
+  thread, with admission control and per-request deadlines;
 * :mod:`repro.service.batching` — epoch batching of concurrent SU
   requests into single allocation passes;
 * :mod:`repro.service.loadtest` — synthetic open-loop workload driver

@@ -17,8 +17,8 @@ cap) and runs the whole *epoch* as one allocation pass:
 
 :class:`EpochBatcher` is *pure* window/size bookkeeping — time is a
 parameter, nothing sleeps — so its semantics (empty epochs, max-batch
-overflow, flush) are directly unit-testable.  The asyncio broker owns
-the actual clock and drives it.
+overflow, flush) are directly unit-testable.  The broker's dispatcher
+thread owns the actual clock and drives it.
 
 The per-request crypto transcript is byte-identical to the unbatched
 protocol: batching changes message framing and scheduling, never

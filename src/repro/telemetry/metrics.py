@@ -7,8 +7,9 @@ the transports, and the chaos harness all report through one
 embedded metrics layer:
 
 * **cheap on the hot path** — recording a sample is a few attribute
-  writes, no locks (CPython's GIL suffices for our single-loop broker),
-  no string formatting;
+  writes, no locks, no string formatting; an instrument is not
+  thread-safe by itself, so the broker, whose dispatcher and submitting
+  threads share its counters, records them under its own lock;
 * **bounded memory** — histograms keep a fixed-size reservoir of recent
   samples for percentile estimation plus exact running count/sum/min/max
   and fixed-boundary cumulative buckets, so a week-long soak test cannot
